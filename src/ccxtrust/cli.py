@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import harness, protocol
+from .errors import CcxError
 
 ATTACKS = {
     "splice": lambda cluster: harness.attack_splice_matrix(
@@ -251,7 +252,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check_trace(args) -> int:
-    trace = protocol.ProtocolTrace.read(args.trace)
+    try:
+        trace = protocol.ProtocolTrace.read(args.trace)
+    except CcxError as exc:
+        print(f"check-trace: {args.trace}: {exc}", file=sys.stderr)
+        return 1
     verdicts = protocol.check_theorems(trace)
     for verdict in verdicts.values():
         print(verdict.line())

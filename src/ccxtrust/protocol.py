@@ -29,6 +29,8 @@ VERIFIER_PRINCIPAL = "verifier"
 
 EVENT_KINDS = ("new", "send", "receive", "decrypt", "sign", "verify", "match")
 
+_OK_COLUMN = {"-": None, "0": False, "1": True}
+
 # certificate labels whose possession the provenance property covers; the
 # TEE-issued platform encryption key cert is deliberately not among them
 # because no owner CA signature ever exists for it
@@ -102,10 +104,15 @@ class TraceEvent:
         index, principal, kind, peer, digest, tag, ok, contents = parts
         if kind not in EVENT_KINDS:
             raise DecodeError(f"unknown event kind {kind!r}")
+        try:
+            index = int(index)
+        except ValueError:
+            raise DecodeError(f"trace index must be an integer: {index!r}") from None
+        if ok not in _OK_COLUMN:
+            raise DecodeError(f"trace ok column must be -, 0 or 1: {ok!r}")
         return cls(
-            index=int(index), principal=principal, kind=kind, peer=peer,
-            digest=digest, tag=tag,
-            ok=None if ok == "-" else bool(int(ok)),
+            index=index, principal=principal, kind=kind, peer=peer,
+            digest=digest, tag=tag, ok=_OK_COLUMN[ok],
             contents=() if contents == "-" else tuple(contents.split(",")))
 
     def labeled(self, label: str) -> list[str]:
@@ -676,6 +683,29 @@ def _tpm_quote_internal(actor, channels, trace, session_id, selection,
     return quote_rx
 
 
+def _deliver_token(verifier_svc, actor, channels, trace, request, verified,
+                   policy):
+    """Verifier mints the token for accepted evidence and sends it to the
+    agent over the sealed channel."""
+    V, C = VERIFIER_PRINCIPAL, actor.agent
+    token = verifier_svc.issue_token(request, verified, policy)
+    token_digest = crypto.sha256(token.compact().encode())
+    trace.emit(V, "sign", digest=token_digest, tag="token",
+               contents=(f"token:{token_digest.hex()}",
+                         f"session:{request.session_id.hex()}"))
+    msg = _transfer(trace, channels, V, C, "token-info",
+                    FieldWriter().put_str(0x0001, token.compact()).getvalue(),
+                    session_id=request.session_id,
+                    contents=(f"token:{token_digest.hex()}",))
+    r = FieldReader(msg.body)
+    token_text = r.take_str(0x0001)
+    r.finish()
+    trace.emit(C, "decrypt", digest=crypto.sha256(token_text.encode()),
+               tag="token-info",
+               contents=(f"token:{crypto.sha256(token_text.encode()).hex()}",))
+    return token
+
+
 def _submit_and_tokenize(verifier_svc, actor, channels, trace, request,
                          policy, envelope: CompositeReportEnvelope, *,
                          evidence_mutator: Callable | None = None):
@@ -702,22 +732,8 @@ def _submit_and_tokenize(verifier_svc, actor, channels, trace, request,
                          f"outcome:{outcome.value}"))
     if outcome is not CompositeOutcome.OK:
         raise AttestationRejected(outcome, f"evidence rejected: {outcome.value}")
-    token = verifier_svc.issue_token(request, verified, policy)
-    token_digest = crypto.sha256(token.compact().encode())
-    trace.emit(V, "sign", digest=token_digest, tag="token",
-               contents=(f"token:{token_digest.hex()}",
-                         f"session:{session_hex}"))
-    msg = _transfer(trace, channels, V, C, "token-info",
-                    FieldWriter().put_str(0x0001, token.compact()).getvalue(),
-                    session_id=request.session_id,
-                    contents=(f"token:{token_digest.hex()}",))
-    r = FieldReader(msg.body)
-    token_text = r.take_str(0x0001)
-    r.finish()
-    trace.emit(C, "decrypt", digest=crypto.sha256(token_text.encode()),
-               tag="token-info",
-               contents=(f"token:{crypto.sha256(token_text.encode()).hex()}",))
-    return token
+    return _deliver_token(verifier_svc, actor, channels, trace, request,
+                          verified, policy)
 
 
 def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
@@ -791,12 +807,10 @@ def run_attest_single(actor: NodeActor, verifier_svc: VerifierService,
     r = FieldReader(msg.body)
     evidence_rx = r.take(0x0001)
     r.finish()
-    if technology == "tee":
-        outcome, verified = verifier_svc.verify_tee_report(evidence_rx,
-                                                           request, policy)
-    else:
-        outcome, verified = verifier_svc.verify_tpm_quote(evidence_rx,
-                                                          request, policy)
+    envelope = CompositeReportEnvelope(technology, actor.node_id, session_id,
+                                       evidence_rx)
+    outcome, verified = verifier_svc.verify_composite(envelope, request,
+                                                      policy)
     trace.emit(V, "verify", digest=crypto.sha256(evidence_rx),
                tag=f"{technology}-evidence",
                ok=outcome is CompositeOutcome.OK,
@@ -804,8 +818,8 @@ def run_attest_single(actor: NodeActor, verifier_svc: VerifierService,
     if outcome is not CompositeOutcome.OK:
         raise AttestationRejected(
             outcome, f"{technology} leg rejected: {outcome.value}")
-    return _issue_leg_token(verifier_svc, actor, channels, trace, request,
-                            verified, policy)
+    return _deliver_token(verifier_svc, actor, channels, trace, request,
+                          verified, policy)
 
 
 def run_attest_independent(actor: NodeActor, verifier_svc: VerifierService,
@@ -820,27 +834,6 @@ def run_attest_independent(actor: NodeActor, verifier_svc: VerifierService,
         run_attest_single(actor, verifier_svc, channels, trace,
                           policy_id=policy_id, technology="tpm"),
     ]
-
-
-def _issue_leg_token(verifier_svc, actor, channels, trace, request, verified,
-                     policy):
-    V, C = VERIFIER_PRINCIPAL, actor.agent
-    token = verifier_svc.issue_token(request, verified, policy)
-    token_digest = crypto.sha256(token.compact().encode())
-    trace.emit(V, "sign", digest=token_digest, tag="token",
-               contents=(f"token:{token_digest.hex()}",
-                         f"session:{request.session_id.hex()}"))
-    msg = _transfer(trace, channels, V, C, "token-info",
-                    FieldWriter().put_str(0x0001, token.compact()).getvalue(),
-                    session_id=request.session_id,
-                    contents=(f"token:{token_digest.hex()}",))
-    r = FieldReader(msg.body)
-    token_text = r.take_str(0x0001)
-    r.finish()
-    trace.emit(C, "decrypt", digest=crypto.sha256(token_text.encode()),
-               tag="token-info",
-               contents=(f"token:{crypto.sha256(token_text.encode()).hex()}",))
-    return token
 
 
 # ---------------------------------------------------------------------------

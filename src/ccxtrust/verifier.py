@@ -1,11 +1,21 @@
 """Attestation verifier service.
 
 Owns the relying-party side of every flow: it opens attestation sessions
-with fresh nonces, checks composite evidence layer by layer (signatures,
-nonce/session binding, identity join, measurement and PCR baselines, TCB
-floor, revocation), and turns accepted evidence into signed bearer tokens
-in a compact three-segment format. Tokens it issued are logged by serial;
-validation re-checks structure, signature, expiry, and revocation.
+with fresh nonces, appraises evidence, and turns accepted evidence into
+signed bearer tokens in a compact three-segment format. Tokens it issued
+are logged by serial; validation re-checks structure, signature, expiry,
+and revocation.
+
+One appraisal pipeline serves the four evidence layouts: the composite
+tpm-tee and tee-tpm embeddings and the single-technology tee and tpm
+legs. It checks, first failure wins: session replay and session-id
+binding; that every layer decodes; the nonce binding of every layer,
+which needs no signature; the signer of every layer, outer first (the
+claimed node's key, then the node the TEE report's chip id names, so a
+submission costs at most two signature checks per layer whatever the
+fleet size); the identity join; the launch measurement, PCR composite
+and TCB floor of the layers present; revocation; and finally the atomic
+claim of the session.
 
 verify_composite is the only constructor of VerifiedReport, and
 issue_token accepts nothing else, so a token can never be minted from
@@ -189,8 +199,73 @@ def validate_token(token: "AttestationToken | str", verifier_pub: bytes,
 
 
 # ---------------------------------------------------------------------------
+# evidence layouts
+# ---------------------------------------------------------------------------
+
+# The evidence layers of each envelope direction, outermost first; each
+# layer embeds the next one verbatim.
+_LAYOUTS: dict[str, tuple[str, ...]] = {
+    "tpm-tee": ("tpm", "tee"),
+    "tee-tpm": ("tee", "tpm"),
+    "tee": ("tee",),
+    "tpm": ("tpm",),
+}
+
+_DECODERS = {"tpm": tpm.CompositeQuote.from_bytes,
+             "tee": tee.TeeReport.from_bytes}
+
+
+def _decode_layers(layout: tuple[str, ...], evidence: bytes) -> dict | None:
+    """Every layer of the evidence keyed by kind, or None if any layer is
+    missing or does not decode."""
+    layers = {}
+    raw = evidence
+    for kind in layout:
+        if not raw:
+            return None
+        try:
+            layer = _DECODERS[kind](raw)
+        except CcxError:
+            return None
+        layers[kind] = layer
+        raw = layer.tee_report if kind == "tpm" else layer.embedded_evidence
+    return layers
+
+
+def _expected_report_data(direction: str, nonce: bytes,
+                          report: tee.TeeReport) -> bytes:
+    """The report_data a TEE report must carry for a session nonce."""
+    if direction == "tpm-tee":
+        return crypto.sha256(nonce) + REPORT_DATA_PAD
+    if direction == "tee-tpm":
+        return nonce + crypto.sha256(report.embedded_evidence)
+    return nonce + REPORT_DATA_PAD
+
+
+def _signed_by(keys: NodeKeys, kind: str, layer) -> bool:
+    public = keys.aik_pub if kind == "tpm" else keys.vcek_pub
+    try:
+        return crypto.verify(public, layer.body_bytes(), layer.signature)
+    except MalformedSignature:
+        return False
+
+
+# ---------------------------------------------------------------------------
 # the service
 # ---------------------------------------------------------------------------
+
+class _LockedMembership:
+    """Membership in a shared container, tested under its lock instead of
+    on a copy."""
+
+    def __init__(self, container, lock) -> None:
+        self._container = container
+        self._lock = lock
+
+    def __contains__(self, item) -> bool:
+        with self._lock:
+            return item in self._container
+
 
 class VerifierService:
     def __init__(self, *, verifier_id: str = "verifier", clock=None, rng=None,
@@ -208,12 +283,12 @@ class VerifierService:
             self._is_revoked = revocation.is_revoked
         self.policies: dict[str, PolicyBaseline] = {}
         self._nodes: dict[str, NodeKeys] = {}
+        self._chips: dict[bytes, NodeKeys] = {}
         self._sessions: dict[bytes, AttestationRequest] = {}
         self._nonces_seen: set[bytes] = set()
         self._issued: dict[int, dict] = {}
         self._next_serial = 1
         self._lock = threading.RLock()
-        self._verify_cache: dict[tuple[bytes, bytes, bytes], bool] = {}
 
     @property
     def public_bytes(self) -> bytes:
@@ -241,8 +316,10 @@ class VerifierService:
             if vcek_cert is not None and not (vcek_cert.verify(oca_pub)
                                               and vcek_cert.subject == vcek_pub):
                 raise ChainInvalid("VCEK certificate does not verify under the owner CA")
+        keys = NodeKeys(node_id, chip_id, aik_pub, vcek_pub)
         with self._lock:
-            self._nodes[node_id] = NodeKeys(node_id, chip_id, aik_pub, vcek_pub)
+            self._nodes[node_id] = keys
+            self._chips[chip_id] = keys
 
     def node_keys(self, node_id: str) -> NodeKeys | None:
         with self._lock:
@@ -278,231 +355,73 @@ class VerifierService:
             self._sessions[session_id] = request
         return request
 
-    # -- composite verification ------------------------------------------------
+    # -- evidence appraisal ----------------------------------------------------
 
     def verify_composite(self, envelope: "CompositeReportEnvelope",
                          session: AttestationRequest,
                          policy: PolicyBaseline
                          ) -> tuple[CompositeOutcome, VerifiedReport | None]:
-        """Check a composite envelope layer by layer; first failure wins.
+        """Appraise evidence of any layout in _LAYOUTS; first failure wins.
 
-        Order: session binding, outer signature, inner signature, nonce
-        binding, identity join, launch measurement, PCR composite, TCB
-        floor, revocation.
+        Order: session replay and session-id binding, decoding of every
+        layer, nonce binding, the signer of each layer (outer first),
+        identity join, launch measurement, PCR composite, TCB floor,
+        revocation, then the atomic claim of the session.
         """
         if session.completed:
             return CompositeOutcome.SESSION_REPLAY, None
         if envelope.session_id != session.session_id:
             return CompositeOutcome.NONCE_MISMATCH, None
         node = self.node_keys(session.node_id)
-        if node is None:
+        layout = _LAYOUTS.get(envelope.direction)
+        if node is None or layout is None:
             return CompositeOutcome.MALFORMED, None
-        if envelope.direction == "tpm-tee":
-            result = self._check_tpm_outer(envelope, session, policy, node)
-        elif envelope.direction == "tee-tpm":
-            result = self._check_tee_outer(envelope, session, policy, node)
-        else:
+        layers = _decode_layers(layout, envelope.evidence)
+        if layers is None:
             return CompositeOutcome.MALFORMED, None
-        outcome, verified = result
-        if outcome is CompositeOutcome.OK:
+        quote_obj = layers.get("tpm")
+        report = layers.get("tee")
+        if quote_obj is not None and quote_obj.qualifying_data != session.nonce:
+            return CompositeOutcome.NONCE_MISMATCH, None
+        if report is not None and report.report_data != _expected_report_data(
+                envelope.direction, session.nonce, report):
+            return CompositeOutcome.NONCE_MISMATCH, None
+        chip_owner = None
+        if report is not None:
             with self._lock:
-                session.completed = True
-        return outcome, verified
-
-    def _check_tpm_outer(self, envelope, session, policy, node):
-        try:
-            quote_obj = tpm.CompositeQuote.from_bytes(envelope.evidence)
-        except CcxError:
-            return CompositeOutcome.MALFORMED, None
-        outer_owner = self._quote_signer(quote_obj, node)
-        if outer_owner is None:
-            return CompositeOutcome.OUTER_SIGNATURE_INVALID, None
-        if not quote_obj.tee_report:
-            return CompositeOutcome.MALFORMED, None
-        try:
-            report = tee.TeeReport.from_bytes(quote_obj.tee_report)
-        except CcxError:
-            return CompositeOutcome.MALFORMED, None
-        inner_owner = self._report_signer(report, node)
-        if inner_owner is None:
-            return CompositeOutcome.INNER_SIGNATURE_INVALID, None
-        expected_data = crypto.sha256(session.nonce) + REPORT_DATA_PAD
-        if quote_obj.qualifying_data != session.nonce \
-                or report.report_data != expected_data:
-            return CompositeOutcome.NONCE_MISMATCH, None
-        if outer_owner is not node or inner_owner is not node \
-                or report.chip_id != node.chip_id:
-            return CompositeOutcome.IDENTITY_MISMATCH, None
-        return self._check_platform(envelope, session, policy,
-                                    report.launch_measurement,
-                                    quote_obj.pcr_selection, quote_obj.pcr_digest,
-                                    report.tcb_version)
-
-    def _check_tee_outer(self, envelope, session, policy, node):
-        try:
-            report = tee.TeeReport.from_bytes(envelope.evidence)
-        except CcxError:
-            return CompositeOutcome.MALFORMED, None
-        outer_owner = self._report_signer(report, node)
-        if outer_owner is None:
-            return CompositeOutcome.OUTER_SIGNATURE_INVALID, None
-        if not report.embedded_evidence:
-            return CompositeOutcome.MALFORMED, None
-        try:
-            quote_obj = tpm.CompositeQuote.from_bytes(report.embedded_evidence)
-        except CcxError:
-            return CompositeOutcome.MALFORMED, None
-        inner_owner = self._quote_signer(quote_obj, node)
-        if inner_owner is None:
-            return CompositeOutcome.INNER_SIGNATURE_INVALID, None
-        expected_data = session.nonce + crypto.sha256(report.embedded_evidence)
-        if report.report_data != expected_data \
-                or quote_obj.qualifying_data != session.nonce:
-            return CompositeOutcome.NONCE_MISMATCH, None
-        if outer_owner is not node or inner_owner is not node \
-                or report.chip_id != node.chip_id:
-            return CompositeOutcome.IDENTITY_MISMATCH, None
-        return self._check_platform(envelope, session, policy,
-                                    report.launch_measurement,
-                                    quote_obj.pcr_selection, quote_obj.pcr_digest,
-                                    report.tcb_version)
-
-    def _check_platform(self, envelope, session, policy, measurement,
-                        pcr_selection, pcr_digest, tcb_version):
-        if measurement != policy.expected_measurement:
-            return CompositeOutcome.MEASUREMENT_MISMATCH, None
-        if pcr_selection != policy.pcr_selection \
-                or pcr_digest != policy.expected_pcr_composite:
+                chip_owner = self._chips.get(report.chip_id)
+        for position, kind in enumerate(layout):
+            if _signed_by(node, kind, layers[kind]):
+                continue
+            if chip_owner is not None and chip_owner.node_id != node.node_id \
+                    and _signed_by(chip_owner, kind, layers[kind]):
+                return CompositeOutcome.IDENTITY_MISMATCH, None
+            return (CompositeOutcome.OUTER_SIGNATURE_INVALID if position == 0
+                    else CompositeOutcome.INNER_SIGNATURE_INVALID), None
+        if report is not None:
+            if report.chip_id != node.chip_id:
+                return CompositeOutcome.IDENTITY_MISMATCH, None
+            if report.launch_measurement != policy.expected_measurement:
+                return CompositeOutcome.MEASUREMENT_MISMATCH, None
+        if quote_obj is not None and (
+                quote_obj.pcr_selection != policy.pcr_selection
+                or quote_obj.pcr_digest != policy.expected_pcr_composite):
             return CompositeOutcome.PCR_MISMATCH, None
-        if tcb_version < policy.min_tcb_version:
+        if report is not None and report.tcb_version < policy.min_tcb_version:
             return CompositeOutcome.TCB_REJECTED, None
         if self._is_revoked(session.node_id):
             return CompositeOutcome.NODE_REVOKED, None
+        with self._lock:
+            if session.completed:
+                return CompositeOutcome.SESSION_REPLAY, None
+            session.completed = True
         verified = VerifiedReport(
             session_id=session.session_id, node_id=session.node_id,
             token_type=envelope.direction, evidence=envelope.evidence,
-            tcb_version=tcb_version, measurement=measurement,
-            pcr_selection=pcr_selection, pcr_digest=pcr_digest)
-        return CompositeOutcome.OK, verified
-
-    def _cached_verify(self, public: bytes, message: bytes,
-                       signature: bytes) -> bool:
-        """Signature check with memoization; the identity scan re-tries
-        the same (key, message, signature) triples constantly."""
-        cache_key = (public, crypto.sha256(message), signature)
-        with self._lock:
-            hit = self._verify_cache.get(cache_key)
-        if hit is not None:
-            return hit
-        try:
-            result = crypto.verify(public, message, signature)
-        except MalformedSignature:
-            result = False
-        with self._lock:
-            if len(self._verify_cache) >= 1 << 17:
-                self._verify_cache.clear()
-            self._verify_cache[cache_key] = result
-        return result
-
-    def _quote_signer(self, quote_obj: tpm.CompositeQuote,
-                      claimed: NodeKeys) -> NodeKeys | None:
-        """The registered node whose AIK signed this quote, if any.
-
-        The claimed node is tried first; the deterministic scan afterwards
-        is what lets a valid-but-foreign signature be reported as an
-        identity mismatch instead of a bare signature failure.
-        """
-        body = quote_obj.body_bytes()
-        if self._cached_verify(claimed.aik_pub, body, quote_obj.signature):
-            return claimed
-        with self._lock:
-            others = [self._nodes[n] for n in sorted(self._nodes) if n != claimed.node_id]
-        for keys in others:
-            if self._cached_verify(keys.aik_pub, body, quote_obj.signature):
-                return keys
-        return None
-
-    def _report_signer(self, report: tee.TeeReport,
-                       claimed: NodeKeys) -> NodeKeys | None:
-        body = report.body_bytes()
-        if self._cached_verify(claimed.vcek_pub, body, report.signature):
-            return claimed
-        with self._lock:
-            others = [self._nodes[n] for n in sorted(self._nodes) if n != claimed.node_id]
-        for keys in others:
-            if self._cached_verify(keys.vcek_pub, body, report.signature):
-                return keys
-        return None
-
-    # -- single-technology verification (independent baseline) -----------------
-
-    def verify_tee_report(self, report_bytes: bytes, session: AttestationRequest,
-                          policy: PolicyBaseline
-                          ) -> tuple[CompositeOutcome, VerifiedReport | None]:
-        """TEE-only attestation check, used by the independent baseline."""
-        if session.completed:
-            return CompositeOutcome.SESSION_REPLAY, None
-        node = self.node_keys(session.node_id)
-        if node is None:
-            return CompositeOutcome.MALFORMED, None
-        try:
-            report = tee.TeeReport.from_bytes(report_bytes)
-        except CcxError:
-            return CompositeOutcome.MALFORMED, None
-        owner = self._report_signer(report, node)
-        if owner is None:
-            return CompositeOutcome.OUTER_SIGNATURE_INVALID, None
-        if report.report_data != session.nonce + REPORT_DATA_PAD:
-            return CompositeOutcome.NONCE_MISMATCH, None
-        if owner is not node or report.chip_id != node.chip_id:
-            return CompositeOutcome.IDENTITY_MISMATCH, None
-        if report.launch_measurement != policy.expected_measurement:
-            return CompositeOutcome.MEASUREMENT_MISMATCH, None
-        if report.tcb_version < policy.min_tcb_version:
-            return CompositeOutcome.TCB_REJECTED, None
-        if self._is_revoked(session.node_id):
-            return CompositeOutcome.NODE_REVOKED, None
-        with self._lock:
-            session.completed = True
-        verified = VerifiedReport(
-            session_id=session.session_id, node_id=session.node_id,
-            token_type="tee", evidence=report_bytes,
-            tcb_version=report.tcb_version, measurement=report.launch_measurement,
-            pcr_selection=(), pcr_digest=b"")
-        return CompositeOutcome.OK, verified
-
-    def verify_tpm_quote(self, quote_bytes: bytes, session: AttestationRequest,
-                         policy: PolicyBaseline
-                         ) -> tuple[CompositeOutcome, VerifiedReport | None]:
-        """TPM-only attestation check, used by the independent baseline."""
-        if session.completed:
-            return CompositeOutcome.SESSION_REPLAY, None
-        node = self.node_keys(session.node_id)
-        if node is None:
-            return CompositeOutcome.MALFORMED, None
-        try:
-            quote_obj = tpm.CompositeQuote.from_bytes(quote_bytes)
-        except CcxError:
-            return CompositeOutcome.MALFORMED, None
-        owner = self._quote_signer(quote_obj, node)
-        if owner is None:
-            return CompositeOutcome.OUTER_SIGNATURE_INVALID, None
-        if quote_obj.qualifying_data != session.nonce:
-            return CompositeOutcome.NONCE_MISMATCH, None
-        if owner is not node:
-            return CompositeOutcome.IDENTITY_MISMATCH, None
-        if quote_obj.pcr_selection != policy.pcr_selection \
-                or quote_obj.pcr_digest != policy.expected_pcr_composite:
-            return CompositeOutcome.PCR_MISMATCH, None
-        if self._is_revoked(session.node_id):
-            return CompositeOutcome.NODE_REVOKED, None
-        with self._lock:
-            session.completed = True
-        verified = VerifiedReport(
-            session_id=session.session_id, node_id=session.node_id,
-            token_type="tpm", evidence=quote_bytes,
-            tcb_version=0, measurement=b"",
-            pcr_selection=quote_obj.pcr_selection, pcr_digest=quote_obj.pcr_digest)
+            tcb_version=report.tcb_version if report else 0,
+            measurement=report.launch_measurement if report else b"",
+            pcr_selection=quote_obj.pcr_selection if quote_obj else (),
+            pcr_digest=quote_obj.pcr_digest if quote_obj else b"")
         return CompositeOutcome.OK, verified
 
     # -- tokens ----------------------------------------------------------------
@@ -557,11 +476,10 @@ class VerifierService:
                        now: float | None = None) -> dict | TokenRejection:
         if now is None:
             now = self.clock.now()
-        with self._lock:
-            issued = frozenset(self._issued)
         return validate_token(token, self.key.public_bytes, now,
                               is_revoked=self._is_revoked,
-                              issued_serials=issued)
+                              issued_serials=_LockedMembership(self._issued,
+                                                               self._lock))
 
     @property
     def issued_serials(self) -> frozenset[int]:

@@ -129,6 +129,16 @@ def test_check_trace_pass_and_fail(tmp_path, capsys):
     assert "token-provenance FAIL" in capsys.readouterr().out
 
 
+def test_check_trace_undecodable_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "trace.log"
+    path.write_text("x verifier send - - - - -\n", encoding="ascii")
+    assert run(["check-trace", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "trace index" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------

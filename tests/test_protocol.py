@@ -50,9 +50,12 @@ def test_trace_text_round_trip_and_digest(cluster):
 
 def test_trace_from_text_rejects_gap(cluster):
     lines = cluster.trace.lines()
-    del lines[2]
-    with pytest.raises(DecodeError):
-        protocol.ProtocolTrace.from_text("\n".join(lines))
+    gap = lines[:2] + lines[3:]
+    bad_index = lines + ["x verifier send - - - - -"]
+    bad_ok = lines + [f"{len(lines)} verifier send - - - 2 -"]
+    for broken in (gap, bad_index, bad_ok):
+        with pytest.raises(DecodeError):
+            protocol.ProtocolTrace.from_text("\n".join(broken))
 
 
 def test_trace_write_read(tmp_path, cluster):
@@ -155,6 +158,28 @@ def test_attest_single_and_independent(cluster):
     for token in tokens:
         assert isinstance(cluster.verifier_svc.validate_token(token.compact()),
                           dict)
+
+
+def test_golden_trace_and_token_digests():
+    # signatures commit to the encoding, so a refactor of the attestation
+    # flows must leave both the trace bytes and the token bytes unchanged
+    c = harness.build_cluster(4242, nodes=2)
+    tokens = [
+        protocol.run_attest_composite(
+            c.actor(0), c.verifier_svc, c.channels, c.trace,
+            policy_id=c.policy_id, direction="tpm-tee"),
+        protocol.run_attest_composite(
+            c.actor(1), c.verifier_svc, c.channels, c.trace,
+            policy_id=c.policy_id, direction="tee-tpm"),
+    ]
+    tokens += protocol.run_attest_independent(
+        c.actor(0), c.verifier_svc, c.channels, c.trace,
+        policy_id=c.policy_id)
+    assert len(c.trace.events) == 140
+    assert c.trace.digest().hex() == (
+        "9a0f8a28358f6b35df48c9db66da311ac7715b6fb53068a88fe9cd7d8afe6875")
+    assert crypto.sha256("".join(t.compact() for t in tokens).encode()).hex() \
+        == "1877689b62445c246fae74a2d29b7a4177ef68397422d5bb8e8b7ae8d3eb4606"
 
 
 def test_attest_rejection_raises_with_outcome(cluster):

@@ -3,6 +3,7 @@ directions, every rejection class, the verified-report type gate, and
 the token lifecycle."""
 
 import dataclasses
+import threading
 
 import pytest
 
@@ -214,21 +215,118 @@ def test_single_legs_verify_and_replay_protect(cluster):
     report = tee.guest_report(actor.vcek, actor.chip_id, actor.tcb,
                               actor.tcb_version,
                               request.nonce + bytes(32))
-    outcome, verified = svc.verify_tee_report(report.to_bytes(), request,
-                                              cluster.policy)
+    envelope = protocol.CompositeReportEnvelope(
+        "tee", actor.node_id, request.session_id, report.to_bytes())
+    outcome, verified = submit(cluster, request, envelope)
     assert outcome is verifier.CompositeOutcome.OK
     assert verified.token_type == "tee"
-    outcome, _ = svc.verify_tee_report(report.to_bytes(), request,
-                                       cluster.policy)
+    outcome, _ = submit(cluster, request, envelope)
     assert outcome is verifier.CompositeOutcome.SESSION_REPLAY
 
     request2 = svc.new_request(cluster.policy_id, actor.node_id)
     quote_bytes = tpm.quote(actor.state, actor.pcr_selection, request2.nonce,
                             actor.aik_handle).to_bytes()
-    outcome, verified = svc.verify_tpm_quote(quote_bytes, request2,
-                                             cluster.policy)
+    envelope2 = protocol.CompositeReportEnvelope(
+        "tpm", actor.node_id, request2.session_id, quote_bytes)
+    outcome, verified = submit(cluster, request2, envelope2)
     assert outcome is verifier.CompositeOutcome.OK
     assert verified.token_type == "tpm"
+
+
+def test_tpm_only_quote_from_foreign_aik_is_outer_signature_invalid(cluster):
+    # a plain quote carries no chip id, so a foreign AIK cannot be named
+    victim, imposter = cluster.actor(0), cluster.actor(1)
+    request = cluster.verifier_svc.new_request(cluster.policy_id,
+                                               victim.node_id)
+    quote_bytes = tpm.quote(imposter.state, imposter.pcr_selection,
+                            request.nonce, imposter.aik_handle).to_bytes()
+    envelope = protocol.CompositeReportEnvelope(
+        "tpm", victim.node_id, request.session_id, quote_bytes)
+    assert submit(cluster, request, envelope)[0] is \
+        verifier.CompositeOutcome.OUTER_SIGNATURE_INVALID
+
+
+# ---------------------------------------------------------------------------
+# appraisal cost and session claim
+# ---------------------------------------------------------------------------
+
+def _bad_signature(cluster):
+    request, envelope = honest(cluster, "tpm-tee")
+    quote_obj = tpm.CompositeQuote.from_bytes(envelope.evidence)
+    sig = quote_obj.signature
+    broken = dataclasses.replace(quote_obj,
+                                 signature=sig[:-1] + bytes([sig[-1] ^ 1]))
+    return request, dataclasses.replace(envelope, evidence=broken.to_bytes())
+
+
+def _relay(cluster):
+    # the middle node's valid evidence for node 0's session and nonce
+    victim = cluster.actor(0)
+    other = cluster.actor(len(cluster.actors) // 2)
+    request = cluster.verifier_svc.new_request(cluster.policy_id,
+                                               victim.node_id)
+    report = tee.guest_report(
+        other.vcek, other.chip_id, other.tcb, other.tcb_version,
+        crypto.sha256(request.nonce) + bytes(32))
+    evidence = tpm.cc_quote(other.state, other.pcr_selection, request.nonce,
+                            other.aik_handle, report.to_bytes()).to_bytes()
+    return request, protocol.CompositeReportEnvelope(
+        "tpm-tee", victim.node_id, request.session_id, evidence)
+
+
+def _verifies(monkeypatch, cluster, build):
+    request, envelope = build(cluster)
+    calls = []
+    real_verify = crypto.verify
+
+    def counting(*args):
+        calls.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    outcome, _ = submit(cluster, request, envelope)
+    monkeypatch.setattr(crypto, "verify", real_verify)
+    return outcome, len(calls)
+
+
+def test_rejection_cost_does_not_grow_with_fleet(monkeypatch):
+    small = harness.build_cluster(202, nodes=3)
+    large = harness.build_cluster(203, nodes=12)
+    for cluster in (small, large):
+        assert _verifies(monkeypatch, cluster, _bad_signature) == \
+            (verifier.CompositeOutcome.OUTER_SIGNATURE_INVALID, 1)
+    relays = [_verifies(monkeypatch, c, _relay) for c in (small, large)]
+    assert relays[0] == relays[1]
+    outcome, count = relays[0]
+    assert outcome is verifier.CompositeOutcome.IDENTITY_MISMATCH
+    assert count <= 2 * 2
+
+
+def test_concurrent_submissions_claim_the_session_once(cluster):
+    svc = cluster.verifier_svc
+    request, envelope = harness._honest_envelope(cluster, cluster.actor(0),
+                                                 "tpm-tee")
+    barrier = threading.Barrier(2)
+    is_revoked = svc._is_revoked
+
+    def held_at_revocation(node_id):
+        # both submissions pass every other check before either goes on
+        barrier.wait(timeout=30)
+        return is_revoked(node_id)
+
+    svc._is_revoked = held_at_revocation
+    results = []
+
+    def submit_once():
+        results.append(submit(cluster, request, envelope)[0].value)
+
+    threads = [threading.Thread(target=submit_once) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == ["ok", "session-replay"]
 
 
 # ---------------------------------------------------------------------------
