@@ -260,6 +260,9 @@ def _cmd_check_trace(args) -> int:
     verdicts = protocol.check_theorems(trace)
     for verdict in verdicts.values():
         print(verdict.line())
+        if not verdict.ok:
+            for index in verdict.witness:
+                print("   ", trace.events[index].line())
     return 0 if all(v.ok for v in verdicts.values()) else 1
 
 

@@ -781,6 +781,7 @@ class BenchResult:
     unique_nonces: int
     unique_token_serials: int
     phase_percentiles: dict[str, tuple[float, float, float]]
+    theorem_violations: int
 
     def summary(self) -> dict:
         return {
@@ -792,6 +793,7 @@ class BenchResult:
             "failures": self.failures[:10],
             "unique_nonces": self.unique_nonces,
             "unique_token_serials": self.unique_token_serials,
+            "theorem_violations": self.theorem_violations,
             "phase_percentiles_ms": {
                 phase: [round(v * 1e3, 3) for v in values]
                 for phase, values in sorted(self.phase_percentiles.items())},
@@ -806,6 +808,8 @@ class BenchResult:
             f"{'success':>12} {self.successes}/{self.nodes}",
             f"{'nonces':>12} {self.unique_nonces} unique",
             f"{'serials':>12} {self.unique_token_serials} unique",
+            f"{'violations':>12} {self.theorem_violations} of "
+            f"{3 * self.nodes} trust properties",
             f"{'phase':>12} {'p50ms':>10} {'p90ms':>10} {'p99ms':>10}",
         ]
         for phase, (p50, p90, p99) in sorted(self.phase_percentiles.items()):
@@ -817,24 +821,27 @@ class BenchResult:
 def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
               direction: str = "tpm-tee") -> BenchResult:
     """Initialize and attest a fleet under a thread pool, measuring
-    per-phase latency and end-to-end wall time."""
+    per-phase latency and end-to-end wall time. Each node's enrollment
+    and attestation share one trace, checked for the three trust
+    properties after the node's timed phases."""
     cluster = build_cluster(seed, 0)
     timings: dict[str, list[float]] = {"enroll": [], "attest": [],
                                        "validate": [], "end-to-end": []}
     failures: list[str] = []
     serials: set[int] = set()
+    violations = 0
     tally_lock = threading.Lock()
 
     def one_node(index: int) -> None:
+        nonlocal violations
+        trace = protocol.ProtocolTrace()
         t0 = time.perf_counter()
         try:
-            actor = add_node(cluster, index,
-                             trace=protocol.ProtocolTrace())
+            actor = add_node(cluster, index, trace=trace)
             t1 = time.perf_counter()
             token = protocol.run_attest_composite(
-                actor, cluster.verifier_svc, cluster.channels,
-                protocol.ProtocolTrace(), policy_id=cluster.policy_id,
-                direction=direction)
+                actor, cluster.verifier_svc, cluster.channels, trace,
+                policy_id=cluster.policy_id, direction=direction)
             t2 = time.perf_counter()
             claims = cluster.verifier_svc.validate_token(token)
             t3 = time.perf_counter()
@@ -849,6 +856,10 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
         except Exception as exc:   # noqa: BLE001 - bench must tally, not die
             with tally_lock:
                 failures.append(f"{node_name(index)}: {exc}")
+        violated = sum(not verdict.ok for verdict
+                       in protocol.check_theorems(trace).values())
+        with tally_lock:
+            violations += violated
 
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
@@ -868,4 +879,4 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
         wall_seconds=wall, successes=nodes - len(failures),
         failures=failures, unique_nonces=nonces,
         unique_token_serials=len(serials),
-        phase_percentiles=percentiles)
+        phase_percentiles=percentiles, theorem_violations=violations)

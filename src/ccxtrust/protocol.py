@@ -853,10 +853,17 @@ class TheoremVerdict:
         return f"{self.name} {status} witness={witness} {self.reason}"
 
 
+# (kind, tag) of the owner-CA check that must precede each certificate
 _CERT_EVIDENCE = {
     "cert-vcek": ("verify", "vendor-chain"),
     "cert-aik": ("match", "credential-nonce"),
     "cert-identity": ("verify", "registration-evidence"),
+}
+
+_PASS_REASONS = {
+    "cert-provenance": "certificate possessions justified",
+    "token-provenance": "token possessions justified",
+    "attest-order": "evidence signatures in order",
 }
 
 
@@ -875,119 +882,90 @@ def check_theorems(trace: ProtocolTrace, *, oca: str = OCA_PRINCIPAL,
     attest-order: evidence for a session is only signed after the
     platform received that session's request from the verifier, and
     nobody but the verifier ever signs a token.
+
+    One forward pass, linear in the number of events: each event is
+    judged against indexes built only from the events before it, then
+    indexed itself. The indexes hold the first sign by the CA or the
+    verifier per digest, the first successful CA check per kind and tag,
+    the CA's and the verifier's sends per base peer and content, and the
+    attest-request receipts per base prover and session. Event indices
+    must equal positions, as emit, extend_reindexed and from_text
+    guarantee. Each property reports its first failure in event order.
     """
-    events = trace.events
-    return {
-        "cert-provenance": _check_cert_provenance(events, oca),
-        "token-provenance": _check_token_provenance(events, verifier),
-        "attest-order": _check_attest_order(events, verifier),
-    }
+    authorities = (oca, verifier)
+    signed: dict[tuple[str, str], int] = {}
+    vouched: dict[tuple[str, str], int] = {}
+    sent: set[tuple[str, str, str]] = set()
+    requested: set[tuple[str, str]] = set()
+    failed: dict[str, TheoremVerdict] = {}
+    justified: dict[str, list[int]] = {name: [] for name in _PASS_REASONS}
 
+    def fail(name: str, reason: str, *witness: int) -> None:
+        failed.setdefault(name, TheoremVerdict(name, False, reason, witness))
 
-def _possessions(events, labels) -> list[tuple[TraceEvent, str, str]]:
-    """(event, label, hex) for every labeled value a principal takes
-    possession of by decrypting."""
-    found = []
-    for event in events:
-        if event.kind != "decrypt":
-            continue
-        for label in labels:
-            for hexdigest in event.labeled(label):
-                found.append((event, label, hexdigest))
-    return found
-
-
-def _check_cert_provenance(events, oca) -> TheoremVerdict:
-    witnesses = []
-    for event, label, hexdigest in _possessions(events, CERT_LABELS):
-        holder = base_principal(event.principal)
-        earlier = events[:event.index]
-        signed = [e for e in earlier
-                  if e.kind == "sign" and e.principal == oca
-                  and e.digest == hexdigest]
-        if not signed:
-            return TheoremVerdict(
-                "cert-provenance", False,
-                f"{holder} holds {label} {hexdigest[:16]} never signed by {oca}",
-                (event.index,))
-        sign_index = signed[0].index
-        evidence_kind, evidence_tag = _CERT_EVIDENCE[label]
-        vouched = any(e.kind == evidence_kind and e.tag == evidence_tag
-                      and e.principal == oca and e.ok
-                      for e in events[:sign_index])
-        if not vouched:
-            return TheoremVerdict(
-                "cert-provenance", False,
-                f"{oca} signed {label} {hexdigest[:16]} without prior "
-                f"{evidence_tag} evidence", (sign_index, event.index))
-        delivered = any(e.kind == "send" and e.principal == oca
-                        and base_principal(e.peer) == holder
-                        and f"{label}:{hexdigest}" in e.contents
-                        for e in earlier)
-        if not delivered:
-            return TheoremVerdict(
-                "cert-provenance", False,
-                f"{oca} never sent {label} {hexdigest[:16]} to {holder}",
-                (event.index,))
-        witnesses.append(event.index)
-    return TheoremVerdict("cert-provenance", True,
-                          f"{len(witnesses)} certificate possessions justified",
-                          tuple(witnesses))
-
-
-def _check_token_provenance(events, verifier) -> TheoremVerdict:
-    witnesses = []
-    for event, _label, hexdigest in _possessions(events, ("token",)):
-        holder = base_principal(event.principal)
-        earlier = events[:event.index]
-        signed = any(e.kind == "sign" and e.principal == verifier
-                     and e.digest == hexdigest for e in earlier)
-        if not signed:
-            return TheoremVerdict(
-                "token-provenance", False,
-                f"{holder} holds token {hexdigest[:16]} never signed by "
-                f"{verifier}", (event.index,))
-        delivered = any(e.kind == "send" and e.principal == verifier
-                        and base_principal(e.peer) == holder
-                        and f"token:{hexdigest}" in e.contents
-                        for e in earlier)
-        if not delivered:
-            return TheoremVerdict(
-                "token-provenance", False,
-                f"{verifier} never sent token {hexdigest[:16]} to {holder}",
-                (event.index,))
-        witnesses.append(event.index)
-    return TheoremVerdict("token-provenance", True,
-                          f"{len(witnesses)} token possessions justified",
-                          tuple(witnesses))
-
-
-def _check_attest_order(events, verifier) -> TheoremVerdict:
-    checked = []
-    for event in events:
-        if event.kind == "sign" and event.tag == "token" \
-                and event.principal != verifier:
-            return TheoremVerdict(
-                "attest-order", False,
-                f"{event.principal} signed a token; only {verifier} may",
-                (event.index,))
-        if event.kind != "sign" or event.tag != "total-report":
-            continue
-        prover = base_principal(event.principal)
-        sessions = event.labeled("session")
-        requested = any(
-            e.kind == "receive" and e.tag == "attest-request"
-            and base_principal(e.principal) == prover
-            and e.peer == verifier
-            and any(s in e.labeled("session") for s in sessions)
-            for e in events[:event.index])
-        if not requested:
-            return TheoremVerdict(
-                "attest-order", False,
-                f"{prover} signed evidence for session "
-                f"{(sessions[0][:16] if sessions else '?')} before receiving "
-                f"the request", (event.index,))
-        checked.append(event.index)
-    return TheoremVerdict("attest-order", True,
-                          f"{len(checked)} evidence signatures in order",
-                          tuple(checked))
+    for event in trace.events:
+        index, kind, principal = event.index, event.kind, event.principal
+        if kind == "decrypt":
+            holder = base_principal(principal)
+            for label in CERT_LABELS:
+                for hexdigest in event.labeled(label):
+                    sign_index = signed.get((oca, hexdigest))
+                    evidence = _CERT_EVIDENCE[label]
+                    if sign_index is None:
+                        fail("cert-provenance",
+                             f"{holder} holds {label} {hexdigest[:16]} "
+                             f"never signed by {oca}", index)
+                    elif vouched.get(evidence, sign_index) >= sign_index:
+                        fail("cert-provenance",
+                             f"{oca} signed {label} {hexdigest[:16]} without "
+                             f"prior {evidence[1]} evidence",
+                             sign_index, index)
+                    elif (oca, holder, f"{label}:{hexdigest}") not in sent:
+                        fail("cert-provenance",
+                             f"{oca} never sent {label} {hexdigest[:16]} "
+                             f"to {holder}", index)
+                    else:
+                        justified["cert-provenance"].append(index)
+            for hexdigest in event.labeled("token"):
+                if (verifier, hexdigest) not in signed:
+                    fail("token-provenance",
+                         f"{holder} holds token {hexdigest[:16]} never "
+                         f"signed by {verifier}", index)
+                elif (verifier, holder, f"token:{hexdigest}") not in sent:
+                    fail("token-provenance",
+                         f"{verifier} never sent token {hexdigest[:16]} "
+                         f"to {holder}", index)
+                else:
+                    justified["token-provenance"].append(index)
+        elif kind == "sign":
+            if event.tag == "token" and principal != verifier:
+                fail("attest-order",
+                     f"{principal} signed a token; only {verifier} may",
+                     index)
+            elif event.tag == "total-report":
+                prover = base_principal(principal)
+                sessions = event.labeled("session")
+                if any((prover, s) in requested for s in sessions):
+                    justified["attest-order"].append(index)
+                else:
+                    fail("attest-order",
+                         f"{prover} signed evidence for session "
+                         f"{(sessions[0][:16] if sessions else '?')} before "
+                         f"receiving the request", index)
+            if principal in authorities:
+                signed.setdefault((principal, event.digest), index)
+        elif kind == "send" and principal in authorities:
+            peer = base_principal(event.peer)
+            sent.update((principal, peer, c) for c in event.contents)
+        elif kind == "receive" and event.tag == "attest-request" \
+                and event.peer == verifier:
+            prover = base_principal(principal)
+            requested.update((prover, s) for s in event.labeled("session"))
+        if event.ok and principal == oca:
+            vouched.setdefault((kind, event.tag), index)
+    verdicts = {}
+    for name, reason in _PASS_REASONS.items():
+        witness = tuple(justified[name])
+        verdicts[name] = failed.get(name) or TheoremVerdict(
+            name, True, f"{len(witness)} {reason}", witness)
+    return verdicts

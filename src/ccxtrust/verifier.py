@@ -19,7 +19,8 @@ claim of the session.
 
 verify_composite is the only constructor of VerifiedReport, and
 issue_token accepts nothing else, so a token can never be minted from
-unverified evidence by construction.
+unverified evidence by construction; it mints at most one token per
+session.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ class AttestationRequest:
     pcr_selection: tuple[int, ...]
     created_at: float
     completed: bool = False
+    token_minted: bool = False
 
 
 @dataclass(frozen=True)
@@ -432,6 +434,8 @@ class VerifierService:
 
         The VerifiedReport type gate is the soundness hook: there is no
         public constructor path that has not been through verification.
+        A session yields at most one token; the mint is marked on the
+        verifier's own session entry, never on the caller's copy.
         """
         if not isinstance(verified, VerifiedReport):
             raise TypeError("issue_token requires a VerifiedReport")
@@ -441,6 +445,10 @@ class VerifierService:
             raise ValueError(f"policy forbids token type {verified.token_type!r}")
         now = self.clock.now()
         with self._lock:
+            own = self._sessions.get(verified.session_id)
+            if own is None or own.token_minted:
+                raise ValueError("session is unknown or already has its token")
+            own.token_minted = True
             serial = self._next_serial
             self._next_serial += 1
             header = {

@@ -386,13 +386,16 @@ def test_criterion_08_fleet_concurrency_soundness():
     ok = (bench.successes == 1000 and bench.failures == []
           and bench.unique_nonces == 1000
           and bench.unique_token_serials == 1000
+          and bench.theorem_violations == 0
           and bench.wall_seconds < 300.0
           and cross_accepted == 0 and matched_accepted == 64)
     _report(8, ok,
             "1000 nodes attest at concurrency 64 with 100% success, unique "
-            "nonces and serials, and no cross-session report acceptance",
+            "nonces and serials, every node's trace passing the trust "
+            "properties, and no cross-session report acceptance",
             f"success {bench.successes}/1000, nonces {bench.unique_nonces}, "
             f"serials {bench.unique_token_serials}, "
+            f"violated properties {bench.theorem_violations}, "
             f"wall {bench.wall_seconds:.1f}s (<300s), cross-session accepted "
             f"{cross_accepted}/{len(pairs)}, matched {matched_accepted}/64")
 

@@ -108,6 +108,7 @@ def test_bench_writes_json(tmp_path, capsys):
     bench = json.loads((out / "bench.json").read_text())
     assert bench["successes"] == 4
     assert bench["unique_token_serials"] == 4
+    assert bench["theorem_violations"] == 0
     assert "enroll" in capsys.readouterr().out
 
 
@@ -126,7 +127,11 @@ def test_check_trace_pass_and_fail(tmp_path, capsys):
          "--out", str(fault)])
     capsys.readouterr()
     assert run(["check-trace", str(fault / "trace.log")]) == 1
-    assert "token-provenance FAIL" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "token-provenance FAIL" in printed
+    # the forged token's decrypt, the fault trace's last event, is named
+    decrypt = protocol.ProtocolTrace.read(fault / "trace.log").events[-1]
+    assert f"\n    {decrypt.line()}\n" in printed
 
 
 def test_check_trace_undecodable_file_exits_1(tmp_path, capsys):

@@ -1,10 +1,22 @@
 """Protocol layer: trace recording, sealed channels, the initialization
 and attestation flows, and the trace-property checker."""
 
+import dataclasses
+import random
+from collections import Counter
+
 import pytest
 
 from ccxtrust import crypto, harness, protocol
 from ccxtrust.errors import AttestationRejected, AuthFailure, DecodeError
+from ccxtrust.protocol import (
+    CERT_LABELS,
+    OCA_PRINCIPAL,
+    VERIFIER_PRINCIPAL,
+    TheoremVerdict,
+    TraceEvent,
+    base_principal,
+)
 
 
 @pytest.fixture()
@@ -255,3 +267,205 @@ def test_reordered_sign_fails_exactly_attest_order(cluster2):
     assert verdicts["cert-provenance"].ok
     assert verdicts["token-provenance"].ok
     assert not verdicts["attest-order"].ok
+
+
+# ---------------------------------------------------------------------------
+# differential check against the quadratic reference checker
+# ---------------------------------------------------------------------------
+
+# The checker before it became one indexed pass: every possession and
+# every evidence signature rescans all earlier events. Kept as the oracle
+# the single-pass check_theorems must match verdict for verdict.
+
+_ORACLE_CERT_EVIDENCE = {
+    "cert-vcek": ("verify", "vendor-chain"),
+    "cert-aik": ("match", "credential-nonce"),
+    "cert-identity": ("verify", "registration-evidence"),
+}
+
+
+def _oracle_check_theorems(trace, *, oca=OCA_PRINCIPAL,
+                           verifier=VERIFIER_PRINCIPAL):
+    events = trace.events
+    return {
+        "cert-provenance": _check_cert_provenance(events, oca),
+        "token-provenance": _check_token_provenance(events, verifier),
+        "attest-order": _check_attest_order(events, verifier),
+    }
+
+
+def _possessions(events, labels) -> list[tuple[TraceEvent, str, str]]:
+    """(event, label, hex) for every labeled value a principal takes
+    possession of by decrypting."""
+    found = []
+    for event in events:
+        if event.kind != "decrypt":
+            continue
+        for label in labels:
+            for hexdigest in event.labeled(label):
+                found.append((event, label, hexdigest))
+    return found
+
+
+def _check_cert_provenance(events, oca) -> TheoremVerdict:
+    witnesses = []
+    for event, label, hexdigest in _possessions(events, CERT_LABELS):
+        holder = base_principal(event.principal)
+        earlier = events[:event.index]
+        signed = [e for e in earlier
+                  if e.kind == "sign" and e.principal == oca
+                  and e.digest == hexdigest]
+        if not signed:
+            return TheoremVerdict(
+                "cert-provenance", False,
+                f"{holder} holds {label} {hexdigest[:16]} never signed by {oca}",
+                (event.index,))
+        sign_index = signed[0].index
+        evidence_kind, evidence_tag = _ORACLE_CERT_EVIDENCE[label]
+        vouched = any(e.kind == evidence_kind and e.tag == evidence_tag
+                      and e.principal == oca and e.ok
+                      for e in events[:sign_index])
+        if not vouched:
+            return TheoremVerdict(
+                "cert-provenance", False,
+                f"{oca} signed {label} {hexdigest[:16]} without prior "
+                f"{evidence_tag} evidence", (sign_index, event.index))
+        delivered = any(e.kind == "send" and e.principal == oca
+                        and base_principal(e.peer) == holder
+                        and f"{label}:{hexdigest}" in e.contents
+                        for e in earlier)
+        if not delivered:
+            return TheoremVerdict(
+                "cert-provenance", False,
+                f"{oca} never sent {label} {hexdigest[:16]} to {holder}",
+                (event.index,))
+        witnesses.append(event.index)
+    return TheoremVerdict("cert-provenance", True,
+                          f"{len(witnesses)} certificate possessions justified",
+                          tuple(witnesses))
+
+
+def _check_token_provenance(events, verifier) -> TheoremVerdict:
+    witnesses = []
+    for event, _label, hexdigest in _possessions(events, ("token",)):
+        holder = base_principal(event.principal)
+        earlier = events[:event.index]
+        signed = any(e.kind == "sign" and e.principal == verifier
+                     and e.digest == hexdigest for e in earlier)
+        if not signed:
+            return TheoremVerdict(
+                "token-provenance", False,
+                f"{holder} holds token {hexdigest[:16]} never signed by "
+                f"{verifier}", (event.index,))
+        delivered = any(e.kind == "send" and e.principal == verifier
+                        and base_principal(e.peer) == holder
+                        and f"token:{hexdigest}" in e.contents
+                        for e in earlier)
+        if not delivered:
+            return TheoremVerdict(
+                "token-provenance", False,
+                f"{verifier} never sent token {hexdigest[:16]} to {holder}",
+                (event.index,))
+        witnesses.append(event.index)
+    return TheoremVerdict("token-provenance", True,
+                          f"{len(witnesses)} token possessions justified",
+                          tuple(witnesses))
+
+
+def _check_attest_order(events, verifier) -> TheoremVerdict:
+    checked = []
+    for event in events:
+        if event.kind == "sign" and event.tag == "token" \
+                and event.principal != verifier:
+            return TheoremVerdict(
+                "attest-order", False,
+                f"{event.principal} signed a token; only {verifier} may",
+                (event.index,))
+        if event.kind != "sign" or event.tag != "total-report":
+            continue
+        prover = base_principal(event.principal)
+        sessions = event.labeled("session")
+        requested = any(
+            e.kind == "receive" and e.tag == "attest-request"
+            and base_principal(e.principal) == prover
+            and e.peer == verifier
+            and any(s in e.labeled("session") for s in sessions)
+            for e in events[:event.index])
+        if not requested:
+            return TheoremVerdict(
+                "attest-order", False,
+                f"{prover} signed evidence for session "
+                f"{(sessions[0][:16] if sessions else '?')} before receiving "
+                f"the request", (event.index,))
+        checked.append(event.index)
+    return TheoremVerdict("attest-order", True,
+                          f"{len(checked)} evidence signatures in order",
+                          tuple(checked))
+
+
+def _mutate(events, rng, pool):
+    """One seeded edit of an event list: drop, duplicate, swap adjacent,
+    move, or relabel one label:hex content."""
+    events = list(events)
+    pos = rng.randrange(len(events))
+    op = rng.choice(("drop", "duplicate", "swap", "move", "relabel"))
+    if op == "drop":
+        del events[pos]
+    elif op == "duplicate":
+        events.insert(rng.randrange(len(events) + 1), events[pos])
+    elif op == "swap" and pos + 1 < len(events):
+        events[pos], events[pos + 1] = events[pos + 1], events[pos]
+    elif op == "move":
+        event = events.pop(pos)
+        events.insert(rng.randrange(len(events) + 1), event)
+    elif op == "relabel":
+        with_contents = [i for i, e in enumerate(events) if e.contents]
+        pos = rng.choice(with_contents)
+        event = events[pos]
+        which = rng.randrange(len(event.contents))
+        _label, hexdigest = event.contents[which].split(":", 1)
+        contents = list(event.contents)
+        contents[which] = f"{rng.choice(pool)}:{hexdigest}"
+        events[pos] = dataclasses.replace(event, contents=tuple(contents))
+    return events
+
+
+def test_single_pass_checker_matches_quadratic_oracle(cluster2):
+    honest = protocol.ProtocolTrace()
+    honest.extend_reindexed(cluster2.trace.events)
+    for index, direction in ((0, "tpm-tee"), (1, "tee-tpm")):
+        protocol.run_attest_composite(
+            cluster2.actor(index), cluster2.verifier_svc, cluster2.channels,
+            honest, policy_id=cluster2.policy_id, direction=direction)
+    labels = sorted({c.split(":", 1)[0] for e in honest.events
+                     for c in e.contents})
+    rng = random.Random(20261018)
+    # no content edit makes a node sign a token, so one case does it
+    token_sign = next(i for i, e in enumerate(honest.events)
+                      if e.kind == "sign" and e.tag == "token")
+    node_signs_token = protocol.ProtocolTrace()
+    node_signs_token.extend_reindexed(
+        honest.events[:token_sign]
+        + [dataclasses.replace(honest.events[token_sign],
+                               principal=cluster2.actor(0).agent)]
+        + honest.events[token_sign + 1:])
+    traces = [honest, node_signs_token,
+              harness.fault_trace_forged_cert(cluster2),
+              harness.fault_trace_forged_token(cluster2),
+              harness.fault_trace_reordered_sign(cluster2)]
+    for _case in range(1500):
+        events = honest.events
+        for _edit in range(rng.randint(1, 3)):
+            events = _mutate(events, rng, labels)
+        trace = protocol.ProtocolTrace()
+        trace.extend_reindexed(events)
+        traces.append(trace)
+    failures = Counter()
+    for trace in traces:
+        verdicts = protocol.check_theorems(trace)
+        assert verdicts == _oracle_check_theorems(trace), trace.text()
+        failures.update(name for name, v in verdicts.items() if not v.ok)
+    # every property must be tripped by some mutation, so the comparison
+    # covers failure reasons and witnesses, not only passing verdicts
+    assert all(failures[name] >= 20 for name in (
+        "cert-provenance", "token-provenance", "attest-order")), failures

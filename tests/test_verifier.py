@@ -363,6 +363,22 @@ def test_issue_token_respects_policy_allowed_types(cluster):
         cluster.verifier_svc.issue_token(request, verified, narrow)
 
 
+def test_issue_token_mints_once_per_session(cluster):
+    request, envelope = honest(cluster, "tpm-tee")
+    _, verified = submit(cluster, request, envelope)
+    narrow = dataclasses.replace(cluster.policy, allowed_types=("tee-tpm",))
+    with pytest.raises(ValueError):
+        cluster.verifier_svc.issue_token(request, verified, narrow)
+    # the refused call did not use up the session's one token
+    token = cluster.verifier_svc.issue_token(request, verified, cluster.policy)
+    with pytest.raises(ValueError):
+        cluster.verifier_svc.issue_token(request, verified, cluster.policy)
+    forged = dataclasses.replace(request, completed=False, token_minted=False)
+    with pytest.raises(ValueError):
+        cluster.verifier_svc.issue_token(forged, verified, cluster.policy)
+    assert cluster.verifier_svc.issued_serials == {token.payload["serial"]}
+
+
 # ---------------------------------------------------------------------------
 # token validation
 # ---------------------------------------------------------------------------
