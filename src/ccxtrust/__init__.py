@@ -7,7 +7,6 @@ whose trust-chain properties are machine-checked.
 """
 
 from . import (
-    cli,
     clock,
     crypto,
     encoding,
@@ -82,7 +81,6 @@ __all__ = [
     "VirtualClock",
     "build_cluster",
     "check_theorems",
-    "cli",
     "clock",
     "crypto",
     "encoding",

@@ -20,7 +20,7 @@ import hmac
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -32,7 +32,7 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-from .encoding import FieldReader, FieldWriter
+from .encoding import RAW, U64, Kind, Signed, Spec, raw
 from .errors import (
     AuthFailure,
     DecodeError,
@@ -335,13 +335,19 @@ ROLE_BYTES = {
     "EK": 4, "AIK": 5, "PEK": 6,
     "OCA": 7, "IDENTITY": 8, "VERIFIER": 9, "PUBLISHER": 10,
 }
-_ROLE_NAMES = {v: k for k, v in ROLE_BYTES.items()}
+_ROLE_CODES = {role: bytes([code]) for role, code in ROLE_BYTES.items()}
+_ROLE_NAMES = {code: role for role, code in _ROLE_CODES.items()}
 
-_CT_ROLE, _CT_SERIAL, _CT_SUBJECT, _CT_ISSUER, _CT_SIG = 1, 2, 3, 4, 5
+
+def _decode_role(payload: bytes) -> str:
+    try:
+        return _ROLE_NAMES[payload]
+    except KeyError:
+        raise DecodeError("unknown certificate role byte") from None
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(Signed):
     """Minimal signed binding of a public key to a role.
 
     issuer_name is the digest of the issuer's public point; serial is
@@ -354,31 +360,11 @@ class Certificate:
     issuer_name: bytes
     signature: bytes
 
-    def body_bytes(self) -> bytes:
-        w = FieldWriter()
-        w.put(_CT_ROLE, bytes([ROLE_BYTES[self.role]]))
-        w.put_u64(_CT_SERIAL, self.serial)
-        w.put(_CT_SUBJECT, self.subject)
-        w.put(_CT_ISSUER, self.issuer_name)
-        return w.getvalue()
-
-    def to_bytes(self) -> bytes:
-        return self.body_bytes() + FieldWriter().put(_CT_SIG, self.signature).getvalue()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Certificate":
-        r = FieldReader(raw)
-        role_raw = r.take(_CT_ROLE)
-        if len(role_raw) != 1 or role_raw[0] not in _ROLE_NAMES:
-            raise DecodeError("unknown certificate role byte")
-        serial = r.take_u64(_CT_SERIAL)
-        subject = r.take(_CT_SUBJECT)
-        issuer = r.take(_CT_ISSUER)
-        if len(subject) != POINT_LEN or len(issuer) != DIGEST_LEN:
-            raise DecodeError("certificate field width wrong")
-        sig = r.take(_CT_SIG)
-        r.finish()
-        return cls(_ROLE_NAMES[role_raw[0]], serial, subject, issuer, sig)
+    SPEC = Spec((1, "role", Kind(_ROLE_CODES.__getitem__, _decode_role)),
+                (2, "serial", U64),
+                (3, "subject", raw(POINT_LEN)),
+                (4, "issuer_name", raw(DIGEST_LEN)),
+                (5, "signature", RAW))
 
     @property
     def digest(self) -> bytes:
@@ -396,11 +382,6 @@ def issue_certificate(issuer: SigningKeyPair, role: str, serial: int,
         raise DecodeError(f"unknown certificate role {role!r}")
     if len(subject_pub) != POINT_LEN:
         raise InvalidPoint("subject must be a 33-byte compressed point")
-    issuer_name = sha256(issuer.public_bytes)
-    body = FieldWriter()
-    body.put(_CT_ROLE, bytes([ROLE_BYTES[role]]))
-    body.put_u64(_CT_SERIAL, serial)
-    body.put(_CT_SUBJECT, subject_pub)
-    body.put(_CT_ISSUER, issuer_name)
-    sig = issuer.sign(body.getvalue())
-    return Certificate(role, serial, subject_pub, issuer_name, sig)
+    unsigned = Certificate(role, serial, subject_pub,
+                           sha256(issuer.public_bytes), b"")
+    return replace(unsigned, signature=issuer.sign(unsigned.body_bytes()))

@@ -12,11 +12,11 @@ against a PCR bank to detect tampering or truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import crypto, tee, tpm
-from .encoding import FieldReader, FieldWriter
+from .encoding import RAW, STR, Signed, Spec
 from .errors import InvalidLength, LogGap, StageOrderViolation, UntrustedImage
 
 STAGE_HOST = 1
@@ -61,40 +61,16 @@ class MeasurementEvent:
 # image manifests (stage 2 inputs)
 # ---------------------------------------------------------------------------
 
-_MF_ID = 0x0001
-_MF_DIGEST = 0x0002
-_MF_SIG = 0x0003
-
-
 @dataclass(frozen=True)
-class ImageManifest:
+class ImageManifest(Signed):
     """Publisher-signed statement binding an image id to its digest."""
 
     image_id: str
     content_digest: bytes
     signature: bytes
 
-    def body_bytes(self) -> bytes:
-        return (FieldWriter()
-                .put_str(_MF_ID, self.image_id)
-                .put(_MF_DIGEST, self.content_digest)
-                .getvalue())
-
-    def to_bytes(self) -> bytes:
-        return (FieldWriter()
-                .put_str(_MF_ID, self.image_id)
-                .put(_MF_DIGEST, self.content_digest)
-                .put(_MF_SIG, self.signature)
-                .getvalue())
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "ImageManifest":
-        reader = FieldReader(raw)
-        image_id = reader.take_str(_MF_ID)
-        digest = reader.take(_MF_DIGEST)
-        sig = reader.take(_MF_SIG)
-        reader.finish()
-        return cls(image_id, digest, sig)
+    SPEC = Spec((1, "image_id", STR), (2, "content_digest", RAW),
+                (3, "signature", RAW))
 
     def verify(self, publisher_pub: bytes) -> bool:
         return crypto.verify(publisher_pub, self.body_bytes(), self.signature)
@@ -102,12 +78,8 @@ class ImageManifest:
 
 def sign_manifest(publisher: crypto.SigningKeyPair, image_id: str,
                   content: bytes) -> ImageManifest:
-    digest = crypto.sha256(content)
-    body = (FieldWriter()
-            .put_str(_MF_ID, image_id)
-            .put(_MF_DIGEST, digest)
-            .getvalue())
-    return ImageManifest(image_id, digest, publisher.sign(body))
+    unsigned = ImageManifest(image_id, crypto.sha256(content), b"")
+    return replace(unsigned, signature=publisher.sign(unsigned.body_bytes()))
 
 
 class RuntimeOutcome(Enum):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import crypto, tee, tpm
-from .encoding import FieldReader, FieldWriter
+from .encoding import RAW, STR, U16, Record, Spec, nested
 from .errors import AttestationRejected, AuthFailure, DecodeError
 from .owner_ca import challenge_session_id
 from .verifier import CompositeOutcome, VerifierService
@@ -189,8 +189,43 @@ class ProtocolTrace:
 # wire format and channels
 # ---------------------------------------------------------------------------
 
-_WM_SESSION = 0x0001
-_WM_SEALED = 0x0002
+_FRAME = Spec((0x0010, "mtype", U16), (0x0011, "sender", STR),
+              (0x0012, "receiver", STR), (0x0001, "session_id", RAW),
+              (0x0002, "sealed", RAW))
+
+_CERT = nested(crypto.Certificate)
+
+# one body layout per message type, used by both ends of _transfer
+_MESSAGE_BODIES = {
+    "vcek-info": Spec((1, "vcek_pub", RAW), (2, "chain", nested(tee.CertChain))),
+    "cert-vcek-info": Spec((1, "cert", _CERT)),
+    "cert-tee-info": Spec((1, "cert", _CERT)),
+    "key-info": Spec((1, "aik_area", RAW), (2, "ek_pub", RAW),
+                     (3, "ek_cert", _CERT)),
+    "aik-challenge": Spec((1, "credential", nested(tpm.Credential))),
+    "nonce-info": Spec((1, "secret", RAW)),
+    "cert-aik-info": Spec((1, "cert", _CERT)),
+    "key-cert-info": Spec((1, "cert", _CERT), (2, "aik_area", RAW)),
+    "pek-cert-info": Spec((1, "cert", _CERT)),
+    "register-request": Spec((1, "report", nested(tee.TeeReport)),
+                             (2, "chain", nested(tee.CertChain)),
+                             (3, "identity_pub", RAW)),
+    "identity-cert-info": Spec((1, "cert", _CERT), (2, "master_secret", RAW)),
+    "attest-request": Spec((1, "session_id", RAW), (2, "nonce", RAW),
+                           (3, "policy_id", STR),
+                           (4, "selection", tpm.PCR_BITMAP),
+                           (5, "direction", STR)),
+    "guest-report-request": Spec((1, "report_data", RAW), (2, "embedded", RAW),
+                                 (3, "session_id", RAW)),
+    "tee-report": Spec((1, "report", nested(tee.TeeReport))),
+    "quote-request": Spec((1, "selection", tpm.PCR_BITMAP),
+                          (2, "qualifying_data", RAW), (3, "embedded", RAW),
+                          (4, "session_id", RAW)),
+    "tpm-report": Spec((1, "quote", nested(tpm.CompositeQuote))),
+    # a composite envelope, or the bare evidence of a single-technology run
+    "total-report": Spec((1, "report", RAW)),
+    "token-info": Spec((1, "token", STR)),
+}
 
 
 @dataclass(frozen=True)
@@ -241,36 +276,30 @@ class ChannelTable:
         key = self.key(sender, receiver)
         aad = _wire_aad(mtype, sender, receiver, session_id)
         sealed = crypto.channel_seal(key, body, aad, self.rng)
-        w = FieldWriter()
-        w.put_u16(0x0010, mtype)
-        w.put_str(0x0011, sender)
-        w.put_str(0x0012, receiver)
-        w.put(_WM_SESSION, session_id)
-        w.put(_WM_SEALED, sealed)
-        return w.getvalue()
+        return _FRAME.encode({"mtype": mtype, "sender": sender,
+                              "receiver": receiver, "session_id": session_id,
+                              "sealed": sealed})
 
     def open(self, frame: bytes, expected_receiver: str) -> WireMessage:
-        r = FieldReader(frame)
-        mtype = r.take_u16(0x0010)
-        sender = r.take_str(0x0011)
-        receiver = r.take_str(0x0012)
-        session_id = r.take(_WM_SESSION)
-        sealed = r.take(_WM_SEALED)
-        r.finish()
-        if receiver != expected_receiver:
-            raise AuthFailure(
-                f"frame addressed to {receiver!r}, not {expected_receiver!r}")
-        key = self.key(sender, receiver)
-        aad = _wire_aad(mtype, sender, receiver, session_id)
-        body = crypto.channel_open(key, sealed, aad)
-        return WireMessage(mtype, sender, receiver, session_id, body)
+        fields = _FRAME.decode(frame)
+        if fields["receiver"] != expected_receiver:
+            raise AuthFailure(f"frame addressed to {fields['receiver']!r}, "
+                              f"not {expected_receiver!r}")
+        key = self.key(fields["sender"], fields["receiver"])
+        aad = _wire_aad(fields["mtype"], fields["sender"], fields["receiver"],
+                        fields["session_id"])
+        body = crypto.channel_open(key, fields.pop("sealed"), aad)
+        return WireMessage(**fields, body=body)
 
 
 def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
-              receiver: str, mtype_name: str, body: bytes, *,
+              receiver: str, mtype_name: str, fields: dict, *,
               session_id: bytes = b"",
-              contents: tuple[str, ...] = ()) -> WireMessage:
-    """Seal, 'transmit', and open one message, tracing both endpoints."""
+              contents: tuple[str, ...] = ()) -> dict:
+    """Encode, seal, 'transmit', open and decode one message body under
+    its type's spec, tracing both endpoints; returns the decoded fields."""
+    spec = _MESSAGE_BODIES[mtype_name]
+    body = spec.encode(fields)
     frame = channels.seal(MESSAGE_TYPES[mtype_name], sender, receiver,
                           session_id, body)
     digest = crypto.sha256(body)
@@ -280,7 +309,7 @@ def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
     trace.emit(receiver, "receive", peer=sender,
                digest=crypto.sha256(message.body), tag=mtype_name,
                contents=contents)
-    return message
+    return spec.decode(message.body)
 
 
 # ---------------------------------------------------------------------------
@@ -394,93 +423,65 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
 
     # --- TEE chip key endorsement
     chain_bytes = actor.vendor_chain.to_bytes()
-    body = (FieldWriter()
-            .put(0x0001, actor.vcek.public_bytes)
-            .put(0x0002, chain_bytes)
-            .getvalue())
-    msg = _transfer(trace, channels, E, A, "vcek-info", body,
-                    contents=(_content("vcek-pub", actor.vcek.public_bytes),
-                              _content("vendor-chain", chain_bytes)))
-    r = FieldReader(msg.body)
-    vcek_pub = r.take(0x0001)
-    chain = tee.CertChain.from_bytes(r.take(0x0002))
-    r.finish()
-    vcek_cert = oca.register_tee(vcek_pub, chain, node_id=actor.node_id)
+    rx = _transfer(trace, channels, E, A, "vcek-info",
+                   {"vcek_pub": actor.vcek.public_bytes,
+                    "chain": actor.vendor_chain},
+                   contents=(_content("vcek-pub", actor.vcek.public_bytes),
+                             _content("vendor-chain", chain_bytes)))
+    vcek_cert = oca.register_tee(rx["vcek_pub"], rx["chain"],
+                                 node_id=actor.node_id)
     trace.emit(A, "verify", digest=crypto.sha256(chain_bytes),
                tag="vendor-chain", ok=True)
     trace.emit(A, "sign", digest=vcek_cert.digest, tag="cert-vcek",
                contents=(f"cert-vcek:{vcek_cert.digest.hex()}",))
-    msg = _transfer(trace, channels, A, E, "cert-vcek-info",
-                    FieldWriter().put(0x0001, vcek_cert.to_bytes()).getvalue(),
-                    contents=(f"cert-vcek:{vcek_cert.digest.hex()}",))
-    r = FieldReader(msg.body)
-    actor.vcek_cert = crypto.Certificate.from_bytes(r.take(0x0001))
-    r.finish()
+    actor.vcek_cert = _transfer(
+        trace, channels, A, E, "cert-vcek-info", {"cert": vcek_cert},
+        contents=(f"cert-vcek:{vcek_cert.digest.hex()}",))["cert"]
     trace.emit(E, "decrypt", digest=actor.vcek_cert.digest,
                tag="cert-vcek-info",
                contents=(f"cert-vcek:{actor.vcek_cert.digest.hex()}",))
     _transfer(trace, channels, E, V, "cert-tee-info",
-              FieldWriter().put(0x0001, actor.vcek_cert.to_bytes()).getvalue(),
+              {"cert": actor.vcek_cert},
               contents=(f"cert-vcek:{actor.vcek_cert.digest.hex()}",))
 
     # --- AIK certification via credential activation
     area = actor.aik_blob.public_area()
-    ek_pub = actor.state.ek_blob.public
-    body = (FieldWriter()
-            .put(0x0001, area)
-            .put(0x0002, ek_pub)
-            .put(0x0003, actor.state.ek_cert.to_bytes())
-            .getvalue())
-    msg = _transfer(trace, channels, P, A, "key-info", body,
-                    contents=(_content("aik-pub", area),
-                              f"ek-cert:{actor.state.ek_cert.digest.hex()}"))
-    r = FieldReader(msg.body)
-    area_rx = r.take(0x0001)
-    ek_pub_rx = r.take(0x0002)
-    ek_cert_rx = crypto.Certificate.from_bytes(r.take(0x0003))
-    r.finish()
-    challenge = oca.aik_challenge(area_rx, ek_pub_rx, ek_cert_rx,
+    ek_cert = actor.state.ek_cert
+    rx = _transfer(trace, channels, P, A, "key-info",
+                   {"aik_area": area, "ek_pub": actor.state.ek_blob.public,
+                    "ek_cert": ek_cert},
+                   contents=(_content("aik-pub", area),
+                             f"ek-cert:{ek_cert.digest.hex()}"))
+    challenge = oca.aik_challenge(rx["aik_area"], rx["ek_pub"], rx["ek_cert"],
                                   actor.node_id)
-    trace.emit(A, "verify", digest=ek_cert_rx.digest, tag="ek-cert", ok=True)
+    trace.emit(A, "verify", digest=rx["ek_cert"].digest, tag="ek-cert", ok=True)
     trace.emit(A, "new", digest=crypto.sha256(b"challenge:" + challenge.to_bytes()),
                tag="credential-nonce")
-    msg = _transfer(trace, channels, A, P, "aik-challenge",
-                    FieldWriter().put(0x0001, challenge.to_bytes()).getvalue(),
-                    contents=(_content("credential", challenge.to_bytes()),))
-    r = FieldReader(msg.body)
-    challenge_rx = tpm.Credential.from_bytes(r.take(0x0001))
-    r.finish()
+    rx = _transfer(trace, channels, A, P, "aik-challenge",
+                   {"credential": challenge},
+                   contents=(_content("credential", challenge.to_bytes()),))
     secret = tpm.activate_credential(
-        challenge_rx, actor.aik_blob.name,
+        rx["credential"], actor.aik_blob.name,
         tpm.loaded_keypair(actor.state, actor.ek_handle))
     answer_digest = crypto.sha256(b"credential-nonce:" + secret.data)
     trace.emit(P, "decrypt", digest=answer_digest, tag="aik-challenge",
                contents=(f"credential-nonce:{answer_digest.hex()}",))
-    msg = _transfer(trace, channels, P, A, "nonce-info",
-                    FieldWriter().put(0x0001, secret.data).getvalue(),
-                    contents=(f"credential-nonce:{answer_digest.hex()}",))
-    r = FieldReader(msg.body)
-    answer = crypto.Secret(r.take(0x0001))
-    r.finish()
-    aik_cert = oca.aik_answer(challenge_session_id(challenge), answer)
+    rx = _transfer(trace, channels, P, A, "nonce-info", {"secret": secret.data},
+                   contents=(f"credential-nonce:{answer_digest.hex()}",))
+    aik_cert = oca.aik_answer(challenge_session_id(challenge),
+                              crypto.Secret(rx["secret"]))
     trace.emit(A, "match", digest=answer_digest, tag="credential-nonce",
                ok=True)
     trace.emit(A, "sign", digest=aik_cert.digest, tag="cert-aik",
                contents=(f"cert-aik:{aik_cert.digest.hex()}",))
-    msg = _transfer(trace, channels, A, P, "cert-aik-info",
-                    FieldWriter().put(0x0001, aik_cert.to_bytes()).getvalue(),
-                    contents=(f"cert-aik:{aik_cert.digest.hex()}",))
-    r = FieldReader(msg.body)
-    actor.aik_cert = crypto.Certificate.from_bytes(r.take(0x0001))
-    r.finish()
+    actor.aik_cert = _transfer(
+        trace, channels, A, P, "cert-aik-info", {"cert": aik_cert},
+        contents=(f"cert-aik:{aik_cert.digest.hex()}",))["cert"]
     trace.emit(P, "decrypt", digest=actor.aik_cert.digest,
                tag="cert-aik-info",
                contents=(f"cert-aik:{actor.aik_cert.digest.hex()}",))
     _transfer(trace, channels, P, V, "key-cert-info",
-              (FieldWriter()
-               .put(0x0001, actor.aik_cert.to_bytes())
-               .put(0x0002, area)
-               .getvalue()),
+              {"cert": actor.aik_cert, "aik_area": area},
               contents=(f"cert-aik:{actor.aik_cert.digest.hex()}",))
 
     # --- platform encryption key, endorsed inside the TEE by the chip key
@@ -489,8 +490,7 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
     actor.pek_cert = pek_cert
     trace.emit(E, "sign", digest=pek_cert.digest, tag="pek-cert",
                contents=(f"pek-cert:{pek_cert.digest.hex()}",))
-    _transfer(trace, channels, E, V, "pek-cert-info",
-              FieldWriter().put(0x0001, pek_cert.to_bytes()).getvalue(),
+    _transfer(trace, channels, E, V, "pek-cert-info", {"cert": pek_cert},
               contents=(f"pek-cert:{pek_cert.digest.hex()}",))
 
     if register:
@@ -510,37 +510,24 @@ def run_registration(actor: NodeActor, oca, channels: ChannelTable,
     report_data = crypto.sha256(actor.identity.public_bytes) + bytes(32)
     boot_report = tee.guest_report(actor.vcek, actor.chip_id, actor.tcb,
                                    actor.tcb_version, report_data)
-    body = (FieldWriter()
-            .put(0x0001, boot_report.to_bytes())
-            .put(0x0002, actor.vendor_chain.to_bytes())
-            .put(0x0003, actor.identity.public_bytes)
-            .getvalue())
-    msg = _transfer(trace, channels, C, A, "register-request", body,
-                    contents=(_content("identity-pub", actor.identity.public_bytes),
-                              f"boot-report:{boot_report.digest.hex()}"))
-    r = FieldReader(msg.body)
-    report_rx = tee.TeeReport.from_bytes(r.take(0x0001))
-    chain_rx = tee.CertChain.from_bytes(r.take(0x0002))
-    identity_pub_rx = r.take(0x0003)
-    r.finish()
+    rx = _transfer(trace, channels, C, A, "register-request",
+                   {"report": boot_report, "chain": actor.vendor_chain,
+                    "identity_pub": actor.identity.public_bytes},
+                   contents=(_content("identity-pub", actor.identity.public_bytes),
+                             f"boot-report:{boot_report.digest.hex()}"))
     identity_cert, master_secret = oca.register_node(
-        actor.node_id, report_rx, chain_rx, identity_pub_rx)
-    trace.emit(A, "verify", digest=report_rx.digest,
+        actor.node_id, rx["report"], rx["chain"], rx["identity_pub"])
+    trace.emit(A, "verify", digest=rx["report"].digest,
                tag="registration-evidence", ok=True)
     trace.emit(A, "sign", digest=identity_cert.digest, tag="cert-identity",
                contents=(f"cert-identity:{identity_cert.digest.hex()}",))
     ms_commit = crypto.sha256(b"master-secret:" + master_secret.data)
-    msg = _transfer(trace, channels, A, C, "identity-cert-info",
-                    (FieldWriter()
-                     .put(0x0001, identity_cert.to_bytes())
-                     .put(0x0002, master_secret.data)
-                     .getvalue()),
-                    contents=(f"cert-identity:{identity_cert.digest.hex()}",
-                              f"master-secret:{ms_commit.hex()}"))
-    r = FieldReader(msg.body)
-    actor.identity_cert = crypto.Certificate.from_bytes(r.take(0x0001))
-    actor.master_secret = crypto.Secret(r.take(0x0002))
-    r.finish()
+    rx = _transfer(trace, channels, A, C, "identity-cert-info",
+                   {"cert": identity_cert, "master_secret": master_secret.data},
+                   contents=(f"cert-identity:{identity_cert.digest.hex()}",
+                             f"master-secret:{ms_commit.hex()}"))
+    actor.identity_cert = rx["cert"]
+    actor.master_secret = crypto.Secret(rx["master_secret"])
     trace.emit(C, "decrypt", digest=actor.identity_cert.digest,
                tag="identity-cert-info",
                contents=(f"cert-identity:{actor.identity_cert.digest.hex()}",
@@ -552,7 +539,7 @@ def run_registration(actor: NodeActor, oca, channels: ChannelTable,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CompositeReportEnvelope:
+class CompositeReportEnvelope(Record):
     """What the platform agent submits: direction, identity claim,
     session binding, and the outer evidence blob."""
 
@@ -561,23 +548,8 @@ class CompositeReportEnvelope:
     session_id: bytes
     evidence: bytes
 
-    def to_bytes(self) -> bytes:
-        return (FieldWriter()
-                .put_str(0x0001, self.direction)
-                .put_str(0x0002, self.node_id)
-                .put(0x0003, self.session_id)
-                .put(0x0004, self.evidence)
-                .getvalue())
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "CompositeReportEnvelope":
-        r = FieldReader(raw)
-        direction = r.take_str(0x0001)
-        node_id = r.take_str(0x0002)
-        session_id = r.take(0x0003)
-        evidence = r.take(0x0004)
-        r.finish()
-        return cls(direction, node_id, session_id, evidence)
+    SPEC = Spec((1, "direction", STR), (2, "node_id", STR),
+                (3, "session_id", RAW), (4, "evidence", RAW))
 
 
 # ---------------------------------------------------------------------------
@@ -587,30 +559,21 @@ class CompositeReportEnvelope:
 def _send_attest_request(verifier_svc, actor, channels, trace, policy_id,
                          direction) -> tuple:
     """Verifier opens a session and sends the challenge; returns the
-    parsed request as the platform agent sees it."""
+    request and the attest-request fields as the platform agent sees
+    them."""
     V, C = VERIFIER_PRINCIPAL, actor.agent
     request = verifier_svc.new_request(policy_id, actor.node_id)
     session_hex = request.session_id.hex()
     trace.emit(V, "new", digest=crypto.sha256(request.nonce),
                tag="attest-nonce", contents=(f"session:{session_hex}",))
-    body = (FieldWriter()
-            .put(0x0001, request.session_id)
-            .put(0x0002, request.nonce)
-            .put_str(0x0003, policy_id)
-            .put(0x0004, tpm.selection_to_bitmap(request.pcr_selection))
-            .put_str(0x0005, direction)
-            .getvalue())
-    msg = _transfer(trace, channels, V, C, "attest-request", body,
-                    session_id=request.session_id,
-                    contents=(f"session:{session_hex}",))
-    r = FieldReader(msg.body)
-    session_id = r.take(0x0001)
-    nonce = r.take(0x0002)
-    policy_rx = r.take_str(0x0003)
-    selection = tpm.bitmap_to_selection(r.take(0x0004))
-    direction_rx = r.take_str(0x0005)
-    r.finish()
-    return request, session_id, nonce, policy_rx, selection, direction_rx
+    rx = _transfer(trace, channels, V, C, "attest-request",
+                   {"session_id": request.session_id, "nonce": request.nonce,
+                    "policy_id": policy_id,
+                    "selection": request.pcr_selection,
+                    "direction": direction},
+                   session_id=request.session_id,
+                   contents=(f"session:{session_hex}",))
+    return request, rx
 
 
 def _tee_report_internal(actor, channels, trace, session_id, report_data,
@@ -618,33 +581,20 @@ def _tee_report_internal(actor, channels, trace, session_id, report_data,
     """Agent asks its TEE engine for a signed report."""
     C, E = actor.agent, actor.tee_name
     session_hex = session_id.hex()
-    body = (FieldWriter()
-            .put(0x0001, report_data)
-            .put(0x0002, embedded)
-            .put(0x0003, session_id)
-            .getvalue())
-    msg = _transfer(trace, channels, C, E, "guest-report-request", body,
-                    session_id=session_id,
-                    contents=(f"session:{session_hex}",))
-    r = FieldReader(msg.body)
-    data_rx = r.take(0x0001)
-    embed_rx = r.take(0x0002)
-    r.take(0x0003)
-    r.finish()
+    rx = _transfer(trace, channels, C, E, "guest-report-request",
+                   {"report_data": report_data, "embedded": embedded,
+                    "session_id": session_id},
+                   session_id=session_id,
+                   contents=(f"session:{session_hex}",))
     report = tee.guest_report(actor.vcek, actor.chip_id, actor.tcb,
-                              actor.tcb_version, data_rx,
-                              embedded_evidence=embed_rx)
-    trace.emit(E, "sign", digest=report.digest, tag=tag,
-               contents=(f"session:{session_hex}",
-                         f"report:{report.digest.hex()}"))
-    msg = _transfer(trace, channels, E, C, "tee-report",
-                    FieldWriter().put(0x0001, report.to_bytes()).getvalue(),
-                    session_id=session_id,
-                    contents=(f"report:{report.digest.hex()}",))
-    r = FieldReader(msg.body)
-    report_rx = tee.TeeReport.from_bytes(r.take(0x0001))
-    r.finish()
-    return report_rx
+                              actor.tcb_version, rx["report_data"],
+                              embedded_evidence=rx["embedded"])
+    digest = report.digest
+    trace.emit(E, "sign", digest=digest, tag=tag,
+               contents=(f"session:{session_hex}", f"report:{digest.hex()}"))
+    return _transfer(trace, channels, E, C, "tee-report", {"report": report},
+                     session_id=session_id,
+                     contents=(f"report:{digest.hex()}",))["report"]
 
 
 def _tpm_quote_internal(actor, channels, trace, session_id, selection,
@@ -653,34 +603,20 @@ def _tpm_quote_internal(actor, channels, trace, session_id, selection,
     """Agent asks its TPM for a (composite) quote."""
     C, P = actor.agent, actor.tpm_name
     session_hex = session_id.hex()
-    body = (FieldWriter()
-            .put(0x0001, tpm.selection_to_bitmap(selection))
-            .put(0x0002, qualifying_data)
-            .put(0x0003, embedded)
-            .put(0x0004, session_id)
-            .getvalue())
-    msg = _transfer(trace, channels, C, P, "quote-request", body,
-                    session_id=session_id,
-                    contents=(f"session:{session_hex}",))
-    r = FieldReader(msg.body)
-    selection_rx = tpm.bitmap_to_selection(r.take(0x0001))
-    qualifying_rx = r.take(0x0002)
-    embed_rx = r.take(0x0003)
-    r.take(0x0004)
-    r.finish()
-    quote_obj = tpm.cc_quote(actor.state, selection_rx, qualifying_rx,
-                             actor.aik_handle, embed_rx)
-    trace.emit(P, "sign", digest=quote_obj.digest, tag=tag,
-               contents=(f"session:{session_hex}",
-                         f"quote:{quote_obj.digest.hex()}"))
-    msg = _transfer(trace, channels, P, C, "tpm-report",
-                    FieldWriter().put(0x0001, quote_obj.to_bytes()).getvalue(),
-                    session_id=session_id,
-                    contents=(f"quote:{quote_obj.digest.hex()}",))
-    r = FieldReader(msg.body)
-    quote_rx = tpm.CompositeQuote.from_bytes(r.take(0x0001))
-    r.finish()
-    return quote_rx
+    rx = _transfer(trace, channels, C, P, "quote-request",
+                   {"selection": selection, "qualifying_data": qualifying_data,
+                    "embedded": embedded, "session_id": session_id},
+                   session_id=session_id,
+                   contents=(f"session:{session_hex}",))
+    quote_obj = tpm.cc_quote(actor.state, rx["selection"],
+                             rx["qualifying_data"], actor.aik_handle,
+                             rx["embedded"])
+    digest = quote_obj.digest
+    trace.emit(P, "sign", digest=digest, tag=tag,
+               contents=(f"session:{session_hex}", f"quote:{digest.hex()}"))
+    return _transfer(trace, channels, P, C, "tpm-report", {"quote": quote_obj},
+                     session_id=session_id,
+                     contents=(f"quote:{digest.hex()}",))["quote"]
 
 
 def _deliver_token(verifier_svc, actor, channels, trace, request, verified,
@@ -693,13 +629,10 @@ def _deliver_token(verifier_svc, actor, channels, trace, request, verified,
     trace.emit(V, "sign", digest=token_digest, tag="token",
                contents=(f"token:{token_digest.hex()}",
                          f"session:{request.session_id.hex()}"))
-    msg = _transfer(trace, channels, V, C, "token-info",
-                    FieldWriter().put_str(0x0001, token.compact()).getvalue(),
-                    session_id=request.session_id,
-                    contents=(f"token:{token_digest.hex()}",))
-    r = FieldReader(msg.body)
-    token_text = r.take_str(0x0001)
-    r.finish()
+    token_text = _transfer(trace, channels, V, C, "token-info",
+                           {"token": token.compact()},
+                           session_id=request.session_id,
+                           contents=(f"token:{token_digest.hex()}",))["token"]
     trace.emit(C, "decrypt", digest=crypto.sha256(token_text.encode()),
                tag="token-info",
                contents=(f"token:{crypto.sha256(token_text.encode()).hex()}",))
@@ -716,17 +649,16 @@ def _submit_and_tokenize(verifier_svc, actor, channels, trace, request,
         envelope = evidence_mutator(envelope)
     session_hex = request.session_id.hex()
     envelope_bytes = envelope.to_bytes()
-    msg = _transfer(trace, channels, C, V, "total-report",
-                    FieldWriter().put(0x0001, envelope_bytes).getvalue(),
-                    session_id=request.session_id,
-                    contents=(f"session:{session_hex}",
-                              _content("envelope", envelope_bytes)))
-    r = FieldReader(msg.body)
-    envelope_rx = CompositeReportEnvelope.from_bytes(r.take(0x0001))
-    r.finish()
+    rx = _transfer(trace, channels, C, V, "total-report",
+                   {"report": envelope_bytes},
+                   session_id=request.session_id,
+                   contents=(f"session:{session_hex}",
+                             _content("envelope", envelope_bytes)))
+    envelope_rx = CompositeReportEnvelope.from_bytes(rx["report"])
     outcome, verified = verifier_svc.verify_composite(envelope_rx, request,
                                                       policy)
-    trace.emit(V, "verify", digest=crypto.sha256(envelope_rx.to_bytes()),
+    # canonical encoding: the received bytes are envelope_rx.to_bytes()
+    trace.emit(V, "verify", digest=crypto.sha256(rx["report"]),
                tag="composite-evidence", ok=outcome is CompositeOutcome.OK,
                contents=(f"session:{session_hex}",
                          f"outcome:{outcome.value}"))
@@ -750,20 +682,20 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
     if direction not in ("tpm-tee", "tee-tpm"):
         raise ValueError(f"unknown direction {direction!r}")
     policy = verifier_svc.get_policy(policy_id)
-    request, session_id, nonce, _policy_rx, selection, direction_rx = \
-        _send_attest_request(verifier_svc, actor, channels, trace,
-                             policy_id, direction)
-    if direction_rx == "tpm-tee":
+    request, rx = _send_attest_request(verifier_svc, actor, channels, trace,
+                                       policy_id, direction)
+    session_id, nonce = rx["session_id"], rx["nonce"]
+    if rx["direction"] == "tpm-tee":
         report_data = crypto.sha256(nonce) + bytes(32)
         report = _tee_report_internal(actor, channels, trace, session_id,
                                       report_data, b"", tag="tee-report")
         quote_obj = _tpm_quote_internal(actor, channels, trace, session_id,
-                                        selection, nonce, report.to_bytes(),
-                                        tag="total-report")
+                                        rx["selection"], nonce,
+                                        report.to_bytes(), tag="total-report")
         evidence = quote_obj.to_bytes()
     else:
         quote_obj = _tpm_quote_internal(actor, channels, trace, session_id,
-                                        selection, nonce, b"",
+                                        rx["selection"], nonce, b"",
                                         tag="tpm-report")
         quote_bytes = quote_obj.to_bytes()
         report_data = nonce + crypto.sha256(quote_bytes)
@@ -771,7 +703,7 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
                                       report_data, quote_bytes,
                                       tag="total-report")
         evidence = report.to_bytes()
-    envelope = CompositeReportEnvelope(direction_rx, actor.node_id,
+    envelope = CompositeReportEnvelope(rx["direction"], actor.node_id,
                                        session_id, evidence)
     return _submit_and_tokenize(verifier_svc, actor, channels, trace,
                                 request, policy, envelope,
@@ -787,8 +719,9 @@ def run_attest_single(actor: NodeActor, verifier_svc: VerifierService,
         raise ValueError(f"unknown technology {technology!r}")
     V, C = VERIFIER_PRINCIPAL, actor.agent
     policy = verifier_svc.get_policy(policy_id)
-    request, session_id, nonce, _p, selection, _d = _send_attest_request(
-        verifier_svc, actor, channels, trace, policy_id, technology)
+    request, rx = _send_attest_request(verifier_svc, actor, channels, trace,
+                                       policy_id, technology)
+    session_id, nonce = rx["session_id"], rx["nonce"]
     if technology == "tee":
         report = _tee_report_internal(actor, channels, trace, session_id,
                                       nonce + bytes(32), b"",
@@ -796,17 +729,14 @@ def run_attest_single(actor: NodeActor, verifier_svc: VerifierService,
         evidence = report.to_bytes()
     else:
         quote_obj = _tpm_quote_internal(actor, channels, trace, session_id,
-                                        selection, nonce, b"",
+                                        rx["selection"], nonce, b"",
                                         tag="total-report")
         evidence = quote_obj.to_bytes()
-    msg = _transfer(trace, channels, C, V, "total-report",
-                    FieldWriter().put(0x0001, evidence).getvalue(),
-                    session_id=session_id,
-                    contents=(f"session:{session_id.hex()}",
-                              _content("envelope", evidence)))
-    r = FieldReader(msg.body)
-    evidence_rx = r.take(0x0001)
-    r.finish()
+    evidence_rx = _transfer(trace, channels, C, V, "total-report",
+                            {"report": evidence},
+                            session_id=session_id,
+                            contents=(f"session:{session_id.hex()}",
+                                      _content("envelope", evidence)))["report"]
     envelope = CompositeReportEnvelope(technology, actor.node_id, session_id,
                                        evidence_rx)
     outcome, verified = verifier_svc.verify_composite(envelope, request,

@@ -13,12 +13,12 @@ verification rules.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import crypto
-from .encoding import FieldReader, FieldWriter
-from .errors import DecodeError, EvidenceTooLarge, InvalidLength
+from .encoding import RAW, U16, U64, Record, Signed, Spec, nested, raw
+from .errors import EvidenceTooLarge, InvalidLength
 
 MAX_EVIDENCE_SIZE = 4096
 REPORT_DATA_LEN = 64
@@ -56,12 +56,16 @@ def launch_measure(tcb: TeeTcb) -> bytes:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CertChain:
+class CertChain(Record):
     """ARK (self-signed) -> ASK -> VCEK."""
 
     ark: crypto.Certificate
     ask: crypto.Certificate
     vcek: crypto.Certificate
+
+    SPEC = Spec((1, "ark", nested(crypto.Certificate)),
+                (2, "ask", nested(crypto.Certificate)),
+                (3, "vcek", nested(crypto.Certificate)))
 
     def verify(self, trusted_ark_pub: bytes) -> bool:
         ok = (
@@ -74,21 +78,6 @@ class CertChain:
             and self.vcek.verify(self.ask.subject)
         )
         return ok
-
-    def to_bytes(self) -> bytes:
-        w = FieldWriter()
-        for tag, cert in ((1, self.ark), (2, self.ask), (3, self.vcek)):
-            w.put(tag, cert.to_bytes())
-        return w.getvalue()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "CertChain":
-        r = FieldReader(raw)
-        ark = crypto.Certificate.from_bytes(r.take(1))
-        ask = crypto.Certificate.from_bytes(r.take(2))
-        vcek = crypto.Certificate.from_bytes(r.take(3))
-        r.finish()
-        return cls(ark, ask, vcek)
 
 
 class TeeVendor:
@@ -135,12 +124,8 @@ class TeeVendor:
 # guest reports
 # ---------------------------------------------------------------------------
 
-_RT_VERSION, _RT_CHIP, _RT_TCBV, _RT_MEASURE, _RT_DATA, _RT_EVIDENCE, _RT_SIG = \
-    1, 2, 3, 4, 5, 6, 7
-
-
 @dataclass(frozen=True)
-class TeeReport:
+class TeeReport(Signed):
     """Signed guest attestation report.
 
     report_data is caller-controlled 64-byte binding space (nonce and
@@ -157,37 +142,13 @@ class TeeReport:
     embedded_evidence: bytes
     signature: bytes
 
-    def body_bytes(self) -> bytes:
-        w = FieldWriter()
-        w.put_u16(_RT_VERSION, self.version)
-        w.put(_RT_CHIP, self.chip_id)
-        w.put_u64(_RT_TCBV, self.tcb_version)
-        w.put(_RT_MEASURE, self.launch_measurement)
-        w.put(_RT_DATA, self.report_data)
-        w.put(_RT_EVIDENCE, self.embedded_evidence)
-        return w.getvalue()
-
-    def to_bytes(self) -> bytes:
-        return self.body_bytes() + FieldWriter().put(_RT_SIG, self.signature).getvalue()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "TeeReport":
-        r = FieldReader(raw)
-        version = r.take_u16(_RT_VERSION)
-        chip_id = r.take(_RT_CHIP)
-        tcb_version = r.take_u64(_RT_TCBV)
-        measurement = r.take(_RT_MEASURE)
-        data = r.take(_RT_DATA)
-        evidence = r.take(_RT_EVIDENCE)
-        sig = r.take(_RT_SIG)
-        r.finish()
-        if len(chip_id) != CHIP_ID_LEN or len(measurement) != crypto.DIGEST_LEN:
-            raise DecodeError("report identity fields have wrong width")
-        if len(data) != REPORT_DATA_LEN:
-            raise DecodeError("report_data must be 64 bytes")
-        if len(evidence) > MAX_EVIDENCE_SIZE:
-            raise DecodeError("embedded evidence exceeds the format limit")
-        return cls(version, chip_id, tcb_version, measurement, data, evidence, sig)
+    SPEC = Spec((1, "version", U16),
+                (2, "chip_id", raw(CHIP_ID_LEN)),
+                (3, "tcb_version", U64),
+                (4, "launch_measurement", raw(crypto.DIGEST_LEN)),
+                (5, "report_data", raw(REPORT_DATA_LEN)),
+                (6, "embedded_evidence", raw(max_len=MAX_EVIDENCE_SIZE)),
+                (7, "signature", RAW))
 
     @property
     def digest(self) -> bytes:
@@ -207,10 +168,7 @@ def guest_report(vcek: crypto.SigningKeyPair, chip_id: bytes, tcb: TeeTcb,
         raise InvalidLength("chip id must be 32 bytes")
     unsigned = TeeReport(REPORT_VERSION, chip_id, tcb_version, launch_measure(tcb),
                          report_data, embedded_evidence, b"")
-    sig = vcek.sign(unsigned.body_bytes())
-    return TeeReport(unsigned.version, unsigned.chip_id, unsigned.tcb_version,
-                     unsigned.launch_measurement, unsigned.report_data,
-                     unsigned.embedded_evidence, sig)
+    return replace(unsigned, signature=vcek.sign(unsigned.body_bytes()))
 
 
 class ReportCheck(Enum):

@@ -20,7 +20,20 @@ from dataclasses import dataclass, field, replace
 
 from . import crypto
 from .clock import SystemClock
-from .encoding import FieldReader, FieldWriter
+from .encoding import (
+    F64,
+    FLAG,
+    RAW,
+    STR,
+    U64,
+    Kind,
+    Many,
+    Record,
+    Signed,
+    Spec,
+    nested,
+    raw,
+)
 from .errors import (
     AuthFailure,
     BlobCorrupt,
@@ -119,12 +132,11 @@ def bitmap_to_selection(bitmap: bytes) -> tuple[int, ...]:
     return tuple(i for i in range(PCR_COUNT) if bits & (1 << i))
 
 
-_KB_ROLE, _KB_HIER, _KB_VER, _KB_PUB, _KB_PARENT, _KB_CVM, _KB_FLAG, _KB_ENV = \
-    1, 2, 3, 4, 5, 6, 7, 8
+PCR_BITMAP = Kind(selection_to_bitmap, bitmap_to_selection)
 
 
 @dataclass
-class KeyBlob:
+class KeyBlob(Record):
     """Wrapped key: public area in the clear, sensitive part AEAD-sealed
     under the parent, stamped with the hierarchy seed version it was
     created under. The envelope's aad is the public area, so any tamper of
@@ -139,45 +151,17 @@ class KeyBlob:
     deactivated: bool = False
     envelope: bytes = b""
 
+    PUBLIC = Spec((1, "role", STR), (2, "hierarchy", STR),
+                  (3, "seed_version", U64), (4, "public", RAW),
+                  (5, "parent_name", RAW), (6, "cvm_id", RAW))
+    SPEC = Spec(*PUBLIC.fields, (7, "deactivated", FLAG), (8, "envelope", RAW))
+
     def public_area(self) -> bytes:
-        w = FieldWriter()
-        w.put_str(_KB_ROLE, self.role)
-        w.put_str(_KB_HIER, self.hierarchy)
-        w.put_u64(_KB_VER, self.seed_version)
-        w.put(_KB_PUB, self.public)
-        w.put(_KB_PARENT, self.parent_name)
-        w.put(_KB_CVM, self.cvm_id)
-        return w.getvalue()
+        return self.PUBLIC.encode(vars(self))
 
     @property
     def name(self) -> bytes:
         return crypto.sha256(self.public_area())
-
-    def to_bytes(self) -> bytes:
-        w = FieldWriter()
-        w.put(_KB_FLAG, bytes([1 if self.deactivated else 0]))
-        w.put(_KB_ENV, self.envelope)
-        return self.public_area() + w.getvalue()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "KeyBlob":
-        r = FieldReader(raw)
-        blob = cls._read_public(r)
-        flag = r.take(_KB_FLAG)
-        envelope = r.take(_KB_ENV)
-        r.finish()
-        return replace(blob, deactivated=bool(flag and flag[0]),
-                       envelope=envelope)
-
-    @classmethod
-    def _read_public(cls, r: FieldReader) -> "KeyBlob":
-        role = r.take_str(_KB_ROLE)
-        hierarchy = r.take_str(_KB_HIER)
-        version = r.take_u64(_KB_VER)
-        public = r.take(_KB_PUB)
-        parent = r.take(_KB_PARENT)
-        cvm_id = r.take(_KB_CVM)
-        return cls(role, hierarchy, version, public, parent, cvm_id)
 
 
 def parse_public_area(raw: bytes) -> KeyBlob:
@@ -187,10 +171,7 @@ def parse_public_area(raw: bytes) -> KeyBlob:
     that .name and .public are computed from the same bytes, which is
     what lets a challenger bind a credential to exactly the key it saw.
     """
-    r = FieldReader(raw)
-    blob = KeyBlob._read_public(r)
-    r.finish()
-    return blob
+    return KeyBlob(**KeyBlob.PUBLIC.decode(raw))
 
 
 @dataclass
@@ -484,12 +465,8 @@ def pcr_read(state: TpmState, index: int) -> bytes:
     return state.pcr.registers[index]
 
 
-_QT_SEL, _QT_DIGEST, _QT_QUAL, _QT_REPORT, _QT_FW, _QT_CLOCK, _QT_SIG = \
-    1, 2, 3, 4, 5, 6, 7
-
-
 @dataclass(frozen=True)
-class CompositeQuote:
+class CompositeQuote(Signed):
     """Signed PCR quote, optionally embedding a TEE report verbatim.
 
     An empty tee_report means a plain quote. The signature covers every
@@ -505,35 +482,13 @@ class CompositeQuote:
     clock_info: int
     signature: bytes
 
-    def body_bytes(self) -> bytes:
-        w = FieldWriter()
-        w.put(_QT_SEL, selection_to_bitmap(self.pcr_selection))
-        w.put(_QT_DIGEST, self.pcr_digest)
-        w.put(_QT_QUAL, self.qualifying_data)
-        w.put(_QT_REPORT, self.tee_report)
-        w.put_u64(_QT_FW, self.firmware_version)
-        w.put_u64(_QT_CLOCK, self.clock_info)
-        return w.getvalue()
-
-    def to_bytes(self) -> bytes:
-        return self.body_bytes() + FieldWriter().put(_QT_SIG, self.signature).getvalue()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "CompositeQuote":
-        r = FieldReader(raw)
-        selection = bitmap_to_selection(r.take(_QT_SEL))
-        digest = r.take(_QT_DIGEST)
-        qual = r.take(_QT_QUAL)
-        report = r.take(_QT_REPORT)
-        fw = r.take_u64(_QT_FW)
-        clock_info = r.take_u64(_QT_CLOCK)
-        sig = r.take(_QT_SIG)
-        r.finish()
-        if len(digest) != crypto.DIGEST_LEN or len(qual) != crypto.DIGEST_LEN:
-            raise DecodeError("quote digest fields must be 32 bytes")
-        if len(report) > MAX_TEE_REPORT_SIZE:
-            raise DecodeError("embedded report exceeds the format limit")
-        return cls(selection, digest, qual, report, fw, clock_info, sig)
+    SPEC = Spec((1, "pcr_selection", PCR_BITMAP),
+                (2, "pcr_digest", raw(crypto.DIGEST_LEN)),
+                (3, "qualifying_data", raw(crypto.DIGEST_LEN)),
+                (4, "tee_report", raw(max_len=MAX_TEE_REPORT_SIZE)),
+                (5, "firmware_version", U64),
+                (6, "clock_info", U64),
+                (7, "signature", RAW))
 
     @property
     def digest(self) -> bytes:
@@ -565,20 +520,15 @@ def cc_quote(state: TpmState, selection, qualifying_data: bytes,
     clock_info = state.tick()
     unsigned = CompositeQuote(sel, state.pcr.composite(sel), qualifying_data,
                               tee_report, state.firmware_version, clock_info, b"")
-    sig = aik.keypair().sign(unsigned.body_bytes())
-    return CompositeQuote(sel, unsigned.pcr_digest, qualifying_data, tee_report,
-                          state.firmware_version, clock_info, sig)
+    return replace(unsigned, signature=aik.keypair().sign(unsigned.body_bytes()))
 
 
 # ---------------------------------------------------------------------------
 # credential activation
 # ---------------------------------------------------------------------------
 
-_CR_NAME, _CR_EPH, _CR_CT = 1, 2, 3
-
-
 @dataclass(frozen=True)
-class Credential:
+class Credential(Record):
     """MakeCredential output: the secret is recoverable only with the EK
     private key, and only for the named AIK."""
 
@@ -586,21 +536,8 @@ class Credential:
     eph_pub: bytes
     ciphertext: bytes
 
-    def to_bytes(self) -> bytes:
-        w = FieldWriter()
-        w.put(_CR_NAME, self.aik_name)
-        w.put(_CR_EPH, self.eph_pub)
-        w.put(_CR_CT, self.ciphertext)
-        return w.getvalue()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Credential":
-        r = FieldReader(raw)
-        name = r.take(_CR_NAME)
-        eph = r.take(_CR_EPH)
-        ct = r.take(_CR_CT)
-        r.finish()
-        return cls(name, eph, ct)
+    SPEC = Spec((1, "aik_name", RAW), (2, "eph_pub", RAW),
+                (3, "ciphertext", RAW))
 
 
 def make_credential(secret: crypto.Secret, aik_name: bytes, ek_pub: bytes,
@@ -671,32 +608,17 @@ def _eph_scalar(state: TpmState, counter: int) -> int:
 # sealing
 # ---------------------------------------------------------------------------
 
-_SB_SEL, _SB_POLICY, _SB_CT = 1, 2, 3
-
 _EMPTY_POLICY = b"\x00" * crypto.DIGEST_LEN
 
 
 @dataclass(frozen=True)
-class SealedBlob:
+class SealedBlob(Record):
     selection: tuple[int, ...]
     policy_digest: bytes
     ciphertext: bytes
 
-    def to_bytes(self) -> bytes:
-        w = FieldWriter()
-        w.put(_SB_SEL, selection_to_bitmap(self.selection))
-        w.put(_SB_POLICY, self.policy_digest)
-        w.put(_SB_CT, self.ciphertext)
-        return w.getvalue()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "SealedBlob":
-        r = FieldReader(raw)
-        sel = bitmap_to_selection(r.take(_SB_SEL))
-        policy = r.take(_SB_POLICY)
-        ct = r.take(_SB_CT)
-        r.finish()
-        return cls(sel, policy, ct)
+    SPEC = Spec((1, "selection", PCR_BITMAP), (2, "policy_digest", RAW),
+                (3, "ciphertext", RAW))
 
 
 def seal(state: TpmState, data: bytes, selection) -> SealedBlob:
@@ -732,9 +654,24 @@ def unseal(state: TpmState, blob: SealedBlob) -> bytes:
 # NV persistence
 # ---------------------------------------------------------------------------
 
-_NV_MODE, _NV_FW, _NV_COUNTER, _NV_HANDLE = 1, 2, 3, 4
-_NV_HIER, _NV_PCRS, _NV_COUNTS, _NV_STORE = 5, 6, 7, 8
-_NV_EPH_SEED, _NV_EPH_NEXT, _NV_EPH_TABLE, _NV_LOADED, _NV_EK = 9, 10, 11, 12, 13
+_NV_STATE = Spec(
+    (1, "key_tree_mode", STR),
+    (2, "firmware_version", U64),
+    (3, "command_counter", U64),
+    (4, "next_handle", U64),
+    (5, "hierarchies", Many(Spec((1, "name", STR), (2, "seed", RAW),
+                                 (3, "version", U64), (4, "created_at", F64),
+                                 (5, "enabled", FLAG)))),
+    (6, "pcrs", raw(PCR_COUNT * crypto.DIGEST_LEN)),
+    (7, "extend_counts", raw(PCR_COUNT * 8)),
+    (8, "nv", Many(Spec((1, "key", STR), (2, "value", RAW)))),
+    (9, "eph_seed", RAW),
+    (10, "eph_next", U64),
+    (11, "eph_table", RAW),
+    (12, "loaded", Many(Spec((1, "handle", U64), (2, "blob", nested(KeyBlob)),
+                             (3, "scalar", raw(32))))),
+    (13, "ek_blob", RAW),
+)
 
 
 def nv_persist(state: TpmState, protection_key: bytes, rng=None) -> bytes:
@@ -764,91 +701,58 @@ def nv_load(raw: bytes, protection_key: bytes, clock=None) -> TpmState:
 
 
 def _encode_state(state: TpmState) -> bytes:
-    w = FieldWriter()
-    w.put_str(_NV_MODE, state.key_tree_mode)
-    w.put_u64(_NV_FW, state.firmware_version)
-    w.put_u64(_NV_COUNTER, state.command_counter)
-    w.put_u64(_NV_HANDLE, state.next_handle)
-    for h in HIERARCHIES:
-        rec = state.seeds[h]
-        hw = FieldWriter()
-        hw.put_str(1, h)
-        hw.put(2, rec.seed)
-        hw.put_u64(3, rec.version)
-        hw.put(4, struct.pack("<d", rec.created_at))
-        hw.put(5, bytes([1 if state.hierarchy_enabled[h] else 0]))
-        w.put(_NV_HIER, hw.getvalue())
-    w.put(_NV_PCRS, b"".join(state.pcr.registers))
-    w.put(_NV_COUNTS, struct.pack(f"<{PCR_COUNT}Q", *state.pcr.extend_counts))
-    for key in sorted(state.nv):
-        ew = FieldWriter()
-        ew.put_str(1, key)
-        ew.put(2, state.nv[key])
-        w.put(_NV_STORE, ew.getvalue())
-    w.put(_NV_EPH_SEED, state.eph_seed)
-    w.put_u64(_NV_EPH_NEXT, state.eph_next)
-    w.put(_NV_EPH_TABLE, struct.pack(f"<{len(state.eph_table)}Q", *state.eph_table))
-    for handle in sorted(state.loaded):
-        entry = state.loaded[handle]
-        lw = FieldWriter()
-        lw.put_u64(1, handle)
-        lw.put(2, entry.blob.to_bytes())
-        lw.put(3, entry.scalar.to_bytes(32, "big"))
-        w.put(_NV_LOADED, lw.getvalue())
-    w.put(_NV_EK, (state.ek_blob.to_bytes() if state.ek_blob else b""))
-    return w.getvalue()
+    return _NV_STATE.encode({
+        "key_tree_mode": state.key_tree_mode,
+        "firmware_version": state.firmware_version,
+        "command_counter": state.command_counter,
+        "next_handle": state.next_handle,
+        "hierarchies": [{"name": h, "enabled": state.hierarchy_enabled[h],
+                         **vars(state.seeds[h])} for h in HIERARCHIES],
+        "pcrs": b"".join(state.pcr.registers),
+        "extend_counts": struct.pack(f"<{PCR_COUNT}Q", *state.pcr.extend_counts),
+        "nv": [{"key": key, "value": state.nv[key]} for key in sorted(state.nv)],
+        "eph_seed": state.eph_seed,
+        "eph_next": state.eph_next,
+        "eph_table": struct.pack(f"<{len(state.eph_table)}Q", *state.eph_table),
+        "loaded": [{"handle": handle, "blob": state.loaded[handle].blob,
+                    "scalar": state.loaded[handle].scalar.to_bytes(32, "big")}
+                   for handle in sorted(state.loaded)],
+        "ek_blob": state.ek_blob.to_bytes() if state.ek_blob else b"",
+    })
 
 
 def _decode_state(raw: bytes, clock=None) -> TpmState:
+    fields = _NV_STATE.decode(raw)
+    names = [record["name"] for record in fields["hierarchies"]]
+    keys = [entry["key"] for entry in fields["nv"]]
+    handles = [entry["handle"] for entry in fields["loaded"]]
+    # one order per image: what _encode_state would write for the state
+    if names != list(HIERARCHIES) or keys != sorted(set(keys)) \
+            or handles != sorted(set(handles)):
+        raise DecodeError("NV records are missing, repeated or out of order")
+    if len(fields["eph_table"]) % 8:
+        raise DecodeError("ephemeral counter table is not a list of u64")
     state = TpmState(clock=clock)
-    r = FieldReader(raw)
-    state.key_tree_mode = r.take_str(_NV_MODE)
-    state.firmware_version = r.take_u64(_NV_FW)
-    state.command_counter = r.take_u64(_NV_COUNTER)
-    state.next_handle = r.take_u64(_NV_HANDLE)
-    for _ in HIERARCHIES:
-        hr = FieldReader(r.take(_NV_HIER))
-        name = hr.take_str(1)
-        seed = hr.take(2)
-        version = hr.take_u64(3)
-        created = struct.unpack("<d", hr.take(4))[0]
-        enabled = hr.take(5)
-        hr.finish()
-        state.seeds[name] = SeedRecord(seed, version, created)
-        state.hierarchy_enabled[name] = bool(enabled[0])
-    pcrs = r.take(_NV_PCRS)
-    state.pcr.registers = [pcrs[i:i + 32] for i in range(0, PCR_COUNT * 32, 32)]
-    state.pcr.extend_counts = list(struct.unpack(f"<{PCR_COUNT}Q", r.take(_NV_COUNTS)))
-    state.nv = {}
-    state.loaded = {}
-    state.eph_seed = b""
-    while not r.exhausted:
-        # remaining fields appear in encode order; store entries repeat
-        pos_tag = r.peek_tag()
-        if pos_tag == _NV_STORE:
-            er = FieldReader(r.take(_NV_STORE))
-            key = er.take_str(1)
-            state.nv[key] = er.take(2)
-            er.finish()
-        elif pos_tag == _NV_EPH_SEED:
-            state.eph_seed = r.take(_NV_EPH_SEED)
-        elif pos_tag == _NV_EPH_NEXT:
-            state.eph_next = r.take_u64(_NV_EPH_NEXT)
-        elif pos_tag == _NV_EPH_TABLE:
-            packed = r.take(_NV_EPH_TABLE)
-            state.eph_table = list(struct.unpack(f"<{len(packed) // 8}Q", packed))
-        elif pos_tag == _NV_LOADED:
-            lr = FieldReader(r.take(_NV_LOADED))
-            handle = lr.take_u64(1)
-            blob = KeyBlob.from_bytes(lr.take(2))
-            scalar = int.from_bytes(lr.take(3), "big")
-            lr.finish()
-            state.loaded[handle] = LoadedKey(blob, scalar)
-        elif pos_tag == _NV_EK:
-            ek_raw = r.take(_NV_EK)
-            state.ek_blob = KeyBlob.from_bytes(ek_raw) if ek_raw else None
-        else:
-            raise DecodeError(f"unexpected field 0x{pos_tag:04x} in NV image")
+    for name in ("key_tree_mode", "firmware_version", "command_counter",
+                 "next_handle", "eph_seed", "eph_next"):
+        setattr(state, name, fields[name])
+    for record in fields["hierarchies"]:
+        state.seeds[record["name"]] = SeedRecord(
+            record["seed"], record["version"], record["created_at"])
+        state.hierarchy_enabled[record["name"]] = record["enabled"]
+    pcrs = fields["pcrs"]
+    state.pcr.registers = [pcrs[i:i + crypto.DIGEST_LEN]
+                           for i in range(0, len(pcrs), crypto.DIGEST_LEN)]
+    state.pcr.extend_counts = list(struct.unpack(f"<{PCR_COUNT}Q",
+                                                 fields["extend_counts"]))
+    state.nv = {entry["key"]: entry["value"] for entry in fields["nv"]}
+    table = fields["eph_table"]
+    state.eph_table = list(struct.unpack(f"<{len(table) // 8}Q", table))
+    state.loaded = {entry["handle"]: LoadedKey(
+        entry["blob"], int.from_bytes(entry["scalar"], "big"))
+        for entry in fields["loaded"]}
+    if fields["ek_blob"]:
+        state.ek_blob = KeyBlob.from_bytes(fields["ek_blob"])
     if "cert/ek" in state.nv:
         state.ek_cert = crypto.Certificate.from_bytes(state.nv["cert/ek"])
     return state

@@ -2,9 +2,14 @@
 config-file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ccxtrust
 from ccxtrust import cli, protocol
 
 
@@ -142,6 +147,19 @@ def test_check_trace_undecodable_file_exits_1(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "trace index" in captured.err
+
+
+def test_module_entry_point_runs_once_without_warnings():
+    # the package must not import ccxtrust.cli itself, or `python -m`
+    # warns and executes the module a second time as __main__
+    src = str(Path(ccxtrust.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ccxtrust.cli",
+         "--help"], capture_output=True, text=True, env=env, check=False)
+    assert result.returncode == 0, result.stderr
+    assert "check-trace" in result.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from ccxtrust import crypto, harness, protocol
+from ccxtrust import crypto, harness, measurement, protocol, tpm
 from ccxtrust.errors import AttestationRejected, AuthFailure, DecodeError
 from ccxtrust.protocol import (
     CERT_LABELS,
@@ -192,6 +192,37 @@ def test_golden_trace_and_token_digests():
         "9a0f8a28358f6b35df48c9db66da311ac7715b6fb53068a88fe9cd7d8afe6875")
     assert crypto.sha256("".join(t.compact() for t in tokens).encode()).hex() \
         == "1877689b62445c246fae74a2d29b7a4177ef68397422d5bb8e8b7ae8d3eb4606"
+
+
+def test_golden_structure_encodings():
+    # the structures the golden trace never puts on the wire whole: a key
+    # blob with its flag and envelope, sealed data, a credential, a signed
+    # manifest, the vendor chain, and the NV plaintext with its repeated
+    # store and loaded-key records
+    c = harness.build_cluster(4242, nodes=2)
+    a = c.actor(0)
+    encodings = {
+        "aik-blob": a.aik_blob.to_bytes(),
+        "nv-plaintext": tpm._encode_state(a.state),
+        "sealed-blob": tpm.seal(a.state, b"pinned disk key",
+                                (0, 4, 7)).to_bytes(),
+        "credential": tpm.make_credential(
+            crypto.Secret(bytes(range(32))), a.aik_blob.name,
+            a.state.ek_blob.public,
+            crypto.DeterministicRng(b"pinned-credential")).to_bytes(),
+        "manifest": measurement.sign_manifest(
+            c.publisher, "kernel", b"pinned kernel").to_bytes(),
+        "cert-chain": a.vendor_chain.to_bytes(),
+    }
+    assert {name: crypto.sha256(raw).hex()
+            for name, raw in encodings.items()} == {
+        "aik-blob": "e32bd4de33ca847d487907f70e1156320a4e196dac923450818bfc1237aa0926",
+        "nv-plaintext": "8d433ee9d8c62733eb176c33678c458d21c10ef3ba7f079d14eba84ab6834481",
+        "sealed-blob": "3ce4d9d8b2094f3d99b24a985a404410da9d00d77f940afb20173de0475da5f1",
+        "credential": "32b5b1fadfe9aad0ac6821662c5a5283495967c6be447b1aa1237d1d1643b625",
+        "manifest": "2388c8f28f47aa6afc40b766d8bb7edbd1abbe29503b010b440eed2b5ccaeae2",
+        "cert-chain": "ea34e410bccc8109984994a7ccb843bc0a1da4c9fac2f1dd733584a8570055fd",
+    }
 
 
 def test_attest_rejection_raises_with_outcome(cluster):
