@@ -34,7 +34,6 @@ from .protocol import (
     check_theorems,
     run_attest_composite,
     run_attest_independent,
-    run_attest_single,
     run_initialization,
 )
 from .tee import TeeReport, TeeTcb, TeeVendor
@@ -91,7 +90,6 @@ __all__ = [
     "protocol",
     "run_attest_composite",
     "run_attest_independent",
-    "run_attest_single",
     "run_bench",
     "run_initialization",
     "run_scenario",

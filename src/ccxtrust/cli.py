@@ -73,7 +73,10 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         if isinstance(current, bool):
             setattr(args, attr, value.lower() in ("1", "true", "yes"))
         elif isinstance(current, int):
-            setattr(args, attr, int(value))
+            try:
+                setattr(args, attr, int(value))
+            except ValueError:
+                parser.error(f"config value {key} = {value!r} is not an integer")
         else:
             setattr(args, attr, value)
     return args

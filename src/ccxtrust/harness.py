@@ -8,6 +8,7 @@ a seeded run is stable across processes and machines.
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 import threading
 import time
@@ -327,17 +328,13 @@ def run_latency_experiment(seed: int | bytes, samples: int = 120,
                                       direction=direction)
         composite.append(time.perf_counter() - start)
 
-        start = time.perf_counter()
-        protocol.run_attest_single(actor, svc, channels,
-                                   protocol.ProtocolTrace(),
-                                   policy_id=policy_id, technology="tee")
-        tee_only.append(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        protocol.run_attest_single(actor, svc, channels,
-                                   protocol.ProtocolTrace(),
-                                   policy_id=policy_id, technology="tpm")
-        tpm_only.append(time.perf_counter() - start)
+        for technology, series in (("tee", tee_only), ("tpm", tpm_only)):
+            start = time.perf_counter()
+            protocol.run_attest_composite(actor, svc, channels,
+                                          protocol.ProtocolTrace(),
+                                          policy_id=policy_id,
+                                          direction=technology)
+            series.append(time.perf_counter() - start)
 
     boot_rng = crypto.DeterministicRng(_seed_bytes(seed) + b"bootstrap")
     cheaper = 0
@@ -388,29 +385,29 @@ class AttackReport:
         }
 
 
+def _evidence(signer: protocol.NodeActor, direction: str,
+              nonce: bytes) -> bytes:
+    """Evidence of one direction signed directly by signer's devices."""
+    def make_layer(kind, binding, embedded, _tag):
+        if kind == "tee":
+            layer = tee.guest_report(signer.vcek, signer.chip_id, signer.tcb,
+                                     signer.tcb_version, binding,
+                                     embedded_evidence=embedded)
+        else:
+            layer = tpm.cc_quote(signer.state, PCR_SELECTION, binding,
+                                 signer.aik_handle, embedded)
+        return layer.to_bytes()
+    return protocol.build_evidence(direction, nonce, make_layer)
+
+
 def _honest_envelope(cluster: Cluster, actor: protocol.NodeActor,
                      direction: str):
     """Open a session and build its matching evidence without submitting."""
-    svc = cluster.verifier_svc
-    request = svc.new_request(cluster.policy_id, actor.node_id)
-    if direction == "tpm-tee":
-        report = tee.guest_report(
-            actor.vcek, actor.chip_id, actor.tcb, actor.tcb_version,
-            crypto.sha256(request.nonce) + bytes(32))
-        quote_obj = tpm.cc_quote(actor.state, PCR_SELECTION, request.nonce,
-                                 actor.aik_handle, report.to_bytes())
-        evidence = quote_obj.to_bytes()
-    else:
-        quote_obj = tpm.cc_quote(actor.state, PCR_SELECTION, request.nonce,
-                                 actor.aik_handle, b"")
-        quote_bytes = quote_obj.to_bytes()
-        report = tee.guest_report(
-            actor.vcek, actor.chip_id, actor.tcb, actor.tcb_version,
-            request.nonce + crypto.sha256(quote_bytes),
-            embedded_evidence=quote_bytes)
-        evidence = report.to_bytes()
+    request = cluster.verifier_svc.new_request(cluster.policy_id,
+                                               actor.node_id)
     envelope = protocol.CompositeReportEnvelope(
-        direction, actor.node_id, request.session_id, evidence)
+        direction, actor.node_id, request.session_id,
+        _evidence(actor, direction, request.nonce))
     return request, envelope
 
 
@@ -457,14 +454,9 @@ def attack_splice_matrix(cluster: Cluster, *, sessions_per_node: int = 5
     for i, actor in enumerate(actors if len(actors) > 1 else []):
         other = actors[(i + 1) % len(actors)]
         request = svc.new_request(cluster.policy_id, actor.node_id)
-        report = tee.guest_report(
-            other.vcek, other.chip_id, other.tcb, other.tcb_version,
-            crypto.sha256(request.nonce) + bytes(32))
-        quote_obj = tpm.cc_quote(other.state, PCR_SELECTION, request.nonce,
-                                 other.aik_handle, report.to_bytes())
         relay = protocol.CompositeReportEnvelope(
             "tpm-tee", actor.node_id, request.session_id,
-            quote_obj.to_bytes())
+            _evidence(other, "tpm-tee", request.nonce))
         outcome, _ = svc.verify_composite(relay, request, policy)
         attempted += 1
         outcomes[outcome.value] += 1
@@ -501,18 +493,9 @@ def attack_spoof_identity(cluster: Cluster) -> AttackReport:
     outcomes: Counter = Counter()
 
     def swap_evidence(envelope: protocol.CompositeReportEnvelope):
-        report = tee.guest_report(
-            imposter.vcek, imposter.chip_id, imposter.tcb,
-            imposter.tcb_version,
-            crypto.sha256(_nonce_of(cluster, envelope.session_id))
-            + bytes(32))
-        quote_obj = tpm.cc_quote(
-            imposter.state, PCR_SELECTION,
-            _nonce_of(cluster, envelope.session_id),
-            imposter.aik_handle, report.to_bytes())
-        return protocol.CompositeReportEnvelope(
-            envelope.direction, envelope.node_id, envelope.session_id,
-            quote_obj.to_bytes())
+        nonce = cluster.verifier_svc.session(envelope.session_id).nonce
+        return dataclasses.replace(
+            envelope, evidence=_evidence(imposter, envelope.direction, nonce))
 
     try:
         protocol.run_attest_composite(
@@ -526,11 +509,6 @@ def attack_spoof_identity(cluster: Cluster) -> AttackReport:
     return AttackReport("spoof-identity", 1, accepted, 1 - accepted,
                         outcomes, accepted == 0
                         and outcomes.get("identity-mismatch", 0) == 1)
-
-
-def _nonce_of(cluster: Cluster, session_id: bytes) -> bytes:
-    session = cluster.verifier_svc.session(session_id)
-    return session.nonce if session is not None else bytes(32)
 
 
 def attack_replay(cluster: Cluster) -> AttackReport:

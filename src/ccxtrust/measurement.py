@@ -17,7 +17,13 @@ from enum import Enum
 
 from . import crypto, tee, tpm
 from .encoding import RAW, STR, Signed, Spec
-from .errors import InvalidLength, LogGap, StageOrderViolation, UntrustedImage
+from .errors import (
+    DecodeError,
+    InvalidLength,
+    LogGap,
+    StageOrderViolation,
+    UntrustedImage,
+)
 
 STAGE_HOST = 1
 STAGE_LAUNCH = 2
@@ -51,10 +57,17 @@ class MeasurementEvent:
     def from_line(cls, line: str) -> "MeasurementEvent":
         parts = line.split()
         if len(parts) != 6:
-            raise ValueError(f"bad measurement log line: {line!r}")
-        return cls(seq=int(parts[0]), stage=int(parts[1]),
-                   pcr_index=int(parts[2]), name=parts[3],
-                   digest=bytes.fromhex(parts[4]), signer=parts[5])
+            raise DecodeError(f"measurement log line needs 6 columns: {line!r}")
+        try:
+            seq, stage, pcr_index = (int(part) for part in parts[:3])
+            digest = bytes.fromhex(parts[4])
+        except ValueError:
+            raise DecodeError(f"bad measurement log line: {line!r}") from None
+        if len(digest) != crypto.DIGEST_LEN:
+            raise DecodeError(f"measurement digest must be "
+                              f"{crypto.DIGEST_LEN} bytes: {line!r}")
+        return cls(seq=seq, stage=stage, pcr_index=pcr_index, name=parts[3],
+                   digest=digest, signer=parts[5])
 
 
 # ---------------------------------------------------------------------------

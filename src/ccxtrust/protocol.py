@@ -6,6 +6,11 @@ verifier ("verifier"). Every message crosses an AES-GCM channel keyed by
 two-phase ECDH, and every step appends a structured event to a protocol
 trace.
 
+Attestation has one prover: build_evidence walks the verifier's LAYOUTS
+table for any direction (the composite tpm-tee and tee-tpm embeddings,
+the single-technology tee and tpm legs) and binds each layer with the
+verifier's report_data_for rule, so prover and verifier read one layout.
+
 The trace is the unit of analysis: trust-chain properties are stated
 over event sequences and checked mechanically by check_theorems, so a
 run either carries a complete justification for every credential that
@@ -15,14 +20,14 @@ changed hands or yields a concrete counterexample event.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import crypto, tee, tpm
 from .encoding import RAW, STR, U16, Record, Spec, nested
 from .errors import AttestationRejected, AuthFailure, DecodeError
 from .owner_ca import challenge_session_id
-from .verifier import CompositeOutcome, VerifierService
+from .verifier import LAYOUTS, CompositeOutcome, VerifierService, report_data_for
 
 OCA_PRINCIPAL = "owner-ca"
 VERIFIER_PRINCIPAL = "verifier"
@@ -268,9 +273,6 @@ class ChannelTable:
         except KeyError:
             raise AuthFailure(f"no channel between {a!r} and {b!r}") from None
 
-    def has(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self._keys
-
     def seal(self, mtype: int, sender: str, receiver: str,
              session_id: bytes, body: bytes) -> bytes:
         key = self.key(sender, receiver)
@@ -394,9 +396,6 @@ def establish_channels(actor: NodeActor, oca_key: crypto.SigningKeyPair,
     soft_pair(actor.tee_name, actor.pek, OCA_PRINCIPAL, oca_key)
     soft_pair(actor.agent, actor.identity, OCA_PRINCIPAL, oca_key)
     tpm_pair(OCA_PRINCIPAL, oca_key)
-    # CA and verifier talk revocation; key this pair once
-    if not channels.has(OCA_PRINCIPAL, VERIFIER_PRINCIPAL):
-        soft_pair(OCA_PRINCIPAL, oca_key, VERIFIER_PRINCIPAL, verifier_key)
 
 
 # ---------------------------------------------------------------------------
@@ -619,137 +618,96 @@ def _tpm_quote_internal(actor, channels, trace, session_id, selection,
                      contents=(f"quote:{digest.hex()}",))["quote"]
 
 
-def _deliver_token(verifier_svc, actor, channels, trace, request, verified,
-                   policy):
-    """Verifier mints the token for accepted evidence and sends it to the
-    agent over the sealed channel."""
-    V, C = VERIFIER_PRINCIPAL, actor.agent
-    token = verifier_svc.issue_token(request, verified, policy)
-    token_digest = crypto.sha256(token.compact().encode())
-    trace.emit(V, "sign", digest=token_digest, tag="token",
-               contents=(f"token:{token_digest.hex()}",
-                         f"session:{request.session_id.hex()}"))
-    token_text = _transfer(trace, channels, V, C, "token-info",
-                           {"token": token.compact()},
-                           session_id=request.session_id,
-                           contents=(f"token:{token_digest.hex()}",))["token"]
-    trace.emit(C, "decrypt", digest=crypto.sha256(token_text.encode()),
-               tag="token-info",
-               contents=(f"token:{crypto.sha256(token_text.encode()).hex()}",))
-    return token
+def build_evidence(direction: str, nonce: bytes, make_layer: Callable) -> bytes:
+    """Evidence of one LAYOUTS direction for a session nonce.
 
-
-def _submit_and_tokenize(verifier_svc, actor, channels, trace, request,
-                         policy, envelope: CompositeReportEnvelope, *,
-                         evidence_mutator: Callable | None = None):
-    """Agent submits the envelope; verifier checks it and, on success,
-    mints and returns the token."""
-    V, C = VERIFIER_PRINCIPAL, actor.agent
-    if evidence_mutator is not None:
-        envelope = evidence_mutator(envelope)
-    session_hex = request.session_id.hex()
-    envelope_bytes = envelope.to_bytes()
-    rx = _transfer(trace, channels, C, V, "total-report",
-                   {"report": envelope_bytes},
-                   session_id=request.session_id,
-                   contents=(f"session:{session_hex}",
-                             _content("envelope", envelope_bytes)))
-    envelope_rx = CompositeReportEnvelope.from_bytes(rx["report"])
-    outcome, verified = verifier_svc.verify_composite(envelope_rx, request,
-                                                      policy)
-    # canonical encoding: the received bytes are envelope_rx.to_bytes()
-    trace.emit(V, "verify", digest=crypto.sha256(rx["report"]),
-               tag="composite-evidence", ok=outcome is CompositeOutcome.OK,
-               contents=(f"session:{session_hex}",
-                         f"outcome:{outcome.value}"))
-    if outcome is not CompositeOutcome.OK:
-        raise AttestationRejected(outcome, f"evidence rejected: {outcome.value}")
-    return _deliver_token(verifier_svc, actor, channels, trace, request,
-                          verified, policy)
+    Walks the layout innermost first. A TPM layer is bound by the nonce
+    as qualifying data, a TEE layer by report_data_for; each outer layer
+    embeds the bytes of the layer inside it. make_layer(kind, binding,
+    embedded, tag) signs one layer and returns its bytes; the tag is
+    "total-report" for the outermost layer and "<kind>-report" inside.
+    """
+    layout = LAYOUTS[direction]
+    embedded = b""
+    for depth, kind in enumerate(reversed(layout), 1):
+        binding = (nonce if kind == "tpm"
+                   else report_data_for(direction, nonce, embedded))
+        tag = "total-report" if depth == len(layout) else f"{kind}-report"
+        embedded = make_layer(kind, binding, embedded, tag)
+    return embedded
 
 
 def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
                          channels: ChannelTable, trace: ProtocolTrace, *,
                          policy_id: str, direction: str = "tpm-tee",
                          evidence_mutator: Callable | None = None):
-    """One composite attestation: three verifier-visible messages.
+    """One attestation of any LAYOUTS direction: three verifier-visible
+    messages, ending in a token.
 
     tpm-tee: the TEE report (bound to the session nonce) is embedded in
     a TPM quote whose qualifying data is the same nonce. tee-tpm: the
     quote is embedded in a TEE report whose report_data binds both the
-    nonce and the embedded bytes.
+    nonce and the embedded bytes. tee and tpm are the single-technology
+    legs of the two-token baseline; they put their bare evidence on the
+    wire instead of an envelope.
     """
-    if direction not in ("tpm-tee", "tee-tpm"):
+    if direction not in LAYOUTS:
         raise ValueError(f"unknown direction {direction!r}")
+    V, C = VERIFIER_PRINCIPAL, actor.agent
     policy = verifier_svc.get_policy(policy_id)
     request, rx = _send_attest_request(verifier_svc, actor, channels, trace,
                                        policy_id, direction)
     session_id, nonce = rx["session_id"], rx["nonce"]
-    if rx["direction"] == "tpm-tee":
-        report_data = crypto.sha256(nonce) + bytes(32)
-        report = _tee_report_internal(actor, channels, trace, session_id,
-                                      report_data, b"", tag="tee-report")
-        quote_obj = _tpm_quote_internal(actor, channels, trace, session_id,
-                                        rx["selection"], nonce,
-                                        report.to_bytes(), tag="total-report")
-        evidence = quote_obj.to_bytes()
-    else:
-        quote_obj = _tpm_quote_internal(actor, channels, trace, session_id,
-                                        rx["selection"], nonce, b"",
-                                        tag="tpm-report")
-        quote_bytes = quote_obj.to_bytes()
-        report_data = nonce + crypto.sha256(quote_bytes)
-        report = _tee_report_internal(actor, channels, trace, session_id,
-                                      report_data, quote_bytes,
-                                      tag="total-report")
-        evidence = report.to_bytes()
-    envelope = CompositeReportEnvelope(rx["direction"], actor.node_id,
-                                       session_id, evidence)
-    return _submit_and_tokenize(verifier_svc, actor, channels, trace,
-                                request, policy, envelope,
-                                evidence_mutator=evidence_mutator)
+    session_hex = session_id.hex()
 
+    def make_layer(kind, binding, embedded, tag):
+        if kind == "tee":
+            layer = _tee_report_internal(actor, channels, trace, session_id,
+                                         binding, embedded, tag=tag)
+        else:
+            layer = _tpm_quote_internal(actor, channels, trace, session_id,
+                                        rx["selection"], binding, embedded,
+                                        tag=tag)
+        return layer.to_bytes()
 
-def run_attest_single(actor: NodeActor, verifier_svc: VerifierService,
-                      channels: ChannelTable, trace: ProtocolTrace, *,
-                      policy_id: str, technology: str):
-    """One single-technology attestation: three verifier-visible
-    messages that vouch for the TEE or the TPM but never both."""
-    if technology not in ("tee", "tpm"):
-        raise ValueError(f"unknown technology {technology!r}")
-    V, C = VERIFIER_PRINCIPAL, actor.agent
-    policy = verifier_svc.get_policy(policy_id)
-    request, rx = _send_attest_request(verifier_svc, actor, channels, trace,
-                                       policy_id, technology)
-    session_id, nonce = rx["session_id"], rx["nonce"]
-    if technology == "tee":
-        report = _tee_report_internal(actor, channels, trace, session_id,
-                                      nonce + bytes(32), b"",
-                                      tag="total-report")
-        evidence = report.to_bytes()
+    envelope = CompositeReportEnvelope(
+        direction, actor.node_id, session_id,
+        build_evidence(direction, nonce, make_layer))
+    if evidence_mutator is not None:
+        envelope = evidence_mutator(envelope)
+    single = len(LAYOUTS[direction]) == 1
+    wire = envelope.evidence if single else envelope.to_bytes()
+    received = _transfer(trace, channels, C, V, "total-report",
+                         {"report": wire}, session_id=session_id,
+                         contents=(f"session:{session_hex}",
+                                   _content("envelope", wire)))["report"]
+    if single:
+        envelope = replace(envelope, evidence=received)
+        tag, contents = f"{direction}-evidence", ()
     else:
-        quote_obj = _tpm_quote_internal(actor, channels, trace, session_id,
-                                        rx["selection"], nonce, b"",
-                                        tag="total-report")
-        evidence = quote_obj.to_bytes()
-    evidence_rx = _transfer(trace, channels, C, V, "total-report",
-                            {"report": evidence},
-                            session_id=session_id,
-                            contents=(f"session:{session_id.hex()}",
-                                      _content("envelope", evidence)))["report"]
-    envelope = CompositeReportEnvelope(technology, actor.node_id, session_id,
-                                       evidence_rx)
+        envelope = CompositeReportEnvelope.from_bytes(received)
+        tag, contents = "composite-evidence", (f"session:{session_hex}",)
     outcome, verified = verifier_svc.verify_composite(envelope, request,
                                                       policy)
-    trace.emit(V, "verify", digest=crypto.sha256(evidence_rx),
-               tag=f"{technology}-evidence",
+    # canonical encoding: the received bytes are what was appraised
+    trace.emit(V, "verify", digest=crypto.sha256(received), tag=tag,
                ok=outcome is CompositeOutcome.OK,
-               contents=(f"outcome:{outcome.value}",))
+               contents=contents + (f"outcome:{outcome.value}",))
     if outcome is not CompositeOutcome.OK:
-        raise AttestationRejected(
-            outcome, f"{technology} leg rejected: {outcome.value}")
-    return _deliver_token(verifier_svc, actor, channels, trace, request,
-                          verified, policy)
+        raise AttestationRejected(outcome, f"evidence rejected: {outcome.value}")
+
+    token = verifier_svc.issue_token(request, verified, policy)
+    token_digest = crypto.sha256(token.compact().encode())
+    trace.emit(V, "sign", digest=token_digest, tag="token",
+               contents=(f"token:{token_digest.hex()}",
+                         f"session:{session_hex}"))
+    token_text = _transfer(trace, channels, V, C, "token-info",
+                           {"token": token.compact()}, session_id=session_id,
+                           contents=(f"token:{token_digest.hex()}",))["token"]
+    received_digest = crypto.sha256(token_text.encode())
+    trace.emit(C, "decrypt", digest=received_digest, tag="token-info",
+               contents=(f"token:{received_digest.hex()}",))
+    return token
 
 
 def run_attest_independent(actor: NodeActor, verifier_svc: VerifierService,
@@ -758,12 +716,9 @@ def run_attest_independent(actor: NodeActor, verifier_svc: VerifierService,
     """Baseline: two separate single-technology attestations (six
     verifier-visible messages), yielding two tokens that nothing binds
     to each other."""
-    return [
-        run_attest_single(actor, verifier_svc, channels, trace,
-                          policy_id=policy_id, technology="tee"),
-        run_attest_single(actor, verifier_svc, channels, trace,
-                          policy_id=policy_id, technology="tpm"),
-    ]
+    return [run_attest_composite(actor, verifier_svc, channels, trace,
+                                 policy_id=policy_id, direction=technology)
+            for technology in ("tee", "tpm")]
 
 
 # ---------------------------------------------------------------------------

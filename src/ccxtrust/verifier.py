@@ -6,9 +6,11 @@ signed bearer tokens in a compact three-segment format. Tokens it issued
 are logged by serial; validation re-checks structure, signature, expiry,
 and revocation.
 
-One appraisal pipeline serves the four evidence layouts: the composite
-tpm-tee and tee-tpm embeddings and the single-technology tee and tpm
-legs. It checks, first failure wins: session replay and session-id
+One appraisal pipeline serves the four evidence layouts of LAYOUTS: the
+composite tpm-tee and tee-tpm embeddings and the single-technology tee
+and tpm legs. The provers in protocol and harness build their evidence
+from the same table and the same report_data_for binding rule. The
+pipeline checks, first failure wins: session replay and session-id
 binding; that every layer decodes; the nonce binding of every layer,
 which needs no signature; the signer of every layer, outer first (the
 claimed node's key, then the node the TEE report's chip id names, so a
@@ -47,8 +49,6 @@ if TYPE_CHECKING:   # pragma: no cover - import only for annotations
 
 TOKEN_FORMAT_VERSION = 1
 DEFAULT_TOKEN_LIFETIME = 3600.0
-
-REPORT_DATA_PAD = b"\x00" * 32
 
 
 class CompositeOutcome(Enum):
@@ -205,8 +205,8 @@ def validate_token(token: "AttestationToken | str", verifier_pub: bytes,
 # ---------------------------------------------------------------------------
 
 # The evidence layers of each envelope direction, outermost first; each
-# layer embeds the next one verbatim.
-_LAYOUTS: dict[str, tuple[str, ...]] = {
+# layer embeds the next one verbatim. Provers build from this table too.
+LAYOUTS: dict[str, tuple[str, ...]] = {
     "tpm-tee": ("tpm", "tee"),
     "tee-tpm": ("tee", "tpm"),
     "tee": ("tee",),
@@ -234,14 +234,14 @@ def _decode_layers(layout: tuple[str, ...], evidence: bytes) -> dict | None:
     return layers
 
 
-def _expected_report_data(direction: str, nonce: bytes,
-                          report: tee.TeeReport) -> bytes:
-    """The report_data a TEE report must carry for a session nonce."""
+def report_data_for(direction: str, nonce: bytes, embedded: bytes) -> bytes:
+    """The report_data a TEE report carrying the embedded bytes must hold
+    for a session nonce: the only statement of the binding rule."""
     if direction == "tpm-tee":
-        return crypto.sha256(nonce) + REPORT_DATA_PAD
+        return crypto.sha256(nonce) + bytes(32)
     if direction == "tee-tpm":
-        return nonce + crypto.sha256(report.embedded_evidence)
-    return nonce + REPORT_DATA_PAD
+        return nonce + crypto.sha256(embedded)
+    return nonce + bytes(32)
 
 
 def _signed_by(keys: NodeKeys, kind: str, layer) -> bool:
@@ -363,7 +363,7 @@ class VerifierService:
                          session: AttestationRequest,
                          policy: PolicyBaseline
                          ) -> tuple[CompositeOutcome, VerifiedReport | None]:
-        """Appraise evidence of any layout in _LAYOUTS; first failure wins.
+        """Appraise evidence of any layout in LAYOUTS; first failure wins.
 
         Order: session replay and session-id binding, decoding of every
         layer, nonce binding, the signer of each layer (outer first),
@@ -375,7 +375,7 @@ class VerifierService:
         if envelope.session_id != session.session_id:
             return CompositeOutcome.NONCE_MISMATCH, None
         node = self.node_keys(session.node_id)
-        layout = _LAYOUTS.get(envelope.direction)
+        layout = LAYOUTS.get(envelope.direction)
         if node is None or layout is None:
             return CompositeOutcome.MALFORMED, None
         layers = _decode_layers(layout, envelope.evidence)
@@ -385,8 +385,8 @@ class VerifierService:
         report = layers.get("tee")
         if quote_obj is not None and quote_obj.qualifying_data != session.nonce:
             return CompositeOutcome.NONCE_MISMATCH, None
-        if report is not None and report.report_data != _expected_report_data(
-                envelope.direction, session.nonce, report):
+        if report is not None and report.report_data != report_data_for(
+                envelope.direction, session.nonce, report.embedded_evidence):
             return CompositeOutcome.NONCE_MISMATCH, None
         chip_owner = None
         if report is not None:

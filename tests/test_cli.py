@@ -181,3 +181,12 @@ def test_config_file_fills_defaults_flags_win(tmp_path):
     summary2 = json.loads((out2 / "summary.json").read_text())
     assert summary2["seed"] == 99
     assert summary2["nodes"] == 1  # explicit flag beats the file
+
+
+def test_config_non_integer_value_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "bad.conf"
+    config.write_text("nodes = abc\n")
+    with pytest.raises(SystemExit) as info:
+        run(["init", "--config", str(config), "--out", str(tmp_path / "x")])
+    assert info.value.code == 2
+    assert "nodes" in capsys.readouterr().err

@@ -3,7 +3,7 @@ the concurrent benchmark at a small configuration."""
 
 import pytest
 
-from ccxtrust import harness, protocol
+from ccxtrust import harness, protocol, verifier
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,17 @@ def test_latency_experiment_small():
 # ---------------------------------------------------------------------------
 # attack catalog
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("direction", ["tpm-tee", "tee-tpm", "tee", "tpm"])
+def test_honest_envelope_accepted_for_every_layout(direction):
+    cluster = harness.build_cluster(301, nodes=1)
+    request, envelope = harness._honest_envelope(cluster, cluster.actor(0),
+                                                 direction)
+    outcome, verified = cluster.verifier_svc.verify_composite(
+        envelope, request, cluster.policy)
+    assert outcome is verifier.CompositeOutcome.OK
+    assert verified.token_type == direction
+
 
 def test_attack_splice_matrix_small(shared_cluster):
     report = harness.attack_splice_matrix(shared_cluster, sessions_per_node=2)

@@ -6,6 +6,7 @@ import pytest
 from ccxtrust import crypto, measurement, tee, tpm
 from ccxtrust.clock import VirtualClock
 from ccxtrust.errors import (
+    DecodeError,
     LogGap,
     StageOrderViolation,
     UntrustedImage,
@@ -185,3 +186,26 @@ def test_log_text_round_trip():
     parsed = measurement.parse_log(text)
     assert parsed == epoch.events
     assert measurement.replay_log(parsed) == measurement.replay_log(epoch.events)
+
+
+_GOOD_DIGEST = "ab" * 32
+
+
+@pytest.mark.parametrize("line", [
+    f"0 1 0 bios {_GOOD_DIGEST}",
+    f"0 1 0 bios {_GOOD_DIGEST} - extra",
+    f"x 1 0 bios {_GOOD_DIGEST} -",
+    f"0 one 0 bios {_GOOD_DIGEST} -",
+    f"0 1 0.5 bios {_GOOD_DIGEST} -",
+    "0 1 0 bios zz" + "ab" * 31 + " -",
+    "0 1 0 bios abc -",
+    "0 1 0 bios " + "ab" * 31 + " -",
+    "0 1 0 bios " + "ab" * 33 + " -",
+], ids=["five-columns", "seven-columns", "seq-not-int", "stage-not-int",
+        "pcr-not-int", "digest-not-hex", "digest-odd-hex", "digest-31-bytes",
+        "digest-33-bytes"])
+def test_bad_log_line_raises_decode_error(line):
+    with pytest.raises(DecodeError):
+        measurement.MeasurementEvent.from_line(line)
+    with pytest.raises(DecodeError):
+        measurement.parse_log(f"0 1 0 bios {_GOOD_DIGEST} -\n{line}\n")

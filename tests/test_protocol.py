@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from ccxtrust import crypto, harness, measurement, protocol, tpm
+from ccxtrust import crypto, harness, measurement, protocol, tpm, verifier
 from ccxtrust.errors import AttestationRejected, AuthFailure, DecodeError
 from ccxtrust.protocol import (
     CERT_LABELS,
@@ -158,6 +158,39 @@ def test_attest_composite_both_directions(cluster):
         assert isinstance(claims, dict)
         assert claims["payload"]["type"] == direction
         assert trace.verifier_visible_sends() == 3
+
+
+@pytest.mark.parametrize("direction", ["tpm-tee", "tee-tpm", "tee", "tpm"])
+def test_attest_composite_builds_every_layout(cluster, direction):
+    actor = cluster.actor(0)
+    trace = protocol.ProtocolTrace()
+    token = protocol.run_attest_composite(
+        actor, cluster.verifier_svc, cluster.channels, trace,
+        policy_id=cluster.policy_id, direction=direction)
+    claims = cluster.verifier_svc.validate_token(token.compact())
+    assert isinstance(claims, dict)
+    assert claims["payload"]["type"] == direction
+    assert trace.verifier_visible_sends() == 3
+    # layers are signed innermost first; only the outermost is the total
+    layout = verifier.LAYOUTS[direction]
+    engine = {"tee": actor.tee_name, "tpm": actor.tpm_name}
+    expected = [(engine[kind], f"{kind}-report")
+                for kind in reversed(layout[1:])]
+    expected.append((engine[layout[0]], "total-report"))
+    assert [(e.principal, e.tag) for e in trace.events
+            if e.kind == "sign" and e.principal != VERIFIER_PRINCIPAL] \
+        == expected
+
+
+def test_attest_composite_unknown_direction_opens_no_session(cluster):
+    before = cluster.verifier_svc.nonces_issued
+    trace = protocol.ProtocolTrace()
+    with pytest.raises(ValueError, match="unknown direction"):
+        protocol.run_attest_composite(
+            cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
+            policy_id=cluster.policy_id, direction="tee-tee")
+    assert cluster.verifier_svc.nonces_issued == before
+    assert trace.events == []
 
 
 def test_attest_single_and_independent(cluster):
