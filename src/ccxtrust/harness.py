@@ -90,10 +90,7 @@ def _seed_bytes(seed: int | bytes) -> bytes:
     return bytes(seed)
 
 
-def build_cluster(seed: int | bytes, nodes: int = 1, *,
-                  key_tree_mode: str = "storage",
-                  register: bool = True,
-                  policy_id: str = POLICY_ID) -> Cluster:
+def build_cluster(seed: int | bytes, nodes: int = 1) -> Cluster:
     """Stand up vendor, CA, verifier, and a fleet of enrolled nodes."""
     root = crypto.DeterministicRng(_seed_bytes(seed))
     clock = VirtualClock(CLOCK_EPOCH)
@@ -110,7 +107,7 @@ def build_cluster(seed: int | bytes, nodes: int = 1, *,
         seed=_seed_bytes(seed), clock=clock, rng=root, vendor=vendor,
         oca=oca, verifier_svc=verifier_svc,
         channels=protocol.ChannelTable(root.fork("channel-nonces")),
-        publisher=publisher, policy_id=policy_id,
+        publisher=publisher, policy_id=POLICY_ID,
         trace=protocol.ProtocolTrace())
     # seed the CA-verifier pair up front so concurrent node setup never
     # races to create it
@@ -122,20 +119,16 @@ def build_cluster(seed: int | bytes, nodes: int = 1, *,
         crypto.ecdh_two_phase(oca.key, verifier_svc.key.public_bytes,
                               ca_eph, v_eph.public_bytes))
     for index in range(nodes):
-        add_node(cluster, index, key_tree_mode=key_tree_mode,
-                 register=register)
+        add_node(cluster, index)
     return cluster
 
 
 def add_node(cluster: Cluster, index: int, *,
-             key_tree_mode: str = "storage",
-             register: bool = True,
              trace: protocol.ProtocolTrace | None = None) -> protocol.NodeActor:
     """Manufacture, measure, enroll, and provision one platform."""
     node_id = node_name(index)
     rng = cluster.rng.fork(node_id)
-    state = tpm.tpm_manufacture(rng.random_bytes(32), clock=cluster.clock,
-                                key_tree_mode=key_tree_mode)
+    state = tpm.tpm_manufacture(rng.random_bytes(32), clock=cluster.clock)
     ek_handle = tpm.load_key(state, state.ek_blob)
     srk_blob = tpm.create_primary(state, "storage")
     srk_handle = tpm.load_key(state, srk_blob)
@@ -181,20 +174,9 @@ def add_node(cluster: Cluster, index: int, *,
 
     protocol.run_initialization(actor, cluster.oca, cluster.verifier_svc,
                                 cluster.channels,
-                                trace if trace is not None else cluster.trace,
-                                register=register)
-
-    if register and actor.master_secret is not None:
-        if key_tree_mode == "storage":
-            actor.cvm_root_blob = tpm.create_cvm_root_key(
-                state, actor.master_secret, srk_handle,
-                cvm_id=node_id.encode())
-        else:
-            cc_primary = tpm.create_primary(state, "cc")
-            cc_handle = tpm.load_key(state, cc_primary)
-            device_secret = tpm.create_cvm_key(state, node_id.encode())
-            actor.cvm_root_blob = tpm.create_cvm_root_key(
-                state, device_secret, cc_handle, cvm_id=node_id.encode())
+                                trace if trace is not None else cluster.trace)
+    actor.cvm_root_blob = tpm.create_cvm_root_key(
+        state, actor.master_secret, srk_handle, cvm_id=node_id.encode())
     cluster.actors[node_id] = actor
     return actor
 

@@ -66,8 +66,11 @@ class MeasurementEvent:
         if len(digest) != crypto.DIGEST_LEN:
             raise DecodeError(f"measurement digest must be "
                               f"{crypto.DIGEST_LEN} bytes: {line!r}")
-        return cls(seq=seq, stage=stage, pcr_index=pcr_index, name=parts[3],
-                   digest=digest, signer=parts[5])
+        event = cls(seq=seq, stage=stage, pcr_index=pcr_index, name=parts[3],
+                    digest=digest, signer=parts[5])
+        if event.line() != line:
+            raise DecodeError(f"measurement log line is not canonical: {line!r}")
+        return event
 
 
 # ---------------------------------------------------------------------------

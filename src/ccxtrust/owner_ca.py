@@ -27,6 +27,7 @@ from .errors import (
     NotInitialized,
     SessionInvalid,
 )
+from .verifier import registration_report_data
 
 CHALLENGE_TTL = 120.0   # seconds a credential challenge stays answerable
 
@@ -111,16 +112,14 @@ class OwnerCa:
     # -- registration flow ---------------------------------------------------
 
     def register_tee(self, vcek_pub: bytes, vendor_chain: tee.CertChain,
-                     node_id: str | None = None) -> crypto.Certificate:
+                     node_id: str) -> crypto.Certificate:
         """Verify the vendor chain for a chip key and issue the owner's
-        VCEK certificate. Re-registration updates the record under a new
-        serial."""
+        VCEK certificate to node_id, creating its record on first use.
+        Re-registration updates the record under a new serial."""
         if not vendor_chain.verify(self.trusted_tee_root):
             raise ChainInvalid("vendor chain does not verify to the trusted root")
         if vendor_chain.vcek.subject != vcek_pub:
             raise ChainInvalid("chain endorses a different key")
-        if node_id is None:
-            node_id = crypto.sha256(vcek_pub).hex()[:16]
         with self._lock:
             cert = self._issue("VCEK", vcek_pub)
             record = self.nodes.get(node_id)
@@ -202,17 +201,19 @@ class OwnerCa:
     def register_node(self, node_id: str, tee_report: tee.TeeReport,
                       vendor_chain: tee.CertChain,
                       identity_pub: bytes) -> tuple[crypto.Certificate, crypto.Secret]:
-        """Final onboarding step: check fresh evidence against the trust
-        baseline, then issue the node identity certificate and its
-        MasterSecret."""
+        """Final onboarding step: check the boot report against the trust
+        baseline and the identity key (registration_report_data), then
+        issue the node identity certificate and its MasterSecret."""
         with self._lock:
             record = self._node(node_id)
             if record.vcek_cert is None or record.aik_cert is None:
                 raise NotInitialized("identity flows incomplete for this node")
             if record.baseline is None:
                 raise NotInitialized("no trust baseline configured for this node")
-            check = tee.verify_report(tee_report, vendor_chain, self.trusted_tee_root,
-                                      expected_measurement=record.baseline.launch_measurement)
+            check = tee.verify_report(
+                tee_report, vendor_chain, self.trusted_tee_root,
+                expected_measurement=record.baseline.launch_measurement,
+                expected_report_data=registration_report_data(identity_pub))
             if check is not tee.ReportCheck.OK:
                 raise BaselineRejected(f"registration evidence rejected: {check.value}")
             if vendor_chain.vcek.subject != record.vcek_pub:

@@ -27,7 +27,8 @@ from . import crypto, tee, tpm
 from .encoding import RAW, STR, U16, Record, Spec, nested
 from .errors import AttestationRejected, AuthFailure, DecodeError
 from .owner_ca import challenge_session_id
-from .verifier import LAYOUTS, CompositeOutcome, VerifierService, report_data_for
+from .verifier import (LAYOUTS, CompositeOutcome, VerifierService,
+                       registration_report_data, report_data_for)
 
 OCA_PRINCIPAL = "owner-ca"
 VERIFIER_PRINCIPAL = "verifier"
@@ -115,10 +116,13 @@ class TraceEvent:
             raise DecodeError(f"trace index must be an integer: {index!r}") from None
         if ok not in _OK_COLUMN:
             raise DecodeError(f"trace ok column must be -, 0 or 1: {ok!r}")
-        return cls(
+        event = cls(
             index=index, principal=principal, kind=kind, peer=peer,
             digest=digest, tag=tag, ok=_OK_COLUMN[ok],
             contents=() if contents == "-" else tuple(contents.split(",")))
+        if event.line() != line:
+            raise DecodeError(f"trace line is not canonical: {line!r}")
+        return event
 
     def labeled(self, label: str) -> list[str]:
         """Hex digests carried under a given content label."""
@@ -184,10 +188,10 @@ class ProtocolTrace:
         with open(path, encoding="ascii") as fh:
             return cls.from_text(fh.read())
 
-    def verifier_visible_sends(self, verifier: str = VERIFIER_PRINCIPAL) -> int:
+    def verifier_visible_sends(self) -> int:
         """Protocol messages a network observer at the verifier sees."""
         return sum(1 for e in self.events if e.kind == "send"
-                   and verifier in (e.principal, e.peer))
+                   and VERIFIER_PRINCIPAL in (e.principal, e.peer))
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +411,14 @@ def _content(label: str, data: bytes) -> str:
 
 
 def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
-                       channels: ChannelTable, trace: ProtocolTrace, *,
-                       register: bool = True) -> None:
+                       channels: ChannelTable, trace: ProtocolTrace) -> None:
     """Enroll one node end to end, tracing every step.
 
     Covers TEE chip-key endorsement, AIK certification through a
     credential-activation challenge, platform-encryption-key
-    distribution, and (optionally) final registration with identity
-    certificate and MasterSecret delivery. Afterwards the verifier holds
-    the node's certified keys.
+    distribution, and final registration with identity certificate and
+    MasterSecret delivery. Afterwards the verifier holds the node's
+    certified keys.
     """
     E, P = actor.tee_name, actor.tpm_name
     A, V = OCA_PRINCIPAL, VERIFIER_PRINCIPAL
@@ -492,8 +495,7 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
     _transfer(trace, channels, E, V, "pek-cert-info", {"cert": pek_cert},
               contents=(f"pek-cert:{pek_cert.digest.hex()}",))
 
-    if register:
-        run_registration(actor, oca, channels, trace)
+    run_registration(actor, oca, channels, trace)
 
     verifier_svc.register_node_keys(
         actor.node_id, actor.chip_id, actor.aik_blob.public,
@@ -506,9 +508,9 @@ def run_registration(actor: NodeActor, oca, channels: ChannelTable,
     """Final onboarding: fresh boot evidence buys the identity
     certificate and the MasterSecret."""
     C, A = actor.agent, OCA_PRINCIPAL
-    report_data = crypto.sha256(actor.identity.public_bytes) + bytes(32)
-    boot_report = tee.guest_report(actor.vcek, actor.chip_id, actor.tcb,
-                                   actor.tcb_version, report_data)
+    boot_report = tee.guest_report(
+        actor.vcek, actor.chip_id, actor.tcb, actor.tcb_version,
+        registration_report_data(actor.identity.public_bytes))
     rx = _transfer(trace, channels, C, A, "register-request",
                    {"report": boot_report, "chain": actor.vendor_chain,
                     "identity_pub": actor.identity.public_bytes},
@@ -752,9 +754,7 @@ _PASS_REASONS = {
 }
 
 
-def check_theorems(trace: ProtocolTrace, *, oca: str = OCA_PRINCIPAL,
-                   verifier: str = VERIFIER_PRINCIPAL
-                   ) -> dict[str, TheoremVerdict]:
+def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
     """Check the three trust-chain properties over a trace.
 
     cert-provenance: whoever holds an owner-CA certificate got it from a
@@ -777,6 +777,7 @@ def check_theorems(trace: ProtocolTrace, *, oca: str = OCA_PRINCIPAL,
     must equal positions, as emit, extend_reindexed and from_text
     guarantee. Each property reports its first failure in event order.
     """
+    oca, verifier = OCA_PRINCIPAL, VERIFIER_PRINCIPAL
     authorities = (oca, verifier)
     signed: dict[tuple[str, str], int] = {}
     vouched: dict[tuple[str, str], int] = {}

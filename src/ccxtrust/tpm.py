@@ -212,8 +212,8 @@ class TpmState:
 # manufacture and seed management
 # ---------------------------------------------------------------------------
 
-def tpm_manufacture(ep_seed: bytes, *, clock=None, key_tree_mode: str = "storage",
-                    firmware_version: int = 1) -> TpmState:
+def tpm_manufacture(ep_seed: bytes, *, clock=None,
+                    key_tree_mode: str = "storage") -> TpmState:
     """Build a device from its endorsement primary seed.
 
     Hierarchy seeds, the ephemeral-key seed, and the EK all derive from
@@ -226,7 +226,6 @@ def tpm_manufacture(ep_seed: bytes, *, clock=None, key_tree_mode: str = "storage
         raise HierarchyMismatch(f"unknown key tree mode {key_tree_mode!r}")
     state = TpmState(clock=clock)
     state.key_tree_mode = key_tree_mode
-    state.firmware_version = firmware_version
     now = state.clock.now()
     for h in HIERARCHIES:
         seed = crypto.kdf_counter(ep_seed, f"SEED/{h.upper()}")

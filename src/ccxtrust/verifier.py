@@ -4,7 +4,7 @@ Owns the relying-party side of every flow: it opens attestation sessions
 with fresh nonces, appraises evidence, and turns accepted evidence into
 signed bearer tokens in a compact three-segment format. Tokens it issued
 are logged by serial; validation re-checks structure, signature, expiry,
-and revocation.
+the issuance log and revocation.
 
 One appraisal pipeline serves the four evidence layouts of LAYOUTS: the
 composite tpm-tee and tee-tpm embeddings and the single-technology tee
@@ -167,13 +167,13 @@ _REQUIRED_PAYLOAD = ("type", "serial", "report", "platform", "policy")
 
 
 def validate_token(token: "AttestationToken | str", verifier_pub: bytes,
-                   now: float, *, is_revoked=None,
-                   issued_serials=None) -> dict | TokenRejection:
-    """Full token check: structure, signature, expiry, then revocation.
+                   now: float) -> dict | TokenRejection:
+    """The token check a relying party can run with only the verifier's
+    public key: structure, signature, then expiry.
 
     Returns the claims on success, or the first applicable rejection.
-    When an issuance log is supplied, a verifying token whose serial was
-    never issued is treated as a forgery.
+    The issuance log and revocation are the issuer's own checks, made by
+    VerifierService.validate_token after this one.
     """
     if isinstance(token, str):
         try:
@@ -193,10 +193,6 @@ def validate_token(token: "AttestationToken | str", verifier_pub: bytes,
         return TokenRejection.BAD_SIGNATURE
     if now > float(token.header["exp"]):
         return TokenRejection.EXPIRED
-    if issued_serials is not None and token.payload["serial"] not in issued_serials:
-        return TokenRejection.BAD_SIGNATURE
-    if is_revoked is not None and is_revoked(token.payload["platform"]["node"]):
-        return TokenRejection.REVOKED_NODE
     return {"header": dict(token.header), "payload": dict(token.payload)}
 
 
@@ -244,6 +240,12 @@ def report_data_for(direction: str, nonce: bytes, embedded: bytes) -> bytes:
     return nonce + bytes(32)
 
 
+def registration_report_data(identity_pub: bytes) -> bytes:
+    """The report_data of the boot report that registers an identity key
+    with the owner CA: the only statement of that binding rule."""
+    return crypto.sha256(identity_pub) + bytes(32)
+
+
 def _signed_by(keys: NodeKeys, kind: str, layer) -> bool:
     public = keys.aik_pub if kind == "tpm" else keys.vcek_pub
     try:
@@ -256,33 +258,15 @@ def _signed_by(keys: NodeKeys, kind: str, layer) -> bool:
 # the service
 # ---------------------------------------------------------------------------
 
-class _LockedMembership:
-    """Membership in a shared container, tested under its lock instead of
-    on a copy."""
-
-    def __init__(self, container, lock) -> None:
-        self._container = container
-        self._lock = lock
-
-    def __contains__(self, item) -> bool:
-        with self._lock:
-            return item in self._container
-
-
 class VerifierService:
-    def __init__(self, *, verifier_id: str = "verifier", clock=None, rng=None,
-                 revocation=None) -> None:
+    def __init__(self, *, revocation, verifier_id: str = "verifier",
+                 clock=None, rng=None) -> None:
         self.verifier_id = verifier_id
         self.clock = clock if clock is not None else SystemClock()
         self.rng = rng if rng is not None else crypto.SystemRng()
         self.key = crypto.SigningKeyPair.from_seed(
             "VERIFIER", self.rng.random_bytes(32))
-        if revocation is None:
-            self._is_revoked = lambda node_id: False
-        elif callable(revocation):
-            self._is_revoked = revocation
-        else:
-            self._is_revoked = revocation.is_revoked
+        self._is_revoked = revocation.is_revoked
         self.policies: dict[str, PolicyBaseline] = {}
         self._nodes: dict[str, NodeKeys] = {}
         self._chips: dict[bytes, NodeKeys] = {}
@@ -307,17 +291,15 @@ class VerifierService:
         return policy
 
     def register_node_keys(self, node_id: str, chip_id: bytes, aik_pub: bytes,
-                           vcek_pub: bytes, *, aik_cert=None, vcek_cert=None,
-                           oca_pub: bytes | None = None) -> None:
-        """Record a node's attestation keys, checking the owner CA's
-        certificates when they are supplied."""
-        if oca_pub is not None:
-            if aik_cert is not None and not (aik_cert.verify(oca_pub)
-                                             and aik_cert.subject == aik_pub):
-                raise ChainInvalid("AIK certificate does not verify under the owner CA")
-            if vcek_cert is not None and not (vcek_cert.verify(oca_pub)
-                                              and vcek_cert.subject == vcek_pub):
-                raise ChainInvalid("VCEK certificate does not verify under the owner CA")
+                           vcek_pub: bytes, *, aik_cert: crypto.Certificate,
+                           vcek_cert: crypto.Certificate, oca_pub: bytes) -> None:
+        """Record a node's attestation keys. Both owner CA certificates
+        must verify under oca_pub and name the key recorded with them;
+        otherwise ChainInvalid and nothing is recorded."""
+        if not (aik_cert.verify(oca_pub) and aik_cert.subject == aik_pub):
+            raise ChainInvalid("AIK certificate does not verify under the owner CA")
+        if not (vcek_cert.verify(oca_pub) and vcek_cert.subject == vcek_pub):
+            raise ChainInvalid("VCEK certificate does not verify under the owner CA")
         keys = NodeKeys(node_id, chip_id, aik_pub, vcek_pub)
         with self._lock:
             self._nodes[node_id] = keys
@@ -482,12 +464,21 @@ class VerifierService:
 
     def validate_token(self, token: "AttestationToken | str",
                        now: float | None = None) -> dict | TokenRejection:
+        """validate_token, then the issuer's own checks in this order: a
+        serial it never issued reads BAD_SIGNATURE (a forgery), a revoked
+        node REVOKED_NODE."""
         if now is None:
             now = self.clock.now()
-        return validate_token(token, self.key.public_bytes, now,
-                              is_revoked=self._is_revoked,
-                              issued_serials=_LockedMembership(self._issued,
-                                                               self._lock))
+        claims = validate_token(token, self.key.public_bytes, now)
+        if isinstance(claims, TokenRejection):
+            return claims
+        with self._lock:
+            issued = claims["payload"]["serial"] in self._issued
+        if not issued:
+            return TokenRejection.BAD_SIGNATURE
+        if self._is_revoked(claims["payload"]["platform"]["node"]):
+            return TokenRejection.REVOKED_NODE
+        return claims
 
     @property
     def issued_serials(self) -> frozenset[int]:

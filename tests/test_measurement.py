@@ -201,9 +201,13 @@ _GOOD_DIGEST = "ab" * 32
     "0 1 0 bios abc -",
     "0 1 0 bios " + "ab" * 31 + " -",
     "0 1 0 bios " + "ab" * 33 + " -",
+    f"+0 1 0 bios {_GOOD_DIGEST} -",
+    f"1_0 1 0 bios {_GOOD_DIGEST} -",
+    "0 1 0 bios " + "AB" * 32 + " -",
 ], ids=["five-columns", "seven-columns", "seq-not-int", "stage-not-int",
         "pcr-not-int", "digest-not-hex", "digest-odd-hex", "digest-31-bytes",
-        "digest-33-bytes"])
+        "digest-33-bytes", "seq-plus-sign", "seq-underscore",
+        "digest-upper-case"])
 def test_bad_log_line_raises_decode_error(line):
     with pytest.raises(DecodeError):
         measurement.MeasurementEvent.from_line(line)

@@ -3,7 +3,7 @@ registration, revocation, auditing."""
 
 import pytest
 
-from ccxtrust import crypto, owner_ca, tee, tpm
+from ccxtrust import crypto, owner_ca, tee, tpm, verifier
 from ccxtrust.clock import VirtualClock
 from ccxtrust.errors import (
     BaselineRejected,
@@ -55,7 +55,8 @@ class Rig:
         return self.ca.aik_answer(owner_ca.challenge_session_id(challenge),
                                   answer)
 
-    def activate(self, node_id: str = "node-a"):
+    def prepare(self, node_id: str = "node-a") -> None:
+        """Every onboarding step before registration."""
         self.enroll_tee(node_id)
         self.certify_aik(node_id)
         baseline = owner_ca.TrustBaseline(
@@ -63,8 +64,13 @@ class Rig:
             pcr_selection=(0, 1),
             pcr_composite=self.state.pcr.composite((0, 1)))
         self.ca.set_trust_baseline(node_id, baseline)
+
+    def activate(self, node_id: str = "node-a"):
+        self.prepare(node_id)
         identity = crypto.SigningKeyPair.generate("IDENTITY", self.rng)
-        cert, ms = self.ca.register_node(node_id, self.report(), self.chain,
+        bound = self.report(
+            verifier.registration_report_data(identity.public_bytes))
+        cert, ms = self.ca.register_node(node_id, bound, self.chain,
                                          identity.public_bytes)
         return cert, ms
 
@@ -87,10 +93,11 @@ def test_register_tee_rejects_bad_chain():
     foreign = tee.TeeVendor(b"foreign-vendor-x")
     _, foreign_chain = foreign.derive_vcek(CHIP, 7)
     with pytest.raises(ChainInvalid):
-        rig.ca.register_tee(rig.vcek.public_bytes, foreign_chain)
+        rig.ca.register_tee(rig.vcek.public_bytes, foreign_chain, "node-a")
     key, chain = foreign.derive_vcek(crypto.sha256(b"other"), 7)
     with pytest.raises(ChainInvalid):
-        rig.ca.register_tee(rig.vcek.public_bytes, chain)
+        rig.ca.register_tee(rig.vcek.public_bytes, chain, "node-a")
+    assert rig.ca.nodes == {}
 
 
 def test_reregistration_bumps_serial():
@@ -209,6 +216,20 @@ def test_register_node_rejects_wrong_measurement():
     with pytest.raises(BaselineRejected):
         rig.ca.register_node("node-a", rig.report(), rig.chain,
                              identity.public_bytes)
+
+
+@pytest.mark.parametrize("report_data", [
+    bytes(64),
+    verifier.registration_report_data(b"some other identity key"),
+], ids=["zero-report-data", "other-key"])
+def test_register_node_rejects_report_not_bound_to_identity(report_data):
+    rig = Rig()
+    rig.prepare()
+    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    with pytest.raises(BaselineRejected):
+        rig.ca.register_node("node-a", rig.report(report_data), rig.chain,
+                             identity.public_bytes)
+    assert rig.ca.nodes["node-a"].identity_cert is None
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,8 @@ def test_trace_from_text_rejects_gap(cluster):
     gap = lines[:2] + lines[3:]
     bad_index = lines + ["x verifier send - - - - -"]
     bad_ok = lines + [f"{len(lines)} verifier send - - - 2 -"]
-    for broken in (gap, bad_index, bad_ok):
+    plus_index = lines + [f"+{len(lines)} verifier send - - - - -"]
+    for broken in (gap, bad_index, bad_ok, plus_index):
         with pytest.raises(DecodeError):
             protocol.ProtocolTrace.from_text("\n".join(broken))
 

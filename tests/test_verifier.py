@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from ccxtrust import crypto, harness, protocol, tee, tpm, verifier
-from ccxtrust.errors import NodeRevoked
+from ccxtrust.errors import ChainInvalid, NodeRevoked
 
 
 @pytest.fixture()
@@ -300,6 +300,28 @@ def test_rejection_cost_does_not_grow_with_fleet(monkeypatch):
     outcome, count = relays[0]
     assert outcome is verifier.CompositeOutcome.IDENTITY_MISMATCH
     assert count <= 2 * 2
+
+
+def test_register_node_keys_checks_both_certificates(cluster):
+    actor, other = cluster.actor(0), cluster.actor(1)
+    svc, oca_pub = cluster.verifier_svc, cluster.oca.public_bytes
+    rogue_ca = crypto.SigningKeyPair.from_seed("OCA", b"\x42" * 32)
+    rogue_aik_cert = crypto.issue_certificate(rogue_ca, "AIK", 1,
+                                              actor.aik_blob.public)
+    # an AIK cert the owner CA never signed; a VCEK cert for another key
+    for aik_cert, vcek_cert in ((rogue_aik_cert, actor.vcek_cert),
+                                (actor.aik_cert, other.vcek_cert)):
+        with pytest.raises(ChainInvalid):
+            svc.register_node_keys(
+                "node-new", b"\x07" * 32, actor.aik_blob.public,
+                actor.vcek.public_bytes, aik_cert=aik_cert,
+                vcek_cert=vcek_cert, oca_pub=oca_pub)
+        assert svc.node_keys("node-new") is None
+    svc.register_node_keys(
+        "node-new", b"\x07" * 32, actor.aik_blob.public,
+        actor.vcek.public_bytes, aik_cert=actor.aik_cert,
+        vcek_cert=actor.vcek_cert, oca_pub=oca_pub)
+    assert svc.node_keys("node-new").vcek_pub == actor.vcek.public_bytes
 
 
 def test_concurrent_submissions_claim_the_session_once(cluster):
