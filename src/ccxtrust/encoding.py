@@ -5,14 +5,20 @@ the same way: a little-endian u16 field tag, a little-endian u32 payload
 length, then the payload. Integers inside payloads are little-endian too.
 
 Each structure declares its layout once, as a Spec: ordered (tag,
-attribute, kind) entries. One encode path writes the attributes in that
-order and one decode path reads them back. A kind is RAW bytes (raw()
-adds a fixed width or a maximum length), U16, U64, F64, STR (utf-8),
-FLAG (one byte, 0 or 1), a Kind made from an encode/decode pair (such as
-the PCR bitmap), nested() for a structure inside a field, a Spec for a
-nested record, or Many for a record repeated under one tag. A Signed
-structure's last entry is its signature, and its signed body is the
-encoding of every entry before it.
+attribute, kind) entries. A kind is RAW bytes (raw() adds a fixed width
+or a maximum length), U16, U64, F64, STR (utf-8), FLAG (one byte, 0 or
+1), a Kind made from an encode/decode pair (such as the PCR bitmap),
+nested() for a structure inside a field, a Spec for a nested record, or
+Many for a record repeated under one tag. A Signed structure's last entry
+is its signature, and its signed body is the encoding of every entry
+before it.
+
+When a Spec is built it generates, with exec, one straight-line encode
+and one decode function for its fields, as dataclasses and namedtuple do
+for their methods. The generated code is a cache of the Spec, not a
+second statement of the layout: read it as `spec.source`; tracebacks
+name it `<Spec ClassName>`. FieldWriter and FieldReader are the
+one-field-at-a-time form of the same rules.
 
 Canonical-encoding rule: decode rejects a missing, reordered or extra
 field, trailing bytes, a payload of the wrong width or over its limit, a
@@ -24,6 +30,7 @@ byte representation, and a signature over it commits to one value.
 from __future__ import annotations
 
 import base64
+import inspect
 import struct
 
 from .errors import DecodeError
@@ -57,17 +64,15 @@ class FieldReader:
         self._pos = 0
 
     def take(self, tag: int) -> bytes:
-        if self._pos + _HEADER.size > len(self._buf):
-            raise DecodeError(f"truncated field header at offset {self._pos}")
-        got, length = _HEADER.unpack_from(self._buf, self._pos)
-        if got != tag:
-            raise DecodeError(f"expected tag 0x{tag:04x}, found 0x{got:04x}")
-        start = self._pos + _HEADER.size
-        end = start + length
-        if end > len(self._buf):
-            raise DecodeError(f"field 0x{tag:04x} runs past end of buffer")
-        self._pos = end
-        return self._buf[start:end]
+        buf, pos = self._buf, self._pos
+        start = pos + _HEADER.size
+        if start <= len(buf):
+            got, length = _HEADER.unpack_from(buf, pos)
+            end = start + length
+            if got == tag and end <= len(buf):
+                self._pos = end
+                return buf[start:end]
+        raise _field_error(buf, pos, tag)
 
     def peek_tag(self) -> int:
         if self._pos + _HEADER.size > len(self._buf):
@@ -80,7 +85,7 @@ class FieldReader:
 
     def finish(self) -> None:
         if not self.exhausted:
-            raise DecodeError(f"{len(self._buf) - self._pos} trailing bytes")
+            raise _field_error(self._buf, self._pos)
 
 
 # ---------------------------------------------------------------------------
@@ -103,28 +108,40 @@ def _same(payload: bytes) -> bytes:
     return payload
 
 
-def raw(width: int | None = None, max_len: int | None = None) -> Kind:
+class Raw(Kind):
     """Bytes, optionally of exactly `width` or at most `max_len` bytes."""
 
-    def decode(payload: bytes) -> bytes:
-        if width is not None and len(payload) != width:
-            raise DecodeError(f"field must be {width} bytes, got {len(payload)}")
-        if max_len is not None and len(payload) > max_len:
-            raise DecodeError(f"field exceeds its {max_len}-byte limit")
+    def __init__(self, width: int | None = None,
+                 max_len: int | None = None) -> None:
+        super().__init__(_same, self._check)
+        self.width = width
+        self.max_len = max_len
+
+    def _check(self, payload: bytes) -> bytes:
+        if self.width is not None and len(payload) != self.width:
+            raise DecodeError(
+                f"field must be {self.width} bytes, got {len(payload)}")
+        if self.max_len is not None and len(payload) > self.max_len:
+            raise DecodeError(f"field exceeds its {self.max_len}-byte limit")
         return payload
 
-    return Kind(_same, decode)
+
+def raw(width: int | None = None, max_len: int | None = None) -> Raw:
+    return Raw(width, max_len)
 
 
-def _packed(fmt: str) -> Kind:
-    packer = struct.Struct(fmt)
+class Packed(Kind):
+    """One fixed-width number, packed by `struct`."""
 
-    def decode(payload: bytes):
-        if len(payload) != packer.size:
-            raise DecodeError(f"field has wrong width for {fmt!r}")
-        return packer.unpack(payload)[0]
+    def __init__(self, fmt: str) -> None:
+        self.struct = struct.Struct(fmt)
+        super().__init__(self.struct.pack, self._unpack)
 
-    return Kind(packer.pack, decode)
+    def _unpack(self, payload: bytes):
+        if len(payload) != self.struct.size:
+            raise DecodeError(
+                f"field has wrong width for {self.struct.format!r}")
+        return self.struct.unpack(payload)[0]
 
 
 def _decode_str(payload: bytes) -> str:
@@ -144,10 +161,10 @@ def _decode_flag(payload: bytes) -> bool:
         raise DecodeError("flag field must be one byte, 0 or 1") from None
 
 
-RAW = Kind(_same, _same)
-U16 = _packed("<H")
-U64 = _packed("<Q")
-F64 = _packed("<d")
+RAW = Raw()
+U16 = Packed("<H")
+U64 = Packed("<Q")
+F64 = Packed("<d")
 STR = Kind(str.encode, _decode_str)
 FLAG = Kind(lambda value: b"\x01" if value else b"\x00", _decode_flag)
 
@@ -165,52 +182,160 @@ class Many:
         self.item = item
 
 
+def _field_error(buf, pos: int, tag: int | None = None,
+                 kind: Kind = RAW) -> DecodeError:
+    """The error for bad bytes at `pos`, shared by FieldReader and the
+    generated decoders: trailing bytes when no field is expected there
+    (tag None), else the first fault of the field, checked in the reader's
+    order: header, tag, length, then the kind's own payload check."""
+    if tag is None:
+        return DecodeError(f"{len(buf) - pos} trailing bytes")
+    if pos + _HEADER.size > len(buf):
+        return DecodeError(f"truncated field header at offset {pos}")
+    got, length = _HEADER.unpack_from(buf, pos)
+    if got != tag:
+        return DecodeError(f"expected tag 0x{tag:04x}, found 0x{got:04x}")
+    start = pos + _HEADER.size
+    if start + length > len(buf):
+        return DecodeError(f"field 0x{tag:04x} runs past end of buffer")
+    try:
+        kind.decode(buf[start:start + length])
+    except DecodeError as exc:
+        return exc
+    raise AssertionError(f"field 0x{tag:04x} at offset {pos} is well formed")
+
+
+def _generate(fields) -> tuple[str, dict]:
+    """Source of a factory `generated(**names)` that returns one encode and
+    one decode function for `fields`, and the names to call it with.
+    encode takes a mapping from attribute to value; decode returns the
+    values as a tuple in field order."""
+    names = {"pack": _HEADER.pack, "header": _HEADER.unpack_from,
+             "bad": _field_error}
+    size = _HEADER.size
+    enc = ["def encode(values):"]
+    dec = ["def decode(buf):", "    n = len(buf)", "    p = 0"]
+    parts: list[str] = []   # pieces of the output not yet in `out`
+    joined = False          # whether a Many field has started `out`
+    for i, (tag, attr, kind) in enumerate(fields):
+        many = type(kind) is Many
+        item = kind.item if many else kind
+        # encode: `call` names the function making a value's payload (none
+        # for bytes), `head` is the header when the payload's width is
+        # fixed; decode: `check` adds the width test to the header's, and
+        # `value` reads the payload at buf[s:p]
+        call, head, check, err = "", None, "", ""
+        if isinstance(item, Raw):
+            value = "buf[s:p]"
+            if item.width is not None:
+                check += f" or m != {item.width}"
+            if item.max_len is not None:
+                check += f" or m > {item.max_len}"
+        else:
+            call = f"e{i}"
+            names[call] = item.encode
+            if isinstance(item, Packed):
+                head = repr(_HEADER.pack(tag, item.struct.size))
+                names[f"d{i}"] = item.struct.unpack_from
+                value = f"d{i}(buf, s)[0]"
+                check = f" or m != {item.struct.size}"
+            else:
+                names[f"d{i}"] = item.decode
+                value = f"d{i}(buf[s:p])"
+        if check:
+            names[f"k{i}"] = item
+            err = f", k{i}"
+        if not many:
+            enc.append(f"    x{i} = {call}(values[{attr!r}])")
+            parts += [head or f"pack({tag}, len(x{i}))", f"x{i}"]
+            dec += [f"    if p + {size} > n: raise bad(buf, p, {tag}{err})",
+                    "    t, m = header(buf, p)",
+                    f"    s = p + {size}",
+                    "    p = s + m",
+                    f"    if t != {tag} or p > n{check}:"
+                    f" raise bad(buf, s - {size}, {tag}{err})",
+                    f"    v{i} = {value}"]
+            continue
+        enc += [f"    out {'+=' if joined else '='} [{', '.join(parts)}]",
+                f"    for v in values[{attr!r}]:",
+                f"        x = {call}(v)",
+                f"        out += {head or f'pack({tag}, len(x))'}, x"]
+        dec += [f"    v{i} = []",
+                "    while p < n:",
+                f"        if p + {size} > n: raise bad(buf, p, {tag}{err})",
+                "        t, m = header(buf, p)",
+                f"        if t != {tag}: break",
+                f"        s = p + {size}",
+                "        p = s + m",
+                f"        if p > n{check}: raise bad(buf, s - {size}, {tag}{err})",
+                f"        v{i}.append({value})"]
+        parts, joined = [], True
+    enc.append(f"    return b''.join({'out + ' * joined}[{', '.join(parts)}])")
+    dec += ["    if p != n: raise bad(buf, p)",
+            f"    return ({''.join(f'v{i}, ' for i in range(len(fields)))})"]
+    # one factory takes the names as arguments, so the two functions read
+    # them from closure cells and not from a globals dict
+    lines = [f"def generated({', '.join(names)}):"]
+    lines += ["    " + line for line in enc + dec]
+    lines.append("    return encode, decode")
+    return "\n".join(lines) + "\n", names
+
+
 class Spec(Kind):
     """The ordered (tag, attribute, kind) fields of one structure.
 
-    encode takes a mapping from attribute to value and decode returns
-    one; a Spec is itself a kind, for a record nested in a field.
+    encode takes a mapping from attribute to value; unpack returns the
+    values as a tuple in field order and decode as a dict. Both run the
+    code generated from the fields. A Spec is itself a kind, for a record
+    nested in a field.
     """
 
     def __init__(self, *fields: tuple) -> None:
         self.fields = fields
+        self.attrs = tuple(attr for _tag, attr, _kind in fields)
+        source, names = _generate(fields)
+        namespace: dict = {}
+        exec(compile(source, f"<Spec {','.join(self.attrs)}>", "exec"),
+             namespace)
+        # popped, so the factory and its code do not outlive this call
+        self.encode, self.unpack = namespace.pop("generated")(**names)
 
-    def encode(self, values) -> bytes:
-        writer = FieldWriter()
-        for tag, attr, kind in self.fields:
-            if type(kind) is Many:
-                for value in values[attr]:
-                    writer.put(tag, kind.item.encode(value))
-            else:
-                writer.put(tag, kind.encode(values[attr]))
-        return writer.getvalue()
+    @property
+    def source(self) -> str:
+        """The code the two functions were compiled from, for readers."""
+        return _generate(self.fields)[0]
+
+    def __set_name__(self, owner, name: str) -> None:
+        # a spec declared on a class is named after it in tracebacks
+        label = owner.__name__ if name == "SPEC" else f"{owner.__name__}.{name}"
+        for function in (self.encode, self.unpack):
+            function.__code__ = function.__code__.replace(
+                co_filename=f"<Spec {label}>")
 
     def decode(self, raw_bytes: bytes) -> dict:
-        reader = FieldReader(raw_bytes)
-        values = {}
-        for tag, attr, kind in self.fields:
-            if type(kind) is Many:
-                items = values[attr] = []
-                while not reader.exhausted and reader.peek_tag() == tag:
-                    items.append(kind.item.decode(reader.take(tag)))
-            else:
-                values[attr] = kind.decode(reader.take(tag))
-        reader.finish()
-        return values
+        return dict(zip(self.attrs, self.unpack(raw_bytes)))
 
 
 class Record:
     """Base for a dataclass whose bytes are declared by its class-level
-    SPEC, one entry per dataclass field."""
+    SPEC, one entry per dataclass field, in field order."""
 
     SPEC: Spec
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        spec = vars(cls).get("SPEC")
+        # from_bytes passes the decoded values positionally
+        if spec is not None and tuple(inspect.get_annotations(cls)) != spec.attrs:
+            raise TypeError(f"{cls.__name__} fields are not its SPEC entries "
+                            f"{spec.attrs} in order")
 
     def to_bytes(self) -> bytes:
         return self.SPEC.encode(vars(self))
 
     @classmethod
     def from_bytes(cls, raw_bytes: bytes):
-        return cls(**cls.SPEC.decode(raw_bytes))
+        return cls(*cls.SPEC.unpack(raw_bytes))
 
 
 class Signed(Record):
@@ -219,6 +344,7 @@ class Signed(Record):
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.BODY = Spec(*cls.SPEC.fields[:-1])
+        cls.BODY.__set_name__(cls, "BODY")
 
     def body_bytes(self) -> bytes:
         return self.BODY.encode(vars(self))

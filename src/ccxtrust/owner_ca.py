@@ -115,14 +115,18 @@ class OwnerCa:
                      node_id: str) -> crypto.Certificate:
         """Verify the vendor chain for a chip key and issue the owner's
         VCEK certificate to node_id, creating its record on first use.
-        Re-registration updates the record under a new serial."""
+        Re-registering the node's own chip key refreshes its certificate
+        under a new serial; another chip's key is refused."""
         if not vendor_chain.verify(self.trusted_tee_root):
             raise ChainInvalid("vendor chain does not verify to the trusted root")
         if vendor_chain.vcek.subject != vcek_pub:
             raise ChainInvalid("chain endorses a different key")
         with self._lock:
-            cert = self._issue("VCEK", vcek_pub)
             record = self.nodes.get(node_id)
+            if record is not None and record.vcek_pub != vcek_pub:
+                raise ChainInvalid(
+                    f"node {node_id!r} is registered with another chip key")
+            cert = self._issue("VCEK", vcek_pub)
             if record is None:
                 record = NodeRecord(node_id)
                 self.nodes[node_id] = record

@@ -167,25 +167,30 @@ class ProtocolTrace:
         return crypto.sha256(self.text().encode())
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(self.text())
 
     @classmethod
     def from_text(cls, text: str) -> "ProtocolTrace":
+        """Parse text() output; any other text, such as blank lines, CRLF
+        endings or a missing final newline, raises DecodeError, so a trace
+        file and the trace read from it have the same digest."""
         trace = cls()
         for line in text.splitlines():
-            if line.strip():
-                trace.events.append(TraceEvent.from_line(line))
+            trace.events.append(TraceEvent.from_line(line))
         for position, event in enumerate(trace.events):
             if event.index != position:
                 raise DecodeError(
                     f"trace indices must be contiguous, got {event.index} "
                     f"at position {position}")
+        if trace.text() != text:
+            raise DecodeError("trace text is not canonical")
         return trace
 
     @classmethod
     def read(cls, path) -> "ProtocolTrace":
-        with open(path, encoding="ascii") as fh:
+        # newline="" keeps line endings as written, for from_text to judge
+        with open(path, encoding="ascii", newline="") as fh:
             return cls.from_text(fh.read())
 
     def verifier_visible_sends(self) -> int:

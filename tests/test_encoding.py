@@ -1,6 +1,7 @@
 """Wire field encoding round-trips and malformed-input rejection."""
 
 import random
+import traceback
 from collections import Counter
 
 import pytest
@@ -15,6 +16,8 @@ from ccxtrust.encoding import (
     FieldReader,
     FieldWriter,
     Many,
+    Record,
+    Signed,
     Spec,
     b64url_decode,
     b64url_encode,
@@ -22,6 +25,57 @@ from ccxtrust.encoding import (
     raw,
 )
 from ccxtrust.errors import CcxError, DecodeError
+
+
+# ---------------------------------------------------------------------------
+# The generic codec: the reference the generated code is checked against
+# ---------------------------------------------------------------------------
+
+def _oracle_encode(spec: Spec, values) -> bytes:
+    """Encode by interpreting the spec field by field, the way Spec.encode
+    worked before it generated code."""
+    writer = FieldWriter()
+    for tag, attr, kind in spec.fields:
+        if type(kind) is Many:
+            for value in values[attr]:
+                writer.put(tag, _oracle_kind_encode(kind.item, value))
+        else:
+            writer.put(tag, _oracle_kind_encode(kind, values[attr]))
+    return writer.getvalue()
+
+
+def _oracle_decode(spec: Spec, raw_bytes: bytes) -> dict:
+    reader = FieldReader(raw_bytes)
+    values = {}
+    for tag, attr, kind in spec.fields:
+        if type(kind) is Many:
+            items = values[attr] = []
+            while not reader.exhausted and reader.peek_tag() == tag:
+                items.append(_oracle_kind_decode(kind.item, reader.take(tag)))
+        else:
+            values[attr] = _oracle_kind_decode(kind, reader.take(tag))
+    reader.finish()
+    return values
+
+
+def _oracle_kind_encode(kind, value) -> bytes:
+    if isinstance(kind, Spec):
+        return _oracle_encode(kind, value)
+    return kind.encode(value)
+
+
+def _oracle_kind_decode(kind, payload: bytes):
+    if isinstance(kind, Spec):
+        return _oracle_decode(kind, payload)
+    return kind.decode(payload)
+
+
+def _outcome(decode, raw_bytes: bytes):
+    """What decoding gives: the value, or the error's type and message."""
+    try:
+        return "value", decode(raw_bytes)
+    except CcxError as exc:
+        return type(exc), str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +207,11 @@ def _mutants(original: bytes, rng: random.Random, count: int):
         yield bytes(buf)
 
 
-def test_mutated_encodings_fail_cleanly_or_reencode_identically():
+@pytest.fixture(scope="module")
+def fuzz_targets():
+    """The fuzzed types: (name, bytes, decode, encode, spec) for each type
+    whose decode is canonical, and (name, bytes, open) for each
+    AEAD-protected form."""
     c = harness.build_cluster(31, nodes=1)
     a = c.actor(0)
     plain_report = tee.guest_report(a.vcek, a.chip_id, a.tcb, a.tcb_version,
@@ -167,34 +225,34 @@ def test_mutated_encodings_fail_cleanly_or_reencode_identically():
                                      crypto.DeterministicRng(b"fuzz"))
     envelope = protocol.CompositeReportEnvelope("tpm-tee", a.node_id,
                                                 bytes(16), quote.to_bytes())
-    # (name, bytes, decode, encode): any input that decodes must be the
-    # encoding of what it decodes to
     canonical = [
         ("certificate", a.aik_cert.to_bytes(), crypto.Certificate.from_bytes,
-         crypto.Certificate.to_bytes),
+         crypto.Certificate.to_bytes, crypto.Certificate.SPEC),
         ("cert-chain", a.vendor_chain.to_bytes(), tee.CertChain.from_bytes,
-         tee.CertChain.to_bytes),
+         tee.CertChain.to_bytes, tee.CertChain.SPEC),
         ("tee-report", report.to_bytes(), tee.TeeReport.from_bytes,
-         tee.TeeReport.to_bytes),
+         tee.TeeReport.to_bytes, tee.TeeReport.SPEC),
         ("quote", quote.to_bytes(), tpm.CompositeQuote.from_bytes,
-         tpm.CompositeQuote.to_bytes),
+         tpm.CompositeQuote.to_bytes, tpm.CompositeQuote.SPEC),
         ("key-blob", a.aik_blob.to_bytes(), tpm.KeyBlob.from_bytes,
-         tpm.KeyBlob.to_bytes),
+         tpm.KeyBlob.to_bytes, tpm.KeyBlob.SPEC),
         ("public-area", a.aik_blob.public_area(), tpm.parse_public_area,
-         tpm.KeyBlob.public_area),
+         tpm.KeyBlob.public_area, tpm.KeyBlob.PUBLIC),
         ("credential", credential.to_bytes(), tpm.Credential.from_bytes,
-         tpm.Credential.to_bytes),
+         tpm.Credential.to_bytes, tpm.Credential.SPEC),
         ("sealed-blob", tpm.seal(a.state, b"disk key", (0, 4)).to_bytes(),
-         tpm.SealedBlob.from_bytes, tpm.SealedBlob.to_bytes),
+         tpm.SealedBlob.from_bytes, tpm.SealedBlob.to_bytes,
+         tpm.SealedBlob.SPEC),
         ("manifest", measurement.sign_manifest(c.publisher, "kernel",
                                                b"image").to_bytes(),
          measurement.ImageManifest.from_bytes,
-         measurement.ImageManifest.to_bytes),
+         measurement.ImageManifest.to_bytes, measurement.ImageManifest.SPEC),
         ("envelope", envelope.to_bytes(),
          protocol.CompositeReportEnvelope.from_bytes,
-         protocol.CompositeReportEnvelope.to_bytes),
+         protocol.CompositeReportEnvelope.to_bytes,
+         protocol.CompositeReportEnvelope.SPEC),
         ("nv-plaintext", tpm._encode_state(a.state), tpm._decode_state,
-         tpm._encode_state),
+         tpm._encode_state, tpm._NV_STATE),
     ]
     # AEAD-protected forms: nothing but the original opens
     nv_key = bytes(range(32))
@@ -205,9 +263,15 @@ def test_mutated_encodings_fail_cleanly_or_reencode_identically():
         ("nv-image", tpm.nv_persist(a.state, nv_key, crypto.DeterministicRng(1)),
          lambda raw: tpm.nv_load(raw, nv_key)),
     ]
+    return canonical, sealed
+
+
+def test_mutated_encodings_fail_cleanly_or_reencode_identically(fuzz_targets):
+    # any input that decodes must be the encoding of what it decodes to
+    canonical, sealed = fuzz_targets
     rng = random.Random(20261018)
     accepted, differs = Counter(), []
-    for name, original, decode, encode in canonical:
+    for name, original, decode, encode, _spec in canonical:
         assert encode(decode(original)) == original, name
         for mutant in _mutants(original, rng, 1000):
             try:
@@ -226,3 +290,122 @@ def test_mutated_encodings_fail_cleanly_or_reencode_identically():
     # payload bytes of unchecked fields do change in place, so the
     # canonicity half is exercised on every type
     assert set(accepted) == {name for name, *_ in canonical}
+
+
+# ---------------------------------------------------------------------------
+# Generated code against the generic oracle
+# ---------------------------------------------------------------------------
+
+def _library_specs() -> list[Spec]:
+    """Every Spec of the library: the record layouts and signed bodies, the
+    wire frame, the message bodies, the NV image, and the specs nested in
+    them."""
+    records = [cls for base in (Record, Signed) for cls in base.__subclasses__()
+               if cls.__module__.startswith("ccxtrust.") and cls is not Signed]
+    stack = [spec for cls in records for spec in vars(cls).values()
+             if isinstance(spec, Spec)]
+    stack += [protocol._FRAME, *protocol._MESSAGE_BODIES.values(),
+              tpm._NV_STATE]
+    specs: list[Spec] = []
+    while stack:
+        spec = stack.pop()
+        if any(spec is seen for seen in specs):
+            continue
+        specs.append(spec)
+        for _tag, _attr, kind in spec.fields:
+            item = kind.item if type(kind) is Many else kind
+            if isinstance(item, Spec):
+                stack.append(item)
+    return specs
+
+
+def test_generated_codec_matches_oracle_on_an_honest_run(monkeypatch):
+    # every encode and decode of the specs' generated code, through
+    # enrollment, attestation, the golden structures and the NV image,
+    # must give what the generic loop gives
+    used: Counter = Counter()
+    mismatches = []
+
+    def check(spec):
+        encode, unpack = spec.encode, spec.unpack
+
+        def checked_encode(values):
+            out = encode(values)
+            used[spec] += 1
+            if out != _oracle_encode(spec, values):
+                mismatches.append(("encode", spec.attrs, out.hex()))
+            return out
+
+        def checked_unpack(raw_bytes):
+            values = unpack(raw_bytes)
+            if dict(zip(spec.attrs, values)) != _oracle_decode(spec, raw_bytes):
+                mismatches.append(("decode", spec.attrs, raw_bytes.hex()))
+            return values
+
+        monkeypatch.setattr(spec, "encode", checked_encode)
+        monkeypatch.setattr(spec, "unpack", checked_unpack)
+
+    for spec in _library_specs():
+        check(spec)
+    c = harness.build_cluster(4242, nodes=2)
+    for index, direction in enumerate(("tpm-tee", "tee-tpm")):
+        token = protocol.run_attest_composite(
+            c.actor(index), c.verifier_svc, c.channels, protocol.ProtocolTrace(),
+            policy_id=c.policy_id, direction=direction)
+        assert isinstance(c.verifier_svc.validate_token(token), dict)
+    a = c.actor(0)
+    golden = [
+        a.aik_blob,
+        tpm.seal(a.state, b"pinned disk key", (0, 4, 7)),
+        tpm.make_credential(crypto.Secret(bytes(range(32))), a.aik_blob.name,
+                            a.state.ek_blob.public,
+                            crypto.DeterministicRng(b"pinned-credential")),
+        measurement.sign_manifest(c.publisher, "kernel", b"pinned kernel"),
+        a.vendor_chain,
+    ]
+    for record in golden:
+        assert type(record).from_bytes(record.to_bytes()) == record
+    nv_key = bytes(range(32))
+    image = tpm.nv_persist(a.state, nv_key, crypto.DeterministicRng(1))
+    assert tpm._encode_state(tpm.nv_load(image, nv_key)) == \
+        tpm._encode_state(a.state)
+    assert mismatches == []
+    assert all(used[spec] for spec in (protocol._FRAME, tpm._NV_STATE,
+                                       *protocol._MESSAGE_BODIES.values()))
+    assert all(used[cls.SPEC] for cls in (type(r) for r in golden))
+
+
+def test_generated_decode_matches_oracle_on_mutants(fuzz_targets):
+    # the same corpus as the canonicity fuzz: both paths reject a mutant
+    # with the same error, or both read the same values from it
+    canonical, _sealed = fuzz_targets
+    rng = random.Random(20261018)
+    rejected = Counter()
+    for name, original, _decode, _encode, spec in canonical:
+        for mutant in _mutants(original, rng, 1000):
+            generated = _outcome(spec.decode, mutant)
+            assert generated == _outcome(
+                lambda raw_bytes: _oracle_decode(spec, raw_bytes), mutant), name
+            rejected[name] += generated[0] != "value"
+    assert all(rejected[name] for name, *_ in canonical)
+
+
+def test_record_fields_must_follow_the_spec_order():
+    with pytest.raises(TypeError, match="SPEC"):
+        class Swapped(Record):
+            second: bytes
+            first: bytes
+
+            SPEC = Spec((1, "first", RAW), (2, "second", RAW))
+
+
+def test_generated_code_is_named_after_its_structure():
+    report = tee.TeeReport.SPEC
+    assert report.unpack.__code__.co_filename == "<Spec TeeReport>"
+    assert tee.TeeReport.BODY.encode.__code__.co_filename \
+        == "<Spec TeeReport.BODY>"
+    assert "def decode(buf):" in report.source
+    with pytest.raises(DecodeError) as info:
+        tee.TeeReport.from_bytes(b"\x01\x00")
+    frames = traceback.extract_tb(info.value.__traceback__)
+    assert "<Spec TeeReport>" in {frame.filename for frame in frames}

@@ -108,6 +108,21 @@ def test_reregistration_bumps_serial():
     assert rig.ca.nodes["node-a"].vcek_cert == second
 
 
+def test_register_tee_refuses_another_chip_key_for_a_node():
+    rig = Rig()
+    rig.activate()
+    record = rig.ca.nodes["node-a"]
+    before = (record.vcek_pub, record.vcek_cert, record.status,
+              rig.ca._next_serial)
+    other, chain = rig.vendor.derive_vcek(crypto.sha256(b"other-chip"), 7)
+    with pytest.raises(ChainInvalid):
+        rig.ca.register_tee(other.public_bytes, chain, "node-a")
+    assert (record.vcek_pub, record.vcek_cert, record.status,
+            rig.ca._next_serial) == before
+    # the node's own chip key still re-registers
+    assert rig.enroll_tee().serial == before[3]
+
+
 # ---------------------------------------------------------------------------
 # AIK certification
 # ---------------------------------------------------------------------------

@@ -71,6 +71,22 @@ def test_trace_from_text_rejects_gap(cluster):
             protocol.ProtocolTrace.from_text("\n".join(broken))
 
 
+def test_trace_from_text_accepts_only_canonical_text(tmp_path, cluster):
+    text = cluster.trace.text()
+    first, rest = text.split("\n", 1)
+    for broken in (first + "\n\n" + rest,         # blank line
+                   text + "  \t\n",               # whitespace-only line
+                   text.replace("\n", "\r\n"),    # CRLF line endings
+                   text[:-1]):                     # no final newline
+        with pytest.raises(DecodeError):
+            protocol.ProtocolTrace.from_text(broken)
+    path = tmp_path / "trace.log"
+    path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    with pytest.raises(DecodeError):
+        protocol.ProtocolTrace.read(path)
+    assert protocol.ProtocolTrace.from_text("").events == []
+
+
 def test_trace_write_read(tmp_path, cluster):
     path = tmp_path / "trace.log"
     cluster.trace.write(path)
