@@ -10,7 +10,9 @@ artifacts, signatures included.
 
 Private scalars are plain integers and public keys are SEC1 compressed
 points (33 bytes), so every structure that embeds a key commits to one
-canonical byte form.
+canonical byte form. A key that is checked again and again travels as a
+PublicKey: the point together with the key object parsed from it, so it is
+decoded and curve-checked once, not at every verify.
 """
 
 from __future__ import annotations
@@ -206,6 +208,18 @@ def load_public(point_bytes: bytes):
         raise InvalidPoint("point is not on the curve") from exc
 
 
+@dataclass(frozen=True)
+class PublicKey:
+    """A compressed point and the key object load_public parsed from it,
+    checks included. Equality and repr see the point alone."""
+
+    point: bytes
+    key: ec.EllipticCurvePublicKey = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", load_public(self.point))
+
+
 @dataclass
 class SigningKeyPair:
     """P-256 keypair with a role label.
@@ -243,9 +257,10 @@ class SigningKeyPair:
         return key.sign(message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
 
 
-def verify(public_bytes: bytes, message: bytes, signature: bytes) -> bool:
-    """True when signature is valid. Malformed encodings raise instead."""
-    key = load_public(public_bytes)
+def verify(public: bytes | PublicKey, message: bytes, signature: bytes) -> bool:
+    """True when signature is valid. Malformed encodings raise instead.
+    A point is parsed here; a PublicKey brings its parsed key along."""
+    key = public.key if isinstance(public, PublicKey) else load_public(public)
     try:
         decode_dss_signature(signature)
     except ValueError as exc:

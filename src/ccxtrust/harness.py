@@ -694,9 +694,7 @@ def fault_trace_forged_token(cluster: Cluster) -> protocol.ProtocolTrace:
     payload = {"type": "tpm-tee", "serial": 424242, "report": "",
                "platform": {"node": actor.node_id, "tcb": 7, "pcr_sel": []},
                "policy": cluster.policy_id}
-    forged = verifier.AttestationToken(header, payload, b"")
-    forged = verifier.AttestationToken(
-        header, payload, mallory.sign(forged.signing_input()))
+    forged = verifier.AttestationToken.signed(header, payload, mallory)
     digest = crypto.sha256(forged.compact().encode())
     # The forgery itself happens outside the observed system, so no sign
     # event lands in the trace: the node simply ends up holding a token

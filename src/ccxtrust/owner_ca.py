@@ -147,7 +147,8 @@ class OwnerCa:
         the credential to exactly the key that was presented. The EK cert
         must verify under the TPM manufacturer root. The returned
         challenge can only be answered by a TPM holding that EK with that
-        AIK loaded; the session expires after CHALLENGE_TTL.
+        AIK loaded; the session expires after CHALLENGE_TTL, and the
+        first challenge opened after that drops it from the table.
         """
         if not ek_cert.verify(self.trusted_tpm_root):
             raise ChainInvalid("EK certificate does not verify under the TPM vendor root")
@@ -158,6 +159,7 @@ class OwnerCa:
         with self._lock:
             if node_id not in self.nodes:
                 raise NodeUnknown(f"node {node_id!r} has no TEE registration")
+            self._sweep_challenges(self.clock.now())
             nonce = crypto.Secret(self.rng.random_bytes(32))
             aik_name = aik_blob.name
             challenge = tpm.make_credential(nonce, aik_name, ek_pub, self.rng)
@@ -171,20 +173,34 @@ class OwnerCa:
             self._record(f"aik-challenge {node_id} session={sid.hex()}")
         return challenge
 
+    def _sweep_challenges(self, now: float) -> None:
+        """Drop the challenges past their TTL, wiping their nonces. Every
+        challenge has the same TTL, so insertion order is expiry order and
+        the sweep stops at the first live one."""
+        expired = []
+        for sid, session in self._sessions.items():
+            if now <= session.expires_at:
+                break
+            expired.append(sid)
+        for sid in expired:
+            self._sessions.pop(sid).nonce.wipe()
+
     def aik_answer(self, session_id: bytes, answer: crypto.Secret) -> crypto.Certificate:
         """Close a challenge. The session is one-shot: a wrong answer
-        burns it."""
+        burns it, and its nonce is wiped; until the TTL sweep drops it,
+        another answer reads as already consumed."""
         with self._lock:
             session = self._sessions.get(session_id)
             if session is None:
                 raise SessionInvalid("unknown challenge session")
             if session.consumed:
                 raise SessionInvalid("challenge session already consumed")
-            if self.clock.now() > session.expires_at:
-                session.consumed = True
-                raise SessionInvalid("challenge session expired")
             session.consumed = True
-            if not (session.nonce == answer):
+            matched = session.nonce == answer
+            session.nonce.wipe()
+            if self.clock.now() > session.expires_at:
+                raise SessionInvalid("challenge session expired")
+            if not matched:
                 self._record(f"aik-answer {session.node_id} result=failed")
                 raise ChallengeFailed("activation answer does not match")
             cert = self._issue("AIK", session.aik_pub)

@@ -125,11 +125,19 @@ def selection_to_bitmap(selection: tuple[int, ...]) -> bytes:
     return bits.to_bytes(PCR_SELECT_BYTES, "little")
 
 
+# For each bitmap byte position, the ascending PCR indices each byte value
+# selects; a selection is the three lookups concatenated.
+_BYTE_PCRS = tuple(
+    tuple(tuple(8 * position + bit for bit in range(8) if value >> bit & 1)
+          for value in range(256))
+    for position in range(PCR_SELECT_BYTES))
+
+
 def bitmap_to_selection(bitmap: bytes) -> tuple[int, ...]:
     if len(bitmap) != PCR_SELECT_BYTES:
         raise DecodeError("pcr bitmap must be 3 bytes")
-    bits = int.from_bytes(bitmap, "little")
-    return tuple(i for i in range(PCR_COUNT) if bits & (1 << i))
+    low, mid, high = _BYTE_PCRS
+    return low[bitmap[0]] + mid[bitmap[1]] + high[bitmap[2]]
 
 
 PCR_BITMAP = Kind(selection_to_bitmap, bitmap_to_selection)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -105,8 +105,8 @@ class NodeKeys:
 
     node_id: str
     chip_id: bytes
-    aik_pub: bytes
-    vcek_pub: bytes
+    aik: crypto.PublicKey
+    vcek: crypto.PublicKey
 
 
 @dataclass(frozen=True)
@@ -132,20 +132,48 @@ def _canon_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _signing_input(header: dict, payload: dict) -> bytes:
+    return (b64url_encode(_canon_json(header)) + "."
+            + b64url_encode(_canon_json(payload))).encode("ascii")
+
+
 @dataclass(frozen=True)
 class AttestationToken:
+    """A signed token. Its signing input, the canonical JSON of header and
+    payload in base64url, is computed once at construction; signed()
+    builds a token from that one encoding and the signature over it."""
+
     header: dict
     payload: dict
     signature: bytes
+    _signing_input: bytes = field(init=False, repr=False, compare=False)
+    _compact: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._store(_signing_input(self.header, self.payload))
+
+    def _store(self, signing_input: bytes) -> None:
+        object.__setattr__(self, "_signing_input", signing_input)
+        object.__setattr__(self, "_compact", signing_input.decode("ascii")
+                           + "." + b64url_encode(self.signature))
+
+    @classmethod
+    def signed(cls, header: dict, payload: dict,
+               key: crypto.SigningKeyPair) -> "AttestationToken":
+        """The token key signs over header and payload, encoded once."""
+        signing_input = _signing_input(header, payload)
+        token = object.__new__(cls)
+        object.__setattr__(token, "header", header)
+        object.__setattr__(token, "payload", payload)
+        object.__setattr__(token, "signature", key.sign(signing_input))
+        token._store(signing_input)
+        return token
 
     def signing_input(self) -> bytes:
-        return (b64url_encode(_canon_json(self.header)) + "."
-                + b64url_encode(_canon_json(self.payload))).encode("ascii")
+        return self._signing_input
 
     def compact(self) -> str:
-        return (b64url_encode(_canon_json(self.header)) + "."
-                + b64url_encode(_canon_json(self.payload)) + "."
-                + b64url_encode(self.signature))
+        return self._compact
 
     @classmethod
     def parse(cls, text: str) -> "AttestationToken":
@@ -166,7 +194,8 @@ _REQUIRED_HEADER = ("alg", "ver", "kid", "iat", "exp")
 _REQUIRED_PAYLOAD = ("type", "serial", "report", "platform", "policy")
 
 
-def validate_token(token: "AttestationToken | str", verifier_pub: bytes,
+def validate_token(token: "AttestationToken | str",
+                   verifier_pub: bytes | crypto.PublicKey,
                    now: float) -> dict | TokenRejection:
     """The token check a relying party can run with only the verifier's
     public key: structure, signature, then expiry.
@@ -247,7 +276,7 @@ def registration_report_data(identity_pub: bytes) -> bytes:
 
 
 def _signed_by(keys: NodeKeys, kind: str, layer) -> bool:
-    public = keys.aik_pub if kind == "tpm" else keys.vcek_pub
+    public = keys.aik if kind == "tpm" else keys.vcek
     try:
         return crypto.verify(public, layer.body_bytes(), layer.signature)
     except MalformedSignature:
@@ -266,6 +295,7 @@ class VerifierService:
         self.rng = rng if rng is not None else crypto.SystemRng()
         self.key = crypto.SigningKeyPair.from_seed(
             "VERIFIER", self.rng.random_bytes(32))
+        self._token_key = crypto.PublicKey(self.key.public_bytes)
         self._is_revoked = revocation.is_revoked
         self.policies: dict[str, PolicyBaseline] = {}
         self._nodes: dict[str, NodeKeys] = {}
@@ -294,13 +324,15 @@ class VerifierService:
                            vcek_pub: bytes, *, aik_cert: crypto.Certificate,
                            vcek_cert: crypto.Certificate, oca_pub: bytes) -> None:
         """Record a node's attestation keys. Both owner CA certificates
-        must verify under oca_pub and name the key recorded with them;
-        otherwise ChainInvalid and nothing is recorded."""
+        must verify under oca_pub and name the key recorded with them,
+        and both keys must be curve points; otherwise ChainInvalid or
+        InvalidPoint, and nothing is recorded."""
         if not (aik_cert.verify(oca_pub) and aik_cert.subject == aik_pub):
             raise ChainInvalid("AIK certificate does not verify under the owner CA")
         if not (vcek_cert.verify(oca_pub) and vcek_cert.subject == vcek_pub):
             raise ChainInvalid("VCEK certificate does not verify under the owner CA")
-        keys = NodeKeys(node_id, chip_id, aik_pub, vcek_pub)
+        keys = NodeKeys(node_id, chip_id, crypto.PublicKey(aik_pub),
+                        crypto.PublicKey(vcek_pub))
         with self._lock:
             self._nodes[node_id] = keys
             self._chips[chip_id] = keys
@@ -451,9 +483,7 @@ class VerifierService:
                 },
                 "policy": policy.policy_id,
             }
-            unsigned = AttestationToken(header, payload, b"")
-            token = AttestationToken(header, payload,
-                                     self.key.sign(unsigned.signing_input()))
+            token = AttestationToken.signed(header, payload, self.key)
             self._issued[serial] = {
                 "node": verified.node_id,
                 "type": verified.token_type,
@@ -469,7 +499,7 @@ class VerifierService:
         node REVOKED_NODE."""
         if now is None:
             now = self.clock.now()
-        claims = validate_token(token, self.key.public_bytes, now)
+        claims = validate_token(token, self._token_key, now)
         if isinstance(claims, TokenRejection):
             return claims
         with self._lock:

@@ -176,6 +176,21 @@ def test_verify_rejects_bad_public_point():
         crypto.verify(b"\x04" + b"\x00" * 64, b"m", sig)
 
 
+def test_public_key_keeps_the_parsed_key_with_its_point():
+    key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
+    sig = key.sign(b"m")
+    public = crypto.PublicKey(key.public_bytes)
+    assert public == crypto.PublicKey(key.public_bytes)
+    assert repr(public) == f"PublicKey(point={key.public_bytes!r})"
+    assert crypto.verify(public, b"m", sig)
+    assert not crypto.verify(public, b"other", sig)
+    with pytest.raises(MalformedSignature):
+        crypto.verify(public, b"m", b"\x00\x01")
+    for bad in (b"\x02" + (1).to_bytes(32, "big"), b"\x04" + b"\x00" * 64):
+        with pytest.raises(InvalidPoint):
+            crypto.PublicKey(bad)
+
+
 def test_tampered_signature_fails_cleanly():
     key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
     sig = bytearray(key.sign(b"m"))

@@ -186,6 +186,36 @@ def test_challenge_session_expires():
         rig.ca.aik_answer(owner_ca.challenge_session_id(challenge), answer)
 
 
+def _open_challenge(rig):
+    challenge = rig.ca.aik_challenge(rig.aik_blob.public_area(),
+                                     rig.state.ek_blob.public,
+                                     rig.state.ek_cert, "node-a")
+    return owner_ca.challenge_session_id(challenge)
+
+
+def test_challenge_table_drops_sessions_past_their_ttl():
+    rig = Rig()
+    rig.enroll_tee()
+    rig.certify_aik()
+    stale = [_open_challenge(rig) for _ in range(3)]
+    sessions = rig.ca._sessions
+    assert len(sessions) == 4
+    # a consumed session stays until its TTL passes, its nonce wiped
+    burned = sessions[stale[0]]
+    with pytest.raises(ChallengeFailed):
+        rig.ca.aik_answer(stale[0], crypto.Secret(bytes(32)))
+    assert burned.nonce.data == bytes(32)
+    with pytest.raises(SessionInvalid, match="already consumed"):
+        rig.ca.aik_answer(stale[0], crypto.Secret(bytes(32)))
+    dropped = list(sessions.values())
+    rig.clock.advance(owner_ca.CHALLENGE_TTL + 1)
+    live = _open_challenge(rig)
+    assert list(sessions) == [live]
+    assert all(s.nonce.data == bytes(32) for s in dropped)
+    with pytest.raises(SessionInvalid, match="unknown"):
+        rig.ca.aik_answer(stale[1], crypto.Secret(bytes(32)))
+
+
 def test_unknown_session_rejected():
     rig = Rig()
     with pytest.raises(SessionInvalid):

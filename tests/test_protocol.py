@@ -152,8 +152,8 @@ def test_initialization_registers_keys_and_certs(cluster):
     actor = cluster.actor(0)
     node = cluster.verifier_svc.node_keys(actor.node_id)
     assert node is not None
-    assert node.aik_pub == actor.aik_blob.public
-    assert node.vcek_pub == actor.vcek.public_bytes
+    assert node.aik.point == actor.aik_blob.public
+    assert node.vcek.point == actor.vcek.public_bytes
     assert node.chip_id == actor.chip_id
     assert actor.vcek_cert is not None and actor.aik_cert is not None
     assert actor.identity_cert is not None and actor.pek_cert is not None

@@ -14,6 +14,7 @@ from ccxtrust.errors import (
     AuthFailure,
     BlobCorrupt,
     CounterInvalid,
+    DecodeError,
     EmptySelection,
     HierarchyDisabled,
     HierarchyMismatch,
@@ -117,6 +118,28 @@ def test_selection_bitmap_round_trip():
     assert tpm.bitmap_to_selection(bitmap) == sel
     with pytest.raises(EmptySelection):
         tpm.normalize_selection(())
+
+
+def _bitmap_to_selection_oracle(bitmap: bytes) -> tuple[int, ...]:
+    bits = int.from_bytes(bitmap, "little")
+    return tuple(i for i in range(tpm.PCR_COUNT) if bits & (1 << i))
+
+
+def test_bitmap_to_selection_matches_the_bitwise_oracle():
+    bitmaps = [bytes(3), b"\xff" * 3]
+    for position in range(tpm.PCR_SELECT_BYTES):
+        for value in range(256):
+            bitmap = bytearray(3)
+            bitmap[position] = value
+            bitmaps.append(bytes(bitmap))
+    rng = crypto.DeterministicRng(b"pcr-bitmaps")
+    bitmaps += [rng.random_bytes(3) for _ in range(500)]
+    for bitmap in bitmaps:
+        assert tpm.bitmap_to_selection(bitmap) == \
+            _bitmap_to_selection_oracle(bitmap), bitmap.hex()
+    for bad in (b"", b"\x01\x02", b"\x01\x02\x03\x04"):
+        with pytest.raises(DecodeError, match="pcr bitmap must be 3 bytes"):
+            tpm.bitmap_to_selection(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 directions, every rejection class, the verified-report type gate, and
 the token lifecycle."""
 
+import base64
 import dataclasses
+import json
 import threading
 
 import pytest
 
 from ccxtrust import crypto, harness, protocol, tee, tpm, verifier
-from ccxtrust.errors import ChainInvalid, NodeRevoked
+from ccxtrust.errors import CcxError, ChainInvalid, NodeRevoked
 
 
 @pytest.fixture()
@@ -321,7 +323,29 @@ def test_register_node_keys_checks_both_certificates(cluster):
         "node-new", b"\x07" * 32, actor.aik_blob.public,
         actor.vcek.public_bytes, aik_cert=actor.aik_cert,
         vcek_cert=actor.vcek_cert, oca_pub=oca_pub)
-    assert svc.node_keys("node-new").vcek_pub == actor.vcek.public_bytes
+    assert svc.node_keys("node-new").vcek.point == actor.vcek.public_bytes
+
+
+def test_register_node_keys_refuses_a_certified_off_curve_key(cluster):
+    actor = cluster.actor(0)
+    svc, oca = cluster.verifier_svc, cluster.oca
+    off_curve = b"\x02" + (1).to_bytes(32, "big")
+    good = {"aik": (actor.aik_blob.public, actor.aik_cert),
+            "vcek": (actor.vcek.public_bytes, actor.vcek_cert)}
+    for role in ("AIK", "VCEK"):
+        keys = dict(good)
+        keys[role.lower()] = (off_curve,
+                              crypto.issue_certificate(oca.key, role, 999,
+                                                       off_curve))
+        with pytest.raises(CcxError):
+            svc.register_node_keys(
+                "node-new", b"\x07" * 32, keys["aik"][0], keys["vcek"][0],
+                aik_cert=keys["aik"][1], vcek_cert=keys["vcek"][1],
+                oca_pub=oca.public_bytes)
+        assert svc.node_keys("node-new") is None
+    # the chip index gained nothing either: the honest node still verifies
+    request, envelope = honest(cluster, "tee-tpm")
+    assert submit(cluster, request, envelope)[0] is verifier.CompositeOutcome.OK
 
 
 def test_concurrent_submissions_claim_the_session_once(cluster):
@@ -420,6 +444,36 @@ def test_token_compact_round_trip_and_claims(cluster):
     assert claims["payload"]["type"] == "tpm-tee"
     assert claims["payload"]["platform"]["node"] == cluster.actor(0).node_id
     assert claims["payload"]["policy"] == cluster.policy_id
+
+
+def _b64url(data: bytes) -> bytes:
+    return base64.urlsafe_b64encode(data).rstrip(b"=")
+
+
+def _canonical_signing_input(header: dict, payload: dict) -> bytes:
+    def canon(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return _b64url(canon(header)) + b"." + _b64url(canon(payload))
+
+
+def test_token_signing_input_is_canonical_json_in_base64url(cluster):
+    token = issue_one(cluster)
+    expected = _canonical_signing_input(token.header, token.payload)
+    assert token.signing_input() == expected
+    assert token.compact() == \
+        f"{expected.decode()}.{_b64url(token.signature).decode()}"
+    assert verifier.AttestationToken.parse(token.compact()) == token
+    # a token whose segments were re-spaced and re-ordered in transit
+    # still signs over the canonical encoding, so it still validates
+    respaced = ".".join(_b64url(part).decode() for part in (
+        json.dumps(token.header, indent=2).encode(),
+        json.dumps(dict(reversed(token.payload.items())), indent=1).encode(),
+        token.signature))
+    parsed = verifier.AttestationToken.parse(respaced)
+    assert parsed == token
+    assert parsed.signing_input() == expected
+    assert parsed.compact() == token.compact()
+    assert isinstance(cluster.verifier_svc.validate_token(respaced), dict)
 
 
 def test_token_expiry(cluster):
