@@ -31,9 +31,6 @@ ATTACKS = {
     "seed-rollback": harness.attack_seed_rollback,
     "image-forge": harness.attack_image_forge,
     "token-pairing": harness.attack_token_pairing_gap,
-    "forged-cert": None,
-    "forged-token": None,
-    "reordered-sign": None,
 }
 _FAULT_TRACES = {
     "forged-cert": (harness.fault_trace_forged_cert, "cert-provenance"),
@@ -119,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", parents=[common],
                        help="run an attack drill")
-    p.add_argument("--name", choices=sorted(ATTACKS), required=True)
+    p.add_argument("--name", choices=sorted({*ATTACKS, *_FAULT_TRACES}),
+                   required=True)
     p.add_argument("--nodes", type=int, default=3)
 
     p = sub.add_parser("bench", parents=[common],

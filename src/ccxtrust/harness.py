@@ -100,7 +100,7 @@ def build_cluster(seed: int | bytes, nodes: int = 1) -> Cluster:
         trusted_tpm_root=tpm.tpm_vendor_root_pub(),
         clock=clock, rng=root.fork("owner-ca"))
     verifier_svc = verifier.VerifierService(
-        clock=clock, rng=root.fork("verifier"), revocation=oca)
+        owner_ca=oca, clock=clock, rng=root.fork("verifier"))
     publisher = crypto.SigningKeyPair.from_seed(
         "PUBLISHER", root.fork("publisher").random_bytes(32))
     cluster = Cluster(
@@ -169,8 +169,7 @@ def add_node(cluster: Cluster, index: int, *,
             expected_pcr_composite=composite,
             min_tcb_version=MIN_TCB_VERSION))
     cluster.oca.register_tee(vcek.public_bytes, chain, node_id=node_id)
-    cluster.oca.set_trust_baseline(node_id, owner_ca.TrustBaseline(
-        launch, PCR_SELECTION, composite))
+    cluster.oca.set_trust_baseline(node_id, owner_ca.TrustBaseline(launch))
 
     protocol.run_initialization(actor, cluster.oca, cluster.verifier_svc,
                                 cluster.channels,

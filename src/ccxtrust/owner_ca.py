@@ -4,11 +4,13 @@ The platform owner's trust anchor: it validates vendor-rooted identities
 (the TEE chip endorsement chain and the TPM manufacturer's EK cert), runs
 the credential-activation challenge that proves joint EK+AIK possession,
 issues owner certificates, provisions each node's MasterSecret, and keeps
-the registry, revocation list, and audit trail that the verifier consults.
+the registry and revocation list that the verifier consults.
 
 The registry is single-writer: every mutation happens under one lock and
-appends a line to an append-only record log. snapshot() captures the
-registry for periodic checkpointing.
+appends a line to one append-only record log, which audits also write to.
+Each node record lists every certificate serial issued to it, so revoke()
+covers them all. snapshot() captures the registry for periodic
+checkpointing.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ class TrustBaseline:
     """Known-good platform state a node must prove before provisioning."""
 
     launch_measurement: bytes
-    pcr_selection: tuple[int, ...]
-    pcr_composite: bytes
 
 
 @dataclass
@@ -59,14 +59,13 @@ class NodeRecord:
     vcek_pub: bytes = b""
     vcek_cert: crypto.Certificate | None = None
     chip_id: bytes = b""
-    ek_cert_digest: bytes = b""
     aik_pub: bytes = b""
     aik_cert: crypto.Certificate | None = None
     identity_cert: crypto.Certificate | None = None
     master_secret_provisioned: bool = False
     baseline: TrustBaseline | None = None
     status: NodeStatus = NodeStatus.TEE_REGISTERED
-    last_audit: float | None = None
+    serials: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -74,9 +73,7 @@ class ChallengeSession:
     session_id: bytes
     node_id: str
     nonce: crypto.Secret = field(repr=False)
-    aik_name: bytes
     aik_pub: bytes
-    ek_pub: bytes
     expires_at: float
     consumed: bool = False
 
@@ -102,7 +99,6 @@ class OwnerCa:
         self._revocation_version = 0
         self._next_serial = 1
         self._records: list[str] = []
-        self.audit_log: list[str] = []
         self._lock = threading.RLock()
 
     @property
@@ -126,10 +122,10 @@ class OwnerCa:
             if record is not None and record.vcek_pub != vcek_pub:
                 raise ChainInvalid(
                     f"node {node_id!r} is registered with another chip key")
-            cert = self._issue("VCEK", vcek_pub)
             if record is None:
                 record = NodeRecord(node_id)
-                self.nodes[node_id] = record
+            cert = self._issue(record, "VCEK", vcek_pub)
+            self.nodes[node_id] = record
             record.vcek_pub = vcek_pub
             record.vcek_cert = cert
             # status is left alone: re-registration refreshes the cert but
@@ -161,15 +157,11 @@ class OwnerCa:
                 raise NodeUnknown(f"node {node_id!r} has no TEE registration")
             self._sweep_challenges(self.clock.now())
             nonce = crypto.Secret(self.rng.random_bytes(32))
-            aik_name = aik_blob.name
-            challenge = tpm.make_credential(nonce, aik_name, ek_pub, self.rng)
+            challenge = tpm.make_credential(nonce, aik_blob.name, ek_pub, self.rng)
             sid = challenge_session_id(challenge)
             self._sessions[sid] = ChallengeSession(
                 session_id=sid, node_id=node_id, nonce=nonce,
-                aik_name=aik_name, aik_pub=aik_pub, ek_pub=ek_pub,
-                expires_at=self.clock.now() + CHALLENGE_TTL)
-            record = self.nodes[node_id]
-            record.ek_cert_digest = ek_cert.digest
+                aik_pub=aik_pub, expires_at=self.clock.now() + CHALLENGE_TTL)
             self._record(f"aik-challenge {node_id} session={sid.hex()}")
         return challenge
 
@@ -203,8 +195,8 @@ class OwnerCa:
             if not matched:
                 self._record(f"aik-answer {session.node_id} result=failed")
                 raise ChallengeFailed("activation answer does not match")
-            cert = self._issue("AIK", session.aik_pub)
             record = self.nodes[session.node_id]
+            cert = self._issue(record, "AIK", session.aik_pub)
             record.aik_pub = session.aik_pub
             record.aik_cert = cert
             if record.status == NodeStatus.TEE_REGISTERED:
@@ -239,7 +231,7 @@ class OwnerCa:
             if vendor_chain.vcek.subject != record.vcek_pub:
                 raise BaselineRejected("evidence signed by an unregistered chip key")
             record.chip_id = tee_report.chip_id
-            identity_cert = self._issue("IDENTITY", identity_pub)
+            identity_cert = self._issue(record, "IDENTITY", identity_pub)
             master_secret = crypto.Secret(self.rng.random_bytes(32))
             record.identity_cert = identity_cert
             record.master_secret_provisioned = True
@@ -253,8 +245,7 @@ class OwnerCa:
         """Revoke a node and every certificate issued to it. Idempotent."""
         with self._lock:
             record = self._node(node_id)
-            serials = {c.serial for c in (record.vcek_cert, record.aik_cert,
-                                          record.identity_cert) if c is not None}
+            serials = set(record.serials)
             already = record.status == NodeStatus.REVOKED and serials <= self._revoked_serials
             record.status = NodeStatus.REVOKED
             self._revoked_nodes.add(node_id)
@@ -262,8 +253,6 @@ class OwnerCa:
             if not already:
                 self._revocation_version += 1
                 self._record(f"revoke {node_id} reason={reason}")
-                self.audit_log.append(
-                    f"{self.clock.now():.3f} revoke {node_id} {reason}")
 
     def audit(self, node_id: str, fresh_report: tee.TeeReport,
               vendor_chain: tee.CertChain) -> AuditOutcome:
@@ -271,20 +260,17 @@ class OwnerCa:
         with self._lock:
             record = self._node(node_id)
             if record.status == NodeStatus.REVOKED:
-                self.audit_log.append(
-                    f"{self.clock.now():.3f} audit {node_id} fail revoked")
+                self._record(f"audit {node_id} fail revoked")
                 return AuditOutcome.FAIL
             if record.baseline is None:
                 raise NotInitialized("no trust baseline configured for this node")
             check = tee.verify_report(fresh_report, vendor_chain, self.trusted_tee_root,
                                       expected_measurement=record.baseline.launch_measurement)
-            record.last_audit = self.clock.now()
             if check is not tee.ReportCheck.OK:
-                self.audit_log.append(
-                    f"{self.clock.now():.3f} audit {node_id} fail {check.value}")
+                self._record(f"audit {node_id} fail {check.value}")
                 self.revoke(node_id, f"audit:{check.value}")
                 return AuditOutcome.FAIL
-            self.audit_log.append(f"{self.clock.now():.3f} audit {node_id} pass")
+            self._record(f"audit {node_id} pass")
             return AuditOutcome.PASS
 
     def is_revoked(self, node_id: str) -> bool:
@@ -305,9 +291,11 @@ class OwnerCa:
             raise NodeUnknown(f"no record for node {node_id!r}")
         return record
 
-    def _issue(self, role: str, subject_pub: bytes) -> crypto.Certificate:
+    def _issue(self, record: NodeRecord, role: str,
+               subject_pub: bytes) -> crypto.Certificate:
         serial = self._next_serial
         self._next_serial += 1
+        record.serials.append(serial)
         return crypto.issue_certificate(self.key, role, serial, subject_pub)
 
     def _record(self, line: str) -> None:

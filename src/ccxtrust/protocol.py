@@ -502,10 +502,8 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
 
     run_registration(actor, oca, channels, trace)
 
-    verifier_svc.register_node_keys(
-        actor.node_id, actor.chip_id, actor.aik_blob.public,
-        actor.vcek.public_bytes, aik_cert=actor.aik_cert,
-        vcek_cert=actor.vcek_cert, oca_pub=oca.public_bytes)
+    verifier_svc.register_node_keys(actor.node_id, actor.chip_id,
+                                    actor.aik_cert, actor.vcek_cert)
 
 
 def run_registration(actor: NodeActor, oca, channels: ChannelTable,
@@ -703,7 +701,7 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
     if outcome is not CompositeOutcome.OK:
         raise AttestationRejected(outcome, f"evidence rejected: {outcome.value}")
 
-    token = verifier_svc.issue_token(request, verified, policy)
+    token = verifier_svc.issue_token(verified)
     token_digest = crypto.sha256(token.compact().encode())
     trace.emit(V, "sign", digest=token_digest, tag="token",
                contents=(f"token:{token_digest.hex()}",

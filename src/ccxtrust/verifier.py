@@ -2,9 +2,13 @@
 
 Owns the relying-party side of every flow: it opens attestation sessions
 with fresh nonces, appraises evidence, and turns accepted evidence into
-signed bearer tokens in a compact three-segment format. Tokens it issued
-are logged by serial; validation re-checks structure, signature, expiry,
-the issuance log and revocation.
+signed bearer tokens in a compact three-segment format. Serials come
+from a counter that never goes back, so no issuance log is kept: a serial
+was issued exactly when it is a positive int below the counter.
+Validation re-checks structure, signature, expiry, the serial and
+revocation. The owner CA is the trust anchor: the verifier keeps its
+public key, asks it about revocation, and takes each node's AIK and VCEK
+from the owner CA certificates for those roles.
 
 One appraisal pipeline serves the four evidence layouts of LAYOUTS: the
 composite tpm-tee and tee-tpm embeddings and the single-technology tee
@@ -201,7 +205,7 @@ def validate_token(token: "AttestationToken | str",
     public key: structure, signature, then expiry.
 
     Returns the claims on success, or the first applicable rejection.
-    The issuance log and revocation are the issuer's own checks, made by
+    The serial and revocation are the issuer's own checks, made by
     VerifierService.validate_token after this one.
     """
     if isinstance(token, str):
@@ -288,21 +292,20 @@ def _signed_by(keys: NodeKeys, kind: str, layer) -> bool:
 # ---------------------------------------------------------------------------
 
 class VerifierService:
-    def __init__(self, *, revocation, verifier_id: str = "verifier",
-                 clock=None, rng=None) -> None:
-        self.verifier_id = verifier_id
+    def __init__(self, *, owner_ca, clock=None, rng=None) -> None:
         self.clock = clock if clock is not None else SystemClock()
         self.rng = rng if rng is not None else crypto.SystemRng()
         self.key = crypto.SigningKeyPair.from_seed(
             "VERIFIER", self.rng.random_bytes(32))
         self._token_key = crypto.PublicKey(self.key.public_bytes)
-        self._is_revoked = revocation.is_revoked
+        self._ca_pub = owner_ca.public_bytes
+        self._is_revoked = owner_ca.is_revoked
         self.policies: dict[str, PolicyBaseline] = {}
         self._nodes: dict[str, NodeKeys] = {}
         self._chips: dict[bytes, NodeKeys] = {}
         self._sessions: dict[bytes, AttestationRequest] = {}
         self._nonces_seen: set[bytes] = set()
-        self._issued: dict[int, dict] = {}
+        # every serial below this one was issued, and no other
         self._next_serial = 1
         self._lock = threading.RLock()
 
@@ -320,19 +323,19 @@ class VerifierService:
             raise KeyError(f"unknown policy {policy_id!r}")
         return policy
 
-    def register_node_keys(self, node_id: str, chip_id: bytes, aik_pub: bytes,
-                           vcek_pub: bytes, *, aik_cert: crypto.Certificate,
-                           vcek_cert: crypto.Certificate, oca_pub: bytes) -> None:
-        """Record a node's attestation keys. Both owner CA certificates
-        must verify under oca_pub and name the key recorded with them,
-        and both keys must be curve points; otherwise ChainInvalid or
-        InvalidPoint, and nothing is recorded."""
-        if not (aik_cert.verify(oca_pub) and aik_cert.subject == aik_pub):
-            raise ChainInvalid("AIK certificate does not verify under the owner CA")
-        if not (vcek_cert.verify(oca_pub) and vcek_cert.subject == vcek_pub):
-            raise ChainInvalid("VCEK certificate does not verify under the owner CA")
-        keys = NodeKeys(node_id, chip_id, crypto.PublicKey(aik_pub),
-                        crypto.PublicKey(vcek_pub))
+    def register_node_keys(self, node_id: str, chip_id: bytes,
+                           aik_cert: crypto.Certificate,
+                           vcek_cert: crypto.Certificate) -> None:
+        """Record a node's attestation keys, each taken from its owner CA
+        certificate. A certificate of the wrong role or not signed by the
+        owner CA raises ChainInvalid, a certified key that is no curve
+        point InvalidPoint, and nothing is recorded."""
+        for cert, role in ((aik_cert, "AIK"), (vcek_cert, "VCEK")):
+            if cert.role != role or not cert.verify(self._ca_pub):
+                raise ChainInvalid(
+                    f"{role} certificate does not verify under the owner CA")
+        keys = NodeKeys(node_id, chip_id, crypto.PublicKey(aik_cert.subject),
+                        crypto.PublicKey(vcek_cert.subject))
         with self._lock:
             self._nodes[node_id] = keys
             self._chips[chip_id] = keys
@@ -362,8 +365,7 @@ class VerifierService:
             if nonce in self._nonces_seen:
                 raise CcxError("nonce collision; generator is unhealthy")
             self._nonces_seen.add(nonce)
-            session_id = crypto.sha256(
-                nonce + self.verifier_id.encode() + node_id.encode())
+            session_id = crypto.sha256(nonce + b"verifier" + node_id.encode())
             request = AttestationRequest(
                 session_id=session_id, node_id=node_id, policy_id=policy_id,
                 nonce=nonce, pcr_selection=policy.pcr_selection,
@@ -442,27 +444,28 @@ class VerifierService:
 
     # -- tokens ----------------------------------------------------------------
 
-    def issue_token(self, session: AttestationRequest, verified: VerifiedReport,
-                    policy: PolicyBaseline) -> AttestationToken:
-        """Mint a bearer token for verified evidence.
+    def issue_token(self, verified: VerifiedReport) -> AttestationToken:
+        """Mint a bearer token for verified evidence, under the policy of
+        the verifier's own entry for its session.
 
         The VerifiedReport type gate is the soundness hook: there is no
         public constructor path that has not been through verification.
-        A session yields at most one token; the mint is marked on the
-        verifier's own session entry, never on the caller's copy.
+        A session yields at most one token; a refused call (unknown
+        session, second mint, token type the policy forbids) does not use
+        it up.
         """
         if not isinstance(verified, VerifiedReport):
             raise TypeError("issue_token requires a VerifiedReport")
-        if verified.session_id != session.session_id:
-            raise ValueError("verified report belongs to a different session")
-        if verified.token_type not in policy.allowed_types:
-            raise ValueError(f"policy forbids token type {verified.token_type!r}")
         now = self.clock.now()
         with self._lock:
-            own = self._sessions.get(verified.session_id)
-            if own is None or own.token_minted:
+            session = self._sessions.get(verified.session_id)
+            if session is None or session.token_minted:
                 raise ValueError("session is unknown or already has its token")
-            own.token_minted = True
+            policy = self.get_policy(session.policy_id)
+            if verified.token_type not in policy.allowed_types:
+                raise ValueError(
+                    f"policy forbids token type {verified.token_type!r}")
+            session.token_minted = True
             serial = self._next_serial
             self._next_serial += 1
             header = {
@@ -483,14 +486,7 @@ class VerifierService:
                 },
                 "policy": policy.policy_id,
             }
-            token = AttestationToken.signed(header, payload, self.key)
-            self._issued[serial] = {
-                "node": verified.node_id,
-                "type": verified.token_type,
-                "exp": header["exp"],
-                "digest": crypto.sha256(token.compact().encode()).hex(),
-            }
-        return token
+            return AttestationToken.signed(header, payload, self.key)
 
     def validate_token(self, token: "AttestationToken | str",
                        now: float | None = None) -> dict | TokenRejection:
@@ -502,15 +498,11 @@ class VerifierService:
         claims = validate_token(token, self._token_key, now)
         if isinstance(claims, TokenRejection):
             return claims
+        serial = claims["payload"]["serial"]
         with self._lock:
-            issued = claims["payload"]["serial"] in self._issued
+            issued = type(serial) is int and 0 < serial < self._next_serial
         if not issued:
             return TokenRejection.BAD_SIGNATURE
         if self._is_revoked(claims["payload"]["platform"]["node"]):
             return TokenRejection.REVOKED_NODE
         return claims
-
-    @property
-    def issued_serials(self) -> frozenset[int]:
-        with self._lock:
-            return frozenset(self._issued)

@@ -26,6 +26,19 @@ def test_build_cluster_shapes():
     assert actor.tpm_name == "node0001/tpm"
 
 
+def test_revoke_covers_every_certificate_issued_to_the_node():
+    cluster = harness.build_cluster(3, nodes=1)
+    node_id = cluster.actor(0).node_id
+    cluster.oca.revoke(node_id, "test")
+    issued = {int(line.rsplit("serial=", 1)[1])
+              for line in cluster.oca.record_log
+              if f" {node_id} serial=" in line}
+    # add_node registers the TEE once before initialization does it again,
+    # so the node holds two VCEK certificates
+    assert len(issued) == 4
+    assert issued <= cluster.oca.revocation_list()[1]
+
+
 def test_cluster_actors_share_one_policy():
     cluster = harness.build_cluster(2, nodes=2)
     a, b = cluster.actor(0), cluster.actor(1)

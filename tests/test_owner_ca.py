@@ -60,9 +60,7 @@ class Rig:
         self.enroll_tee(node_id)
         self.certify_aik(node_id)
         baseline = owner_ca.TrustBaseline(
-            launch_measurement=tee.launch_measure(self.tcb),
-            pcr_selection=(0, 1),
-            pcr_composite=self.state.pcr.composite((0, 1)))
+            launch_measurement=tee.launch_measure(self.tcb))
         self.ca.set_trust_baseline(node_id, baseline)
 
     def activate(self, node_id: str = "node-a"):
@@ -255,8 +253,7 @@ def test_register_node_rejects_wrong_measurement():
     rig.enroll_tee()
     rig.certify_aik()
     rig.ca.set_trust_baseline("node-a", owner_ca.TrustBaseline(
-        launch_measurement=bytes(32), pcr_selection=(0,),
-        pcr_composite=bytes(32)))
+        launch_measurement=bytes(32)))
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
     with pytest.raises(BaselineRejected):
         rig.ca.register_node("node-a", rig.report(), rig.chain,
@@ -322,7 +319,9 @@ def test_revocation_list_versioned_and_idempotent():
 def test_record_log_mentions_lifecycle():
     rig = Rig()
     rig.activate()
+    rig.ca.audit("node-a", rig.report(), rig.chain)
     log = "\n".join(rig.ca.record_log)
     for stem in ("register-tee", "aik-challenge", "aik-answer",
-                 "set-baseline", "register-node"):
+                 "set-baseline", "register-node", "audit"):
         assert stem in log
+    assert rig.ca.record_log[-1].endswith(" audit node-a pass")

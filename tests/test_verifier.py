@@ -18,11 +18,11 @@ def cluster():
     return harness.build_cluster(101, nodes=2)
 
 
-def honest(cluster, direction, node_index=0):
+def honest(cluster, direction, node_index=0, policy_id=None):
     """Open a session and build matching evidence without submitting it."""
     actor = cluster.actor(node_index)
     svc = cluster.verifier_svc
-    request = svc.new_request(cluster.policy_id, actor.node_id)
+    request = svc.new_request(policy_id or cluster.policy_id, actor.node_id)
     selection = actor.pcr_selection
     if direction == "tpm-tee":
         report = tee.guest_report(
@@ -305,43 +305,42 @@ def test_rejection_cost_does_not_grow_with_fleet(monkeypatch):
 
 
 def test_register_node_keys_checks_both_certificates(cluster):
-    actor, other = cluster.actor(0), cluster.actor(1)
-    svc, oca_pub = cluster.verifier_svc, cluster.oca.public_bytes
+    actor = cluster.actor(0)
+    svc = cluster.verifier_svc
     rogue_ca = crypto.SigningKeyPair.from_seed("OCA", b"\x42" * 32)
     rogue_aik_cert = crypto.issue_certificate(rogue_ca, "AIK", 1,
                                               actor.aik_blob.public)
-    # an AIK cert the owner CA never signed; a VCEK cert for another key
+    rogue_vcek_cert = crypto.issue_certificate(rogue_ca, "VCEK", 2,
+                                               actor.vcek.public_bytes)
+    # certificates the owner CA never signed, and owner CA certificates
+    # offered for the wrong role: the identity cert as the AIK cert, the
+    # AIK cert as the VCEK cert
     for aik_cert, vcek_cert in ((rogue_aik_cert, actor.vcek_cert),
-                                (actor.aik_cert, other.vcek_cert)):
+                                (actor.aik_cert, rogue_vcek_cert),
+                                (actor.identity_cert, actor.vcek_cert),
+                                (actor.aik_cert, actor.aik_cert)):
         with pytest.raises(ChainInvalid):
-            svc.register_node_keys(
-                "node-new", b"\x07" * 32, actor.aik_blob.public,
-                actor.vcek.public_bytes, aik_cert=aik_cert,
-                vcek_cert=vcek_cert, oca_pub=oca_pub)
+            svc.register_node_keys("node-new", b"\x07" * 32, aik_cert,
+                                   vcek_cert)
         assert svc.node_keys("node-new") is None
-    svc.register_node_keys(
-        "node-new", b"\x07" * 32, actor.aik_blob.public,
-        actor.vcek.public_bytes, aik_cert=actor.aik_cert,
-        vcek_cert=actor.vcek_cert, oca_pub=oca_pub)
-    assert svc.node_keys("node-new").vcek.point == actor.vcek.public_bytes
+    svc.register_node_keys("node-new", b"\x07" * 32, actor.aik_cert,
+                           actor.vcek_cert)
+    keys = svc.node_keys("node-new")
+    assert keys.aik.point == actor.aik_blob.public
+    assert keys.vcek.point == actor.vcek.public_bytes
 
 
 def test_register_node_keys_refuses_a_certified_off_curve_key(cluster):
     actor = cluster.actor(0)
     svc, oca = cluster.verifier_svc, cluster.oca
     off_curve = b"\x02" + (1).to_bytes(32, "big")
-    good = {"aik": (actor.aik_blob.public, actor.aik_cert),
-            "vcek": (actor.vcek.public_bytes, actor.vcek_cert)}
-    for role in ("AIK", "VCEK"):
-        keys = dict(good)
-        keys[role.lower()] = (off_curve,
-                              crypto.issue_certificate(oca.key, role, 999,
-                                                       off_curve))
+    good = {"AIK": actor.aik_cert, "VCEK": actor.vcek_cert}
+    for role in good:
+        certs = dict(good)
+        certs[role] = crypto.issue_certificate(oca.key, role, 999, off_curve)
         with pytest.raises(CcxError):
-            svc.register_node_keys(
-                "node-new", b"\x07" * 32, keys["aik"][0], keys["vcek"][0],
-                aik_cert=keys["aik"][1], vcek_cert=keys["vcek"][1],
-                oca_pub=oca.public_bytes)
+            svc.register_node_keys("node-new", b"\x07" * 32, certs["AIK"],
+                                   certs["VCEK"])
         assert svc.node_keys("node-new") is None
     # the chip index gained nothing either: the honest node still verifies
     request, envelope = honest(cluster, "tee-tpm")
@@ -388,41 +387,46 @@ def test_issue_token_requires_verified_report_type(cluster):
         "measurement": b"", "pcr_selection": (), "pcr_digest": b"",
     }
     with pytest.raises(TypeError):
-        cluster.verifier_svc.issue_token(request, fake, cluster.policy)
-    token = cluster.verifier_svc.issue_token(request, verified, cluster.policy)
-    assert token.payload["serial"] in cluster.verifier_svc.issued_serials
+        cluster.verifier_svc.issue_token(fake)
+    token = cluster.verifier_svc.issue_token(verified)
+    assert isinstance(cluster.verifier_svc.validate_token(token), dict)
 
 
-def test_issue_token_rejects_cross_session_report(cluster):
-    request_a, envelope_a = honest(cluster, "tpm-tee")
-    _, verified_a = submit(cluster, request_a, envelope_a)
-    request_b, _ = honest(cluster, "tpm-tee")
-    with pytest.raises(ValueError):
-        cluster.verifier_svc.issue_token(request_b, verified_a, cluster.policy)
+def narrow_policy(cluster):
+    """Register a policy that allows only tee-tpm tokens."""
+    narrow = dataclasses.replace(cluster.policy, policy_id="narrow",
+                                 allowed_types=("tee-tpm",))
+    cluster.verifier_svc.add_policy(narrow)
+    return narrow
 
 
 def test_issue_token_respects_policy_allowed_types(cluster):
-    request, envelope = honest(cluster, "tpm-tee")
-    _, verified = submit(cluster, request, envelope)
-    narrow = dataclasses.replace(cluster.policy, allowed_types=("tee-tpm",))
+    narrow = narrow_policy(cluster)
+    request, envelope = honest(cluster, "tpm-tee", policy_id="narrow")
+    outcome, verified = cluster.verifier_svc.verify_composite(
+        envelope, request, narrow)
+    assert outcome is verifier.CompositeOutcome.OK
     with pytest.raises(ValueError):
-        cluster.verifier_svc.issue_token(request, verified, narrow)
+        cluster.verifier_svc.issue_token(verified)
 
 
 def test_issue_token_mints_once_per_session(cluster):
-    request, envelope = honest(cluster, "tpm-tee")
-    _, verified = submit(cluster, request, envelope)
-    narrow = dataclasses.replace(cluster.policy, allowed_types=("tee-tpm",))
+    svc = cluster.verifier_svc
+    narrow = narrow_policy(cluster)
+    request, envelope = honest(cluster, "tpm-tee", policy_id="narrow")
+    _, verified = svc.verify_composite(envelope, request, narrow)
     with pytest.raises(ValueError):
-        cluster.verifier_svc.issue_token(request, verified, narrow)
-    # the refused call did not use up the session's one token
-    token = cluster.verifier_svc.issue_token(request, verified, cluster.policy)
+        svc.issue_token(verified)
     with pytest.raises(ValueError):
-        cluster.verifier_svc.issue_token(request, verified, cluster.policy)
-    forged = dataclasses.replace(request, completed=False, token_minted=False)
+        svc.issue_token(dataclasses.replace(verified, session_id=bytes(32)))
+    # the refused calls did not use up the session's one token
+    svc.add_policy(dataclasses.replace(
+        narrow, allowed_types=cluster.policy.allowed_types))
+    token = svc.issue_token(verified)
     with pytest.raises(ValueError):
-        cluster.verifier_svc.issue_token(forged, verified, cluster.policy)
-    assert cluster.verifier_svc.issued_serials == {token.payload["serial"]}
+        svc.issue_token(verified)
+    # nor did any refused call take a serial
+    assert issue_one(cluster).payload["serial"] == token.payload["serial"] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +436,7 @@ def test_issue_token_mints_once_per_session(cluster):
 def issue_one(cluster, direction="tpm-tee"):
     request, envelope = honest(cluster, direction)
     _, verified = submit(cluster, request, envelope)
-    return cluster.verifier_svc.issue_token(request, verified, cluster.policy)
+    return cluster.verifier_svc.issue_token(verified)
 
 
 def test_token_compact_round_trip_and_claims(cluster):
@@ -520,18 +524,20 @@ def test_forged_serial_never_issued_is_rejected(cluster):
     mallory = crypto.SigningKeyPair.from_seed("VERIFIER", b"\x99" * 32)
     forged_payload = dict(token.payload)
     forged_payload["serial"] = 424242
-    unsigned = verifier.AttestationToken(token.header, forged_payload, b"")
-    forged = verifier.AttestationToken(
-        token.header, forged_payload, mallory.sign(unsigned.signing_input()))
+    forged = verifier.AttestationToken.signed(token.header, forged_payload,
+                                              mallory)
     # wrong key: fails signature outright
     assert cluster.verifier_svc.validate_token(forged) is \
         verifier.TokenRejection.BAD_SIGNATURE
-    # right key but unissued serial: the issuance log catches it
-    resigned = verifier.AttestationToken(
-        token.header, forged_payload,
-        cluster.verifier_svc.key.sign(unsigned.signing_input()))
-    assert cluster.verifier_svc.validate_token(resigned) is \
-        verifier.TokenRejection.BAD_SIGNATURE
+    # right key but a serial the counter never reached or never hands out
+    for serial in (424242, 0, -1, token.payload["serial"] + 1, "1", True):
+        forged_payload["serial"] = serial
+        resigned = verifier.AttestationToken.signed(
+            token.header, forged_payload, cluster.verifier_svc.key)
+        assert cluster.verifier_svc.validate_token(resigned.compact()) is \
+            verifier.TokenRejection.BAD_SIGNATURE, serial
+    assert isinstance(cluster.verifier_svc.validate_token(token.compact()),
+                      dict)
 
 
 def test_module_level_validate_without_issuance_log(cluster):
