@@ -10,9 +10,12 @@ artifacts, signatures included.
 
 Private scalars are plain integers and public keys are SEC1 compressed
 points (33 bytes), so every structure that embeds a key commits to one
-canonical byte form. A key that is checked again and again travels as a
-PublicKey: the point together with the key object parsed from it, so it is
-decoded and curve-checked once, not at every verify.
+canonical byte form. A key that is used more than once travels as a
+PublicKey: the point together with its key object, so a signature check or
+an ECDH peer never decodes the point again. A point received from another
+party is parsed and curve-checked once, when its PublicKey is built; a key
+pair's own PublicKey comes from the key object that deriving its scalar
+already made, so it is never parsed at all.
 """
 
 from __future__ import annotations
@@ -193,9 +196,12 @@ def scalar_from_material(material: bytes) -> int:
     return wide % (_CURVE_ORDER - 1) + 1
 
 
-def public_from_scalar(scalar: int) -> bytes:
-    key = ec.derive_private_key(scalar, _CURVE)
-    return key.public_key().public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
+def public_from_scalar(scalar: int) -> PublicKey:
+    """The public half of a scalar, built from the key object its
+    derivation makes: its point is encoded, nothing is parsed."""
+    key = ec.derive_private_key(scalar, _CURVE).public_key()
+    return PublicKey(key.public_bytes(Encoding.X962, PublicFormat.CompressedPoint),
+                     key)
 
 
 def load_public(point_bytes: bytes):
@@ -210,26 +216,36 @@ def load_public(point_bytes: bytes):
 
 @dataclass(frozen=True)
 class PublicKey:
-    """A compressed point and the key object load_public parsed from it,
-    checks included. Equality and repr see the point alone."""
+    """A compressed point and its key object. Given the point alone, the
+    key is parsed from it by load_public, checks included; only
+    public_from_scalar passes the key object its derivation made.
+    Equality and repr see the point alone."""
 
     point: bytes
-    key: ec.EllipticCurvePublicKey = field(init=False, compare=False, repr=False)
+    key: ec.EllipticCurvePublicKey = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "key", load_public(self.point))
+        if self.key is None:
+            object.__setattr__(self, "key", load_public(self.point))
+
+
+def _point_of(public: bytes | PublicKey) -> bytes:
+    return public.point if isinstance(public, PublicKey) else public
 
 
 @dataclass
 class SigningKeyPair:
     """P-256 keypair with a role label.
 
-    The scalar is None for public-only halves. sign() is deterministic,
-    so the same key and message always produce the same DER signature.
+    public is the PublicKey that generate and from_seed derive along with
+    the scalar, or the bare point for a pair built from stored bytes or
+    kept at rest. The scalar is None for public-only halves. sign() is
+    deterministic, so the same key and message always produce the same
+    DER signature.
     """
 
     role: str
-    public_bytes: bytes
+    public: PublicKey | bytes
     scalar: int | None = field(default=None, repr=False)
 
     @classmethod
@@ -243,12 +259,21 @@ class SigningKeyPair:
         return cls(role, public_from_scalar(scalar), scalar)
 
     @property
+    def public_bytes(self) -> bytes:
+        return _point_of(self.public)
+
+    @property
     def name(self) -> bytes:
         """Key name: digest of the canonical public point."""
         return sha256(self.public_bytes)
 
     def public_only(self) -> "SigningKeyPair":
-        return SigningKeyPair(self.role, self.public_bytes)
+        return SigningKeyPair(self.role, self.public)
+
+    def at_rest(self) -> "SigningKeyPair":
+        """The same pair with its point alone, for a holder that keeps it
+        long after its key object (about 2 KB) was last used."""
+        return SigningKeyPair(self.role, self.public_bytes, self.scalar)
 
     def sign(self, message: bytes) -> bytes:
         if self.scalar is None:
@@ -259,7 +284,7 @@ class SigningKeyPair:
 
 def verify(public: bytes | PublicKey, message: bytes, signature: bytes) -> bool:
     """True when signature is valid. Malformed encodings raise instead.
-    A point is parsed here; a PublicKey brings its parsed key along."""
+    A point is parsed here; a PublicKey brings its key object along."""
     key = public.key if isinstance(public, PublicKey) else load_public(public)
     try:
         decode_dss_signature(signature)
@@ -276,8 +301,10 @@ def verify(public: bytes | PublicKey, message: bytes, signature: bytes) -> bool:
 # key agreement
 # ---------------------------------------------------------------------------
 
-def ecdh_two_phase(static_priv: SigningKeyPair, static_peer_pub: bytes,
-                   ephem_priv: SigningKeyPair, ephem_peer_pub: bytes) -> bytes:
+def ecdh_two_phase(static_priv: SigningKeyPair,
+                   static_peer_pub: bytes | PublicKey,
+                   ephem_priv: SigningKeyPair,
+                   ephem_peer_pub: bytes | PublicKey) -> bytes:
     """Two-phase ECDH: combine static-static and ephemeral-ephemeral shares.
 
     The 32-byte result binds all four public points through a transcript
@@ -289,13 +316,14 @@ def ecdh_two_phase(static_priv: SigningKeyPair, static_peer_pub: bytes,
     z_static = ecdh_shared(static_priv.scalar, static_peer_pub)
     z_ephem = ecdh_shared(ephem_priv.scalar, ephem_peer_pub)
     own = static_priv.public_bytes + ephem_priv.public_bytes
-    peer = static_peer_pub + ephem_peer_pub
+    peer = _point_of(static_peer_pub) + _point_of(ephem_peer_pub)
     transcript = sha256(min(own, peer) + max(own, peer))
     return kdf_counter(z_static + z_ephem, "TWO-PHASE", transcript, 32)
 
 
-def ecdh_shared(scalar: int, peer_pub: bytes) -> bytes:
-    peer = load_public(peer_pub)
+def ecdh_shared(scalar: int, peer_pub: bytes | PublicKey) -> bytes:
+    """A point is parsed here, as in verify; a PublicKey is not."""
+    peer = peer_pub.key if isinstance(peer_pub, PublicKey) else load_public(peer_pub)
     key = ec.derive_private_key(scalar, _CURVE)
     return key.exchange(ec.ECDH(), peer)
 
@@ -304,11 +332,23 @@ def ecdh_shared(scalar: int, peer_pub: bytes) -> bytes:
 # authenticated channel encryption
 # ---------------------------------------------------------------------------
 
-def channel_seal(key: bytes, plaintext: bytes, aad: bytes, rng) -> bytes:
-    """AES-256-GCM with a fresh random nonce, returned as nonce || ct."""
+def aead(key: bytes) -> AESGCM:
+    """The AES-256-GCM cipher of a key, for a holder that uses the key
+    more than once: channel_seal and channel_open take it in its place."""
     _check_aead_key(key)
+    return AESGCM(key)
+
+
+def _cipher(key: bytes | AESGCM) -> AESGCM:
+    return aead(key) if isinstance(key, bytes) else key
+
+
+def channel_seal(key: bytes | AESGCM, plaintext: bytes, aad: bytes,
+                 rng) -> bytes:
+    """AES-256-GCM with a fresh random nonce, returned as nonce || ct."""
+    cipher = _cipher(key)
     nonce = rng.random_bytes(AEAD_NONCE_LEN)
-    return nonce + AESGCM(key).encrypt(nonce, plaintext, aad)
+    return nonce + cipher.encrypt(nonce, plaintext, aad)
 
 
 def wrap(key: bytes, plaintext: bytes, aad: bytes) -> bytes:
@@ -324,14 +364,14 @@ def wrap(key: bytes, plaintext: bytes, aad: bytes) -> bytes:
     return nonce + AESGCM(key).encrypt(nonce, plaintext, aad)
 
 
-def channel_open(key: bytes, sealed: bytes, aad: bytes) -> bytes:
+def channel_open(key: bytes | AESGCM, sealed: bytes, aad: bytes) -> bytes:
     """Open a sealed blob. Any tamper of ciphertext or aad raises AuthFailure."""
-    _check_aead_key(key)
+    cipher = _cipher(key)
     if len(sealed) < AEAD_NONCE_LEN + 16:
         raise AuthFailure("sealed blob too short")
     nonce, ct = sealed[:AEAD_NONCE_LEN], sealed[AEAD_NONCE_LEN:]
     try:
-        return AESGCM(key).decrypt(nonce, ct, aad)
+        return cipher.decrypt(nonce, ct, aad)
     except InvalidTag as exc:
         raise AuthFailure("authenticated decryption failed") from exc
 
@@ -385,8 +425,8 @@ class Certificate(Signed):
     def digest(self) -> bytes:
         return sha256(self.to_bytes())
 
-    def verify(self, issuer_pub: bytes) -> bool:
-        if self.issuer_name != sha256(issuer_pub):
+    def verify(self, issuer_pub: bytes | PublicKey) -> bool:
+        if self.issuer_name != sha256(_point_of(issuer_pub)):
             return False
         return verify(issuer_pub, self.body_bytes(), self.signature)
 

@@ -116,8 +116,8 @@ def build_cluster(seed: int | bytes, nodes: int = 1) -> Cluster:
     v_eph = crypto.SigningKeyPair.generate("VERIFIER", ca_rng)
     cluster.channels.set_key(
         protocol.OCA_PRINCIPAL, protocol.VERIFIER_PRINCIPAL,
-        crypto.ecdh_two_phase(oca.key, verifier_svc.key.public_bytes,
-                              ca_eph, v_eph.public_bytes))
+        crypto.ecdh_two_phase(oca.key, verifier_svc.key.public,
+                              ca_eph, v_eph.public))
     for index in range(nodes):
         add_node(cluster, index)
     return cluster
@@ -139,7 +139,7 @@ def add_node(cluster: Cluster, index: int, *,
     tcb = standard_tcb()
     vcek, chain = cluster.vendor.derive_vcek(chip_id, STANDARD_TCB_VERSION)
 
-    epoch = measurement.MeasurementEpoch(state, cluster.publisher.public_bytes)
+    epoch = measurement.MeasurementEpoch(state, cluster.publisher.public)
     epoch.run_host_stage(_HOST_COMPONENTS)
     manifests = [(measurement.sign_manifest(cluster.publisher, name, content),
                   content) for name, content in _IMAGE_SET]
@@ -159,6 +159,10 @@ def add_node(cluster: Cluster, index: int, *,
     protocol.establish_channels(actor, cluster.oca.key,
                                 cluster.verifier_svc.key,
                                 cluster.channels, rng)
+    # the actor keeps its own pairs for the cluster's life, and nothing
+    # after the channels uses their key objects
+    actor.vcek, actor.identity, actor.pek = (
+        actor.vcek.at_rest(), actor.identity.at_rest(), actor.pek.at_rest())
 
     composite = state.pcr.composite(PCR_SELECTION)
     if cluster.policy_id not in cluster.verifier_svc.policies:
@@ -578,7 +582,7 @@ def attack_image_forge(cluster: Cluster) -> AttackReport:
     must surface as deviations."""
     rng = cluster.rng.fork("image-forge")
     state = tpm.tpm_manufacture(rng.random_bytes(32), clock=cluster.clock)
-    epoch = measurement.MeasurementEpoch(state, cluster.publisher.public_bytes)
+    epoch = measurement.MeasurementEpoch(state, cluster.publisher.public)
     epoch.run_host_stage(_HOST_COMPONENTS)
     outcomes: Counter = Counter()
 

@@ -88,7 +88,7 @@ class ImageManifest(Signed):
     SPEC = Spec((1, "image_id", STR), (2, "content_digest", RAW),
                 (3, "signature", RAW))
 
-    def verify(self, publisher_pub: bytes) -> bool:
+    def verify(self, publisher_pub: bytes | crypto.PublicKey) -> bool:
         return crypto.verify(publisher_pub, self.body_bytes(), self.signature)
 
 
@@ -117,7 +117,7 @@ class MeasurementEpoch:
     """
 
     state: tpm.TpmState
-    publisher_pub: bytes
+    publisher_pub: bytes | crypto.PublicKey
     events: list[MeasurementEvent] = field(default_factory=list)
     _next_seq: int = 0
     _stage_done: set[int] = field(default_factory=set)

@@ -9,8 +9,8 @@ the registry and revocation list that the verifier consults.
 The registry is single-writer: every mutation happens under one lock and
 appends a line to one append-only record log, which audits also write to.
 Each node record lists every certificate serial issued to it, so revoke()
-covers them all. snapshot() captures the registry for periodic
-checkpointing.
+covers them all, and a revoked node is issued no further certificate.
+snapshot() captures the registry for periodic checkpointing.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     BaselineRejected,
     ChainInvalid,
     ChallengeFailed,
+    NodeRevoked,
     NodeUnknown,
     NotInitialized,
     SessionInvalid,
@@ -84,7 +85,8 @@ def challenge_session_id(challenge: tpm.Credential) -> bytes:
 
 
 class OwnerCa:
-    def __init__(self, *, trusted_tee_root: bytes, trusted_tpm_root: bytes,
+    def __init__(self, *, trusted_tee_root: crypto.PublicKey,
+                 trusted_tpm_root: crypto.PublicKey,
                  clock=None, rng=None) -> None:
         self.clock = clock if clock is not None else SystemClock()
         self.rng = rng if rng is not None else crypto.SystemRng()
@@ -230,8 +232,8 @@ class OwnerCa:
                 raise BaselineRejected(f"registration evidence rejected: {check.value}")
             if vendor_chain.vcek.subject != record.vcek_pub:
                 raise BaselineRejected("evidence signed by an unregistered chip key")
-            record.chip_id = tee_report.chip_id
             identity_cert = self._issue(record, "IDENTITY", identity_pub)
+            record.chip_id = tee_report.chip_id
             master_secret = crypto.Secret(self.rng.random_bytes(32))
             record.identity_cert = identity_cert
             record.master_secret_provisioned = True
@@ -293,6 +295,10 @@ class OwnerCa:
 
     def _issue(self, record: NodeRecord, role: str,
                subject_pub: bytes) -> crypto.Certificate:
+        """Issue a certificate to a node under the next serial. A revoked
+        node gets none: its serials are only ever revoked ones."""
+        if record.status == NodeStatus.REVOKED:
+            raise NodeRevoked(f"node {record.node_id!r} is revoked")
         serial = self._next_serial
         self._next_serial += 1
         record.serials.append(serial)

@@ -264,12 +264,16 @@ class ChannelTable:
     """Pairwise AEAD keys between principals, plus framing.
 
     A frame is sender|receiver|type|session in the clear (authenticated
-    as associated data) with the body sealed under the pair's key.
+    as associated data) with the body sealed under the pair's key. The
+    table keeps the cipher of the last key it used, which serves the open
+    of each sealed frame and the replies on the same pair; a cipher per
+    pair would cost about 3 KB for every channel of every node.
     """
 
     def __init__(self, rng) -> None:
         self.rng = rng
         self._keys: dict[frozenset[str], bytes] = {}
+        self._last: tuple[bytes, crypto.AESGCM] | None = None
 
     def set_key(self, a: str, b: str, key: bytes) -> None:
         if len(key) != crypto.AEAD_KEY_LEN:
@@ -282,11 +286,20 @@ class ChannelTable:
         except KeyError:
             raise AuthFailure(f"no channel between {a!r} and {b!r}") from None
 
+    def _cipher(self, a: str, b: str) -> crypto.AESGCM:
+        key = self.key(a, b)
+        last = self._last
+        if last is not None and last[0] is key:
+            return last[1]
+        cipher = crypto.aead(key)
+        self._last = (key, cipher)
+        return cipher
+
     def seal(self, mtype: int, sender: str, receiver: str,
              session_id: bytes, body: bytes) -> bytes:
-        key = self.key(sender, receiver)
+        cipher = self._cipher(sender, receiver)
         aad = _wire_aad(mtype, sender, receiver, session_id)
-        sealed = crypto.channel_seal(key, body, aad, self.rng)
+        sealed = crypto.channel_seal(cipher, body, aad, self.rng)
         return _FRAME.encode({"mtype": mtype, "sender": sender,
                               "receiver": receiver, "session_id": session_id,
                               "sealed": sealed})
@@ -296,10 +309,10 @@ class ChannelTable:
         if fields["receiver"] != expected_receiver:
             raise AuthFailure(f"frame addressed to {fields['receiver']!r}, "
                               f"not {expected_receiver!r}")
-        key = self.key(fields["sender"], fields["receiver"])
+        cipher = self._cipher(fields["sender"], fields["receiver"])
         aad = _wire_aad(fields["mtype"], fields["sender"], fields["receiver"],
                         fields["session_id"])
-        body = crypto.channel_open(key, fields.pop("sealed"), aad)
+        body = crypto.channel_open(cipher, fields.pop("sealed"), aad)
         return WireMessage(**fields, body=body)
 
 
@@ -383,15 +396,15 @@ def establish_channels(actor: NodeActor, oca_key: crypto.SigningKeyPair,
                   b: str, b_key: crypto.SigningKeyPair) -> None:
         a_eph = crypto.SigningKeyPair.generate(a_key.role, rng)
         b_eph = crypto.SigningKeyPair.generate(b_key.role, rng)
-        shared = crypto.ecdh_two_phase(a_key, b_key.public_bytes,
-                                       a_eph, b_eph.public_bytes)
+        shared = crypto.ecdh_two_phase(a_key, b_key.public,
+                                       a_eph, b_eph.public)
         channels.set_key(a, b, shared)
 
     def tpm_pair(peer: str, peer_key: crypto.SigningKeyPair) -> None:
         eph_pub, counter = tpm.ec_ephemeral(actor.state)
         peer_eph = crypto.SigningKeyPair.generate(peer_key.role, rng)
         shared = tpm.zgen_2phase(actor.state, counter, ek,
-                                 peer_key.public_bytes, peer_eph.public_bytes)
+                                 peer_key.public, peer_eph.public)
         channels.set_key(actor.tpm_name, peer, shared)
 
     # platform-internal and verifier-facing pairs

@@ -67,17 +67,18 @@ class CertChain(Record):
                 (2, "ask", nested(crypto.Certificate)),
                 (3, "vcek", nested(crypto.Certificate)))
 
-    def verify(self, trusted_ark_pub: bytes) -> bool:
-        ok = (
+    def verify(self, root: crypto.PublicKey) -> bool:
+        """The ARK must be the trusted root itself, so the ASK is checked
+        under the root's key object; only the ASK's point is parsed."""
+        return (
             self.ark.role == "ARK"
-            and self.ark.subject == trusted_ark_pub
-            and self.ark.verify(trusted_ark_pub)
+            and self.ark.subject == root.point
+            and self.ark.verify(root)
             and self.ask.role == "ASK"
-            and self.ask.verify(self.ark.subject)
+            and self.ask.verify(root)
             and self.vcek.role == "VCEK"
             and self.vcek.verify(self.ask.subject)
         )
-        return ok
 
 
 class TeeVendor:
@@ -96,8 +97,8 @@ class TeeVendor:
         self.ask_cert = crypto.issue_certificate(self._ark, "ASK", 2, self._ask.public_bytes)
 
     @property
-    def root_pub(self) -> bytes:
-        return self._ark.public_bytes
+    def root_pub(self) -> crypto.PublicKey:
+        return self._ark.public
 
     def derive_vcek(self, chip_id: bytes, tcb_version: int):
         """Chip endorsement key for (chip_id, tcb_version).
@@ -179,7 +180,8 @@ class ReportCheck(Enum):
     NONCE_MISMATCH = "nonce-mismatch"
 
 
-def verify_report(report: TeeReport, chain: CertChain, trusted_ark_pub: bytes,
+def verify_report(report: TeeReport, chain: CertChain,
+                  trusted_ark_pub: crypto.PublicKey,
                   expected_measurement: bytes | None = None,
                   expected_report_data: bytes | None = None) -> ReportCheck:
     """Check a guest report bottom-up; the first failing layer is reported.

@@ -72,8 +72,8 @@ _VENDOR_CA = crypto.SigningKeyPair.from_seed(
     "OCA", crypto.sha256(b"ccxtrust-tpm-vendor-ca-v1"))
 
 
-def tpm_vendor_root_pub() -> bytes:
-    return _VENDOR_CA.public_bytes
+def tpm_vendor_root_pub() -> crypto.PublicKey:
+    return _VENDOR_CA.public
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def create_primary(state: TpmState, hierarchy: str) -> KeyBlob:
         role=_PRIMARY_ROLES[hierarchy],
         hierarchy=hierarchy,
         seed_version=record.version,
-        public=crypto.public_from_scalar(scalar),
+        public=crypto.public_from_scalar(scalar).point,
         parent_name=_seed_parent_name(hierarchy),
     )
     _wrap_blob(_seed_env_key(record), scalar, blob)
@@ -322,7 +322,7 @@ def create_signing_key(state: TpmState, parent_handle: int, role: str = "AIK") -
         role=role,
         hierarchy=parent.blob.hierarchy,
         seed_version=record.version,
-        public=crypto.public_from_scalar(scalar),
+        public=crypto.public_from_scalar(scalar).point,
         parent_name=parent.blob.name,
         cvm_id=parent.blob.cvm_id,
     )
@@ -353,7 +353,7 @@ def create_cvm_root_key(state: TpmState, master_secret: crypto.Secret | bytes,
         role="CVM-SRK",
         hierarchy=want,
         seed_version=record.version,
-        public=crypto.public_from_scalar(scalar),
+        public=crypto.public_from_scalar(scalar).point,
         parent_name=parent.blob.name,
         cvm_id=cvm_id,
     )
@@ -586,11 +586,12 @@ def ec_ephemeral(state: TpmState) -> tuple[bytes, int]:
     state.eph_table.append(counter)
     if len(state.eph_table) > EPHEMERAL_TABLE_CAPACITY:
         state.eph_table.pop(0)
-    return crypto.public_from_scalar(_eph_scalar(state, counter)), counter
+    return crypto.public_from_scalar(_eph_scalar(state, counter)).point, counter
 
 
 def zgen_2phase(state: TpmState, counter: int, own_static: crypto.SigningKeyPair,
-                peer_static_pub: bytes, peer_eph_pub: bytes) -> bytes:
+                peer_static_pub: bytes | crypto.PublicKey,
+                peer_eph_pub: bytes | crypto.PublicKey) -> bytes:
     """Finish the two-phase exchange for a previously issued counter.
 
     The counter is single-use: consumed here, and invalid if it was

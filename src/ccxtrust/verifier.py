@@ -297,8 +297,7 @@ class VerifierService:
         self.rng = rng if rng is not None else crypto.SystemRng()
         self.key = crypto.SigningKeyPair.from_seed(
             "VERIFIER", self.rng.random_bytes(32))
-        self._token_key = crypto.PublicKey(self.key.public_bytes)
-        self._ca_pub = owner_ca.public_bytes
+        self._ca_pub = owner_ca.key.public
         self._is_revoked = owner_ca.is_revoked
         self.policies: dict[str, PolicyBaseline] = {}
         self._nodes: dict[str, NodeKeys] = {}
@@ -495,7 +494,7 @@ class VerifierService:
         node REVOKED_NODE."""
         if now is None:
             now = self.clock.now()
-        claims = validate_token(token, self._token_key, now)
+        claims = validate_token(token, self.key.public, now)
         if isinstance(claims, TokenRejection):
             return claims
         serial = claims["payload"]["serial"]

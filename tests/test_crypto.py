@@ -7,8 +7,9 @@ before this module existed, then frozen here as hex.
 """
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
 
-from ccxtrust import crypto
+from ccxtrust import crypto, harness
 from ccxtrust.errors import (
     AuthFailure,
     InvalidLength,
@@ -191,6 +192,19 @@ def test_public_key_keeps_the_parsed_key_with_its_point():
             crypto.PublicKey(bad)
 
 
+def test_derived_public_key_equals_the_parsed_one():
+    key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
+    parsed = crypto.PublicKey(key.public_bytes)
+    assert isinstance(key.public, crypto.PublicKey)
+    assert key.public == parsed and key.public.point == parsed.point
+    assert (key.public.key.public_numbers()
+            == parsed.key.public_numbers())
+    assert crypto.verify(key.public, b"m", key.sign(b"m"))
+    at_rest = key.at_rest()
+    assert at_rest.public == key.public_bytes
+    assert (at_rest.role, at_rest.scalar) == (key.role, key.scalar)
+
+
 def test_tampered_signature_fails_cleanly():
     key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
     sig = bytearray(key.sign(b"m"))
@@ -213,6 +227,41 @@ def test_ecdh_shared_is_symmetric():
     b = crypto.SigningKeyPair.generate("B", rng)
     assert (crypto.ecdh_shared(a.scalar, b.public_bytes)
             == crypto.ecdh_shared(b.scalar, a.public_bytes))
+
+
+def test_ecdh_shared_takes_a_public_key_or_a_point():
+    rng = crypto.DeterministicRng(b"ecdh-peer")
+    a = crypto.SigningKeyPair.generate("A", rng)
+    b = crypto.SigningKeyPair.generate("B", rng)
+    secret = crypto.ecdh_shared(a.scalar, b.public_bytes)
+    assert crypto.ecdh_shared(a.scalar, b.public) == secret
+    assert crypto.ecdh_shared(a.scalar, crypto.PublicKey(b.public_bytes)) == secret
+    for bad in (b"\x02" + (1).to_bytes(32, "big"), b"\x04" + b"\x00" * 64):
+        with pytest.raises(InvalidPoint):
+            crypto.ecdh_shared(a.scalar, bad)
+
+
+def test_enrollment_parses_each_received_point_once(monkeypatch):
+    """A point this process derived travels with its key object; only the
+    8 points a node's enrollment receives from another party are parsed:
+    the ASK subject of each of 3 chain checks, the VCEK subject of the
+    registration report check, the AIK and VCEK the verifier registers,
+    the EK point of the credential and the credential's ephemeral point."""
+    parse = ec.EllipticCurvePublicKey.from_encoded_point
+    parsed = []
+
+    def counting(curve, data):
+        parsed.append(data)
+        return parse(curve, data)
+
+    monkeypatch.setattr(ec.EllipticCurvePublicKey, "from_encoded_point",
+                        staticmethod(counting))
+    cluster = harness.build_cluster(11, 0)
+    assert parsed == []
+    for index in range(2):
+        harness.add_node(cluster, index)
+        assert len(parsed) == 8
+        parsed.clear()
 
 
 def test_ecdh_two_phase_both_sides_agree():

@@ -9,6 +9,7 @@ from ccxtrust.errors import (
     BaselineRejected,
     ChainInvalid,
     ChallengeFailed,
+    NodeRevoked,
     NodeUnknown,
     NotInitialized,
     SessionInvalid,
@@ -314,6 +315,33 @@ def test_revocation_list_versioned_and_idempotent():
     rig.ca.revoke("node-a", "again")
     v2, _, _ = rig.ca.revocation_list()
     assert v2 == v1  # no change, no version bump
+
+
+def test_revoked_node_gets_no_certificate():
+    rig = Rig()
+    rig.activate()
+    rig.ca.revoke("node-a", "compromise")
+    # a challenge still opens, but its answer buys no AIK certificate
+    challenge = rig.ca.aik_challenge(rig.aik_blob.public_area(),
+                                     rig.state.ek_blob.public,
+                                     rig.state.ek_cert, "node-a")
+    answer = tpm.activate_credential(
+        challenge, rig.aik_blob.name,
+        tpm.loaded_keypair(rig.state, tpm.load_key(rig.state,
+                                                   rig.state.ek_blob)))
+    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    bound = rig.report(verifier.registration_report_data(identity.public_bytes))
+    before = rig.ca.revocation_list(), rig.ca.snapshot()
+    with pytest.raises(NodeRevoked):
+        rig.enroll_tee()
+    with pytest.raises(NodeRevoked):
+        rig.ca.aik_answer(owner_ca.challenge_session_id(challenge), answer)
+    with pytest.raises(NodeRevoked):
+        rig.ca.register_node("node-a", bound, rig.chain,
+                             identity.public_bytes)
+    # no serial was taken, and the node is neither resurrected nor rebound
+    assert (rig.ca.revocation_list(), rig.ca.snapshot()) == before
+    assert rig.ca.nodes["node-a"].status is owner_ca.NodeStatus.REVOKED
 
 
 def test_record_log_mentions_lifecycle():

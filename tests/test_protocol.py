@@ -3,6 +3,8 @@ and attestation flows, and the trace-property checker."""
 
 import dataclasses
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -132,6 +134,57 @@ def test_channel_frame_tamper_rejected(cluster):
 def test_channel_missing_key_raises(cluster):
     with pytest.raises(AuthFailure):
         cluster.channels.key("nobody", "verifier")
+
+
+def test_channel_cipher_follows_the_pair_key(cluster):
+    channels = cluster.channels
+    actor = cluster.actor(0)
+    mtype = protocol.MESSAGE_TYPES["attest-request"]
+    pairs = ((actor.agent, VERIFIER_PRINCIPAL), (actor.tee_name, actor.agent),
+             (actor.tpm_name, OCA_PRINCIPAL))
+    frames = [(a, b, channels.seal(mtype, a, b, b"s", a.encode()))
+              for a, b in pairs * 2]
+    for a, b, frame in reversed(frames):
+        assert channels.open(frame, b).body == a.encode()
+    # a frame sealed under a replaced key no longer opens
+    a, b = pairs[0]
+    stale = channels.seal(mtype, a, b, b"s", b"old")
+    channels.set_key(a, b, bytes(32))
+    with pytest.raises(AuthFailure):
+        channels.open(stale, b)
+    assert channels.open(channels.seal(mtype, a, b, b"s", b"new"), b).body \
+        == b"new"
+
+
+def test_channel_table_under_concurrent_pairs(cluster2):
+    channels = cluster2.channels
+    mtype = protocol.MESSAGE_TYPES["attest-request"]
+    pairs = [(actor.agent, peer) for actor in cluster2.actors.values()
+             for peer in (VERIFIER_PRINCIPAL, OCA_PRINCIPAL, actor.tee_name)]
+    failures = []
+
+    def exchange(a, b):
+        try:
+            for round_ in range(150):
+                body = f"{a}>{b}#{round_}".encode()
+                frame = channels.seal(mtype, a, b, b"s", body)
+                if channels.open(frame, b).body != body:
+                    failures.append((a, b))
+        except AuthFailure:
+            failures.append((a, b))
+
+    threads = [threading.Thread(target=exchange, args=pair) for pair in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 def test_tpm_backed_and_software_channels_coexist(cluster):

@@ -6,6 +6,8 @@ computed with a standalone digest over the concatenated components and
 frozen here first.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from ccxtrust import crypto, tee
@@ -89,6 +91,50 @@ def test_spliced_chain_rejected():
     _, foreign = other.derive_vcek(CHIP, 7)
     spliced = tee.CertChain(chain.ark, chain.ask, foreign.vcek)
     assert not spliced.verify(vendor.root_pub)
+
+
+def test_chain_check_under_a_public_key_root_refuses_every_bad_link():
+    """The ASK is verified under the root's key object, not under a parse
+    of ark.subject, which is sound only because the ARK must be the root:
+    every link is still checked for its signer and its role."""
+    def pair(label):
+        return crypto.SigningKeyPair.from_seed(label, crypto.sha256(label.encode()))
+
+    ark, ask, vcek = pair("ARK"), pair("ASK"), pair("VCEK")
+    other_ark, other_ask = pair("other ARK"), pair("other ASK")
+
+    def cert(issuer, role, subject):
+        return crypto.issue_certificate(issuer, role, 1, subject.public_bytes)
+
+    def forged(signer, role, subject, named_issuer):
+        # claims named_issuer as its issuer, but is signed by signer
+        unsigned = crypto.Certificate(role, 1, subject.public_bytes,
+                                      crypto.sha256(named_issuer.public_bytes), b"")
+        return replace(unsigned, signature=signer.sign(unsigned.body_bytes()))
+
+    root = ark.public
+    good = tee.CertChain(cert(ark, "ARK", ark), cert(ark, "ASK", ask),
+                         cert(ask, "VCEK", vcek))
+    assert good.verify(root)
+    assert good.verify(crypto.PublicKey(ark.public_bytes))
+    bad_chains = {
+        "ark subject is not the root":
+            replace(good, ark=cert(ark, "ARK", other_ark)),
+        "ark is another root, self-signed":
+            replace(good, ark=cert(other_ark, "ARK", other_ark)),
+        "ask signed by another ark": replace(good, ask=cert(other_ark, "ASK", ask)),
+        "ask signed by another ark, naming the root":
+            replace(good, ask=forged(other_ark, "ASK", ask, ark)),
+        "vcek signed by another ask":
+            replace(good, vcek=cert(other_ask, "VCEK", vcek)),
+        "vcek signed by another ask, naming the ask":
+            replace(good, vcek=forged(other_ask, "VCEK", vcek, ask)),
+        "ark role": replace(good, ark=cert(ark, "ASK", ark)),
+        "ask role": replace(good, ask=cert(ark, "VCEK", ask)),
+        "vcek role": replace(good, vcek=cert(ask, "ASK", vcek)),
+    }
+    for name, chain in bad_chains.items():
+        assert not chain.verify(root), name
 
 
 # ---------------------------------------------------------------------------
