@@ -114,7 +114,9 @@ class OwnerCa:
         """Verify the vendor chain for a chip key and issue the owner's
         VCEK certificate to node_id, creating its record on first use.
         Re-registering the node's own chip key refreshes its certificate
-        under a new serial; another chip's key is refused."""
+        under a new serial; another chip's key is refused, and a revoked
+        node is refused before its chain is checked."""
+        self._refuse_revoked(node_id)
         if not vendor_chain.verify(self.trusted_tee_root):
             raise ChainInvalid("vendor chain does not verify to the trusted root")
         if vendor_chain.vcek.subject != vcek_pub:
@@ -146,8 +148,10 @@ class OwnerCa:
         must verify under the TPM manufacturer root. The returned
         challenge can only be answered by a TPM holding that EK with that
         AIK loaded; the session expires after CHALLENGE_TTL, and the
-        first challenge opened after that drops it from the table.
+        first challenge opened after that drops it from the table. A
+        revoked node is refused before any check or challenge work.
         """
+        self._refuse_revoked(node_id)
         if not ek_cert.verify(self.trusted_tpm_root):
             raise ChainInvalid("EK certificate does not verify under the TPM vendor root")
         if ek_cert.subject != ek_pub:
@@ -292,6 +296,12 @@ class OwnerCa:
         if record is None:
             raise NodeUnknown(f"no record for node {node_id!r}")
         return record
+
+    def _refuse_revoked(self, node_id: str) -> None:
+        """Refuse a revoked node before any work for it. _issue stays the
+        guard that holds under the lock."""
+        if self.is_revoked(node_id):
+            raise NodeRevoked(f"node {node_id!r} is revoked")
 
     def _issue(self, record: NodeRecord, role: str,
                subject_pub: bytes) -> crypto.Certificate:

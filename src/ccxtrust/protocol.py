@@ -82,7 +82,7 @@ def base_principal(principal: str) -> str:
 # trace model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One protocol step. contents carries "label:hex" pairs naming the
     values the step created, transferred, or exposed."""
@@ -784,14 +784,16 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
     platform received that session's request from the verifier, and
     nobody but the verifier ever signs a token.
 
-    One forward pass, linear in the number of events: each event is
-    judged against indexes built only from the events before it, then
-    indexed itself. The indexes hold the first sign by the CA or the
-    verifier per digest, the first successful CA check per kind and tag,
-    the CA's and the verifier's sends per base peer and content, and the
-    attest-request receipts per base prover and session. Event indices
-    must equal positions, as emit, extend_reindexed and from_text
-    guarantee. Each property reports its first failure in event order.
+    One forward pass, linear in the events, that tests the event kind
+    first. Sends and receives only feed the indexes: the CA's and the
+    verifier's sends per base peer and content, and the verifier's
+    attest-request receipts per base prover and session. A sign or a
+    decrypt (its contents scanned once per label) is judged against the
+    indexes of earlier events; then the CA's and the verifier's signs are
+    indexed per digest, and other kinds index the CA's first success per
+    kind and tag. New properties join this dispatch, not a second pass.
+    Indices must equal positions, as emit, extend_reindexed and from_text
+    guarantee; each property reports its first failure in event order.
     """
     oca, verifier = OCA_PRINCIPAL, VERIFIER_PRINCIPAL
     authorities = (oca, verifier)
@@ -801,18 +803,49 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
     requested: set[tuple[str, str]] = set()
     failed: dict[str, TheoremVerdict] = {}
     justified: dict[str, list[int]] = {name: [] for name in _PASS_REASONS}
+    cert_ok, token_ok, order_ok = (justified[n].append for n in _PASS_REASONS)
+    cert_labels = [(c, c + ":", _CERT_EVIDENCE[c]) for c in CERT_LABELS]
 
     def fail(name: str, reason: str, *witness: int) -> None:
         failed.setdefault(name, TheoremVerdict(name, False, reason, witness))
 
     for event in trace.events:
-        index, kind, principal = event.index, event.kind, event.principal
-        if kind == "decrypt":
+        kind, principal = event.kind, event.principal
+        if kind == "send":
+            if principal in authorities:
+                peer = base_principal(event.peer)
+                for content in event.contents:
+                    sent.add((principal, peer, content))
+        elif kind == "receive":
+            if event.tag == "attest-request" and event.peer == verifier:
+                prover = base_principal(principal)
+                requested.update((prover, s) for s in event.labeled("session"))
+        elif kind == "sign":
+            if event.tag == "token" and principal != verifier:
+                fail("attest-order",
+                     f"{principal} signed a token; only {verifier} may",
+                     event.index)
+            elif event.tag == "total-report":
+                prover = base_principal(principal)
+                sessions = event.labeled("session")
+                if any((prover, s) in requested for s in sessions):
+                    order_ok(event.index)
+                else:
+                    fail("attest-order",
+                         f"{prover} signed evidence for session "
+                         f"{(sessions[0][:16] if sessions else '?')} before "
+                         f"receiving the request", event.index)
+            if principal in authorities:
+                signed.setdefault((principal, event.digest), event.index)
+        elif kind == "decrypt":
+            index, contents = event.index, event.contents
             holder = base_principal(principal)
-            for label in CERT_LABELS:
-                for hexdigest in event.labeled(label):
+            for label, prefix, evidence in cert_labels:
+                for content in contents:
+                    if not content.startswith(prefix):
+                        continue
+                    hexdigest = content[len(prefix):]
                     sign_index = signed.get((oca, hexdigest))
-                    evidence = _CERT_EVIDENCE[label]
                     if sign_index is None:
                         fail("cert-provenance",
                              f"{holder} holds {label} {hexdigest[:16]} "
@@ -822,52 +855,29 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
                              f"{oca} signed {label} {hexdigest[:16]} without "
                              f"prior {evidence[1]} evidence",
                              sign_index, index)
-                    elif (oca, holder, f"{label}:{hexdigest}") not in sent:
+                    elif (oca, holder, content) not in sent:
                         fail("cert-provenance",
                              f"{oca} never sent {label} {hexdigest[:16]} "
                              f"to {holder}", index)
                     else:
-                        justified["cert-provenance"].append(index)
-            for hexdigest in event.labeled("token"):
+                        cert_ok(index)
+            for content in contents:
+                if not content.startswith("token:"):
+                    continue
+                hexdigest = content[6:]
                 if (verifier, hexdigest) not in signed:
                     fail("token-provenance",
                          f"{holder} holds token {hexdigest[:16]} never "
                          f"signed by {verifier}", index)
-                elif (verifier, holder, f"token:{hexdigest}") not in sent:
+                elif (verifier, holder, content) not in sent:
                     fail("token-provenance",
                          f"{verifier} never sent token {hexdigest[:16]} "
                          f"to {holder}", index)
                 else:
-                    justified["token-provenance"].append(index)
-        elif kind == "sign":
-            if event.tag == "token" and principal != verifier:
-                fail("attest-order",
-                     f"{principal} signed a token; only {verifier} may",
-                     index)
-            elif event.tag == "total-report":
-                prover = base_principal(principal)
-                sessions = event.labeled("session")
-                if any((prover, s) in requested for s in sessions):
-                    justified["attest-order"].append(index)
-                else:
-                    fail("attest-order",
-                         f"{prover} signed evidence for session "
-                         f"{(sessions[0][:16] if sessions else '?')} before "
-                         f"receiving the request", index)
-            if principal in authorities:
-                signed.setdefault((principal, event.digest), index)
-        elif kind == "send" and principal in authorities:
-            peer = base_principal(event.peer)
-            sent.update((principal, peer, c) for c in event.contents)
-        elif kind == "receive" and event.tag == "attest-request" \
-                and event.peer == verifier:
-            prover = base_principal(principal)
-            requested.update((prover, s) for s in event.labeled("session"))
-        if event.ok and principal == oca:
-            vouched.setdefault((kind, event.tag), index)
-    verdicts = {}
-    for name, reason in _PASS_REASONS.items():
-        witness = tuple(justified[name])
-        verdicts[name] = failed.get(name) or TheoremVerdict(
-            name, True, f"{len(witness)} {reason}", witness)
-    return verdicts
+                    token_ok(index)
+        elif event.ok and principal == oca:
+            vouched.setdefault((kind, event.tag), event.index)
+    return {name: failed.get(name) or TheoremVerdict(
+                name, True, f"{len(justified[name])} {reason}",
+                tuple(justified[name]))
+            for name, reason in _PASS_REASONS.items()}

@@ -198,11 +198,27 @@ _REQUIRED_HEADER = ("alg", "ver", "kid", "iat", "exp")
 _REQUIRED_PAYLOAD = ("type", "serial", "report", "platform", "policy")
 
 
+def _claims_well_typed(header: dict, payload: dict) -> bool:
+    """The claims have the types issue_token writes (a bool is no int
+    here), so no check on them can raise and no caller gets another."""
+    platform = payload["platform"]
+    return (type(header["ver"]) is int
+            and type(header["iat"]) is int and type(header["exp"]) is int
+            and type(payload["type"]) is str
+            and type(payload["report"]) is str
+            and type(payload["policy"]) is str
+            and type(platform) is dict
+            and type(platform.get("node")) is str
+            and type(platform.get("tcb")) is int
+            and type(platform.get("pcr_sel")) is list)
+
+
 def validate_token(token: "AttestationToken | str",
                    verifier_pub: bytes | crypto.PublicKey,
                    now: float) -> dict | TokenRejection:
     """The token check a relying party can run with only the verifier's
-    public key: structure, signature, then expiry.
+    public key: structure (the claims present and well typed), signature,
+    then expiry.
 
     Returns the claims on success, or the first applicable rejection.
     The serial and revocation are the issuer's own checks, made by
@@ -219,12 +235,14 @@ def validate_token(token: "AttestationToken | str",
         return TokenRejection.MALFORMED
     if token.header["alg"] != "ES256" or token.header["ver"] != TOKEN_FORMAT_VERSION:
         return TokenRejection.MALFORMED
+    if not _claims_well_typed(token.header, token.payload):
+        return TokenRejection.MALFORMED
     try:
         if not crypto.verify(verifier_pub, token.signing_input(), token.signature):
             return TokenRejection.BAD_SIGNATURE
     except MalformedSignature:
         return TokenRejection.BAD_SIGNATURE
-    if now > float(token.header["exp"]):
+    if now > token.header["exp"]:
         return TokenRejection.EXPIRED
     return {"header": dict(token.header), "payload": dict(token.payload)}
 

@@ -99,6 +99,17 @@ def test_register_tee_rejects_bad_chain():
     assert rig.ca.nodes == {}
 
 
+def test_register_tee_refuses_a_chain_endorsing_another_chip():
+    rig = Rig()
+    other, other_chain = rig.vendor.derive_vcek(crypto.sha256(b"chip-b"), 7)
+    assert rig.chain.verify(rig.vendor.root_pub)
+    assert other_chain.verify(rig.vendor.root_pub)
+    # chip A's valid chain presented for chip B's key
+    with pytest.raises(ChainInvalid):
+        rig.ca.register_tee(other.public_bytes, rig.chain, "node-a")
+    assert rig.ca.nodes == {}
+
+
 def test_reregistration_bumps_serial():
     rig = Rig()
     first = rig.enroll_tee()
@@ -152,6 +163,18 @@ def test_challenge_rejects_unendorsed_ek():
     with pytest.raises(ChainInvalid):
         rig.ca.aik_challenge(rig.aik_blob.public_area(), rogue.public_bytes,
                              rogue_cert, "node-a")
+
+
+def test_challenge_refuses_an_ek_certificate_for_another_tpm():
+    rig = Rig()
+    rig.enroll_tee()
+    other = tpm.tpm_manufacture(crypto.sha256(b"tpm-b"), clock=rig.clock)
+    assert rig.state.ek_cert.verify(tpm.tpm_vendor_root_pub())
+    # TPM A's valid EK certificate presented with TPM B's EK point
+    with pytest.raises(ChainInvalid):
+        rig.ca.aik_challenge(rig.aik_blob.public_area(), other.ek_blob.public,
+                             rig.state.ek_cert, "node-a")
+    assert rig.ca._sessions == {}
 
 
 def test_challenge_session_is_one_shot():
@@ -320,8 +343,7 @@ def test_revocation_list_versioned_and_idempotent():
 def test_revoked_node_gets_no_certificate():
     rig = Rig()
     rig.activate()
-    rig.ca.revoke("node-a", "compromise")
-    # a challenge still opens, but its answer buys no AIK certificate
+    # a challenge opened before the revocation buys no AIK certificate
     challenge = rig.ca.aik_challenge(rig.aik_blob.public_area(),
                                      rig.state.ek_blob.public,
                                      rig.state.ek_cert, "node-a")
@@ -329,6 +351,7 @@ def test_revoked_node_gets_no_certificate():
         challenge, rig.aik_blob.name,
         tpm.loaded_keypair(rig.state, tpm.load_key(rig.state,
                                                    rig.state.ek_blob)))
+    rig.ca.revoke("node-a", "compromise")
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
     bound = rig.report(verifier.registration_report_data(identity.public_bytes))
     before = rig.ca.revocation_list(), rig.ca.snapshot()
@@ -342,6 +365,29 @@ def test_revoked_node_gets_no_certificate():
     # no serial was taken, and the node is neither resurrected nor rebound
     assert (rig.ca.revocation_list(), rig.ca.snapshot()) == before
     assert rig.ca.nodes["node-a"].status is owner_ca.NodeStatus.REVOKED
+
+
+def test_revoked_node_is_refused_before_any_work(monkeypatch):
+    rig = Rig()
+    rig.activate()
+    rig.ca.revoke("node-a", "compromise")
+    calls = []
+    for module, name in ((crypto, "verify"), (tpm, "make_credential")):
+        def counting(*args, _original=getattr(module, name), _name=name,
+                     **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    records, sessions = len(rig.ca.record_log), dict(rig.ca._sessions)
+    with pytest.raises(NodeRevoked):
+        rig.enroll_tee()
+    with pytest.raises(NodeRevoked):
+        rig.ca.aik_challenge(rig.aik_blob.public_area(),
+                             rig.state.ek_blob.public,
+                             rig.state.ek_cert, "node-a")
+    assert calls == []
+    assert len(rig.ca.record_log) == records
+    assert rig.ca._sessions == sessions
 
 
 def test_record_log_mentions_lifecycle():

@@ -564,6 +564,18 @@ def _mutate(events, rng, pool):
     return events
 
 
+def test_trace_event_is_slotted_and_frozen():
+    event = protocol.TraceEvent(0, "verifier", "new")
+    assert "__slots__" in vars(protocol.TraceEvent)
+    assert not hasattr(event, "__dict__")
+    moved = dataclasses.replace(event, index=3, contents=("session:ab",))
+    assert moved.line() == "3 verifier new - - - - session:ab"
+    assert moved == protocol.TraceEvent.from_line(moved.line())
+    assert event.index == 0 and event != moved
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.index = 1
+
+
 def test_single_pass_checker_matches_quadratic_oracle(cluster2):
     honest = protocol.ProtocolTrace()
     honest.extend_reindexed(cluster2.trace.events)

@@ -235,6 +235,22 @@ def test_single_legs_verify_and_replay_protect(cluster):
     assert verified.token_type == "tpm"
 
 
+def test_tpm_quote_for_an_earlier_session_is_nonce_mismatch(cluster):
+    actor = cluster.actor(0)
+    svc = cluster.verifier_svc
+    first = svc.new_request(cluster.policy_id, actor.node_id)
+    second = svc.new_request(cluster.policy_id, actor.node_id)
+    quote_bytes = tpm.quote(actor.state, actor.pcr_selection, first.nonce,
+                            actor.aik_handle).to_bytes()
+    moved = protocol.CompositeReportEnvelope(
+        "tpm", actor.node_id, second.session_id, quote_bytes)
+    assert submit(cluster, second, moved)[0] is \
+        verifier.CompositeOutcome.NONCE_MISMATCH
+    # the same quote under the session it was bound to is accepted
+    own = dataclasses.replace(moved, session_id=first.session_id)
+    assert submit(cluster, first, own)[0] is verifier.CompositeOutcome.OK
+
+
 def test_tpm_only_quote_from_foreign_aik_is_outer_signature_invalid(cluster):
     # a plain quote carries no chip id, so a foreign AIK cannot be named
     victim, imposter = cluster.actor(0), cluster.actor(1)
@@ -538,6 +554,29 @@ def test_forged_serial_never_issued_is_rejected(cluster):
             verifier.TokenRejection.BAD_SIGNATURE, serial
     assert isinstance(cluster.verifier_svc.validate_token(token.compact()),
                       dict)
+
+
+def test_ill_typed_claims_signed_by_the_verifier_are_malformed(cluster):
+    token = issue_one(cluster)
+    svc = cluster.verifier_svc
+    cases = [("header", "exp", "x"), ("payload", "platform", {}),
+             ("payload", "platform", []), ("header", "iat", True),
+             ("header", "ver", True), ("payload", "type", ["tpm-tee"]),
+             ("payload", "policy", 5), ("payload", "report", None),
+             ("payload", "platform", {"node": 1, "tcb": 7, "pcr_sel": []}),
+             ("payload", "platform", {"node": "n", "tcb": "7", "pcr_sel": []}),
+             ("payload", "platform", {"node": "n", "tcb": 7, "pcr_sel": {}})]
+    for part, claim, value in cases:
+        claims = {"header": dict(token.header), "payload": dict(token.payload)}
+        claims[part][claim] = value
+        signed = verifier.AttestationToken.signed(
+            claims["header"], claims["payload"], svc.key).compact()
+        assert verifier.validate_token(signed, svc.public_bytes,
+                                       cluster.clock.now()) is \
+            verifier.TokenRejection.MALFORMED, (claim, value)
+        assert svc.validate_token(signed) is \
+            verifier.TokenRejection.MALFORMED, (claim, value)
+    assert isinstance(svc.validate_token(token.compact()), dict)
 
 
 def test_module_level_validate_without_issuance_log(cluster):
