@@ -25,7 +25,7 @@ import hmac
 import os
 import struct
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -48,6 +48,9 @@ from .errors import (
 )
 
 _CURVE = ec.SECP256R1()
+# one algorithm object each for every signature made and every one checked
+_SIGN_ALG = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
+_VERIFY_ALG = ec.ECDSA(hashes.SHA256())
 _CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 DIGEST_LEN = 32
@@ -279,7 +282,7 @@ class SigningKeyPair:
         if self.scalar is None:
             raise InvalidSeed("public-only key cannot sign")
         key = ec.derive_private_key(self.scalar, _CURVE)
-        return key.sign(message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
+        return key.sign(message, _SIGN_ALG)
 
 
 def verify(public: bytes | PublicKey, message: bytes, signature: bytes) -> bool:
@@ -291,7 +294,7 @@ def verify(public: bytes | PublicKey, message: bytes, signature: bytes) -> bool:
     except ValueError as exc:
         raise MalformedSignature("signature is not valid DER") from exc
     try:
-        key.verify(signature, message, ec.ECDSA(hashes.SHA256()))
+        key.verify(signature, message, _VERIFY_ALG)
         return True
     except InvalidSignature:
         return False
@@ -437,6 +440,6 @@ def issue_certificate(issuer: SigningKeyPair, role: str, serial: int,
         raise DecodeError(f"unknown certificate role {role!r}")
     if len(subject_pub) != POINT_LEN:
         raise InvalidPoint("subject must be a 33-byte compressed point")
-    unsigned = Certificate(role, serial, subject_pub,
-                           sha256(issuer.public_bytes), b"")
-    return replace(unsigned, signature=issuer.sign(unsigned.body_bytes()))
+    return Certificate.signed(issuer, role=role, serial=serial,
+                              subject=subject_pub,
+                              issuer_name=sha256(issuer.public_bytes))

@@ -339,7 +339,7 @@ class Record:
 
 
 class Signed(Record):
-    """A Record whose last field is a signature over all the others."""
+    """A Record whose last field, signature, signs all the others."""
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -348,6 +348,12 @@ class Signed(Record):
 
     def body_bytes(self) -> bytes:
         return self.BODY.encode(vars(self))
+
+    @classmethod
+    def signed(cls, key, **values):
+        """The record of values, with key.sign over their BODY encoding as
+        its signature: the body is encoded once, the record built once."""
+        return cls(**values, signature=key.sign(cls.BODY.encode(values)))
 
 
 def b64url_encode(data: bytes) -> str:

@@ -12,7 +12,7 @@ against a PCR bank to detect tampering or truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import crypto, tee, tpm
@@ -94,8 +94,8 @@ class ImageManifest(Signed):
 
 def sign_manifest(publisher: crypto.SigningKeyPair, image_id: str,
                   content: bytes) -> ImageManifest:
-    unsigned = ImageManifest(image_id, crypto.sha256(content), b"")
-    return replace(unsigned, signature=publisher.sign(unsigned.body_bytes()))
+    return ImageManifest.signed(publisher, image_id=image_id,
+                                content_digest=crypto.sha256(content))
 
 
 class RuntimeOutcome(Enum):

@@ -305,15 +305,13 @@ class ChannelTable:
                               "sealed": sealed})
 
     def open(self, frame: bytes, expected_receiver: str) -> WireMessage:
-        fields = _FRAME.decode(frame)
-        if fields["receiver"] != expected_receiver:
-            raise AuthFailure(f"frame addressed to {fields['receiver']!r}, "
+        mtype, sender, receiver, session_id, sealed = _FRAME.unpack(frame)
+        if receiver != expected_receiver:
+            raise AuthFailure(f"frame addressed to {receiver!r}, "
                               f"not {expected_receiver!r}")
-        cipher = self._cipher(fields["sender"], fields["receiver"])
-        aad = _wire_aad(fields["mtype"], fields["sender"], fields["receiver"],
-                        fields["session_id"])
-        body = crypto.channel_open(cipher, fields.pop("sealed"), aad)
-        return WireMessage(**fields, body=body)
+        aad = _wire_aad(mtype, sender, receiver, session_id)
+        body = crypto.channel_open(self._cipher(sender, receiver), sealed, aad)
+        return WireMessage(mtype, sender, receiver, session_id, body)
 
 
 def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
@@ -321,18 +319,18 @@ def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
               session_id: bytes = b"",
               contents: tuple[str, ...] = ()) -> dict:
     """Encode, seal, 'transmit', open and decode one message body under
-    its type's spec, tracing both endpoints; returns the decoded fields."""
+    its type's spec; both endpoints trace one digest, as open authenticates
+    the received body as the body sent. Returns the decoded fields."""
     spec = _MESSAGE_BODIES[mtype_name]
     body = spec.encode(fields)
     frame = channels.seal(MESSAGE_TYPES[mtype_name], sender, receiver,
                           session_id, body)
-    digest = crypto.sha256(body)
+    digest = crypto.sha256(body).hex()
     trace.emit(sender, "send", peer=receiver, digest=digest,
                tag=mtype_name, contents=contents)
     message = channels.open(frame, receiver)
-    trace.emit(receiver, "receive", peer=sender,
-               digest=crypto.sha256(message.body), tag=mtype_name,
-               contents=contents)
+    trace.emit(receiver, "receive", peer=sender, digest=digest,
+               tag=mtype_name, contents=contents)
     return spec.decode(message.body)
 
 
@@ -695,10 +693,12 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
         envelope = evidence_mutator(envelope)
     single = len(LAYOUTS[direction]) == 1
     wire = envelope.evidence if single else envelope.to_bytes()
+    # one digest each for wire and the token text, sent and then received
+    wire_hex = crypto.sha256(wire).hex()
     received = _transfer(trace, channels, C, V, "total-report",
                          {"report": wire}, session_id=session_id,
                          contents=(f"session:{session_hex}",
-                                   _content("envelope", wire)))["report"]
+                                   f"envelope:{wire_hex}"))["report"]
     if single:
         envelope = replace(envelope, evidence=received)
         tag, contents = f"{direction}-evidence", ()
@@ -707,24 +707,21 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
         tag, contents = "composite-evidence", (f"session:{session_hex}",)
     outcome, verified = verifier_svc.verify_composite(envelope, request,
                                                       policy)
-    # canonical encoding: the received bytes are what was appraised
-    trace.emit(V, "verify", digest=crypto.sha256(received), tag=tag,
+    trace.emit(V, "verify", digest=wire_hex, tag=tag,
                ok=outcome is CompositeOutcome.OK,
                contents=contents + (f"outcome:{outcome.value}",))
     if outcome is not CompositeOutcome.OK:
         raise AttestationRejected(outcome, f"evidence rejected: {outcome.value}")
 
     token = verifier_svc.issue_token(verified)
-    token_digest = crypto.sha256(token.compact().encode())
-    trace.emit(V, "sign", digest=token_digest, tag="token",
-               contents=(f"token:{token_digest.hex()}",
-                         f"session:{session_hex}"))
-    token_text = _transfer(trace, channels, V, C, "token-info",
-                           {"token": token.compact()}, session_id=session_id,
-                           contents=(f"token:{token_digest.hex()}",))["token"]
-    received_digest = crypto.sha256(token_text.encode())
-    trace.emit(C, "decrypt", digest=received_digest, tag="token-info",
-               contents=(f"token:{received_digest.hex()}",))
+    token_hex = crypto.sha256(token.compact().encode()).hex()
+    token_content = (f"token:{token_hex}",)
+    trace.emit(V, "sign", digest=token_hex, tag="token",
+               contents=token_content + (f"session:{session_hex}",))
+    _transfer(trace, channels, V, C, "token-info", {"token": token.compact()},
+              session_id=session_id, contents=token_content)
+    trace.emit(C, "decrypt", digest=token_hex, tag="token-info",
+               contents=token_content)
     return token
 
 

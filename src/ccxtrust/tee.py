@@ -13,7 +13,7 @@ verification rules.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from . import crypto
@@ -167,9 +167,10 @@ def guest_report(vcek: crypto.SigningKeyPair, chip_id: bytes, tcb: TeeTcb,
             f"evidence is {len(embedded_evidence)} bytes, limit {MAX_EVIDENCE_SIZE}")
     if len(chip_id) != CHIP_ID_LEN:
         raise InvalidLength("chip id must be 32 bytes")
-    unsigned = TeeReport(REPORT_VERSION, chip_id, tcb_version, launch_measure(tcb),
-                         report_data, embedded_evidence, b"")
-    return replace(unsigned, signature=vcek.sign(unsigned.body_bytes()))
+    return TeeReport.signed(
+        vcek, version=REPORT_VERSION, chip_id=chip_id, tcb_version=tcb_version,
+        launch_measurement=launch_measure(tcb), report_data=report_data,
+        embedded_evidence=embedded_evidence)
 
 
 class ReportCheck(Enum):

@@ -16,7 +16,7 @@ public artifacts byte for byte.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import crypto
 from .clock import SystemClock
@@ -525,9 +525,10 @@ def cc_quote(state: TpmState, selection, qualifying_data: bytes,
     if aik.blob.role not in ("AIK", "signing"):
         raise HierarchyMismatch(f"{aik.blob.role} key cannot quote")
     clock_info = state.tick()
-    unsigned = CompositeQuote(sel, state.pcr.composite(sel), qualifying_data,
-                              tee_report, state.firmware_version, clock_info, b"")
-    return replace(unsigned, signature=aik.keypair().sign(unsigned.body_bytes()))
+    return CompositeQuote.signed(
+        aik.keypair(), pcr_selection=sel, pcr_digest=state.pcr.composite(sel),
+        qualifying_data=qualifying_data, tee_report=tee_report,
+        firmware_version=state.firmware_version, clock_info=clock_info)
 
 
 # ---------------------------------------------------------------------------

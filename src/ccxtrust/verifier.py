@@ -181,6 +181,8 @@ class AttestationToken:
 
     @classmethod
     def parse(cls, text: str) -> "AttestationToken":
+        """The token whose compact form is text; any other text, such as
+        re-spaced JSON or padded base64url, raises DecodeError."""
         parts = text.split(".")
         if len(parts) != 3:
             raise DecodeError("token must have three segments")
@@ -191,7 +193,10 @@ class AttestationToken:
             raise DecodeError("token segments are not valid json") from exc
         if not isinstance(header, dict) or not isinstance(payload, dict):
             raise DecodeError("token segments must be objects")
-        return cls(header, payload, b64url_decode(parts[2]))
+        token = cls(header, payload, b64url_decode(parts[2]))
+        if token.compact() != text:
+            raise DecodeError("token text is not canonical")
+        return token
 
 
 _REQUIRED_HEADER = ("alg", "ver", "kid", "iat", "exp")

@@ -1,5 +1,6 @@
 """Wire field encoding round-trips and malformed-input rejection."""
 
+import dataclasses
 import random
 import traceback
 from collections import Counter
@@ -397,6 +398,30 @@ def test_record_fields_must_follow_the_spec_order():
             first: bytes
 
             SPEC = Spec((1, "first", RAW), (2, "second", RAW))
+
+
+def test_signed_records_match_the_unsigned_copy_signed_after():
+    # Signed.signed encodes the body once; the record is the one that an
+    # unsigned copy signed over its body_bytes gives
+    c = harness.build_cluster(5, nodes=1)
+    actor = c.actor(0)
+    key = crypto.SigningKeyPair.from_seed("OCA", b"\x05" * 32)
+    aik = tpm.loaded_keypair(actor.state, actor.aik_handle)
+    made = [
+        (crypto.issue_certificate(key, "AIK", 9, aik.public_bytes), key),
+        (measurement.sign_manifest(key, "kernel", b"image bytes"), key),
+        (tee.guest_report(actor.vcek, actor.chip_id, actor.tcb,
+                          actor.tcb_version, bytes(64), b"inner"),
+         actor.vcek),
+        (tpm.cc_quote(actor.state, actor.pcr_selection, bytes(32),
+                      actor.aik_handle, b"inner"), aik),
+    ]
+    for record, signer in made:
+        unsigned = dataclasses.replace(record, signature=b"")
+        old_way = dataclasses.replace(
+            unsigned, signature=signer.sign(unsigned.body_bytes()))
+        assert old_way == record
+        assert old_way.to_bytes() == record.to_bytes()
 
 
 def test_generated_code_is_named_after_its_structure():

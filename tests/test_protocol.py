@@ -252,6 +252,38 @@ def test_attest_composite_builds_every_layout(cluster, direction):
         == expected
 
 
+@pytest.mark.parametrize("direction", ["tpm-tee", "tee-tpm"])
+def test_attest_hashes_each_message_once(monkeypatch, cluster, direction):
+    # one digest per transfer, per wire envelope and per token text
+    calls = []
+    real_sha256 = crypto.sha256
+
+    def counting(data):
+        calls.append(data)
+        return real_sha256(data)
+
+    monkeypatch.setattr(crypto, "sha256", counting)
+    token = protocol.run_attest_composite(
+        cluster.actor(0), cluster.verifier_svc, cluster.channels,
+        protocol.ProtocolTrace(), policy_id=cluster.policy_id,
+        direction=direction)
+    assert isinstance(cluster.verifier_svc.validate_token(token), dict)
+    assert len(calls) == 26
+
+
+def test_receive_event_shares_the_send_events_digest(cluster):
+    trace = protocol.ProtocolTrace()
+    protocol.run_attest_composite(
+        cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
+        policy_id=cluster.policy_id)
+    pairs = [(sent, received) for sent, received
+             in zip(trace.events, trace.events[1:]) if sent.kind == "send"]
+    assert len(pairs) == 7
+    for sent, received in pairs:
+        assert received.kind == "receive"
+        assert received.digest is sent.digest
+
+
 def test_attest_composite_unknown_direction_opens_no_session(cluster):
     before = cluster.verifier_svc.nonces_issued
     trace = protocol.ProtocolTrace()

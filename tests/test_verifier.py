@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from ccxtrust import crypto, harness, protocol, tee, tpm, verifier
-from ccxtrust.errors import CcxError, ChainInvalid, NodeRevoked
+from ccxtrust.errors import CcxError, ChainInvalid, DecodeError, NodeRevoked
 
 
 @pytest.fixture()
@@ -264,6 +264,38 @@ def test_tpm_only_quote_from_foreign_aik_is_outer_signature_invalid(cluster):
         verifier.CompositeOutcome.OUTER_SIGNATURE_INVALID
 
 
+def test_report_naming_another_chip_is_identity_mismatch(cluster):
+    # signed by the claimed node's own VCEK, so the signer check passes;
+    # only the chip-id join catches the chip named in the report
+    node_a, node_b = cluster.actor(0), cluster.actor(1)
+    request = cluster.verifier_svc.new_request(cluster.policy_id,
+                                               node_a.node_id)
+    report = tee.guest_report(
+        node_a.vcek, node_b.chip_id, node_a.tcb, node_a.tcb_version,
+        verifier.report_data_for("tee", request.nonce, b""))
+    envelope = protocol.CompositeReportEnvelope(
+        "tee", node_a.node_id, request.session_id, report.to_bytes())
+    assert submit(cluster, request, envelope)[0] is \
+        verifier.CompositeOutcome.IDENTITY_MISMATCH
+
+
+class _StuckRng:
+    def random_bytes(self, n: int) -> bytes:
+        return bytes(n)
+
+
+def test_a_repeated_nonce_opens_no_session(cluster):
+    svc = verifier.VerifierService(owner_ca=cluster.oca, clock=cluster.clock,
+                                   rng=_StuckRng())
+    svc.add_policy(cluster.policy)
+    node_id = cluster.actor(0).node_id
+    first = svc.new_request(cluster.policy_id, node_id)
+    with pytest.raises(CcxError, match="nonce collision"):
+        svc.new_request(cluster.policy_id, node_id)
+    assert svc.session(first.session_id) is first
+    assert svc.nonces_issued == 1
+
+
 # ---------------------------------------------------------------------------
 # appraisal cost and session claim
 # ---------------------------------------------------------------------------
@@ -483,17 +515,17 @@ def test_token_signing_input_is_canonical_json_in_base64url(cluster):
     assert token.compact() == \
         f"{expected.decode()}.{_b64url(token.signature).decode()}"
     assert verifier.AttestationToken.parse(token.compact()) == token
-    # a token whose segments were re-spaced and re-ordered in transit
-    # still signs over the canonical encoding, so it still validates
-    respaced = ".".join(_b64url(part).decode() for part in (
-        json.dumps(token.header, indent=2).encode(),
-        json.dumps(dict(reversed(token.payload.items())), indent=1).encode(),
-        token.signature))
-    parsed = verifier.AttestationToken.parse(respaced)
-    assert parsed == token
-    assert parsed.signing_input() == expected
-    assert parsed.compact() == token.compact()
-    assert isinstance(cluster.verifier_svc.validate_token(respaced), dict)
+    # a header re-spaced and re-ordered in transit, or padded base64url,
+    # decodes to the same claims, but is not a text the verifier wrote
+    _, payload, signature = token.compact().split(".")
+    header = _b64url(json.dumps(dict(reversed(token.header.items())),
+                                indent=1).encode()).decode()
+    respaced = f"{header}.{payload}.{signature}"
+    for text in (respaced, token.compact() + "=="):
+        with pytest.raises(DecodeError):
+            verifier.AttestationToken.parse(text)
+        assert cluster.verifier_svc.validate_token(text) is \
+            verifier.TokenRejection.MALFORMED
 
 
 def test_token_expiry(cluster):
@@ -556,10 +588,17 @@ def test_forged_serial_never_issued_is_rejected(cluster):
                       dict)
 
 
+_MISSING = object()
+
+
 def test_ill_typed_claims_signed_by_the_verifier_are_malformed(cluster):
+    # also a wrong alg or ver, and a required claim left out
     token = issue_one(cluster)
     svc = cluster.verifier_svc
-    cases = [("header", "exp", "x"), ("payload", "platform", {}),
+    cases = [("header", "alg", "ES384"),
+             ("header", "ver", verifier.TOKEN_FORMAT_VERSION + 1),
+             ("header", "kid", _MISSING), ("payload", "policy", _MISSING),
+             ("header", "exp", "x"), ("payload", "platform", {}),
              ("payload", "platform", []), ("header", "iat", True),
              ("header", "ver", True), ("payload", "type", ["tpm-tee"]),
              ("payload", "policy", 5), ("payload", "report", None),
@@ -568,7 +607,10 @@ def test_ill_typed_claims_signed_by_the_verifier_are_malformed(cluster):
              ("payload", "platform", {"node": "n", "tcb": 7, "pcr_sel": {}})]
     for part, claim, value in cases:
         claims = {"header": dict(token.header), "payload": dict(token.payload)}
-        claims[part][claim] = value
+        if value is _MISSING:
+            del claims[part][claim]
+        else:
+            claims[part][claim] = value
         signed = verifier.AttestationToken.signed(
             claims["header"], claims["payload"], svc.key).compact()
         assert verifier.validate_token(signed, svc.public_bytes,
