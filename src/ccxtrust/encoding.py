@@ -6,12 +6,11 @@ length, then the payload. Integers inside payloads are little-endian too.
 
 Each structure declares its layout once, as a Spec: ordered (tag,
 attribute, kind) entries. A kind is RAW bytes (raw() adds a fixed width
-or a maximum length), U16, U64, F64, STR (utf-8), FLAG (one byte, 0 or
-1), a Kind made from an encode/decode pair (such as the PCR bitmap),
-nested() for a structure inside a field, a Spec for a nested record, or
-Many for a record repeated under one tag. A Signed structure's last entry
-is its signature, and its signed body is the encoding of every entry
-before it.
+or a maximum length), U16, U64, STR (utf-8), a Kind made from an
+encode/decode pair (such as the PCR bitmap), nested() for a structure
+inside a field, a Spec for a nested record, or Many for a record
+repeated under one tag. A Signed structure's last entry is its
+signature, and its signed body is the encoding of every entry before it.
 
 When a Spec is built it generates, with exec, one straight-line encode
 and one decode function for its fields, as dataclasses and namedtuple do
@@ -21,10 +20,10 @@ name it `<Spec ClassName>`. FieldWriter and FieldReader are the
 one-field-at-a-time form of the same rules.
 
 Canonical-encoding rule: decode rejects a missing, reordered or extra
-field, trailing bytes, a payload of the wrong width or over its limit, a
-flag other than 0 or 1, and invalid utf-8. So any bytes that decode are
-exactly the encoding of the value they decode to: each structure has one
-byte representation, and a signature over it commits to one value.
+field, trailing bytes, a payload of the wrong width or over its limit,
+and invalid utf-8. So any bytes that decode are exactly the encoding of
+the value they decode to: each structure has one byte representation,
+and a signature over it commits to one value.
 """
 
 from __future__ import annotations
@@ -151,22 +150,10 @@ def _decode_str(payload: bytes) -> str:
         raise DecodeError("field is not valid utf-8") from exc
 
 
-_FLAG_VALUES = {b"\x00": False, b"\x01": True}
-
-
-def _decode_flag(payload: bytes) -> bool:
-    try:
-        return _FLAG_VALUES[payload]
-    except KeyError:
-        raise DecodeError("flag field must be one byte, 0 or 1") from None
-
-
 RAW = Raw()
 U16 = Packed("<H")
 U64 = Packed("<Q")
-F64 = Packed("<d")
 STR = Kind(str.encode, _decode_str)
-FLAG = Kind(lambda value: b"\x01" if value else b"\x00", _decode_flag)
 
 
 def nested(cls) -> Kind:

@@ -40,10 +40,6 @@ class HierarchyMismatch(CcxError):
     """A key was presented under the wrong hierarchy or parent."""
 
 
-class HierarchyDisabled(CcxError):
-    """The requested hierarchy is not enabled on this TPM."""
-
-
 class InvalidPcrIndex(CcxError):
     """PCR index outside the bank."""
 

@@ -59,11 +59,8 @@ class NodeRecord:
     node_id: str
     vcek_pub: bytes = b""
     vcek_cert: crypto.Certificate | None = None
-    chip_id: bytes = b""
-    aik_pub: bytes = b""
     aik_cert: crypto.Certificate | None = None
     identity_cert: crypto.Certificate | None = None
-    master_secret_provisioned: bool = False
     baseline: TrustBaseline | None = None
     status: NodeStatus = NodeStatus.TEE_REGISTERED
     serials: list[int] = field(default_factory=list)
@@ -203,7 +200,6 @@ class OwnerCa:
                 raise ChallengeFailed("activation answer does not match")
             record = self.nodes[session.node_id]
             cert = self._issue(record, "AIK", session.aik_pub)
-            record.aik_pub = session.aik_pub
             record.aik_cert = cert
             if record.status == NodeStatus.TEE_REGISTERED:
                 record.status = NodeStatus.AIK_CERTIFIED
@@ -237,10 +233,8 @@ class OwnerCa:
             if vendor_chain.vcek.subject != record.vcek_pub:
                 raise BaselineRejected("evidence signed by an unregistered chip key")
             identity_cert = self._issue(record, "IDENTITY", identity_pub)
-            record.chip_id = tee_report.chip_id
             master_secret = crypto.Secret(self.rng.random_bytes(32))
             record.identity_cert = identity_cert
-            record.master_secret_provisioned = True
             record.status = NodeStatus.ACTIVE
             self._record(f"register-node {node_id} serial={identity_cert.serial}")
         return identity_cert, master_secret
@@ -334,7 +328,7 @@ class OwnerCa:
                     f"vcek={r.vcek_cert.serial if r.vcek_cert else '-'} "
                     f"aik={r.aik_cert.serial if r.aik_cert else '-'} "
                     f"identity={r.identity_cert.serial if r.identity_cert else '-'} "
-                    f"provisioned={int(r.master_secret_provisioned)}")
+                    f"provisioned={int(r.identity_cert is not None)}")
             lines.append("revoked-serials " +
                          (",".join(str(s) for s in sorted(self._revoked_serials)) or "-"))
             return "\n".join(lines) + "\n"

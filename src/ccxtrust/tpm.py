@@ -7,10 +7,16 @@ with version-stamped envelopes, quotes that can embed foreign TEE evidence,
 credential activation, a two-phase ECDH command pair with a counter table,
 PCR-policy sealing, seed rotation, and authenticated NV persistence.
 
+A confidential VM's key tree hangs off the storage or the CC primary, and
+the parent sets the scheme. Teardown deletes the CVM's CC master secret, so
+its CC tree no longer loads; a storage tree loads while the storage
+primary lives.
+
 Everything a TPM would derive internally is a deterministic function of the
 endorsement primary seed and the command sequence, so a device manufactured
 from the same seed and driven through the same commands reproduces the same
-public artifacts byte for byte.
+public artifacts and NV plaintext byte for byte: the device keeps no
+wall-clock time, and every field it keeps is one that a command reads.
 """
 
 from __future__ import annotations
@@ -19,10 +25,7 @@ import struct
 from dataclasses import dataclass, field
 
 from . import crypto
-from .clock import SystemClock
 from .encoding import (
-    F64,
-    FLAG,
     RAW,
     STR,
     U64,
@@ -40,7 +43,6 @@ from .errors import (
     CounterInvalid,
     DecodeError,
     EmptySelection,
-    HierarchyDisabled,
     HierarchyMismatch,
     InvalidLength,
     InvalidPcrIndex,
@@ -60,9 +62,8 @@ PCR_SELECT_BYTES = 3
 MAX_TEE_REPORT_SIZE = 4096
 EPHEMERAL_TABLE_CAPACITY = 256
 NV_MAGIC = b"CTPMNV01"
-NV_FORMAT_VERSION = 1
-
-KEY_TREE_MODES = ("storage", "cc")   # existing-storage scheme vs CC-hierarchy scheme
+NV_FORMAT_VERSION = 2
+FIRMWARE_VERSION = 1
 
 _PRIMARY_ROLES = {"endorsement": "EK", "storage": "SRK", "platform": "PPK", "cc": "CC-SRK"}
 
@@ -84,15 +85,13 @@ def tpm_vendor_root_pub() -> crypto.PublicKey:
 class SeedRecord:
     seed: bytes
     version: int
-    created_at: float
 
 
 class PcrBank:
-    """24 SHA-256 registers plus per-register extend counts."""
+    """24 SHA-256 registers."""
 
     def __init__(self) -> None:
         self.registers = [b"\x00" * crypto.DIGEST_LEN for _ in range(PCR_COUNT)]
-        self.extend_counts = [0] * PCR_COUNT
 
     def extend(self, index: int, digest: bytes) -> bytes:
         if not 0 <= index < PCR_COUNT:
@@ -100,7 +99,6 @@ class PcrBank:
         if len(digest) != crypto.DIGEST_LEN:
             raise InvalidLength("extend digest must be 32 bytes")
         self.registers[index] = crypto.sha256(self.registers[index] + digest)
-        self.extend_counts[index] += 1
         return self.registers[index]
 
     def composite(self, selection: tuple[int, ...]) -> bytes:
@@ -156,13 +154,12 @@ class KeyBlob(Record):
     public: bytes
     parent_name: bytes
     cvm_id: bytes = b""
-    deactivated: bool = False
     envelope: bytes = b""
 
     PUBLIC = Spec((1, "role", STR), (2, "hierarchy", STR),
                   (3, "seed_version", U64), (4, "public", RAW),
                   (5, "parent_name", RAW), (6, "cvm_id", RAW))
-    SPEC = Spec(*PUBLIC.fields, (7, "deactivated", FLAG), (8, "envelope", RAW))
+    SPEC = Spec(*PUBLIC.fields, (7, "envelope", RAW))
 
     def public_area(self) -> bytes:
         return self.PUBLIC.encode(vars(self))
@@ -194,17 +191,13 @@ class LoadedKey:
 class TpmState:
     """Mutable device state. Construct via tpm_manufacture()."""
 
-    def __init__(self, clock=None) -> None:
-        self.clock = clock if clock is not None else SystemClock()
+    def __init__(self) -> None:
         self.seeds: dict[str, SeedRecord] = {}
-        self.hierarchy_enabled: dict[str, bool] = {h: True for h in HIERARCHIES}
         self.pcr = PcrBank()
         self.nv: dict[str, bytes] = {}
         self.loaded: dict[int, LoadedKey] = {}
         self.next_handle = 0x80000000
         self.command_counter = 0
-        self.firmware_version = 1
-        self.key_tree_mode = "storage"
         self.eph_seed = b""
         self.eph_table: list[int] = []
         self.eph_next = 0
@@ -220,8 +213,7 @@ class TpmState:
 # manufacture and seed management
 # ---------------------------------------------------------------------------
 
-def tpm_manufacture(ep_seed: bytes, *, clock=None,
-                    key_tree_mode: str = "storage") -> TpmState:
+def tpm_manufacture(ep_seed: bytes) -> TpmState:
     """Build a device from its endorsement primary seed.
 
     Hierarchy seeds, the ephemeral-key seed, and the EK all derive from
@@ -230,14 +222,10 @@ def tpm_manufacture(ep_seed: bytes, *, clock=None,
     """
     if not crypto.SECRET_MIN <= len(ep_seed) <= crypto.SECRET_MAX:
         raise InvalidSeed("ep_seed must be 16-64 bytes")
-    if key_tree_mode not in KEY_TREE_MODES:
-        raise HierarchyMismatch(f"unknown key tree mode {key_tree_mode!r}")
-    state = TpmState(clock=clock)
-    state.key_tree_mode = key_tree_mode
-    now = state.clock.now()
+    state = TpmState()
     for h in HIERARCHIES:
         seed = crypto.kdf_counter(ep_seed, f"SEED/{h.upper()}")
-        state.seeds[h] = SeedRecord(seed, 1, now)
+        state.seeds[h] = SeedRecord(seed, 1)
     state.eph_seed = crypto.kdf_counter(ep_seed, "SEED/EPHEMERAL")
     state.ek_blob = create_primary(state, "endorsement")
     serial = struct.unpack("<Q", crypto.sha256(b"ek-serial:" + state.ek_blob.public)[:8])[0]
@@ -258,15 +246,12 @@ def rotate_seed(state: TpmState, hierarchy: str) -> int:
     record.seed = crypto.kdf_counter(record.seed, "SEED-ROTATE",
                                      struct.pack("<Q", new_version))
     record.version = new_version
-    record.created_at = state.clock.now()
     return new_version
 
 
 def _hierarchy(state: TpmState, hierarchy: str) -> SeedRecord:
     if hierarchy not in HIERARCHIES:
         raise HierarchyMismatch(f"unknown hierarchy {hierarchy!r}")
-    if not state.hierarchy_enabled[hierarchy]:
-        raise HierarchyDisabled(f"{hierarchy} hierarchy is disabled")
     return state.seeds[hierarchy]
 
 
@@ -333,25 +318,26 @@ def create_signing_key(state: TpmState, parent_handle: int, role: str = "AIK") -
 def create_cvm_root_key(state: TpmState, master_secret: crypto.Secret | bytes,
                         owner_srk_handle: int, cvm_id: bytes = b"") -> KeyBlob:
     """Storage root key for one confidential VM, derived from its
-    MasterSecret and wrapped under the owner storage root.
+    MasterSecret and wrapped under the parent primary.
 
-    The parent must be the primary of the scheme's hierarchy: the storage
-    primary in the existing-storage mode, the CC primary in CC mode.
+    The parent must be the storage primary or the CC primary, and its
+    hierarchy is the tree's scheme.
     """
     parent = _loaded(state, owner_srk_handle)
-    want = "storage" if state.key_tree_mode == "storage" else "cc"
-    if parent.blob.hierarchy != want or parent.blob.parent_name != _seed_parent_name(want):
+    hierarchy = parent.blob.hierarchy
+    if hierarchy not in ("storage", "cc") \
+            or parent.blob.parent_name != _seed_parent_name(hierarchy):
         raise HierarchyMismatch(
-            f"CVM root must hang off the {want} primary, got a "
-            f"{parent.blob.role} under {parent.blob.hierarchy}")
-    record = _hierarchy(state, want)
+            f"CVM root must hang off the storage or CC primary, got a "
+            f"{parent.blob.role} under {hierarchy}")
+    record = _hierarchy(state, hierarchy)
     state.tick()
     ms = master_secret.data if isinstance(master_secret, crypto.Secret) else master_secret
     scalar = crypto.scalar_from_material(
         crypto.kdf_counter(ms, "CVM-SRK", parent.blob.name))
     blob = KeyBlob(
         role="CVM-SRK",
-        hierarchy=want,
+        hierarchy=hierarchy,
         seed_version=record.version,
         public=crypto.public_from_scalar(scalar).point,
         parent_name=parent.blob.name,
@@ -362,11 +348,9 @@ def create_cvm_root_key(state: TpmState, master_secret: crypto.Secret | bytes,
 
 
 def create_cvm_key(state: TpmState, cvm_id: bytes) -> crypto.Secret:
-    """CC-hierarchy MasterSecret for one CVM, recorded in NV.
-
-    Derived from the CC hierarchy's primary master secret, so it never
-    leaves the device in this mode.
-    """
+    """CC-hierarchy MasterSecret for one CVM, derived from the CC seed,
+    recorded in NV and returned. The CVM's CC-tree blobs load only while
+    NV holds it."""
     if not cvm_id:
         raise InvalidLength("cvm id must be non-empty")
     record = _hierarchy(state, "cc")
@@ -380,39 +364,28 @@ def _cvm_nv_key(cvm_id: bytes) -> str:
     return f"cc/cvm/{cvm_id.hex()}"
 
 
-def deactivate_cvm(state: TpmState, cvm_id: bytes = b"",
-                   srk_handle: int | None = None) -> None:
-    """Tear down a CVM's key subtree, per the active key-tree mode.
-
-    CC mode deletes the MasterSecret NV entry, which kills every blob in
-    the subtree at load time. Existing-storage mode can only evict the
-    CVM root handle and flag its blob; children already wrapped under it
-    stay loadable, which is exactly the residual-dependency weakness the
-    CC hierarchy exists to fix.
-    """
+def deactivate_cvm(state: TpmState, cvm_id: bytes) -> None:
+    """Tear down a CVM: delete its CC master secret, if NV holds one, and
+    evict every loaded key of the CVM. Its CC-tree blobs then refuse to
+    load; its storage-tree blobs still load while the storage primary
+    lives, the residual dependency the CC hierarchy exists to fix."""
+    if not cvm_id:
+        raise InvalidLength("an empty cvm id would match every key outside a CVM")
     state.tick()
-    if state.key_tree_mode == "cc":
-        state.nv.pop(_cvm_nv_key(cvm_id), None)
-        for handle in [h for h, e in state.loaded.items()
-                       if e.blob.cvm_id == cvm_id and cvm_id]:
-            del state.loaded[handle]
-        return
-    if srk_handle is not None and srk_handle in state.loaded:
-        entry = state.loaded.pop(srk_handle)
-        entry.blob.deactivated = True
+    state.nv.pop(_cvm_nv_key(cvm_id), None)
+    for handle in [h for h, e in state.loaded.items() if e.blob.cvm_id == cvm_id]:
+        del state.loaded[handle]
 
 
 def load_key(state: TpmState, blob: KeyBlob) -> int:
-    """Check version and subtree liveness, unwrap the envelope under the
+    """Check version and CC-tree liveness, unwrap the envelope under the
     parent chain, and place the key in the loaded-object table."""
     record = _hierarchy(state, blob.hierarchy)
     state.tick()
     if blob.seed_version != record.version:
         raise SeedVersionMismatch(
             f"blob sealed under seed v{blob.seed_version}, current v{record.version}")
-    if blob.deactivated:
-        raise KeyDeactivated("blob is flagged deactivated")
-    if blob.cvm_id and state.key_tree_mode == "cc" \
+    if blob.cvm_id and blob.hierarchy == "cc" \
             and _cvm_nv_key(blob.cvm_id) not in state.nv:
         raise KeyDeactivated("CVM master secret has been deleted")
     if blob.parent_name == _seed_parent_name(blob.hierarchy):
@@ -528,7 +501,7 @@ def cc_quote(state: TpmState, selection, qualifying_data: bytes,
     return CompositeQuote.signed(
         aik.keypair(), pcr_selection=sel, pcr_digest=state.pcr.composite(sel),
         qualifying_data=qualifying_data, tee_report=tee_report,
-        firmware_version=state.firmware_version, clock_info=clock_info)
+        firmware_version=FIRMWARE_VERSION, clock_info=clock_info)
 
 
 # ---------------------------------------------------------------------------
@@ -664,22 +637,18 @@ def unseal(state: TpmState, blob: SealedBlob) -> bytes:
 # ---------------------------------------------------------------------------
 
 _NV_STATE = Spec(
-    (1, "key_tree_mode", STR),
-    (2, "firmware_version", U64),
-    (3, "command_counter", U64),
-    (4, "next_handle", U64),
-    (5, "hierarchies", Many(Spec((1, "name", STR), (2, "seed", RAW),
-                                 (3, "version", U64), (4, "created_at", F64),
-                                 (5, "enabled", FLAG)))),
-    (6, "pcrs", raw(PCR_COUNT * crypto.DIGEST_LEN)),
-    (7, "extend_counts", raw(PCR_COUNT * 8)),
-    (8, "nv", Many(Spec((1, "key", STR), (2, "value", RAW)))),
-    (9, "eph_seed", RAW),
-    (10, "eph_next", U64),
-    (11, "eph_table", RAW),
-    (12, "loaded", Many(Spec((1, "handle", U64), (2, "blob", nested(KeyBlob)),
-                             (3, "scalar", raw(32))))),
-    (13, "ek_blob", RAW),
+    (1, "command_counter", U64),
+    (2, "next_handle", U64),
+    (3, "hierarchies", Many(Spec((1, "name", STR), (2, "seed", RAW),
+                                 (3, "version", U64)))),
+    (4, "pcrs", raw(PCR_COUNT * crypto.DIGEST_LEN)),
+    (5, "nv", Many(Spec((1, "key", STR), (2, "value", RAW)))),
+    (6, "eph_seed", RAW),
+    (7, "eph_next", U64),
+    (8, "eph_table", RAW),
+    (9, "loaded", Many(Spec((1, "handle", U64), (2, "blob", nested(KeyBlob)),
+                            (3, "scalar", raw(32))))),
+    (10, "ek_blob", RAW),
 )
 
 
@@ -696,7 +665,7 @@ def nv_persist(state: TpmState, protection_key: bytes, rng=None) -> bytes:
     return header + body
 
 
-def nv_load(raw: bytes, protection_key: bytes, clock=None) -> TpmState:
+def nv_load(raw: bytes, protection_key: bytes) -> TpmState:
     """Restore a device image. Tamper anywhere fails authentication."""
     header_len = len(NV_MAGIC) + 2
     if len(raw) < header_len or raw[:len(NV_MAGIC)] != NV_MAGIC:
@@ -706,19 +675,15 @@ def nv_load(raw: bytes, protection_key: bytes, clock=None) -> TpmState:
         raise VersionUnsupported(f"NV format version {version} not supported")
     header = raw[:header_len]
     plain = crypto.channel_open(protection_key, raw[header_len:], header)
-    return _decode_state(plain, clock)
+    return _decode_state(plain)
 
 
 def _encode_state(state: TpmState) -> bytes:
     return _NV_STATE.encode({
-        "key_tree_mode": state.key_tree_mode,
-        "firmware_version": state.firmware_version,
         "command_counter": state.command_counter,
         "next_handle": state.next_handle,
-        "hierarchies": [{"name": h, "enabled": state.hierarchy_enabled[h],
-                         **vars(state.seeds[h])} for h in HIERARCHIES],
+        "hierarchies": [{"name": h, **vars(state.seeds[h])} for h in HIERARCHIES],
         "pcrs": b"".join(state.pcr.registers),
-        "extend_counts": struct.pack(f"<{PCR_COUNT}Q", *state.pcr.extend_counts),
         "nv": [{"key": key, "value": state.nv[key]} for key in sorted(state.nv)],
         "eph_seed": state.eph_seed,
         "eph_next": state.eph_next,
@@ -730,7 +695,7 @@ def _encode_state(state: TpmState) -> bytes:
     })
 
 
-def _decode_state(raw: bytes, clock=None) -> TpmState:
+def _decode_state(raw: bytes) -> TpmState:
     fields = _NV_STATE.decode(raw)
     names = [record["name"] for record in fields["hierarchies"]]
     keys = [entry["key"] for entry in fields["nv"]]
@@ -741,19 +706,14 @@ def _decode_state(raw: bytes, clock=None) -> TpmState:
         raise DecodeError("NV records are missing, repeated or out of order")
     if len(fields["eph_table"]) % 8:
         raise DecodeError("ephemeral counter table is not a list of u64")
-    state = TpmState(clock=clock)
-    for name in ("key_tree_mode", "firmware_version", "command_counter",
-                 "next_handle", "eph_seed", "eph_next"):
+    state = TpmState()
+    for name in ("command_counter", "next_handle", "eph_seed", "eph_next"):
         setattr(state, name, fields[name])
     for record in fields["hierarchies"]:
-        state.seeds[record["name"]] = SeedRecord(
-            record["seed"], record["version"], record["created_at"])
-        state.hierarchy_enabled[record["name"]] = record["enabled"]
+        state.seeds[record["name"]] = SeedRecord(record["seed"], record["version"])
     pcrs = fields["pcrs"]
     state.pcr.registers = [pcrs[i:i + crypto.DIGEST_LEN]
                            for i in range(0, len(pcrs), crypto.DIGEST_LEN)]
-    state.pcr.extend_counts = list(struct.unpack(f"<{PCR_COUNT}Q",
-                                                 fields["extend_counts"]))
     state.nv = {entry["key"]: entry["value"] for entry in fields["nv"]}
     table = fields["eph_table"]
     state.eph_table = list(struct.unpack(f"<{len(table) // 8}Q", table))

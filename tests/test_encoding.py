@@ -9,7 +9,6 @@ import pytest
 
 from ccxtrust import crypto, harness, measurement, protocol, tee, tpm
 from ccxtrust.encoding import (
-    FLAG,
     RAW,
     STR,
     U16,
@@ -91,12 +90,12 @@ def test_single_field_layout():
 
 def test_writer_reader_round_trip():
     spec = Spec((1, "blob", RAW), (2, "short", U16), (4, "wide", U64),
-                (5, "name", STR), (6, "on", FLAG), (7, "digest", raw(4)),
+                (5, "name", STR), (7, "digest", raw(4)),
                 (8, "capped", raw(max_len=8)),
                 (9, "entries", Many(Spec((1, "key", STR)))),
                 (10, "after", RAW))
     values = {"blob": b"alpha", "short": 0xBEEF, "wide": 2**40 + 7,
-              "name": "owner-ca", "on": True, "digest": b"\x00\x01\x02\x03",
+              "name": "owner-ca", "digest": b"\x00\x01\x02\x03",
               "capped": b"12345678",
               "entries": [{"key": "a"}, {"key": "b"}], "after": b""}
     encoded = spec.encode(values)
@@ -105,7 +104,6 @@ def test_writer_reader_round_trip():
     assert r.take(2) == (0xBEEF).to_bytes(2, "little")
     assert r.take(4) == (2**40 + 7).to_bytes(8, "little")
     assert r.take(5) == "owner-ca".encode()
-    assert r.take(6) == b"\x01"
     assert r.take(7) == b"\x00\x01\x02\x03"
     assert r.take(8) == b"12345678"
     assert r.take(9) == encode_field(1, b"a")
@@ -163,9 +161,7 @@ def test_integer_width_enforced():
     # each kind rejects payloads its encoder cannot produce
     for kind, payload in ((U16, b"\x01\x02\x03"), (U64, b"\x01" * 7),
                           (raw(4), b"\x01" * 3), (raw(4), b"\x01" * 5),
-                          (raw(max_len=4), b"\x01" * 5), (FLAG, b""),
-                          (FLAG, b"\x02"), (FLAG, b"\x00\x00"),
-                          (STR, b"\xff")):
+                          (raw(max_len=4), b"\x01" * 5), (STR, b"\xff")):
         raw_bytes = FieldWriter().put(2, payload).getvalue()
         with pytest.raises(DecodeError):
             Spec((2, "value", kind)).decode(raw_bytes)

@@ -4,7 +4,6 @@ replay and tamper detection."""
 import pytest
 
 from ccxtrust import crypto, measurement, tee, tpm
-from ccxtrust.clock import VirtualClock
 from ccxtrust.errors import (
     DecodeError,
     LogGap,
@@ -22,7 +21,7 @@ WORKLOADS = [("web", b"web bits"), ("db", b"db bits")]
 
 
 def make_epoch(seed: bytes = b"\x21" * 32):
-    state = tpm.tpm_manufacture(seed, clock=VirtualClock(0.0))
+    state = tpm.tpm_manufacture(seed)
     rng = crypto.DeterministicRng(b"publisher")
     publisher = crypto.SigningKeyPair.generate("PUBLISHER", rng)
     epoch = measurement.MeasurementEpoch(state, publisher.public_bytes)

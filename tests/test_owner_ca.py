@@ -28,8 +28,7 @@ class Rig:
         self.tcb = tee.TeeTcb(crypto.sha256(b"o"), crypto.sha256(b"k"),
                               crypto.sha256(b"i"), crypto.sha256(b"c"))
         self.vcek, self.chain = self.vendor.derive_vcek(CHIP, 7)
-        self.state = tpm.tpm_manufacture(self.rng.random_bytes(32),
-                                         clock=self.clock)
+        self.state = tpm.tpm_manufacture(self.rng.random_bytes(32))
         srk = tpm.load_key(self.state, tpm.create_primary(self.state, "storage"))
         self.aik_blob = tpm.create_signing_key(self.state, srk, role="AIK")
         self.aik_handle = tpm.load_key(self.state, self.aik_blob)
@@ -168,7 +167,7 @@ def test_challenge_rejects_unendorsed_ek():
 def test_challenge_refuses_an_ek_certificate_for_another_tpm():
     rig = Rig()
     rig.enroll_tee()
-    other = tpm.tpm_manufacture(crypto.sha256(b"tpm-b"), clock=rig.clock)
+    other = tpm.tpm_manufacture(crypto.sha256(b"tpm-b"))
     assert rig.state.ek_cert.verify(tpm.tpm_vendor_root_pub())
     # TPM A's valid EK certificate presented with TPM B's EK point
     with pytest.raises(ChainInvalid):
@@ -261,6 +260,34 @@ def test_register_node_requires_completed_flows_and_baseline():
                              identity.public_bytes)
 
 
+def test_register_node_refuses_a_node_whose_aik_is_not_certified():
+    # the baseline is set, so only the flows check stands in the way
+    rig = Rig()
+    rig.enroll_tee()
+    rig.ca.set_trust_baseline("node-a", owner_ca.TrustBaseline(
+        launch_measurement=tee.launch_measure(rig.tcb)))
+    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    bound = rig.report(verifier.registration_report_data(identity.public_bytes))
+    with pytest.raises(NotInitialized):
+        rig.ca.register_node("node-a", bound, rig.chain, identity.public_bytes)
+    assert rig.ca.nodes["node-a"].identity_cert is None
+
+
+def test_register_node_refuses_evidence_from_an_unregistered_chip():
+    # a valid vendor chain and a bound report, both for another chip
+    rig = Rig()
+    rig.prepare()
+    chip_b = crypto.sha256(b"chip-b")
+    vcek_b, chain_b = rig.vendor.derive_vcek(chip_b, 7)
+    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    report = tee.guest_report(
+        vcek_b, chip_b, rig.tcb, 7,
+        verifier.registration_report_data(identity.public_bytes))
+    with pytest.raises(BaselineRejected):
+        rig.ca.register_node("node-a", report, chain_b, identity.public_bytes)
+    assert rig.ca.nodes["node-a"].identity_cert is None
+
+
 def test_register_node_issues_identity_and_master_secret():
     rig = Rig()
     cert, ms = rig.activate()
@@ -269,7 +296,6 @@ def test_register_node_issues_identity_and_master_secret():
     assert len(ms) == 32
     record = rig.ca.nodes["node-a"]
     assert record.status is owner_ca.NodeStatus.ACTIVE
-    assert record.chip_id == CHIP
 
 
 def test_register_node_rejects_wrong_measurement():

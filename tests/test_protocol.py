@@ -331,7 +331,7 @@ def test_golden_trace_and_token_digests():
 
 def test_golden_structure_encodings():
     # the structures the golden trace never puts on the wire whole: a key
-    # blob with its flag and envelope, sealed data, a credential, a signed
+    # blob with its envelope, sealed data, a credential, a signed
     # manifest, the vendor chain, and the NV plaintext with its repeated
     # store and loaded-key records
     c = harness.build_cluster(4242, nodes=2)
@@ -351,8 +351,8 @@ def test_golden_structure_encodings():
     }
     assert {name: crypto.sha256(raw).hex()
             for name, raw in encodings.items()} == {
-        "aik-blob": "e32bd4de33ca847d487907f70e1156320a4e196dac923450818bfc1237aa0926",
-        "nv-plaintext": "8d433ee9d8c62733eb176c33678c458d21c10ef3ba7f079d14eba84ab6834481",
+        "aik-blob": "2c7ad09452337c8b6f15ca0f91796819cd5e33ae96f524cdbcace6a0220b0139",
+        "nv-plaintext": "3b42fcd8eadcbb3bb421ffe2cf13206b1f145ac9e03cc23eb39daa6cc6a56e18",
         "sealed-blob": "3ce4d9d8b2094f3d99b24a985a404410da9d00d77f940afb20173de0475da5f1",
         "credential": "32b5b1fadfe9aad0ac6821662c5a5283495967c6be447b1aa1237d1d1643b625",
         "manifest": "2388c8f28f47aa6afc40b766d8bb7edbd1abbe29503b010b440eed2b5ccaeae2",

@@ -9,14 +9,12 @@ frozen here before the device code existed.
 import pytest
 
 from ccxtrust import crypto, tpm
-from ccxtrust.clock import VirtualClock
 from ccxtrust.errors import (
     AuthFailure,
     BlobCorrupt,
     CounterInvalid,
     DecodeError,
     EmptySelection,
-    HierarchyDisabled,
     HierarchyMismatch,
     InvalidLength,
     InvalidPcrIndex,
@@ -33,8 +31,8 @@ from ccxtrust.errors import (
 SEED = b"\xa5" * 32
 
 
-def fresh_state(**kwargs) -> tpm.TpmState:
-    return tpm.tpm_manufacture(SEED, clock=VirtualClock(1000.0), **kwargs)
+def fresh_state() -> tpm.TpmState:
+    return tpm.tpm_manufacture(SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +54,22 @@ def test_manufacture_hierarchy_seeds_differ():
     assert all(rec.version == 1 for rec in state.seeds.values())
 
 
-def test_manufacture_rejects_bad_seed_and_mode():
+def test_manufacture_rejects_bad_seed():
     with pytest.raises(InvalidSeed):
         tpm.tpm_manufacture(b"short")
-    with pytest.raises(HierarchyMismatch):
-        tpm.tpm_manufacture(SEED, key_tree_mode="weird")
+
+
+def test_devices_driven_alike_encode_alike():
+    # the NV plaintext holds only what commands derive, no wall-clock time
+    images = []
+    for _ in range(2):
+        state = tpm.tpm_manufacture(SEED)
+        tpm.pcr_extend(state, 4, crypto.sha256(b"boot"))
+        srk_handle = tpm.load_key(state, tpm.create_primary(state, "storage"))
+        tpm.load_key(state, tpm.create_signing_key(state, srk_handle))
+        tpm.rotate_seed(state, "platform")
+        images.append(tpm._encode_state(state))
+    assert images[0] == images[1]
 
 
 def test_ek_cert_chains_to_vendor_root():
@@ -200,13 +209,6 @@ def test_load_rejects_tampered_envelope():
     blob.envelope = bytes(len(blob.envelope))
     with pytest.raises(BlobCorrupt):
         tpm.load_key(state, blob)
-
-
-def test_disabled_hierarchy_blocks_operations():
-    state = fresh_state()
-    state.hierarchy_enabled["storage"] = False
-    with pytest.raises(HierarchyDisabled):
-        tpm.create_primary(state, "storage")
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +448,26 @@ def test_cvm_root_hangs_off_storage_primary_in_storage_mode():
     assert blob.hierarchy == "storage"
     assert tpm.load_key(state, blob)
 
+    # neither another primary nor a child of the storage primary will do
     ek_handle = tpm.load_key(state, state.ek_blob)
-    with pytest.raises(HierarchyMismatch):
-        tpm.create_cvm_root_key(state, ms, ek_handle, cvm_id=b"vm-1")
+    aik_handle = tpm.load_key(state, tpm.create_signing_key(state, srk_handle))
+    for parent in (ek_handle, aik_handle):
+        with pytest.raises(HierarchyMismatch):
+            tpm.create_cvm_root_key(state, ms, parent, cvm_id=b"vm-1")
 
 
 def test_cvm_cc_mode_deactivation_kills_subtree():
-    state = fresh_state(key_tree_mode="cc")
+    state = fresh_state()
     cc_handle = tpm.load_key(state, tpm.create_primary(state, "cc"))
     ms = tpm.create_cvm_key(state, b"vm-7")
     root = tpm.create_cvm_root_key(state, ms, cc_handle, cvm_id=b"vm-7")
+    assert root.hierarchy == "cc"
     root_handle = tpm.load_key(state, root)
     child = tpm.create_signing_key(state, root_handle, role="signing")
     assert tpm.load_key(state, child)
 
-    tpm.deactivate_cvm(state, cvm_id=b"vm-7")
+    tpm.deactivate_cvm(state, b"vm-7")
+    assert all(e.blob.cvm_id != b"vm-7" for e in state.loaded.values())
     with pytest.raises(KeyDeactivated):
         tpm.load_key(state, root)
     with pytest.raises(KeyDeactivated):
@@ -474,18 +481,47 @@ def test_cvm_storage_mode_deactivation_leaves_children_loadable():
     root = tpm.create_cvm_root_key(state, ms, srk_handle, cvm_id=b"vm-2")
     root_handle = tpm.load_key(state, root)
     child = tpm.create_signing_key(state, root_handle, role="signing")
-    child_handle = tpm.load_key(state, child)
+    tpm.load_key(state, child)
 
-    tpm.deactivate_cvm(state, cvm_id=b"vm-2", srk_handle=root_handle)
-    with pytest.raises(KeyDeactivated):
-        tpm.load_key(state, root)
-    # the already-wrapped child still loads while its parent stays in the
-    # loaded table under another handle: the residual-dependency gap
-    tpm.flush_key(state, child_handle)
-    reloaded = tpm.load_key(state, tpm.create_cvm_root_key(state, ms, srk_handle,
-                                                           cvm_id=b"vm-2"))
-    assert reloaded
+    tpm.deactivate_cvm(state, b"vm-2")
+    assert all(e.blob.cvm_id != b"vm-2" for e in state.loaded.values())
+    # the storage primary still unwraps the torn-down root, and the root
+    # its child: the residual-dependency gap the CC hierarchy closes
+    assert tpm.load_key(state, root)
     assert tpm.load_key(state, child)
+
+
+def test_one_device_tears_down_a_storage_tree_and_a_cc_tree():
+    state = fresh_state()
+    srk_handle = tpm.load_key(state, tpm.create_primary(state, "storage"))
+    cc_handle = tpm.load_key(state, tpm.create_primary(state, "cc"))
+    trees = {}
+    for cvm_id, parent, ms in (
+            (b"vm-s", srk_handle, crypto.Secret(b"\x33" * 32)),
+            (b"vm-c", cc_handle, tpm.create_cvm_key(state, b"vm-c"))):
+        root = tpm.create_cvm_root_key(state, ms, parent, cvm_id=cvm_id)
+        child = tpm.create_signing_key(state, tpm.load_key(state, root),
+                                       role="signing")
+        trees[cvm_id] = (root.to_bytes(), child.to_bytes())
+    tpm.deactivate_cvm(state, b"vm-s")
+    tpm.deactivate_cvm(state, b"vm-c")
+    # fresh copies of the blobs: nothing on the caller's objects matters
+    for raw in trees[b"vm-c"]:
+        with pytest.raises(KeyDeactivated):
+            tpm.load_key(state, tpm.KeyBlob.from_bytes(raw))
+    for raw in trees[b"vm-s"]:
+        assert tpm.load_key(state, tpm.KeyBlob.from_bytes(raw))
+
+
+def test_deactivate_cvm_refuses_an_empty_id():
+    # an empty id would match the EK, the SRK and the AIK, none of a CVM
+    state = fresh_state()
+    tpm.load_key(state, state.ek_blob)
+    aik_setup(state)
+    before = tpm._encode_state(state)
+    with pytest.raises(InvalidLength):
+        tpm.deactivate_cvm(state, b"")
+    assert tpm._encode_state(state) == before
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +539,7 @@ def test_nv_round_trip_preserves_device():
     image = tpm.nv_persist(state, prot, crypto.DeterministicRng(b"nv"))
     assert image[:8] == b"CTPMNV01"
 
-    restored = tpm.nv_load(image, prot, clock=VirtualClock(2000.0))
+    restored = tpm.nv_load(image, prot)
     assert tpm.pcr_read(restored, 4) == tpm.pcr_read(state, 4)
     assert restored.seeds["platform"].version == 2
     assert restored.ek_blob.public == state.ek_blob.public
@@ -529,5 +565,7 @@ def test_nv_load_rejects_foreign_magic_and_version():
     image = tpm.nv_persist(state, prot, crypto.DeterministicRng(b"nv"))
     with pytest.raises(VersionUnsupported):
         tpm.nv_load(b"XXXXXXXX" + image[8:], prot)
-    with pytest.raises(VersionUnsupported):
-        tpm.nv_load(image[:8] + b"\x63\x00" + image[10:], prot)
+    # 1 is the format before the device kept only what its commands read
+    for version in (b"\x63\x00", b"\x01\x00"):
+        with pytest.raises(VersionUnsupported):
+            tpm.nv_load(image[:8] + version + image[10:], prot)

@@ -251,6 +251,22 @@ def test_tpm_quote_for_an_earlier_session_is_nonce_mismatch(cluster):
     assert submit(cluster, first, own)[0] is verifier.CompositeOutcome.OK
 
 
+def test_tpm_quote_over_another_selection_is_pcr_mismatch(cluster):
+    # PCRs 10, 11 and 12 are zero on a harness node, so a quote over
+    # (0..10, 12) has the policy's composite; only its selection differs
+    actor = cluster.actor(0)
+    request = cluster.verifier_svc.new_request(cluster.policy_id,
+                                               actor.node_id)
+    assert actor.pcr_selection == tuple(range(12))
+    quote = tpm.quote(actor.state, tuple(range(11)) + (12,), request.nonce,
+                      actor.aik_handle)
+    assert quote.pcr_digest == cluster.policy.expected_pcr_composite
+    envelope = protocol.CompositeReportEnvelope(
+        "tpm", actor.node_id, request.session_id, quote.to_bytes())
+    assert submit(cluster, request, envelope)[0] is \
+        verifier.CompositeOutcome.PCR_MISMATCH
+
+
 def test_tpm_only_quote_from_foreign_aik_is_outer_signature_invalid(cluster):
     # a plain quote carries no chip id, so a foreign AIK cannot be named
     victim, imposter = cluster.actor(0), cluster.actor(1)
