@@ -316,13 +316,16 @@ def create_signing_key(state: TpmState, parent_handle: int, role: str = "AIK") -
 
 
 def create_cvm_root_key(state: TpmState, master_secret: crypto.Secret | bytes,
-                        owner_srk_handle: int, cvm_id: bytes = b"") -> KeyBlob:
+                        owner_srk_handle: int, cvm_id: bytes) -> KeyBlob:
     """Storage root key for one confidential VM, derived from its
     MasterSecret and wrapped under the parent primary.
 
     The parent must be the storage primary or the CC primary, and its
-    hierarchy is the tree's scheme.
+    hierarchy is the tree's scheme. The cvm_id must not be empty: it is
+    what deactivate_cvm and load_key know the tree by.
     """
+    if not cvm_id:
+        raise InvalidLength("a CVM root without a cvm id outlives its CVM")
     parent = _loaded(state, owner_srk_handle)
     hierarchy = parent.blob.hierarchy
     if hierarchy not in ("storage", "cc") \

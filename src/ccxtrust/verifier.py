@@ -14,14 +14,16 @@ One appraisal pipeline serves the four evidence layouts of LAYOUTS: the
 composite tpm-tee and tee-tpm embeddings and the single-technology tee
 and tpm legs. The provers in protocol and harness build their evidence
 from the same table and the same report_data_for binding rule. The
-pipeline checks, first failure wins: session replay and session-id
-binding; that every layer decodes; the nonce binding of every layer,
-which needs no signature; the signer of every layer, outer first (the
-claimed node's key, then the node the TEE report's chip id names, so a
-submission costs at most two signature checks per layer whatever the
-fleet size); the identity join; the launch measurement, PCR composite
-and TCB floor of the layers present; revocation; and finally the atomic
-claim of the session.
+pipeline checks, first failure wins. The checks that need no signature
+come first: session replay and session-id binding; that every layer
+decodes; the nonce binding of every layer; the identity the evidence
+claims, the TEE report's chip id against the session node's; and
+revocation of the session's node. Then each layer's signature, outer
+first, under the session node's keys only, so evidence from another
+platform costs no signature check and any submission at most one per
+layer, whatever the fleet size. The checks of signed claims come after
+their signatures: the launch measurement, PCR composite and TCB floor
+of the layers present. Last comes the atomic claim of the session.
 
 verify_composite is the only constructor of VerifiedReport, and
 issue_token accepts nothing else, so a token can never be minted from
@@ -107,7 +109,6 @@ class AttestationRequest:
 class NodeKeys:
     """Verifier-side identity material for one registered node."""
 
-    node_id: str
     chip_id: bytes
     aik: crypto.PublicKey
     vcek: crypto.PublicKey
@@ -324,7 +325,6 @@ class VerifierService:
         self._is_revoked = owner_ca.is_revoked
         self.policies: dict[str, PolicyBaseline] = {}
         self._nodes: dict[str, NodeKeys] = {}
-        self._chips: dict[bytes, NodeKeys] = {}
         self._sessions: dict[bytes, AttestationRequest] = {}
         self._nonces_seen: set[bytes] = set()
         # every serial below this one was issued, and no other
@@ -356,11 +356,10 @@ class VerifierService:
             if cert.role != role or not cert.verify(self._ca_pub):
                 raise ChainInvalid(
                     f"{role} certificate does not verify under the owner CA")
-        keys = NodeKeys(node_id, chip_id, crypto.PublicKey(aik_cert.subject),
+        keys = NodeKeys(chip_id, crypto.PublicKey(aik_cert.subject),
                         crypto.PublicKey(vcek_cert.subject))
         with self._lock:
             self._nodes[node_id] = keys
-            self._chips[chip_id] = keys
 
     def node_keys(self, node_id: str) -> NodeKeys | None:
         with self._lock:
@@ -403,10 +402,13 @@ class VerifierService:
                          ) -> tuple[CompositeOutcome, VerifiedReport | None]:
         """Appraise evidence of any layout in LAYOUTS; first failure wins.
 
-        Order: session replay and session-id binding, decoding of every
-        layer, nonce binding, the signer of each layer (outer first),
-        identity join, launch measurement, PCR composite, TCB floor,
-        revocation, then the atomic claim of the session.
+        Session and identity checks come before any signature: session
+        replay and session-id binding, decoding of every layer, nonce
+        binding, the report's chip id against the session node's, and
+        revocation. Then the signature of each layer (outer first) under
+        the session node's keys. Checks of signed claims come after them:
+        launch measurement, PCR composite, TCB floor. Last, the atomic
+        claim of the session.
         """
         if session.completed:
             return CompositeOutcome.SESSION_REPLAY, None
@@ -426,21 +428,15 @@ class VerifierService:
         if report is not None and report.report_data != report_data_for(
                 envelope.direction, session.nonce, report.embedded_evidence):
             return CompositeOutcome.NONCE_MISMATCH, None
-        chip_owner = None
-        if report is not None:
-            with self._lock:
-                chip_owner = self._chips.get(report.chip_id)
+        if report is not None and report.chip_id != node.chip_id:
+            return CompositeOutcome.IDENTITY_MISMATCH, None
+        if self._is_revoked(session.node_id):
+            return CompositeOutcome.NODE_REVOKED, None
         for position, kind in enumerate(layout):
-            if _signed_by(node, kind, layers[kind]):
-                continue
-            if chip_owner is not None and chip_owner.node_id != node.node_id \
-                    and _signed_by(chip_owner, kind, layers[kind]):
-                return CompositeOutcome.IDENTITY_MISMATCH, None
-            return (CompositeOutcome.OUTER_SIGNATURE_INVALID if position == 0
-                    else CompositeOutcome.INNER_SIGNATURE_INVALID), None
+            if not _signed_by(node, kind, layers[kind]):
+                return (CompositeOutcome.OUTER_SIGNATURE_INVALID if position == 0
+                        else CompositeOutcome.INNER_SIGNATURE_INVALID), None
         if report is not None:
-            if report.chip_id != node.chip_id:
-                return CompositeOutcome.IDENTITY_MISMATCH, None
             if report.launch_measurement != policy.expected_measurement:
                 return CompositeOutcome.MEASUREMENT_MISMATCH, None
         if quote_obj is not None and (
@@ -449,8 +445,6 @@ class VerifierService:
             return CompositeOutcome.PCR_MISMATCH, None
         if report is not None and report.tcb_version < policy.min_tcb_version:
             return CompositeOutcome.TCB_REJECTED, None
-        if self._is_revoked(session.node_id):
-            return CompositeOutcome.NODE_REVOKED, None
         with self._lock:
             if session.completed:
                 return CompositeOutcome.SESSION_REPLAY, None

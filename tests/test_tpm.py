@@ -513,6 +513,17 @@ def test_one_device_tears_down_a_storage_tree_and_a_cc_tree():
         assert tpm.load_key(state, tpm.KeyBlob.from_bytes(raw))
 
 
+def test_cvm_root_key_refuses_an_empty_id():
+    # a CC-tree root without an id would survive deactivate_cvm of its CVM
+    state = fresh_state()
+    cc_handle = tpm.load_key(state, tpm.create_primary(state, "cc"))
+    ms = tpm.create_cvm_key(state, b"vm-9")
+    before = tpm._encode_state(state)
+    with pytest.raises(InvalidLength):
+        tpm.create_cvm_root_key(state, ms, cc_handle, b"")
+    assert tpm._encode_state(state) == before
+
+
 def test_deactivate_cvm_refuses_an_empty_id():
     # an empty id would match the EK, the SRK and the AIK, none of a CVM
     state = fresh_state()

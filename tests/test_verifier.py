@@ -281,8 +281,8 @@ def test_tpm_only_quote_from_foreign_aik_is_outer_signature_invalid(cluster):
 
 
 def test_report_naming_another_chip_is_identity_mismatch(cluster):
-    # signed by the claimed node's own VCEK, so the signer check passes;
-    # only the chip-id join catches the chip named in the report
+    # signed by the claimed node's own VCEK, so its signature holds;
+    # only the chip id names the wrong platform
     node_a, node_b = cluster.actor(0), cluster.actor(1)
     request = cluster.verifier_svc.new_request(cluster.policy_id,
                                                node_a.node_id)
@@ -325,19 +325,37 @@ def _bad_signature(cluster):
     return request, dataclasses.replace(envelope, evidence=broken.to_bytes())
 
 
-def _relay(cluster):
-    # the middle node's valid evidence for node 0's session and nonce
-    victim = cluster.actor(0)
+def _relay(direction):
+    """A builder of the middle node's valid evidence of one direction for
+    node 0's session and nonce."""
+    def build(cluster):
+        victim = cluster.actor(0)
+        other = cluster.actor(len(cluster.actors) // 2)
+        request = cluster.verifier_svc.new_request(cluster.policy_id,
+                                                   victim.node_id)
+        return request, protocol.CompositeReportEnvelope(
+            direction, victim.node_id, request.session_id,
+            harness._evidence(other, direction, request.nonce))
+    return build
+
+
+def _other_chip_bad_signature(cluster):
+    # node 0's own report for its session, the chip id swapped for the
+    # middle node's after signing: it names another chip and its
+    # signature no longer holds
+    request, envelope = harness._honest_envelope(cluster, cluster.actor(0),
+                                                 "tee")
+    report = tee.TeeReport.from_bytes(envelope.evidence)
     other = cluster.actor(len(cluster.actors) // 2)
-    request = cluster.verifier_svc.new_request(cluster.policy_id,
-                                               victim.node_id)
-    report = tee.guest_report(
-        other.vcek, other.chip_id, other.tcb, other.tcb_version,
-        crypto.sha256(request.nonce) + bytes(32))
-    evidence = tpm.cc_quote(other.state, other.pcr_selection, request.nonce,
-                            other.aik_handle, report.to_bytes()).to_bytes()
-    return request, protocol.CompositeReportEnvelope(
-        "tpm-tee", victim.node_id, request.session_id, evidence)
+    forged = dataclasses.replace(report, chip_id=other.chip_id)
+    return request, dataclasses.replace(envelope, evidence=forged.to_bytes())
+
+
+def _revoked(cluster):
+    # node 0's honest evidence for a session opened before its revocation
+    request, envelope = honest(cluster, "tpm-tee")
+    cluster.oca.revoke(cluster.actor(0).node_id, "test")
+    return request, envelope
 
 
 def _verifies(monkeypatch, cluster, build):
@@ -356,16 +374,23 @@ def _verifies(monkeypatch, cluster, build):
 
 
 def test_rejection_cost_does_not_grow_with_fleet(monkeypatch):
-    small = harness.build_cluster(202, nodes=3)
-    large = harness.build_cluster(203, nodes=12)
-    for cluster in (small, large):
-        assert _verifies(monkeypatch, cluster, _bad_signature) == \
-            (verifier.CompositeOutcome.OUTER_SIGNATURE_INVALID, 1)
-    relays = [_verifies(monkeypatch, c, _relay) for c in (small, large)]
-    assert relays[0] == relays[1]
-    outcome, count = relays[0]
-    assert outcome is verifier.CompositeOutcome.IDENTITY_MISMATCH
-    assert count <= 2 * 2
+    # evidence that names another platform, or comes for a revoked node,
+    # is rejected before any signature check; other evidence costs one
+    # check per layer under the session node's keys
+    outcome = verifier.CompositeOutcome
+    cases = [(lambda c: honest(c, "tpm-tee"), outcome.OK, 2),
+             (_bad_signature, outcome.OUTER_SIGNATURE_INVALID, 1),
+             (_relay("tpm-tee"), outcome.IDENTITY_MISMATCH, 0),
+             (_relay("tee-tpm"), outcome.IDENTITY_MISMATCH, 0),
+             (_relay("tee"), outcome.IDENTITY_MISMATCH, 0),
+             (_other_chip_bad_signature, outcome.IDENTITY_MISMATCH, 0),
+             # last: it revokes node 0, whose sessions the others open
+             (_revoked, outcome.NODE_REVOKED, 0)]
+    for cluster in (harness.build_cluster(202, nodes=3),
+                    harness.build_cluster(203, nodes=12)):
+        assert [_verifies(monkeypatch, cluster, build)
+                for build, _outcome, _count in cases] == \
+            [(want, count) for _build, want, count in cases]
 
 
 def test_register_node_keys_checks_both_certificates(cluster):
@@ -406,7 +431,7 @@ def test_register_node_keys_refuses_a_certified_off_curve_key(cluster):
             svc.register_node_keys("node-new", b"\x07" * 32, certs["AIK"],
                                    certs["VCEK"])
         assert svc.node_keys("node-new") is None
-    # the chip index gained nothing either: the honest node still verifies
+    # the honest node's entry is untouched: it still verifies
     request, envelope = honest(cluster, "tee-tpm")
     assert submit(cluster, request, envelope)[0] is verifier.CompositeOutcome.OK
 
@@ -419,7 +444,8 @@ def test_concurrent_submissions_claim_the_session_once(cluster):
     is_revoked = svc._is_revoked
 
     def held_at_revocation(node_id):
-        # both submissions pass every other check before either goes on
+        # both submissions are past the early session.completed read
+        # before either goes on
         barrier.wait(timeout=30)
         return is_revoked(node_id)
 

@@ -8,14 +8,17 @@ exact text of one guard in it, which must occur there exactly once. For
 each guard the tool copies src/, tests/, demos/ and pyproject.toml into a
 temporary directory, deletes the guard there (a whole statement becomes
 `pass`, an operand of a condition is removed), and runs
-`python -m pytest -q -x tests` in that copy. The working tree is never
-written. A guard is "killed" when a test fails without it and "survived"
-when the whole suite still passes; then no test depends on it, and it
-needs a test where it is the only defence, or it can go. The exit code
-is 1 when any guard survived.
+`python -m pytest -q -x` in that copy: first on tests/test_<module>.py
+for a guard in <module>.py, where a killing test most likely is, then on
+the rest of tests/. The working tree is never written. A guard is
+"killed" when a test fails without it and "survived" when the whole
+suite still passes; then no test depends on it, and it needs a test
+where it is the only defence, or it can go. The exit code is 1 when any
+guard survived.
 
 A mutant that passes costs a full run of tests/ (about 30 s on a 2-core
-VM), so the tool is not part of the test suite.
+VM), so the tool is not part of the test suite; tools/test_guards.py,
+which is, checks that every guard text still occurs exactly once.
 """
 
 from __future__ import annotations
@@ -67,18 +70,26 @@ def run_mutant(guard: dict) -> tuple[str, str]:
         target.write_text(mutate(target.read_text(), guard["guard"]))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x",
-                 "-p", "no:cacheprovider", "tests"],
-                cwd=copy, env=env, capture_output=True, text=True,
-                timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return "killed", f"timed out after {TIMEOUT_S} s"
-    if done.returncode == 0:
-        return "survived", done.stdout.strip().splitlines()[-1]
-    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
-    return "killed", failed[0] if failed else f"exit {done.returncode}"
+        own = f"tests/test_{Path(guard['file']).stem}.py"
+        runs = ([[own], ["tests", f"--ignore={own}"]]
+                if (copy / own).is_file() else [["tests"]])
+        passed = []
+        for paths in runs:
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-x",
+                     "-p", "no:cacheprovider", *paths],
+                    cwd=copy, env=env, capture_output=True, text=True,
+                    timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                return "killed", f"timed out after {TIMEOUT_S} s"
+            if done.returncode != 0:
+                failed = re.findall(r"^(?:FAILED|ERROR) (\S+)",
+                                    done.stdout, re.M)
+                return "killed", (failed[0] if failed
+                                  else f"exit {done.returncode}")
+            passed.append(done.stdout.strip().splitlines()[-1])
+    return "survived", "; ".join(passed)
 
 
 def main(argv: list[str]) -> int:
