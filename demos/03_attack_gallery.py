@@ -13,19 +13,9 @@ from ccxtrust import harness, protocol
 # live attacks against the running verifier
 # ---------------------------------------------------------------------------
 
-drills = [
-    ("evidence spliced across sessions", harness.attack_splice_matrix),
-    ("evidence signed by another platform", harness.attack_spoof_identity),
-    ("same envelope submitted twice", harness.attack_replay),
-    ("tokens used past their life", harness.attack_stale_token),
-    ("key blobs from before a seed rotation", harness.attack_seed_rollback),
-    ("workload image forged at boot", harness.attack_image_forge),
-    ("baseline token pairing gap", harness.attack_token_pairing_gap),
-]
-
 # some drills leave permanent marks (a revocation stays revoked), so each
 # one gets its own fresh cluster
-for index, (title, drill) in enumerate(drills):
+for index, (title, drill) in enumerate(harness.DRILLS.values()):
     report = drill(harness.build_cluster(13 + index, nodes=3))
     print(f"{title} [{report.name}]")
     print(f"   attempted {report.attempted}, accepted {report.accepted}, "
@@ -41,17 +31,8 @@ for index, (title, drill) in enumerate(drills):
 # forged histories against the trace checker
 # ---------------------------------------------------------------------------
 
-faults = [
-    ("certificate appears without a CA signature",
-     harness.fault_trace_forged_cert),
-    ("token appears without a verifier signature",
-     harness.fault_trace_forged_token),
-    ("evidence signed before the nonce arrived",
-     harness.fault_trace_reordered_sign),
-]
-
 cluster = harness.build_cluster(99, nodes=3)
-for title, build in faults:
+for title, build, _violates in harness.FAULT_TRACES.values():
     trace = build(cluster)
     verdicts = protocol.check_theorems(trace)
     print(title)

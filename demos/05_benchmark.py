@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cost of composite attestation: messages, latency, and fleet throughput.
 
-Three quick experiments on one machine. Numbers vary with hardware; the
+Two quick experiments on one machine. Numbers vary with hardware; the
 relationships (3 vs 6 messages, composite cheaper than the two-flow sum)
 do not.
 """
@@ -9,27 +9,19 @@ do not.
 from ccxtrust import harness
 
 # ---------------------------------------------------------------------------
-# message counts over many seeded runs
+# composite vs the two-token baseline: messages and wall-clock latency
 # ---------------------------------------------------------------------------
 
-result = harness.run_message_count_experiment(5, runs=200)
-print(f"message counts over {result.runs} runs "
+result = harness.run_comparison_experiment(5, runs=200)
+print(f"composite vs two-token over {result.runs} runs "
       f"({result.elapsed_seconds:.2f}s):")
-print("   composite  :", dict(result.composite_counts))
-print("   independent:", dict(result.independent_counts))
-
-# ---------------------------------------------------------------------------
-# wall-clock latency, composite vs the sum of single-technology flows
-# ---------------------------------------------------------------------------
-
-latency = harness.run_latency_experiment(5, samples=60, resamples=200)
-print()
-print(f"latency over {latency.samples} iterations:")
-print(f"   composite mean      : {latency.composite_mean * 1e3:7.3f} ms")
-print(f"   tee-only mean       : {latency.tee_only_mean * 1e3:7.3f} ms")
-print(f"   tpm-only mean       : {latency.tpm_only_mean * 1e3:7.3f} ms")
+print("   composite messages  :", dict(result.composite_counts))
+print("   independent messages:", dict(result.independent_counts))
+print(f"   composite mean      : {result.composite_mean * 1e3:7.3f} ms")
+print(f"   tee-only mean       : {result.tee_only_mean * 1e3:7.3f} ms")
+print(f"   tpm-only mean       : {result.tpm_only_mean * 1e3:7.3f} ms")
 print(f"   composite cheaper than the sum in "
-      f"{latency.fraction_composite_cheaper:.0%} of bootstrap resamples")
+      f"{result.fraction_composite_cheaper:.0%} of bootstrap resamples")
 
 # ---------------------------------------------------------------------------
 # a small fleet under a thread pool

@@ -22,23 +22,6 @@ from pathlib import Path
 from . import harness, protocol
 from .errors import CcxError
 
-ATTACKS = {
-    "splice": lambda cluster: harness.attack_splice_matrix(
-        cluster, sessions_per_node=3),
-    "spoof-id": harness.attack_spoof_identity,
-    "replay": harness.attack_replay,
-    "stale-token": harness.attack_stale_token,
-    "seed-rollback": harness.attack_seed_rollback,
-    "image-forge": harness.attack_image_forge,
-    "token-pairing": harness.attack_token_pairing_gap,
-}
-_FAULT_TRACES = {
-    "forged-cert": (harness.fault_trace_forged_cert, "cert-provenance"),
-    "forged-token": (harness.fault_trace_forged_token, "token-provenance"),
-    "reordered-sign": (harness.fault_trace_reordered_sign, "attest-order"),
-}
-
-
 def _read_config(path: str) -> dict[str, str]:
     values = {}
     for raw_line in Path(path).read_text().splitlines():
@@ -116,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", parents=[common],
                        help="run an attack drill")
-    p.add_argument("--name", choices=sorted({*ATTACKS, *_FAULT_TRACES}),
-                   required=True)
+    p.add_argument("--name", required=True,
+                   choices=sorted({*harness.DRILLS, *harness.FAULT_TRACES}))
     p.add_argument("--nodes", type=int, default=3)
 
     p = sub.add_parser("bench", parents=[common],
@@ -206,8 +189,8 @@ def _cmd_independent(args) -> int:
 def _cmd_attack(args) -> int:
     out = _out_dir(args)
     cluster = harness.build_cluster(args.seed, max(args.nodes, 2))
-    if args.name in _FAULT_TRACES:
-        build, expected_fail = _FAULT_TRACES[args.name]
+    if args.name in harness.FAULT_TRACES:
+        _title, build, expected_fail = harness.FAULT_TRACES[args.name]
         trace = build(cluster)
         trace.write(out / "trace.log")
         verdicts = protocol.check_theorems(trace)
@@ -223,7 +206,8 @@ def _cmd_attack(args) -> int:
             return 0
         print("unexpected theorem outcome for this fault", file=sys.stderr)
         return 2
-    report = ATTACKS[args.name](cluster)
+    _title, drill = harness.DRILLS[args.name]
+    report = drill(cluster)
     _write_json(out / "summary.json",
                 {"command": "attack", "seed": args.seed,
                  **report.summary()})

@@ -265,11 +265,6 @@ class SigningKeyPair:
     def public_bytes(self) -> bytes:
         return _point_of(self.public)
 
-    @property
-    def name(self) -> bytes:
-        """Key name: digest of the canonical public point."""
-        return sha256(self.public_bytes)
-
     def public_only(self) -> "SigningKeyPair":
         return SigningKeyPair(self.role, self.public)
 

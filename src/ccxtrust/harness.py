@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
+import struct
 import threading
 import time
 from collections import Counter
@@ -190,7 +191,6 @@ def add_node(cluster: Cluster, index: int, *,
 
 @dataclass
 class ScenarioResult:
-    cluster: Cluster
     tokens: list
     trace: protocol.ProtocolTrace
 
@@ -218,7 +218,7 @@ def run_scenario(seed: int | bytes, *, nodes: int = 2,
         tokens.extend(protocol.run_attest_independent(
             cluster.actor(0), cluster.verifier_svc, cluster.channels,
             cluster.trace, policy_id=cluster.policy_id))
-    return ScenarioResult(cluster, tokens, cluster.trace)
+    return ScenarioResult(tokens, cluster.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -226,122 +226,68 @@ def run_scenario(seed: int | bytes, *, nodes: int = 2,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class MessageCountResult:
+class ComparisonResult:
     runs: int
     composite_counts: Counter
     independent_counts: Counter
     elapsed_seconds: float
-
-    def summary(self) -> dict:
-        return {
-            "runs": self.runs,
-            "composite_messages": sorted(self.composite_counts),
-            "independent_messages": sorted(self.independent_counts),
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
-
-
-def run_message_count_experiment(seed: int | bytes,
-                                 runs: int = 1000) -> MessageCountResult:
-    """Count verifier-visible messages per attestation style, many runs.
-
-    The composite protocol should always cost three messages at the
-    verifier where the two-token baseline costs six.
-    """
-    cluster = build_cluster(seed, 1)
-    actor = cluster.actor(0)
-    composite_counts: Counter = Counter()
-    independent_counts: Counter = Counter()
-    start = time.perf_counter()
-    for run in range(runs):
-        direction = "tpm-tee" if run % 2 == 0 else "tee-tpm"
-        trace = protocol.ProtocolTrace()
-        protocol.run_attest_composite(actor, cluster.verifier_svc,
-                                      cluster.channels, trace,
-                                      policy_id=cluster.policy_id,
-                                      direction=direction)
-        composite_counts[trace.verifier_visible_sends()] += 1
-        trace = protocol.ProtocolTrace()
-        protocol.run_attest_independent(actor, cluster.verifier_svc,
-                                        cluster.channels, trace,
-                                        policy_id=cluster.policy_id)
-        independent_counts[trace.verifier_visible_sends()] += 1
-    elapsed = time.perf_counter() - start
-    return MessageCountResult(runs, composite_counts, independent_counts,
-                              elapsed)
-
-
-@dataclass
-class LatencyResult:
-    samples: int
     composite_mean: float
     tee_only_mean: float
     tpm_only_mean: float
-    resamples: int
     fraction_composite_cheaper: float
 
-    def summary(self) -> dict:
-        return {
-            "samples": self.samples,
-            "composite_mean_ms": round(self.composite_mean * 1e3, 4),
-            "tee_only_mean_ms": round(self.tee_only_mean * 1e3, 4),
-            "tpm_only_mean_ms": round(self.tpm_only_mean * 1e3, 4),
-            "resamples": self.resamples,
-            "fraction_composite_cheaper": self.fraction_composite_cheaper,
-        }
 
+def run_comparison_experiment(seed: int | bytes, runs: int = 120,
+                              resamples: int = 200) -> ComparisonResult:
+    """Composite attestation against the two-token baseline on one node.
 
-def run_latency_experiment(seed: int | bytes, samples: int = 120,
-                           resamples: int = 200) -> LatencyResult:
-    """Wall-clock cost of one composite attestation versus the sum of
-    the single-technology flows, with a bootstrap over sample means.
+    Each run attests once composite, alternating tpm-tee and tee-tpm,
+    then once per technology into a shared trace, as
+    run_attest_independent does. It times each flow and counts the
+    verifier-visible sends of each style: the composite protocol should
+    always cost three where the baseline costs six.
 
     fraction_composite_cheaper is the share of bootstrap resamples in
     which mean(composite) < mean(tee-only) + mean(tpm-only).
     """
     cluster = build_cluster(seed, 1)
     actor = cluster.actor(0)
-    svc, channels, policy_id = (cluster.verifier_svc, cluster.channels,
-                                cluster.policy_id)
-    composite, tee_only, tpm_only = [], [], []
-    for run in range(samples):
-        direction = "tpm-tee" if run % 2 == 0 else "tee-tpm"
-        start = time.perf_counter()
-        protocol.run_attest_composite(actor, svc, channels,
-                                      protocol.ProtocolTrace(),
-                                      policy_id=policy_id,
-                                      direction=direction)
-        composite.append(time.perf_counter() - start)
-
-        for technology, series in (("tee", tee_only), ("tpm", tpm_only)):
-            start = time.perf_counter()
-            protocol.run_attest_composite(actor, svc, channels,
-                                          protocol.ProtocolTrace(),
-                                          policy_id=policy_id,
-                                          direction=technology)
-            series.append(time.perf_counter() - start)
+    composite_counts: Counter = Counter()
+    independent_counts: Counter = Counter()
+    times: dict[str, list[float]] = {"composite": [], "tee": [], "tpm": []}
+    start = time.perf_counter()
+    for run in range(runs):
+        composite = protocol.ProtocolTrace()
+        independent = protocol.ProtocolTrace()
+        for series, direction, trace in (
+                ("composite", "tpm-tee" if run % 2 == 0 else "tee-tpm",
+                 composite),
+                ("tee", "tee", independent), ("tpm", "tpm", independent)):
+            flow_start = time.perf_counter()
+            protocol.run_attest_composite(actor, cluster.verifier_svc,
+                                          cluster.channels, trace,
+                                          policy_id=cluster.policy_id,
+                                          direction=direction)
+            times[series].append(time.perf_counter() - flow_start)
+        composite_counts[composite.verifier_visible_sends()] += 1
+        independent_counts[independent.verifier_visible_sends()] += 1
+    elapsed = time.perf_counter() - start
 
     boot_rng = crypto.DeterministicRng(_seed_bytes(seed) + b"bootstrap")
     cheaper = 0
     for _ in range(resamples):
         resample_mean = []
-        for series in (composite, tee_only, tpm_only):
-            picks = [series[_rng_index(boot_rng, len(series))]
-                     for _ in range(len(series))]
-            resample_mean.append(statistics.fmean(picks))
-        if resample_mean[0] < resample_mean[1] + resample_mean[2]:
-            cheaper += 1
-    return LatencyResult(
-        samples=samples,
-        composite_mean=statistics.fmean(composite),
-        tee_only_mean=statistics.fmean(tee_only),
-        tpm_only_mean=statistics.fmean(tpm_only),
-        resamples=resamples,
+        for series in times.values():
+            picks = struct.unpack(f">{runs}I", boot_rng.random_bytes(4 * runs))
+            resample_mean.append(
+                statistics.fmean([series[i % runs] for i in picks]))
+        cheaper += resample_mean[0] < resample_mean[1] + resample_mean[2]
+    return ComparisonResult(
+        runs, composite_counts, independent_counts, elapsed,
+        composite_mean=statistics.fmean(times["composite"]),
+        tee_only_mean=statistics.fmean(times["tee"]),
+        tpm_only_mean=statistics.fmean(times["tpm"]),
         fraction_composite_cheaper=cheaper / resamples)
-
-
-def _rng_index(rng: crypto.DeterministicRng, bound: int) -> int:
-    return int.from_bytes(rng.random_bytes(4), "big") % bound
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +308,7 @@ class AttackReport:
         return self.attempted - self.accepted
 
     def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "attempted": self.attempted,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "outcomes": {k: v for k, v in sorted(self.outcomes.items())},
-            "passed": self.passed,
-            "notes": self.notes,
-        }
+        return {**vars(self), "rejected": self.rejected}
 
 
 def _evidence(signer: protocol.NodeActor, direction: str,
@@ -399,7 +337,7 @@ def _honest_envelope(cluster: Cluster, actor: protocol.NodeActor,
     return request, envelope
 
 
-def attack_splice_matrix(cluster: Cluster, *, sessions_per_node: int = 5
+def attack_splice_matrix(cluster: Cluster, *, sessions_per_node: int = 3
                          ) -> AttackReport:
     """Exhaustive cross-session splicing.
 
@@ -419,23 +357,18 @@ def attack_splice_matrix(cluster: Cluster, *, sessions_per_node: int = 5
             corpus.append(_honest_envelope(cluster, actor, direction))
 
     outcomes: Counter = Counter()
-    accepted = mismatched_accepted = attempted = 0
     notes = []
+
+    def accepted(envelope, request) -> bool:
+        outcome, _ = svc.verify_composite(envelope, request, policy)
+        outcomes[outcome.value] += 1
+        return outcome is verifier.CompositeOutcome.OK
 
     # mismatched pairings first so no session is completed yet
     for i, (_req_i, env_i) in enumerate(corpus):
         for j, (req_j, _env_j) in enumerate(corpus):
-            if i == j:
-                continue
-            rebound = protocol.CompositeReportEnvelope(
-                env_i.direction, env_i.node_id, req_j.session_id,
-                env_i.evidence)
-            outcome, _ = svc.verify_composite(rebound, req_j, policy)
-            attempted += 1
-            outcomes[outcome.value] += 1
-            if outcome is verifier.CompositeOutcome.OK:
-                accepted += 1
-                mismatched_accepted += 1
+            if i != j and accepted(dataclasses.replace(
+                    env_i, session_id=req_j.session_id), req_j):
                 notes.append(f"splice accepted: evidence {i} in session {j}")
 
     # relay variants: correct nonce, wrong platform
@@ -445,31 +378,21 @@ def attack_splice_matrix(cluster: Cluster, *, sessions_per_node: int = 5
         relay = protocol.CompositeReportEnvelope(
             "tpm-tee", actor.node_id, request.session_id,
             _evidence(other, "tpm-tee", request.nonce))
-        outcome, _ = svc.verify_composite(relay, request, policy)
-        attempted += 1
-        outcomes[outcome.value] += 1
-        if outcome is verifier.CompositeOutcome.OK:
-            accepted += 1
-            mismatched_accepted += 1
+        if accepted(relay, request):
             notes.append(f"relay accepted: node {other.node_id} evidence "
                          f"in {actor.node_id} session")
+    mismatched_accepted = outcomes["ok"]
 
     # matched pairings last; every one must be accepted
-    matched_ok = 0
-    for request, envelope in corpus:
-        outcome, _ = svc.verify_composite(envelope, request, policy)
-        attempted += 1
-        outcomes[outcome.value] += 1
-        if outcome is verifier.CompositeOutcome.OK:
-            accepted += 1
-            matched_ok += 1
+    matched_ok = sum(accepted(envelope, request)
+                     for request, envelope in corpus)
     if matched_ok != len(corpus):
         notes.append(f"only {matched_ok}/{len(corpus)} matched pairings "
                      "accepted")
 
     passed = mismatched_accepted == 0 and matched_ok == len(corpus)
-    return AttackReport("splice-matrix", attempted, accepted, outcomes,
-                        passed, notes)
+    return AttackReport("splice-matrix", sum(outcomes.values()),
+                        outcomes["ok"], outcomes, passed, notes)
 
 
 def attack_spoof_identity(cluster: Cluster) -> AttackReport:
@@ -533,18 +456,19 @@ def attack_stale_token(cluster: Cluster) -> AttackReport:
         actor, svc, cluster.channels, protocol.ProtocolTrace(),
         policy_id=cluster.policy_id, direction="tpm-tee")
     outcomes: Counter = Counter()
-    live = svc.validate_token(token)
-    outcomes["live:" + ("ok" if isinstance(live, dict) else live.value)] += 1
+
+    def validate(stage, now=None):
+        result = svc.validate_token(token, now=now)
+        outcomes[f"{stage}:" + ("ok" if isinstance(result, dict)
+                                else result.value)] += 1
+        return result
+
+    live = validate("live")
     issue_time = cluster.clock.now()
     cluster.clock.advance(cluster.policy.token_lifetime + 1)
-    expired = svc.validate_token(token)
-    outcomes["expired:" + (expired.value if isinstance(
-        expired, verifier.TokenRejection) else "ok")] += 1
-
+    expired = validate("expired")
     cluster.oca.revoke(actor.node_id, "drill")
-    revoked = svc.validate_token(token, now=issue_time + 1)
-    outcomes["revoked:" + (revoked.value if isinstance(
-        revoked, verifier.TokenRejection) else "ok")] += 1
+    revoked = validate("revoked", now=issue_time + 1)
     passed = (isinstance(live, dict)
               and expired is verifier.TokenRejection.EXPIRED
               and revoked is verifier.TokenRejection.REVOKED_NODE)
@@ -638,7 +562,7 @@ def attack_token_pairing_gap(cluster: Cluster) -> AttackReport:
     naive_pair_passes = (isinstance(claims_tee, dict)
                          and isinstance(claims_tpm, dict))
     outcomes["naive-mixed-pair-validates"] += int(naive_pair_passes)
-    same_platform = (isinstance(claims_tee, dict) and isinstance(claims_tpm, dict)
+    same_platform = (naive_pair_passes
                      and claims_tee["payload"]["platform"]["node"]
                      == claims_tpm["payload"]["platform"]["node"])
     outcomes["pair-actually-same-platform"] += int(same_platform)
@@ -725,6 +649,30 @@ def fault_trace_reordered_sign(cluster: Cluster) -> protocol.ProtocolTrace:
     trace = protocol.ProtocolTrace()
     trace.extend_reindexed(reordered)
     return trace
+
+
+# The drill table, read by `ccxtrust attack` and demo 03.
+# name -> (title, drill)
+DRILLS = {
+    "splice": ("evidence spliced across sessions", attack_splice_matrix),
+    "spoof-id": ("evidence signed by another platform",
+                 attack_spoof_identity),
+    "replay": ("same envelope submitted twice", attack_replay),
+    "stale-token": ("tokens used past their life", attack_stale_token),
+    "seed-rollback": ("key blobs from before a seed rotation",
+                      attack_seed_rollback),
+    "image-forge": ("workload image forged at boot", attack_image_forge),
+    "token-pairing": ("baseline token pairing gap", attack_token_pairing_gap),
+}
+# name -> (title, builder, the one trust property its trace violates)
+FAULT_TRACES = {
+    "forged-cert": ("certificate appears without a CA signature",
+                    fault_trace_forged_cert, "cert-provenance"),
+    "forged-token": ("token appears without a verifier signature",
+                     fault_trace_forged_token, "token-provenance"),
+    "reordered-sign": ("evidence signed before the nonce arrived",
+                       fault_trace_reordered_sign, "attest-order"),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,6 @@ class OwnerCa:
         self.trusted_tpm_root = trusted_tpm_root
         self.nodes: dict[str, NodeRecord] = {}
         self._sessions: dict[bytes, ChallengeSession] = {}
-        self._revoked_serials: set[int] = set()
-        self._revoked_nodes: set[str] = set()
-        self._revocation_version = 0
         self._next_serial = 1
         self._records: list[str] = []
         self._lock = threading.RLock()
@@ -245,13 +242,8 @@ class OwnerCa:
         """Revoke a node and every certificate issued to it. Idempotent."""
         with self._lock:
             record = self._node(node_id)
-            serials = set(record.serials)
-            already = record.status == NodeStatus.REVOKED and serials <= self._revoked_serials
-            record.status = NodeStatus.REVOKED
-            self._revoked_nodes.add(node_id)
-            self._revoked_serials |= serials
-            if not already:
-                self._revocation_version += 1
+            if record.status != NodeStatus.REVOKED:
+                record.status = NodeStatus.REVOKED
                 self._record(f"revoke {node_id} reason={reason}")
 
     def audit(self, node_id: str, fresh_report: tee.TeeReport,
@@ -275,13 +267,18 @@ class OwnerCa:
 
     def is_revoked(self, node_id: str) -> bool:
         with self._lock:
-            return node_id in self._revoked_nodes
+            record = self.nodes.get(node_id)
+            return record is not None and record.status == NodeStatus.REVOKED
 
     def revocation_list(self) -> tuple[int, frozenset[int], frozenset[str]]:
-        """(version, revoked cert serials, revoked node ids)."""
+        """(version, revoked cert serials, revoked node ids); the version
+        counts the revoked nodes."""
         with self._lock:
-            return (self._revocation_version, frozenset(self._revoked_serials),
-                    frozenset(self._revoked_nodes))
+            revoked = [r for r in self.nodes.values()
+                       if r.status == NodeStatus.REVOKED]
+            return (len(revoked),
+                    frozenset(s for r in revoked for s in r.serials),
+                    frozenset(r.node_id for r in revoked))
 
     # -- registry plumbing ---------------------------------------------------
 
@@ -319,8 +316,9 @@ class OwnerCa:
     def snapshot(self) -> str:
         """Registry checkpoint: one line per node plus the revocation set."""
         with self._lock:
+            version, serials, _nodes = self.revocation_list()
             lines = [f"snapshot records={len(self._records)} "
-                     f"revocation-version={self._revocation_version}"]
+                     f"revocation-version={version}"]
             for node_id in sorted(self.nodes):
                 r = self.nodes[node_id]
                 lines.append(
@@ -330,5 +328,5 @@ class OwnerCa:
                     f"identity={r.identity_cert.serial if r.identity_cert else '-'} "
                     f"provisioned={int(r.identity_cert is not None)}")
             lines.append("revoked-serials " +
-                         (",".join(str(s) for s in sorted(self._revoked_serials)) or "-"))
+                         (",".join(str(s) for s in sorted(serials)) or "-"))
             return "\n".join(lines) + "\n"

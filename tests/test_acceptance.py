@@ -35,7 +35,7 @@ def _randint(rng: crypto.DeterministicRng, bound: int) -> int:
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_message_count_reduction():
-    result = harness.run_message_count_experiment(12, runs=1000)
+    result = harness.run_comparison_experiment(12, runs=1000)
     counts_ok = (set(result.composite_counts) == {3}
                  and result.composite_counts[3] == 1000
                  and set(result.independent_counts) == {6}
@@ -73,14 +73,14 @@ def test_criterion_01_message_count_reduction():
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_composite_latency_beats_split_flows():
-    result = harness.run_latency_experiment(23, samples=120, resamples=400)
-    ok = (result.samples >= 100
+    result = harness.run_comparison_experiment(23, runs=120, resamples=400)
+    ok = (result.runs >= 100
           and result.composite_mean < result.tee_only_mean + result.tpm_only_mean
           and result.fraction_composite_cheaper >= 0.95)
     _report(2, ok,
             "mean composite latency is below the sum of the single-"
             "technology flows in at least 95% of bootstrap resamples",
-            f"samples={result.samples} "
+            f"runs={result.runs} "
             f"composite={result.composite_mean * 1e3:.2f}ms "
             f"tee+tpm={(result.tee_only_mean + result.tpm_only_mean) * 1e3:.2f}ms "
             f"fraction={result.fraction_composite_cheaper:.3f} (>=0.95)")

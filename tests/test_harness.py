@@ -69,15 +69,15 @@ def test_scenario_deterministic_per_seed():
 # ---------------------------------------------------------------------------
 
 def test_message_count_experiment_small():
-    result = harness.run_message_count_experiment(5, runs=20)
+    result = harness.run_comparison_experiment(5, runs=20)
     assert result.runs == 20
     assert set(result.composite_counts) == {3}
     assert set(result.independent_counts) == {6}
 
 
 def test_latency_experiment_small():
-    result = harness.run_latency_experiment(5, samples=12, resamples=40)
-    assert result.samples == 12
+    result = harness.run_comparison_experiment(5, runs=12, resamples=40)
+    assert result.runs == 12
     assert result.composite_mean > 0
     assert result.tee_only_mean > 0 and result.tpm_only_mean > 0
     assert 0.0 <= result.fraction_composite_cheaper <= 1.0

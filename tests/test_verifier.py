@@ -351,6 +351,23 @@ def _other_chip_bad_signature(cluster):
     return request, dataclasses.replace(envelope, evidence=forged.to_bytes())
 
 
+def _accepted(cluster):
+    # node 0's honest evidence, submitted again after it was accepted
+    request, envelope = honest(cluster, "tpm-tee")
+    assert submit(cluster, request, envelope)[0] is verifier.CompositeOutcome.OK
+    return request, envelope
+
+
+def _other_session(cluster):
+    # node 0's honest evidence for session A, in an envelope that names
+    # another open session B of the same node, submitted with A
+    request, envelope = honest(cluster, "tpm-tee")
+    other = cluster.verifier_svc.new_request(cluster.policy_id,
+                                             cluster.actor(0).node_id)
+    return request, dataclasses.replace(envelope,
+                                        session_id=other.session_id)
+
+
 def _revoked(cluster):
     # node 0's honest evidence for a session opened before its revocation
     request, envelope = honest(cluster, "tpm-tee")
@@ -374,9 +391,10 @@ def _verifies(monkeypatch, cluster, build):
 
 
 def test_rejection_cost_does_not_grow_with_fleet(monkeypatch):
-    # evidence that names another platform, or comes for a revoked node,
-    # is rejected before any signature check; other evidence costs one
-    # check per layer under the session node's keys
+    # evidence that names another platform or another session, comes for
+    # a revoked node, or was accepted before, is rejected before any
+    # signature check; other evidence costs one check per layer under the
+    # session node's keys
     outcome = verifier.CompositeOutcome
     cases = [(lambda c: honest(c, "tpm-tee"), outcome.OK, 2),
              (_bad_signature, outcome.OUTER_SIGNATURE_INVALID, 1),
@@ -384,6 +402,8 @@ def test_rejection_cost_does_not_grow_with_fleet(monkeypatch):
              (_relay("tee-tpm"), outcome.IDENTITY_MISMATCH, 0),
              (_relay("tee"), outcome.IDENTITY_MISMATCH, 0),
              (_other_chip_bad_signature, outcome.IDENTITY_MISMATCH, 0),
+             (_accepted, outcome.SESSION_REPLAY, 0),
+             (_other_session, outcome.NONCE_MISMATCH, 0),
              # last: it revokes node 0, whose sessions the others open
              (_revoked, outcome.NODE_REVOKED, 0)]
     for cluster in (harness.build_cluster(202, nodes=3),
