@@ -8,9 +8,9 @@ Each structure declares its layout once, as a Spec: ordered (tag,
 attribute, kind) entries. A kind is RAW bytes (raw() adds a fixed width
 or a maximum length), U16, U64, STR (utf-8), a Kind made from an
 encode/decode pair (such as the PCR bitmap), nested() for a structure
-inside a field, a Spec for a nested record, or Many for a record
-repeated under one tag. A Signed structure's last entry is its
-signature, and its signed body is the encoding of every entry before it.
+inside a field, or a Spec for a nested record. A Signed structure's
+last entry is its signature, and its signed body is the encoding of
+every entry before it.
 
 When a Spec is built it generates, with exec, one straight-line encode
 and one decode function for its fields, as dataclasses and namedtuple do
@@ -72,11 +72,6 @@ class FieldReader:
                 self._pos = end
                 return buf[start:end]
         raise _field_error(buf, pos, tag)
-
-    def peek_tag(self) -> int:
-        if self._pos + _HEADER.size > len(self._buf):
-            raise DecodeError(f"truncated field header at offset {self._pos}")
-        return _HEADER.unpack_from(self._buf, self._pos)[0]
 
     @property
     def exhausted(self) -> bool:
@@ -161,14 +156,6 @@ def nested(cls) -> Kind:
     return Kind(cls.to_bytes, cls.from_bytes)
 
 
-class Many:
-    """A field repeated zero or more times in a row under one tag; each
-    occurrence's payload is one `item`."""
-
-    def __init__(self, item: Kind) -> None:
-        self.item = item
-
-
 def _field_error(buf, pos: int, tag: int | None = None,
                  kind: Kind = RAW) -> DecodeError:
     """The error for bad bytes at `pos`, shared by FieldReader and the
@@ -202,62 +189,43 @@ def _generate(fields) -> tuple[str, dict]:
     size = _HEADER.size
     enc = ["def encode(values):"]
     dec = ["def decode(buf):", "    n = len(buf)", "    p = 0"]
-    parts: list[str] = []   # pieces of the output not yet in `out`
-    joined = False          # whether a Many field has started `out`
+    parts: list[str] = []   # the pieces of the output, in order
     for i, (tag, attr, kind) in enumerate(fields):
-        many = type(kind) is Many
-        item = kind.item if many else kind
         # encode: `call` names the function making a value's payload (none
         # for bytes), `head` is the header when the payload's width is
         # fixed; decode: `check` adds the width test to the header's, and
         # `value` reads the payload at buf[s:p]
         call, head, check, err = "", None, "", ""
-        if isinstance(item, Raw):
+        if isinstance(kind, Raw):
             value = "buf[s:p]"
-            if item.width is not None:
-                check += f" or m != {item.width}"
-            if item.max_len is not None:
-                check += f" or m > {item.max_len}"
+            if kind.width is not None:
+                check += f" or m != {kind.width}"
+            if kind.max_len is not None:
+                check += f" or m > {kind.max_len}"
         else:
             call = f"e{i}"
-            names[call] = item.encode
-            if isinstance(item, Packed):
-                head = repr(_HEADER.pack(tag, item.struct.size))
-                names[f"d{i}"] = item.struct.unpack_from
+            names[call] = kind.encode
+            if isinstance(kind, Packed):
+                head = repr(_HEADER.pack(tag, kind.struct.size))
+                names[f"d{i}"] = kind.struct.unpack_from
                 value = f"d{i}(buf, s)[0]"
-                check = f" or m != {item.struct.size}"
+                check = f" or m != {kind.struct.size}"
             else:
-                names[f"d{i}"] = item.decode
+                names[f"d{i}"] = kind.decode
                 value = f"d{i}(buf[s:p])"
         if check:
-            names[f"k{i}"] = item
+            names[f"k{i}"] = kind
             err = f", k{i}"
-        if not many:
-            enc.append(f"    x{i} = {call}(values[{attr!r}])")
-            parts += [head or f"pack({tag}, len(x{i}))", f"x{i}"]
-            dec += [f"    if p + {size} > n: raise bad(buf, p, {tag}{err})",
-                    "    t, m = header(buf, p)",
-                    f"    s = p + {size}",
-                    "    p = s + m",
-                    f"    if t != {tag} or p > n{check}:"
-                    f" raise bad(buf, s - {size}, {tag}{err})",
-                    f"    v{i} = {value}"]
-            continue
-        enc += [f"    out {'+=' if joined else '='} [{', '.join(parts)}]",
-                f"    for v in values[{attr!r}]:",
-                f"        x = {call}(v)",
-                f"        out += {head or f'pack({tag}, len(x))'}, x"]
-        dec += [f"    v{i} = []",
-                "    while p < n:",
-                f"        if p + {size} > n: raise bad(buf, p, {tag}{err})",
-                "        t, m = header(buf, p)",
-                f"        if t != {tag}: break",
-                f"        s = p + {size}",
-                "        p = s + m",
-                f"        if p > n{check}: raise bad(buf, s - {size}, {tag}{err})",
-                f"        v{i}.append({value})"]
-        parts, joined = [], True
-    enc.append(f"    return b''.join({'out + ' * joined}[{', '.join(parts)}])")
+        enc.append(f"    x{i} = {call}(values[{attr!r}])")
+        parts += [head or f"pack({tag}, len(x{i}))", f"x{i}"]
+        dec += [f"    if p + {size} > n: raise bad(buf, p, {tag}{err})",
+                "    t, m = header(buf, p)",
+                f"    s = p + {size}",
+                "    p = s + m",
+                f"    if t != {tag} or p > n{check}:"
+                f" raise bad(buf, s - {size}, {tag}{err})",
+                f"    v{i} = {value}"]
+    enc.append(f"    return b''.join([{', '.join(parts)}])")
     dec += ["    if p != n: raise bad(buf, p)",
             f"    return ({''.join(f'v{i}, ' for i in range(len(fields)))})"]
     # one factory takes the names as arguments, so the two functions read

@@ -72,10 +72,6 @@ class BlobCorrupt(CcxError):
     """Key blob envelope failed integrity verification."""
 
 
-class VersionUnsupported(CcxError):
-    """Persisted state carries an unknown format version."""
-
-
 class KeyNotLoaded(CcxError):
     """Operation referenced a handle that is not in the loaded-object table."""
 

@@ -777,11 +777,12 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
 
     percentiles = {}
     for phase, values in timings.items():
-        if values:
+        if len(values) > 1:
             qs = statistics.quantiles(values, n=100, method="inclusive")
             percentiles[phase] = (qs[49], qs[89], qs[98])
         else:
-            percentiles[phase] = (0.0, 0.0, 0.0)
+            # every percentile of one value is that value; of none, 0
+            percentiles[phase] = (values[0] if values else 0.0,) * 3
     nonces = cluster.verifier_svc.nonces_issued
     return BenchResult(
         nodes=nodes, concurrency=concurrency, direction=direction,

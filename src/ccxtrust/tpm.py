@@ -5,7 +5,7 @@ four seed hierarchies (endorsement, storage, platform, and the added
 collaborative-compute hierarchy), a 24-register PCR bank, wrapped key blobs
 with version-stamped envelopes, quotes that can embed foreign TEE evidence,
 credential activation, a two-phase ECDH command pair with a counter table,
-PCR-policy sealing, seed rotation, and authenticated NV persistence.
+PCR-policy sealing, and seed rotation.
 
 A confidential VM's key tree hangs off the storage or the CC primary, and
 the parent sets the scheme. Teardown deletes the CVM's CC master secret, so
@@ -15,8 +15,8 @@ primary lives.
 Everything a TPM would derive internally is a deterministic function of the
 endorsement primary seed and the command sequence, so a device manufactured
 from the same seed and driven through the same commands reproduces the same
-public artifacts and NV plaintext byte for byte: the device keeps no
-wall-clock time, and every field it keeps is one that a command reads.
+public artifacts and state byte for byte: the device keeps no wall-clock
+time, and every field it keeps is one that a command reads.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from .encoding import (
     STR,
     U64,
     Kind,
-    Many,
     Record,
     Signed,
     Spec,
-    nested,
     raw,
 )
 from .errors import (
@@ -53,7 +51,6 @@ from .errors import (
     PolicyFailure,
     ReportTooLarge,
     SeedVersionMismatch,
-    VersionUnsupported,
 )
 
 HIERARCHIES = ("endorsement", "storage", "platform", "cc")
@@ -61,8 +58,6 @@ PCR_COUNT = 24
 PCR_SELECT_BYTES = 3
 MAX_TEE_REPORT_SIZE = 4096
 EPHEMERAL_TABLE_CAPACITY = 256
-NV_MAGIC = b"CTPMNV01"
-NV_FORMAT_VERSION = 2
 FIRMWARE_VERSION = 1
 
 _PRIMARY_ROLES = {"endorsement": "EK", "storage": "SRK", "platform": "PPK", "cc": "CC-SRK"}
@@ -633,98 +628,3 @@ def unseal(state: TpmState, blob: SealedBlob) -> bytes:
     aad = selection_to_bitmap(blob.selection) + blob.policy_digest
     key = crypto.kdf_counter(record.seed, "SEAL", aad)
     return crypto.channel_open(key, blob.ciphertext, aad)
-
-
-# ---------------------------------------------------------------------------
-# NV persistence
-# ---------------------------------------------------------------------------
-
-_NV_STATE = Spec(
-    (1, "command_counter", U64),
-    (2, "next_handle", U64),
-    (3, "hierarchies", Many(Spec((1, "name", STR), (2, "seed", RAW),
-                                 (3, "version", U64)))),
-    (4, "pcrs", raw(PCR_COUNT * crypto.DIGEST_LEN)),
-    (5, "nv", Many(Spec((1, "key", STR), (2, "value", RAW)))),
-    (6, "eph_seed", RAW),
-    (7, "eph_next", U64),
-    (8, "eph_table", RAW),
-    (9, "loaded", Many(Spec((1, "handle", U64), (2, "blob", nested(KeyBlob)),
-                            (3, "scalar", raw(32))))),
-    (10, "ek_blob", RAW),
-)
-
-
-def nv_persist(state: TpmState, protection_key: bytes, rng=None) -> bytes:
-    """Serialize the device under an authenticated envelope.
-
-    Layout: magic, u16 format version, then AES-GCM ciphertext of the
-    canonical state encoding with the header as aad.
-    """
-    if rng is None:
-        rng = crypto.SystemRng()
-    header = NV_MAGIC + struct.pack("<H", NV_FORMAT_VERSION)
-    body = crypto.channel_seal(protection_key, _encode_state(state), header, rng)
-    return header + body
-
-
-def nv_load(raw: bytes, protection_key: bytes) -> TpmState:
-    """Restore a device image. Tamper anywhere fails authentication."""
-    header_len = len(NV_MAGIC) + 2
-    if len(raw) < header_len or raw[:len(NV_MAGIC)] != NV_MAGIC:
-        raise VersionUnsupported("not a TPM NV image")
-    version = struct.unpack("<H", raw[len(NV_MAGIC):header_len])[0]
-    if version != NV_FORMAT_VERSION:
-        raise VersionUnsupported(f"NV format version {version} not supported")
-    header = raw[:header_len]
-    plain = crypto.channel_open(protection_key, raw[header_len:], header)
-    return _decode_state(plain)
-
-
-def _encode_state(state: TpmState) -> bytes:
-    return _NV_STATE.encode({
-        "command_counter": state.command_counter,
-        "next_handle": state.next_handle,
-        "hierarchies": [{"name": h, **vars(state.seeds[h])} for h in HIERARCHIES],
-        "pcrs": b"".join(state.pcr.registers),
-        "nv": [{"key": key, "value": state.nv[key]} for key in sorted(state.nv)],
-        "eph_seed": state.eph_seed,
-        "eph_next": state.eph_next,
-        "eph_table": struct.pack(f"<{len(state.eph_table)}Q", *state.eph_table),
-        "loaded": [{"handle": handle, "blob": state.loaded[handle].blob,
-                    "scalar": state.loaded[handle].scalar.to_bytes(32, "big")}
-                   for handle in sorted(state.loaded)],
-        "ek_blob": state.ek_blob.to_bytes() if state.ek_blob else b"",
-    })
-
-
-def _decode_state(raw: bytes) -> TpmState:
-    fields = _NV_STATE.decode(raw)
-    names = [record["name"] for record in fields["hierarchies"]]
-    keys = [entry["key"] for entry in fields["nv"]]
-    handles = [entry["handle"] for entry in fields["loaded"]]
-    # one order per image: what _encode_state would write for the state
-    if names != list(HIERARCHIES) or keys != sorted(set(keys)) \
-            or handles != sorted(set(handles)):
-        raise DecodeError("NV records are missing, repeated or out of order")
-    if len(fields["eph_table"]) % 8:
-        raise DecodeError("ephemeral counter table is not a list of u64")
-    state = TpmState()
-    for name in ("command_counter", "next_handle", "eph_seed", "eph_next"):
-        setattr(state, name, fields[name])
-    for record in fields["hierarchies"]:
-        state.seeds[record["name"]] = SeedRecord(record["seed"], record["version"])
-    pcrs = fields["pcrs"]
-    state.pcr.registers = [pcrs[i:i + crypto.DIGEST_LEN]
-                           for i in range(0, len(pcrs), crypto.DIGEST_LEN)]
-    state.nv = {entry["key"]: entry["value"] for entry in fields["nv"]}
-    table = fields["eph_table"]
-    state.eph_table = list(struct.unpack(f"<{len(table) // 8}Q", table))
-    state.loaded = {entry["handle"]: LoadedKey(
-        entry["blob"], int.from_bytes(entry["scalar"], "big"))
-        for entry in fields["loaded"]}
-    if fields["ek_blob"]:
-        state.ek_blob = KeyBlob.from_bytes(fields["ek_blob"])
-    if "cert/ek" in state.nv:
-        state.ek_cert = crypto.Certificate.from_bytes(state.nv["cert/ek"])
-    return state

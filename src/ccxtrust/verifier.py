@@ -28,7 +28,7 @@ of the layers present. Last comes the atomic claim of the session.
 verify_composite is the only constructor of VerifiedReport, and
 issue_token accepts nothing else, so a token can never be minted from
 unverified evidence by construction; it mints at most one token per
-session.
+session, and none once the session's node is revoked.
 """
 
 from __future__ import annotations
@@ -467,8 +467,9 @@ class VerifierService:
         The VerifiedReport type gate is the soundness hook: there is no
         public constructor path that has not been through verification.
         A session yields at most one token; a refused call (unknown
-        session, second mint, token type the policy forbids) does not use
-        it up.
+        session, second mint, node revoked since appraisal, token type the
+        policy forbids) does not use it up. Revocation is checked under
+        the lock, so a revoke that returned before the mint is seen.
         """
         if not isinstance(verified, VerifiedReport):
             raise TypeError("issue_token requires a VerifiedReport")
@@ -477,6 +478,8 @@ class VerifierService:
             session = self._sessions.get(verified.session_id)
             if session is None or session.token_minted:
                 raise ValueError("session is unknown or already has its token")
+            if self._is_revoked(session.node_id):
+                raise NodeRevoked(f"node {session.node_id!r} is revoked")
             policy = self.get_policy(session.policy_id)
             if verified.token_type not in policy.allowed_types:
                 raise ValueError(

@@ -350,10 +350,22 @@ def test_certificate_issue_verify_round_trip():
     assert parsed.verify(issuer.public_bytes)
 
 
-def test_certificate_verify_fails_for_wrong_issuer():
+def test_certificate_verify_fails_for_wrong_issuer(monkeypatch):
     rng = crypto.DeterministicRng(b"certs2")
     issuer = crypto.SigningKeyPair.generate("CA", rng)
     other = crypto.SigningKeyPair.generate("CA2", rng)
     subject = crypto.SigningKeyPair.generate("AIK", rng)
     cert = crypto.issue_certificate(issuer, "AIK", 1, subject.public_bytes)
+    verify = crypto.verify
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    # the issuer_name check refuses it before any ECDSA verify
     assert not cert.verify(other.public_bytes)
+    assert calls == []
+    assert cert.verify(issuer.public_bytes)
+    assert len(calls) == 1

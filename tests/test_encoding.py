@@ -15,7 +15,6 @@ from ccxtrust.encoding import (
     U64,
     FieldReader,
     FieldWriter,
-    Many,
     Record,
     Signed,
     Spec,
@@ -36,11 +35,7 @@ def _oracle_encode(spec: Spec, values) -> bytes:
     worked before it generated code."""
     writer = FieldWriter()
     for tag, attr, kind in spec.fields:
-        if type(kind) is Many:
-            for value in values[attr]:
-                writer.put(tag, _oracle_kind_encode(kind.item, value))
-        else:
-            writer.put(tag, _oracle_kind_encode(kind, values[attr]))
+        writer.put(tag, _oracle_kind_encode(kind, values[attr]))
     return writer.getvalue()
 
 
@@ -48,12 +43,7 @@ def _oracle_decode(spec: Spec, raw_bytes: bytes) -> dict:
     reader = FieldReader(raw_bytes)
     values = {}
     for tag, attr, kind in spec.fields:
-        if type(kind) is Many:
-            items = values[attr] = []
-            while not reader.exhausted and reader.peek_tag() == tag:
-                items.append(_oracle_kind_decode(kind.item, reader.take(tag)))
-        else:
-            values[attr] = _oracle_kind_decode(kind, reader.take(tag))
+        values[attr] = _oracle_kind_decode(kind, reader.take(tag))
     reader.finish()
     return values
 
@@ -92,12 +82,10 @@ def test_writer_reader_round_trip():
     spec = Spec((1, "blob", RAW), (2, "short", U16), (4, "wide", U64),
                 (5, "name", STR), (7, "digest", raw(4)),
                 (8, "capped", raw(max_len=8)),
-                (9, "entries", Many(Spec((1, "key", STR)))),
                 (10, "after", RAW))
     values = {"blob": b"alpha", "short": 0xBEEF, "wide": 2**40 + 7,
               "name": "owner-ca", "digest": b"\x00\x01\x02\x03",
-              "capped": b"12345678",
-              "entries": [{"key": "a"}, {"key": "b"}], "after": b""}
+              "capped": b"12345678", "after": b""}
     encoded = spec.encode(values)
     r = FieldReader(encoded)
     assert r.take(1) == b"alpha"
@@ -106,8 +94,6 @@ def test_writer_reader_round_trip():
     assert r.take(5) == "owner-ca".encode()
     assert r.take(7) == b"\x00\x01\x02\x03"
     assert r.take(8) == b"12345678"
-    assert r.take(9) == encode_field(1, b"a")
-    assert r.take(9) == encode_field(1, b"b")
     assert r.take(10) == b""
     assert r.exhausted
     r.finish()
@@ -117,14 +103,6 @@ def test_writer_reader_round_trip():
 def test_empty_payload_round_trip():
     raw = FieldWriter().put(9, b"").getvalue()
     assert FieldReader(raw).take(9) == b""
-
-
-def test_peek_tag_does_not_consume():
-    raw = FieldWriter().put(7, b"x").getvalue()
-    r = FieldReader(raw)
-    assert r.peek_tag() == 7
-    assert r.peek_tag() == 7
-    assert r.take(7) == b"x"
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +226,12 @@ def fuzz_targets():
          protocol.CompositeReportEnvelope.from_bytes,
          protocol.CompositeReportEnvelope.to_bytes,
          protocol.CompositeReportEnvelope.SPEC),
-        ("nv-plaintext", tpm._encode_state(a.state), tpm._decode_state,
-         tpm._encode_state, tpm._NV_STATE),
     ]
     # AEAD-protected forms: nothing but the original opens
-    nv_key = bytes(range(32))
     sealed = [
         ("wire-frame", c.channels.seal(0x0201, "verifier", a.agent,
                                        bytes(16), b"body"),
          lambda raw: c.channels.open(raw, a.agent)),
-        ("nv-image", tpm.nv_persist(a.state, nv_key, crypto.DeterministicRng(1)),
-         lambda raw: tpm.nv_load(raw, nv_key)),
     ]
     return canonical, sealed
 
@@ -295,14 +268,12 @@ def test_mutated_encodings_fail_cleanly_or_reencode_identically(fuzz_targets):
 
 def _library_specs() -> list[Spec]:
     """Every Spec of the library: the record layouts and signed bodies, the
-    wire frame, the message bodies, the NV image, and the specs nested in
-    them."""
+    wire frame, the message bodies, and the specs nested in them."""
     records = [cls for base in (Record, Signed) for cls in base.__subclasses__()
                if cls.__module__.startswith("ccxtrust.") and cls is not Signed]
     stack = [spec for cls in records for spec in vars(cls).values()
              if isinstance(spec, Spec)]
-    stack += [protocol._FRAME, *protocol._MESSAGE_BODIES.values(),
-              tpm._NV_STATE]
+    stack += [protocol._FRAME, *protocol._MESSAGE_BODIES.values()]
     specs: list[Spec] = []
     while stack:
         spec = stack.pop()
@@ -310,15 +281,14 @@ def _library_specs() -> list[Spec]:
             continue
         specs.append(spec)
         for _tag, _attr, kind in spec.fields:
-            item = kind.item if type(kind) is Many else kind
-            if isinstance(item, Spec):
-                stack.append(item)
+            if isinstance(kind, Spec):
+                stack.append(kind)
     return specs
 
 
 def test_generated_codec_matches_oracle_on_an_honest_run(monkeypatch):
     # every encode and decode of the specs' generated code, through
-    # enrollment, attestation, the golden structures and the NV image,
+    # enrollment, attestation and the golden structures,
     # must give what the generic loop gives
     used: Counter = Counter()
     mismatches = []
@@ -362,12 +332,8 @@ def test_generated_codec_matches_oracle_on_an_honest_run(monkeypatch):
     ]
     for record in golden:
         assert type(record).from_bytes(record.to_bytes()) == record
-    nv_key = bytes(range(32))
-    image = tpm.nv_persist(a.state, nv_key, crypto.DeterministicRng(1))
-    assert tpm._encode_state(tpm.nv_load(image, nv_key)) == \
-        tpm._encode_state(a.state)
     assert mismatches == []
-    assert all(used[spec] for spec in (protocol._FRAME, tpm._NV_STATE,
+    assert all(used[spec] for spec in (protocol._FRAME,
                                        *protocol._MESSAGE_BODIES.values()))
     assert all(used[cls.SPEC] for cls in (type(r) for r in golden))
 

@@ -177,3 +177,10 @@ def test_bench_small_config():
         assert 0 <= p50 <= p90 <= p99
     table = result.table()
     assert "enroll" in table and "attest" in table
+
+
+def test_bench_of_one_node_reports_its_one_timing_per_phase():
+    result = harness.run_bench(78, nodes=1, concurrency=1)
+    assert result.successes == 1
+    for p50, p90, p99 in result.phase_percentiles.values():
+        assert 0 < p50 == p90 == p99

@@ -178,6 +178,20 @@ def test_replay_rejects_stage_regression():
         measurement.replay_log(renumbered)
 
 
+def test_replay_rejects_an_event_for_a_pcr_outside_the_stages():
+    import dataclasses
+    epoch, publisher, state = make_epoch()
+    full_boot(epoch, publisher)
+    # PCR 16 is in the bank but in no stage: a LogGap, not a KeyError
+    stray = dataclasses.replace(epoch.events[-1], seq=len(epoch.events),
+                                pcr_index=16)
+    assert stray.pcr_index not in measurement.ALL_STAGE_PCRS
+    with pytest.raises(LogGap, match="unexpected PCR 16"):
+        measurement.replay_log(epoch.events + [stray])
+    assert not measurement.verify_log_against_bank(epoch.events + [stray],
+                                                   state)
+
+
 def test_log_text_round_trip():
     epoch, publisher, _ = make_epoch()
     full_boot(epoch, publisher)

@@ -329,16 +329,15 @@ def test_golden_trace_and_token_digests():
         == "1877689b62445c246fae74a2d29b7a4177ef68397422d5bb8e8b7ae8d3eb4606"
 
 
-def test_golden_structure_encodings():
+def test_golden_structure_encodings(tpm_snapshot):
     # the structures the golden trace never puts on the wire whole: a key
     # blob with its envelope, sealed data, a credential, a signed
-    # manifest, the vendor chain, and the NV plaintext with its repeated
-    # store and loaded-key records
+    # manifest, the vendor chain, and a snapshot of the node's TPM state
     c = harness.build_cluster(4242, nodes=2)
     a = c.actor(0)
     encodings = {
         "aik-blob": a.aik_blob.to_bytes(),
-        "nv-plaintext": tpm._encode_state(a.state),
+        "tpm-state": tpm_snapshot(a.state),
         "sealed-blob": tpm.seal(a.state, b"pinned disk key",
                                 (0, 4, 7)).to_bytes(),
         "credential": tpm.make_credential(
@@ -352,7 +351,7 @@ def test_golden_structure_encodings():
     assert {name: crypto.sha256(raw).hex()
             for name, raw in encodings.items()} == {
         "aik-blob": "2c7ad09452337c8b6f15ca0f91796819cd5e33ae96f524cdbcace6a0220b0139",
-        "nv-plaintext": "3b42fcd8eadcbb3bb421ffe2cf13206b1f145ac9e03cc23eb39daa6cc6a56e18",
+        "tpm-state": "2aeefc401901071a5f06ed37df729051d29e2417ba2055723f26fc60d09e092a",
         "sealed-blob": "3ce4d9d8b2094f3d99b24a985a404410da9d00d77f940afb20173de0475da5f1",
         "credential": "32b5b1fadfe9aad0ac6821662c5a5283495967c6be447b1aa1237d1d1643b625",
         "manifest": "2388c8f28f47aa6afc40b766d8bb7edbd1abbe29503b010b440eed2b5ccaeae2",

@@ -1,5 +1,5 @@
 """Software TPM device: manufacture, key trees, PCRs, quotes, credential
-activation, ephemeral counters, sealing, seed rotation, NV persistence.
+activation, ephemeral counters, sealing, seed rotation.
 
 PCR extend expectations were computed with a standalone hash chain
 (new = sha256(old || digest), registers start at 32 zero bytes) and
@@ -25,7 +25,6 @@ from ccxtrust.errors import (
     PolicyFailure,
     ReportTooLarge,
     SeedVersionMismatch,
-    VersionUnsupported,
 )
 
 SEED = b"\xa5" * 32
@@ -59,8 +58,8 @@ def test_manufacture_rejects_bad_seed():
         tpm.tpm_manufacture(b"short")
 
 
-def test_devices_driven_alike_encode_alike():
-    # the NV plaintext holds only what commands derive, no wall-clock time
+def test_devices_driven_alike_encode_alike(tpm_snapshot):
+    # the device holds only what commands derive, no wall-clock time
     images = []
     for _ in range(2):
         state = tpm.tpm_manufacture(SEED)
@@ -68,7 +67,7 @@ def test_devices_driven_alike_encode_alike():
         srk_handle = tpm.load_key(state, tpm.create_primary(state, "storage"))
         tpm.load_key(state, tpm.create_signing_key(state, srk_handle))
         tpm.rotate_seed(state, "platform")
-        images.append(tpm._encode_state(state))
+        images.append(tpm_snapshot(state))
     assert images[0] == images[1]
 
 
@@ -513,70 +512,23 @@ def test_one_device_tears_down_a_storage_tree_and_a_cc_tree():
         assert tpm.load_key(state, tpm.KeyBlob.from_bytes(raw))
 
 
-def test_cvm_root_key_refuses_an_empty_id():
+def test_cvm_root_key_refuses_an_empty_id(tpm_snapshot):
     # a CC-tree root without an id would survive deactivate_cvm of its CVM
     state = fresh_state()
     cc_handle = tpm.load_key(state, tpm.create_primary(state, "cc"))
     ms = tpm.create_cvm_key(state, b"vm-9")
-    before = tpm._encode_state(state)
+    before = tpm_snapshot(state)
     with pytest.raises(InvalidLength):
         tpm.create_cvm_root_key(state, ms, cc_handle, b"")
-    assert tpm._encode_state(state) == before
+    assert tpm_snapshot(state) == before
 
 
-def test_deactivate_cvm_refuses_an_empty_id():
+def test_deactivate_cvm_refuses_an_empty_id(tpm_snapshot):
     # an empty id would match the EK, the SRK and the AIK, none of a CVM
     state = fresh_state()
     tpm.load_key(state, state.ek_blob)
     aik_setup(state)
-    before = tpm._encode_state(state)
+    before = tpm_snapshot(state)
     with pytest.raises(InvalidLength):
         tpm.deactivate_cvm(state, b"")
-    assert tpm._encode_state(state) == before
-
-
-# ---------------------------------------------------------------------------
-# NV persistence
-# ---------------------------------------------------------------------------
-
-def test_nv_round_trip_preserves_device():
-    state = fresh_state()
-    tpm.pcr_extend(state, 4, crypto.sha256(b"boot"))
-    srk_handle = tpm.load_key(state, tpm.create_primary(state, "storage"))
-    child = tpm.create_signing_key(state, srk_handle)
-    tpm.rotate_seed(state, "platform")
-    prot = crypto.sha256(b"nv-protection")
-
-    image = tpm.nv_persist(state, prot, crypto.DeterministicRng(b"nv"))
-    assert image[:8] == b"CTPMNV01"
-
-    restored = tpm.nv_load(image, prot)
-    assert tpm.pcr_read(restored, 4) == tpm.pcr_read(state, 4)
-    assert restored.seeds["platform"].version == 2
-    assert restored.ek_blob.public == state.ek_blob.public
-    # the loaded-object table survives, so the child still loads by parent
-    assert tpm.load_key(restored, child)
-
-
-def test_nv_load_rejects_tamper_and_wrong_key():
-    state = fresh_state()
-    prot = crypto.sha256(b"nv-protection")
-    image = bytearray(tpm.nv_persist(state, prot, crypto.DeterministicRng(b"nv")))
-    image[-1] ^= 0x01
-    with pytest.raises(AuthFailure):
-        tpm.nv_load(bytes(image), prot)
-    good = tpm.nv_persist(state, prot, crypto.DeterministicRng(b"nv"))
-    with pytest.raises(AuthFailure):
-        tpm.nv_load(good, crypto.sha256(b"other-key"))
-
-
-def test_nv_load_rejects_foreign_magic_and_version():
-    state = fresh_state()
-    prot = crypto.sha256(b"nv-protection")
-    image = tpm.nv_persist(state, prot, crypto.DeterministicRng(b"nv"))
-    with pytest.raises(VersionUnsupported):
-        tpm.nv_load(b"XXXXXXXX" + image[8:], prot)
-    # 1 is the format before the device kept only what its commands read
-    for version in (b"\x63\x00", b"\x01\x00"):
-        with pytest.raises(VersionUnsupported):
-            tpm.nv_load(image[:8] + version + image[10:], prot)
+    assert tpm_snapshot(state) == before

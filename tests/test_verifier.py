@@ -539,6 +539,22 @@ def test_issue_token_mints_once_per_session(cluster):
     assert issue_one(cluster).payload["serial"] == token.payload["serial"] + 1
 
 
+def test_issue_token_refuses_a_node_revoked_after_appraisal(cluster):
+    # a revoke between verify_composite and issue_token mints nothing: no
+    # token for the relying party to accept, no serial taken
+    svc = cluster.verifier_svc
+    request, envelope = honest(cluster, "tpm-tee")
+    outcome, verified = submit(cluster, request, envelope)
+    assert outcome is verifier.CompositeOutcome.OK
+    cluster.oca.revoke(cluster.actor(0).node_id, "test")
+    with pytest.raises(NodeRevoked):
+        svc.issue_token(verified)
+    assert not svc._sessions[request.session_id].token_minted
+    request, envelope = honest(cluster, "tpm-tee", node_index=1)
+    assert svc.issue_token(submit(cluster, request, envelope)[1]) \
+        .payload["serial"] == 1
+
+
 # ---------------------------------------------------------------------------
 # token validation
 # ---------------------------------------------------------------------------
