@@ -139,7 +139,7 @@ class DeterministicRng:
     Output block i is sha256(state || be64(i)). fork() derives an
     independent child stream, which lets concurrent actors draw from
     unrelated streams without ordering effects. This is the simulator's
-    random number manager; self_test() is its health hook.
+    random number manager.
     """
 
     def __init__(self, seed: bytes | int) -> None:
@@ -162,29 +162,12 @@ class DeterministicRng:
     def fork(self, label: str) -> "DeterministicRng":
         return DeterministicRng(sha256(self._state + b"fork:" + label.encode()))
 
-    def self_test(self) -> bool:
-        return _rng_health_check(self.fork("self-test"))
-
 
 class SystemRng:
     """OS entropy. The production path; not reproducible."""
 
     def random_bytes(self, n: int) -> bytes:
         return os.urandom(n)
-
-    def self_test(self) -> bool:
-        return _rng_health_check(self)
-
-
-def _rng_health_check(rng) -> bool:
-    """Cheap sanity checks: balanced bits, no stuck or repeated blocks."""
-    sample = rng.random_bytes(2048)
-    ones = sum(bin(b).count("1") for b in sample)
-    total = len(sample) * 8
-    if not 0.45 < ones / total < 0.55:
-        return False
-    blocks = [sample[i:i + 32] for i in range(0, len(sample), 32)]
-    return len(set(blocks)) == len(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +247,6 @@ class SigningKeyPair:
     @property
     def public_bytes(self) -> bytes:
         return _point_of(self.public)
-
-    def public_only(self) -> "SigningKeyPair":
-        return SigningKeyPair(self.role, self.public)
 
     def at_rest(self) -> "SigningKeyPair":
         """The same pair with its point alone, for a holder that keeps it

@@ -2,9 +2,8 @@
 
 Every failure the library raises deliberately derives from CcxError, so
 callers can fence off simulator faults from programming errors. Validation
-outcomes that are expected results of a run (verification verdicts, token
-rejections, audit results) are enums on the relevant modules, not
-exceptions.
+outcomes that are expected results of a run (verification verdicts and
+token rejections) are enums on the relevant modules, not exceptions.
 """
 
 
@@ -114,6 +113,10 @@ class NodeUnknown(CcxError):
 
 class NodeRevoked(CcxError):
     """The referenced node has been revoked."""
+
+
+class PolicyUnknown(CcxError):
+    """The verifier has no policy registered under the referenced id."""
 
 
 # Measurement chain ----------------------------------------------------------

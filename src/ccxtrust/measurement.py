@@ -236,8 +236,3 @@ def verify_log_against_bank(events: list[MeasurementEvent],
         return False
     return all(tpm.pcr_read(state, index) == value
                for index, value in replayed.items())
-
-
-def parse_log(text: str) -> list[MeasurementEvent]:
-    return [MeasurementEvent.from_line(line)
-            for line in text.splitlines() if line.strip()]

@@ -7,9 +7,9 @@ issues owner certificates, provisions each node's MasterSecret, and keeps
 the registry and revocation list that the verifier consults.
 
 The registry is single-writer: every mutation happens under one lock and
-appends a line to one append-only record log, which audits also write to.
-Each node record lists every certificate serial issued to it, so revoke()
-covers them all, and a revoked node is issued no further certificate.
+appends a line to one append-only record log. Each node record lists
+every certificate serial issued to it, so revoke() covers them all, and
+a revoked node is issued no further certificate.
 snapshot() captures the registry for periodic checkpointing.
 """
 
@@ -40,11 +40,6 @@ class NodeStatus(Enum):
     AIK_CERTIFIED = "aik-certified"
     ACTIVE = "active"
     REVOKED = "revoked"
-
-
-class AuditOutcome(Enum):
-    PASS = "pass"
-    FAIL = "fail"
 
 
 @dataclass(frozen=True)
@@ -96,10 +91,6 @@ class OwnerCa:
         self._next_serial = 1
         self._records: list[str] = []
         self._lock = threading.RLock()
-
-    @property
-    def public_bytes(self) -> bytes:
-        return self.key.public_bytes
 
     # -- registration flow ---------------------------------------------------
 
@@ -245,25 +236,6 @@ class OwnerCa:
             if record.status != NodeStatus.REVOKED:
                 record.status = NodeStatus.REVOKED
                 self._record(f"revoke {node_id} reason={reason}")
-
-    def audit(self, node_id: str, fresh_report: tee.TeeReport,
-              vendor_chain: tee.CertChain) -> AuditOutcome:
-        """Re-measure a node against its baseline; divergence revokes it."""
-        with self._lock:
-            record = self._node(node_id)
-            if record.status == NodeStatus.REVOKED:
-                self._record(f"audit {node_id} fail revoked")
-                return AuditOutcome.FAIL
-            if record.baseline is None:
-                raise NotInitialized("no trust baseline configured for this node")
-            check = tee.verify_report(fresh_report, vendor_chain, self.trusted_tee_root,
-                                      expected_measurement=record.baseline.launch_measurement)
-            if check is not tee.ReportCheck.OK:
-                self._record(f"audit {node_id} fail {check.value}")
-                self.revoke(node_id, f"audit:{check.value}")
-                return AuditOutcome.FAIL
-            self._record(f"audit {node_id} pass")
-            return AuditOutcome.PASS
 
     def is_revoked(self, node_id: str) -> bool:
         with self._lock:

@@ -20,7 +20,7 @@ changed hands or yields a concrete counterexample event.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from . import crypto, tee, tpm
@@ -62,15 +62,6 @@ MESSAGE_TYPES = {
     "total-report": 0x0206,
     "token-info": 0x0207,
 }
-MESSAGE_NAMES = {num: name for name, num in MESSAGE_TYPES.items()}
-
-
-def tee_principal(node_id: str) -> str:
-    return node_id + "/tee"
-
-
-def tpm_principal(node_id: str) -> str:
-    return node_id + "/tpm"
 
 
 def base_principal(principal: str) -> str:
@@ -236,23 +227,10 @@ _MESSAGE_BODIES = {
                           (2, "qualifying_data", RAW), (3, "embedded", RAW),
                           (4, "session_id", RAW)),
     "tpm-report": Spec((1, "quote", nested(tpm.CompositeQuote))),
-    # a composite envelope, or the bare evidence of a single-technology run
+    # the evidence envelope of any direction
     "total-report": Spec((1, "report", RAW)),
     "token-info": Spec((1, "token", STR)),
 }
-
-
-@dataclass(frozen=True)
-class WireMessage:
-    mtype: int
-    sender: str
-    receiver: str
-    session_id: bytes
-    body: bytes
-
-    @property
-    def type_name(self) -> str:
-        return MESSAGE_NAMES.get(self.mtype, f"0x{self.mtype:04x}")
 
 
 def _wire_aad(mtype: int, sender: str, receiver: str, session_id: bytes) -> bytes:
@@ -304,14 +282,15 @@ class ChannelTable:
                               "receiver": receiver, "session_id": session_id,
                               "sealed": sealed})
 
-    def open(self, frame: bytes, expected_receiver: str) -> WireMessage:
+    def open(self, frame: bytes, expected_receiver: str) -> bytes:
+        """The body of a frame addressed to expected_receiver, once its
+        seal and clear header authenticate."""
         mtype, sender, receiver, session_id, sealed = _FRAME.unpack(frame)
         if receiver != expected_receiver:
             raise AuthFailure(f"frame addressed to {receiver!r}, "
                               f"not {expected_receiver!r}")
         aad = _wire_aad(mtype, sender, receiver, session_id)
-        body = crypto.channel_open(self._cipher(sender, receiver), sealed, aad)
-        return WireMessage(mtype, sender, receiver, session_id, body)
+        return crypto.channel_open(self._cipher(sender, receiver), sealed, aad)
 
 
 def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
@@ -328,10 +307,10 @@ def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
     digest = crypto.sha256(body).hex()
     trace.emit(sender, "send", peer=receiver, digest=digest,
                tag=mtype_name, contents=contents)
-    message = channels.open(frame, receiver)
+    received = channels.open(frame, receiver)
     trace.emit(receiver, "receive", peer=sender, digest=digest,
                tag=mtype_name, contents=contents)
-    return spec.decode(message.body)
+    return spec.decode(received)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +350,11 @@ class NodeActor:
 
     @property
     def tee_name(self) -> str:
-        return tee_principal(self.node_id)
+        return self.node_id + "/tee"
 
     @property
     def tpm_name(self) -> str:
-        return tpm_principal(self.node_id)
+        return self.node_id + "/tpm"
 
 
 def establish_channels(actor: NodeActor, oca_key: crypto.SigningKeyPair,
@@ -664,8 +643,8 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
     a TPM quote whose qualifying data is the same nonce. tee-tpm: the
     quote is embedded in a TEE report whose report_data binds both the
     nonce and the embedded bytes. tee and tpm are the single-technology
-    legs of the two-token baseline; they put their bare evidence on the
-    wire instead of an envelope.
+    legs of the two-token baseline. Every direction sends its envelope,
+    so the verifier reads the direction and the session off the wire.
     """
     if direction not in LAYOUTS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -691,25 +670,21 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
         build_evidence(direction, nonce, make_layer))
     if evidence_mutator is not None:
         envelope = evidence_mutator(envelope)
-    single = len(LAYOUTS[direction]) == 1
-    wire = envelope.evidence if single else envelope.to_bytes()
+    wire = envelope.to_bytes()
     # one digest each for wire and the token text, sent and then received
     wire_hex = crypto.sha256(wire).hex()
     received = _transfer(trace, channels, C, V, "total-report",
                          {"report": wire}, session_id=session_id,
                          contents=(f"session:{session_hex}",
                                    f"envelope:{wire_hex}"))["report"]
-    if single:
-        envelope = replace(envelope, evidence=received)
-        tag, contents = f"{direction}-evidence", ()
-    else:
-        envelope = CompositeReportEnvelope.from_bytes(received)
-        tag, contents = "composite-evidence", (f"session:{session_hex}",)
+    envelope = CompositeReportEnvelope.from_bytes(received)
+    layers = "composite" if len(LAYOUTS[direction]) > 1 else direction
     outcome, verified = verifier_svc.verify_composite(envelope, request,
                                                       policy)
-    trace.emit(V, "verify", digest=wire_hex, tag=tag,
+    trace.emit(V, "verify", digest=wire_hex, tag=f"{layers}-evidence",
                ok=outcome is CompositeOutcome.OK,
-               contents=contents + (f"outcome:{outcome.value}",))
+               contents=(f"session:{session_hex}",
+                         f"outcome:{outcome.value}"))
     if outcome is not CompositeOutcome.OK:
         raise AttestationRejected(outcome, f"evidence rejected: {outcome.value}")
 

@@ -225,7 +225,6 @@ def tpm_manufacture(ep_seed: bytes) -> TpmState:
     state.ek_blob = create_primary(state, "endorsement")
     serial = struct.unpack("<Q", crypto.sha256(b"ek-serial:" + state.ek_blob.public)[:8])[0]
     state.ek_cert = crypto.issue_certificate(_VENDOR_CA, "EK", serial, state.ek_blob.public)
-    state.nv["cert/ek"] = state.ek_cert.to_bytes()
     return state
 
 

@@ -48,6 +48,7 @@ from .errors import (
     DecodeError,
     MalformedSignature,
     NodeRevoked,
+    PolicyUnknown,
 )
 
 if TYPE_CHECKING:   # pragma: no cover - import only for annotations
@@ -331,10 +332,6 @@ class VerifierService:
         self._next_serial = 1
         self._lock = threading.RLock()
 
-    @property
-    def public_bytes(self) -> bytes:
-        return self.key.public_bytes
-
     def add_policy(self, policy: PolicyBaseline) -> None:
         with self._lock:
             self.policies[policy.policy_id] = policy
@@ -342,7 +339,7 @@ class VerifierService:
     def get_policy(self, policy_id: str) -> PolicyBaseline:
         policy = self.policies.get(policy_id)
         if policy is None:
-            raise KeyError(f"unknown policy {policy_id!r}")
+            raise PolicyUnknown(f"unknown policy {policy_id!r}")
         return policy
 
     def register_node_keys(self, node_id: str, chip_id: bytes,
@@ -402,14 +399,20 @@ class VerifierService:
                          ) -> tuple[CompositeOutcome, VerifiedReport | None]:
         """Appraise evidence of any layout in LAYOUTS; first failure wins.
 
-        Session and identity checks come before any signature: session
-        replay and session-id binding, decoding of every layer, nonce
-        binding, the report's chip id against the session node's, and
-        revocation. Then the signature of each layer (outer first) under
-        the session node's keys. Checks of signed claims come after them:
-        launch measurement, PCR composite, TCB floor. Last, the atomic
-        claim of the session.
+        The claims are appraised under the policy of the verifier's own
+        entry for the session; a session id it never opened is MALFORMED.
+        The policy argument is unread. Session and identity checks come
+        before any signature: session replay and session-id binding,
+        decoding of every layer, nonce binding, the report's chip id
+        against the session node's, and revocation. Then the signature of
+        each layer (outer first) under the session node's keys. Checks of
+        signed claims come after them: launch measurement, PCR composite,
+        TCB floor. Last, the atomic claim of the session.
         """
+        entry = self.session(session.session_id)
+        if entry is None:
+            return CompositeOutcome.MALFORMED, None
+        policy = self.policies[entry.policy_id]
         if session.completed:
             return CompositeOutcome.SESSION_REPLAY, None
         if envelope.session_id != session.session_id:

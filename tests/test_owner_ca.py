@@ -1,5 +1,5 @@
 """Owner CA: enrollment, credential-activation challenges, baselines,
-registration, revocation, auditing."""
+registration and revocation."""
 
 import pytest
 
@@ -82,7 +82,7 @@ def test_register_tee_issues_vcek_cert():
     cert = rig.enroll_tee()
     assert cert.role == "VCEK"
     assert cert.subject == rig.vcek.public_bytes
-    assert cert.verify(rig.ca.public_bytes)
+    assert cert.verify(rig.ca.key.public_bytes)
     assert rig.ca.nodes["node-a"].status is owner_ca.NodeStatus.TEE_REGISTERED
 
 
@@ -142,7 +142,7 @@ def test_full_challenge_flow_issues_aik_cert():
     cert = rig.certify_aik()
     assert cert.role == "AIK"
     assert cert.subject == rig.aik_blob.public
-    assert cert.verify(rig.ca.public_bytes)
+    assert cert.verify(rig.ca.key.public_bytes)
     assert rig.ca.nodes["node-a"].status is owner_ca.NodeStatus.AIK_CERTIFIED
 
 
@@ -292,7 +292,7 @@ def test_register_node_issues_identity_and_master_secret():
     rig = Rig()
     cert, ms = rig.activate()
     assert cert.role == "IDENTITY"
-    assert cert.verify(rig.ca.public_bytes)
+    assert cert.verify(rig.ca.key.public_bytes)
     assert len(ms) == 32
     record = rig.ca.nodes["node-a"]
     assert record.status is owner_ca.NodeStatus.ACTIVE
@@ -325,32 +325,8 @@ def test_register_node_rejects_report_not_bound_to_identity(report_data):
 
 
 # ---------------------------------------------------------------------------
-# revocation and audit
+# revocation
 # ---------------------------------------------------------------------------
-
-def test_audit_pass_then_divergence_revokes():
-    rig = Rig()
-    rig.activate()
-    assert rig.ca.audit("node-a", rig.report(), rig.chain) is \
-        owner_ca.AuditOutcome.PASS
-
-    drifted = tee.TeeTcb(crypto.sha256(b"evil"), crypto.sha256(b"k"),
-                         crypto.sha256(b"i"), crypto.sha256(b"c"))
-    bad_vcek, bad_chain = rig.vendor.derive_vcek(CHIP, 7)
-    bad_report = tee.guest_report(bad_vcek, CHIP, drifted, 7, bytes(64))
-    assert rig.ca.audit("node-a", bad_report, bad_chain) is \
-        owner_ca.AuditOutcome.FAIL
-    assert rig.ca.is_revoked("node-a")
-
-
-def test_audit_of_revoked_node_fails_terminally():
-    rig = Rig()
-    rig.activate()
-    rig.ca.revoke("node-a", "operator call")
-    # a clean re-measurement does not resurrect the node
-    assert rig.ca.audit("node-a", rig.report(), rig.chain) is \
-        owner_ca.AuditOutcome.FAIL
-
 
 def test_revocation_list_versioned_and_idempotent():
     rig = Rig()
@@ -419,9 +395,9 @@ def test_revoked_node_is_refused_before_any_work(monkeypatch):
 def test_record_log_mentions_lifecycle():
     rig = Rig()
     rig.activate()
-    rig.ca.audit("node-a", rig.report(), rig.chain)
+    rig.ca.revoke("node-a", "compromise")
     log = "\n".join(rig.ca.record_log)
     for stem in ("register-tee", "aik-challenge", "aik-answer",
-                 "set-baseline", "register-node", "audit"):
+                 "set-baseline", "register-node", "revoke"):
         assert stem in log
-    assert rig.ca.record_log[-1].endswith(" audit node-a pass")
+    assert rig.ca.record_log[-1].endswith(" revoke node-a reason=compromise")

@@ -10,7 +10,13 @@ import threading
 import pytest
 
 from ccxtrust import crypto, harness, protocol, tee, tpm, verifier
-from ccxtrust.errors import CcxError, ChainInvalid, DecodeError, NodeRevoked
+from ccxtrust.errors import (
+    CcxError,
+    ChainInvalid,
+    DecodeError,
+    NodeRevoked,
+    PolicyUnknown,
+)
 
 
 @pytest.fixture()
@@ -168,13 +174,20 @@ def test_wrong_nonce_in_inner_binding(cluster):
         verifier.CompositeOutcome.NONCE_MISMATCH
 
 
+def strict_session(cluster, **demands):
+    """An honest tpm-tee submission for a session opened under a policy
+    that the verifier registers with demands stricter than the cluster's."""
+    strict = dataclasses.replace(cluster.policy, policy_id="strict",
+                                 **demands)
+    cluster.verifier_svc.add_policy(strict)
+    return honest(cluster, "tpm-tee", policy_id=strict.policy_id)
+
+
 def test_measurement_mismatch(cluster):
-    request, envelope = honest(cluster, "tpm-tee")
-    strict = dataclasses.replace(cluster.policy,
-                                 expected_measurement=bytes(32))
-    outcome, _ = cluster.verifier_svc.verify_composite(envelope, request,
-                                                       strict)
-    assert outcome is verifier.CompositeOutcome.MEASUREMENT_MISMATCH
+    request, envelope = strict_session(cluster,
+                                       expected_measurement=bytes(32))
+    assert submit(cluster, request, envelope)[0] is \
+        verifier.CompositeOutcome.MEASUREMENT_MISMATCH
 
 
 def test_pcr_mismatch_after_drift(cluster):
@@ -187,12 +200,40 @@ def test_pcr_mismatch_after_drift(cluster):
 
 
 def test_tcb_floor_enforced(cluster):
+    request, envelope = strict_session(
+        cluster, min_tcb_version=cluster.actor(0).tcb_version + 1)
+    assert submit(cluster, request, envelope)[0] is \
+        verifier.CompositeOutcome.TCB_REJECTED
+
+
+def test_caller_policy_cannot_relax_the_registered_one(cluster):
+    # the session's registered policy decides, not the one passed in
+    request, envelope = strict_session(
+        cluster, min_tcb_version=cluster.actor(0).tcb_version + 1)
+    relaxed = dataclasses.replace(cluster.verifier_svc.policies["strict"],
+                                  min_tcb_version=0)
+    assert cluster.verifier_svc.verify_composite(
+        envelope, request, relaxed) == (verifier.CompositeOutcome.TCB_REJECTED,
+                                        None)
+    assert not cluster.verifier_svc.session(request.session_id).completed
+
+
+def test_session_the_verifier_never_opened_is_malformed(cluster):
     request, envelope = honest(cluster, "tpm-tee")
-    raised = dataclasses.replace(cluster.policy,
-                                 min_tcb_version=cluster.actor(0).tcb_version + 1)
-    outcome, _ = cluster.verifier_svc.verify_composite(envelope, request,
-                                                       raised)
-    assert outcome is verifier.CompositeOutcome.TCB_REJECTED
+    unknown = dataclasses.replace(request, session_id=bytes(32))
+    envelope = dataclasses.replace(envelope, session_id=bytes(32))
+    assert submit(cluster, unknown, envelope) == (
+        verifier.CompositeOutcome.MALFORMED, None)
+
+
+def test_unknown_policy_is_a_ccx_error(cluster):
+    actor = cluster.actor(0)
+    with pytest.raises(PolicyUnknown):
+        cluster.verifier_svc.new_request("nope", actor.node_id)
+    with pytest.raises(PolicyUnknown):
+        protocol.run_attest_composite(
+            actor, cluster.verifier_svc, cluster.channels, cluster.trace,
+            policy_id="nope", direction="tpm-tee")
 
 
 def test_revoked_node_rejected_at_verify_and_request(cluster):
@@ -691,7 +732,7 @@ def test_ill_typed_claims_signed_by_the_verifier_are_malformed(cluster):
             claims[part][claim] = value
         signed = verifier.AttestationToken.signed(
             claims["header"], claims["payload"], svc.key).compact()
-        assert verifier.validate_token(signed, svc.public_bytes,
+        assert verifier.validate_token(signed, svc.key.public_bytes,
                                        cluster.clock.now()) is \
             verifier.TokenRejection.MALFORMED, (claim, value)
         assert svc.validate_token(signed) is \
@@ -702,6 +743,6 @@ def test_ill_typed_claims_signed_by_the_verifier_are_malformed(cluster):
 def test_module_level_validate_without_issuance_log(cluster):
     token = issue_one(cluster)
     claims = verifier.validate_token(token.compact(),
-                                     cluster.verifier_svc.public_bytes,
+                                     cluster.verifier_svc.key.public_bytes,
                                      cluster.clock.now())
     assert isinstance(claims, dict)
