@@ -225,14 +225,15 @@ class SigningKeyPair:
 
     public is the PublicKey that generate and from_seed derive along with
     the scalar, or the bare point for a pair built from stored bytes or
-    kept at rest. The scalar is None for public-only halves. sign() is
+    kept at rest. Every pair holds its private scalar; a holder of a
+    public key alone keeps a PublicKey or the point. sign() is
     deterministic, so the same key and message always produce the same
     DER signature.
     """
 
     role: str
     public: PublicKey | bytes
-    scalar: int | None = field(default=None, repr=False)
+    scalar: int = field(repr=False)
 
     @classmethod
     def generate(cls, role: str, rng) -> "SigningKeyPair":
@@ -254,8 +255,6 @@ class SigningKeyPair:
         return SigningKeyPair(self.role, self.public_bytes, self.scalar)
 
     def sign(self, message: bytes) -> bytes:
-        if self.scalar is None:
-            raise InvalidSeed("public-only key cannot sign")
         key = ec.derive_private_key(self.scalar, _CURVE)
         return key.sign(message, _SIGN_ALG)
 
@@ -289,8 +288,6 @@ def ecdh_two_phase(static_priv: SigningKeyPair,
     digest that both sides compute identically regardless of who initiated,
     so the exchange is symmetric in party order.
     """
-    if static_priv.scalar is None or ephem_priv.scalar is None:
-        raise InvalidSeed("private halves required for key agreement")
     z_static = ecdh_shared(static_priv.scalar, static_peer_pub)
     z_ephem = ecdh_shared(ephem_priv.scalar, ephem_peer_pub)
     own = static_priv.public_bytes + ephem_priv.public_bytes

@@ -37,11 +37,6 @@ EVENT_KINDS = ("new", "send", "receive", "decrypt", "sign", "verify", "match")
 
 _OK_COLUMN = {"-": None, "0": False, "1": True}
 
-# certificate labels whose possession the provenance property covers; the
-# TEE-issued platform encryption key cert is deliberately not among them
-# because no owner CA signature ever exists for it
-CERT_LABELS = ("cert-vcek", "cert-aik", "cert-identity")
-
 MESSAGE_TYPES = {
     "vcek-info": 0x0101,
     "cert-vcek-info": 0x0102,
@@ -62,11 +57,6 @@ MESSAGE_TYPES = {
     "total-report": 0x0206,
     "token-info": 0x0207,
 }
-
-
-def base_principal(principal: str) -> str:
-    """Platform identity of a principal: engines fold into their node."""
-    return principal.split("/", 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +718,17 @@ class TheoremVerdict:
         return f"{self.name} {status} witness={witness} {self.reason}"
 
 
-# (kind, tag) of the owner-CA check that must precede each certificate
-_CERT_EVIDENCE = {
-    "cert-vcek": ("verify", "vendor-chain"),
-    "cert-aik": ("match", "credential-nonce"),
-    "cert-identity": ("verify", "registration-evidence"),
+# The possession rule: label -> (property, signer, the signer's own
+# successful (kind, tag) check that must precede its signature, or None).
+# A decrypted content under a row's label must have been signed by the
+# signer and sent by it to the holder's node. The TEE-issued platform key
+# cert is no row: no owner CA signature ever exists for it.
+POSSESSION_RULES = {
+    "cert-vcek": ("cert-provenance", OCA_PRINCIPAL, ("verify", "vendor-chain")),
+    "cert-aik": ("cert-provenance", OCA_PRINCIPAL, ("match", "credential-nonce")),
+    "cert-identity": ("cert-provenance", OCA_PRINCIPAL,
+                      ("verify", "registration-evidence")),
+    "token": ("token-provenance", VERIFIER_PRINCIPAL, None),
 }
 
 _PASS_REASONS = {
@@ -757,26 +753,35 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
     nobody but the verifier ever signs a token.
 
     One forward pass, linear in the events, that tests the event kind
-    first. Sends and receives only feed the indexes: the CA's and the
-    verifier's sends per base peer and content, and the verifier's
-    attest-request receipts per base prover and session. A sign or a
-    decrypt (its contents scanned once per label) is judged against the
-    indexes of earlier events; then the CA's and the verifier's signs are
-    indexed per digest, and other kinds index the CA's first success per
-    kind and tag. New properties join this dispatch, not a second pass.
-    Indices must equal positions, as emit, extend_reindexed and from_text
-    guarantee; each property reports its first failure in event order.
+    first. Both provenance properties are rows of one label table,
+    POSSESSION_RULES, and a property that reads a content label adds a
+    row: a decrypt content is split once at its first ":", and its label's
+    row names the property, the signer and the signer's prior check.
+    Sends and receives only feed the indexes: a signer's sends of contents
+    under its rows per base peer, and the verifier's attest-request
+    receipts per base prover and session. A sign or a decrypt is judged
+    against the indexes of earlier events; then signs are indexed per
+    signer and digest, other kinds by their first success per kind and
+    tag. New properties join this dispatch, not a second pass. Indices
+    must equal positions, as emit, extend_reindexed and from_text
+    guarantee. Each property reports its first failure in event order,
+    and within one event in row order.
     """
-    oca, verifier = OCA_PRINCIPAL, VERIFIER_PRINCIPAL
-    authorities = (oca, verifier)
-    signed: dict[tuple[str, str], int] = {}
-    vouched: dict[tuple[str, str], int] = {}
-    sent: set[tuple[str, str, str]] = set()
+    verifier = VERIFIER_PRINCIPAL
+    # per signer, its first sign of each digest
+    signed: dict[str, dict[str, int]] = {
+        signer: {} for _, signer, _ in POSSESSION_RULES.values()}
+    rules = {label: (rank, name, signer, signed[signer],
+                     prior and (signer, *prior))
+             for rank, (label, (name, signer, prior))
+             in enumerate(POSSESSION_RULES.items())}
+    vouched: dict = {None: -1}   # a row without a prior check is vouched
+    sent: set[tuple[str, str]] = set()
     requested: set[tuple[str, str]] = set()
     failed: dict[str, TheoremVerdict] = {}
     justified: dict[str, list[int]] = {name: [] for name in _PASS_REASONS}
-    cert_ok, token_ok, order_ok = (justified[n].append for n in _PASS_REASONS)
-    cert_labels = [(c, c + ":", _CERT_EVIDENCE[c]) for c in CERT_LABELS]
+    order_ok = justified["attest-order"].append
+    misses: list[tuple] = []
 
     def fail(name: str, reason: str, *witness: int) -> None:
         failed.setdefault(name, TheoremVerdict(name, False, reason, witness))
@@ -784,13 +789,15 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
     for event in trace.events:
         kind, principal = event.kind, event.principal
         if kind == "send":
-            if principal in authorities:
-                peer = base_principal(event.peer)
+            if principal in signed:
+                peer = event.peer.partition("/")[0]
                 for content in event.contents:
-                    sent.add((principal, peer, content))
+                    rule = rules.get(content.partition(":")[0])
+                    if rule is not None and rule[2] == principal:
+                        sent.add((peer, content))
         elif kind == "receive":
             if event.tag == "attest-request" and event.peer == verifier:
-                prover = base_principal(principal)
+                prover = principal.partition("/")[0]
                 requested.update((prover, s) for s in event.labeled("session"))
         elif kind == "sign":
             if event.tag == "token" and principal != verifier:
@@ -798,7 +805,7 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
                      f"{principal} signed a token; only {verifier} may",
                      event.index)
             elif event.tag == "total-report":
-                prover = base_principal(principal)
+                prover = principal.partition("/")[0]
                 sessions = event.labeled("session")
                 if any((prover, s) in requested for s in sessions):
                     order_ok(event.index)
@@ -807,48 +814,40 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
                          f"{prover} signed evidence for session "
                          f"{(sessions[0][:16] if sessions else '?')} before "
                          f"receiving the request", event.index)
-            if principal in authorities:
-                signed.setdefault((principal, event.digest), event.index)
+            if principal in signed:
+                signed[principal].setdefault(event.digest, event.index)
         elif kind == "decrypt":
-            index, contents = event.index, event.contents
-            holder = base_principal(principal)
-            for label, prefix, evidence in cert_labels:
-                for content in contents:
-                    if not content.startswith(prefix):
-                        continue
-                    hexdigest = content[len(prefix):]
-                    sign_index = signed.get((oca, hexdigest))
-                    if sign_index is None:
-                        fail("cert-provenance",
-                             f"{holder} holds {label} {hexdigest[:16]} "
-                             f"never signed by {oca}", index)
-                    elif vouched.get(evidence, sign_index) >= sign_index:
-                        fail("cert-provenance",
-                             f"{oca} signed {label} {hexdigest[:16]} without "
-                             f"prior {evidence[1]} evidence",
-                             sign_index, index)
-                    elif (oca, holder, content) not in sent:
-                        fail("cert-provenance",
-                             f"{oca} never sent {label} {hexdigest[:16]} "
-                             f"to {holder}", index)
-                    else:
-                        cert_ok(index)
-            for content in contents:
-                if not content.startswith("token:"):
+            index = event.index
+            holder = principal.partition("/")[0]
+            for content in event.contents:
+                label, colon, hexdigest = content.partition(":")
+                rule = rules.get(label)
+                if rule is None or not colon:
                     continue
-                hexdigest = content[6:]
-                if (verifier, hexdigest) not in signed:
-                    fail("token-provenance",
-                         f"{holder} holds token {hexdigest[:16]} never "
-                         f"signed by {verifier}", index)
-                elif (verifier, holder, content) not in sent:
-                    fail("token-provenance",
-                         f"{verifier} never sent token {hexdigest[:16]} "
-                         f"to {holder}", index)
-                else:
-                    token_ok(index)
-        elif event.ok and principal == oca:
-            vouched.setdefault((kind, event.tag), event.index)
+                rank, name, signer, signs, prior = rule
+                sign_index = signs.get(hexdigest)
+                if sign_index is None:
+                    misses.append((rank, name, f"{holder} holds {label} "
+                                   f"{hexdigest[:16]} never signed by {signer}",
+                                   index))
+                    continue
+                if vouched.get(prior, sign_index) >= sign_index:
+                    misses.append((rank, name, f"{signer} signed {label} "
+                                   f"{hexdigest[:16]} without prior "
+                                   f"{prior[2]} evidence", sign_index, index))
+                    continue
+                if (holder, content) not in sent:
+                    misses.append((rank, name, f"{signer} never sent {label} "
+                                   f"{hexdigest[:16]} to {holder}", index))
+                    continue
+                justified[name].append(index)
+            if misses:
+                misses.sort(key=lambda miss: miss[0])
+                for _rank, *miss in misses:
+                    fail(*miss)
+                misses.clear()
+        elif event.ok and principal in signed:
+            vouched.setdefault((principal, kind, event.tag), event.index)
     return {name: failed.get(name) or TheoremVerdict(
                 name, True, f"{len(justified[name])} {reason}",
                 tuple(justified[name]))

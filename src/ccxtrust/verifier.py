@@ -56,6 +56,7 @@ if TYPE_CHECKING:   # pragma: no cover - import only for annotations
 
 TOKEN_FORMAT_VERSION = 1
 DEFAULT_TOKEN_LIFETIME = 3600.0
+SESSION_TTL = 300.0   # seconds an attestation session stays open
 
 
 class CompositeOutcome(Enum):
@@ -326,8 +327,10 @@ class VerifierService:
         self._is_revoked = owner_ca.is_revoked
         self.policies: dict[str, PolicyBaseline] = {}
         self._nodes: dict[str, NodeKeys] = {}
+        # sessions in the order they were opened, until SESSION_TTL passes
         self._sessions: dict[bytes, AttestationRequest] = {}
-        self._nonces_seen: set[bytes] = set()
+        self._nonces_seen: set[bytes] = set()   # the nonces of _sessions
+        self._nonces_issued = 0
         # every serial below this one was issued, and no other
         self._next_serial = 1
         self._lock = threading.RLock()
@@ -363,33 +366,56 @@ class VerifierService:
             return self._nodes.get(node_id)
 
     def session(self, session_id: bytes) -> AttestationRequest | None:
+        """The verifier's entry for a session, completed or not; one it
+        never opened, or one past SESSION_TTL, reads as unknown."""
+        now = self.clock.now()
         with self._lock:
-            return self._sessions.get(session_id)
+            entry = self._sessions.get(session_id)
+        if entry is None or now > entry.created_at + SESSION_TTL:
+            return None
+        return entry
 
     @property
     def nonces_issued(self) -> int:
+        """Nonces issued since the service started, expired or not."""
         with self._lock:
-            return len(self._nonces_seen)
+            return self._nonces_issued
 
     # -- sessions -------------------------------------------------------------
 
     def new_request(self, policy_id: str, node_id: str) -> AttestationRequest:
-        """Open a session with a fresh nonce. Refused for revoked nodes."""
+        """Open a session with a fresh nonce. Refused for revoked nodes.
+        First drops the sessions past SESSION_TTL, with their nonces."""
         policy = self.get_policy(policy_id)
         if self._is_revoked(node_id):
             raise NodeRevoked(f"node {node_id!r} is revoked")
         with self._lock:
+            now = self.clock.now()
+            self._sweep_sessions(now)
             nonce = self.rng.random_bytes(32)
             if nonce in self._nonces_seen:
                 raise CcxError("nonce collision; generator is unhealthy")
             self._nonces_seen.add(nonce)
+            self._nonces_issued += 1
             session_id = crypto.sha256(nonce + b"verifier" + node_id.encode())
             request = AttestationRequest(
                 session_id=session_id, node_id=node_id, policy_id=policy_id,
                 nonce=nonce, pcr_selection=policy.pcr_selection,
-                created_at=self.clock.now())
+                created_at=now)
             self._sessions[session_id] = request
         return request
+
+    def _sweep_sessions(self, now: float) -> None:
+        """Drop the sessions past SESSION_TTL and their nonces. Every
+        session has the same TTL, so insertion order is expiry order and
+        the sweep stops at the first live one."""
+        expired = []
+        for sid, session in self._sessions.items():
+            if now <= session.created_at + SESSION_TTL:
+                break
+            expired.append(sid)
+        for sid in expired:
+            self._nonces_seen.discard(self._sessions.pop(sid).nonce)
 
     # -- evidence appraisal ----------------------------------------------------
 
@@ -400,7 +426,8 @@ class VerifierService:
         """Appraise evidence of any layout in LAYOUTS; first failure wins.
 
         The claims are appraised under the policy of the verifier's own
-        entry for the session; a session id it never opened is MALFORMED.
+        entry for the session; a session id it never opened, or one past
+        SESSION_TTL, is MALFORMED.
         The policy argument is unread. Session and identity checks come
         before any signature: session replay and session-id binding,
         decoding of every layer, nonce binding, the report's chip id
@@ -470,15 +497,16 @@ class VerifierService:
         The VerifiedReport type gate is the soundness hook: there is no
         public constructor path that has not been through verification.
         A session yields at most one token; a refused call (unknown
-        session, second mint, node revoked since appraisal, token type the
-        policy forbids) does not use it up. Revocation is checked under
-        the lock, so a revoke that returned before the mint is seen.
+        session or one past SESSION_TTL, second mint, node revoked since
+        appraisal, token type the policy forbids) does not use it up.
+        Revocation is checked under the lock, so a revoke that returned
+        before the mint is seen.
         """
         if not isinstance(verified, VerifiedReport):
             raise TypeError("issue_token requires a VerifiedReport")
         now = self.clock.now()
         with self._lock:
-            session = self._sessions.get(verified.session_id)
+            session = self.session(verified.session_id)
             if session is None or session.token_minted:
                 raise ValueError("session is unknown or already has its token")
             if self._is_revoked(session.node_id):

@@ -14,7 +14,6 @@ from ccxtrust.errors import (
     AuthFailure,
     InvalidLength,
     InvalidPoint,
-    InvalidSeed,
     MalformedSignature,
 )
 
@@ -151,13 +150,6 @@ def test_from_seed_is_a_pure_function_of_material():
     c = crypto.SigningKeyPair.from_seed("ROLE-A", b"\x22" * 32)
     assert a.public_bytes == b.public_bytes
     assert a.public_bytes != c.public_bytes
-
-
-def test_public_only_key_cannot_sign():
-    pair = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
-    key = crypto.SigningKeyPair(pair.role, pair.public)
-    with pytest.raises(InvalidSeed):
-        key.sign(b"message")
 
 
 def test_verify_rejects_garbage_signature():

@@ -12,12 +12,10 @@ import pytest
 from ccxtrust import crypto, harness, measurement, protocol, tpm, verifier
 from ccxtrust.errors import AttestationRejected, AuthFailure, DecodeError
 from ccxtrust.protocol import (
-    CERT_LABELS,
     OCA_PRINCIPAL,
     VERIFIER_PRINCIPAL,
     TheoremVerdict,
     TraceEvent,
-    base_principal,
 )
 
 
@@ -94,12 +92,6 @@ def test_trace_write_read(tmp_path, cluster):
     cluster.trace.write(path)
     loaded = protocol.ProtocolTrace.read(path)
     assert loaded.digest() == cluster.trace.digest()
-
-
-def test_base_principal_folds_engine_names():
-    assert protocol.base_principal("node0001/tpm") == "node0001"
-    assert protocol.base_principal("node0001/tee") == "node0001"
-    assert protocol.base_principal("verifier") == "verifier"
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +421,33 @@ def test_reordered_sign_fails_exactly_attest_order(cluster2):
     assert not verdicts["attest-order"].ok
 
 
+_CERT_HEX = "ab" * 32
+
+
+def _vcek_cert_trace(holder: str) -> protocol.ProtocolTrace:
+    """The owner CA checks a vendor chain, signs a VCEK certificate and
+    sends it to node0001's TEE; then the holder decrypts it."""
+    cert = f"cert-vcek:{_CERT_HEX}"
+    return protocol.ProtocolTrace.from_text(
+        f"0 owner-ca verify - {'cd' * 32} vendor-chain 1 -\n"
+        f"1 owner-ca sign - {_CERT_HEX} cert-vcek - {cert}\n"
+        f"2 owner-ca send node0001/tee {'ef' * 32} cert-vcek-info - {cert}\n"
+        f"3 {holder} decrypt - {_CERT_HEX} cert-vcek-info - {cert}\n")
+
+
+def test_base_principal_folds_engine_names():
+    # a send to one engine of a node justifies the node and each engine
+    for holder in ("node0001/tee", "node0001/tpm", "node0001"):
+        verdict = protocol.check_theorems(
+            _vcek_cert_trace(holder))["cert-provenance"]
+        assert verdict.ok and verdict.witness == (3,), holder
+    verdict = protocol.check_theorems(
+        _vcek_cert_trace("node0002/tee"))["cert-provenance"]
+    assert verdict == TheoremVerdict(
+        "cert-provenance", False,
+        f"owner-ca never sent cert-vcek {_CERT_HEX[:16]} to node0002", (3,))
+
+
 # ---------------------------------------------------------------------------
 # differential check against the quadratic reference checker
 # ---------------------------------------------------------------------------
@@ -437,11 +456,18 @@ def test_reordered_sign_fails_exactly_attest_order(cluster2):
 # every evidence signature rescans all earlier events. Kept as the oracle
 # the single-pass check_theorems must match verdict for verdict.
 
+_ORACLE_CERT_LABELS = ("cert-vcek", "cert-aik", "cert-identity")
+
 _ORACLE_CERT_EVIDENCE = {
     "cert-vcek": ("verify", "vendor-chain"),
     "cert-aik": ("match", "credential-nonce"),
     "cert-identity": ("verify", "registration-evidence"),
 }
+
+
+def base_principal(principal: str) -> str:
+    """Platform identity of a principal: engines fold into their node."""
+    return principal.split("/", 1)[0]
 
 
 def _oracle_check_theorems(trace, *, oca=OCA_PRINCIPAL,
@@ -469,7 +495,7 @@ def _possessions(events, labels) -> list[tuple[TraceEvent, str, str]]:
 
 def _check_cert_provenance(events, oca) -> TheoremVerdict:
     witnesses = []
-    for event, label, hexdigest in _possessions(events, CERT_LABELS):
+    for event, label, hexdigest in _possessions(events, _ORACLE_CERT_LABELS):
         holder = base_principal(event.principal)
         earlier = events[:event.index]
         signed = [e for e in earlier
@@ -602,6 +628,27 @@ def test_trace_event_is_slotted_and_frozen():
         event.index = 1
 
 
+def _with_decrypt(trace, principal, *contents) -> protocol.ProtocolTrace:
+    """The trace, read back from its text with one decrypt appended."""
+    event = TraceEvent(len(trace.events), principal, "decrypt",
+                       tag="cert-vcek-info", contents=contents)
+    return protocol.ProtocolTrace.from_text(trace.text() + event.line() + "\n")
+
+
+def _rare_checker_cases(trace, holder):
+    """Traces that random edits of an honest trace rarely build: one
+    decrypt holding two unsigned certificates, listed out of label
+    order; one holding both an unsigned certificate and an unsigned
+    token; one whose labels carry no ":" and so name no possession."""
+    return {
+        "two-certs": _with_decrypt(trace, holder, f"cert-aik:{'11' * 32}",
+                                   f"cert-vcek:{'22' * 32}"),
+        "cert-and-token": _with_decrypt(trace, holder, f"token:{'33' * 32}",
+                                        f"cert-identity:{'44' * 32}"),
+        "no-colon": _with_decrypt(trace, holder, "token", "cert-vcek"),
+    }
+
+
 def test_single_pass_checker_matches_quadratic_oracle(cluster2):
     honest = protocol.ProtocolTrace()
     honest.extend_reindexed(cluster2.trace.events)
@@ -621,10 +668,13 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
         + [dataclasses.replace(honest.events[token_sign],
                                principal=cluster2.actor(0).agent)]
         + honest.events[token_sign + 1:])
+    holder = cluster2.actor(0).agent
+    rare = _rare_checker_cases(honest, holder)
     traces = [honest, node_signs_token,
               harness.fault_trace_forged_cert(cluster2),
               harness.fault_trace_forged_token(cluster2),
-              harness.fault_trace_reordered_sign(cluster2)]
+              harness.fault_trace_reordered_sign(cluster2),
+              *rare.values()]
     for _case in range(1500):
         events = honest.events
         for _edit in range(rng.randint(1, 3)):
@@ -641,3 +691,13 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
     # covers failure reasons and witnesses, not only passing verdicts
     assert all(failures[name] >= 20 for name in (
         "cert-provenance", "token-provenance", "attest-order")), failures
+    # each rare case reaches what it is built for: within one event the
+    # first failure follows the label order, one event fails both
+    # provenance properties, and a label without ":" names no possession
+    first = protocol.check_theorems(rare["two-certs"])["cert-provenance"]
+    assert first.reason == (f"{holder} holds cert-vcek {'22' * 8} never "
+                            f"signed by {OCA_PRINCIPAL}")
+    both = protocol.check_theorems(rare["cert-and-token"])
+    assert not both["cert-provenance"].ok and not both["token-provenance"].ok
+    assert protocol.check_theorems(rare["no-colon"]) == \
+        protocol.check_theorems(honest)

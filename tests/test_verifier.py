@@ -226,6 +226,44 @@ def test_session_the_verifier_never_opened_is_malformed(cluster):
         verifier.CompositeOutcome.MALFORMED, None)
 
 
+def test_sessions_and_nonces_expire_after_the_ttl(cluster):
+    svc = cluster.verifier_svc
+    done, envelope = honest(cluster, "tpm-tee")
+    assert submit(cluster, done, envelope)[0] is verifier.CompositeOutcome.OK
+    stale, stale_envelope = honest(cluster, "tee-tpm")
+    issued = svc.nonces_issued
+    cluster.clock.advance(verifier.SESSION_TTL + 1)
+    # past its TTL a session reads as unknown before any sweep drops it
+    assert svc.session(done.session_id) is None
+    assert submit(cluster, stale, stale_envelope) == (
+        verifier.CompositeOutcome.MALFORMED, None)
+    fresh = svc.new_request(cluster.policy_id, cluster.actor(0).node_id)
+    assert list(svc._sessions) == [fresh.session_id]
+    assert svc._nonces_seen == {fresh.nonce}
+    assert svc.nonces_issued == issued + 1
+
+
+def test_replay_inside_the_ttl_is_session_replay(cluster):
+    svc = cluster.verifier_svc
+    request, envelope = honest(cluster, "tpm-tee")
+    assert submit(cluster, request, envelope)[0] is \
+        verifier.CompositeOutcome.OK
+    cluster.clock.advance(verifier.SESSION_TTL)
+    svc.new_request(cluster.policy_id, cluster.actor(1).node_id)
+    assert svc.session(request.session_id) is request
+    assert submit(cluster, request, envelope) == (
+        verifier.CompositeOutcome.SESSION_REPLAY, None)
+
+
+def test_issue_token_refuses_a_session_past_its_ttl(cluster):
+    request, envelope = honest(cluster, "tpm-tee")
+    outcome, verified = submit(cluster, request, envelope)
+    assert outcome is verifier.CompositeOutcome.OK
+    cluster.clock.advance(verifier.SESSION_TTL + 1)
+    with pytest.raises(ValueError):
+        cluster.verifier_svc.issue_token(verified)
+
+
 def test_unknown_policy_is_a_ccx_error(cluster):
     actor = cluster.actor(0)
     with pytest.raises(PolicyUnknown):
