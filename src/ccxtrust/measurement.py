@@ -18,6 +18,7 @@ from enum import Enum
 from . import crypto, tee, tpm
 from .encoding import RAW, STR, Signed, Spec
 from .errors import (
+    DecodeError,
     InvalidLength,
     LogGap,
     StageOrderViolation,
@@ -51,6 +52,25 @@ class MeasurementEvent:
     def line(self) -> str:
         return (f"{self.seq} {self.stage} {self.pcr_index} {self.name} "
                 f"{self.digest.hex()} {self.signer}")
+
+    @classmethod
+    def from_line(cls, line: str) -> "MeasurementEvent":
+        parts = line.split()
+        if len(parts) != 6:
+            raise DecodeError(f"measurement log line needs 6 columns: {line!r}")
+        try:
+            seq, stage, pcr_index = (int(part) for part in parts[:3])
+            digest = bytes.fromhex(parts[4])
+        except ValueError:
+            raise DecodeError(f"bad measurement log line: {line!r}") from None
+        if len(digest) != crypto.DIGEST_LEN:
+            raise DecodeError(f"measurement digest must be "
+                              f"{crypto.DIGEST_LEN} bytes: {line!r}")
+        event = cls(seq=seq, stage=stage, pcr_index=pcr_index, name=parts[3],
+                    digest=digest, signer=parts[5])
+        if event.line() != line:
+            raise DecodeError(f"measurement log line is not canonical: {line!r}")
+        return event
 
 
 # ---------------------------------------------------------------------------
