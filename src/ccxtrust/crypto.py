@@ -152,12 +152,17 @@ class DeterministicRng:
         self._lock = threading.Lock()
 
     def random_bytes(self, n: int) -> bytes:
-        out = bytearray()
+        if n <= 0:
+            return b""
+        blocks = -(-n // 32)
         with self._lock:
-            while len(out) < n:
-                out += sha256(self._state + struct.pack(">Q", self._counter))
-                self._counter += 1
-        return bytes(out[:n])
+            first = self._counter
+            self._counter = first + blocks
+        state = self._state
+        if blocks == 1:
+            return sha256(state + struct.pack(">Q", first))[:n]
+        return b"".join([sha256(state + struct.pack(">Q", i))
+                         for i in range(first, first + blocks)])[:n]
 
     def fork(self, label: str) -> "DeterministicRng":
         return DeterministicRng(sha256(self._state + b"fork:" + label.encode()))

@@ -110,15 +110,6 @@ def build_cluster(seed: int | bytes, nodes: int = 1) -> Cluster:
         channels=protocol.ChannelTable(root.fork("channel-nonces")),
         publisher=publisher, policy_id=POLICY_ID,
         trace=protocol.ProtocolTrace())
-    # seed the CA-verifier pair up front so concurrent node setup never
-    # races to create it
-    ca_rng = root.fork("ca-verifier-channel")
-    ca_eph = crypto.SigningKeyPair.generate("OCA", ca_rng)
-    v_eph = crypto.SigningKeyPair.generate("VERIFIER", ca_rng)
-    cluster.channels.set_key(
-        protocol.OCA_PRINCIPAL, protocol.VERIFIER_PRINCIPAL,
-        crypto.ecdh_two_phase(oca.key, verifier_svc.key.public,
-                              ca_eph, v_eph.public))
     for index in range(nodes):
         add_node(cluster, index)
     return cluster

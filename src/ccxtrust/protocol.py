@@ -33,7 +33,8 @@ from .verifier import (LAYOUTS, CompositeOutcome, VerifierService,
 OCA_PRINCIPAL = "owner-ca"
 VERIFIER_PRINCIPAL = "verifier"
 
-EVENT_KINDS = ("new", "send", "receive", "decrypt", "sign", "verify", "match")
+EVENT_KINDS = frozenset(
+    ("new", "send", "receive", "decrypt", "sign", "verify", "match"))
 
 _OK_COLUMN = {"-": None, "0": False, "1": True}
 
@@ -111,6 +112,14 @@ class TraceEvent:
         return [c[len(prefix):] for c in self.contents if c.startswith(prefix)]
 
 
+# emit fills a new event's slots through their descriptors, which skips
+# the frozen __init__'s object.__setattr__ call per field
+(_set_index, _set_principal, _set_kind, _set_peer, _set_digest, _set_tag,
+ _set_ok, _set_contents) = (getattr(TraceEvent, name).__set__
+                            for name in TraceEvent.__slots__)
+_new_event = object.__new__
+
+
 class ProtocolTrace:
     """Append-only event log for one or more protocol runs."""
 
@@ -125,9 +134,17 @@ class ProtocolTrace:
             raise ValueError(f"unknown event kind {kind!r}")
         if isinstance(digest, bytes):
             digest = digest.hex() if digest else "-"
-        event = TraceEvent(len(self.events), principal, kind, peer, digest,
-                           tag, ok, tuple(contents))
-        self.events.append(event)
+        events = self.events
+        event = _new_event(TraceEvent)
+        _set_index(event, len(events))
+        _set_principal(event, principal)
+        _set_kind(event, kind)
+        _set_peer(event, peer)
+        _set_digest(event, digest)
+        _set_tag(event, tag)
+        _set_ok(event, ok)
+        _set_contents(event, tuple(contents))
+        events.append(event)
         return event
 
     def extend_reindexed(self, events: list[TraceEvent]) -> None:
@@ -240,17 +257,18 @@ class ChannelTable:
 
     def __init__(self, rng) -> None:
         self.rng = rng
-        self._keys: dict[frozenset[str], bytes] = {}
+        # a pair is keyed by its two names in sorted order
+        self._keys: dict[tuple[str, str], bytes] = {}
         self._last: tuple[bytes, crypto.AESGCM] | None = None
 
     def set_key(self, a: str, b: str, key: bytes) -> None:
         if len(key) != crypto.AEAD_KEY_LEN:
             raise ValueError("channel keys are 32 bytes")
-        self._keys[frozenset((a, b))] = key
+        self._keys[(a, b) if a < b else (b, a)] = key
 
     def key(self, a: str, b: str) -> bytes:
         try:
-            return self._keys[frozenset((a, b))]
+            return self._keys[(a, b) if a < b else (b, a)]
         except KeyError:
             raise AuthFailure(f"no channel between {a!r} and {b!r}") from None
 

@@ -135,8 +135,11 @@ class VerifiedReport:
 # token format
 # ---------------------------------------------------------------------------
 
+_CANON_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canon_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return _CANON_JSON.encode(obj).encode()
 
 
 def _signing_input(header: dict, payload: dict) -> bytes:

@@ -6,6 +6,8 @@ one-off implementation (direct HMAC counter construction per SP 800-108)
 before this module existed, then frozen here as hex.
 """
 
+import hashlib
+
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
 
@@ -118,6 +120,22 @@ def test_rng_reproducible_and_fork_independent():
     again.fork("left")
     again.fork("right")
     assert parent.random_bytes(16) == again.random_bytes(16)
+
+
+def test_rng_draws_are_the_concatenated_counter_blocks():
+    # block i is sha256(state || be64(i)); a draw takes whole blocks from
+    # the counter on and keeps its first n bytes, and a draw of 0 takes none
+    seed = b"seed-material-00"
+    state = hashlib.sha256(b"rng:" + seed).digest()
+    rng = crypto.DeterministicRng(seed)
+    counter = 0
+    for n in (0, 1, 12, 32, 33, 100):
+        blocks = -(-n // 32)
+        expected = b"".join(
+            hashlib.sha256(state + i.to_bytes(8, "big")).digest()
+            for i in range(counter, counter + blocks))[:n]
+        assert rng.random_bytes(n) == expected
+        counter += blocks
 
 
 def test_rng_accepts_int_seed():

@@ -177,11 +177,50 @@ def test_channel_table_under_concurrent_pairs(cluster2):
 def test_tpm_backed_and_software_channels_coexist(cluster):
     actor = cluster.actor(0)
     for pair in ((actor.tpm_name, "verifier"), (actor.tee_name, actor.agent),
-                 (actor.agent, protocol.OCA_PRINCIPAL),
-                 (protocol.OCA_PRINCIPAL, protocol.VERIFIER_PRINCIPAL)):
+                 (actor.agent, protocol.OCA_PRINCIPAL)):
         key = cluster.channels.key(*pair)
         assert len(key) == 32
         assert cluster.channels.key(*reversed(pair)) == key
+    # no flow sends between the owner CA and the verifier, so the pair
+    # has no key
+    with pytest.raises(AuthFailure):
+        cluster.channels.key(OCA_PRINCIPAL, VERIFIER_PRINCIPAL)
+
+
+# keyed pairs that no message flows on, by the two engines of one node,
+# each with its reason
+_KEYED_WITHOUT_TRAFFIC = {
+    ("tpm", "tee"): "establish_channels keys it for every node, but the "
+                    "agent carries each message between the two engines; "
+                    "deleting it drops 5 ec_derive, 2 ECDH and 2 TPM ticks "
+                    "per node, which moves perfbench's per-node 61 ec_derive "
+                    "and 20 ECDH pins and the golden digests, so it waits "
+                    "for a change to the benchmark",
+}
+
+
+def test_channel_table_keys_only_the_pairs_messages_flow_on(monkeypatch):
+    sealed = set()
+    real_seal = protocol.ChannelTable.seal
+
+    def recording_seal(self, mtype, sender, receiver, session_id, body):
+        sealed.add(frozenset((sender, receiver)))
+        return real_seal(self, mtype, sender, receiver, session_id, body)
+
+    monkeypatch.setattr(protocol.ChannelTable, "seal", recording_seal)
+    c = harness.build_cluster(79, nodes=2)
+    for actor in c.actors.values():
+        for direction in verifier.LAYOUTS:
+            protocol.run_attest_composite(
+                actor, c.verifier_svc, c.channels, c.trace,
+                policy_id=c.policy_id, direction=direction)
+    keyed = {frozenset(pair) for pair in c.channels._keys}
+    allowed = {frozenset((f"{actor.node_id}/{a}", f"{actor.node_id}/{b}"))
+               for actor in c.actors.values()
+               for a, b in _KEYED_WITHOUT_TRAFFIC}
+    assert allowed <= keyed
+    assert allowed.isdisjoint(sealed)
+    assert keyed - allowed == sealed
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,14 @@ a name in a string or a comment is no caller. A list entry is itself
 refused when its name is no longer defined or has gained such a caller,
 so the list only ever holds code that tests alone reach.
 
-A name is matched as a bare token, so a definition that shares its name
-with a caller of something else counts as reached: the check can miss
-test-only code. Code reached only through a string, as by getattr, is
-refused and belongs on the list.
+A classmethod or staticmethod counts as reached only where code names
+it as Name.method, with Name its class or a subclass defined in
+src/ccxtrust/ (bare or module-qualified, as crypto.Certificate.signed),
+or cls inside the body of such a class. Any other name is matched as a
+bare token, so an instance method that shares its name with a caller of
+something else counts as reached: the check can miss test-only code.
+Code reached only through a string, as by getattr, is refused and
+belongs on the list.
 """
 
 from __future__ import annotations
@@ -31,9 +35,11 @@ SCANNED = ("src", "demos", "perfbench", "tools")
 ALLOW_LIST = Path(__file__).resolve().parent / "test_only.json"
 
 
-def callers(path: Path) -> Counter:
-    """Every NAME token in the file, counted, except the name that a def
-    or class statement defines: a definition is no caller."""
+def callers(path: Path) -> tuple[Counter, set[tuple[str, str]]]:
+    """(names, attributes): every NAME token in the file, counted, except
+    the name that a def or class statement defines, since a definition is
+    no caller; and every (Name, attr) that a Name.attr or x.Name.attr
+    expression names, with cls read as the class whose body holds it."""
     names: Counter = Counter()
     previous = ""
     with open(path, "rb") as fh:
@@ -41,25 +47,76 @@ def callers(path: Path) -> Counter:
             if tok.type == tokenize.NAME and previous not in ("def", "class"):
                 names[tok.string] += 1
             previous = tok.string
-    return names
+
+    attributes: set[tuple[str, str]] = set()
+
+    def visit(node, klass: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            klass = node.name
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Attribute):
+                attributes.add((owner.attr, node.attr))
+            elif isinstance(owner, ast.Name):
+                if owner.id != "cls":
+                    attributes.add((owner.id, node.attr))
+                elif klass is not None:
+                    attributes.add((klass, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, klass)
+
+    visit(ast.parse(path.read_bytes()), None)
+    return names, attributes
 
 
-def definitions() -> dict[str, str]:
-    """The bare name of every public function, class, method and property
-    in src/ccxtrust/, by qualified name (module.Class.method)."""
-    found = {}
+def definitions() -> tuple[dict[str, str], dict[str, tuple[str, str]],
+                           dict[str, set[str]]]:
+    """(bare, bound, bases) for the public functions, classes, methods and
+    properties in src/ccxtrust/. bound maps the qualified name
+    (module.Class.method) of each classmethod and staticmethod to its
+    (Class, method), bare maps every other qualified name to its bare
+    name, and bases maps each class to the names of its base classes."""
+    bare: dict[str, str] = {}
+    bound: dict[str, tuple[str, str]] = {}
+    bases: dict[str, set[str]] = {}
 
-    def walk(body, prefix: str) -> None:
+    def walk(body, prefix: str, klass: str | None) -> None:
         for node in body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not node.name.startswith("_")):
-                found[f"{prefix}.{node.name}"] = node.name
-                if isinstance(node, ast.ClassDef):
-                    walk(node.body, f"{prefix}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {
+                    base.attr if isinstance(base, ast.Attribute) else base.id
+                    for base in node.bases
+                    if isinstance(base, (ast.Attribute, ast.Name))}
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            qualified = f"{prefix}.{node.name}"
+            if klass is not None and any(
+                    isinstance(d, ast.Name)
+                    and d.id in ("classmethod", "staticmethod")
+                    for d in node.decorator_list):
+                bound[qualified] = (klass, node.name)
+            else:
+                bare[qualified] = node.name
+            if isinstance(node, ast.ClassDef):
+                walk(node.body, qualified, node.name)
 
     for path in sorted(SRC.glob("*.py")):
-        walk(ast.parse(path.read_text()).body, path.stem)
+        walk(ast.parse(path.read_text()).body, path.stem, None)
+    return bare, bound, bases
+
+
+def family(klass: str, bases: dict[str, set[str]]) -> set[str]:
+    """klass and every class in src/ccxtrust/ that derives from it."""
+    found = {klass}
+    grew = True
+    while grew:
+        grew = False
+        for child, parents in bases.items():
+            if child not in found and found & parents:
+                found.add(child)
+                grew = True
     return found
 
 
@@ -71,11 +128,18 @@ def surface() -> tuple[list[str], list[str]]:
     """(unlisted, stale): test-only names missing from the allow-list,
     and list entries that are not defined or are no longer test-only."""
     named: Counter = Counter()
+    attributes: set[tuple[str, str]] = set()
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            named.update(callers(path))
-    test_only = {qualified for qualified, name in definitions().items()
+            names, pairs = callers(path)
+            named.update(names)
+            attributes |= pairs
+    bare, bound, bases = definitions()
+    test_only = {qualified for qualified, name in bare.items()
                  if not named[name]}
+    test_only |= {qualified for qualified, (klass, name) in bound.items()
+                  if not any((owner, name) in attributes
+                             for owner in family(klass, bases))}
     listed = {entry["name"] for entry in allow_list()}
     return sorted(test_only - listed), sorted(listed - test_only)
 
@@ -84,6 +148,23 @@ def test_every_test_only_name_is_listed_and_every_entry_is_test_only():
     unlisted, stale = surface()
     assert unlisted == [], f"reached only from tests/: {unlisted}"
     assert stale == [], f"allow-list entries no longer test-only: {stale}"
+
+
+def test_a_bound_method_is_reached_only_through_its_class(tmp_path):
+    source = tmp_path / "caller.py"
+    source.write_text("class K(Base):\n"
+                      "    def f(cls):\n"
+                      "        return cls.make()\n"
+                      "cls.lost()\n"
+                      "TraceEvent.from_line(x)\n"
+                      "mod.Spec.decode(y)\n"
+                      "(a or b).parse(z)\n")
+    _, attributes = callers(source)
+    assert attributes == {("K", "make"), ("TraceEvent", "from_line"),
+                          ("mod", "Spec"), ("Spec", "decode")}
+    bases = {"Signed": {"Record"}, "Certificate": {"Signed"}, "Other": set()}
+    assert family("Record", bases) == {"Record", "Signed", "Certificate"}
+    assert family("Certificate", bases) == {"Certificate"}
 
 
 def test_every_entry_gives_its_reason():
