@@ -626,6 +626,18 @@ def fault_trace_forged_token(cluster: Cluster) -> protocol.ProtocolTrace:
     return trace
 
 
+def fault_trace_unvouched_identity(cluster: Cluster) -> protocol.ProtocolTrace:
+    """The second node's identity certificate signed with no check of
+    registration evidence for its identity key. The first node's check
+    names another key and must not vouch for it: cert-provenance must
+    fail."""
+    key = crypto.sha256(cluster.actor(1).identity.public_bytes).hex()
+    trace = protocol.ProtocolTrace()
+    trace.extend_reindexed([e for e in cluster.trace.events if e.kind != "verify"
+                            or f"identity-pub:{key}" not in e.contents])
+    return trace
+
+
 def fault_trace_reordered_sign(cluster: Cluster) -> protocol.ProtocolTrace:
     """Evidence signed before the request arrived (a pre-signed quote
     replayed into a session): attest-order must fail."""
@@ -663,6 +675,8 @@ FAULT_TRACES = {
                      fault_trace_forged_token, "token-provenance"),
     "reordered-sign": ("evidence signed before the nonce arrived",
                        fault_trace_reordered_sign, "attest-order"),
+    "unvouched-identity": ("identity certified without its node's evidence",
+                           fault_trace_unvouched_identity, "cert-provenance"),
 }
 
 
@@ -682,6 +696,7 @@ class BenchResult:
     unique_token_serials: int
     phase_percentiles: dict[str, tuple[float, float, float]]
     theorem_violations: int
+    theorems_checked: int
 
     def summary(self) -> dict:
         return {
@@ -709,7 +724,7 @@ class BenchResult:
             f"{'nonces':>12} {self.unique_nonces} unique",
             f"{'serials':>12} {self.unique_token_serials} unique",
             f"{'violations':>12} {self.theorem_violations} of "
-            f"{3 * self.nodes} trust properties",
+            f"{self.theorems_checked} trust properties",
             f"{'phase':>12} {'p50ms':>10} {'p90ms':>10} {'p99ms':>10}",
         ]
         for phase, (p50, p90, p99) in sorted(self.phase_percentiles.items()):
@@ -729,11 +744,11 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
                                        "validate": [], "end-to-end": []}
     failures: list[str] = []
     serials: set[int] = set()
-    violations = 0
+    violations = checked = 0
     tally_lock = threading.Lock()
 
     def one_node(index: int) -> None:
-        nonlocal violations
+        nonlocal violations, checked
         trace = protocol.ProtocolTrace()
         t0 = time.perf_counter()
         try:
@@ -756,10 +771,10 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
         except Exception as exc:   # noqa: BLE001 - bench must tally, not die
             with tally_lock:
                 failures.append(f"{node_name(index)}: {exc}")
-        violated = sum(not verdict.ok for verdict
-                       in protocol.check_theorems(trace).values())
+        verdicts = protocol.check_theorems(trace).values()
         with tally_lock:
-            violations += violated
+            violations += sum(not verdict.ok for verdict in verdicts)
+            checked += len(verdicts)
 
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
@@ -780,4 +795,5 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
         wall_seconds=wall, successes=nodes - len(failures),
         failures=failures, unique_nonces=nonces,
         unique_token_serials=len(serials),
-        phase_percentiles=percentiles, theorem_violations=violations)
+        phase_percentiles=percentiles, theorem_violations=violations,
+        theorems_checked=checked)

@@ -205,9 +205,12 @@ class OwnerCa:
                       identity_pub: bytes) -> tuple[crypto.Certificate, crypto.Secret]:
         """Final onboarding step: check the boot report against the trust
         baseline and the identity key (registration_report_data), then
-        issue the node identity certificate and its MasterSecret."""
+        issue the node identity certificate and its MasterSecret. A node
+        registers once: an active node is refused before any check."""
         with self._lock:
             record = self._node(node_id)
+            if record.status is NodeStatus.ACTIVE:
+                raise BaselineRejected(f"node {node_id!r} is already registered")
             if record.vcek_cert is None or record.aik_cert is None:
                 raise NotInitialized("identity flows incomplete for this node")
             if record.baseline is None:

@@ -27,6 +27,7 @@ from . import crypto, tee, tpm
 from .encoding import RAW, STR, U16, Record, Spec, nested
 from .errors import AttestationRejected, AuthFailure, DecodeError
 from .owner_ca import challenge_session_id
+from .precedence import ANY, DIGEST, NODE, PrecedenceTable, Step
 from .verifier import (LAYOUTS, CompositeOutcome, VerifierService,
                        registration_report_data, report_data_for)
 
@@ -413,6 +414,34 @@ def _content(label: str, data: bytes) -> str:
     return f"{label}:{crypto.sha256(data).hex()}"
 
 
+def _hand_off(trace: ProtocolTrace, channels: ChannelTable, holder: str,
+              check: tuple[str, str, bytes], key: str,
+              cert: crypto.Certificate, mtype_name: str, *,
+              secret: bytes | None = None) -> dict:
+    """The owner CA's successful check of a key, then its certificate for
+    that key sent to the holder, which decrypts it. key is the key's
+    content label as the holder's request carried it; the check and the
+    sign both carry it, which binds the certificate to the evidence. The
+    identity certificate brings the MasterSecret, secret, with it.
+    Returns the fields the holder received."""
+    A = OCA_PRINCIPAL
+    kind, tag, evidence = check
+    trace.emit(A, kind, digest=evidence, tag=tag, ok=True, contents=(key,))
+    label, digest = f"cert-{cert.role.lower()}", cert.digest
+    held = (f"{label}:{digest.hex()}",)
+    trace.emit(A, "sign", digest=digest, tag=label, contents=held + (key,))
+    fields = {"cert": cert}
+    if secret is not None:
+        fields["master_secret"] = secret
+        commit = crypto.sha256(b"master-secret:" + secret)
+        held += (f"master-secret:{commit.hex()}",)
+    rx = _transfer(trace, channels, A, holder, mtype_name, fields,
+                   contents=held)
+    trace.emit(holder, "decrypt", digest=digest, tag=mtype_name,
+               contents=held)
+    return rx
+
+
 def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
                        channels: ChannelTable, trace: ProtocolTrace) -> None:
     """Enroll one node end to end, tracing every step.
@@ -428,23 +457,19 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
 
     # --- TEE chip key endorsement
     chain_bytes = actor.vendor_chain.to_bytes()
+    # the channel authenticates what arrives as what was sent, so the
+    # owner CA's events reuse the key labels the request carried
+    vcek_key = _content("vcek-pub", actor.vcek.public_bytes)
     rx = _transfer(trace, channels, E, A, "vcek-info",
                    {"vcek_pub": actor.vcek.public_bytes,
                     "chain": actor.vendor_chain},
-                   contents=(_content("vcek-pub", actor.vcek.public_bytes),
-                             _content("vendor-chain", chain_bytes)))
+                   contents=(vcek_key, _content("vendor-chain", chain_bytes)))
     vcek_cert = oca.register_tee(rx["vcek_pub"], rx["chain"],
                                  node_id=actor.node_id)
-    trace.emit(A, "verify", digest=crypto.sha256(chain_bytes),
-               tag="vendor-chain", ok=True)
-    trace.emit(A, "sign", digest=vcek_cert.digest, tag="cert-vcek",
-               contents=(f"cert-vcek:{vcek_cert.digest.hex()}",))
-    actor.vcek_cert = _transfer(
-        trace, channels, A, E, "cert-vcek-info", {"cert": vcek_cert},
-        contents=(f"cert-vcek:{vcek_cert.digest.hex()}",))["cert"]
-    trace.emit(E, "decrypt", digest=actor.vcek_cert.digest,
-               tag="cert-vcek-info",
-               contents=(f"cert-vcek:{actor.vcek_cert.digest.hex()}",))
+    actor.vcek_cert = _hand_off(
+        trace, channels, E,
+        ("verify", "vendor-chain", crypto.sha256(chain_bytes)), vcek_key,
+        vcek_cert, "cert-vcek-info")["cert"]
     _transfer(trace, channels, E, V, "cert-tee-info",
               {"cert": actor.vcek_cert},
               contents=(f"cert-vcek:{actor.vcek_cert.digest.hex()}",))
@@ -452,11 +477,11 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
     # --- AIK certification via credential activation
     area = actor.aik_blob.public_area()
     ek_cert = actor.state.ek_cert
+    aik_key = _content("aik-pub", area)
     rx = _transfer(trace, channels, P, A, "key-info",
                    {"aik_area": area, "ek_pub": actor.state.ek_blob.public,
                     "ek_cert": ek_cert},
-                   contents=(_content("aik-pub", area),
-                             f"ek-cert:{ek_cert.digest.hex()}"))
+                   contents=(aik_key, f"ek-cert:{ek_cert.digest.hex()}"))
     challenge = oca.aik_challenge(rx["aik_area"], rx["ek_pub"], rx["ek_cert"],
                                   actor.node_id)
     trace.emit(A, "verify", digest=rx["ek_cert"].digest, tag="ek-cert", ok=True)
@@ -475,16 +500,9 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
                    contents=(f"credential-nonce:{answer_digest.hex()}",))
     aik_cert = oca.aik_answer(challenge_session_id(challenge),
                               crypto.Secret(rx["secret"]))
-    trace.emit(A, "match", digest=answer_digest, tag="credential-nonce",
-               ok=True)
-    trace.emit(A, "sign", digest=aik_cert.digest, tag="cert-aik",
-               contents=(f"cert-aik:{aik_cert.digest.hex()}",))
-    actor.aik_cert = _transfer(
-        trace, channels, A, P, "cert-aik-info", {"cert": aik_cert},
-        contents=(f"cert-aik:{aik_cert.digest.hex()}",))["cert"]
-    trace.emit(P, "decrypt", digest=actor.aik_cert.digest,
-               tag="cert-aik-info",
-               contents=(f"cert-aik:{actor.aik_cert.digest.hex()}",))
+    actor.aik_cert = _hand_off(
+        trace, channels, P, ("match", "credential-nonce", answer_digest),
+        aik_key, aik_cert, "cert-aik-info")["cert"]
     _transfer(trace, channels, P, V, "key-cert-info",
               {"cert": actor.aik_cert, "aik_area": area},
               contents=(f"cert-aik:{actor.aik_cert.digest.hex()}",))
@@ -512,28 +530,21 @@ def run_registration(actor: NodeActor, oca, channels: ChannelTable,
     boot_report = tee.guest_report(
         actor.vcek, actor.chip_id, actor.tcb, actor.tcb_version,
         registration_report_data(actor.identity.public_bytes))
+    identity_key = _content("identity-pub", actor.identity.public_bytes)
     rx = _transfer(trace, channels, C, A, "register-request",
                    {"report": boot_report, "chain": actor.vendor_chain,
                     "identity_pub": actor.identity.public_bytes},
-                   contents=(_content("identity-pub", actor.identity.public_bytes),
+                   contents=(identity_key,
                              f"boot-report:{boot_report.digest.hex()}"))
     identity_cert, master_secret = oca.register_node(
         actor.node_id, rx["report"], rx["chain"], rx["identity_pub"])
-    trace.emit(A, "verify", digest=rx["report"].digest,
-               tag="registration-evidence", ok=True)
-    trace.emit(A, "sign", digest=identity_cert.digest, tag="cert-identity",
-               contents=(f"cert-identity:{identity_cert.digest.hex()}",))
-    ms_commit = crypto.sha256(b"master-secret:" + master_secret.data)
-    rx = _transfer(trace, channels, A, C, "identity-cert-info",
-                   {"cert": identity_cert, "master_secret": master_secret.data},
-                   contents=(f"cert-identity:{identity_cert.digest.hex()}",
-                             f"master-secret:{ms_commit.hex()}"))
+    rx = _hand_off(
+        trace, channels, C,
+        ("verify", "registration-evidence", rx["report"].digest),
+        identity_key, identity_cert, "identity-cert-info",
+        secret=master_secret.data)
     actor.identity_cert = rx["cert"]
     actor.master_secret = crypto.Secret(rx["master_secret"])
-    trace.emit(C, "decrypt", digest=actor.identity_cert.digest,
-               tag="identity-cert-info",
-               contents=(f"cert-identity:{actor.identity_cert.digest.hex()}",
-                         f"master-secret:{ms_commit.hex()}"))
 
 
 # ---------------------------------------------------------------------------
@@ -736,137 +747,60 @@ class TheoremVerdict:
         return f"{self.name} {status} witness={witness} {self.reason}"
 
 
-# The possession rule: label -> (property, signer, the signer's own
-# successful (kind, tag) check that must precede its signature, or None).
-# A decrypted content under a row's label must have been signed by the
-# signer and sent by it to the holder's node. The TEE-issued platform key
-# cert is no row: no owner CA signature ever exists for it.
-POSSESSION_RULES = {
-    "cert-vcek": ("cert-provenance", OCA_PRINCIPAL, ("verify", "vendor-chain")),
-    "cert-aik": ("cert-provenance", OCA_PRINCIPAL, ("match", "credential-nonce")),
-    "cert-identity": ("cert-provenance", OCA_PRINCIPAL,
-                      ("verify", "registration-evidence")),
-    "token": ("token-provenance", VERIFIER_PRINCIPAL, None),
-}
+def _possession(label: str, signer: str, check: tuple = ()) -> Step:
+    """A node's decrypt of label:hex follows the signer's sign of hex and
+    its send of label:hex to that node. check, the signer's successful
+    (kind, tag, key label), precedes the sign and names its certified key."""
+    checked = (Step(signer, *check, (), "{role} signed {label} {short} "
+                    "without prior {tag} evidence", ok=True),) if check else ()
+    return Step(ANY, "decrypt", ANY, label, (
+        Step(signer, "sign", ANY, DIGEST, checked,
+             "{node} holds {label} {short} never signed by {role}"),
+        Step(signer, "send", ANY, label, (),
+             "{role} never sent {label} {short} to {node}", peer=NODE)))
 
-_PASS_REASONS = {
-    "cert-provenance": "certificate possessions justified",
-    "token-provenance": "token possessions justified",
-    "attest-order": "evidence signatures in order",
-}
+
+# The TEE-issued platform key cert is no row: no owner CA signature ever
+# exists for it.
+TRUST_PROPERTIES = PrecedenceTable({
+    "cert-provenance": ("certificate possessions justified", (
+        _possession("cert-vcek", OCA_PRINCIPAL,
+                    ("verify", "vendor-chain", "vcek-pub")),
+        _possession("cert-aik", OCA_PRINCIPAL,
+                    ("match", "credential-nonce", "aik-pub")),
+        _possession("cert-identity", OCA_PRINCIPAL,
+                    ("verify", "registration-evidence", "identity-pub")))),
+    "token-provenance": ("token possessions justified", (
+        _possession("token", VERIFIER_PRINCIPAL),)),
+    "attest-order": ("evidence signatures in order", (
+        Step(ANY, "sign", "total-report", None, (
+            Step(NODE, "receive", "attest-request", "session", (),
+                 "{node} signed evidence for session {short} before "
+                 "receiving the request", peer=VERIFIER_PRINCIPAL),)),
+        Step(VERIFIER_PRINCIPAL, "sign", "token", None, (),
+             "{principal} signed a token; only {role} may"))),
+})
 
 
 def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
-    """Check the three trust-chain properties over a trace.
+    """Check the trust properties of TRUST_PROPERTIES over a trace.
 
     cert-provenance: whoever holds an owner-CA certificate got it from a
-    CA that signed it after checking the key-possession evidence for
-    that certificate class, and the CA sent it to that holder.
-
+    CA that signed it after its own successful check of the evidence for
+    the key the certificate certifies, and that sent it to the holder.
     token-provenance: whoever holds an attestation token got it from the
-    verifier, which signed it first.
+    verifier, which signed it first. attest-order: evidence for a session
+    is signed only after the platform received that session's request
+    from the verifier, and nobody but the verifier signs a token.
 
-    attest-order: evidence for a session is only signed after the
-    platform received that session's request from the verifier, and
-    nobody but the verifier ever signs a token.
-
-    One forward pass, linear in the events, that tests the event kind
-    first. Both provenance properties are rows of one label table,
-    POSSESSION_RULES, and a property that reads a content label adds a
-    row: a decrypt content is split once at its first ":", and its label's
-    row names the property, the signer and the signer's prior check.
-    Sends and receives only feed the indexes: a signer's sends of contents
-    under its rows per base peer, and the verifier's attest-request
-    receipts per base prover and session. A sign or a decrypt is judged
-    against the indexes of earlier events; then signs are indexed per
-    signer and digest, other kinds by their first success per kind and
-    tag. New properties join this dispatch, not a second pass. Indices
-    must equal positions, as emit, extend_reindexed and from_text
-    guarantee. Each property reports its first failure in event order,
-    and within one event in row order.
+    Each property is rows of one precedence table: an effect, a role's
+    (kind, tag or content label), must be preceded by each of its causes
+    on the value in their shared column: a certificate digest, the
+    certified key, or a session id. The table compiles to one forward
+    pass, linear in the events, that judges each event against an index
+    of earlier causes and then indexes it; a new property adds rows, not
+    a branch or a pass. Indices must equal positions, as emit,
+    extend_reindexed and from_text guarantee.
     """
-    verifier = VERIFIER_PRINCIPAL
-    # per signer, its first sign of each digest
-    signed: dict[str, dict[str, int]] = {
-        signer: {} for _, signer, _ in POSSESSION_RULES.values()}
-    rules = {label: (rank, name, signer, signed[signer],
-                     prior and (signer, *prior))
-             for rank, (label, (name, signer, prior))
-             in enumerate(POSSESSION_RULES.items())}
-    vouched: dict = {None: -1}   # a row without a prior check is vouched
-    sent: set[tuple[str, str]] = set()
-    requested: set[tuple[str, str]] = set()
-    failed: dict[str, TheoremVerdict] = {}
-    justified: dict[str, list[int]] = {name: [] for name in _PASS_REASONS}
-    order_ok = justified["attest-order"].append
-    misses: list[tuple] = []
-
-    def fail(name: str, reason: str, *witness: int) -> None:
-        failed.setdefault(name, TheoremVerdict(name, False, reason, witness))
-
-    for event in trace.events:
-        kind, principal = event.kind, event.principal
-        if kind == "send":
-            if principal in signed:
-                peer = event.peer.partition("/")[0]
-                for content in event.contents:
-                    rule = rules.get(content.partition(":")[0])
-                    if rule is not None and rule[2] == principal:
-                        sent.add((peer, content))
-        elif kind == "receive":
-            if event.tag == "attest-request" and event.peer == verifier:
-                prover = principal.partition("/")[0]
-                requested.update((prover, s) for s in event.labeled("session"))
-        elif kind == "sign":
-            if event.tag == "token" and principal != verifier:
-                fail("attest-order",
-                     f"{principal} signed a token; only {verifier} may",
-                     event.index)
-            elif event.tag == "total-report":
-                prover = principal.partition("/")[0]
-                sessions = event.labeled("session")
-                if any((prover, s) in requested for s in sessions):
-                    order_ok(event.index)
-                else:
-                    fail("attest-order",
-                         f"{prover} signed evidence for session "
-                         f"{(sessions[0][:16] if sessions else '?')} before "
-                         f"receiving the request", event.index)
-            if principal in signed:
-                signed[principal].setdefault(event.digest, event.index)
-        elif kind == "decrypt":
-            index = event.index
-            holder = principal.partition("/")[0]
-            for content in event.contents:
-                label, colon, hexdigest = content.partition(":")
-                rule = rules.get(label)
-                if rule is None or not colon:
-                    continue
-                rank, name, signer, signs, prior = rule
-                sign_index = signs.get(hexdigest)
-                if sign_index is None:
-                    misses.append((rank, name, f"{holder} holds {label} "
-                                   f"{hexdigest[:16]} never signed by {signer}",
-                                   index))
-                    continue
-                if vouched.get(prior, sign_index) >= sign_index:
-                    misses.append((rank, name, f"{signer} signed {label} "
-                                   f"{hexdigest[:16]} without prior "
-                                   f"{prior[2]} evidence", sign_index, index))
-                    continue
-                if (holder, content) not in sent:
-                    misses.append((rank, name, f"{signer} never sent {label} "
-                                   f"{hexdigest[:16]} to {holder}", index))
-                    continue
-                justified[name].append(index)
-            if misses:
-                misses.sort(key=lambda miss: miss[0])
-                for _rank, *miss in misses:
-                    fail(*miss)
-                misses.clear()
-        elif event.ok and principal in signed:
-            vouched.setdefault((principal, kind, event.tag), event.index)
-    return {name: failed.get(name) or TheoremVerdict(
-                name, True, f"{len(justified[name])} {reason}",
-                tuple(justified[name]))
-            for name, reason in _PASS_REASONS.items()}
+    return {name: TheoremVerdict(name, *verdict) for name, verdict
+            in TRUST_PROPERTIES.check(trace.events).items()}

@@ -87,6 +87,7 @@ def test_two_node_attacks_defended(tmp_path, name):
     ("forged-cert", "cert-provenance"),
     ("forged-token", "token-provenance"),
     ("reordered-sign", "attest-order"),
+    ("unvouched-identity", "cert-provenance"),
 ])
 def test_fault_traces_trip_their_theorem(tmp_path, capsys, name, theorem):
     out = tmp_path / name

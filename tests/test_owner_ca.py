@@ -310,6 +310,24 @@ def test_register_node_rejects_wrong_measurement():
                              identity.public_bytes)
 
 
+def test_register_node_registers_a_node_once():
+    # the same bound boot report, passed again for the active node, buys no
+    # second identity certificate or MasterSecret, and leaves no record
+    rig = Rig()
+    rig.prepare()
+    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    bound = rig.report(verifier.registration_report_data(identity.public_bytes))
+    cert, _ = rig.ca.register_node("node-a", bound, rig.chain,
+                                   identity.public_bytes)
+    before = rig.ca.snapshot(), rig.ca.record_log, rig.ca._next_serial
+    with pytest.raises(BaselineRejected):
+        rig.ca.register_node("node-a", bound, rig.chain,
+                             identity.public_bytes)
+    assert (rig.ca.snapshot(), rig.ca.record_log,
+            rig.ca._next_serial) == before
+    assert rig.ca.nodes["node-a"].identity_cert == cert
+
+
 @pytest.mark.parametrize("report_data", [
     bytes(64),
     verifier.registration_report_data(b"some other identity key"),

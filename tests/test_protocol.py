@@ -350,7 +350,7 @@ def test_golden_trace_and_token_digests():
         policy_id=c.policy_id)
     assert len(c.trace.events) == 140
     assert c.trace.digest().hex() == (
-        "b221da4a16f50464af400d15fd603c2652e50508fdfef242335258a415667c4e")
+        "db6c50090fbea35ba5764a1b8ce5b7ec7e7d55dd7183ce3e806637e1ddf98f96")
     assert crypto.sha256("".join(t.compact() for t in tokens).encode()).hex() \
         == "1877689b62445c246fae74a2d29b7a4177ef68397422d5bb8e8b7ae8d3eb4606"
 
@@ -460,16 +460,50 @@ def test_reordered_sign_fails_exactly_attest_order(cluster2):
     assert not verdicts["attest-order"].ok
 
 
+@pytest.mark.parametrize("tag,key,label", [
+    ("registration-evidence", "identity-pub", "cert-identity"),
+    ("vendor-chain", "vcek-pub", "cert-vcek"),
+])
+def test_one_nodes_check_does_not_vouch_for_another(cluster2, tag, key,
+                                                    label):
+    # the enrollment trace without the owner CA's check of the second
+    # node's key: the first node's check of the same tag names another key
+    actor = cluster2.actor(1)
+    public = actor.identity if key == "identity-pub" else actor.vcek
+    named = f"{key}:{crypto.sha256(public.public_bytes).hex()}"
+    trace = protocol.ProtocolTrace()
+    trace.extend_reindexed([e for e in cluster2.trace.events
+                            if e.kind != "verify" or named not in e.contents])
+    assert len(trace.events) == len(cluster2.trace.events) - 1
+    verdicts = protocol.check_theorems(trace)
+    assert verdicts["token-provenance"].ok and verdicts["attest-order"].ok
+    verdict = verdicts["cert-provenance"]
+    sign, decrypt = (trace.events[i] for i in verdict.witness)
+    assert not verdict.ok
+    assert (sign.principal, sign.kind, sign.tag) == (OCA_PRINCIPAL, "sign",
+                                                     label)
+    assert decrypt.kind == "decrypt" and decrypt.principal.startswith(
+        actor.node_id)
+    assert verdict.reason == (f"{OCA_PRINCIPAL} signed {label} "
+                              f"{sign.digest[:16]} without prior {tag} "
+                              "evidence")
+    if tag == "registration-evidence":
+        assert trace.text() == harness.fault_trace_unvouched_identity(
+            cluster2).text()
+
+
 _CERT_HEX = "ab" * 32
+_VCEK_KEY = f"vcek-pub:{'12' * 32}"
 
 
 def _vcek_cert_trace(holder: str) -> protocol.ProtocolTrace:
-    """The owner CA checks a vendor chain, signs a VCEK certificate and
-    sends it to node0001's TEE; then the holder decrypts it."""
+    """The owner CA checks a vendor chain for a chip key, signs a VCEK
+    certificate for that key and sends it to node0001's TEE; then the
+    holder decrypts it."""
     cert = f"cert-vcek:{_CERT_HEX}"
     return protocol.ProtocolTrace.from_text(
-        f"0 owner-ca verify - {'cd' * 32} vendor-chain 1 -\n"
-        f"1 owner-ca sign - {_CERT_HEX} cert-vcek - {cert}\n"
+        f"0 owner-ca verify - {'cd' * 32} vendor-chain 1 {_VCEK_KEY}\n"
+        f"1 owner-ca sign - {_CERT_HEX} cert-vcek - {cert},{_VCEK_KEY}\n"
         f"2 owner-ca send node0001/tee {'ef' * 32} cert-vcek-info - {cert}\n"
         f"3 {holder} decrypt - {_CERT_HEX} cert-vcek-info - {cert}\n")
 
@@ -487,6 +521,25 @@ def test_base_principal_folds_engine_names():
         f"owner-ca never sent cert-vcek {_CERT_HEX[:16]} to node0002", (3,))
 
 
+def test_prior_check_vouches_only_before_for_the_key_it_names():
+    # the vendor-chain check names another chip key; or the certificate,
+    # not under the key's label; or it comes after the sign
+    lines = _vcek_cert_trace("node0001/tee").lines()
+    other_key = lines[0].replace(_VCEK_KEY, f"vcek-pub:{'34' * 32}")
+    the_cert = lines[0].replace(_VCEK_KEY, f"cert-vcek:{_CERT_HEX}")
+    for edited, sign in (([other_key] + lines[1:], 1),
+                         ([the_cert] + lines[1:], 1),
+                         ([lines[1], lines[0]] + lines[2:], 0)):
+        text = "".join(f"{i} {line.split(' ', 1)[1]}\n"
+                       for i, line in enumerate(edited))
+        verdict = protocol.check_theorems(
+            protocol.ProtocolTrace.from_text(text))["cert-provenance"]
+        assert verdict == TheoremVerdict(
+            "cert-provenance", False,
+            f"owner-ca signed cert-vcek {_CERT_HEX[:16]} without prior "
+            "vendor-chain evidence", (sign, 3)), text
+
+
 # ---------------------------------------------------------------------------
 # differential check against the quadratic reference checker
 # ---------------------------------------------------------------------------
@@ -497,10 +550,12 @@ def test_base_principal_folds_engine_names():
 
 _ORACLE_CERT_LABELS = ("cert-vcek", "cert-aik", "cert-identity")
 
+# label -> the owner CA's check, and the label of the key both it and the
+# certificate's sign must name
 _ORACLE_CERT_EVIDENCE = {
-    "cert-vcek": ("verify", "vendor-chain"),
-    "cert-aik": ("match", "credential-nonce"),
-    "cert-identity": ("verify", "registration-evidence"),
+    "cert-vcek": ("verify", "vendor-chain", "vcek-pub"),
+    "cert-aik": ("match", "credential-nonce", "aik-pub"),
+    "cert-identity": ("verify", "registration-evidence", "identity-pub"),
 }
 
 
@@ -546,9 +601,12 @@ def _check_cert_provenance(events, oca) -> TheoremVerdict:
                 f"{holder} holds {label} {hexdigest[:16]} never signed by {oca}",
                 (event.index,))
         sign_index = signed[0].index
-        evidence_kind, evidence_tag = _ORACLE_CERT_EVIDENCE[label]
+        evidence_kind, evidence_tag, key = _ORACLE_CERT_EVIDENCE[label]
+        # the check must name a key that the first sign certifies
+        keys = {f"{key}:{k}" for k in signed[0].labeled(key)}
         vouched = any(e.kind == evidence_kind and e.tag == evidence_tag
                       and e.principal == oca and e.ok
+                      and keys.intersection(e.contents)
                       for e in events[:sign_index])
         if not vouched:
             return TheoremVerdict(
@@ -713,6 +771,7 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
               harness.fault_trace_forged_cert(cluster2),
               harness.fault_trace_forged_token(cluster2),
               harness.fault_trace_reordered_sign(cluster2),
+              harness.fault_trace_unvouched_identity(cluster2),
               *rare.values()]
     for _case in range(1500):
         events = honest.events
