@@ -27,7 +27,6 @@ from . import crypto, tee, tpm
 from .encoding import RAW, STR, U16, Record, Spec, nested
 from .errors import AttestationRejected, AuthFailure, DecodeError
 from .owner_ca import challenge_session_id
-from .precedence import ANY, DIGEST, NODE, PrecedenceTable, Step
 from .verifier import (LAYOUTS, CompositeOutcome, VerifierService,
                        registration_report_data, report_data_for)
 
@@ -106,11 +105,6 @@ class TraceEvent:
         if event.line() != line:
             raise DecodeError(f"trace line is not canonical: {line!r}")
         return event
-
-    def labeled(self, label: str) -> list[str]:
-        """Hex digests carried under a given content label."""
-        prefix = label + ":"
-        return [c[len(prefix):] for c in self.contents if c.startswith(prefix)]
 
 
 # emit fills a new event's slots through their descriptors, which skips
@@ -747,60 +741,158 @@ class TheoremVerdict:
         return f"{self.name} {status} witness={witness} {self.reason}"
 
 
-def _possession(label: str, signer: str, check: tuple = ()) -> Step:
-    """A node's decrypt of label:hex follows the signer's sign of hex and
-    its send of label:hex to that node. check, the signer's successful
-    (kind, tag, key label), precedes the sign and names its certified key."""
-    checked = (Step(signer, *check, (), "{role} signed {label} {short} "
-                    "without prior {tag} evidence", ok=True),) if check else ()
-    return Step(ANY, "decrypt", ANY, label, (
-        Step(signer, "sign", ANY, DIGEST, checked,
-             "{node} holds {label} {short} never signed by {role}"),
-        Step(signer, "send", ANY, label, (),
-             "{role} never sent {label} {short} to {node}", peer=NODE)))
+# The possession rule: label -> (property, signer, and the signer's own
+# successful (kind, tag, key label) check, or None). A node's decrypt of
+# label:hex follows the signer's sign of hex and its send of label:hex
+# to that node; the check precedes the sign and names, under the key
+# label, a key the sign names, so one node's check never vouches for
+# another's certificate. The TEE-issued platform key cert is no row: no
+# owner CA signature ever exists for it.
+POSSESSION_RULES = {
+    "cert-vcek": ("cert-provenance", OCA_PRINCIPAL,
+                  ("verify", "vendor-chain", "vcek-pub")),
+    "cert-aik": ("cert-provenance", OCA_PRINCIPAL,
+                 ("match", "credential-nonce", "aik-pub")),
+    "cert-identity": ("cert-provenance", OCA_PRINCIPAL,
+                      ("verify", "registration-evidence", "identity-pub")),
+    "token": ("token-provenance", VERIFIER_PRINCIPAL, None),
+}
 
-
-# The TEE-issued platform key cert is no row: no owner CA signature ever
-# exists for it.
-TRUST_PROPERTIES = PrecedenceTable({
-    "cert-provenance": ("certificate possessions justified", (
-        _possession("cert-vcek", OCA_PRINCIPAL,
-                    ("verify", "vendor-chain", "vcek-pub")),
-        _possession("cert-aik", OCA_PRINCIPAL,
-                    ("match", "credential-nonce", "aik-pub")),
-        _possession("cert-identity", OCA_PRINCIPAL,
-                    ("verify", "registration-evidence", "identity-pub")))),
-    "token-provenance": ("token possessions justified", (
-        _possession("token", VERIFIER_PRINCIPAL),)),
-    "attest-order": ("evidence signatures in order", (
-        Step(ANY, "sign", "total-report", None, (
-            Step(NODE, "receive", "attest-request", "session", (),
-                 "{node} signed evidence for session {short} before "
-                 "receiving the request", peer=VERIFIER_PRINCIPAL),)),
-        Step(VERIFIER_PRINCIPAL, "sign", "token", None, (),
-             "{principal} signed a token; only {role} may"))),
-})
+_PASS_REASONS = {
+    "cert-provenance": "certificate possessions justified",
+    "token-provenance": "token possessions justified",
+    "attest-order": "evidence signatures in order",
+}
 
 
 def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
-    """Check the trust properties of TRUST_PROPERTIES over a trace.
+    """Check the three trust properties over a trace.
 
     cert-provenance: whoever holds an owner-CA certificate got it from a
     CA that signed it after its own successful check of the evidence for
     the key the certificate certifies, and that sent it to the holder.
     token-provenance: whoever holds an attestation token got it from the
-    verifier, which signed it first. attest-order: evidence for a session
-    is signed only after the platform received that session's request
-    from the verifier, and nobody but the verifier signs a token.
+    verifier, which signed it first. attest-order: evidence names a
+    session, and the platform received the verifier's request for each
+    session it names before signing it; nobody but the verifier signs a
+    token.
 
-    Each property is rows of one precedence table: an effect, a role's
-    (kind, tag or content label), must be preceded by each of its causes
-    on the value in their shared column: a certificate digest, the
-    certified key, or a session id. The table compiles to one forward
-    pass, linear in the events, that judges each event against an index
-    of earlier causes and then indexes it; a new property adds rows, not
-    a branch or a pass. Indices must equal positions, as emit,
-    extend_reindexed and from_text guarantee.
+    Each is a PCL-style precedence claim (Datta, Derek, Mitchell and
+    Roy, ENTCS 2007) checked by one forward pass, linear in the events:
+    each sign and decrypt is judged against indexes of earlier events,
+    then indexed. Indices must equal positions, as emit,
+    extend_reindexed and from_text guarantee. Each property reports its
+    first failure in event order, and within one event in row order.
     """
-    return {name: TheoremVerdict(name, *verdict) for name, verdict
-            in TRUST_PROPERTIES.check(trace.events).items()}
+    verifier = VERIFIER_PRINCIPAL
+    events = trace.events
+    # per signer, its first sign of each digest, and its sends as
+    # (holder node, content)
+    signed: dict[str, dict[str, int]] = {
+        signer: {} for _, signer, _ in POSSESSION_RULES.values()}
+    sent: dict[str, set[tuple[str, str]]] = {s: set() for s in signed}
+    # per (signer, kind, tag) of a rule's check: the key label, and the
+    # check's first success naming each key under it
+    checked: dict[tuple[str, str, str], tuple[str, dict[str, int]]] = {}
+    justified: dict[str, list[int]] = {name: [] for name in _PASS_REASONS}
+    rules = {}
+    for rank, (label, (name, signer, check)) in enumerate(
+            POSSESSION_RULES.items()):
+        vouches = evidence = None
+        if check:
+            kind, evidence, key = check
+            vouches = checked.setdefault((signer, kind, evidence),
+                                         (key + ":", {}))[1]
+        rules[label] = (rank, name, signer, signed[signer], sent[signer],
+                        vouches, evidence, justified[name].append)
+    rule_of = rules.get
+    checkers = {signer for signer, _, _ in checked}
+    # the receipts of the verifier's attest-requests, as (node, content)
+    requested: set[tuple[str, str]] = set()
+    failed: dict[str, TheoremVerdict] = {}
+    in_order = justified["attest-order"].append
+    misses: list[tuple] = []
+
+    def fail(name: str, reason: str, *witness: int) -> None:
+        failed.setdefault(name, TheoremVerdict(name, False, reason, witness))
+
+    for event in events:
+        kind, principal = event.kind, event.principal
+        if kind == "send":
+            if principal in sent:
+                sends, node = sent[principal], event.peer.partition("/")[0]
+                for content in event.contents:
+                    sends.add((node, content))
+        elif kind == "receive":
+            if event.tag == "attest-request" and event.peer == verifier:
+                node = principal.partition("/")[0]
+                for content in event.contents:
+                    requested.add((node, content))
+        elif kind == "sign":
+            tag = event.tag
+            if tag == "total-report":
+                node = principal.partition("/")[0]
+                unrequested = "?"   # the first session not requested
+                for content in event.contents:
+                    if content.startswith("session:"):
+                        if (node, content) not in requested:
+                            unrequested = content[8:]
+                            break
+                        unrequested = None
+                if unrequested is None:
+                    in_order(event.index)
+                else:
+                    fail("attest-order", f"{node} signed evidence for "
+                         f"session {unrequested[:16]} before receiving "
+                         "the request", event.index)
+            elif tag == "token" and principal != verifier:
+                fail("attest-order",
+                     f"{principal} signed a token; only {verifier} may",
+                     event.index)
+            if principal in signed:
+                signed[principal].setdefault(event.digest, event.index)
+        elif kind == "decrypt":
+            index, node = event.index, principal.partition("/")[0]
+            for content in event.contents:
+                label, colon, value = content.partition(":")
+                rule = rule_of(label)
+                if rule is None or not colon:
+                    continue
+                (rank, name, signer, signs, sends, vouches, evidence,
+                 justify) = rule
+                at = signs.get(value)
+                if at is None:
+                    misses.append((rank, name, f"{node} holds {label} "
+                                   f"{value[:16]} never signed by {signer}",
+                                   index))
+                    continue
+                if vouches is not None:
+                    for held in events[at].contents:
+                        if held in vouches and vouches[held] < at:
+                            break
+                    else:
+                        misses.append((rank, name, f"{signer} signed {label} "
+                                       f"{value[:16]} without prior "
+                                       f"{evidence} evidence", at, index))
+                        continue
+                if (node, content) not in sends:
+                    misses.append((rank, name, f"{signer} never sent {label} "
+                                   f"{value[:16]} to {node}", index))
+                    continue
+                justify(index)
+            if misses:
+                misses.sort(key=lambda miss: miss[0])
+                for _rank, *miss in misses:
+                    fail(*miss)
+                misses.clear()
+        elif event.ok and principal in checkers:
+            check = checked.get((principal, kind, event.tag))
+            if check is not None:
+                key, vouches = check
+                for content in event.contents:
+                    if content.startswith(key) and content not in vouches:
+                        vouches[content] = event.index
+    return {name: failed.get(name) or TheoremVerdict(
+                name, True, f"{len(justified[name])} {reason}",
+                tuple(justified[name]))
+            for name, reason in _PASS_REASONS.items()}

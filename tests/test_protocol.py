@@ -540,6 +540,85 @@ def test_prior_check_vouches_only_before_for_the_key_it_names():
             "vendor-chain evidence", (sign, 3)), text
 
 
+def _early_sign_trace():
+    """One node attested twice (tpm-tee, build_cluster(5, 1)), its second
+    total-report sign moved before its attest-request receipt and naming
+    the first, requested session too; and the session it was made for."""
+    cluster = harness.build_cluster(5, 1)
+    trace = protocol.ProtocolTrace()
+    for _ in range(2):
+        protocol.run_attest_composite(
+            cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
+            policy_id=cluster.policy_id, direction="tpm-tee")
+    events = trace.events
+    first, second = (e for e in events
+                     if e.kind == "sign" and e.tag == "total-report")
+    receipt = [e for e in events if e.kind == "receive"
+               and e.tag == "attest-request"][1]
+    session = next(c for c in second.contents if c.startswith("session:"))
+    assert session in receipt.contents
+    earlier = next(c for c in first.contents if c.startswith("session:"))
+    moved = dataclasses.replace(second, contents=(*second.contents, earlier))
+    early = protocol.ProtocolTrace()
+    early.extend_reindexed(events[:receipt.index] + [moved] + [
+        e for e in events[receipt.index:] if e is not second])
+    return early, session.partition(":")[2]
+
+
+def test_evidence_needs_a_request_for_every_session_it_names():
+    # naming an earlier, requested session does not excuse evidence
+    # signed before the request for its own session arrived
+    trace, session = _early_sign_trace()
+    assert protocol.check_theorems(trace)["attest-order"] == TheoremVerdict(
+        "attest-order", False, f"node0000 signed evidence for session "
+        f"{session[:16]} before receiving the request", (22,))
+
+
+# The exact verdict lines, reasons and witnesses included, that
+# check_theorems gives each fault trace of build_cluster(31, nodes=2) and
+# the honest run_scenario(31) trace.
+_PINNED_VERDICT_LINES = {
+    "forged-cert": (
+        "cert-provenance FAIL witness=73 node0000 holds cert-vcek "
+        "4a95b829d7c05063 never signed by owner-ca",
+        "token-provenance pass witness=- 0 token possessions justified",
+        "attest-order pass witness=- 0 evidence signatures in order"),
+    "forged-token": (
+        "cert-provenance pass witness=6,22,34,41,57,69 6 certificate "
+        "possessions justified",
+        "token-provenance FAIL witness=72 node0000 holds token "
+        "eb402060feb0b1f3 never signed by verifier",
+        "attest-order pass witness=- 0 evidence signatures in order"),
+    "reordered-sign": (
+        "cert-provenance pass witness=- 0 certificate possessions justified",
+        "token-provenance pass witness=19 1 token possessions justified",
+        "attest-order FAIL witness=0 node0000 signed evidence for session "
+        "711d762b310276c2 before receiving the request"),
+    "unvouched-identity": (
+        "cert-provenance FAIL witness=65,68 owner-ca signed cert-identity "
+        "4cce1e36c371c031 without prior registration-evidence evidence",
+        "token-provenance pass witness=- 0 token possessions justified",
+        "attest-order pass witness=- 0 evidence signatures in order"),
+    "honest": (
+        "cert-provenance pass witness=6,22,34,41,57,69 6 certificate "
+        "possessions justified",
+        "token-provenance pass witness=89,109,124,139 4 token possessions "
+        "justified",
+        "attest-order pass witness=80,100,115,130 4 evidence signatures "
+        "in order"),
+}
+
+
+@pytest.mark.parametrize("name", [*harness.FAULT_TRACES, "honest"])
+def test_checker_prints_the_pinned_verdict_lines(name):
+    if name == "honest":
+        trace = harness.run_scenario(31).trace
+    else:
+        trace = harness.FAULT_TRACES[name][1](harness.build_cluster(31, 2))
+    lines = tuple(v.line() for v in protocol.check_theorems(trace).values())
+    assert lines == _PINNED_VERDICT_LINES[name]
+
+
 # ---------------------------------------------------------------------------
 # differential check against the quadratic reference checker
 # ---------------------------------------------------------------------------
@@ -564,6 +643,12 @@ def base_principal(principal: str) -> str:
     return principal.split("/", 1)[0]
 
 
+def _labeled(event, label: str) -> list[str]:
+    """Hex digests an event carries under a given content label."""
+    prefix = label + ":"
+    return [c[len(prefix):] for c in event.contents if c.startswith(prefix)]
+
+
 def _oracle_check_theorems(trace, *, oca=OCA_PRINCIPAL,
                            verifier=VERIFIER_PRINCIPAL):
     events = trace.events
@@ -582,7 +667,7 @@ def _possessions(events, labels) -> list[tuple[TraceEvent, str, str]]:
         if event.kind != "decrypt":
             continue
         for label in labels:
-            for hexdigest in event.labeled(label):
+            for hexdigest in _labeled(event, label):
                 found.append((event, label, hexdigest))
     return found
 
@@ -603,7 +688,7 @@ def _check_cert_provenance(events, oca) -> TheoremVerdict:
         sign_index = signed[0].index
         evidence_kind, evidence_tag, key = _ORACLE_CERT_EVIDENCE[label]
         # the check must name a key that the first sign certifies
-        keys = {f"{key}:{k}" for k in signed[0].labeled(key)}
+        keys = {f"{key}:{k}" for k in _labeled(signed[0], key)}
         vouched = any(e.kind == evidence_kind and e.tag == evidence_tag
                       and e.principal == oca and e.ok
                       and keys.intersection(e.contents)
@@ -667,18 +752,18 @@ def _check_attest_order(events, verifier) -> TheoremVerdict:
         if event.kind != "sign" or event.tag != "total-report":
             continue
         prover = base_principal(event.principal)
-        sessions = event.labeled("session")
-        requested = any(
+        sessions = _labeled(event, "session")
+        # every session the evidence names, and at least one, requested
+        unrequested = [s for s in sessions if not any(
             e.kind == "receive" and e.tag == "attest-request"
             and base_principal(e.principal) == prover
-            and e.peer == verifier
-            and any(s in e.labeled("session") for s in sessions)
-            for e in events[:event.index])
-        if not requested:
+            and e.peer == verifier and s in _labeled(e, "session")
+            for e in events[:event.index])]
+        if unrequested or not sessions:
             return TheoremVerdict(
                 "attest-order", False,
                 f"{prover} signed evidence for session "
-                f"{(sessions[0][:16] if sessions else '?')} before receiving "
+                f"{(*unrequested, '?')[0][:16]} before receiving "
                 f"the request", (event.index,))
         checked.append(event.index)
     return TheoremVerdict("attest-order", True,
@@ -767,6 +852,7 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
         + honest.events[token_sign + 1:])
     holder = cluster2.actor(0).agent
     rare = _rare_checker_cases(honest, holder)
+    rare["early-sign-names-a-requested-session"] = _early_sign_trace()[0]
     traces = [honest, node_signs_token,
               harness.fault_trace_forged_cert(cluster2),
               harness.fault_trace_forged_token(cluster2),
@@ -791,7 +877,8 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
         "cert-provenance", "token-provenance", "attest-order")), failures
     # each rare case reaches what it is built for: within one event the
     # first failure follows the label order, one event fails both
-    # provenance properties, and a label without ":" names no possession
+    # provenance properties, a label without ":" names no possession, and
+    # evidence naming a requested session fails for its unrequested one
     first = protocol.check_theorems(rare["two-certs"])["cert-provenance"]
     assert first.reason == (f"{holder} holds cert-vcek {'22' * 8} never "
                             f"signed by {OCA_PRINCIPAL}")
@@ -799,3 +886,5 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
     assert not both["cert-provenance"].ok and not both["token-provenance"].ok
     assert protocol.check_theorems(rare["no-colon"]) == \
         protocol.check_theorems(honest)
+    assert not protocol.check_theorems(
+        rare["early-sign-names-a-requested-session"])["attest-order"].ok
