@@ -33,7 +33,7 @@ srk_handle = tpm.load_key(state, tpm.create_primary(state, "storage"))
 aik_blob = tpm.create_signing_key(state, srk_handle, role="AIK")
 aik_handle = tpm.load_key(state, aik_blob)
 nonce = rng.random_bytes(32)
-quote = tpm.quote(state, (0, 10), nonce, aik_handle)
+quote = tpm.cc_quote(state, (0, 10), nonce, aik_handle, b"")
 print("  quote over PCR {0,10} verifies under the AIK:",
       quote.verify(aik_blob.public))
 

@@ -49,10 +49,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or key in explicit:
             continue
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            setattr(args, attr, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
+        if isinstance(getattr(args, attr), int):
             try:
                 setattr(args, attr, int(value))
             except ValueError:

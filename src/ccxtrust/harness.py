@@ -306,14 +306,8 @@ def _evidence(signer: protocol.NodeActor, direction: str,
               nonce: bytes) -> bytes:
     """Evidence of one direction signed directly by signer's devices."""
     def make_layer(kind, binding, embedded, _tag):
-        if kind == "tee":
-            layer = tee.guest_report(signer.vcek, signer.chip_id, signer.tcb,
-                                     signer.tcb_version, binding,
-                                     embedded_evidence=embedded)
-        else:
-            layer = tpm.cc_quote(signer.state, PCR_SELECTION, binding,
-                                 signer.aik_handle, embedded)
-        return layer.to_bytes()
+        return signer.sign_layer(kind, binding, embedded,
+                                 signer.pcr_selection).to_bytes()
     return protocol.build_evidence(direction, nonce, make_layer)
 
 

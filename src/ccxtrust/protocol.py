@@ -10,6 +10,7 @@ Attestation has one prover: build_evidence walks the verifier's LAYOUTS
 table for any direction (the composite tpm-tee and tee-tpm embeddings,
 the single-technology tee and tpm legs) and binds each layer with the
 verifier's report_data_for rule, so prover and verifier read one layout.
+NodeActor.sign_layer is the one place a node's TEE or TPM signs a layer.
 
 The trace is the unit of analysis: trust-chain properties are stated
 over event sequences and checked mechanically by check_theorems, so a
@@ -359,6 +360,19 @@ class NodeActor:
     def tpm_name(self) -> str:
         return self.node_id + "/tpm"
 
+    def sign_layer(self, kind: str, binding: bytes, embedded: bytes,
+                   selection: tuple[int, ...] = ()):
+        """One signed evidence layer of this node, carrying the embedded
+        bytes verbatim: for "tee" a guest report under the chip key, with
+        binding as its report_data; for "tpm" a quote of the selected PCRs
+        under the AIK, with binding as its qualifying data. The only place
+        a node's devices sign evidence."""
+        if kind == "tee":
+            return tee.guest_report(self.vcek, self.chip_id, self.tcb,
+                                    self.tcb_version, binding, embedded)
+        return tpm.cc_quote(self.state, selection, binding, self.aik_handle,
+                            embedded)
+
 
 def establish_channels(actor: NodeActor, oca_key: crypto.SigningKeyPair,
                        verifier_key: crypto.SigningKeyPair,
@@ -521,9 +535,8 @@ def run_registration(actor: NodeActor, oca, channels: ChannelTable,
     """Final onboarding: fresh boot evidence buys the identity
     certificate and the MasterSecret."""
     C, A = actor.agent, OCA_PRINCIPAL
-    boot_report = tee.guest_report(
-        actor.vcek, actor.chip_id, actor.tcb, actor.tcb_version,
-        registration_report_data(actor.identity.public_bytes))
+    boot_report = actor.sign_layer(
+        "tee", registration_report_data(actor.identity.public_bytes), b"")
     identity_key = _content("identity-pub", actor.identity.public_bytes)
     rx = _transfer(trace, channels, C, A, "register-request",
                    {"report": boot_report, "chain": actor.vendor_chain,
@@ -583,47 +596,35 @@ def _send_attest_request(verifier_svc, actor, channels, trace, policy_id,
     return request, rx
 
 
-def _tee_report_internal(actor, channels, trace, session_id, report_data,
-                         embedded: bytes, *, tag: str) -> tee.TeeReport:
-    """Agent asks its TEE engine for a signed report."""
-    C, E = actor.agent, actor.tee_name
-    session_hex = session_id.hex()
-    rx = _transfer(trace, channels, C, E, "guest-report-request",
-                   {"report_data": report_data, "embedded": embedded,
-                    "session_id": session_id},
-                   session_id=session_id,
-                   contents=(f"session:{session_hex}",))
-    report = tee.guest_report(actor.vcek, actor.chip_id, actor.tcb,
-                              actor.tcb_version, rx["report_data"],
-                              embedded_evidence=rx["embedded"])
-    digest = report.digest
-    trace.emit(E, "sign", digest=digest, tag=tag,
-               contents=(f"session:{session_hex}", f"report:{digest.hex()}"))
-    return _transfer(trace, channels, E, C, "tee-report", {"report": report},
-                     session_id=session_id,
-                     contents=(f"report:{digest.hex()}",))["report"]
+# kind -> (request type, the request field the binding travels in, reply
+# type, the reply field and content label of the signed layer): the
+# agent's round trip to the device that signs that kind of layer
+_LAYER_TRIPS = {
+    "tee": ("guest-report-request", "report_data", "tee-report", "report"),
+    "tpm": ("quote-request", "qualifying_data", "tpm-report", "quote"),
+}
 
 
-def _tpm_quote_internal(actor, channels, trace, session_id, selection,
-                        qualifying_data, embedded: bytes, *,
-                        tag: str) -> tpm.CompositeQuote:
-    """Agent asks its TPM for a (composite) quote."""
-    C, P = actor.agent, actor.tpm_name
-    session_hex = session_id.hex()
-    rx = _transfer(trace, channels, C, P, "quote-request",
-                   {"selection": selection, "qualifying_data": qualifying_data,
-                    "embedded": embedded, "session_id": session_id},
-                   session_id=session_id,
-                   contents=(f"session:{session_hex}",))
-    quote_obj = tpm.cc_quote(actor.state, rx["selection"],
-                             rx["qualifying_data"], actor.aik_handle,
-                             rx["embedded"])
-    digest = quote_obj.digest
-    trace.emit(P, "sign", digest=digest, tag=tag,
-               contents=(f"session:{session_hex}", f"quote:{digest.hex()}"))
-    return _transfer(trace, channels, P, C, "tpm-report", {"quote": quote_obj},
+def _device_layer(actor, channels, trace, session_id, kind, binding,
+                  embedded: bytes, selection, *, tag: str) -> bytes:
+    """The agent asks its device "<node>/<kind>" for one signed layer of a
+    session's evidence; returns the layer's bytes."""
+    request, binding_field, reply, label = _LAYER_TRIPS[kind]
+    C, device = actor.agent, f"{actor.node_id}/{kind}"
+    session = (f"session:{session_id.hex()}",)
+    rx = _transfer(trace, channels, C, device, request,
+                   {binding_field: binding, "embedded": embedded,
+                    "selection": selection, "session_id": session_id},
+                   session_id=session_id, contents=session)
+    layer = actor.sign_layer(kind, rx[binding_field], rx["embedded"],
+                             rx.get("selection", ()))
+    digest = layer.digest
+    signed = (f"{label}:{digest.hex()}",)
+    trace.emit(device, "sign", digest=digest, tag=tag,
+               contents=session + signed)
+    return _transfer(trace, channels, device, C, reply, {label: layer},
                      session_id=session_id,
-                     contents=(f"quote:{digest.hex()}",))["quote"]
+                     contents=signed)[label].to_bytes()
 
 
 def build_evidence(direction: str, nonce: bytes, make_layer: Callable) -> bytes:
@@ -669,14 +670,8 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
     session_hex = session_id.hex()
 
     def make_layer(kind, binding, embedded, tag):
-        if kind == "tee":
-            layer = _tee_report_internal(actor, channels, trace, session_id,
-                                         binding, embedded, tag=tag)
-        else:
-            layer = _tpm_quote_internal(actor, channels, trace, session_id,
-                                        rx["selection"], binding, embedded,
-                                        tag=tag)
-        return layer.to_bytes()
+        return _device_layer(actor, channels, trace, session_id, kind,
+                             binding, embedded, rx["selection"], tag=tag)
 
     envelope = CompositeReportEnvelope(
         direction, actor.node_id, session_id,
@@ -774,8 +769,9 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
     token-provenance: whoever holds an attestation token got it from the
     verifier, which signed it first. attest-order: evidence names a
     session, and the platform received the verifier's request for each
-    session it names before signing it; nobody but the verifier signs a
-    token.
+    session it names before signing it; no session is answered by two
+    evidence signatures (Lowe's injective agreement, CSFW 1997); nobody
+    but the verifier signs a token.
 
     Each is a PCL-style precedence claim (Datta, Derek, Mitchell and
     Roy, ENTCS 2007) checked by one forward pass, linear in the events:
@@ -807,8 +803,10 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
                         vouches, evidence, justified[name].append)
     rule_of = rules.get
     checkers = {signer for signer, _, _ in checked}
-    # the receipts of the verifier's attest-requests, as (node, content)
+    # the receipts of the verifier's attest-requests, as (node, content),
+    # and the evidence sign that answered each session content
     requested: set[tuple[str, str]] = set()
+    answered: dict[str, int] = {}
     failed: dict[str, TheoremVerdict] = {}
     in_order = justified["attest-order"].append
     misses: list[tuple] = []
@@ -832,19 +830,28 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
             tag = event.tag
             if tag == "total-report":
                 node = principal.partition("/")[0]
+                index = event.index
                 unrequested = "?"   # the first session not requested
+                twice = None        # the first one an earlier sign answered
                 for content in event.contents:
                     if content.startswith("session:"):
                         if (node, content) not in requested:
                             unrequested = content[8:]
                             break
                         unrequested = None
-                if unrequested is None:
-                    in_order(event.index)
-                else:
+                        # a failing sign's sessions are recorded too; the
+                        # property has failed then, so they change nothing
+                        if answered.setdefault(content, index) != index:
+                            twice = twice or content
+                if unrequested is not None:
                     fail("attest-order", f"{node} signed evidence for "
                          f"session {unrequested[:16]} before receiving "
-                         "the request", event.index)
+                         "the request", index)
+                elif twice is not None:
+                    fail("attest-order", f"{node} signed second evidence "
+                         f"for session {twice[8:24]}", answered[twice], index)
+                else:
+                    in_order(index)
             elif tag == "token" and principal != verifier:
                 fail("attest-order",
                      f"{principal} signed a token; only {verifier} may",

@@ -444,17 +444,17 @@ def pcr_read(state: TpmState, index: int) -> bytes:
 
 @dataclass(frozen=True)
 class CompositeQuote(Signed):
-    """Signed PCR quote, optionally embedding a TEE report verbatim.
+    """Signed PCR quote, optionally embedding foreign evidence verbatim.
 
-    An empty tee_report means a plain quote. The signature covers every
-    field above it, embedded report included, which is what makes the
-    composite binding non-spliceable.
+    An empty embedded_evidence means a plain quote. The signature covers
+    every field above it, embedded evidence included, which is what makes
+    the composite binding non-spliceable.
     """
 
     pcr_selection: tuple[int, ...]
     pcr_digest: bytes
     qualifying_data: bytes
-    tee_report: bytes
+    embedded_evidence: bytes
     firmware_version: int
     clock_info: int
     signature: bytes
@@ -462,7 +462,7 @@ class CompositeQuote(Signed):
     SPEC = Spec((1, "pcr_selection", PCR_BITMAP),
                 (2, "pcr_digest", raw(crypto.DIGEST_LEN)),
                 (3, "qualifying_data", raw(crypto.DIGEST_LEN)),
-                (4, "tee_report", raw(max_len=MAX_TEE_REPORT_SIZE)),
+                (4, "embedded_evidence", raw(max_len=MAX_TEE_REPORT_SIZE)),
                 (5, "firmware_version", U64),
                 (6, "clock_info", U64),
                 (7, "signature", RAW))
@@ -475,29 +475,24 @@ class CompositeQuote(Signed):
         return crypto.verify(aik_pub, self.body_bytes(), self.signature)
 
 
-def quote(state: TpmState, selection, qualifying_data: bytes,
-          aik_handle: int) -> CompositeQuote:
-    """Plain PCR quote signed by a loaded attestation key."""
-    return cc_quote(state, selection, qualifying_data, aik_handle, b"")
-
-
 def cc_quote(state: TpmState, selection, qualifying_data: bytes,
-             aik_handle: int, tee_report: bytes) -> CompositeQuote:
-    """Composite quote: the TEE report bytes are embedded verbatim and
-    covered by the AIK signature."""
+             aik_handle: int, embedded: bytes) -> CompositeQuote:
+    """PCR quote signed by a loaded attestation key, with the embedded
+    bytes (a TEE report, or b"" for a plain quote) carried verbatim and
+    covered by the signature."""
     sel = normalize_selection(selection)
     if len(qualifying_data) != crypto.DIGEST_LEN:
         raise InvalidLength("qualifying data must be 32 bytes")
-    if len(tee_report) > MAX_TEE_REPORT_SIZE:
+    if len(embedded) > MAX_TEE_REPORT_SIZE:
         raise ReportTooLarge(
-            f"report is {len(tee_report)} bytes, limit {MAX_TEE_REPORT_SIZE}")
+            f"report is {len(embedded)} bytes, limit {MAX_TEE_REPORT_SIZE}")
     aik = _loaded(state, aik_handle)
     if aik.blob.role not in ("AIK", "signing"):
         raise HierarchyMismatch(f"{aik.blob.role} key cannot quote")
     clock_info = state.tick()
     return CompositeQuote.signed(
         aik.keypair(), pcr_selection=sel, pcr_digest=state.pcr.composite(sel),
-        qualifying_data=qualifying_data, tee_report=tee_report,
+        qualifying_data=qualifying_data, embedded_evidence=embedded,
         firmware_version=FIRMWARE_VERSION, clock_info=clock_info)
 
 

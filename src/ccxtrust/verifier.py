@@ -288,7 +288,7 @@ def _decode_layers(layout: tuple[str, ...], evidence: bytes) -> dict | None:
         except CcxError:
             return None
         layers[kind] = layer
-        raw = layer.tee_report if kind == "tpm" else layer.embedded_evidence
+        raw = layer.embedded_evidence
     return layers
 
 
@@ -426,18 +426,18 @@ class VerifierService:
                          session: AttestationRequest,
                          policy: PolicyBaseline
                          ) -> tuple[CompositeOutcome, VerifiedReport | None]:
-        """Appraise evidence of any layout in LAYOUTS; first failure wins.
+        """Appraise evidence of any layout in LAYOUTS, in the pipeline
+        order the module docstring gives; first failure wins.
 
         The claims are appraised under the policy of the verifier's own
-        entry for the session; a session id it never opened, or one past
-        SESSION_TTL, is MALFORMED.
-        The policy argument is unread. Session and identity checks come
-        before any signature: session replay and session-id binding,
-        decoding of every layer, nonce binding, the report's chip id
-        against the session node's, and revocation. Then the signature of
-        each layer (outer first) under the session node's keys. Checks of
-        signed claims come after them: launch measurement, PCR composite,
-        TCB floor. Last, the atomic claim of the session.
+        entry for session.session_id; a session id it never opened, or
+        one past SESSION_TTL, is MALFORMED. The policy argument is unread.
+        Every other session field (completed, session_id, node_id, nonce)
+        is read from the caller's session argument, and the claim at the
+        end sets completed on that object. The protocol passes the entry
+        new_request returned, so the two agree; a copy made with
+        replace(request, completed=False) resubmits accepted evidence and
+        reads OK, a known soundness gap.
         """
         entry = self.session(session.session_id)
         if entry is None:

@@ -574,6 +574,28 @@ def test_evidence_needs_a_request_for_every_session_it_names():
         f"{session[:16]} before receiving the request", (22,))
 
 
+def _answered_twice_trace():
+    """The honest run_scenario(31) trace with a copy of its first
+    total-report sign appended: a second evidence signature for a session
+    that has one."""
+    trace = harness.run_scenario(31).trace
+    first = next(e for e in trace.events
+                 if e.kind == "sign" and e.tag == "total-report")
+    twice = protocol.ProtocolTrace()
+    twice.extend_reindexed([*trace.events, first])
+    return twice, first
+
+
+def test_each_session_is_answered_by_one_evidence_signature():
+    # Lowe's injective agreement: a request buys at most one evidence
+    # signature, so a copy of an answered session's sign fails
+    trace, first = _answered_twice_trace()
+    session = next(c for c in first.contents if c.startswith("session:"))
+    assert protocol.check_theorems(trace)["attest-order"] == TheoremVerdict(
+        "attest-order", False, "node0000 signed second evidence for "
+        f"session {session[8:24]}", (first.index, len(trace.events) - 1))
+
+
 # The exact verdict lines, reasons and witnesses included, that
 # check_theorems gives each fault trace of build_cluster(31, nodes=2) and
 # the honest run_scenario(31) trace.
@@ -765,6 +787,16 @@ def _check_attest_order(events, verifier) -> TheoremVerdict:
                 f"{prover} signed evidence for session "
                 f"{(*unrequested, '?')[0][:16]} before receiving "
                 f"the request", (event.index,))
+        # and no session it names answered by an earlier evidence sign
+        for session in sessions:
+            answered = [e.index for e in events[:event.index]
+                        if e.kind == "sign" and e.tag == "total-report"
+                        and session in _labeled(e, "session")]
+            if answered:
+                return TheoremVerdict(
+                    "attest-order", False,
+                    f"{prover} signed second evidence for session "
+                    f"{session[:16]}", (answered[0], event.index))
         checked.append(event.index)
     return TheoremVerdict("attest-order", True,
                           f"{len(checked)} evidence signatures in order",
@@ -853,6 +885,7 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
     holder = cluster2.actor(0).agent
     rare = _rare_checker_cases(honest, holder)
     rare["early-sign-names-a-requested-session"] = _early_sign_trace()[0]
+    rare["session-answered-twice"] = _answered_twice_trace()[0]
     traces = [honest, node_signs_token,
               harness.fault_trace_forged_cert(cluster2),
               harness.fault_trace_forged_token(cluster2),
@@ -877,8 +910,9 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
         "cert-provenance", "token-provenance", "attest-order")), failures
     # each rare case reaches what it is built for: within one event the
     # first failure follows the label order, one event fails both
-    # provenance properties, a label without ":" names no possession, and
-    # evidence naming a requested session fails for its unrequested one
+    # provenance properties, a label without ":" names no possession,
+    # evidence naming a requested session fails for its unrequested one,
+    # and a second evidence sign for a session fails
     first = protocol.check_theorems(rare["two-certs"])["cert-provenance"]
     assert first.reason == (f"{holder} holds cert-vcek {'22' * 8} never "
                             f"signed by {OCA_PRINCIPAL}")
@@ -888,3 +922,5 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
         protocol.check_theorems(honest)
     assert not protocol.check_theorems(
         rare["early-sign-names-a-requested-session"])["attest-order"].ok
+    assert "second evidence" in protocol.check_theorems(
+        rare["session-answered-twice"])["attest-order"].reason

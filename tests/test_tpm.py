@@ -256,11 +256,11 @@ def test_quote_verifies_and_binds_pcrs():
     blob, handle = aik_setup(state)
     tpm.pcr_extend(state, 1, crypto.sha256(b"x"))
     nonce = crypto.sha256(b"nonce")
-    q = tpm.quote(state, (0, 1, 2), nonce, handle)
+    q = tpm.cc_quote(state, (0, 1, 2), nonce, handle, b"")
     assert q.verify(blob.public)
     assert q.qualifying_data == nonce
     assert q.pcr_digest == state.pcr.composite((0, 1, 2))
-    assert q.tee_report == b""
+    assert q.embedded_evidence == b""
 
     parsed = tpm.CompositeQuote.from_bytes(q.to_bytes())
     assert parsed == q
@@ -273,7 +273,7 @@ def test_quote_signature_covers_every_field():
     q = tpm.cc_quote(state, (0, 1), crypto.sha256(b"n"), handle, b"evidence")
     import dataclasses
     for field_name, value in (("qualifying_data", crypto.sha256(b"m")),
-                              ("tee_report", b"evidence2"),
+                              ("embedded_evidence", b"evidence2"),
                               ("pcr_digest", bytes(32))):
         forged = dataclasses.replace(q, **{field_name: value})
         assert not forged.verify(blob.public)
@@ -283,7 +283,7 @@ def test_cc_quote_embeds_report_and_enforces_limit():
     state = fresh_state()
     _, handle = aik_setup(state)
     q = tpm.cc_quote(state, (0,), crypto.sha256(b"n"), handle, b"\x01" * 4096)
-    assert len(q.tee_report) == 4096
+    assert len(q.embedded_evidence) == 4096
     with pytest.raises(ReportTooLarge):
         tpm.cc_quote(state, (0,), crypto.sha256(b"n"), handle, b"\x01" * 4097)
 
@@ -292,14 +292,14 @@ def test_quote_requires_attestation_role():
     state = fresh_state()
     ek_handle = tpm.load_key(state, state.ek_blob)
     with pytest.raises(HierarchyMismatch):
-        tpm.quote(state, (0,), crypto.sha256(b"n"), ek_handle)
+        tpm.cc_quote(state, (0,), crypto.sha256(b"n"), ek_handle, b"")
 
 
 def test_quote_qualifying_data_width():
     state = fresh_state()
     _, handle = aik_setup(state)
     with pytest.raises(InvalidLength):
-        tpm.quote(state, (0,), b"short", handle)
+        tpm.cc_quote(state, (0,), b"short", handle, b"")
 
 
 # ---------------------------------------------------------------------------

@@ -305,8 +305,9 @@ def test_single_legs_verify_and_replay_protect(cluster):
     assert outcome is verifier.CompositeOutcome.SESSION_REPLAY
 
     request2 = svc.new_request(cluster.policy_id, actor.node_id)
-    quote_bytes = tpm.quote(actor.state, actor.pcr_selection, request2.nonce,
-                            actor.aik_handle).to_bytes()
+    quote_bytes = tpm.cc_quote(actor.state, actor.pcr_selection,
+                               request2.nonce, actor.aik_handle,
+                               b"").to_bytes()
     envelope2 = protocol.CompositeReportEnvelope(
         "tpm", actor.node_id, request2.session_id, quote_bytes)
     outcome, verified = submit(cluster, request2, envelope2)
@@ -319,8 +320,8 @@ def test_tpm_quote_for_an_earlier_session_is_nonce_mismatch(cluster):
     svc = cluster.verifier_svc
     first = svc.new_request(cluster.policy_id, actor.node_id)
     second = svc.new_request(cluster.policy_id, actor.node_id)
-    quote_bytes = tpm.quote(actor.state, actor.pcr_selection, first.nonce,
-                            actor.aik_handle).to_bytes()
+    quote_bytes = tpm.cc_quote(actor.state, actor.pcr_selection,
+                               first.nonce, actor.aik_handle, b"").to_bytes()
     moved = protocol.CompositeReportEnvelope(
         "tpm", actor.node_id, second.session_id, quote_bytes)
     assert submit(cluster, second, moved)[0] is \
@@ -337,8 +338,8 @@ def test_tpm_quote_over_another_selection_is_pcr_mismatch(cluster):
     request = cluster.verifier_svc.new_request(cluster.policy_id,
                                                actor.node_id)
     assert actor.pcr_selection == tuple(range(12))
-    quote = tpm.quote(actor.state, tuple(range(11)) + (12,), request.nonce,
-                      actor.aik_handle)
+    quote = tpm.cc_quote(actor.state, tuple(range(11)) + (12,),
+                         request.nonce, actor.aik_handle, b"")
     assert quote.pcr_digest == cluster.policy.expected_pcr_composite
     envelope = protocol.CompositeReportEnvelope(
         "tpm", actor.node_id, request.session_id, quote.to_bytes())
@@ -351,8 +352,9 @@ def test_tpm_only_quote_from_foreign_aik_is_outer_signature_invalid(cluster):
     victim, imposter = cluster.actor(0), cluster.actor(1)
     request = cluster.verifier_svc.new_request(cluster.policy_id,
                                                victim.node_id)
-    quote_bytes = tpm.quote(imposter.state, imposter.pcr_selection,
-                            request.nonce, imposter.aik_handle).to_bytes()
+    quote_bytes = tpm.cc_quote(imposter.state, imposter.pcr_selection,
+                               request.nonce, imposter.aik_handle,
+                               b"").to_bytes()
     envelope = protocol.CompositeReportEnvelope(
         "tpm", victim.node_id, request.session_id, quote_bytes)
     assert submit(cluster, request, envelope)[0] is \
