@@ -19,7 +19,7 @@ from . import (
     tpm,
     verifier,
 )
-from .clock import SystemClock, VirtualClock
+from .clock import VirtualClock
 from .crypto import Certificate, DeterministicRng, Secret, SigningKeyPair
 from .errors import AttestationRejected, CcxError
 from .harness import Cluster, build_cluster, run_bench, run_scenario
@@ -68,7 +68,6 @@ __all__ = [
     "ProtocolTrace",
     "Secret",
     "SigningKeyPair",
-    "SystemClock",
     "TeeReport",
     "TeeTcb",
     "TeeVendor",

@@ -1,19 +1,11 @@
-"""Injectable time sources.
+"""Injectable time source.
 
-Anything with lifetimes (challenge expiry, token validity, audit stamps)
-reads time through one of these instead of calling time.time() directly,
-so scenario runs can be replayed deterministically under virtual time
-while benchmarks keep wall-clock semantics.
+Anything with lifetimes (challenge expiry, token validity, session TTLs,
+record-log stamps) reads time through the clock passed to it instead of
+calling time.time(), so every run replays deterministically.
 """
 
 from __future__ import annotations
-
-import time
-
-
-class SystemClock:
-    def now(self) -> float:
-        return time.time()
 
 
 class VirtualClock:

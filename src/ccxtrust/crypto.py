@@ -1,5 +1,5 @@
 """Cryptographic core: hashing, key derivation, signing, key agreement,
-authenticated channels, certificates, and randomness.
+authenticated channels, signed records and certificates, and randomness.
 
 Algorithm choices are fixed for the whole simulator: SHA-256 everywhere a
 digest is needed, ECDSA over P-256 with deterministic (RFC 6979) nonces for
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import os
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -30,21 +29,19 @@ from dataclasses import dataclass, field
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.serialization import (
     Encoding,
     PublicFormat,
 )
 
-from .encoding import RAW, U64, Kind, Signed, Spec, raw
+from .encoding import RAW, U64, Kind, Record, Spec, raw
 from .errors import (
     AuthFailure,
     DecodeError,
     InvalidLength,
     InvalidPoint,
     InvalidSeed,
-    MalformedSignature,
 )
 
 _CURVE = ec.SECP256R1()
@@ -168,13 +165,6 @@ class DeterministicRng:
         return DeterministicRng(sha256(self._state + b"fork:" + label.encode()))
 
 
-class SystemRng:
-    """OS entropy. The production path; not reproducible."""
-
-    def random_bytes(self, n: int) -> bytes:
-        return os.urandom(n)
-
-
 # ---------------------------------------------------------------------------
 # signing keys
 # ---------------------------------------------------------------------------
@@ -265,18 +255,41 @@ class SigningKeyPair:
 
 
 def verify(public: bytes | PublicKey, message: bytes, signature: bytes) -> bool:
-    """True when signature is valid. Malformed encodings raise instead.
-    A point is parsed here; a PublicKey brings its key object along."""
+    """True only when signature is a valid signature over message: any
+    other signature bytes, DER or not, read False and never raise. A
+    point is parsed here; a PublicKey brings its key object along."""
     key = public.key if isinstance(public, PublicKey) else load_public(public)
-    try:
-        decode_dss_signature(signature)
-    except ValueError as exc:
-        raise MalformedSignature("signature is not valid DER") from exc
     try:
         key.verify(signature, message, _VERIFY_ALG)
         return True
     except InvalidSignature:
         return False
+
+
+class Signed(Record):
+    """A Record whose last field, signature, signs all the others: the one
+    statement of how a signed record is hashed, signed and checked."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.BODY = Spec(*cls.SPEC.fields[:-1])
+        cls.BODY.__set_name__(cls, "BODY")
+
+    @property
+    def digest(self) -> bytes:
+        return sha256(self.to_bytes())
+
+    def body_bytes(self) -> bytes:
+        return self.BODY.encode(vars(self))
+
+    def verify(self, public: bytes | PublicKey) -> bool:
+        return verify(public, self.body_bytes(), self.signature)
+
+    @classmethod
+    def signed(cls, key: SigningKeyPair, **values):
+        """The record of values, with key.sign over their BODY encoding as
+        its signature: the body is encoded once, the record built once."""
+        return cls(**values, signature=key.sign(cls.BODY.encode(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +414,10 @@ class Certificate(Signed):
                 (4, "issuer_name", raw(DIGEST_LEN)),
                 (5, "signature", RAW))
 
-    @property
-    def digest(self) -> bytes:
-        return sha256(self.to_bytes())
-
     def verify(self, issuer_pub: bytes | PublicKey) -> bool:
         if self.issuer_name != sha256(_point_of(issuer_pub)):
             return False
-        return verify(issuer_pub, self.body_bytes(), self.signature)
+        return super().verify(issuer_pub)
 
 
 def issue_certificate(issuer: SigningKeyPair, role: str, serial: int,

@@ -8,9 +8,7 @@ Each structure declares its layout once, as a Spec: ordered (tag,
 attribute, kind) entries. A kind is RAW bytes (raw() adds a fixed width
 or a maximum length), U16, U64, STR (utf-8), a Kind made from an
 encode/decode pair (such as the PCR bitmap), nested() for a structure
-inside a field, or a Spec for a nested record. A Signed structure's
-last entry is its signature, and its signed body is the encoding of
-every entry before it.
+inside a field, or a Spec for a nested record.
 
 When a Spec is built it generates, with exec, one straight-line encode
 and one decode function for its fields, as dataclasses and namedtuple do
@@ -291,24 +289,6 @@ class Record:
     @classmethod
     def from_bytes(cls, raw_bytes: bytes):
         return cls(*cls.SPEC.unpack(raw_bytes))
-
-
-class Signed(Record):
-    """A Record whose last field, signature, signs all the others."""
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.BODY = Spec(*cls.SPEC.fields[:-1])
-        cls.BODY.__set_name__(cls, "BODY")
-
-    def body_bytes(self) -> bytes:
-        return self.BODY.encode(vars(self))
-
-    @classmethod
-    def signed(cls, key, **values):
-        """The record of values, with key.sign over their BODY encoding as
-        its signature: the body is encoded once, the record built once."""
-        return cls(**values, signature=key.sign(cls.BODY.encode(values)))
 
 
 def b64url_encode(data: bytes) -> str:

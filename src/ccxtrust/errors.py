@@ -17,10 +17,6 @@ class InvalidLength(CcxError):
     """An input has a length outside its allowed range."""
 
 
-class MalformedSignature(CcxError):
-    """Signature bytes are not a well-formed encoding."""
-
-
 class InvalidPoint(CcxError):
     """Public key bytes do not decode to a valid curve point."""
 

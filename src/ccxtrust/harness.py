@@ -584,10 +584,10 @@ def fault_trace_forged_cert(cluster: Cluster) -> protocol.ProtocolTrace:
     trace.emit("mallory", "sign", digest=forged.digest, tag="cert-vcek",
                contents=(f"cert-vcek:{digest}",))
     trace.emit("mallory", "send", peer=actor.tee_name,
-               digest=crypto.sha256(forged.to_bytes()), tag="cert-vcek-info",
+               digest=forged.digest, tag="cert-vcek-info",
                contents=(f"cert-vcek:{digest}",))
     trace.emit(actor.tee_name, "receive", peer="mallory",
-               digest=crypto.sha256(forged.to_bytes()), tag="cert-vcek-info",
+               digest=forged.digest, tag="cert-vcek-info",
                contents=(f"cert-vcek:{digest}",))
     trace.emit(actor.tee_name, "decrypt", digest=forged.digest,
                tag="cert-vcek-info", contents=(f"cert-vcek:{digest}",))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import crypto, tee, tpm
-from .encoding import RAW, STR, Signed, Spec
+from .encoding import RAW, STR, Spec
 from .errors import (
     DecodeError,
     InvalidLength,
@@ -78,7 +78,7 @@ class MeasurementEvent:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ImageManifest(Signed):
+class ImageManifest(crypto.Signed):
     """Publisher-signed statement binding an image id to its digest."""
 
     image_id: str
@@ -87,9 +87,6 @@ class ImageManifest(Signed):
 
     SPEC = Spec((1, "image_id", STR), (2, "content_digest", RAW),
                 (3, "signature", RAW))
-
-    def verify(self, publisher_pub: bytes | crypto.PublicKey) -> bool:
-        return crypto.verify(publisher_pub, self.body_bytes(), self.signature)
 
 
 def sign_manifest(publisher: crypto.SigningKeyPair, image_id: str,

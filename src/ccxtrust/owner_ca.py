@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import crypto, tee, tpm
-from .clock import SystemClock
 from .errors import (
     BaselineRejected,
     ChainInvalid,
@@ -79,9 +78,9 @@ def challenge_session_id(challenge: tpm.Credential) -> bytes:
 class OwnerCa:
     def __init__(self, *, trusted_tee_root: crypto.PublicKey,
                  trusted_tpm_root: crypto.PublicKey,
-                 clock=None, rng=None) -> None:
-        self.clock = clock if clock is not None else SystemClock()
-        self.rng = rng if rng is not None else crypto.SystemRng()
+                 clock, rng) -> None:
+        self.clock = clock
+        self.rng = rng
         self.key = crypto.SigningKeyPair.from_seed(
             "OCA", self.rng.random_bytes(32))
         self.trusted_tee_root = trusted_tee_root

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import crypto
-from .encoding import RAW, U16, U64, Record, Signed, Spec, nested, raw
+from .encoding import RAW, U16, U64, Record, Spec, nested, raw
 from .errors import EvidenceTooLarge, InvalidLength
 
 MAX_EVIDENCE_SIZE = 4096
@@ -126,7 +126,7 @@ class TeeVendor:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TeeReport(Signed):
+class TeeReport(crypto.Signed):
     """Signed guest attestation report.
 
     report_data is caller-controlled 64-byte binding space (nonce and
@@ -150,10 +150,6 @@ class TeeReport(Signed):
                 (5, "report_data", raw(REPORT_DATA_LEN)),
                 (6, "embedded_evidence", raw(max_len=MAX_EVIDENCE_SIZE)),
                 (7, "signature", RAW))
-
-    @property
-    def digest(self) -> bytes:
-        return crypto.sha256(self.to_bytes())
 
 
 def guest_report(vcek: crypto.SigningKeyPair, chip_id: bytes, tcb: TeeTcb,
@@ -193,7 +189,7 @@ def verify_report(report: TeeReport, chain: CertChain,
     """
     if not chain.verify(trusted_ark_pub):
         return ReportCheck.CHAIN_INVALID
-    if not crypto.verify(chain.vcek.subject, report.body_bytes(), report.signature):
+    if not report.verify(chain.vcek.subject):
         return ReportCheck.SIGNATURE_INVALID
     if expected_measurement is not None and report.launch_measurement != expected_measurement:
         return ReportCheck.MEASUREMENT_MISMATCH

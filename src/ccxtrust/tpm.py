@@ -31,7 +31,6 @@ from .encoding import (
     U64,
     Kind,
     Record,
-    Signed,
     Spec,
     raw,
 )
@@ -443,7 +442,7 @@ def pcr_read(state: TpmState, index: int) -> bytes:
 
 
 @dataclass(frozen=True)
-class CompositeQuote(Signed):
+class CompositeQuote(crypto.Signed):
     """Signed PCR quote, optionally embedding foreign evidence verbatim.
 
     An empty embedded_evidence means a plain quote. The signature covers
@@ -466,13 +465,6 @@ class CompositeQuote(Signed):
                 (5, "firmware_version", U64),
                 (6, "clock_info", U64),
                 (7, "signature", RAW))
-
-    @property
-    def digest(self) -> bytes:
-        return crypto.sha256(self.to_bytes())
-
-    def verify(self, aik_pub: bytes) -> bool:
-        return crypto.verify(aik_pub, self.body_bytes(), self.signature)
 
 
 def cc_quote(state: TpmState, selection, qualifying_data: bytes,

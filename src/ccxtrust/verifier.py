@@ -16,7 +16,7 @@ and tpm legs. The provers in protocol and harness build their evidence
 from the same table and the same report_data_for binding rule. The
 pipeline checks, first failure wins. The checks that need no signature
 come first: session replay and session-id binding; that every layer
-decodes; the nonce binding of every layer; the identity the evidence
+decodes and the innermost embeds nothing; the nonce binding of every layer; the identity the evidence
 claims, the TEE report's chip id against the session node's; and
 revocation of the session's node. Then each layer's signature, outer
 first, under the session node's keys only, so evidence from another
@@ -40,13 +40,11 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from . import crypto, tee, tpm
-from .clock import SystemClock
 from .encoding import b64url_decode, b64url_encode
 from .errors import (
     CcxError,
     ChainInvalid,
     DecodeError,
-    MalformedSignature,
     NodeRevoked,
     PolicyUnknown,
 )
@@ -248,10 +246,7 @@ def validate_token(token: "AttestationToken | str",
         return TokenRejection.MALFORMED
     if not _claims_well_typed(token.header, token.payload):
         return TokenRejection.MALFORMED
-    try:
-        if not crypto.verify(verifier_pub, token.signing_input(), token.signature):
-            return TokenRejection.BAD_SIGNATURE
-    except MalformedSignature:
+    if not crypto.verify(verifier_pub, token.signing_input(), token.signature):
         return TokenRejection.BAD_SIGNATURE
     if now > token.header["exp"]:
         return TokenRejection.EXPIRED
@@ -277,7 +272,7 @@ _DECODERS = {"tpm": tpm.CompositeQuote.from_bytes,
 
 def _decode_layers(layout: tuple[str, ...], evidence: bytes) -> dict | None:
     """Every layer of the evidence keyed by kind, or None if any layer is
-    missing or does not decode."""
+    missing or does not decode, or the innermost one embeds anything."""
     layers = {}
     raw = evidence
     for kind in layout:
@@ -289,7 +284,7 @@ def _decode_layers(layout: tuple[str, ...], evidence: bytes) -> dict | None:
             return None
         layers[kind] = layer
         raw = layer.embedded_evidence
-    return layers
+    return None if raw else layers
 
 
 def report_data_for(direction: str, nonce: bytes, embedded: bytes) -> bytes:
@@ -308,22 +303,14 @@ def registration_report_data(identity_pub: bytes) -> bytes:
     return crypto.sha256(identity_pub) + bytes(32)
 
 
-def _signed_by(keys: NodeKeys, kind: str, layer) -> bool:
-    public = keys.aik if kind == "tpm" else keys.vcek
-    try:
-        return crypto.verify(public, layer.body_bytes(), layer.signature)
-    except MalformedSignature:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # the service
 # ---------------------------------------------------------------------------
 
 class VerifierService:
-    def __init__(self, *, owner_ca, clock=None, rng=None) -> None:
-        self.clock = clock if clock is not None else SystemClock()
-        self.rng = rng if rng is not None else crypto.SystemRng()
+    def __init__(self, *, owner_ca, clock, rng) -> None:
+        self.clock = clock
+        self.rng = rng
         self.key = crypto.SigningKeyPair.from_seed(
             "VERIFIER", self.rng.random_bytes(32))
         self._ca_pub = owner_ca.key.public
@@ -466,7 +453,8 @@ class VerifierService:
         if self._is_revoked(session.node_id):
             return CompositeOutcome.NODE_REVOKED, None
         for position, kind in enumerate(layout):
-            if not _signed_by(node, kind, layers[kind]):
+            public = node.aik if kind == "tpm" else node.vcek
+            if not layers[kind].verify(public):
                 return (CompositeOutcome.OUTER_SIGNATURE_INVALID if position == 0
                         else CompositeOutcome.INNER_SIGNATURE_INVALID), None
         if report is not None:

@@ -16,7 +16,6 @@ from ccxtrust.errors import (
     AuthFailure,
     InvalidLength,
     InvalidPoint,
-    MalformedSignature,
 )
 
 
@@ -172,8 +171,7 @@ def test_from_seed_is_a_pure_function_of_material():
 
 def test_verify_rejects_garbage_signature():
     key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
-    with pytest.raises(MalformedSignature):
-        crypto.verify(key.public_bytes, b"m", b"\x00\x01")
+    assert not crypto.verify(key.public_bytes, b"m", b"\x00\x01")
 
 
 def test_verify_rejects_bad_public_point():
@@ -191,8 +189,7 @@ def test_public_key_keeps_the_parsed_key_with_its_point():
     assert repr(public) == f"PublicKey(point={key.public_bytes!r})"
     assert crypto.verify(public, b"m", sig)
     assert not crypto.verify(public, b"other", sig)
-    with pytest.raises(MalformedSignature):
-        crypto.verify(public, b"m", b"\x00\x01")
+    assert not crypto.verify(public, b"m", b"\x00\x01")
     for bad in (b"\x02" + (1).to_bytes(32, "big"), b"\x04" + b"\x00" * 64):
         with pytest.raises(InvalidPoint):
             crypto.PublicKey(bad)
@@ -215,12 +212,7 @@ def test_tampered_signature_fails_cleanly():
     key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
     sig = bytearray(key.sign(b"m"))
     sig[-1] ^= 0x01
-    result = False
-    try:
-        result = crypto.verify(key.public_bytes, b"m", bytes(sig))
-    except MalformedSignature:
-        result = False
-    assert not result
+    assert not crypto.verify(key.public_bytes, b"m", bytes(sig))
 
 
 # ---------------------------------------------------------------------------

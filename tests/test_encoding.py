@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from ccxtrust import crypto, harness, measurement, protocol, tee, tpm
+from ccxtrust.crypto import Signed
 from ccxtrust.encoding import (
     RAW,
     STR,
@@ -16,7 +17,6 @@ from ccxtrust.encoding import (
     FieldReader,
     FieldWriter,
     Record,
-    Signed,
     Spec,
     b64url_decode,
     b64url_encode,

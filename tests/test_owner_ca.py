@@ -1,9 +1,11 @@
 """Owner CA: enrollment, credential-activation challenges, baselines,
 registration and revocation."""
 
+import dataclasses
+
 import pytest
 
-from ccxtrust import crypto, owner_ca, tee, tpm, verifier
+from ccxtrust import crypto, measurement, owner_ca, tee, tpm, verifier
 from ccxtrust.clock import VirtualClock
 from ccxtrust.errors import (
     BaselineRejected,
@@ -13,6 +15,7 @@ from ccxtrust.errors import (
     NodeUnknown,
     NotInitialized,
     SessionInvalid,
+    UntrustedImage,
 )
 
 CHIP = crypto.sha256(b"chip-ca")
@@ -340,6 +343,58 @@ def test_register_node_rejects_report_not_bound_to_identity(report_data):
         rig.ca.register_node("node-a", rig.report(report_data), rig.chain,
                              identity.public_bytes)
     assert rig.ca.nodes["node-a"].identity_cert is None
+
+
+# ---------------------------------------------------------------------------
+# signatures that are not DER at all
+# ---------------------------------------------------------------------------
+
+def _not_der(record):
+    return dataclasses.replace(record, signature=b"\x00\x01")
+
+
+def _launch_garbled_manifest(rig):
+    publisher = crypto.SigningKeyPair.from_seed("PUBLISHER", b"\x31" * 32)
+    epoch = measurement.MeasurementEpoch(rig.state, publisher.public)
+    epoch.run_host_stage([("bios", b"bios-v1")])
+    manifest = measurement.sign_manifest(publisher, "guest-os", b"bits")
+    epoch.run_launch_stage([(_not_der(manifest), b"bits")], rig.tcb)
+
+
+def _register_tee_garbled_vcek_cert(rig):
+    chain = dataclasses.replace(rig.chain, vcek=_not_der(rig.chain.vcek))
+    rig.ca.register_tee(rig.vcek.public_bytes, chain, "node-a")
+
+
+def _register_node_garbled_boot_report(rig):
+    rig.prepare()
+    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    report = _not_der(rig.report(
+        verifier.registration_report_data(identity.public_bytes)))
+    assert (tee.verify_report(report, rig.chain, rig.vendor.root_pub)
+            is tee.ReportCheck.SIGNATURE_INVALID)
+    rig.ca.register_node("node-a", report, rig.chain, identity.public_bytes)
+
+
+def _register_node_keys_garbled_aik_cert(rig):
+    rig.prepare()
+    svc = verifier.VerifierService(owner_ca=rig.ca, clock=rig.clock,
+                                   rng=rig.rng.fork("verifier"))
+    record = rig.ca.nodes["node-a"]
+    svc.register_node_keys("node-a", CHIP, _not_der(record.aik_cert),
+                           record.vcek_cert)
+
+
+@pytest.mark.parametrize("refused, error", [
+    (_launch_garbled_manifest, UntrustedImage),
+    (_register_tee_garbled_vcek_cert, ChainInvalid),
+    (_register_node_garbled_boot_report, BaselineRejected),
+    (_register_node_keys_garbled_aik_cert, ChainInvalid),
+], ids=["manifest", "vcek-cert", "boot-report", "aik-cert"])
+def test_a_signature_that_is_not_der_gets_the_documented_refusal(refused,
+                                                                 error):
+    with pytest.raises(error):
+        refused(Rig())
 
 
 # ---------------------------------------------------------------------------

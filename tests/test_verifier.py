@@ -123,6 +123,25 @@ def test_plain_quote_without_inner_report_is_malformed(cluster):
         verifier.CompositeOutcome.MALFORMED
 
 
+@pytest.mark.parametrize("kind", ["tpm", "tee"])
+def test_innermost_layer_that_embeds_anything_is_malformed(cluster, kind):
+    # no check reads bytes below the innermost layer, and the token's
+    # report claim would carry them signed
+    actor = cluster.actor(0)
+    request = cluster.verifier_svc.new_request(cluster.policy_id,
+                                               actor.node_id)
+    binding = request.nonce if kind == "tpm" else request.nonce + bytes(32)
+    layer = actor.sign_layer(kind, binding, b"junk", actor.pcr_selection)
+    envelope = protocol.CompositeReportEnvelope(
+        kind, actor.node_id, request.session_id, layer.to_bytes())
+    assert submit(cluster, request, envelope)[0] is \
+        verifier.CompositeOutcome.MALFORMED
+    empty = actor.sign_layer(kind, binding, b"", actor.pcr_selection)
+    honest_leg = dataclasses.replace(envelope, evidence=empty.to_bytes())
+    assert submit(cluster, request, honest_leg)[0] is \
+        verifier.CompositeOutcome.OK
+
+
 def test_unregistered_signer_is_outer_signature_invalid(cluster):
     actor = cluster.actor(0)
     request = cluster.verifier_svc.new_request(cluster.policy_id, actor.node_id)
