@@ -8,8 +8,9 @@ Subcommands:
     bench        fleet benchmark under a thread pool
     check-trace  verify trust-chain properties over a trace file
 
-Options can also come from a config file of KEY=VALUE lines (--config);
-explicit flags win over file values.
+An argument @FILE reads more arguments from FILE, one per line, as in
+--seed=99. They are parsed and checked as if typed in its place, so a
+flag given after @FILE wins over the file's value.
 """
 
 from __future__ import annotations
@@ -21,42 +22,6 @@ from pathlib import Path
 
 from . import harness, protocol
 from .errors import CcxError
-
-def _read_config(path: str) -> dict[str, str]:
-    values = {}
-    for raw_line in Path(path).read_text().splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line must be KEY=VALUE: {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().lower().replace("_", "-")] = value.strip()
-    return values
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  argv: list[str]) -> argparse.Namespace:
-    """File values fill in anything the command line left at default."""
-    if not getattr(args, "config", None):
-        return args
-    try:
-        values = _read_config(args.config)
-    except (OSError, ValueError) as exc:
-        parser.error(f"cannot read config: {exc}")
-    explicit = {a.lstrip("-").split("=")[0] for a in argv if a.startswith("--")}
-    for key, value in values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or key in explicit:
-            continue
-        if isinstance(getattr(args, attr), int):
-            try:
-                setattr(args, attr, int(value))
-            except ValueError:
-                parser.error(f"config value {key} = {value!r} is not an integer")
-        else:
-            setattr(args, attr, value)
-    return args
 
 
 def _out_dir(args) -> Path:
@@ -72,9 +37,9 @@ def _write_json(path: Path, payload: dict) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccxtrust",
-        description="collaborative TPM+TEE attestation simulator")
+        description="collaborative TPM+TEE attestation simulator",
+        fromfile_prefix_chars="@")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="KEY=VALUE option file")
     common.add_argument("--seed", type=int, default=1,
                         help="deterministic scenario seed")
     common.add_argument("--out", default="out",
@@ -236,7 +201,7 @@ def _cmd_bench(args) -> int:
 def _cmd_check_trace(args) -> int:
     try:
         trace = protocol.ProtocolTrace.read(args.trace)
-    except CcxError as exc:
+    except (CcxError, OSError) as exc:
         print(f"check-trace: {args.trace}: {exc}", file=sys.stderr)
         return 1
     verdicts = protocol.check_theorems(trace)
@@ -259,10 +224,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args = _apply_config(args, parser, argv)
+    args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 
 

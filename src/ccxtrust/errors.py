@@ -43,10 +43,6 @@ class EmptySelection(CcxError):
     """A quote or seal asked for zero PCRs."""
 
 
-class ReportTooLarge(CcxError):
-    """Embedded evidence exceeds the fixed maximum."""
-
-
 class NameMismatch(CcxError):
     """Credential activation was attempted for a different key name."""
 
@@ -78,7 +74,8 @@ class KeyDeactivated(CcxError):
 # TEE engine -----------------------------------------------------------------
 
 class EvidenceTooLarge(CcxError):
-    """Guest report evidence field exceeds the embedding limit."""
+    """Evidence to embed in a guest report or a quote exceeds
+    tee.MAX_EVIDENCE_SIZE."""
 
 
 # Owner CA -------------------------------------------------------------------

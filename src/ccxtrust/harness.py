@@ -24,7 +24,6 @@ from .errors import AttestationRejected, SeedVersionMismatch, UntrustedImage
 CLOCK_EPOCH = 1_700_000_000.0
 STANDARD_TCB_VERSION = 7
 MIN_TCB_VERSION = 5
-PCR_SELECTION = tuple(range(12))
 POLICY_ID = "cluster-baseline"
 
 _HOST_COMPONENTS = [
@@ -144,7 +143,7 @@ def add_node(cluster: Cluster, index: int, *,
         aik_handle=aik_handle, aik_blob=aik_blob,
         vcek=vcek, vendor_chain=chain, chip_id=chip_id,
         tcb=tcb, tcb_version=STANDARD_TCB_VERSION,
-        launch_measurement=launch, pcr_selection=PCR_SELECTION,
+        launch_measurement=launch, pcr_selection=measurement.ALL_STAGE_PCRS,
         identity=crypto.SigningKeyPair.from_seed("IDENTITY",
                                                  rng.random_bytes(32)),
         pek=crypto.SigningKeyPair.from_seed("PEK", rng.random_bytes(32)))
@@ -156,12 +155,12 @@ def add_node(cluster: Cluster, index: int, *,
     actor.vcek, actor.identity, actor.pek = (
         actor.vcek.at_rest(), actor.identity.at_rest(), actor.pek.at_rest())
 
-    composite = state.pcr.composite(PCR_SELECTION)
+    composite = state.pcr.composite(measurement.ALL_STAGE_PCRS)
     if cluster.policy_id not in cluster.verifier_svc.policies:
         cluster.verifier_svc.add_policy(verifier.PolicyBaseline(
             policy_id=cluster.policy_id,
             expected_measurement=launch,
-            pcr_selection=PCR_SELECTION,
+            pcr_selection=measurement.ALL_STAGE_PCRS,
             expected_pcr_composite=composite,
             min_tcb_version=MIN_TCB_VERSION))
     cluster.oca.register_tee(vcek.public_bytes, chain, node_id=node_id)

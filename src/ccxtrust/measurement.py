@@ -116,7 +116,6 @@ class MeasurementEpoch:
     state: tpm.TpmState
     publisher_pub: bytes | crypto.PublicKey
     events: list[MeasurementEvent] = field(default_factory=list)
-    _next_seq: int = 0
     _stage_done: set[int] = field(default_factory=set)
     launch_measurement: bytes = b""
 
@@ -134,9 +133,8 @@ class MeasurementEpoch:
             raise InvalidLength("measurement digests are 32 bytes")
         pcr_index = _STAGE_PCR_BASE[stage] + slot % _PCRS_PER_STAGE
         tpm.pcr_extend(self.state, pcr_index, digest)
-        event = MeasurementEvent(self._next_seq, stage, pcr_index, name,
+        event = MeasurementEvent(len(self.events), stage, pcr_index, name,
                                  digest, signer)
-        self._next_seq += 1
         self.events.append(event)
         return event
 

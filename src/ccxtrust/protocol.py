@@ -39,27 +39,6 @@ EVENT_KINDS = frozenset(
 
 _OK_COLUMN = {"-": None, "0": False, "1": True}
 
-MESSAGE_TYPES = {
-    "vcek-info": 0x0101,
-    "cert-vcek-info": 0x0102,
-    "cert-tee-info": 0x0103,
-    "key-info": 0x0104,
-    "aik-challenge": 0x0105,
-    "nonce-info": 0x0106,
-    "cert-aik-info": 0x0107,
-    "key-cert-info": 0x0108,
-    "pek-cert-info": 0x0109,
-    "register-request": 0x010A,
-    "identity-cert-info": 0x010B,
-    "attest-request": 0x0201,
-    "guest-report-request": 0x0202,
-    "tee-report": 0x0203,
-    "quote-request": 0x0204,
-    "tpm-report": 0x0205,
-    "total-report": 0x0206,
-    "token-info": 0x0207,
-}
-
 
 # ---------------------------------------------------------------------------
 # trace model
@@ -167,8 +146,11 @@ class ProtocolTrace:
     @classmethod
     def from_text(cls, text: str) -> "ProtocolTrace":
         """Parse text() output; any other text, such as blank lines, CRLF
-        endings or a missing final newline, raises DecodeError, so a trace
-        file and the trace read from it have the same digest."""
+        endings, a missing final newline or a non-ASCII character, raises
+        DecodeError, so a trace file and the trace read from it have the
+        same digest."""
+        if not text.isascii():
+            raise DecodeError("trace text must be ASCII")
         trace = cls()
         for line in text.splitlines():
             trace.events.append(TraceEvent.from_line(line))
@@ -183,9 +165,10 @@ class ProtocolTrace:
 
     @classmethod
     def read(cls, path) -> "ProtocolTrace":
-        # newline="" keeps line endings as written, for from_text to judge
-        with open(path, encoding="ascii", newline="") as fh:
-            return cls.from_text(fh.read())
+        # bytes keep line endings as written, and latin-1 maps every byte
+        # to one character, for from_text to judge
+        with open(path, "rb") as fh:
+            return cls.from_text(fh.read().decode("latin-1"))
 
     def verifier_visible_sends(self) -> int:
         """Protocol messages a network observer at the verifier sees."""
@@ -203,36 +186,40 @@ _FRAME = Spec((0x0010, "mtype", U16), (0x0011, "sender", STR),
 
 _CERT = nested(crypto.Certificate)
 
-# one body layout per message type, used by both ends of _transfer
-_MESSAGE_BODIES = {
-    "vcek-info": Spec((1, "vcek_pub", RAW), (2, "chain", nested(tee.CertChain))),
-    "cert-vcek-info": Spec((1, "cert", _CERT)),
-    "cert-tee-info": Spec((1, "cert", _CERT)),
-    "key-info": Spec((1, "aik_area", RAW), (2, "ek_pub", RAW),
-                     (3, "ek_cert", _CERT)),
-    "aik-challenge": Spec((1, "credential", nested(tpm.Credential))),
-    "nonce-info": Spec((1, "secret", RAW)),
-    "cert-aik-info": Spec((1, "cert", _CERT)),
-    "key-cert-info": Spec((1, "cert", _CERT), (2, "aik_area", RAW)),
-    "pek-cert-info": Spec((1, "cert", _CERT)),
-    "register-request": Spec((1, "report", nested(tee.TeeReport)),
-                             (2, "chain", nested(tee.CertChain)),
-                             (3, "identity_pub", RAW)),
-    "identity-cert-info": Spec((1, "cert", _CERT), (2, "master_secret", RAW)),
-    "attest-request": Spec((1, "session_id", RAW), (2, "nonce", RAW),
-                           (3, "policy_id", STR),
-                           (4, "selection", tpm.PCR_BITMAP),
-                           (5, "direction", STR)),
-    "guest-report-request": Spec((1, "report_data", RAW), (2, "embedded", RAW),
-                                 (3, "session_id", RAW)),
-    "tee-report": Spec((1, "report", nested(tee.TeeReport))),
-    "quote-request": Spec((1, "selection", tpm.PCR_BITMAP),
-                          (2, "qualifying_data", RAW), (3, "embedded", RAW),
-                          (4, "session_id", RAW)),
-    "tpm-report": Spec((1, "quote", nested(tpm.CompositeQuote))),
+# each message type's wire code and body layout, for both ends of _transfer
+MESSAGE_TYPES = {
+    "vcek-info": (0x0101, Spec((1, "vcek_pub", RAW),
+                               (2, "chain", nested(tee.CertChain)))),
+    "cert-vcek-info": (0x0102, Spec((1, "cert", _CERT))),
+    "cert-tee-info": (0x0103, Spec((1, "cert", _CERT))),
+    "key-info": (0x0104, Spec((1, "aik_area", RAW), (2, "ek_pub", RAW),
+                              (3, "ek_cert", _CERT))),
+    "aik-challenge": (0x0105, Spec((1, "credential", nested(tpm.Credential)))),
+    "nonce-info": (0x0106, Spec((1, "secret", RAW))),
+    "cert-aik-info": (0x0107, Spec((1, "cert", _CERT))),
+    "key-cert-info": (0x0108, Spec((1, "cert", _CERT), (2, "aik_area", RAW))),
+    "pek-cert-info": (0x0109, Spec((1, "cert", _CERT))),
+    "register-request": (0x010A, Spec((1, "report", nested(tee.TeeReport)),
+                                      (2, "chain", nested(tee.CertChain)),
+                                      (3, "identity_pub", RAW))),
+    "identity-cert-info": (0x010B, Spec((1, "cert", _CERT),
+                                        (2, "master_secret", RAW))),
+    "attest-request": (0x0201, Spec((1, "session_id", RAW), (2, "nonce", RAW),
+                                    (3, "policy_id", STR),
+                                    (4, "selection", tpm.PCR_BITMAP),
+                                    (5, "direction", STR))),
+    "guest-report-request": (0x0202, Spec((1, "report_data", RAW),
+                                          (2, "embedded", RAW),
+                                          (3, "session_id", RAW))),
+    "tee-report": (0x0203, Spec((1, "report", nested(tee.TeeReport)))),
+    "quote-request": (0x0204, Spec((1, "selection", tpm.PCR_BITMAP),
+                                   (2, "qualifying_data", RAW),
+                                   (3, "embedded", RAW),
+                                   (4, "session_id", RAW))),
+    "tpm-report": (0x0205, Spec((1, "quote", nested(tpm.CompositeQuote)))),
     # the evidence envelope of any direction
-    "total-report": Spec((1, "report", RAW)),
-    "token-info": Spec((1, "token", STR)),
+    "total-report": (0x0206, Spec((1, "report", RAW))),
+    "token-info": (0x0207, Spec((1, "token", STR))),
 }
 
 
@@ -304,10 +291,9 @@ def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
     """Encode, seal, 'transmit', open and decode one message body under
     its type's spec; both endpoints trace one digest, as open authenticates
     the received body as the body sent. Returns the decoded fields."""
-    spec = _MESSAGE_BODIES[mtype_name]
+    mtype, spec = MESSAGE_TYPES[mtype_name]
     body = spec.encode(fields)
-    frame = channels.seal(MESSAGE_TYPES[mtype_name], sender, receiver,
-                          session_id, body)
+    frame = channels.seal(mtype, sender, receiver, session_id, body)
     digest = crypto.sha256(body).hex()
     trace.emit(sender, "send", peer=receiver, digest=digest,
                tag=mtype_name, contents=contents)

@@ -20,6 +20,7 @@ from . import crypto
 from .encoding import RAW, U16, U64, Record, Spec, nested, raw
 from .errors import EvidenceTooLarge, InvalidLength
 
+# the one limit on foreign evidence embedded in a guest report or a quote
 MAX_EVIDENCE_SIZE = 4096
 REPORT_DATA_LEN = 64
 REPORT_VERSION = 1

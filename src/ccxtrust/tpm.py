@@ -40,6 +40,7 @@ from .errors import (
     CounterInvalid,
     DecodeError,
     EmptySelection,
+    EvidenceTooLarge,
     HierarchyMismatch,
     InvalidLength,
     InvalidPcrIndex,
@@ -48,18 +49,17 @@ from .errors import (
     KeyNotLoaded,
     NameMismatch,
     PolicyFailure,
-    ReportTooLarge,
     SeedVersionMismatch,
 )
+from .tee import MAX_EVIDENCE_SIZE
 
-HIERARCHIES = ("endorsement", "storage", "platform", "cc")
+# each hierarchy and the role of its primary key
+HIERARCHIES = {"endorsement": "EK", "storage": "SRK", "platform": "PPK",
+               "cc": "CC-SRK"}
 PCR_COUNT = 24
 PCR_SELECT_BYTES = 3
-MAX_TEE_REPORT_SIZE = 4096
 EPHEMERAL_TABLE_CAPACITY = 256
 FIRMWARE_VERSION = 1
-
-_PRIMARY_ROLES = {"endorsement": "EK", "storage": "SRK", "platform": "PPK", "cc": "CC-SRK"}
 
 # Built-in simulated TPM manufacturer CA that endorses every EK at
 # manufacture time. Fixed seed keeps EK certs reproducible across runs.
@@ -277,7 +277,7 @@ def create_primary(state: TpmState, hierarchy: str) -> KeyBlob:
     scalar = crypto.scalar_from_material(
         crypto.kdf_counter(record.seed, "PRIMARY"))
     blob = KeyBlob(
-        role=_PRIMARY_ROLES[hierarchy],
+        role=HIERARCHIES[hierarchy],
         hierarchy=hierarchy,
         seed_version=record.version,
         public=crypto.public_from_scalar(scalar).point,
@@ -461,7 +461,7 @@ class CompositeQuote(crypto.Signed):
     SPEC = Spec((1, "pcr_selection", PCR_BITMAP),
                 (2, "pcr_digest", raw(crypto.DIGEST_LEN)),
                 (3, "qualifying_data", raw(crypto.DIGEST_LEN)),
-                (4, "embedded_evidence", raw(max_len=MAX_TEE_REPORT_SIZE)),
+                (4, "embedded_evidence", raw(max_len=MAX_EVIDENCE_SIZE)),
                 (5, "firmware_version", U64),
                 (6, "clock_info", U64),
                 (7, "signature", RAW))
@@ -475,9 +475,9 @@ def cc_quote(state: TpmState, selection, qualifying_data: bytes,
     sel = normalize_selection(selection)
     if len(qualifying_data) != crypto.DIGEST_LEN:
         raise InvalidLength("qualifying data must be 32 bytes")
-    if len(embedded) > MAX_TEE_REPORT_SIZE:
-        raise ReportTooLarge(
-            f"report is {len(embedded)} bytes, limit {MAX_TEE_REPORT_SIZE}")
+    if len(embedded) > MAX_EVIDENCE_SIZE:
+        raise EvidenceTooLarge(
+            f"evidence is {len(embedded)} bytes, limit {MAX_EVIDENCE_SIZE}")
     aik = _loaded(state, aik_handle)
     if aik.blob.role not in ("AIK", "signing"):
         raise HierarchyMismatch(f"{aik.blob.role} key cannot quote")

@@ -56,6 +56,15 @@ TOKEN_FORMAT_VERSION = 1
 DEFAULT_TOKEN_LIFETIME = 3600.0
 SESSION_TTL = 300.0   # seconds an attestation session stays open
 
+# The evidence layers of each envelope direction, outermost first; each
+# layer embeds the next one verbatim. Provers build from this table too.
+LAYOUTS: dict[str, tuple[str, ...]] = {
+    "tpm-tee": ("tpm", "tee"),
+    "tee-tpm": ("tee", "tpm"),
+    "tee": ("tee",),
+    "tpm": ("tpm",),
+}
+
 
 class CompositeOutcome(Enum):
     OK = "ok"
@@ -87,7 +96,7 @@ class PolicyBaseline:
     pcr_selection: tuple[int, ...]
     expected_pcr_composite: bytes
     min_tcb_version: int
-    allowed_types: tuple[str, ...] = ("tpm-tee", "tee-tpm", "tee", "tpm")
+    allowed_types: tuple[str, ...] = tuple(LAYOUTS)
     token_lifetime: float = DEFAULT_TOKEN_LIFETIME
 
 
@@ -256,15 +265,6 @@ def validate_token(token: "AttestationToken | str",
 # ---------------------------------------------------------------------------
 # evidence layouts
 # ---------------------------------------------------------------------------
-
-# The evidence layers of each envelope direction, outermost first; each
-# layer embeds the next one verbatim. Provers build from this table too.
-LAYOUTS: dict[str, tuple[str, ...]] = {
-    "tpm-tee": ("tpm", "tee"),
-    "tee-tpm": ("tee", "tpm"),
-    "tee": ("tee",),
-    "tpm": ("tpm",),
-}
 
 _DECODERS = {"tpm": tpm.CompositeQuote.from_bytes,
              "tee": tee.TeeReport.from_bytes}

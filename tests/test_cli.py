@@ -1,5 +1,5 @@
 """Command-line harness: every subcommand, exit codes, artifacts, and
-config-file handling."""
+option files."""
 
 import json
 import os
@@ -11,6 +11,7 @@ import pytest
 
 import ccxtrust
 from ccxtrust import cli, protocol
+from ccxtrust.errors import DecodeError
 
 
 def run(argv):
@@ -150,6 +151,27 @@ def test_check_trace_undecodable_file_exits_1(tmp_path, capsys):
     assert "trace index" in captured.err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file"),
+    (b"0 verifier send - - - - \xff\n", "ASCII"),
+], ids=["missing", "non-ascii-byte"])
+def test_check_trace_unreadable_file_exits_1(tmp_path, capsys, content, reason):
+    path = tmp_path / "trace.log"
+    if content is not None:
+        path.write_bytes(content)
+    assert run(["check-trace", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"check-trace: {path}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert reason in captured.err
+
+
+def test_trace_text_with_a_non_ascii_character_does_not_decode():
+    with pytest.raises(DecodeError, match="ASCII"):
+        protocol.ProtocolTrace.from_text("0 verifier send - - - - caf\u00e9\n")
+
+
 def test_module_entry_point_runs_once_without_warnings():
     # the package must not import ccxtrust.cli itself, or `python -m`
     # warns and executes the module a second time as __main__
@@ -164,30 +186,42 @@ def test_module_entry_point_runs_once_without_warnings():
 
 
 # ---------------------------------------------------------------------------
-# config file
+# option files
 # ---------------------------------------------------------------------------
 
 def test_config_file_fills_defaults_flags_win(tmp_path):
-    config = tmp_path / "run.conf"
-    config.write_text("# cluster defaults\nseed = 99\nnodes = 3\n")
+    config = tmp_path / "run.args"
+    config.write_text("--seed=99\n--nodes=3\n")
     out = tmp_path / "cfg"
-    assert run(["init", "--config", str(config), "--out", str(out)]) == 0
+    assert run(["init", f"@{config}", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 99
     assert summary["nodes"] == 3
 
     out2 = tmp_path / "cfg2"
-    assert run(["init", "--config", str(config), "--nodes", "1",
+    assert run(["init", f"@{config}", "--nodes", "1",
                 "--out", str(out2)]) == 0
     summary2 = json.loads((out2 / "summary.json").read_text())
     assert summary2["seed"] == 99
-    assert summary2["nodes"] == 1  # explicit flag beats the file
+    assert summary2["nodes"] == 1  # a flag after the file beats it
 
 
 def test_config_non_integer_value_is_a_usage_error(tmp_path, capsys):
-    config = tmp_path / "bad.conf"
-    config.write_text("nodes = abc\n")
+    config = tmp_path / "bad.args"
+    config.write_text("--nodes=abc\n")
     with pytest.raises(SystemExit) as info:
-        run(["init", "--config", str(config), "--out", str(tmp_path / "x")])
+        run(["init", f"@{config}", "--out", str(tmp_path / "x")])
     assert info.value.code == 2
-    assert "nodes" in capsys.readouterr().err
+    assert "--nodes" in capsys.readouterr().err
+
+
+def test_option_file_value_outside_its_choices_is_a_usage_error(tmp_path,
+                                                                 capsys):
+    config = tmp_path / "bad.args"
+    config.write_text("--direction=sideways\n")
+    with pytest.raises(SystemExit) as info:
+        run(["attest", f"@{config}", "--out", str(tmp_path / "x")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "--direction: invalid choice: 'sideways'" in err

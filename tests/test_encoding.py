@@ -273,7 +273,8 @@ def _library_specs() -> list[Spec]:
                if cls.__module__.startswith("ccxtrust.") and cls is not Signed]
     stack = [spec for cls in records for spec in vars(cls).values()
              if isinstance(spec, Spec)]
-    stack += [protocol._FRAME, *protocol._MESSAGE_BODIES.values()]
+    stack += [protocol._FRAME,
+              *(body for _, body in protocol.MESSAGE_TYPES.values())]
     specs: list[Spec] = []
     while stack:
         spec = stack.pop()
@@ -333,8 +334,8 @@ def test_generated_codec_matches_oracle_on_an_honest_run(monkeypatch):
     for record in golden:
         assert type(record).from_bytes(record.to_bytes()) == record
     assert mismatches == []
-    assert all(used[spec] for spec in (protocol._FRAME,
-                                       *protocol._MESSAGE_BODIES.values()))
+    assert all(used[spec] for spec in (
+        protocol._FRAME, *(body for _, body in protocol.MESSAGE_TYPES.values())))
     assert all(used[cls.SPEC] for cls in (type(r) for r in golden))
 
 

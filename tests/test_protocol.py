@@ -98,10 +98,15 @@ def test_trace_write_read(tmp_path, cluster):
 # channels
 # ---------------------------------------------------------------------------
 
+def test_every_message_type_has_its_own_wire_code():
+    codes = [code for code, _ in protocol.MESSAGE_TYPES.values()]
+    assert len(set(codes)) == len(codes) == 18
+
+
 def test_channel_seal_open_and_wrong_receiver(cluster):
     channels = cluster.channels
     actor = cluster.actor(0)
-    mtype = protocol.MESSAGE_TYPES["attest-request"]
+    mtype, _ = protocol.MESSAGE_TYPES["attest-request"]
     frame = channels.seal(mtype, actor.agent, "verifier", b"sess", b"body")
     assert channels.open(frame, "verifier") == b"body"
     with pytest.raises(AuthFailure):
@@ -111,7 +116,7 @@ def test_channel_seal_open_and_wrong_receiver(cluster):
 def test_channel_frame_tamper_rejected(cluster):
     channels = cluster.channels
     actor = cluster.actor(0)
-    mtype = protocol.MESSAGE_TYPES["attest-request"]
+    mtype, _ = protocol.MESSAGE_TYPES["attest-request"]
     frame = bytearray(channels.seal(mtype, actor.agent, "verifier",
                                     b"sess", b"body"))
     frame[-1] ^= 0x01
@@ -127,7 +132,7 @@ def test_channel_missing_key_raises(cluster):
 def test_channel_cipher_follows_the_pair_key(cluster):
     channels = cluster.channels
     actor = cluster.actor(0)
-    mtype = protocol.MESSAGE_TYPES["attest-request"]
+    mtype, _ = protocol.MESSAGE_TYPES["attest-request"]
     pairs = ((actor.agent, VERIFIER_PRINCIPAL), (actor.tee_name, actor.agent),
              (actor.tpm_name, OCA_PRINCIPAL))
     frames = [(a, b, channels.seal(mtype, a, b, b"s", a.encode()))
@@ -145,7 +150,7 @@ def test_channel_cipher_follows_the_pair_key(cluster):
 
 def test_channel_table_under_concurrent_pairs(cluster2):
     channels = cluster2.channels
-    mtype = protocol.MESSAGE_TYPES["attest-request"]
+    mtype, _ = protocol.MESSAGE_TYPES["attest-request"]
     pairs = [(actor.agent, peer) for actor in cluster2.actors.values()
              for peer in (VERIFIER_PRINCIPAL, OCA_PRINCIPAL, actor.tee_name)]
     failures = []

@@ -15,6 +15,7 @@ from ccxtrust.errors import (
     CounterInvalid,
     DecodeError,
     EmptySelection,
+    EvidenceTooLarge,
     HierarchyMismatch,
     InvalidLength,
     InvalidPcrIndex,
@@ -23,7 +24,6 @@ from ccxtrust.errors import (
     KeyNotLoaded,
     NameMismatch,
     PolicyFailure,
-    ReportTooLarge,
     SeedVersionMismatch,
 )
 
@@ -284,7 +284,7 @@ def test_cc_quote_embeds_report_and_enforces_limit():
     _, handle = aik_setup(state)
     q = tpm.cc_quote(state, (0,), crypto.sha256(b"n"), handle, b"\x01" * 4096)
     assert len(q.embedded_evidence) == 4096
-    with pytest.raises(ReportTooLarge):
+    with pytest.raises(EvidenceTooLarge):
         tpm.cc_quote(state, (0,), crypto.sha256(b"n"), handle, b"\x01" * 4097)
 
 
