@@ -34,6 +34,18 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _positive_int(text: str) -> int:
+    """A fleet size or worker count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccxtrust",
@@ -48,11 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init", parents=[common],
                        help="enroll a fleet and write the trace")
-    p.add_argument("--nodes", type=int, default=2)
+    p.add_argument("--nodes", type=_positive_int, default=2)
 
     p = sub.add_parser("attest", parents=[common],
                        help="run composite attestation")
-    p.add_argument("--nodes", type=int, default=1)
+    p.add_argument("--nodes", type=_positive_int, default=1)
     p.add_argument("--direction", choices=("tpm-tee", "tee-tpm"),
                    default="tpm-tee")
 
@@ -63,12 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run an attack drill")
     p.add_argument("--name", required=True,
                    choices=sorted({*harness.DRILLS, *harness.FAULT_TRACES}))
-    p.add_argument("--nodes", type=int, default=3)
+    p.add_argument("--nodes", type=_positive_int, default=3)
 
     p = sub.add_parser("bench", parents=[common],
                        help="fleet benchmark")
-    p.add_argument("--nodes", type=int, default=100)
-    p.add_argument("--concurrency", type=int, default=16)
+    p.add_argument("--nodes", type=_positive_int, default=100)
+    p.add_argument("--concurrency", type=_positive_int, default=16)
     p.add_argument("--direction", choices=("tpm-tee", "tee-tpm"),
                    default="tpm-tee")
 

@@ -273,7 +273,6 @@ class Signed(Record):
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.BODY = Spec(*cls.SPEC.fields[:-1])
-        cls.BODY.__set_name__(cls, "BODY")
 
     @property
     def digest(self) -> bytes:

@@ -211,12 +211,13 @@ MESSAGE_TYPES = {
     "guest-report-request": (0x0202, Spec((1, "report_data", RAW),
                                           (2, "embedded", RAW),
                                           (3, "session_id", RAW))),
-    "tee-report": (0x0203, Spec((1, "report", nested(tee.TeeReport)))),
+    # a signed layer travels as the bytes its device signed
+    "tee-report": (0x0203, Spec((1, "report", RAW))),
     "quote-request": (0x0204, Spec((1, "selection", tpm.PCR_BITMAP),
                                    (2, "qualifying_data", RAW),
                                    (3, "embedded", RAW),
                                    (4, "session_id", RAW))),
-    "tpm-report": (0x0205, Spec((1, "quote", nested(tpm.CompositeQuote)))),
+    "tpm-report": (0x0205, Spec((1, "quote", RAW))),
     # the evidence envelope of any direction
     "total-report": (0x0206, Spec((1, "report", RAW))),
     "token-info": (0x0207, Spec((1, "token", STR))),
@@ -594,7 +595,8 @@ _LAYER_TRIPS = {
 def _device_layer(actor, channels, trace, session_id, kind, binding,
                   embedded: bytes, selection, *, tag: str) -> bytes:
     """The agent asks its device "<node>/<kind>" for one signed layer of a
-    session's evidence; returns the layer's bytes."""
+    session's evidence; returns the layer's bytes as the device encoded
+    them, for the agent only embeds or submits them."""
     request, binding_field, reply, label = _LAYER_TRIPS[kind]
     C, device = actor.agent, f"{actor.node_id}/{kind}"
     session = (f"session:{session_id.hex()}",)
@@ -603,14 +605,14 @@ def _device_layer(actor, channels, trace, session_id, kind, binding,
                     "selection": selection, "session_id": session_id},
                    session_id=session_id, contents=session)
     layer = actor.sign_layer(kind, rx[binding_field], rx["embedded"],
-                             rx.get("selection", ()))
-    digest = layer.digest
+                             rx.get("selection", ())).to_bytes()
+    digest = crypto.sha256(layer)
     signed = (f"{label}:{digest.hex()}",)
     trace.emit(device, "sign", digest=digest, tag=tag,
                contents=session + signed)
     return _transfer(trace, channels, device, C, reply, {label: layer},
                      session_id=session_id,
-                     contents=signed)[label].to_bytes()
+                     contents=signed)[label]
 
 
 def build_evidence(direction: str, nonce: bytes, make_layer: Callable) -> bytes:

@@ -99,6 +99,25 @@ def test_fault_traces_trip_their_theorem(tmp_path, capsys, name, theorem):
     assert (out / "trace.log").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["init", "--nodes", "0"],
+    ["attest", "--nodes", "-1"],
+    ["attack", "--name", "replay", "--nodes", "0"],
+    ["bench", "--nodes", "-3"],
+    ["bench", "--concurrency", "0"],
+], ids=["init", "attest", "attack", "bench-nodes", "bench-concurrency"])
+def test_fleet_size_below_one_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as info:
+        run([*argv, "--out", str(out)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "must be an integer of at least 1" in captured.err
+    assert not out.exists()
+
+
 def test_unknown_attack_name_rejected(tmp_path):
     with pytest.raises(SystemExit):
         run(["attack", "--name", "nonsense", "--out", str(tmp_path)])

@@ -2,7 +2,6 @@
 
 import dataclasses
 import random
-import traceback
 from collections import Counter
 
 import pytest
@@ -27,12 +26,12 @@ from ccxtrust.errors import CcxError, DecodeError
 
 
 # ---------------------------------------------------------------------------
-# The generic codec: the reference the generated code is checked against
+# The field-at-a-time codec: the reference Spec's own loops are checked
+# against
 # ---------------------------------------------------------------------------
 
 def _oracle_encode(spec: Spec, values) -> bytes:
-    """Encode by interpreting the spec field by field, the way Spec.encode
-    worked before it generated code."""
+    """Encode the spec's fields one at a time through FieldWriter.put."""
     writer = FieldWriter()
     for tag, attr, kind in spec.fields:
         writer.put(tag, _oracle_kind_encode(kind, values[attr]))
@@ -40,6 +39,7 @@ def _oracle_encode(spec: Spec, values) -> bytes:
 
 
 def _oracle_decode(spec: Spec, raw_bytes: bytes) -> dict:
+    """Decode the spec's fields one at a time through FieldReader.take."""
     reader = FieldReader(raw_bytes)
     values = {}
     for tag, attr, kind in spec.fields:
@@ -143,6 +143,32 @@ def test_integer_width_enforced():
         raw_bytes = FieldWriter().put(2, payload).getvalue()
         with pytest.raises(DecodeError):
             Spec((2, "value", kind)).decode(raw_bytes)
+
+
+_ONE = encode_field(1, b"abc")
+
+
+@pytest.mark.parametrize("kind, raw_bytes, message", [
+    (RAW, _ONE + b"\x02\x00", "truncated field header at offset 9"),
+    (RAW, encode_field(2, b"abc") + _ONE,
+     "expected tag 0x0001, found 0x0002"),
+    (RAW, _ONE[:-1], "field 0x0001 runs past end of buffer"),
+    (raw(4), _ONE + encode_field(2, b""), "field must be 4 bytes, got 3"),
+    (U16, _ONE + encode_field(2, b""), "field has wrong width for '<H'"),
+    (raw(max_len=2), _ONE + encode_field(2, b""),
+     "field exceeds its 2-byte limit"),
+    (STR, encode_field(1, b"\xff") + encode_field(2, b""),
+     "field is not valid utf-8"),
+    (RAW, _ONE + encode_field(2, b"") + b"\x00\x00", "2 trailing bytes"),
+], ids=["truncated-header", "wrong-tag", "past-end", "fixed-width",
+        "packed-width", "max-len", "utf-8", "trailing"])
+def test_spec_decode_fault_messages(kind, raw_bytes, message):
+    # each fault's own text, pinned apart from the FieldReader oracle,
+    # which shares _field_error with Spec.unpack
+    spec = Spec((1, "first", kind), (2, "second", RAW))
+    with pytest.raises(DecodeError) as info:
+        spec.decode(raw_bytes)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +289,7 @@ def test_mutated_encodings_fail_cleanly_or_reencode_identically(fuzz_targets):
 
 
 # ---------------------------------------------------------------------------
-# Generated code against the generic oracle
+# Spec's loops against the field-at-a-time oracle
 # ---------------------------------------------------------------------------
 
 def _library_specs() -> list[Spec]:
@@ -288,9 +314,8 @@ def _library_specs() -> list[Spec]:
 
 
 def test_generated_codec_matches_oracle_on_an_honest_run(monkeypatch):
-    # every encode and decode of the specs' generated code, through
-    # enrollment, attestation and the golden structures,
-    # must give what the generic loop gives
+    # every Spec encode and decode through enrollment, attestation and
+    # the golden structures must give what FieldWriter and FieldReader give
     used: Counter = Counter()
     mismatches = []
 
@@ -347,10 +372,10 @@ def test_generated_decode_matches_oracle_on_mutants(fuzz_targets):
     rejected = Counter()
     for name, original, _decode, _encode, spec in canonical:
         for mutant in _mutants(original, rng, 1000):
-            generated = _outcome(spec.decode, mutant)
-            assert generated == _outcome(
+            outcome = _outcome(spec.decode, mutant)
+            assert outcome == _outcome(
                 lambda raw_bytes: _oracle_decode(spec, raw_bytes), mutant), name
-            rejected[name] += generated[0] != "value"
+            rejected[name] += outcome[0] != "value"
     assert all(rejected[name] for name, *_ in canonical)
 
 
@@ -386,14 +411,3 @@ def test_signed_records_match_the_unsigned_copy_signed_after():
         assert old_way == record
         assert old_way.to_bytes() == record.to_bytes()
 
-
-def test_generated_code_is_named_after_its_structure():
-    report = tee.TeeReport.SPEC
-    assert report.unpack.__code__.co_filename == "<Spec TeeReport>"
-    assert tee.TeeReport.BODY.encode.__code__.co_filename \
-        == "<Spec TeeReport.BODY>"
-    assert "def decode(buf):" in report.source
-    with pytest.raises(DecodeError) as info:
-        tee.TeeReport.from_bytes(b"\x01\x00")
-    frames = traceback.extract_tb(info.value.__traceback__)
-    assert "<Spec TeeReport>" in {frame.filename for frame in frames}
