@@ -324,23 +324,11 @@ def ecdh_shared(scalar: int, peer_pub: bytes | PublicKey) -> bytes:
 # authenticated channel encryption
 # ---------------------------------------------------------------------------
 
-def aead(key: bytes) -> AESGCM:
-    """The AES-256-GCM cipher of a key, for a holder that uses the key
-    more than once: channel_seal and channel_open take it in its place."""
-    _check_aead_key(key)
-    return AESGCM(key)
-
-
-def _cipher(key: bytes | AESGCM) -> AESGCM:
-    return aead(key) if isinstance(key, bytes) else key
-
-
-def channel_seal(key: bytes | AESGCM, plaintext: bytes, aad: bytes,
-                 rng) -> bytes:
+def channel_seal(key: bytes, plaintext: bytes, aad: bytes, rng) -> bytes:
     """AES-256-GCM with a fresh random nonce, returned as nonce || ct."""
-    cipher = _cipher(key)
+    _check_aead_key(key)
     nonce = rng.random_bytes(AEAD_NONCE_LEN)
-    return nonce + cipher.encrypt(nonce, plaintext, aad)
+    return nonce + AESGCM(key).encrypt(nonce, plaintext, aad)
 
 
 def wrap(key: bytes, plaintext: bytes, aad: bytes) -> bytes:
@@ -356,14 +344,14 @@ def wrap(key: bytes, plaintext: bytes, aad: bytes) -> bytes:
     return nonce + AESGCM(key).encrypt(nonce, plaintext, aad)
 
 
-def channel_open(key: bytes | AESGCM, sealed: bytes, aad: bytes) -> bytes:
+def channel_open(key: bytes, sealed: bytes, aad: bytes) -> bytes:
     """Open a sealed blob. Any tamper of ciphertext or aad raises AuthFailure."""
-    cipher = _cipher(key)
+    _check_aead_key(key)
     if len(sealed) < AEAD_NONCE_LEN + 16:
         raise AuthFailure("sealed blob too short")
     nonce, ct = sealed[:AEAD_NONCE_LEN], sealed[AEAD_NONCE_LEN:]
     try:
-        return cipher.decrypt(nonce, ct, aad)
+        return AESGCM(key).decrypt(nonce, ct, aad)
     except InvalidTag as exc:
         raise AuthFailure("authenticated decryption failed") from exc
 

@@ -1,10 +1,12 @@
-"""Collaborative attestation protocol: flows, wire format, and trace model.
+"""Collaborative attestation protocol: flows, message bodies, channels,
+and trace model.
 
 Principals are the platform agent (one per node), its TEE engine
 ("<node>/tee") and TPM ("<node>/tpm"), the owner CA ("owner-ca"), and the
 verifier ("verifier"). Every message crosses an AES-GCM channel keyed by
-two-phase ECDH, and every step appends a structured event to a protocol
-trace.
+two-phase ECDH, as a clear header (type, sender, receiver, session) and a
+body sealed with that header as associated data, and every step appends a
+structured event to a protocol trace.
 
 Attestation has one prover: build_evidence walks the verifier's LAYOUTS
 table for any direction (the composite tpm-tee and tee-tpm embeddings,
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import crypto, tee, tpm
-from .encoding import RAW, STR, U16, Record, Spec, nested
+from .encoding import RAW, STR, Record, Spec, nested
 from .errors import AttestationRejected, AuthFailure, DecodeError
 from .owner_ca import challenge_session_id
 from .verifier import (LAYOUTS, CompositeOutcome, VerifierService,
@@ -177,12 +179,8 @@ class ProtocolTrace:
 
 
 # ---------------------------------------------------------------------------
-# wire format and channels
+# message bodies and channels
 # ---------------------------------------------------------------------------
-
-_FRAME = Spec((0x0010, "mtype", U16), (0x0011, "sender", STR),
-              (0x0012, "receiver", STR), (0x0001, "session_id", RAW),
-              (0x0002, "sealed", RAW))
 
 _CERT = nested(crypto.Certificate)
 
@@ -230,20 +228,19 @@ def _wire_aad(mtype: int, sender: str, receiver: str, session_id: bytes) -> byte
 
 
 class ChannelTable:
-    """Pairwise AEAD keys between principals, plus framing.
+    """Pairwise AEAD keys between principals.
 
-    A frame is sender|receiver|type|session in the clear (authenticated
-    as associated data) with the body sealed under the pair's key. The
-    table keeps the cipher of the last key it used, which serves the open
-    of each sealed frame and the replies on the same pair; a cipher per
-    pair would cost about 3 KB for every channel of every node.
+    A message crosses as a clear header (type, sender, receiver, session)
+    and a body sealed under the pair's key with the header as associated
+    data, so open authenticates both. The table keeps key bytes, not
+    ciphers: an AESGCM object holds about 2.5 KB for every channel of
+    every node, and building one per message costs under 2 us.
     """
 
     def __init__(self, rng) -> None:
         self.rng = rng
         # a pair is keyed by its two names in sorted order
         self._keys: dict[tuple[str, str], bytes] = {}
-        self._last: tuple[bytes, crypto.AESGCM] | None = None
 
     def set_key(self, a: str, b: str, key: bytes) -> None:
         if len(key) != crypto.AEAD_KEY_LEN:
@@ -256,33 +253,18 @@ class ChannelTable:
         except KeyError:
             raise AuthFailure(f"no channel between {a!r} and {b!r}") from None
 
-    def _cipher(self, a: str, b: str) -> crypto.AESGCM:
-        key = self.key(a, b)
-        last = self._last
-        if last is not None and last[0] is key:
-            return last[1]
-        cipher = crypto.aead(key)
-        self._last = (key, cipher)
-        return cipher
-
     def seal(self, mtype: int, sender: str, receiver: str,
              session_id: bytes, body: bytes) -> bytes:
-        cipher = self._cipher(sender, receiver)
+        """body sealed under its header, as nonce || ciphertext."""
         aad = _wire_aad(mtype, sender, receiver, session_id)
-        sealed = crypto.channel_seal(cipher, body, aad, self.rng)
-        return _FRAME.encode({"mtype": mtype, "sender": sender,
-                              "receiver": receiver, "session_id": session_id,
-                              "sealed": sealed})
+        return crypto.channel_seal(self.key(sender, receiver), body, aad,
+                                   self.rng)
 
-    def open(self, frame: bytes, expected_receiver: str) -> bytes:
-        """The body of a frame addressed to expected_receiver, once its
-        seal and clear header authenticate."""
-        mtype, sender, receiver, session_id, sealed = _FRAME.unpack(frame)
-        if receiver != expected_receiver:
-            raise AuthFailure(f"frame addressed to {receiver!r}, "
-                              f"not {expected_receiver!r}")
+    def open(self, mtype: int, sender: str, receiver: str,
+             session_id: bytes, sealed: bytes) -> bytes:
+        """The body of sealed, once it authenticates under this header."""
         aad = _wire_aad(mtype, sender, receiver, session_id)
-        return crypto.channel_open(self._cipher(sender, receiver), sealed, aad)
+        return crypto.channel_open(self.key(sender, receiver), sealed, aad)
 
 
 def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
@@ -290,15 +272,16 @@ def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
               session_id: bytes = b"",
               contents: tuple[str, ...] = ()) -> dict:
     """Encode, seal, 'transmit', open and decode one message body under
-    its type's spec; both endpoints trace one digest, as open authenticates
+    its type's spec; the receiver opens the body under the header it was
+    sealed under. Both endpoints trace one digest, as open authenticates
     the received body as the body sent. Returns the decoded fields."""
     mtype, spec = MESSAGE_TYPES[mtype_name]
     body = spec.encode(fields)
-    frame = channels.seal(mtype, sender, receiver, session_id, body)
+    sealed = channels.seal(mtype, sender, receiver, session_id, body)
     digest = crypto.sha256(body).hex()
     trace.emit(sender, "send", peer=receiver, digest=digest,
                tag=mtype_name, contents=contents)
-    received = channels.open(frame, receiver)
+    received = channels.open(mtype, sender, receiver, session_id, sealed)
     trace.emit(receiver, "receive", peer=sender, digest=digest,
                tag=mtype_name, contents=contents)
     return spec.decode(received)

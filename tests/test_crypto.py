@@ -10,10 +10,15 @@ import hashlib
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.serialization import (
+    Encoding,
+    PublicFormat,
+)
 
 from ccxtrust import crypto, harness
 from ccxtrust.errors import (
     AuthFailure,
+    DecodeError,
     InvalidLength,
     InvalidPoint,
 )
@@ -190,7 +195,11 @@ def test_public_key_keeps_the_parsed_key_with_its_point():
     assert crypto.verify(public, b"m", sig)
     assert not crypto.verify(public, b"other", sig)
     assert not crypto.verify(public, b"m", b"\x00\x01")
-    for bad in (b"\x02" + (1).to_bytes(32, "big"), b"\x04" + b"\x00" * 64):
+    # off the curve, a valid point in another encoding, and no point at all
+    uncompressed = public.key.public_bytes(Encoding.X962,
+                                           PublicFormat.UncompressedPoint)
+    for bad in (b"\x02" + (1).to_bytes(32, "big"), b"\x04" + b"\x00" * 64,
+                uncompressed, key.public_bytes[:-1], b""):
         with pytest.raises(InvalidPoint):
             crypto.PublicKey(bad)
 
@@ -313,6 +322,9 @@ def test_channel_open_rejects_wrong_key_aad_or_tamper():
     broken[-1] ^= 0x80
     with pytest.raises(AuthFailure):
         crypto.channel_open(key, bytes(broken), b"aad")
+    for length in range(crypto.AEAD_NONCE_LEN + 16):
+        with pytest.raises(AuthFailure, match="too short"):
+            crypto.channel_open(key, sealed[:length], b"aad")
 
 
 def test_wrap_is_deterministic_for_storage():
@@ -327,6 +339,14 @@ def test_aead_key_length_enforced():
     rng = crypto.DeterministicRng(b"chan3")
     with pytest.raises(InvalidLength):
         crypto.channel_seal(b"short", b"x", b"", rng)
+    # AES-128 and AES-192 key sizes, which AES-GCM itself would take
+    for key in (bytes(16), bytes(24)):
+        with pytest.raises(InvalidLength):
+            crypto.channel_seal(key, b"x", b"", rng)
+        with pytest.raises(InvalidLength):
+            crypto.channel_open(key, bytes(crypto.AEAD_NONCE_LEN + 17), b"")
+        with pytest.raises(InvalidLength):
+            crypto.wrap(key, b"x", b"")
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +366,19 @@ def test_certificate_issue_verify_round_trip():
     parsed = crypto.Certificate.from_bytes(cert.to_bytes())
     assert parsed == cert
     assert parsed.verify(issuer.public_bytes)
+
+
+def test_issue_certificate_refuses_unknown_role_or_subject_width():
+    rng = crypto.DeterministicRng(b"certs3")
+    issuer = crypto.SigningKeyPair.generate("CA", rng)
+    subject = crypto.SigningKeyPair.generate("AIK", rng)
+    with pytest.raises(DecodeError):
+        crypto.issue_certificate(issuer, "NOBODY", 1, subject.public_bytes)
+    uncompressed = subject.public.key.public_bytes(
+        Encoding.X962, PublicFormat.UncompressedPoint)
+    for bad in (uncompressed, subject.public_bytes[:-1]):
+        with pytest.raises(InvalidPoint):
+            crypto.issue_certificate(issuer, "AIK", 1, bad)
 
 
 def test_certificate_verify_fails_for_wrong_issuer(monkeypatch):

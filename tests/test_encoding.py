@@ -254,10 +254,10 @@ def fuzz_targets():
          protocol.CompositeReportEnvelope.SPEC),
     ]
     # AEAD-protected forms: nothing but the original opens
+    header = (0x0201, "verifier", a.agent, bytes(16))
     sealed = [
-        ("wire-frame", c.channels.seal(0x0201, "verifier", a.agent,
-                                       bytes(16), b"body"),
-         lambda raw: c.channels.open(raw, a.agent)),
+        ("sealed-body", c.channels.seal(*header, b"body"),
+         lambda raw: c.channels.open(*header, raw)),
     ]
     return canonical, sealed
 
@@ -294,13 +294,12 @@ def test_mutated_encodings_fail_cleanly_or_reencode_identically(fuzz_targets):
 
 def _library_specs() -> list[Spec]:
     """Every Spec of the library: the record layouts and signed bodies, the
-    wire frame, the message bodies, and the specs nested in them."""
+    message bodies, and the specs nested in them."""
     records = [cls for base in (Record, Signed) for cls in base.__subclasses__()
                if cls.__module__.startswith("ccxtrust.") and cls is not Signed]
     stack = [spec for cls in records for spec in vars(cls).values()
              if isinstance(spec, Spec)]
-    stack += [protocol._FRAME,
-              *(body for _, body in protocol.MESSAGE_TYPES.values())]
+    stack += [body for _, body in protocol.MESSAGE_TYPES.values()]
     specs: list[Spec] = []
     while stack:
         spec = stack.pop()
@@ -359,8 +358,7 @@ def test_generated_codec_matches_oracle_on_an_honest_run(monkeypatch):
     for record in golden:
         assert type(record).from_bytes(record.to_bytes()) == record
     assert mismatches == []
-    assert all(used[spec] for spec in (
-        protocol._FRAME, *(body for _, body in protocol.MESSAGE_TYPES.values())))
+    assert all(used[body] for _, body in protocol.MESSAGE_TYPES.values())
     assert all(used[cls.SPEC] for cls in (type(r) for r in golden))
 
 

@@ -107,21 +107,43 @@ def test_channel_seal_open_and_wrong_receiver(cluster):
     channels = cluster.channels
     actor = cluster.actor(0)
     mtype, _ = protocol.MESSAGE_TYPES["attest-request"]
-    frame = channels.seal(mtype, actor.agent, "verifier", b"sess", b"body")
-    assert channels.open(frame, "verifier") == b"body"
+    sealed = channels.seal(mtype, actor.agent, "verifier", b"sess", b"body")
+    assert channels.open(mtype, actor.agent, "verifier", b"sess",
+                         sealed) == b"body"
     with pytest.raises(AuthFailure):
-        channels.open(frame, actor.tee_name)
+        channels.open(mtype, actor.agent, actor.tee_name, b"sess", sealed)
 
 
-def test_channel_frame_tamper_rejected(cluster):
+def test_channel_sealed_body_tamper_rejected(cluster):
     channels = cluster.channels
     actor = cluster.actor(0)
     mtype, _ = protocol.MESSAGE_TYPES["attest-request"]
-    frame = bytearray(channels.seal(mtype, actor.agent, "verifier",
-                                    b"sess", b"body"))
-    frame[-1] ^= 0x01
+    sealed = bytearray(channels.seal(mtype, actor.agent, "verifier",
+                                     b"sess", b"body"))
+    sealed[-1] ^= 0x01
     with pytest.raises(AuthFailure):
-        channels.open(bytes(frame), "verifier")
+        channels.open(mtype, actor.agent, "verifier", b"sess", bytes(sealed))
+
+
+_HEADER = {"mtype": 0x0201, "sender": "node-0", "receiver": "verifier",
+           "session_id": b"sess"}
+
+
+@pytest.mark.parametrize("change", [
+    {"mtype": 0x0202}, {"sender": "node-1"}, {"receiver": "owner-ca"},
+    {"session_id": b"sesS"}, {"sender": "verifier", "receiver": "node-0"},
+], ids=["mtype", "sender", "receiver", "session_id", "direction"])
+def test_channel_open_under_another_header_raises(change):
+    # every pair holds the same key, so only the header, as associated
+    # data, tells the openings apart
+    channels = protocol.ChannelTable(crypto.DeterministicRng(b"header"))
+    for pair in (("node-0", "verifier"), ("node-1", "verifier"),
+                 ("node-0", "owner-ca")):
+        channels.set_key(*pair, bytes(range(32)))
+    sealed = channels.seal(*_HEADER.values(), b"body")
+    assert channels.open(*_HEADER.values(), sealed) == b"body"
+    with pytest.raises(AuthFailure):
+        channels.open(*dict(_HEADER, **change).values(), sealed)
 
 
 def test_channel_missing_key_raises(cluster):
@@ -135,17 +157,18 @@ def test_channel_cipher_follows_the_pair_key(cluster):
     mtype, _ = protocol.MESSAGE_TYPES["attest-request"]
     pairs = ((actor.agent, VERIFIER_PRINCIPAL), (actor.tee_name, actor.agent),
              (actor.tpm_name, OCA_PRINCIPAL))
-    frames = [(a, b, channels.seal(mtype, a, b, b"s", a.encode()))
+    sealed = [(a, b, channels.seal(mtype, a, b, b"s", a.encode()))
               for a, b in pairs * 2]
-    for a, b, frame in reversed(frames):
-        assert channels.open(frame, b) == a.encode()
-    # a frame sealed under a replaced key no longer opens
+    for a, b, blob in reversed(sealed):
+        assert channels.open(mtype, a, b, b"s", blob) == a.encode()
+    # a body sealed under a replaced key no longer opens
     a, b = pairs[0]
     stale = channels.seal(mtype, a, b, b"s", b"old")
     channels.set_key(a, b, bytes(32))
     with pytest.raises(AuthFailure):
-        channels.open(stale, b)
-    assert channels.open(channels.seal(mtype, a, b, b"s", b"new"), b) == b"new"
+        channels.open(mtype, a, b, b"s", stale)
+    fresh = channels.seal(mtype, a, b, b"s", b"new")
+    assert channels.open(mtype, a, b, b"s", fresh) == b"new"
 
 
 def test_channel_table_under_concurrent_pairs(cluster2):
@@ -159,8 +182,8 @@ def test_channel_table_under_concurrent_pairs(cluster2):
         try:
             for round_ in range(150):
                 body = f"{a}>{b}#{round_}".encode()
-                frame = channels.seal(mtype, a, b, b"s", body)
-                if channels.open(frame, b) != body:
+                sealed = channels.seal(mtype, a, b, b"s", body)
+                if channels.open(mtype, a, b, b"s", sealed) != body:
                     failures.append((a, b))
         except AuthFailure:
             failures.append((a, b))
