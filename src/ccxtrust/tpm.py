@@ -7,6 +7,11 @@ with version-stamped envelopes, quotes that can embed foreign TEE evidence,
 credential activation, a two-phase ECDH command pair with a counter table,
 PCR-policy sealing, and seed rotation.
 
+Every key blob is made by one rule: its scalar is wrapped under
+kdf(parent secret, "ENVELOPE") with its public area as aad, where the
+parent secret is the hierarchy seed for a primary and the parent key's
+scalar for any other key.
+
 A confidential VM's key tree hangs off the storage or the CC primary, and
 the parent sets the scheme. Teardown deletes the CVM's CC master secret, so
 its CC tree no longer loads; a storage tree loads while the storage
@@ -256,17 +261,26 @@ def _seed_parent_name(hierarchy: str) -> bytes:
 # key creation, loading, envelopes
 # ---------------------------------------------------------------------------
 
-def _wrap_blob(env_key: bytes, scalar: int, blob: KeyBlob) -> None:
-    sensitive = scalar.to_bytes(32, "big")
-    blob.envelope = crypto.wrap(env_key, sensitive, blob.public_area())
+def _envelope_key(record: SeedRecord, parent: LoadedKey | None) -> bytes:
+    """The key a blob's sensitive part is wrapped under: derived from the
+    hierarchy seed for a primary, from the parent's scalar otherwise."""
+    secret = record.seed if parent is None else parent.scalar.to_bytes(32, "big")
+    return crypto.kdf_counter(secret, "ENVELOPE")
 
 
-def _seed_env_key(record: SeedRecord) -> bytes:
-    return crypto.kdf_counter(record.seed, "ENVELOPE")
-
-
-def _scalar_env_key(scalar: int) -> bytes:
-    return crypto.kdf_counter(scalar.to_bytes(32, "big"), "ENVELOPE")
+def _new_blob(state: TpmState, hierarchy: str, parent: LoadedKey | None,
+              role: str, scalar: int, cvm_id: bytes = b"") -> KeyBlob:
+    """Every key blob: the public area in the clear, and the scalar
+    wrapped under the parent's envelope key with the public area as aad."""
+    record = state.seeds[hierarchy]
+    blob = KeyBlob(role=role, hierarchy=hierarchy, seed_version=record.version,
+                   public=crypto.public_from_scalar(scalar).point,
+                   parent_name=(_seed_parent_name(hierarchy) if parent is None
+                                else parent.blob.name),
+                   cvm_id=cvm_id)
+    blob.envelope = crypto.wrap(_envelope_key(record, parent),
+                                scalar.to_bytes(32, "big"), blob.public_area())
+    return blob
 
 
 def create_primary(state: TpmState, hierarchy: str) -> KeyBlob:
@@ -276,15 +290,7 @@ def create_primary(state: TpmState, hierarchy: str) -> KeyBlob:
     state.tick()
     scalar = crypto.scalar_from_material(
         crypto.kdf_counter(record.seed, "PRIMARY"))
-    blob = KeyBlob(
-        role=HIERARCHIES[hierarchy],
-        hierarchy=hierarchy,
-        seed_version=record.version,
-        public=crypto.public_from_scalar(scalar).point,
-        parent_name=_seed_parent_name(hierarchy),
-    )
-    _wrap_blob(_seed_env_key(record), scalar, blob)
-    return blob
+    return _new_blob(state, hierarchy, None, HIERARCHIES[hierarchy], scalar)
 
 
 def create_signing_key(state: TpmState, parent_handle: int, role: str = "AIK") -> KeyBlob:
@@ -292,20 +298,10 @@ def create_signing_key(state: TpmState, parent_handle: int, role: str = "AIK") -
     counter value, reproducible for the same command sequence."""
     parent = _loaded(state, parent_handle)
     seq = state.tick()
-    record = _hierarchy(state, parent.blob.hierarchy)
     material = crypto.kdf_counter(
         parent.scalar.to_bytes(32, "big"), f"CHILD/{role}", struct.pack("<Q", seq))
-    scalar = crypto.scalar_from_material(material)
-    blob = KeyBlob(
-        role=role,
-        hierarchy=parent.blob.hierarchy,
-        seed_version=record.version,
-        public=crypto.public_from_scalar(scalar).point,
-        parent_name=parent.blob.name,
-        cvm_id=parent.blob.cvm_id,
-    )
-    _wrap_blob(_scalar_env_key(parent.scalar), scalar, blob)
-    return blob
+    return _new_blob(state, parent.blob.hierarchy, parent, role,
+                     crypto.scalar_from_material(material), parent.blob.cvm_id)
 
 
 def create_cvm_root_key(state: TpmState, master_secret: crypto.Secret | bytes,
@@ -326,21 +322,11 @@ def create_cvm_root_key(state: TpmState, master_secret: crypto.Secret | bytes,
         raise HierarchyMismatch(
             f"CVM root must hang off the storage or CC primary, got a "
             f"{parent.blob.role} under {hierarchy}")
-    record = _hierarchy(state, hierarchy)
     state.tick()
     ms = master_secret.data if isinstance(master_secret, crypto.Secret) else master_secret
     scalar = crypto.scalar_from_material(
         crypto.kdf_counter(ms, "CVM-SRK", parent.blob.name))
-    blob = KeyBlob(
-        role="CVM-SRK",
-        hierarchy=hierarchy,
-        seed_version=record.version,
-        public=crypto.public_from_scalar(scalar).point,
-        parent_name=parent.blob.name,
-        cvm_id=cvm_id,
-    )
-    _wrap_blob(_scalar_env_key(parent.scalar), scalar, blob)
-    return blob
+    return _new_blob(state, hierarchy, parent, "CVM-SRK", scalar, cvm_id)
 
 
 def create_cvm_key(state: TpmState, cvm_id: bytes) -> crypto.Secret:
@@ -384,15 +370,14 @@ def load_key(state: TpmState, blob: KeyBlob) -> int:
     if blob.cvm_id and blob.hierarchy == "cc" \
             and _cvm_nv_key(blob.cvm_id) not in state.nv:
         raise KeyDeactivated("CVM master secret has been deleted")
-    if blob.parent_name == _seed_parent_name(blob.hierarchy):
-        env_key = _seed_env_key(record)
-    else:
+    parent = None
+    if blob.parent_name != _seed_parent_name(blob.hierarchy):
         parent = _find_loaded_by_name(state, blob.parent_name)
         if parent is None:
             raise KeyNotLoaded("parent key is not loaded")
-        env_key = _scalar_env_key(parent.scalar)
     try:
-        sensitive = crypto.channel_open(env_key, blob.envelope, blob.public_area())
+        sensitive = crypto.channel_open(_envelope_key(record, parent),
+                                        blob.envelope, blob.public_area())
     except AuthFailure as exc:
         raise BlobCorrupt("envelope failed integrity verification") from exc
     scalar = int.from_bytes(sensitive, "big")
@@ -591,26 +576,29 @@ def seal(state: TpmState, data: bytes, selection) -> SealedBlob:
     """Seal data to the current values of the selected PCRs.
 
     An empty selection is an empty policy: the blob unseals regardless of
-    PCR state. The policy digest is bound into both the key derivation and
-    the aad, so a doctored policy fails authentication rather than
-    unlocking anything.
+    PCR state.
     """
     sel = normalize_selection(selection, allow_empty=True)
-    record = _hierarchy(state, "storage")
     state.tick()
     policy = state.pcr.composite(sel) if sel else _EMPTY_POLICY
-    aad = selection_to_bitmap(sel) + policy
-    key = crypto.kdf_counter(record.seed, "SEAL", aad)
+    key, aad = _sealing_key(state, sel, policy)
     return SealedBlob(sel, policy, crypto.wrap(key, data, aad))
 
 
 def unseal(state: TpmState, blob: SealedBlob) -> bytes:
     """Release sealed data iff the selected PCRs match the sealing policy."""
-    record = _hierarchy(state, "storage")
     state.tick()
     current = state.pcr.composite(blob.selection) if blob.selection else _EMPTY_POLICY
     if current != blob.policy_digest:
         raise PolicyFailure("current PCR composite does not satisfy the policy")
-    aad = selection_to_bitmap(blob.selection) + blob.policy_digest
-    key = crypto.kdf_counter(record.seed, "SEAL", aad)
+    key, aad = _sealing_key(state, blob.selection, blob.policy_digest)
     return crypto.channel_open(key, blob.ciphertext, aad)
+
+
+def _sealing_key(state: TpmState, selection: tuple[int, ...],
+                 policy: bytes) -> tuple[bytes, bytes]:
+    """Key and aad for sealed data. The policy digest is bound into both,
+    so a doctored policy fails authentication rather than unlocking
+    anything."""
+    aad = selection_to_bitmap(selection) + policy
+    return crypto.kdf_counter(state.seeds["storage"].seed, "SEAL", aad), aad

@@ -100,9 +100,10 @@ class PolicyBaseline:
     token_lifetime: float = DEFAULT_TOKEN_LIFETIME
 
 
-@dataclass
+@dataclass(slots=True)
 class AttestationRequest:
-    """One attestation session: a nonce bound to (verifier, node)."""
+    """One attestation session: a nonce bound to (verifier, node). The
+    verifier keeps each until SESSION_TTL, so an entry has no __dict__."""
 
     session_id: bytes
     node_id: str

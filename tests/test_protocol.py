@@ -401,7 +401,17 @@ def test_golden_structure_encodings(tpm_snapshot):
         "manifest": measurement.sign_manifest(
             c.publisher, "kernel", b"pinned kernel").to_bytes(),
         "cert-chain": a.vendor_chain.to_bytes(),
+        # a blob from each creator: the primaries of three hierarchies and
+        # a CVM root under each scheme
+        "ek-blob": a.state.ek_blob.to_bytes(),
+        "srk-blob": tpm.create_primary(a.state, "storage").to_bytes(),
+        "cvm-srk-blob-storage": a.cvm_root_blob.to_bytes(),
     }
+    cc_srk = tpm.create_primary(a.state, "cc")
+    encodings["cc-srk-blob"] = cc_srk.to_bytes()
+    encodings["cvm-srk-blob-cc"] = tpm.create_cvm_root_key(
+        a.state, tpm.create_cvm_key(a.state, b"pinned-vm"),
+        tpm.load_key(a.state, cc_srk), cvm_id=b"pinned-vm").to_bytes()
     assert {name: crypto.sha256(raw).hex()
             for name, raw in encodings.items()} == {
         "aik-blob": "2c7ad09452337c8b6f15ca0f91796819cd5e33ae96f524cdbcace6a0220b0139",
@@ -410,6 +420,11 @@ def test_golden_structure_encodings(tpm_snapshot):
         "credential": "32b5b1fadfe9aad0ac6821662c5a5283495967c6be447b1aa1237d1d1643b625",
         "manifest": "2388c8f28f47aa6afc40b766d8bb7edbd1abbe29503b010b440eed2b5ccaeae2",
         "cert-chain": "ea34e410bccc8109984994a7ccb843bc0a1da4c9fac2f1dd733584a8570055fd",
+        "ek-blob": "7f43bb11ebcbd24a9eb335e3244b811f132aa793816dcbf2e2565c02c76d9671",
+        "srk-blob": "eed5cfb81ce7bd5983010401904709bb2e0f33ab872cc4e2d2ff7b94b34db72e",
+        "cvm-srk-blob-storage": "6d33ad7dddac81fc8b22f83b8d82f1bedea0bd5fa2f243948d62f4287d76e2c3",
+        "cc-srk-blob": "0df1e1485f93d7d4e507e9f0d2b07a5c8f57523e65e83dd99aea60f33a59ca7f",
+        "cvm-srk-blob-cc": "2aed57ceebcc24930cf5b8758a298ca654e279af8d239cc5326493179aa69ab5",
     }
 
 

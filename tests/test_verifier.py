@@ -245,6 +245,17 @@ def test_session_the_verifier_never_opened_is_malformed(cluster):
         verifier.CompositeOutcome.MALFORMED, None)
 
 
+def test_session_entry_is_slotted(cluster):
+    request, _ = honest(cluster, "tpm-tee")
+    assert "__slots__" in vars(verifier.AttestationRequest)
+    assert not hasattr(request, "__dict__")
+    reopened = dataclasses.replace(request, completed=True)
+    assert reopened.completed and not request.completed
+    assert reopened.session_id == request.session_id
+    with pytest.raises(AttributeError):
+        request.note = "no room"
+
+
 def test_sessions_and_nonces_expire_after_the_ttl(cluster):
     svc = cluster.verifier_svc
     done, envelope = honest(cluster, "tpm-tee")
