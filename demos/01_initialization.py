@@ -70,8 +70,8 @@ for line in cluster.oca.snapshot().splitlines():
 print()
 print(f"initialization trace has {len(cluster.trace.events)} events; "
       "first eight:")
-for event in cluster.trace.events[:8]:
-    print("   ", event.line())
+for line in cluster.trace.lines()[:8]:
+    print("   ", line)
 
 verdicts = protocol.check_theorems(cluster.trace)
 print()

@@ -221,7 +221,7 @@ def _cmd_check_trace(args) -> int:
         print(verdict.line())
         if not verdict.ok:
             for index in verdict.witness:
-                print("   ", trace.events[index].line())
+                print("   ", trace.events[index].line(index))
     return 0 if all(v.ok for v in verdicts.values()) else 1
 
 

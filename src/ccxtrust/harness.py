@@ -60,7 +60,6 @@ def _workload_allow_list() -> dict[str, bytes]:
 
 @dataclass
 class Cluster:
-    seed: bytes
     clock: VirtualClock
     rng: crypto.DeterministicRng
     vendor: tee.TeeVendor
@@ -104,7 +103,7 @@ def build_cluster(seed: int | bytes, nodes: int = 1) -> Cluster:
     publisher = crypto.SigningKeyPair.from_seed(
         "PUBLISHER", root.fork("publisher").random_bytes(32))
     cluster = Cluster(
-        seed=_seed_bytes(seed), clock=clock, rng=root, vendor=vendor,
+        clock=clock, rng=root, vendor=vendor,
         oca=oca, verifier_svc=verifier_svc,
         channels=protocol.ChannelTable(root.fork("channel-nonces")),
         publisher=publisher, policy_id=POLICY_ID,
@@ -564,16 +563,10 @@ def attack_token_pairing_gap(cluster: Cluster) -> AttackReport:
 # theorem fault traces
 # ---------------------------------------------------------------------------
 
-def _clone_trace(trace: protocol.ProtocolTrace) -> protocol.ProtocolTrace:
-    clone = protocol.ProtocolTrace()
-    clone.extend_reindexed(trace.events)
-    return clone
-
-
 def fault_trace_forged_cert(cluster: Cluster) -> protocol.ProtocolTrace:
     """A certificate the owner CA never signed shows up in a node's
     hands: cert-provenance must fail."""
-    trace = _clone_trace(cluster.trace)
+    trace = protocol.ProtocolTrace(cluster.trace.events)
     actor = cluster.actor(0)
     mallory = crypto.SigningKeyPair.from_seed(
         "OCA", cluster.rng.fork("mallory-cert").random_bytes(32))
@@ -596,7 +589,7 @@ def fault_trace_forged_cert(cluster: Cluster) -> protocol.ProtocolTrace:
 def fault_trace_forged_token(cluster: Cluster) -> protocol.ProtocolTrace:
     """A token the verifier never signed shows up in a node's hands:
     token-provenance must fail."""
-    trace = _clone_trace(cluster.trace)
+    trace = protocol.ProtocolTrace(cluster.trace.events)
     actor = cluster.actor(0)
     mallory = crypto.SigningKeyPair.from_seed(
         "VERIFIER", cluster.rng.fork("mallory-token").random_bytes(32))
@@ -625,25 +618,22 @@ def fault_trace_unvouched_identity(cluster: Cluster) -> protocol.ProtocolTrace:
     names another key and must not vouch for it: cert-provenance must
     fail."""
     key = crypto.sha256(cluster.actor(1).identity.public_bytes).hex()
-    trace = protocol.ProtocolTrace()
-    trace.extend_reindexed([e for e in cluster.trace.events if e.kind != "verify"
-                            or f"identity-pub:{key}" not in e.contents])
-    return trace
+    return protocol.ProtocolTrace(
+        e for e in cluster.trace.events
+        if e.kind != "verify" or f"identity-pub:{key}" not in e.contents)
 
 
 def fault_trace_reordered_sign(cluster: Cluster) -> protocol.ProtocolTrace:
     """Evidence signed before the request arrived (a pre-signed quote
     replayed into a session): attest-order must fail."""
-    base = protocol.ProtocolTrace()
+    trace = protocol.ProtocolTrace()
     protocol.run_attest_composite(
-        cluster.actor(0), cluster.verifier_svc, cluster.channels, base,
+        cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
         policy_id=cluster.policy_id, direction="tpm-tee")
-    events = list(base.events)
+    events = trace.events
     sign_pos = next(i for i, e in enumerate(events)
                     if e.kind == "sign" and e.tag == "total-report")
-    reordered = [events[sign_pos]] + events[:sign_pos] + events[sign_pos + 1:]
-    trace = protocol.ProtocolTrace()
-    trace.extend_reindexed(reordered)
+    events.insert(0, events.pop(sign_pos))
     return trace
 
 

@@ -17,14 +17,16 @@ NodeActor.sign_layer is the one place a node's TEE or TPM signs a layer.
 The trace is the unit of analysis: trust-chain properties are stated
 over event sequences and checked mechanically by check_theorems, so a
 run either carries a complete justification for every credential that
-changed hands or yields a concrete counterexample event.
+changed hands or yields a concrete counterexample event. An event's
+index is its position in the trace and is stored nowhere else, so any
+list of events is a trace, and an edited list judges by its positions.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import crypto, tee, tpm
 from .encoding import RAW, STR, Record, Spec, nested
@@ -49,9 +51,10 @@ _OK_COLUMN = {"-": None, "0": False, "1": True}
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One protocol step. contents carries "label:hex" pairs naming the
-    values the step created, transferred, or exposed."""
+    values the step created, transferred, or exposed. An event's index is
+    its position in its trace, which the trace supplies to line and
+    from_line."""
 
-    index: int
     principal: str
     kind: str
     peer: str = "-"
@@ -60,48 +63,53 @@ class TraceEvent:
     ok: bool | None = None
     contents: tuple[str, ...] = ()
 
-    def line(self) -> str:
+    def line(self, index: int) -> str:
         ok = "-" if self.ok is None else str(int(self.ok))
         contents = ",".join(self.contents) if self.contents else "-"
-        return (f"{self.index} {self.principal} {self.kind} {self.peer} "
+        return (f"{index} {self.principal} {self.kind} {self.peer} "
                 f"{self.digest} {self.tag} {ok} {contents}")
 
     @classmethod
-    def from_line(cls, line: str) -> "TraceEvent":
+    def from_line(cls, line: str, index: int) -> "TraceEvent":
+        """Parse the line at position index of a trace: the inverse of
+        line(index)."""
         parts = line.split()
         if len(parts) != 8:
             raise DecodeError(f"trace line needs 8 columns: {line!r}")
-        index, principal, kind, peer, digest, tag, ok, contents = parts
+        column, principal, kind, peer, digest, tag, ok, contents = parts
         if kind not in EVENT_KINDS:
             raise DecodeError(f"unknown event kind {kind!r}")
         try:
-            index = int(index)
+            position = int(column)
         except ValueError:
-            raise DecodeError(f"trace index must be an integer: {index!r}") from None
+            raise DecodeError(f"trace index must be an integer: {column!r}") from None
+        if position != index:
+            raise DecodeError(f"trace indices must be contiguous, got "
+                              f"{position} at position {index}")
         if ok not in _OK_COLUMN:
             raise DecodeError(f"trace ok column must be -, 0 or 1: {ok!r}")
         event = cls(
-            index=index, principal=principal, kind=kind, peer=peer,
-            digest=digest, tag=tag, ok=_OK_COLUMN[ok],
+            principal=principal, kind=kind, peer=peer, digest=digest,
+            tag=tag, ok=_OK_COLUMN[ok],
             contents=() if contents == "-" else tuple(contents.split(",")))
-        if event.line() != line:
+        if event.line(index) != line:
             raise DecodeError(f"trace line is not canonical: {line!r}")
         return event
 
 
 # emit fills a new event's slots through their descriptors, which skips
 # the frozen __init__'s object.__setattr__ call per field
-(_set_index, _set_principal, _set_kind, _set_peer, _set_digest, _set_tag,
- _set_ok, _set_contents) = (getattr(TraceEvent, name).__set__
-                            for name in TraceEvent.__slots__)
+(_set_principal, _set_kind, _set_peer, _set_digest, _set_tag, _set_ok,
+ _set_contents) = (getattr(TraceEvent, name).__set__
+                   for name in TraceEvent.__slots__)
 _new_event = object.__new__
 
 
 class ProtocolTrace:
     """Append-only event log for one or more protocol runs."""
 
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+    def __init__(self, events: Iterable[TraceEvent] = ()) -> None:
+        self.events: list[TraceEvent] = list(events)
 
     def emit(self, principal: str, kind: str, *, peer: str = "-",
              digest: bytes | str = "-", tag: str = "-",
@@ -111,9 +119,7 @@ class ProtocolTrace:
             raise ValueError(f"unknown event kind {kind!r}")
         if isinstance(digest, bytes):
             digest = digest.hex() if digest else "-"
-        events = self.events
         event = _new_event(TraceEvent)
-        _set_index(event, len(events))
         _set_principal(event, principal)
         _set_kind(event, kind)
         _set_peer(event, peer)
@@ -121,19 +127,11 @@ class ProtocolTrace:
         _set_tag(event, tag)
         _set_ok(event, ok)
         _set_contents(event, tuple(contents))
-        events.append(event)
+        self.events.append(event)
         return event
 
-    def extend_reindexed(self, events: list[TraceEvent]) -> None:
-        """Append foreign events, renumbering them onto this trace."""
-        for event in events:
-            self.events.append(
-                TraceEvent(len(self.events), event.principal, event.kind,
-                           event.peer, event.digest, event.tag, event.ok,
-                           event.contents))
-
     def lines(self) -> list[str]:
-        return [event.line() for event in self.events]
+        return [event.line(index) for index, event in enumerate(self.events)]
 
     def text(self) -> str:
         return "\n".join(self.lines()) + ("\n" if self.events else "")
@@ -153,14 +151,8 @@ class ProtocolTrace:
         same digest."""
         if not text.isascii():
             raise DecodeError("trace text must be ASCII")
-        trace = cls()
-        for line in text.splitlines():
-            trace.events.append(TraceEvent.from_line(line))
-        for position, event in enumerate(trace.events):
-            if event.index != position:
-                raise DecodeError(
-                    f"trace indices must be contiguous, got {event.index} "
-                    f"at position {position}")
+        trace = cls(TraceEvent.from_line(line, index)
+                    for index, line in enumerate(text.splitlines()))
         if trace.text() != text:
             raise DecodeError("trace text is not canonical")
         return trace
@@ -747,9 +739,9 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
     Each is a PCL-style precedence claim (Datta, Derek, Mitchell and
     Roy, ENTCS 2007) checked by one forward pass, linear in the events:
     each sign and decrypt is judged against indexes of earlier events,
-    then indexed. Indices must equal positions, as emit,
-    extend_reindexed and from_text guarantee. Each property reports its
-    first failure in event order, and within one event in row order.
+    then indexed. An event's index, and so each witness, is its
+    position. Each property reports its first failure in event order,
+    and within one event in row order.
     """
     verifier = VERIFIER_PRINCIPAL
     events = trace.events
@@ -785,7 +777,7 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
     def fail(name: str, reason: str, *witness: int) -> None:
         failed.setdefault(name, TheoremVerdict(name, False, reason, witness))
 
-    for event in events:
+    for index, event in enumerate(events):
         kind, principal = event.kind, event.principal
         if kind == "send":
             if principal in sent:
@@ -801,7 +793,6 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
             tag = event.tag
             if tag == "total-report":
                 node = principal.partition("/")[0]
-                index = event.index
                 unrequested = "?"   # the first session not requested
                 twice = None        # the first one an earlier sign answered
                 for content in event.contents:
@@ -826,11 +817,11 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
             elif tag == "token" and principal != verifier:
                 fail("attest-order",
                      f"{principal} signed a token; only {verifier} may",
-                     event.index)
+                     index)
             if principal in signed:
-                signed[principal].setdefault(event.digest, event.index)
+                signed[principal].setdefault(event.digest, index)
         elif kind == "decrypt":
-            index, node = event.index, principal.partition("/")[0]
+            node = principal.partition("/")[0]
             for content in event.contents:
                 label, colon, value = content.partition(":")
                 rule = rule_of(label)
@@ -869,7 +860,7 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
                 key, vouches = check
                 for content in event.contents:
                     if content.startswith(key) and content not in vouches:
-                        vouches[content] = event.index
+                        vouches[content] = index
     return {name: failed.get(name) or TheoremVerdict(
                 name, True, f"{len(justified[name])} {reason}",
                 tuple(justified[name]))

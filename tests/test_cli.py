@@ -156,8 +156,8 @@ def test_check_trace_pass_and_fail(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "token-provenance FAIL" in printed
     # the forged token's decrypt, the fault trace's last event, is named
-    decrypt = protocol.ProtocolTrace.read(fault / "trace.log").events[-1]
-    assert f"\n    {decrypt.line()}\n" in printed
+    decrypt = protocol.ProtocolTrace.read(fault / "trace.log").lines()[-1]
+    assert f"\n    {decrypt}\n" in printed
 
 
 def test_check_trace_undecodable_file_exits_1(tmp_path, capsys):
@@ -168,6 +168,16 @@ def test_check_trace_undecodable_file_exits_1(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "trace index" in captured.err
+
+
+def test_check_trace_unknown_event_kind_exits_1(tmp_path, capsys):
+    path = tmp_path / "trace.log"
+    path.write_text("0 verifier forge - - - - -\n", encoding="ascii")
+    assert run(["check-trace", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "unknown event kind 'forge'" in captured.err
 
 
 @pytest.mark.parametrize("content, reason", [

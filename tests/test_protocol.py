@@ -35,20 +35,31 @@ def cluster2():
 
 def test_trace_event_line_round_trip():
     event = protocol.TraceEvent(
-        3, "node0000/tpm", "sign", peer="-",
+        "node0000/tpm", "sign", peer="-",
         digest=crypto.sha256(b"x").hex(), tag="total-report", ok=True,
         contents=("session:" + "ab" * 32, "quote:" + "cd" * 32))
-    parsed = protocol.TraceEvent.from_line(event.line())
+    parsed = protocol.TraceEvent.from_line(event.line(3), 3)
     assert parsed == event
 
 
 def test_trace_event_defaults_round_trip():
-    event = protocol.TraceEvent(0, "verifier", "new")
-    parsed = protocol.TraceEvent.from_line(event.line())
+    event = protocol.TraceEvent("verifier", "new")
+    parsed = protocol.TraceEvent.from_line(event.line(0), 0)
     assert parsed == event
     assert parsed.peer == "-"
     assert parsed.ok is None
     assert parsed.contents == ()
+
+
+@pytest.mark.parametrize("line, index, reason", [
+    ("0 verifier forge - - - - -", 0, "unknown event kind 'forge'"),
+    ("3 verifier new - - - - -", 2, "contiguous, got 3 at position 2"),
+    # every column parses, and the line still is not what line() writes
+    ("01 verifier new - - - - -", 1, "not canonical"),
+], ids=["unknown-kind", "index-not-position", "non-canonical"])
+def test_trace_line_decode_errors(line, index, reason):
+    with pytest.raises(DecodeError, match=reason):
+        protocol.TraceEvent.from_line(line, index)
 
 
 def test_trace_text_round_trip_and_digest(cluster):
@@ -448,8 +459,7 @@ def test_attest_rejection_raises_with_outcome(cluster):
 # ---------------------------------------------------------------------------
 
 def attested_trace(cluster):
-    trace = protocol.ProtocolTrace()
-    trace.extend_reindexed(cluster.trace.events)
+    trace = protocol.ProtocolTrace(cluster.trace.events)
     protocol.run_attest_composite(
         cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
         policy_id=cluster.policy_id)
@@ -514,9 +524,9 @@ def test_one_nodes_check_does_not_vouch_for_another(cluster2, tag, key,
     actor = cluster2.actor(1)
     public = actor.identity if key == "identity-pub" else actor.vcek
     named = f"{key}:{crypto.sha256(public.public_bytes).hex()}"
-    trace = protocol.ProtocolTrace()
-    trace.extend_reindexed([e for e in cluster2.trace.events
-                            if e.kind != "verify" or named not in e.contents])
+    trace = protocol.ProtocolTrace(
+        e for e in cluster2.trace.events
+        if e.kind != "verify" or named not in e.contents)
     assert len(trace.events) == len(cluster2.trace.events) - 1
     verdicts = protocol.check_theorems(trace)
     assert verdicts["token-provenance"].ok and verdicts["attest-order"].ok
@@ -533,6 +543,32 @@ def test_one_nodes_check_does_not_vouch_for_another(cluster2, tag, key,
     if tag == "registration-evidence":
         assert trace.text() == harness.fault_trace_unvouched_identity(
             cluster2).text()
+
+
+def test_an_edited_event_list_judges_by_position(cluster):
+    # a move, a deletion and a duplicate of one event of an honest trace
+    # judge as the edited trace read back from its own text
+    honest = attested_trace(cluster).events
+    sign = next(i for i, e in enumerate(honest)
+                if e.kind == "sign" and e.tag == "total-report")
+    edits = {"move": [honest[sign], *honest[:sign], *honest[sign + 1:]],
+             "deletion": honest[1:],
+             "duplicate": [*honest, honest[sign]]}
+    for name, events in edits.items():
+        trace = protocol.ProtocolTrace(events)
+        reread = protocol.ProtocolTrace.from_text(trace.text())
+        assert reread.events == events, name
+        assert (protocol.check_theorems(trace)
+                == protocol.check_theorems(reread)), name
+    # deleting the first event moves every witness one place earlier
+    verdicts = protocol.check_theorems(protocol.ProtocolTrace(honest))
+    shifted = protocol.check_theorems(protocol.ProtocolTrace(honest[1:]))
+    for name, verdict in verdicts.items():
+        assert verdict.ok and verdict.witness, name
+        assert shifted[name] == dataclasses.replace(
+            verdict, witness=tuple(i - 1 for i in verdict.witness)), name
+    assert not protocol.check_theorems(
+        protocol.ProtocolTrace(edits["move"]))["attest-order"].ok
 
 
 _CERT_HEX = "ab" * 32
@@ -602,9 +638,9 @@ def _early_sign_trace():
     assert session in receipt.contents
     earlier = next(c for c in first.contents if c.startswith("session:"))
     moved = dataclasses.replace(second, contents=(*second.contents, earlier))
-    early = protocol.ProtocolTrace()
-    early.extend_reindexed(events[:receipt.index] + [moved] + [
-        e for e in events[receipt.index:] if e is not second])
+    at = events.index(receipt)
+    early = protocol.ProtocolTrace(events[:at] + [moved] + [
+        e for e in events[at:] if e is not second])
     return early, session.partition(":")[2]
 
 
@@ -624,9 +660,7 @@ def _answered_twice_trace():
     trace = harness.run_scenario(31).trace
     first = next(e for e in trace.events
                  if e.kind == "sign" and e.tag == "total-report")
-    twice = protocol.ProtocolTrace()
-    twice.extend_reindexed([*trace.events, first])
-    return twice, first
+    return protocol.ProtocolTrace([*trace.events, first]), first
 
 
 def test_each_session_is_answered_by_one_evidence_signature():
@@ -636,7 +670,8 @@ def test_each_session_is_answered_by_one_evidence_signature():
     session = next(c for c in first.contents if c.startswith("session:"))
     assert protocol.check_theorems(trace)["attest-order"] == TheoremVerdict(
         "attest-order", False, "node0000 signed second evidence for "
-        f"session {session[8:24]}", (first.index, len(trace.events) - 1))
+        f"session {session[8:24]}",
+        (trace.events.index(first), len(trace.events) - 1))
 
 
 # The exact verdict lines, reasons and witnesses included, that
@@ -724,36 +759,37 @@ def _oracle_check_theorems(trace, *, oca=OCA_PRINCIPAL,
     }
 
 
-def _possessions(events, labels) -> list[tuple[TraceEvent, str, str]]:
-    """(event, label, hex) for every labeled value a principal takes
-    possession of by decrypting."""
+def _possessions(events, labels) -> list[tuple[int, TraceEvent, str, str]]:
+    """(index, event, label, hex) for every labeled value a principal
+    takes possession of by decrypting."""
     found = []
-    for event in events:
+    for index, event in enumerate(events):
         if event.kind != "decrypt":
             continue
         for label in labels:
             for hexdigest in _labeled(event, label):
-                found.append((event, label, hexdigest))
+                found.append((index, event, label, hexdigest))
     return found
 
 
 def _check_cert_provenance(events, oca) -> TheoremVerdict:
     witnesses = []
-    for event, label, hexdigest in _possessions(events, _ORACLE_CERT_LABELS):
+    for index, event, label, hexdigest in _possessions(events,
+                                                       _ORACLE_CERT_LABELS):
         holder = base_principal(event.principal)
-        earlier = events[:event.index]
-        signed = [e for e in earlier
+        earlier = events[:index]
+        signed = [i for i, e in enumerate(earlier)
                   if e.kind == "sign" and e.principal == oca
                   and e.digest == hexdigest]
         if not signed:
             return TheoremVerdict(
                 "cert-provenance", False,
                 f"{holder} holds {label} {hexdigest[:16]} never signed by {oca}",
-                (event.index,))
-        sign_index = signed[0].index
+                (index,))
+        sign_index = signed[0]
         evidence_kind, evidence_tag, key = _ORACLE_CERT_EVIDENCE[label]
         # the check must name a key that the first sign certifies
-        keys = {f"{key}:{k}" for k in _labeled(signed[0], key)}
+        keys = {f"{key}:{k}" for k in _labeled(events[sign_index], key)}
         vouched = any(e.kind == evidence_kind and e.tag == evidence_tag
                       and e.principal == oca and e.ok
                       and keys.intersection(e.contents)
@@ -762,7 +798,7 @@ def _check_cert_provenance(events, oca) -> TheoremVerdict:
             return TheoremVerdict(
                 "cert-provenance", False,
                 f"{oca} signed {label} {hexdigest[:16]} without prior "
-                f"{evidence_tag} evidence", (sign_index, event.index))
+                f"{evidence_tag} evidence", (sign_index, index))
         delivered = any(e.kind == "send" and e.principal == oca
                         and base_principal(e.peer) == holder
                         and f"{label}:{hexdigest}" in e.contents
@@ -771,8 +807,8 @@ def _check_cert_provenance(events, oca) -> TheoremVerdict:
             return TheoremVerdict(
                 "cert-provenance", False,
                 f"{oca} never sent {label} {hexdigest[:16]} to {holder}",
-                (event.index,))
-        witnesses.append(event.index)
+                (index,))
+        witnesses.append(index)
     return TheoremVerdict("cert-provenance", True,
                           f"{len(witnesses)} certificate possessions justified",
                           tuple(witnesses))
@@ -780,16 +816,16 @@ def _check_cert_provenance(events, oca) -> TheoremVerdict:
 
 def _check_token_provenance(events, verifier) -> TheoremVerdict:
     witnesses = []
-    for event, _label, hexdigest in _possessions(events, ("token",)):
+    for index, event, _label, hexdigest in _possessions(events, ("token",)):
         holder = base_principal(event.principal)
-        earlier = events[:event.index]
+        earlier = events[:index]
         signed = any(e.kind == "sign" and e.principal == verifier
                      and e.digest == hexdigest for e in earlier)
         if not signed:
             return TheoremVerdict(
                 "token-provenance", False,
                 f"{holder} holds token {hexdigest[:16]} never signed by "
-                f"{verifier}", (event.index,))
+                f"{verifier}", (index,))
         delivered = any(e.kind == "send" and e.principal == verifier
                         and base_principal(e.peer) == holder
                         and f"token:{hexdigest}" in e.contents
@@ -798,8 +834,8 @@ def _check_token_provenance(events, verifier) -> TheoremVerdict:
             return TheoremVerdict(
                 "token-provenance", False,
                 f"{verifier} never sent token {hexdigest[:16]} to {holder}",
-                (event.index,))
-        witnesses.append(event.index)
+                (index,))
+        witnesses.append(index)
     return TheoremVerdict("token-provenance", True,
                           f"{len(witnesses)} token possessions justified",
                           tuple(witnesses))
@@ -807,13 +843,13 @@ def _check_token_provenance(events, verifier) -> TheoremVerdict:
 
 def _check_attest_order(events, verifier) -> TheoremVerdict:
     checked = []
-    for event in events:
+    for index, event in enumerate(events):
         if event.kind == "sign" and event.tag == "token" \
                 and event.principal != verifier:
             return TheoremVerdict(
                 "attest-order", False,
                 f"{event.principal} signed a token; only {verifier} may",
-                (event.index,))
+                (index,))
         if event.kind != "sign" or event.tag != "total-report":
             continue
         prover = base_principal(event.principal)
@@ -823,24 +859,24 @@ def _check_attest_order(events, verifier) -> TheoremVerdict:
             e.kind == "receive" and e.tag == "attest-request"
             and base_principal(e.principal) == prover
             and e.peer == verifier and s in _labeled(e, "session")
-            for e in events[:event.index])]
+            for e in events[:index])]
         if unrequested or not sessions:
             return TheoremVerdict(
                 "attest-order", False,
                 f"{prover} signed evidence for session "
                 f"{(*unrequested, '?')[0][:16]} before receiving "
-                f"the request", (event.index,))
+                f"the request", (index,))
         # and no session it names answered by an earlier evidence sign
         for session in sessions:
-            answered = [e.index for e in events[:event.index]
+            answered = [i for i, e in enumerate(events[:index])
                         if e.kind == "sign" and e.tag == "total-report"
                         and session in _labeled(e, "session")]
             if answered:
                 return TheoremVerdict(
                     "attest-order", False,
                     f"{prover} signed second evidence for session "
-                    f"{session[:16]}", (answered[0], event.index))
-        checked.append(event.index)
+                    f"{session[:16]}", (answered[0], index))
+        checked.append(index)
     return TheoremVerdict("attest-order", True,
                           f"{len(checked)} evidence signatures in order",
                           tuple(checked))
@@ -874,22 +910,23 @@ def _mutate(events, rng, pool):
 
 
 def test_trace_event_is_slotted_and_frozen():
-    event = protocol.TraceEvent(0, "verifier", "new")
+    event = protocol.TraceEvent("verifier", "new")
     assert "__slots__" in vars(protocol.TraceEvent)
     assert not hasattr(event, "__dict__")
-    moved = dataclasses.replace(event, index=3, contents=("session:ab",))
-    assert moved.line() == "3 verifier new - - - - session:ab"
-    assert moved == protocol.TraceEvent.from_line(moved.line())
-    assert event.index == 0 and event != moved
+    edited = dataclasses.replace(event, contents=("session:ab",))
+    assert edited.line(3) == "3 verifier new - - - - session:ab"
+    assert edited == protocol.TraceEvent.from_line(edited.line(3), 3)
+    assert event.contents == () and event != edited
     with pytest.raises(dataclasses.FrozenInstanceError):
-        event.index = 1
+        event.kind = "sign"
 
 
 def _with_decrypt(trace, principal, *contents) -> protocol.ProtocolTrace:
     """The trace, read back from its text with one decrypt appended."""
-    event = TraceEvent(len(trace.events), principal, "decrypt",
-                       tag="cert-vcek-info", contents=contents)
-    return protocol.ProtocolTrace.from_text(trace.text() + event.line() + "\n")
+    event = TraceEvent(principal, "decrypt", tag="cert-vcek-info",
+                       contents=contents)
+    return protocol.ProtocolTrace.from_text(
+        trace.text() + event.line(len(trace.events)) + "\n")
 
 
 def _rare_checker_cases(trace, holder):
@@ -907,8 +944,7 @@ def _rare_checker_cases(trace, holder):
 
 
 def test_single_pass_checker_matches_quadratic_oracle(cluster2):
-    honest = protocol.ProtocolTrace()
-    honest.extend_reindexed(cluster2.trace.events)
+    honest = protocol.ProtocolTrace(cluster2.trace.events)
     for index, direction in ((0, "tpm-tee"), (1, "tee-tpm")):
         protocol.run_attest_composite(
             cluster2.actor(index), cluster2.verifier_svc, cluster2.channels,
@@ -919,8 +955,7 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
     # no content edit makes a node sign a token, so one case does it
     token_sign = next(i for i, e in enumerate(honest.events)
                       if e.kind == "sign" and e.tag == "token")
-    node_signs_token = protocol.ProtocolTrace()
-    node_signs_token.extend_reindexed(
+    node_signs_token = protocol.ProtocolTrace(
         honest.events[:token_sign]
         + [dataclasses.replace(honest.events[token_sign],
                                principal=cluster2.actor(0).agent)]
@@ -939,9 +974,7 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
         events = honest.events
         for _edit in range(rng.randint(1, 3)):
             events = _mutate(events, rng, labels)
-        trace = protocol.ProtocolTrace()
-        trace.extend_reindexed(events)
-        traces.append(trace)
+        traces.append(protocol.ProtocolTrace(events))
     failures = Counter()
     for trace in traces:
         verdicts = protocol.check_theorems(trace)
