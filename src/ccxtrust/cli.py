@@ -34,16 +34,25 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _positive_int(text: str) -> int:
-    """A fleet size or worker count: an integer of at least 1."""
+def _int_in(text: str, low: int, high: int | None, wanted: str) -> int:
+    """text as an integer from low up to, not including, high."""
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer of at least 1, got {text!r}")
+    if value is None or value < low or (high is not None and value >= high):
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """A fleet size or worker count: an integer of at least 1."""
+    return _int_in(text, 1, None, "an integer of at least 1")
+
+
+def _seed(text: str) -> int:
+    """A scenario seed: an integer that fits the harness's 16 seed bytes."""
+    return _int_in(text, 0, 1 << 128, "an integer from 0 to 2**128 - 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="collaborative TPM+TEE attestation simulator",
         fromfile_prefix_chars="@")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=1,
+    common.add_argument("--seed", type=_seed, default=1,
                         help="deterministic scenario seed")
     common.add_argument("--out", default="out",
                         help="output directory for artifacts")
@@ -84,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("tpm-tee", "tee-tpm"),
                    default="tpm-tee")
 
-    p = sub.add_parser("check-trace", parents=[common],
+    p = sub.add_parser("check-trace",
                        help="check trust properties over a trace file")
     p.add_argument("trace", help="trace file to check")
     return parser

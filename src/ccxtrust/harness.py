@@ -163,7 +163,7 @@ def add_node(cluster: Cluster, index: int, *,
             expected_pcr_composite=composite,
             min_tcb_version=MIN_TCB_VERSION))
     cluster.oca.register_tee(vcek.public_bytes, chain, node_id=node_id)
-    cluster.oca.set_trust_baseline(node_id, owner_ca.TrustBaseline(launch))
+    cluster.oca.set_trust_baseline(node_id, launch)
 
     protocol.run_initialization(actor, cluster.oca, cluster.verifier_svc,
                                 cluster.channels,

@@ -7,9 +7,12 @@ issues owner certificates, provisions each node's MasterSecret, and keeps
 the registry and revocation list that the verifier consults.
 
 The registry is single-writer: every mutation happens under one lock and
-appends a line to one append-only record log. Each node record lists
+appends a line to one append-only record log. A node record keeps each
+fact once: its chip key is its VCEK certificate's subject, and its status
+is read off its revoked flag and the certificates it holds. It lists
 every certificate serial issued to it, so revoke() covers them all, and
-a revoked node is issued no further certificate.
+a revoked node is issued no further certificate. register_node checks the
+boot report itself, one layer at a time, and names the first that fails.
 snapshot() captures the registry for periodic checkpointing.
 """
 
@@ -41,28 +44,29 @@ class NodeStatus(Enum):
     REVOKED = "revoked"
 
 
-@dataclass(frozen=True)
-class TrustBaseline:
-    """Known-good platform state a node must prove before provisioning."""
-
-    launch_measurement: bytes
-
-
 @dataclass
 class NodeRecord:
     node_id: str
-    vcek_pub: bytes = b""
     vcek_cert: crypto.Certificate | None = None
     aik_cert: crypto.Certificate | None = None
     identity_cert: crypto.Certificate | None = None
-    baseline: TrustBaseline | None = None
-    status: NodeStatus = NodeStatus.TEE_REGISTERED
+    baseline: bytes | None = None   # the launch measurement it must prove
+    revoked: bool = False
     serials: list[int] = field(default_factory=list)
+
+    @property
+    def status(self) -> NodeStatus:
+        if self.revoked:
+            return NodeStatus.REVOKED
+        if self.identity_cert is not None:
+            return NodeStatus.ACTIVE
+        if self.aik_cert is not None:
+            return NodeStatus.AIK_CERTIFIED
+        return NodeStatus.TEE_REGISTERED
 
 
 @dataclass
 class ChallengeSession:
-    session_id: bytes
     node_id: str
     nonce: crypto.Secret = field(repr=False)
     aik_pub: bytes
@@ -107,17 +111,14 @@ class OwnerCa:
             raise ChainInvalid("chain endorses a different key")
         with self._lock:
             record = self.nodes.get(node_id)
-            if record is not None and record.vcek_pub != vcek_pub:
+            if record is not None and record.vcek_cert.subject != vcek_pub:
                 raise ChainInvalid(
                     f"node {node_id!r} is registered with another chip key")
             if record is None:
                 record = NodeRecord(node_id)
             cert = self._issue(record, "VCEK", vcek_pub)
             self.nodes[node_id] = record
-            record.vcek_pub = vcek_pub
             record.vcek_cert = cert
-            # status is left alone: re-registration refreshes the cert but
-            # neither resurrects a revoked node nor rewinds its progress
             self._record(f"register-tee {node_id} serial={cert.serial}")
         return cert
 
@@ -150,8 +151,8 @@ class OwnerCa:
             challenge = tpm.make_credential(nonce, aik_blob.name, ek_pub, self.rng)
             sid = challenge_session_id(challenge)
             self._sessions[sid] = ChallengeSession(
-                session_id=sid, node_id=node_id, nonce=nonce,
-                aik_pub=aik_pub, expires_at=self.clock.now() + CHALLENGE_TTL)
+                node_id=node_id, nonce=nonce, aik_pub=aik_pub,
+                expires_at=self.clock.now() + CHALLENGE_TTL)
             self._record(f"aik-challenge {node_id} session={sid.hex()}")
         return challenge
 
@@ -188,44 +189,48 @@ class OwnerCa:
             record = self.nodes[session.node_id]
             cert = self._issue(record, "AIK", session.aik_pub)
             record.aik_cert = cert
-            if record.status == NodeStatus.TEE_REGISTERED:
-                record.status = NodeStatus.AIK_CERTIFIED
             self._record(f"aik-answer {session.node_id} serial={cert.serial}")
         return cert
 
-    def set_trust_baseline(self, node_id: str, baseline: TrustBaseline) -> None:
+    def set_trust_baseline(self, node_id: str, launch_measurement: bytes) -> None:
+        """The launch measurement node_id's boot report must carry."""
         with self._lock:
             record = self._node(node_id)
-            record.baseline = baseline
+            record.baseline = launch_measurement
             self._record(f"set-baseline {node_id}")
 
     def register_node(self, node_id: str, tee_report: tee.TeeReport,
                       vendor_chain: tee.CertChain,
                       identity_pub: bytes) -> tuple[crypto.Certificate, crypto.Secret]:
-        """Final onboarding step: check the boot report against the trust
-        baseline and the identity key (registration_report_data), then
-        issue the node identity certificate and its MasterSecret. A node
-        registers once: an active node is refused before any check."""
+        """Final onboarding step: check the boot report, then issue the
+        node identity certificate and its MasterSecret. A node registers
+        once: an active node is refused before any check. The report is
+        checked bottom-up: the vendor chain, the report signature under
+        the chain's VCEK, the launch measurement against the baseline,
+        then the binding to the identity key (registration_report_data).
+        Last, the chain must endorse the node's registered chip key."""
         with self._lock:
             record = self._node(node_id)
             if record.status is NodeStatus.ACTIVE:
                 raise BaselineRejected(f"node {node_id!r} is already registered")
-            if record.vcek_cert is None or record.aik_cert is None:
+            if record.aik_cert is None:
                 raise NotInitialized("identity flows incomplete for this node")
             if record.baseline is None:
                 raise NotInitialized("no trust baseline configured for this node")
-            check = tee.verify_report(
-                tee_report, vendor_chain, self.trusted_tee_root,
-                expected_measurement=record.baseline.launch_measurement,
-                expected_report_data=registration_report_data(identity_pub))
-            if check is not tee.ReportCheck.OK:
-                raise BaselineRejected(f"registration evidence rejected: {check.value}")
-            if vendor_chain.vcek.subject != record.vcek_pub:
+            rejected = "registration evidence rejected: "
+            if not vendor_chain.verify(self.trusted_tee_root):
+                raise BaselineRejected(rejected + "chain-invalid")
+            if not tee_report.verify(vendor_chain.vcek.subject):
+                raise BaselineRejected(rejected + "signature-invalid")
+            if tee_report.launch_measurement != record.baseline:
+                raise BaselineRejected(rejected + "measurement-mismatch")
+            if tee_report.report_data != registration_report_data(identity_pub):
+                raise BaselineRejected(rejected + "nonce-mismatch")
+            if vendor_chain.vcek.subject != record.vcek_cert.subject:
                 raise BaselineRejected("evidence signed by an unregistered chip key")
             identity_cert = self._issue(record, "IDENTITY", identity_pub)
             master_secret = crypto.Secret(self.rng.random_bytes(32))
             record.identity_cert = identity_cert
-            record.status = NodeStatus.ACTIVE
             self._record(f"register-node {node_id} serial={identity_cert.serial}")
         return identity_cert, master_secret
 
@@ -235,21 +240,20 @@ class OwnerCa:
         """Revoke a node and every certificate issued to it. Idempotent."""
         with self._lock:
             record = self._node(node_id)
-            if record.status != NodeStatus.REVOKED:
-                record.status = NodeStatus.REVOKED
+            if not record.revoked:
+                record.revoked = True
                 self._record(f"revoke {node_id} reason={reason}")
 
     def is_revoked(self, node_id: str) -> bool:
         with self._lock:
             record = self.nodes.get(node_id)
-            return record is not None and record.status == NodeStatus.REVOKED
+            return record is not None and record.revoked
 
     def revocation_list(self) -> tuple[int, frozenset[int], frozenset[str]]:
         """(version, revoked cert serials, revoked node ids); the version
         counts the revoked nodes."""
         with self._lock:
-            revoked = [r for r in self.nodes.values()
-                       if r.status == NodeStatus.REVOKED]
+            revoked = [r for r in self.nodes.values() if r.revoked]
             return (len(revoked),
                     frozenset(s for r in revoked for s in r.serials),
                     frozenset(r.node_id for r in revoked))
@@ -272,7 +276,7 @@ class OwnerCa:
                subject_pub: bytes) -> crypto.Certificate:
         """Issue a certificate to a node under the next serial. A revoked
         node gets none: its serials are only ever revoked ones."""
-        if record.status == NodeStatus.REVOKED:
+        if record.revoked:
             raise NodeRevoked(f"node {record.node_id!r} is revoked")
         serial = self._next_serial
         self._next_serial += 1
@@ -297,7 +301,7 @@ class OwnerCa:
                 r = self.nodes[node_id]
                 lines.append(
                     f"node {node_id} status={r.status.value} "
-                    f"vcek={r.vcek_cert.serial if r.vcek_cert else '-'} "
+                    f"vcek={r.vcek_cert.serial} "
                     f"aik={r.aik_cert.serial if r.aik_cert else '-'} "
                     f"identity={r.identity_cert.serial if r.identity_cert else '-'} "
                     f"provisioned={int(r.identity_cert is not None)}")

@@ -7,14 +7,16 @@ launch measurement over the guest TCB components, and signed guest
 reports that can carry a nonce binding plus embedded foreign evidence.
 
 No enclave isolation is simulated, only the evidence formats and their
-verification rules.
+verification rules: CertChain.verify checks the chain under the trusted
+root, and a report's verify(vcek) its signature. The callers compare the
+report's fields with what they expect (the owner CA in register_node,
+the verifier in its appraisal).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from enum import Enum
 
 from . import crypto
 from .encoding import RAW, U16, U64, Record, Spec, nested, raw
@@ -168,32 +170,3 @@ def guest_report(vcek: crypto.SigningKeyPair, chip_id: bytes, tcb: TeeTcb,
         vcek, version=REPORT_VERSION, chip_id=chip_id, tcb_version=tcb_version,
         launch_measurement=launch_measure(tcb), report_data=report_data,
         embedded_evidence=embedded_evidence)
-
-
-class ReportCheck(Enum):
-    OK = "ok"
-    CHAIN_INVALID = "chain-invalid"
-    SIGNATURE_INVALID = "signature-invalid"
-    MEASUREMENT_MISMATCH = "measurement-mismatch"
-    NONCE_MISMATCH = "nonce-mismatch"
-
-
-def verify_report(report: TeeReport, chain: CertChain,
-                  trusted_ark_pub: crypto.PublicKey,
-                  expected_measurement: bytes | None = None,
-                  expected_report_data: bytes | None = None) -> ReportCheck:
-    """Check a guest report bottom-up; the first failing layer is reported.
-
-    Chain first (nothing below matters without it), then the report
-    signature under the chain's VCEK, then the launch measurement, then
-    the report_data binding when the caller supplies an expectation.
-    """
-    if not chain.verify(trusted_ark_pub):
-        return ReportCheck.CHAIN_INVALID
-    if not report.verify(chain.vcek.subject):
-        return ReportCheck.SIGNATURE_INVALID
-    if expected_measurement is not None and report.launch_measurement != expected_measurement:
-        return ReportCheck.MEASUREMENT_MISMATCH
-    if expected_report_data is not None and report.report_data != expected_report_data:
-        return ReportCheck.NONCE_MISMATCH
-    return ReportCheck.OK

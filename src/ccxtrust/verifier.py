@@ -196,18 +196,19 @@ class AttestationToken:
     @classmethod
     def parse(cls, text: str) -> "AttestationToken":
         """The token whose compact form is text; any other text, such as
-        re-spaced JSON or padded base64url, raises DecodeError."""
+        re-spaced JSON, padded base64url or JSON nested too deeply to
+        decode or encode again, raises DecodeError."""
         parts = text.split(".")
         if len(parts) != 3:
             raise DecodeError("token must have three segments")
         try:
             header = json.loads(b64url_decode(parts[0]))
             payload = json.loads(b64url_decode(parts[1]))
-        except (ValueError, DecodeError) as exc:
+            if not isinstance(header, dict) or not isinstance(payload, dict):
+                raise DecodeError("token segments must be objects")
+            token = cls(header, payload, b64url_decode(parts[2]))
+        except (ValueError, RecursionError) as exc:
             raise DecodeError("token segments are not valid json") from exc
-        if not isinstance(header, dict) or not isinstance(payload, dict):
-            raise DecodeError("token segments must be objects")
-        token = cls(header, payload, b64url_decode(parts[2]))
         if token.compact() != text:
             raise DecodeError("token text is not canonical")
         return token

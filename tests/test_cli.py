@@ -118,6 +118,34 @@ def test_fleet_size_below_one_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["init", "--seed", "-1"],
+    ["attest", "--seed", "-5"],
+    ["independent", "--seed", str(2 ** 128)],
+    ["attack", "--name", "replay", "--seed", "-1"],
+    ["bench", "--seed", str(2 ** 130)],
+], ids=["init", "attest", "independent", "attack", "bench"])
+def test_seed_outside_the_seed_bytes_is_a_usage_error(tmp_path, capsys,
+                                                      argv):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as info:
+        run([*argv, "--out", str(out)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "--seed: must be an integer from 0 to 2**128 - 1" in captured.err
+    assert not out.exists()
+
+
+def test_seed_range_ends_are_accepted(tmp_path):
+    for seed in (0, 2 ** 128 - 1):
+        out = tmp_path / str(seed)
+        assert run(["init", "--seed", str(seed), "--nodes", "1",
+                    "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["seed"] == seed
+
+
 def test_unknown_attack_name_rejected(tmp_path):
     with pytest.raises(SystemExit):
         run(["attack", "--name", "nonsense", "--out", str(tmp_path)])
@@ -194,6 +222,21 @@ def test_check_trace_unreadable_file_exits_1(tmp_path, capsys, content, reason):
     assert captured.err.startswith(f"check-trace: {path}: ")
     assert len(captured.err.splitlines()) == 1
     assert reason in captured.err
+
+
+@pytest.mark.parametrize("option", [["--seed", "77"], ["--out", "X"]],
+                         ids=["seed", "out"])
+def test_check_trace_takes_no_seed_or_out(tmp_path, monkeypatch, capsys,
+                                          option):
+    monkeypatch.chdir(tmp_path)
+    Path("trace.log").write_text("", encoding="ascii")
+    with pytest.raises(SystemExit) as info:
+        run(["check-trace", *option, "trace.log"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option[0]}" in captured.err
+    assert not Path("X").exists()
 
 
 def test_trace_text_with_a_non_ascii_character_does_not_decode():

@@ -62,9 +62,7 @@ class Rig:
         """Every onboarding step before registration."""
         self.enroll_tee(node_id)
         self.certify_aik(node_id)
-        baseline = owner_ca.TrustBaseline(
-            launch_measurement=tee.launch_measure(self.tcb))
-        self.ca.set_trust_baseline(node_id, baseline)
+        self.ca.set_trust_baseline(node_id, tee.launch_measure(self.tcb))
 
     def activate(self, node_id: str = "node-a"):
         self.prepare(node_id)
@@ -124,15 +122,13 @@ def test_register_tee_refuses_another_chip_key_for_a_node():
     rig = Rig()
     rig.activate()
     record = rig.ca.nodes["node-a"]
-    before = (record.vcek_pub, record.vcek_cert, record.status,
-              rig.ca._next_serial)
+    before = record.vcek_cert, record.status, rig.ca._next_serial
     other, chain = rig.vendor.derive_vcek(crypto.sha256(b"other-chip"), 7)
     with pytest.raises(ChainInvalid):
         rig.ca.register_tee(other.public_bytes, chain, "node-a")
-    assert (record.vcek_pub, record.vcek_cert, record.status,
-            rig.ca._next_serial) == before
+    assert (record.vcek_cert, record.status, rig.ca._next_serial) == before
     # the node's own chip key still re-registers
-    assert rig.enroll_tee().serial == before[3]
+    assert rig.enroll_tee().serial == before[2]
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +263,7 @@ def test_register_node_refuses_a_node_whose_aik_is_not_certified():
     # the baseline is set, so only the flows check stands in the way
     rig = Rig()
     rig.enroll_tee()
-    rig.ca.set_trust_baseline("node-a", owner_ca.TrustBaseline(
-        launch_measurement=tee.launch_measure(rig.tcb)))
+    rig.ca.set_trust_baseline("node-a", tee.launch_measure(rig.tcb))
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
     bound = rig.report(verifier.registration_report_data(identity.public_bytes))
     with pytest.raises(NotInitialized):
@@ -305,8 +300,7 @@ def test_register_node_rejects_wrong_measurement():
     rig = Rig()
     rig.enroll_tee()
     rig.certify_aik()
-    rig.ca.set_trust_baseline("node-a", owner_ca.TrustBaseline(
-        launch_measurement=bytes(32)))
+    rig.ca.set_trust_baseline("node-a", bytes(32))
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
     with pytest.raises(BaselineRejected):
         rig.ca.register_node("node-a", rig.report(), rig.chain,
@@ -329,6 +323,32 @@ def test_register_node_registers_a_node_once():
     assert (rig.ca.snapshot(), rig.ca.record_log,
             rig.ca._next_serial) == before
     assert rig.ca.nodes["node-a"].identity_cert == cert
+
+
+def test_register_node_names_the_first_failing_evidence_layer():
+    # each report fails its own layer and every layer after it, so only
+    # the order of the checks decides which rejection is named
+    rig = Rig()
+    rig.prepare()
+    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    foreign_vcek, foreign_chain = tee.TeeVendor(
+        b"foreign-vendor-x").derive_vcek(CHIP, 7)
+    other_tcb = dataclasses.replace(rig.tcb, kernel=crypto.sha256(b"k2"))
+
+    def report(vcek, tcb):
+        return tee.guest_report(vcek, CHIP, tcb, 7, bytes(64))
+
+    for reason, chain, boot_report in (
+        ("chain-invalid", foreign_chain, report(rig.vcek, other_tcb)),
+        ("signature-invalid", rig.chain, report(foreign_vcek, other_tcb)),
+        ("measurement-mismatch", rig.chain, report(rig.vcek, other_tcb)),
+        ("nonce-mismatch", rig.chain, report(rig.vcek, rig.tcb)),
+    ):
+        with pytest.raises(BaselineRejected) as info:
+            rig.ca.register_node("node-a", boot_report, chain,
+                                 identity.public_bytes)
+        assert str(info.value) == f"registration evidence rejected: {reason}"
+    assert rig.ca.nodes["node-a"].identity_cert is None
 
 
 @pytest.mark.parametrize("report_data", [
@@ -371,8 +391,7 @@ def _register_node_garbled_boot_report(rig):
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
     report = _not_der(rig.report(
         verifier.registration_report_data(identity.public_bytes)))
-    assert (tee.verify_report(report, rig.chain, rig.vendor.root_pub)
-            is tee.ReportCheck.SIGNATURE_INVALID)
+    assert not report.verify(rig.chain.vcek.subject)
     rig.ca.register_node("node-a", report, rig.chain, identity.public_bytes)
 
 
@@ -474,3 +493,47 @@ def test_record_log_mentions_lifecycle():
                  "set-baseline", "register-node", "revoke"):
         assert stem in log
     assert rig.ca.record_log[-1].endswith(" revoke node-a reason=compromise")
+
+
+def test_snapshot_and_record_log_text_of_a_lifecycle():
+    # node-a active (its chip re-registered after activation), node-b
+    # revoked after activation, node-c stopped after AIK certification,
+    # node-d stopped after TEE registration
+    rig = Rig()
+    rig.activate("node-a")
+    rig.enroll_tee("node-a")
+    rig.activate("node-b")
+    rig.ca.revoke("node-b", "compromise")
+    rig.enroll_tee("node-c")
+    rig.certify_aik("node-c")
+    rig.enroll_tee("node-d")
+    assert rig.ca.snapshot() == (
+        "snapshot records=16 revocation-version=1\n"
+        "node node-a status=active vcek=4 aik=2 identity=3 provisioned=1\n"
+        "node node-b status=revoked vcek=5 aik=6 identity=7 provisioned=1\n"
+        "node node-c status=aik-certified vcek=8 aik=9 identity=- "
+        "provisioned=0\n"
+        "node node-d status=tee-registered vcek=10 aik=- identity=- "
+        "provisioned=0\n"
+        "revoked-serials 5,6,7\n")
+    assert rig.ca.record_log == (
+        "0 5000.000 register-tee node-a serial=1",
+        "1 5000.000 aik-challenge node-a "
+        "session=db3b5f75e534cdf89c9a46ee1fa2d904",
+        "2 5000.000 aik-answer node-a serial=2",
+        "3 5000.000 set-baseline node-a",
+        "4 5000.000 register-node node-a serial=3",
+        "5 5000.000 register-tee node-a serial=4",
+        "6 5000.000 register-tee node-b serial=5",
+        "7 5000.000 aik-challenge node-b "
+        "session=572102822c356c79e792f4848047ef29",
+        "8 5000.000 aik-answer node-b serial=6",
+        "9 5000.000 set-baseline node-b",
+        "10 5000.000 register-node node-b serial=7",
+        "11 5000.000 revoke node-b reason=compromise",
+        "12 5000.000 register-tee node-c serial=8",
+        "13 5000.000 aik-challenge node-c "
+        "session=d980f0d12becd20845278924aa8da786",
+        "14 5000.000 aik-answer node-c serial=9",
+        "15 5000.000 register-tee node-d serial=10",
+    )

@@ -153,39 +153,8 @@ def test_guest_report_round_trip_and_verify():
 
     parsed = tee.TeeReport.from_bytes(report.to_bytes())
     assert parsed == report
-    check = tee.verify_report(parsed, chain, vendor.root_pub,
-                              expected_measurement=report.launch_measurement,
-                              expected_report_data=data)
-    assert check is tee.ReportCheck.OK
-
-
-def test_verify_report_layer_ordering():
-    vendor = make_vendor()
-    other = make_vendor_other()
-    vcek, chain = vendor.derive_vcek(CHIP, 7)
-    data = crypto.sha256(b"nonce") + bytes(32)
-    report = tee.guest_report(vcek, CHIP, sample_tcb(), 7, data)
-
-    # chain failure reported before anything else
-    _, foreign_chain = other.derive_vcek(CHIP, 7)
-    assert tee.verify_report(report, foreign_chain, vendor.root_pub) is \
-        tee.ReportCheck.CHAIN_INVALID
-
-    # valid chain, wrong signer
-    foreign_key, _ = other.derive_vcek(CHIP, 7)
-    forged = tee.guest_report(foreign_key, CHIP, sample_tcb(), 7, data)
-    assert tee.verify_report(forged, chain, vendor.root_pub) is \
-        tee.ReportCheck.SIGNATURE_INVALID
-
-    # measurement checked before report_data
-    assert tee.verify_report(
-        report, chain, vendor.root_pub,
-        expected_measurement=bytes(32),
-        expected_report_data=bytes(64)) is tee.ReportCheck.MEASUREMENT_MISMATCH
-    assert tee.verify_report(
-        report, chain, vendor.root_pub,
-        expected_measurement=report.launch_measurement,
-        expected_report_data=bytes(64)) is tee.ReportCheck.NONCE_MISMATCH
+    assert chain.verify(vendor.root_pub)
+    assert parsed.verify(chain.vcek.subject)
 
 
 def test_report_tamper_breaks_signature():
@@ -194,6 +163,7 @@ def test_report_tamper_breaks_signature():
     vcek, chain = vendor.derive_vcek(CHIP, 7)
     data = crypto.sha256(b"n") + bytes(32)
     report = tee.guest_report(vcek, CHIP, sample_tcb(), 7, data, b"evidence")
+    assert report.verify(chain.vcek.subject)
     for change in (
         {"tcb_version": 8},
         {"report_data": bytes(64)},
@@ -201,8 +171,7 @@ def test_report_tamper_breaks_signature():
         {"launch_measurement": bytes(32)},
     ):
         forged = dataclasses.replace(report, **change)
-        assert tee.verify_report(forged, chain, vendor.root_pub) is \
-            tee.ReportCheck.SIGNATURE_INVALID
+        assert not forged.verify(chain.vcek.subject)
 
 
 def test_report_data_width_enforced():

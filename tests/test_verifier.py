@@ -5,6 +5,7 @@ the token lifecycle."""
 import base64
 import dataclasses
 import json
+import sys
 import threading
 
 import pytest
@@ -754,6 +755,25 @@ def test_token_truncation_malformed(cluster):
         verifier.TokenRejection.MALFORMED
     assert cluster.verifier_svc.validate_token(compact[: compact.rfind(".")]) \
         is verifier.TokenRejection.MALFORMED
+
+
+def test_token_json_nested_too_deeply_is_malformed(cluster):
+    # JSON too deep to decode, or to encode again for the canonical
+    # compare, is a DecodeError and reads MALFORMED, never RecursionError
+    _, payload, signature = issue_one(cluster).compact().split(".")
+    header = _b64url(b"[" * 100_000).decode()
+    text = f"{header}.{payload}.{signature}"
+    with pytest.raises(DecodeError):
+        verifier.AttestationToken.parse(text)
+    assert cluster.verifier_svc.validate_token(text) is \
+        verifier.TokenRejection.MALFORMED
+    for depth in range(1, sys.getrecursionlimit() + 1):
+        nested = _b64url(b'{"a":' + b"[" * depth + b"]" * depth + b"}")
+        try:
+            verifier.AttestationToken.parse(
+                f"{nested.decode()}.{payload}.{signature}")
+        except DecodeError:
+            pass
 
 
 def test_forged_serial_never_issued_is_rejected(cluster):
