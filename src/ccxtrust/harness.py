@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 
 from . import crypto, measurement, owner_ca, protocol, tee, tpm, verifier
 from .clock import VirtualClock
-from .errors import AttestationRejected, SeedVersionMismatch, UntrustedImage
+from .errors import (
+    AttestationRejected,
+    InvalidSeed,
+    SeedVersionMismatch,
+    UntrustedImage,
+)
 
 CLOCK_EPOCH = 1_700_000_000.0
 STANDARD_TCB_VERSION = 7
@@ -85,6 +90,9 @@ def node_name(index: int) -> str:
 
 def _seed_bytes(seed: int | bytes) -> bytes:
     if isinstance(seed, int):
+        if not 0 <= seed < 1 << 128:
+            raise InvalidSeed(
+                f"seed must be an integer from 0 to 2**128 - 1, got {seed}")
         return seed.to_bytes(16, "big", signed=False)
     return bytes(seed)
 
@@ -593,13 +601,13 @@ def fault_trace_forged_token(cluster: Cluster) -> protocol.ProtocolTrace:
     actor = cluster.actor(0)
     mallory = crypto.SigningKeyPair.from_seed(
         "VERIFIER", cluster.rng.fork("mallory-token").random_bytes(32))
-    header = {"alg": "ES256", "ver": 1, "kid": "forged", "iat": 0,
-              "exp": 2 ** 31}
-    payload = {"type": "tpm-tee", "serial": 424242, "report": "",
-               "platform": {"node": actor.node_id, "tcb": 7, "pcr_sel": []},
-               "policy": cluster.policy_id}
-    forged = verifier.AttestationToken.signed(header, payload, mallory)
-    digest = crypto.sha256(forged.compact().encode())
+    forged = verifier.AttestationToken.signed(
+        mallory, alg="ES256", version=verifier.TOKEN_FORMAT_VERSION,
+        key_id=b"forged!!", issued_at=0, expires_at=2 ** 31,
+        token_type="tpm-tee", serial=424242, evidence=b"",
+        node=actor.node_id, tcb=7, pcr_selection=(),
+        policy=cluster.policy_id)
+    digest = forged.digest
     # The forgery itself happens outside the observed system, so no sign
     # event lands in the trace: the node simply ends up holding a token
     # nobody accountable ever signed.

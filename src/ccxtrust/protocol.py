@@ -210,7 +210,7 @@ MESSAGE_TYPES = {
     "tpm-report": (0x0205, Spec((1, "quote", RAW))),
     # the evidence envelope of any direction
     "total-report": (0x0206, Spec((1, "report", RAW))),
-    "token-info": (0x0207, Spec((1, "token", STR))),
+    "token-info": (0x0207, Spec((1, "token", RAW))),
 }
 
 
@@ -642,7 +642,7 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
     if evidence_mutator is not None:
         envelope = evidence_mutator(envelope)
     wire = envelope.to_bytes()
-    # one digest each for wire and the token text, sent and then received
+    # one digest each for wire and the token record, sent and then received
     wire_hex = crypto.sha256(wire).hex()
     received = _transfer(trace, channels, C, V, "total-report",
                          {"report": wire}, session_id=session_id,
@@ -660,13 +660,13 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
         raise AttestationRejected(outcome, f"evidence rejected: {outcome.value}")
 
     token = verifier_svc.issue_token(verified)
-    token_hex = crypto.sha256(token.compact().encode()).hex()
-    token_content = (f"token:{token_hex}",)
-    trace.emit(V, "sign", digest=token_hex, tag="token",
+    token_digest = token.digest
+    token_content = (f"token:{token_digest.hex()}",)
+    trace.emit(V, "sign", digest=token_digest, tag="token",
                contents=token_content + (f"session:{session_hex}",))
-    _transfer(trace, channels, V, C, "token-info", {"token": token.compact()},
+    _transfer(trace, channels, V, C, "token-info", {"token": token.to_bytes()},
               session_id=session_id, contents=token_content)
-    trace.emit(C, "decrypt", digest=token_hex, tag="token-info",
+    trace.emit(C, "decrypt", digest=token_digest, tag="token-info",
                contents=token_content)
     return token
 

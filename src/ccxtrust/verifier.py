@@ -2,7 +2,8 @@
 
 Owns the relying-party side of every flow: it opens attestation sessions
 with fresh nonces, appraises evidence, and turns accepted evidence into
-signed bearer tokens in a compact three-segment format. Serials come
+signed bearer tokens: each token is a signed record on the TLV codec,
+and its compact text is the base64url of its bytes. Serials come
 from a counter that never goes back, so no issuance log is kept: a serial
 was issued exactly when it is a positive int below the counter.
 Validation re-checks structure, signature, expiry, the serial and
@@ -33,14 +34,14 @@ session, and none once the session's node is revoked.
 
 from __future__ import annotations
 
-import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
 from . import crypto, tee, tpm
-from .encoding import b64url_decode, b64url_encode
+from .encoding import (RAW, STR, U16, U64, Spec, b64url_decode,
+                       b64url_encode, raw)
 from .errors import (
     CcxError,
     ChainInvalid,
@@ -143,102 +144,66 @@ class VerifiedReport:
 # token format
 # ---------------------------------------------------------------------------
 
-_CANON_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _canon_json(obj) -> bytes:
-    return _CANON_JSON.encode(obj).encode()
-
-
-def _signing_input(header: dict, payload: dict) -> bytes:
-    return (b64url_encode(_canon_json(header)) + "."
-            + b64url_encode(_canon_json(payload))).encode("ascii")
-
-
 @dataclass(frozen=True)
-class AttestationToken:
-    """A signed token. Its signing input, the canonical JSON of header and
-    payload in base64url, is computed once at construction; signed()
-    builds a token from that one encoding and the signature over it."""
+class AttestationToken(crypto.Signed):
+    """The verifier's signed attestation result: its claims as the fields
+    of one signed record. The compact text a relying party holds is the
+    base64url of the record's bytes."""
 
-    header: dict
-    payload: dict
+    alg: str
+    version: int
+    key_id: bytes
+    issued_at: int
+    expires_at: int
+    token_type: str
+    serial: int
+    evidence: bytes
+    node: str
+    tcb: int
+    pcr_selection: tuple[int, ...]
+    policy: str
     signature: bytes
-    _signing_input: bytes = field(init=False, repr=False, compare=False)
-    _compact: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self._store(_signing_input(self.header, self.payload))
-
-    def _store(self, signing_input: bytes) -> None:
-        object.__setattr__(self, "_signing_input", signing_input)
-        object.__setattr__(self, "_compact", signing_input.decode("ascii")
-                           + "." + b64url_encode(self.signature))
-
-    @classmethod
-    def signed(cls, header: dict, payload: dict,
-               key: crypto.SigningKeyPair) -> "AttestationToken":
-        """The token key signs over header and payload, encoded once."""
-        signing_input = _signing_input(header, payload)
-        token = object.__new__(cls)
-        object.__setattr__(token, "header", header)
-        object.__setattr__(token, "payload", payload)
-        object.__setattr__(token, "signature", key.sign(signing_input))
-        token._store(signing_input)
-        return token
-
-    def signing_input(self) -> bytes:
-        return self._signing_input
+    SPEC = Spec((1, "alg", STR), (2, "version", U16), (3, "key_id", raw(8)),
+                (4, "issued_at", U64), (5, "expires_at", U64),
+                (6, "token_type", STR), (7, "serial", U64),
+                (8, "evidence", RAW), (9, "node", STR), (10, "tcb", U64),
+                (11, "pcr_selection", tpm.PCR_BITMAP), (12, "policy", STR),
+                (13, "signature", RAW))
 
     def compact(self) -> str:
-        return self._compact
+        return b64url_encode(self.to_bytes())
 
     @classmethod
     def parse(cls, text: str) -> "AttestationToken":
         """The token whose compact form is text; any other text, such as
-        re-spaced JSON, padded base64url or JSON nested too deeply to
-        decode or encode again, raises DecodeError."""
-        parts = text.split(".")
-        if len(parts) != 3:
-            raise DecodeError("token must have three segments")
-        try:
-            header = json.loads(b64url_decode(parts[0]))
-            payload = json.loads(b64url_decode(parts[1]))
-            if not isinstance(header, dict) or not isinstance(payload, dict):
-                raise DecodeError("token segments must be objects")
-            token = cls(header, payload, b64url_decode(parts[2]))
-        except (ValueError, RecursionError) as exc:
-            raise DecodeError("token segments are not valid json") from exc
+        padded base64url or text with characters the decoder skips,
+        raises DecodeError."""
+        token = cls.from_bytes(b64url_decode(text))
         if token.compact() != text:
             raise DecodeError("token text is not canonical")
         return token
 
 
-_REQUIRED_HEADER = ("alg", "ver", "kid", "iat", "exp")
-_REQUIRED_PAYLOAD = ("type", "serial", "report", "platform", "policy")
-
-
-def _claims_well_typed(header: dict, payload: dict) -> bool:
-    """The claims have the types issue_token writes (a bool is no int
-    here), so no check on them can raise and no caller gets another."""
-    platform = payload["platform"]
-    return (type(header["ver"]) is int
-            and type(header["iat"]) is int and type(header["exp"]) is int
-            and type(payload["type"]) is str
-            and type(payload["report"]) is str
-            and type(payload["policy"]) is str
-            and type(platform) is dict
-            and type(platform.get("node")) is str
-            and type(platform.get("tcb")) is int
-            and type(platform.get("pcr_sel")) is list)
+def _claims(token: AttestationToken) -> dict:
+    """The token's fields as validate_token returns them: a header and a
+    payload, keyed and typed as in a JSON token."""
+    return {"header": {"alg": token.alg, "ver": token.version,
+                       "kid": token.key_id.hex(), "iat": token.issued_at,
+                       "exp": token.expires_at},
+            "payload": {"type": token.token_type, "serial": token.serial,
+                        "report": b64url_encode(token.evidence),
+                        "platform": {"node": token.node, "tcb": token.tcb,
+                                     "pcr_sel": list(token.pcr_selection)},
+                        "policy": token.policy}}
 
 
 def validate_token(token: "AttestationToken | str",
                    verifier_pub: bytes | crypto.PublicKey,
                    now: float) -> dict | TokenRejection:
     """The token check a relying party can run with only the verifier's
-    public key: structure (the claims present and well typed), signature,
-    then expiry.
+    public key: structure (text that decodes, the algorithm and version
+    this verifier writes), signature, then expiry.
 
     Returns the claims on success, or the first applicable rejection.
     The serial and revocation are the issuer's own checks, made by
@@ -249,19 +214,13 @@ def validate_token(token: "AttestationToken | str",
             token = AttestationToken.parse(token)
         except DecodeError:
             return TokenRejection.MALFORMED
-    if any(k not in token.header for k in _REQUIRED_HEADER):
+    if token.alg != "ES256" or token.version != TOKEN_FORMAT_VERSION:
         return TokenRejection.MALFORMED
-    if any(k not in token.payload for k in _REQUIRED_PAYLOAD):
-        return TokenRejection.MALFORMED
-    if token.header["alg"] != "ES256" or token.header["ver"] != TOKEN_FORMAT_VERSION:
-        return TokenRejection.MALFORMED
-    if not _claims_well_typed(token.header, token.payload):
-        return TokenRejection.MALFORMED
-    if not crypto.verify(verifier_pub, token.signing_input(), token.signature):
+    if not token.verify(verifier_pub):
         return TokenRejection.BAD_SIGNATURE
-    if now > token.header["exp"]:
+    if now > token.expires_at:
         return TokenRejection.EXPIRED
-    return {"header": dict(token.header), "payload": dict(token.payload)}
+    return _claims(token)
 
 
 # ---------------------------------------------------------------------------
@@ -511,25 +470,15 @@ class VerifierService:
             session.token_minted = True
             serial = self._next_serial
             self._next_serial += 1
-            header = {
-                "alg": "ES256",
-                "ver": TOKEN_FORMAT_VERSION,
-                "kid": crypto.sha256(self.key.public_bytes)[:8].hex(),
-                "iat": int(now),
-                "exp": int(now + policy.token_lifetime),
-            }
-            payload = {
-                "type": verified.token_type,
-                "serial": serial,
-                "report": b64url_encode(verified.evidence),
-                "platform": {
-                    "node": verified.node_id,
-                    "tcb": verified.tcb_version,
-                    "pcr_sel": list(verified.pcr_selection),
-                },
-                "policy": policy.policy_id,
-            }
-            return AttestationToken.signed(header, payload, self.key)
+            return AttestationToken.signed(
+                self.key, alg="ES256", version=TOKEN_FORMAT_VERSION,
+                key_id=crypto.sha256(self.key.public_bytes)[:8],
+                issued_at=int(now),
+                expires_at=int(now + policy.token_lifetime),
+                token_type=verified.token_type, serial=serial,
+                evidence=verified.evidence, node=verified.node_id,
+                tcb=verified.tcb_version, pcr_selection=verified.pcr_selection,
+                policy=policy.policy_id)
 
     def validate_token(self, token: "AttestationToken | str",
                        now: float | None = None) -> dict | TokenRejection:
@@ -543,7 +492,7 @@ class VerifierService:
             return claims
         serial = claims["payload"]["serial"]
         with self._lock:
-            issued = type(serial) is int and 0 < serial < self._next_serial
+            issued = 0 < serial < self._next_serial
         if not issued:
             return TokenRejection.BAD_SIGNATURE
         if self._is_revoked(claims["payload"]["platform"]["node"]):

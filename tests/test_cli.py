@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ccxtrust
-from ccxtrust import cli, protocol
+from ccxtrust import cli, harness, protocol, verifier
 from ccxtrust.errors import DecodeError
 
 
@@ -38,12 +38,22 @@ def test_init_writes_trace_and_summary(tmp_path, capsys):
     assert all(" pass " in line for line in summary["theorems"].values())
 
 
+def assert_tokens_validate(path, *, seed, count):
+    """The file holds count compact tokens, one a line, each signed by the
+    verifier of the seed's cluster and not yet expired."""
+    cluster = harness.build_cluster(seed)
+    lines = path.read_text().splitlines()
+    assert len(lines) == count
+    for line in lines:
+        assert isinstance(verifier.validate_token(
+            line, cluster.verifier_svc.key.public, cluster.clock.now()), dict)
+
+
 def test_attest_writes_token_and_passes_checks(tmp_path, capsys):
     out = tmp_path / "attest"
     assert run(["attest", "--seed", "11", "--direction", "tee-tpm",
                 "--out", str(out)]) == 0
-    token_text = (out / "token.txt").read_text().strip()
-    assert token_text.count(".") >= 2  # one compact token per line
+    assert_tokens_validate(out / "token.txt", seed=11, count=1)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["direction"] == "tee-tpm"
     assert "attested" in capsys.readouterr().out
@@ -52,9 +62,7 @@ def test_attest_writes_token_and_passes_checks(tmp_path, capsys):
 def test_independent_issues_two_tokens(tmp_path, capsys):
     out = tmp_path / "indep"
     assert run(["independent", "--seed", "11", "--out", str(out)]) == 0
-    tokens = [line for line in (out / "token.txt").read_text().splitlines()
-              if line.strip()]
-    assert len(tokens) == 2
+    assert_tokens_validate(out / "token.txt", seed=11, count=2)
     assert "2 tokens" in capsys.readouterr().out
 
 

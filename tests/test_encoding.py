@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from ccxtrust import crypto, harness, measurement, protocol, tee, tpm
+from ccxtrust import (crypto, harness, measurement, protocol, tee, tpm,
+                      verifier)
 from ccxtrust.crypto import Signed
 from ccxtrust.encoding import (
     RAW,
@@ -226,6 +227,8 @@ def fuzz_targets():
                                      crypto.DeterministicRng(b"fuzz"))
     envelope = protocol.CompositeReportEnvelope("tpm-tee", a.node_id,
                                                 bytes(16), quote.to_bytes())
+    token = protocol.run_attest_composite(a, c.verifier_svc, c.channels,
+                                          c.trace, policy_id=c.policy_id)
     canonical = [
         ("certificate", a.aik_cert.to_bytes(), crypto.Certificate.from_bytes,
          crypto.Certificate.to_bytes, crypto.Certificate.SPEC),
@@ -252,6 +255,8 @@ def fuzz_targets():
          protocol.CompositeReportEnvelope.from_bytes,
          protocol.CompositeReportEnvelope.to_bytes,
          protocol.CompositeReportEnvelope.SPEC),
+        ("token", token.to_bytes(), verifier.AttestationToken.from_bytes,
+         verifier.AttestationToken.to_bytes, verifier.AttestationToken.SPEC),
     ]
     # AEAD-protected forms: nothing but the original opens
     header = (0x0201, "verifier", a.agent, bytes(16))

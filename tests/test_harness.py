@@ -4,6 +4,7 @@ the concurrent benchmark at a small configuration."""
 import pytest
 
 from ccxtrust import harness, protocol, verifier
+from ccxtrust.errors import InvalidSeed
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +25,14 @@ def test_build_cluster_shapes():
     assert actor.node_id == "node0001"
     assert actor.tee_name == "node0001/tee"
     assert actor.tpm_name == "node0001/tpm"
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_seed_outside_the_seed_bytes_is_invalid(seed):
+    # the range the CLI's --seed states, as a CcxError, not OverflowError
+    with pytest.raises(InvalidSeed,
+                       match=r"must be an integer from 0 to 2\*\*128 - 1"):
+        harness.build_cluster(seed)
 
 
 def test_revoke_covers_every_certificate_issued_to_the_node():

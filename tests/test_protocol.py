@@ -319,7 +319,7 @@ def test_attest_composite_builds_every_layout(cluster, direction):
 
 @pytest.mark.parametrize("direction", ["tpm-tee", "tee-tpm"])
 def test_attest_hashes_each_message_once(monkeypatch, cluster, direction):
-    # one digest per transfer, per wire envelope and per token text
+    # one digest per transfer, per wire envelope and per token record
     calls = []
     real_sha256 = crypto.sha256
 
@@ -365,7 +365,7 @@ def test_attest_single_and_independent(cluster):
     tokens = protocol.run_attest_independent(
         cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
         policy_id=cluster.policy_id)
-    assert [t.payload["type"] for t in tokens] == ["tee", "tpm"]
+    assert [t.token_type for t in tokens] == ["tee", "tpm"]
     assert trace.verifier_visible_sends() == 6
     for token in tokens:
         assert isinstance(cluster.verifier_svc.validate_token(token.compact()),
@@ -389,9 +389,9 @@ def test_golden_trace_and_token_digests():
         policy_id=c.policy_id)
     assert len(c.trace.events) == 140
     assert c.trace.digest().hex() == (
-        "db6c50090fbea35ba5764a1b8ce5b7ec7e7d55dd7183ce3e806637e1ddf98f96")
+        "a5b08992e50f91cd424a21164d0e3133b37de62aacba6499b38b3ca0b7cf423b")
     assert crypto.sha256("".join(t.compact() for t in tokens).encode()).hex() \
-        == "1877689b62445c246fae74a2d29b7a4177ef68397422d5bb8e8b7ae8d3eb4606"
+        == "6910a878c56f96bb370ceb0679e409e131fc204c78dca1a6564088f38bc6d18f"
 
 
 def test_golden_structure_encodings(tpm_snapshot):
@@ -687,7 +687,7 @@ _PINNED_VERDICT_LINES = {
         "cert-provenance pass witness=6,22,34,41,57,69 6 certificate "
         "possessions justified",
         "token-provenance FAIL witness=72 node0000 holds token "
-        "eb402060feb0b1f3 never signed by verifier",
+        "ea2254a7d47a111f never signed by verifier",
         "attest-order pass witness=- 0 evidence signatures in order"),
     "reordered-sign": (
         "cert-provenance pass witness=- 0 certificate possessions justified",

@@ -4,13 +4,20 @@ the token lifecycle."""
 
 import base64
 import dataclasses
-import json
-import sys
 import threading
 
 import pytest
 
 from ccxtrust import crypto, harness, protocol, tee, tpm, verifier
+from ccxtrust.encoding import (
+    RAW,
+    STR,
+    U16,
+    U64,
+    Spec,
+    b64url_decode,
+    encode_field,
+)
 from ccxtrust.errors import (
     CcxError,
     ChainInvalid,
@@ -648,7 +655,7 @@ def test_issue_token_mints_once_per_session(cluster):
     with pytest.raises(ValueError):
         svc.issue_token(verified)
     # nor did any refused call take a serial
-    assert issue_one(cluster).payload["serial"] == token.payload["serial"] + 1
+    assert issue_one(cluster).serial == token.serial + 1
 
 
 def test_issue_token_refuses_a_node_revoked_after_appraisal(cluster):
@@ -663,8 +670,7 @@ def test_issue_token_refuses_a_node_revoked_after_appraisal(cluster):
         svc.issue_token(verified)
     assert not svc._sessions[request.session_id].token_minted
     request, envelope = honest(cluster, "tpm-tee", node_index=1)
-    assert svc.issue_token(submit(cluster, request, envelope)[1]) \
-        .payload["serial"] == 1
+    assert svc.issue_token(submit(cluster, request, envelope)[1]).serial == 1
 
 
 # ---------------------------------------------------------------------------
@@ -677,45 +683,69 @@ def issue_one(cluster, direction="tpm-tee"):
     return cluster.verifier_svc.issue_token(verified)
 
 
-def test_token_compact_round_trip_and_claims(cluster):
-    token = issue_one(cluster)
-    compact = token.compact()
-    assert compact.count(".") == 2
-    claims = cluster.verifier_svc.validate_token(compact)
-    assert isinstance(claims, dict)
-    assert claims["payload"]["type"] == "tpm-tee"
-    assert claims["payload"]["platform"]["node"] == cluster.actor(0).node_id
-    assert claims["payload"]["policy"] == cluster.policy_id
-
-
 def _b64url(data: bytes) -> bytes:
     return base64.urlsafe_b64encode(data).rstrip(b"=")
 
 
-def _canonical_signing_input(header: dict, payload: dict) -> bytes:
-    def canon(obj):
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    return _b64url(canon(header)) + b"." + _b64url(canon(payload))
+def _body_fields(token, **changes) -> dict:
+    """The token's signed claims by field name, with changes applied."""
+    return {attr: getattr(token, attr)
+            for attr in verifier.AttestationToken.BODY.attrs} | changes
 
 
-def test_token_signing_input_is_canonical_json_in_base64url(cluster):
+def test_token_compact_round_trip_and_claims(cluster):
     token = issue_one(cluster)
-    expected = _canonical_signing_input(token.header, token.payload)
-    assert token.signing_input() == expected
-    assert token.compact() == \
-        f"{expected.decode()}.{_b64url(token.signature).decode()}"
-    assert verifier.AttestationToken.parse(token.compact()) == token
-    # a header re-spaced and re-ordered in transit, or padded base64url,
-    # decodes to the same claims, but is not a text the verifier wrote
-    _, payload, signature = token.compact().split(".")
-    header = _b64url(json.dumps(dict(reversed(token.header.items())),
-                                indent=1).encode()).decode()
-    respaced = f"{header}.{payload}.{signature}"
-    for text in (respaced, token.compact() + "=="):
+    compact = token.compact()
+    assert verifier.AttestationToken.parse(compact) == token
+    claims = cluster.verifier_svc.validate_token(compact)
+    assert b64url_decode(claims["payload"]["report"]) == token.evidence
+    # the keys, types and values of the JSON token this record replaced
+    assert claims == {
+        "header": {"alg": "ES256", "ver": 1, "kid": "4de4c60bc5d628b8",
+                   "iat": 1_700_000_000, "exp": 1_700_003_600},
+        "payload": {"type": "tpm-tee", "serial": 1,
+                    "report": claims["payload"]["report"],
+                    "platform": {"node": cluster.actor(0).node_id, "tcb": 7,
+                                 "pcr_sel": list(range(12))},
+                    "policy": cluster.policy_id}}
+
+    def types(tree):
+        return {key: types(value) if type(value) is dict else type(value)
+                for key, value in tree.items()}
+    assert types(claims) == {
+        "header": {"alg": str, "ver": int, "kid": str, "iat": int,
+                   "exp": int},
+        "payload": {"type": str, "serial": int, "report": str,
+                    "platform": {"node": str, "tcb": int, "pcr_sel": list},
+                    "policy": str}}
+
+
+def test_token_body_is_its_tlv_encoding_in_base64url(cluster):
+    token = issue_one(cluster)
+    svc = cluster.verifier_svc
+    body = b"".join(encode_field(tag, payload) for tag, payload in (
+        (1, b"ES256"), (2, (1).to_bytes(2, "little")),
+        (3, crypto.sha256(svc.key.public_bytes)[:8]),
+        (4, token.issued_at.to_bytes(8, "little")),
+        (5, (token.issued_at + 3600).to_bytes(8, "little")),
+        (6, b"tpm-tee"), (7, token.serial.to_bytes(8, "little")),
+        (8, token.evidence), (9, cluster.actor(0).node_id.encode()),
+        (10, (7).to_bytes(8, "little")),
+        (11, tpm.selection_to_bitmap(tuple(range(12)))),
+        (12, cluster.policy_id.encode())))
+    assert token.body_bytes() == body
+    assert crypto.verify(svc.key.public, body, token.signature)
+    assert token.to_bytes() == body + encode_field(13, token.signature)
+    assert token.compact() == _b64url(token.to_bytes()).decode()
+    # padded base64url, or text with a character the decoder skips, reads
+    # as the same bytes, but is not a text the verifier wrote
+    compact = token.compact()
+    padded = compact + "=" * (-len(compact) % 4)
+    for text in (compact + "==", padded[:10] + "!" + padded[10:]):
+        assert b64url_decode(text) == token.to_bytes()
         with pytest.raises(DecodeError):
             verifier.AttestationToken.parse(text)
-        assert cluster.verifier_svc.validate_token(text) is \
-            verifier.TokenRejection.MALFORMED
+        assert svc.validate_token(text) is verifier.TokenRejection.MALFORMED
 
 
 def test_token_expiry(cluster):
@@ -734,99 +764,85 @@ def test_token_revocation(cluster):
 
 
 def test_token_tamper_detected(cluster):
+    # any claim's bytes changed after signing, however well formed
     token = issue_one(cluster)
-    header, payload, signature = token.compact().split(".")
-    import base64
-    import json
-    claims = json.loads(base64.urlsafe_b64decode(payload + "=="))
-    claims["platform"]["tcb"] = 999
-    doctored = base64.urlsafe_b64encode(
-        json.dumps(claims, sort_keys=True,
-                   separators=(",", ":")).encode()).decode().rstrip("=")
-    assert cluster.verifier_svc.validate_token(
-        f"{header}.{doctored}.{signature}") is \
-        verifier.TokenRejection.BAD_SIGNATURE
+    wire = token.to_bytes()
+    for old, new in (
+            (encode_field(10, (7).to_bytes(8, "little")),
+             encode_field(10, (999).to_bytes(8, "little"))),
+            (encode_field(6, b"tpm-tee"), encode_field(6, b"tee-tpm"))):
+        assert wire.count(old) == 1
+        doctored = _b64url(wire.replace(old, new)).decode()
+        assert cluster.verifier_svc.validate_token(doctored) is \
+            verifier.TokenRejection.BAD_SIGNATURE
 
 
 def test_token_truncation_malformed(cluster):
     token = issue_one(cluster)
-    compact = token.compact()
     assert cluster.verifier_svc.validate_token("only.two") is \
         verifier.TokenRejection.MALFORMED
-    assert cluster.verifier_svc.validate_token(compact[: compact.rfind(".")]) \
+    # the claims without their signature field
+    assert cluster.verifier_svc.validate_token(
+        _b64url(token.body_bytes()).decode()) \
         is verifier.TokenRejection.MALFORMED
 
 
-def test_token_json_nested_too_deeply_is_malformed(cluster):
-    # JSON too deep to decode, or to encode again for the canonical
-    # compare, is a DecodeError and reads MALFORMED, never RecursionError
-    _, payload, signature = issue_one(cluster).compact().split(".")
-    header = _b64url(b"[" * 100_000).decode()
-    text = f"{header}.{payload}.{signature}"
-    with pytest.raises(DecodeError):
-        verifier.AttestationToken.parse(text)
-    assert cluster.verifier_svc.validate_token(text) is \
-        verifier.TokenRejection.MALFORMED
-    for depth in range(1, sys.getrecursionlimit() + 1):
-        nested = _b64url(b'{"a":' + b"[" * depth + b"]" * depth + b"}")
-        try:
-            verifier.AttestationToken.parse(
-                f"{nested.decode()}.{payload}.{signature}")
-        except DecodeError:
-            pass
+def test_hostile_token_text_is_malformed(cluster):
+    # text that is no token's compact form is a DecodeError and reads
+    # MALFORMED, never another error: deep brackets, the empty string,
+    # non-ascii, two tokens run together and every truncation of one
+    compact = issue_one(cluster).compact()
+    texts = ["[" * 100_000, "", "é" * 8, compact + compact]
+    texts += [compact[:cut] for cut in range(len(compact))]
+    for text in texts:
+        with pytest.raises(DecodeError):
+            verifier.AttestationToken.parse(text)
+        assert cluster.verifier_svc.validate_token(text) is \
+            verifier.TokenRejection.MALFORMED
 
 
 def test_forged_serial_never_issued_is_rejected(cluster):
     token = issue_one(cluster)
     mallory = crypto.SigningKeyPair.from_seed("VERIFIER", b"\x99" * 32)
-    forged_payload = dict(token.payload)
-    forged_payload["serial"] = 424242
-    forged = verifier.AttestationToken.signed(token.header, forged_payload,
-                                              mallory)
+    forged = verifier.AttestationToken.signed(
+        mallory, **_body_fields(token, serial=424242))
     # wrong key: fails signature outright
     assert cluster.verifier_svc.validate_token(forged) is \
         verifier.TokenRejection.BAD_SIGNATURE
     # right key but a serial the counter never reached or never hands out
-    for serial in (424242, 0, -1, token.payload["serial"] + 1, "1", True):
-        forged_payload["serial"] = serial
+    for serial in (424242, 0, token.serial + 1):
         resigned = verifier.AttestationToken.signed(
-            token.header, forged_payload, cluster.verifier_svc.key)
+            cluster.verifier_svc.key, **_body_fields(token, serial=serial))
         assert cluster.verifier_svc.validate_token(resigned.compact()) is \
             verifier.TokenRejection.BAD_SIGNATURE, serial
     assert isinstance(cluster.verifier_svc.validate_token(token.compact()),
                       dict)
 
 
-_MISSING = object()
-
-
 def test_ill_typed_claims_signed_by_the_verifier_are_malformed(cluster):
-    # also a wrong alg or ver, and a required claim left out
+    # a claim of the wrong width or encoding, and a wrong alg or version,
+    # each under the verifier's own signature
     token = issue_one(cluster)
     svc = cluster.verifier_svc
-    cases = [("header", "alg", "ES384"),
-             ("header", "ver", verifier.TOKEN_FORMAT_VERSION + 1),
-             ("header", "kid", _MISSING), ("payload", "policy", _MISSING),
-             ("header", "exp", "x"), ("payload", "platform", {}),
-             ("payload", "platform", []), ("header", "iat", True),
-             ("header", "ver", True), ("payload", "type", ["tpm-tee"]),
-             ("payload", "policy", 5), ("payload", "report", None),
-             ("payload", "platform", {"node": 1, "tcb": 7, "pcr_sel": []}),
-             ("payload", "platform", {"node": "n", "tcb": "7", "pcr_sel": []}),
-             ("payload", "platform", {"node": "n", "tcb": 7, "pcr_sel": {}})]
-    for part, claim, value in cases:
-        claims = {"header": dict(token.header), "payload": dict(token.payload)}
-        if value is _MISSING:
-            del claims[part][claim]
-        else:
-            claims[part][claim] = value
-        signed = verifier.AttestationToken.signed(
-            claims["header"], claims["payload"], svc.key).compact()
+    spec = verifier.AttestationToken.SPEC
+    cases = [("alg", STR, "ES384"),
+             ("version", U16, verifier.TOKEN_FORMAT_VERSION + 1),
+             ("version", U64, verifier.TOKEN_FORMAT_VERSION),
+             ("key_id", RAW, bytes(9)), ("issued_at", U16, 7),
+             ("serial", STR, "1"), ("node", RAW, b"\xff\xfe"),
+             ("tcb", RAW, b"\x07"), ("pcr_selection", RAW, bytes(4)),
+             ("policy", RAW, b"\xc3")]
+    for attr, kind, value in cases:
+        fields = [(tag, name, kind if name == attr else old)
+                  for tag, name, old in spec.fields]
+        values = _body_fields(token, **{attr: value})
+        values["signature"] = svc.key.sign(Spec(*fields[:-1]).encode(values))
+        signed = _b64url(Spec(*fields).encode(values)).decode()
         assert verifier.validate_token(signed, svc.key.public_bytes,
                                        cluster.clock.now()) is \
-            verifier.TokenRejection.MALFORMED, (claim, value)
+            verifier.TokenRejection.MALFORMED, (attr, value)
         assert svc.validate_token(signed) is \
-            verifier.TokenRejection.MALFORMED, (claim, value)
+            verifier.TokenRejection.MALFORMED, (attr, value)
     assert isinstance(svc.validate_token(token.compact()), dict)
 
 
