@@ -100,16 +100,17 @@ class Secret:
         return f"Secret(<{len(self._buf)} bytes>)"
 
 
-def kdf_counter(parent: bytes | Secret, label: str, context: bytes = b"",
+def kdf_counter(parent: bytes, label: str, context: bytes = b"",
                 out_len: int = 32) -> bytes:
     """SP 800-108 style HMAC-SHA-256 counter-mode KDF.
 
     Block i is HMAC(parent, be32(i) || label || 0x00 || context ||
     be32(out_bits)); blocks are concatenated and truncated to out_len.
     Distinct labels or contexts give independent keys under one parent.
+    The parent is 16-64 bytes (a Secret's holder passes its data), as is
+    out_len, and the label is non-empty ASCII; else InvalidLength.
     """
-    key = parent.data if isinstance(parent, Secret) else parent
-    if not SECRET_MIN <= len(key) <= SECRET_MAX:
+    if not SECRET_MIN <= len(parent) <= SECRET_MAX:
         raise InvalidLength("parent key material must be 16-64 bytes")
     if not SECRET_MIN <= out_len <= SECRET_MAX:
         raise InvalidLength("derived length must be 16-64 bytes")
@@ -121,7 +122,7 @@ def kdf_counter(parent: bytes | Secret, label: str, context: bytes = b"",
     counter = 1
     while len(out) < out_len:
         msg = struct.pack(">I", counter) + encoded + b"\x00" + context + bits
-        out += hmac.new(key, msg, hashlib.sha256).digest()
+        out += hmac.new(parent, msg, hashlib.sha256).digest()
         counter += 1
     return out[:out_len]
 
@@ -136,12 +137,11 @@ class DeterministicRng:
     Output block i is sha256(state || be64(i)). fork() derives an
     independent child stream, which lets concurrent actors draw from
     unrelated streams without ordering effects. This is the simulator's
-    random number manager.
+    random number manager. The seed is non-empty bytes; an empty seed
+    raises InvalidSeed.
     """
 
-    def __init__(self, seed: bytes | int) -> None:
-        if isinstance(seed, int):
-            seed = seed.to_bytes(8, "big", signed=False)
+    def __init__(self, seed: bytes) -> None:
         if len(seed) == 0:
             raise InvalidSeed("empty seed")
         self._state = sha256(b"rng:" + seed)

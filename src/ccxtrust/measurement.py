@@ -18,7 +18,6 @@ from enum import Enum
 from . import crypto, tee, tpm
 from .encoding import RAW, STR, Spec
 from .errors import (
-    DecodeError,
     InvalidLength,
     LogGap,
     StageOrderViolation,
@@ -50,27 +49,9 @@ class MeasurementEvent:
     signer: str = "-"
 
     def line(self) -> str:
+        """The event as one line of the log's text, which is for people."""
         return (f"{self.seq} {self.stage} {self.pcr_index} {self.name} "
                 f"{self.digest.hex()} {self.signer}")
-
-    @classmethod
-    def from_line(cls, line: str) -> "MeasurementEvent":
-        parts = line.split()
-        if len(parts) != 6:
-            raise DecodeError(f"measurement log line needs 6 columns: {line!r}")
-        try:
-            seq, stage, pcr_index = (int(part) for part in parts[:3])
-            digest = bytes.fromhex(parts[4])
-        except ValueError:
-            raise DecodeError(f"bad measurement log line: {line!r}") from None
-        if len(digest) != crypto.DIGEST_LEN:
-            raise DecodeError(f"measurement digest must be "
-                              f"{crypto.DIGEST_LEN} bytes: {line!r}")
-        event = cls(seq=seq, stage=stage, pcr_index=pcr_index, name=parts[3],
-                    digest=digest, signer=parts[5])
-        if event.line() != line:
-            raise DecodeError(f"measurement log line is not canonical: {line!r}")
-        return event
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +98,6 @@ class MeasurementEpoch:
     publisher_pub: bytes | crypto.PublicKey
     events: list[MeasurementEvent] = field(default_factory=list)
     _stage_done: set[int] = field(default_factory=set)
-    launch_measurement: bytes = b""
 
     def _require_stage(self, stage: int) -> None:
         if stage in self._stage_done:
@@ -167,11 +147,11 @@ class MeasurementEpoch:
         for slot, (manifest, _content) in enumerate(manifests):
             self._extend(STAGE_LAUNCH, slot, manifest.image_id,
                          manifest.content_digest, signer="publisher")
-        self.launch_measurement = tee.launch_measure(tcb)
+        launch_measurement = tee.launch_measure(tcb)
         self._extend(STAGE_LAUNCH, len(manifests), "launch-digest",
-                     self.launch_measurement)
+                     launch_measurement)
         self._stage_done.add(STAGE_LAUNCH)
-        return self.launch_measurement
+        return launch_measurement
 
     def run_runtime_stage(self, workloads: list[tuple[str, bytes]],
                           allow_list: dict[str, bytes]

@@ -32,7 +32,6 @@ from .errors import (
     NotInitialized,
     SessionInvalid,
 )
-from .verifier import registration_report_data
 
 CHALLENGE_TTL = 120.0   # seconds a credential challenge stays answerable
 
@@ -77,6 +76,12 @@ class ChallengeSession:
 def challenge_session_id(challenge: tpm.Credential) -> bytes:
     """Session handle both sides can compute from the challenge itself."""
     return crypto.sha256(b"aik-session:" + challenge.to_bytes())[:16]
+
+
+def registration_report_data(identity_pub: bytes) -> bytes:
+    """The report_data of the boot report that registers an identity key
+    with the owner CA: the only statement of that binding rule."""
+    return crypto.sha256(identity_pub) + bytes(32)
 
 
 class OwnerCa:

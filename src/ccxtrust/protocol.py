@@ -31,9 +31,9 @@ from typing import Callable, Iterable
 from . import crypto, tee, tpm
 from .encoding import RAW, STR, Record, Spec, nested
 from .errors import AttestationRejected, AuthFailure, DecodeError
-from .owner_ca import challenge_session_id
+from .owner_ca import challenge_session_id, registration_report_data
 from .verifier import (LAYOUTS, CompositeOutcome, VerifierService,
-                       registration_report_data, report_data_for)
+                       report_data_for)
 
 OCA_PRINCIPAL = "owner-ca"
 VERIFIER_PRINCIPAL = "verifier"

@@ -304,7 +304,7 @@ def create_signing_key(state: TpmState, parent_handle: int, role: str = "AIK") -
                      crypto.scalar_from_material(material), parent.blob.cvm_id)
 
 
-def create_cvm_root_key(state: TpmState, master_secret: crypto.Secret | bytes,
+def create_cvm_root_key(state: TpmState, master_secret: crypto.Secret,
                         owner_srk_handle: int, cvm_id: bytes) -> KeyBlob:
     """Storage root key for one confidential VM, derived from its
     MasterSecret and wrapped under the parent primary.
@@ -323,9 +323,8 @@ def create_cvm_root_key(state: TpmState, master_secret: crypto.Secret | bytes,
             f"CVM root must hang off the storage or CC primary, got a "
             f"{parent.blob.role} under {hierarchy}")
     state.tick()
-    ms = master_secret.data if isinstance(master_secret, crypto.Secret) else master_secret
     scalar = crypto.scalar_from_material(
-        crypto.kdf_counter(ms, "CVM-SRK", parent.blob.name))
+        crypto.kdf_counter(master_secret.data, "CVM-SRK", parent.blob.name))
     return _new_blob(state, hierarchy, parent, "CVM-SRK", scalar, cvm_id)
 
 

@@ -135,9 +135,7 @@ class VerifiedReport:
     token_type: str
     evidence: bytes
     tcb_version: int
-    measurement: bytes
     pcr_selection: tuple[int, ...]
-    pcr_digest: bytes
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +200,8 @@ def validate_token(token: "AttestationToken | str",
                    verifier_pub: bytes | crypto.PublicKey,
                    now: float) -> dict | TokenRejection:
     """The token check a relying party can run with only the verifier's
-    public key: structure (text that decodes, the algorithm and version
-    this verifier writes), signature, then expiry.
+    public key: structure (a token or text that decodes to one, the
+    algorithm and version this verifier writes), signature, then expiry.
 
     Returns the claims on success, or the first applicable rejection.
     The serial and revocation are the issuer's own checks, made by
@@ -214,6 +212,8 @@ def validate_token(token: "AttestationToken | str",
             token = AttestationToken.parse(token)
         except DecodeError:
             return TokenRejection.MALFORMED
+    elif not isinstance(token, AttestationToken):
+        return TokenRejection.MALFORMED
     if token.alg != "ES256" or token.version != TOKEN_FORMAT_VERSION:
         return TokenRejection.MALFORMED
     if not token.verify(verifier_pub):
@@ -256,12 +256,6 @@ def report_data_for(direction: str, nonce: bytes, embedded: bytes) -> bytes:
     if direction == "tee-tpm":
         return nonce + crypto.sha256(embedded)
     return nonce + bytes(32)
-
-
-def registration_report_data(identity_pub: bytes) -> bytes:
-    """The report_data of the boot report that registers an identity key
-    with the owner CA: the only statement of that binding rule."""
-    return crypto.sha256(identity_pub) + bytes(32)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +429,7 @@ class VerifierService:
             session_id=session.session_id, node_id=session.node_id,
             token_type=envelope.direction, evidence=envelope.evidence,
             tcb_version=report.tcb_version if report else 0,
-            measurement=report.launch_measurement if report else b"",
-            pcr_selection=quote_obj.pcr_selection if quote_obj else (),
-            pcr_digest=quote_obj.pcr_digest if quote_obj else b"")
+            pcr_selection=quote_obj.pcr_selection if quote_obj else ())
         return CompositeOutcome.OK, verified
 
     # -- tokens ----------------------------------------------------------------

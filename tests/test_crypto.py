@@ -21,6 +21,7 @@ from ccxtrust.errors import (
     DecodeError,
     InvalidLength,
     InvalidPoint,
+    InvalidSeed,
 )
 
 
@@ -47,12 +48,6 @@ def test_kdf_counter_frozen_vectors():
         "9703396831bb484f99fec9f52c333c606e43a08287f65189bb67f216b4328148")
 
 
-def test_kdf_counter_accepts_secret_parent():
-    direct = crypto.kdf_counter(b"\x55" * 32, "SEAL", b"ctx", 16)
-    wrapped = crypto.kdf_counter(crypto.Secret(b"\x55" * 32), "SEAL", b"ctx", 16)
-    assert direct == wrapped
-
-
 def test_kdf_counter_separates_label_and_context():
     base = crypto.kdf_counter(b"\x07" * 32, "A", b"x")
     assert crypto.kdf_counter(b"\x07" * 32, "B", b"x") != base
@@ -75,6 +70,12 @@ def test_kdf_counter_rejects_out_of_range_lengths():
         crypto.kdf_counter(b"\x07" * 32, "A", b"", 65)
     with pytest.raises(InvalidLength):
         crypto.kdf_counter(b"\x07" * 8, "A", b"", 32)
+
+
+@pytest.mark.parametrize("label", ["", "CLÉ"], ids=["empty", "non-ascii"])
+def test_kdf_counter_refuses_a_label_that_is_empty_or_not_ascii(label):
+    with pytest.raises(InvalidLength):
+        crypto.kdf_counter(b"\x07" * 32, label)
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +143,9 @@ def test_rng_draws_are_the_concatenated_counter_blocks():
         counter += blocks
 
 
-def test_rng_accepts_int_seed():
-    assert (crypto.DeterministicRng(7).random_bytes(8)
-            == crypto.DeterministicRng(7).random_bytes(8))
-    assert (crypto.DeterministicRng(7).random_bytes(8)
-            != crypto.DeterministicRng(8).random_bytes(8))
+def test_rng_refuses_an_empty_seed():
+    with pytest.raises(InvalidSeed):
+        crypto.DeterministicRng(b"")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from ccxtrust import crypto, measurement, tee, tpm
 from ccxtrust.errors import (
-    DecodeError,
     LogGap,
     StageOrderViolation,
     UntrustedImage,
@@ -49,7 +48,8 @@ def test_three_stage_boot_produces_clean_outcome():
     outcome, deviations = full_boot(epoch, publisher)
     assert outcome is measurement.RuntimeOutcome.CLEAN
     assert deviations == []
-    assert epoch.launch_measurement == tee.launch_measure(TCB)
+    assert [e.digest for e in epoch.events if e.name == "launch-digest"] \
+        == [tee.launch_measure(TCB)]
     # host events landed in the host band, launch in the launch band
     assert all(e.pcr_index in measurement.HOST_PCRS
                for e in epoch.events if e.stage == measurement.STAGE_HOST)
@@ -193,35 +193,13 @@ def test_replay_rejects_an_event_for_a_pcr_outside_the_stages():
 
 
 def test_log_text_round_trip():
+    # the log's text is for people: one line() per event, in log order,
+    # each holding the event's fields in column order
     epoch, publisher, _ = make_epoch()
     full_boot(epoch, publisher)
     text = "\n".join(epoch.log_lines())
-    parsed = [measurement.MeasurementEvent.from_line(line)
-              for line in text.splitlines()]
-    assert parsed == epoch.events
-    assert measurement.replay_log(parsed) == measurement.replay_log(epoch.events)
-
-
-_GOOD_DIGEST = "ab" * 32
-
-
-@pytest.mark.parametrize("line", [
-    f"0 1 0 bios {_GOOD_DIGEST}",
-    f"0 1 0 bios {_GOOD_DIGEST} - extra",
-    f"x 1 0 bios {_GOOD_DIGEST} -",
-    f"0 one 0 bios {_GOOD_DIGEST} -",
-    f"0 1 0.5 bios {_GOOD_DIGEST} -",
-    "0 1 0 bios zz" + "ab" * 31 + " -",
-    "0 1 0 bios abc -",
-    "0 1 0 bios " + "ab" * 31 + " -",
-    "0 1 0 bios " + "ab" * 33 + " -",
-    f"+0 1 0 bios {_GOOD_DIGEST} -",
-    f"1_0 1 0 bios {_GOOD_DIGEST} -",
-    "0 1 0 bios " + "AB" * 32 + " -",
-], ids=["five-columns", "seven-columns", "seq-not-int", "stage-not-int",
-        "pcr-not-int", "digest-not-hex", "digest-odd-hex", "digest-31-bytes",
-        "digest-33-bytes", "seq-plus-sign", "seq-underscore",
-        "digest-upper-case"])
-def test_bad_log_line_raises_decode_error(line):
-    with pytest.raises(DecodeError):
-        measurement.MeasurementEvent.from_line(line)
+    assert text.splitlines() == [event.line() for event in epoch.events]
+    for line, event in zip(text.splitlines(), epoch.events):
+        assert line.split() == [str(event.seq), str(event.stage),
+                                str(event.pcr_index), event.name,
+                                event.digest.hex(), event.signer]

@@ -68,7 +68,7 @@ class Rig:
         self.prepare(node_id)
         identity = crypto.SigningKeyPair.generate("IDENTITY", self.rng)
         bound = self.report(
-            verifier.registration_report_data(identity.public_bytes))
+            owner_ca.registration_report_data(identity.public_bytes))
         cert, ms = self.ca.register_node(node_id, bound, self.chain,
                                          identity.public_bytes)
         return cert, ms
@@ -265,7 +265,7 @@ def test_register_node_refuses_a_node_whose_aik_is_not_certified():
     rig.enroll_tee()
     rig.ca.set_trust_baseline("node-a", tee.launch_measure(rig.tcb))
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
-    bound = rig.report(verifier.registration_report_data(identity.public_bytes))
+    bound = rig.report(owner_ca.registration_report_data(identity.public_bytes))
     with pytest.raises(NotInitialized):
         rig.ca.register_node("node-a", bound, rig.chain, identity.public_bytes)
     assert rig.ca.nodes["node-a"].identity_cert is None
@@ -280,7 +280,7 @@ def test_register_node_refuses_evidence_from_an_unregistered_chip():
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
     report = tee.guest_report(
         vcek_b, chip_b, rig.tcb, 7,
-        verifier.registration_report_data(identity.public_bytes))
+        owner_ca.registration_report_data(identity.public_bytes))
     with pytest.raises(BaselineRejected):
         rig.ca.register_node("node-a", report, chain_b, identity.public_bytes)
     assert rig.ca.nodes["node-a"].identity_cert is None
@@ -313,7 +313,7 @@ def test_register_node_registers_a_node_once():
     rig = Rig()
     rig.prepare()
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
-    bound = rig.report(verifier.registration_report_data(identity.public_bytes))
+    bound = rig.report(owner_ca.registration_report_data(identity.public_bytes))
     cert, _ = rig.ca.register_node("node-a", bound, rig.chain,
                                    identity.public_bytes)
     before = rig.ca.snapshot(), rig.ca.record_log, rig.ca._next_serial
@@ -353,7 +353,7 @@ def test_register_node_names_the_first_failing_evidence_layer():
 
 @pytest.mark.parametrize("report_data", [
     bytes(64),
-    verifier.registration_report_data(b"some other identity key"),
+    owner_ca.registration_report_data(b"some other identity key"),
 ], ids=["zero-report-data", "other-key"])
 def test_register_node_rejects_report_not_bound_to_identity(report_data):
     rig = Rig()
@@ -390,7 +390,7 @@ def _register_node_garbled_boot_report(rig):
     rig.prepare()
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
     report = _not_der(rig.report(
-        verifier.registration_report_data(identity.public_bytes)))
+        owner_ca.registration_report_data(identity.public_bytes)))
     assert not report.verify(rig.chain.vcek.subject)
     rig.ca.register_node("node-a", report, rig.chain, identity.public_bytes)
 
@@ -447,7 +447,7 @@ def test_revoked_node_gets_no_certificate():
                                                    rig.state.ek_blob)))
     rig.ca.revoke("node-a", "compromise")
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
-    bound = rig.report(verifier.registration_report_data(identity.public_bytes))
+    bound = rig.report(owner_ca.registration_report_data(identity.public_bytes))
     before = rig.ca.revocation_list(), rig.ca.snapshot()
     with pytest.raises(NodeRevoked):
         rig.enroll_tee()

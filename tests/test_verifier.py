@@ -75,8 +75,7 @@ def test_composite_ok_both_directions(cluster, direction):
     assert verified.node_id == cluster.actor(0).node_id
     assert verified.token_type == direction
     assert verified.tcb_version == cluster.actor(0).tcb_version
-    assert verified.measurement == cluster.policy.expected_measurement
-    assert verified.pcr_digest == cluster.policy.expected_pcr_composite
+    assert verified.pcr_selection == cluster.policy.pcr_selection
 
 
 def test_envelope_round_trip_encoding(cluster):
@@ -785,6 +784,23 @@ def test_token_truncation_malformed(cluster):
     assert cluster.verifier_svc.validate_token(
         _b64url(token.body_bytes()).decode()) \
         is verifier.TokenRejection.MALFORMED
+
+
+@pytest.mark.parametrize("make", [
+    lambda token: token.to_bytes(),
+    lambda token: token.compact().encode(),
+    lambda token: None,
+    lambda token: 7,
+], ids=["record-bytes", "compact-bytes", "none", "int"])
+def test_a_value_that_is_no_token_nor_its_text_is_malformed(cluster, make):
+    # the token-info body carries the record's bytes: a relying party that
+    # passes those, or anything else that is neither a token nor its
+    # compact text, reads MALFORMED from both validators
+    svc = cluster.verifier_svc
+    value = make(issue_one(cluster))
+    assert verifier.validate_token(value, svc.key.public, svc.clock.now()) \
+        is verifier.TokenRejection.MALFORMED
+    assert svc.validate_token(value) is verifier.TokenRejection.MALFORMED
 
 
 def test_hostile_token_text_is_malformed(cluster):
