@@ -456,7 +456,7 @@ def attack_stale_token(cluster: Cluster) -> AttackReport:
 
     live = validate("live")
     issue_time = cluster.clock.now()
-    cluster.clock.advance(cluster.policy.token_lifetime + 1)
+    cluster.clock.advance(verifier.TOKEN_LIFETIME + 1)
     expired = validate("expired")
     cluster.oca.revoke(actor.node_id, "drill")
     revoked = validate("revoked", now=issue_time + 1)

@@ -538,20 +538,20 @@ class CompositeReportEnvelope(Record):
 # attestation flows
 # ---------------------------------------------------------------------------
 
-def _send_attest_request(verifier_svc, actor, channels, trace, policy_id,
+def _send_attest_request(verifier_svc, actor, channels, trace, policy,
                          direction) -> tuple:
-    """Verifier opens a session and sends the challenge; returns the
-    request and the attest-request fields as the platform agent sees
-    them."""
+    """Verifier opens a session under the policy and sends the challenge,
+    with the policy's PCR selection; returns the request and the
+    attest-request fields as the platform agent sees them."""
     V, C = VERIFIER_PRINCIPAL, actor.agent
-    request = verifier_svc.new_request(policy_id, actor.node_id)
+    request = verifier_svc.new_request(policy.policy_id, actor.node_id)
     session_hex = request.session_id.hex()
     trace.emit(V, "new", digest=crypto.sha256(request.nonce),
                tag="attest-nonce", contents=(f"session:{session_hex}",))
     rx = _transfer(trace, channels, V, C, "attest-request",
                    {"session_id": request.session_id, "nonce": request.nonce,
-                    "policy_id": policy_id,
-                    "selection": request.pcr_selection,
+                    "policy_id": policy.policy_id,
+                    "selection": policy.pcr_selection,
                     "direction": direction},
                    session_id=request.session_id,
                    contents=(f"session:{session_hex}",))
@@ -628,7 +628,7 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
     V, C = VERIFIER_PRINCIPAL, actor.agent
     policy = verifier_svc.get_policy(policy_id)
     request, rx = _send_attest_request(verifier_svc, actor, channels, trace,
-                                       policy_id, direction)
+                                       policy, direction)
     session_id, nonce = rx["session_id"], rx["nonce"]
     session_hex = session_id.hex()
 
@@ -660,11 +660,12 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
         raise AttestationRejected(outcome, f"evidence rejected: {outcome.value}")
 
     token = verifier_svc.issue_token(verified)
-    token_digest = token.digest
+    token_bytes = token.to_bytes()
+    token_digest = crypto.sha256(token_bytes)
     token_content = (f"token:{token_digest.hex()}",)
     trace.emit(V, "sign", digest=token_digest, tag="token",
                contents=token_content + (f"session:{session_hex}",))
-    _transfer(trace, channels, V, C, "token-info", {"token": token.to_bytes()},
+    _transfer(trace, channels, V, C, "token-info", {"token": token_bytes},
               session_id=session_id, contents=token_content)
     trace.emit(C, "decrypt", digest=token_digest, tag="token-info",
                contents=token_content)

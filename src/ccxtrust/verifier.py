@@ -54,7 +54,7 @@ if TYPE_CHECKING:   # pragma: no cover - import only for annotations
     from .protocol import CompositeReportEnvelope
 
 TOKEN_FORMAT_VERSION = 1
-DEFAULT_TOKEN_LIFETIME = 3600.0
+TOKEN_LIFETIME = 3600.0   # seconds an issued token stays valid
 SESSION_TTL = 300.0   # seconds an attestation session stays open
 
 # The evidence layers of each envelope direction, outermost first; each
@@ -90,15 +90,15 @@ class TokenRejection(Enum):
 
 @dataclass(frozen=True)
 class PolicyBaseline:
-    """What a relying party demands from a platform."""
+    """The reference values appraisal compares a platform's claims with:
+    the launch measurement, the PCR selection and its composite, and the
+    TCB floor. Every LAYOUTS direction is appraised under them."""
 
     policy_id: str
     expected_measurement: bytes
     pcr_selection: tuple[int, ...]
     expected_pcr_composite: bytes
     min_tcb_version: int
-    allowed_types: tuple[str, ...] = tuple(LAYOUTS)
-    token_lifetime: float = DEFAULT_TOKEN_LIFETIME
 
 
 @dataclass(slots=True)
@@ -110,7 +110,6 @@ class AttestationRequest:
     node_id: str
     policy_id: str
     nonce: bytes
-    pcr_selection: tuple[int, ...]
     created_at: float
     completed: bool = False
     token_minted: bool = False
@@ -331,7 +330,7 @@ class VerifierService:
     def new_request(self, policy_id: str, node_id: str) -> AttestationRequest:
         """Open a session with a fresh nonce. Refused for revoked nodes.
         First drops the sessions past SESSION_TTL, with their nonces."""
-        policy = self.get_policy(policy_id)
+        self.get_policy(policy_id)
         if self._is_revoked(node_id):
             raise NodeRevoked(f"node {node_id!r} is revoked")
         with self._lock:
@@ -345,8 +344,7 @@ class VerifierService:
             session_id = crypto.sha256(nonce + b"verifier" + node_id.encode())
             request = AttestationRequest(
                 session_id=session_id, node_id=node_id, policy_id=policy_id,
-                nonce=nonce, pcr_selection=policy.pcr_selection,
-                created_at=now)
+                nonce=nonce, created_at=now)
             self._sessions[session_id] = request
         return request
 
@@ -435,16 +433,17 @@ class VerifierService:
     # -- tokens ----------------------------------------------------------------
 
     def issue_token(self, verified: VerifiedReport) -> AttestationToken:
-        """Mint a bearer token for verified evidence, under the policy of
-        the verifier's own entry for its session.
+        """Mint a bearer token for verified evidence, valid for
+        TOKEN_LIFETIME and naming the policy of the verifier's own entry
+        for its session.
 
         The VerifiedReport type gate is the soundness hook: there is no
         public constructor path that has not been through verification.
-        A session yields at most one token; a refused call (unknown
-        session or one past SESSION_TTL, second mint, node revoked since
-        appraisal, token type the policy forbids) does not use it up.
-        Revocation is checked under the lock, so a revoke that returned
-        before the mint is seen.
+        A session yields at most one token: an unknown session (or one
+        past SESSION_TTL) and a second mint raise ValueError, a node
+        revoked since appraisal NodeRevoked, and a refused call does not
+        use the session's token up. Revocation is checked under the lock,
+        so a revoke that returned before the mint is seen.
         """
         if not isinstance(verified, VerifiedReport):
             raise TypeError("issue_token requires a VerifiedReport")
@@ -455,10 +454,6 @@ class VerifierService:
                 raise ValueError("session is unknown or already has its token")
             if self._is_revoked(session.node_id):
                 raise NodeRevoked(f"node {session.node_id!r} is revoked")
-            policy = self.get_policy(session.policy_id)
-            if verified.token_type not in policy.allowed_types:
-                raise ValueError(
-                    f"policy forbids token type {verified.token_type!r}")
             session.token_minted = True
             serial = self._next_serial
             self._next_serial += 1
@@ -466,11 +461,11 @@ class VerifierService:
                 self.key, alg="ES256", version=TOKEN_FORMAT_VERSION,
                 key_id=crypto.sha256(self.key.public_bytes)[:8],
                 issued_at=int(now),
-                expires_at=int(now + policy.token_lifetime),
+                expires_at=int(now + TOKEN_LIFETIME),
                 token_type=verified.token_type, serial=serial,
                 evidence=verified.evidence, node=verified.node_id,
                 tcb=verified.tcb_version, pcr_selection=verified.pcr_selection,
-                policy=policy.policy_id)
+                policy=session.policy_id)
 
     def validate_token(self, token: "AttestationToken | str",
                        now: float | None = None) -> dict | TokenRejection:

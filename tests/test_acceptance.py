@@ -416,7 +416,7 @@ def test_criterion_09_token_expiry_and_revocation():
             direction=direction))
     live = sum(isinstance(cluster.verifier_svc.validate_token(t), dict)
                for t in tokens)
-    cluster.clock.advance(cluster.policy.token_lifetime + 1)
+    cluster.clock.advance(verifier.TOKEN_LIFETIME + 1)
     expired = sum(cluster.verifier_svc.validate_token(t)
                   is verifier.TokenRejection.EXPIRED for t in tokens)
 
