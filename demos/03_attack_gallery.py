@@ -3,8 +3,9 @@
 
 Live attacks replay, splice, spoof, and roll back real protocol state and
 count what the defenses reject. The fault traces go one level deeper:
-they forge history itself, and the trace checker finds the step where the
-story stops being justified.
+each rewrites one event of an honest run's history (a signer swapped, a
+signature or a check deleted, a signature moved first), and the trace
+checker finds the step where the story stops being justified.
 """
 
 from ccxtrust import harness, protocol
@@ -31,10 +32,10 @@ for index, (title, drill) in enumerate(harness.DRILLS.values()):
 # forged histories against the trace checker
 # ---------------------------------------------------------------------------
 
-cluster = harness.build_cluster(99, nodes=3)
-for title, build, _violates in harness.FAULT_TRACES.values():
-    trace = build(cluster)
-    verdicts = protocol.check_theorems(trace)
+honest = harness.run_scenario(99, nodes=3).trace
+for title, edit, _violates in harness.FAULT_TRACES.values():
+    verdicts = protocol.check_theorems(
+        protocol.ProtocolTrace(edit(honest.events)))
     print(title)
     for verdict in verdicts.values():
         print("   ", verdict.line())

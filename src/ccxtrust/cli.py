@@ -124,8 +124,7 @@ def _cmd_init(args) -> int:
 def _cmd_attest(args) -> int:
     out = _out_dir(args)
     result = harness.run_scenario(args.seed, nodes=args.nodes,
-                                  direction=args.direction,
-                                  include_independent=False)
+                                  direction=args.direction)
     result.trace.write(out / "trace.log")
     token_path = out / "token.txt"
     token_path.write_text(
@@ -171,10 +170,11 @@ def _cmd_independent(args) -> int:
 
 def _cmd_attack(args) -> int:
     out = _out_dir(args)
-    cluster = harness.build_cluster(args.seed, max(args.nodes, 2))
+    nodes = max(args.nodes, 2)
     if args.name in harness.FAULT_TRACES:
-        _title, build, expected_fail = harness.FAULT_TRACES[args.name]
-        trace = build(cluster)
+        _title, edit, expected_fail = harness.FAULT_TRACES[args.name]
+        honest = harness.run_scenario(args.seed, nodes=nodes).trace
+        trace = protocol.ProtocolTrace(edit(honest.events))
         trace.write(out / "trace.log")
         verdicts = protocol.check_theorems(trace)
         _write_json(out / "summary.json", {
@@ -190,7 +190,7 @@ def _cmd_attack(args) -> int:
         print("unexpected theorem outcome for this fault", file=sys.stderr)
         return 2
     _title, drill = harness.DRILLS[args.name]
-    report = drill(cluster)
+    report = drill(harness.build_cluster(args.seed, nodes))
     _write_json(out / "summary.json",
                 {"command": "attack", "seed": args.seed,
                  **report.summary()})

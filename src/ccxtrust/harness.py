@@ -197,11 +197,11 @@ class ScenarioResult:
 
 
 def run_scenario(seed: int | bytes, *, nodes: int = 2,
-                 direction: str = "tpm-tee",
-                 include_independent: bool = True) -> ScenarioResult:
-    """Reference end-to-end run: initialize a fleet, attest each node in
-    the requested direction, and (optionally) run the two-token baseline
-    on the first node for comparison. Fully deterministic per seed."""
+                 direction: str = "tpm-tee") -> ScenarioResult:
+    """The honest run: initialize a fleet and attest each node once,
+    alternating the requested direction and the other, as `ccxtrust
+    attest` does. Every fault in FAULT_TRACES is one edit of its trace.
+    Fully deterministic per seed."""
     cluster = build_cluster(seed, nodes)
     tokens = []
     other = "tee-tpm" if direction == "tpm-tee" else "tpm-tee"
@@ -211,10 +211,6 @@ def run_scenario(seed: int | bytes, *, nodes: int = 2,
         tokens.append(protocol.run_attest_composite(
             actor, cluster.verifier_svc, cluster.channels, cluster.trace,
             policy_id=cluster.policy_id, direction=run_direction))
-    if include_independent and nodes:
-        tokens.extend(protocol.run_attest_independent(
-            cluster.actor(0), cluster.verifier_svc, cluster.channels,
-            cluster.trace, policy_id=cluster.policy_id))
     return ScenarioResult(tokens, cluster.trace)
 
 
@@ -568,81 +564,39 @@ def attack_token_pairing_gap(cluster: Cluster) -> AttackReport:
 
 
 # ---------------------------------------------------------------------------
-# theorem fault traces
+# theorem fault traces: one-event edits of the honest run
 # ---------------------------------------------------------------------------
 
-def fault_trace_forged_cert(cluster: Cluster) -> protocol.ProtocolTrace:
-    """A certificate the owner CA never signed shows up in a node's
-    hands: cert-provenance must fail."""
-    trace = protocol.ProtocolTrace(cluster.trace.events)
-    actor = cluster.actor(0)
-    mallory = crypto.SigningKeyPair.from_seed(
-        "OCA", cluster.rng.fork("mallory-cert").random_bytes(32))
-    forged = crypto.issue_certificate(mallory, "VCEK", 9999,
-                                      actor.vcek.public_bytes)
-    digest = forged.digest.hex()
-    trace.emit("mallory", "sign", digest=forged.digest, tag="cert-vcek",
-               contents=(f"cert-vcek:{digest}",))
-    trace.emit("mallory", "send", peer=actor.tee_name,
-               digest=forged.digest, tag="cert-vcek-info",
-               contents=(f"cert-vcek:{digest}",))
-    trace.emit(actor.tee_name, "receive", peer="mallory",
-               digest=forged.digest, tag="cert-vcek-info",
-               contents=(f"cert-vcek:{digest}",))
-    trace.emit(actor.tee_name, "decrypt", digest=forged.digest,
-               tag="cert-vcek-info", contents=(f"cert-vcek:{digest}",))
-    return trace
+def _nth(events: list, kind: str, tag: str, nth: int = 0) -> int:
+    """Position of the nth event of a kind and tag."""
+    return [i for i, e in enumerate(events)
+            if e.kind == kind and e.tag == tag][nth]
 
 
-def fault_trace_forged_token(cluster: Cluster) -> protocol.ProtocolTrace:
-    """A token the verifier never signed shows up in a node's hands:
-    token-provenance must fail."""
-    trace = protocol.ProtocolTrace(cluster.trace.events)
-    actor = cluster.actor(0)
-    mallory = crypto.SigningKeyPair.from_seed(
-        "VERIFIER", cluster.rng.fork("mallory-token").random_bytes(32))
-    forged = verifier.AttestationToken.signed(
-        mallory, alg="ES256", version=verifier.TOKEN_FORMAT_VERSION,
-        key_id=b"forged!!", issued_at=0, expires_at=2 ** 31,
-        token_type="tpm-tee", serial=424242, evidence=b"",
-        node=actor.node_id, tcb=7, pcr_selection=(),
-        policy=cluster.policy_id)
-    digest = forged.digest
-    # The forgery itself happens outside the observed system, so no sign
-    # event lands in the trace: the node simply ends up holding a token
-    # nobody accountable ever signed.
-    trace.emit("mallory", "send", peer=actor.agent, digest=digest,
-               tag="token-info", contents=(f"token:{digest.hex()}",))
-    trace.emit(actor.agent, "receive", peer="mallory", digest=digest,
-               tag="token-info", contents=(f"token:{digest.hex()}",))
-    trace.emit(actor.agent, "decrypt", digest=digest, tag="token-info",
-               contents=(f"token:{digest.hex()}",))
-    return trace
+def _deleted(kind: str, tag: str, nth: int = 0):
+    """The edit that deletes the nth event of a kind and tag."""
+    def edit(events: list) -> list:
+        at = _nth(events, kind, tag, nth)
+        return events[:at] + events[at + 1:]
+    return edit
 
 
-def fault_trace_unvouched_identity(cluster: Cluster) -> protocol.ProtocolTrace:
-    """The second node's identity certificate signed with no check of
-    registration evidence for its identity key. The first node's check
-    names another key and must not vouch for it: cert-provenance must
-    fail."""
-    key = crypto.sha256(cluster.actor(1).identity.public_bytes).hex()
-    return protocol.ProtocolTrace(
-        e for e in cluster.trace.events
-        if e.kind != "verify" or f"identity-pub:{key}" not in e.contents)
+def _moved_first(kind: str, tag: str):
+    """The edit that moves the first event of a kind and tag to the front."""
+    def edit(events: list) -> list:
+        at = _nth(events, kind, tag)
+        return [events[at], *events[:at], *events[at + 1:]]
+    return edit
 
 
-def fault_trace_reordered_sign(cluster: Cluster) -> protocol.ProtocolTrace:
-    """Evidence signed before the request arrived (a pre-signed quote
-    replayed into a session): attest-order must fail."""
-    trace = protocol.ProtocolTrace()
-    protocol.run_attest_composite(
-        cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
-        policy_id=cluster.policy_id, direction="tpm-tee")
-    events = trace.events
-    sign_pos = next(i for i, e in enumerate(events)
-                    if e.kind == "sign" and e.tag == "total-report")
-    events.insert(0, events.pop(sign_pos))
-    return trace
+def _signed_by(principal: str, tag: str):
+    """The edit that gives the first sign of a tag another signer."""
+    def edit(events: list) -> list:
+        at = _nth(events, "sign", tag)
+        return [*events[:at], dataclasses.replace(events[at],
+                                                  principal=principal),
+                *events[at + 1:]]
+    return edit
 
 
 # The drill table, read by `ccxtrust attack` and demo 03.
@@ -658,16 +612,21 @@ DRILLS = {
     "image-forge": ("workload image forged at boot", attack_image_forge),
     "token-pairing": ("baseline token pairing gap", attack_token_pairing_gap),
 }
-# name -> (title, builder, the one trust property its trace violates)
+# name -> (title, edit, the one trust property its trace violates). An
+# edit maps the event list of run_scenario(seed, nodes), nodes >= 2, to
+# one that differs in one event: ProtocolTrace(edit(events)) is the fault.
 FAULT_TRACES = {
     "forged-cert": ("certificate appears without a CA signature",
-                    fault_trace_forged_cert, "cert-provenance"),
+                    _signed_by("mallory", "cert-vcek"), "cert-provenance"),
     "forged-token": ("token appears without a verifier signature",
-                     fault_trace_forged_token, "token-provenance"),
+                     _deleted("sign", "token"), "token-provenance"),
     "reordered-sign": ("evidence signed before the nonce arrived",
-                       fault_trace_reordered_sign, "attest-order"),
+                       _moved_first("sign", "total-report"), "attest-order"),
+    # the second node's check: the first node's names another key and
+    # must not vouch for it
     "unvouched-identity": ("identity certified without its node's evidence",
-                           fault_trace_unvouched_identity, "cert-provenance"),
+                           _deleted("verify", "registration-evidence", 1),
+                           "cert-provenance"),
 }
 
 

@@ -198,8 +198,10 @@ class OwnerCa:
         return cert
 
     def set_trust_baseline(self, node_id: str, launch_measurement: bytes) -> None:
-        """The launch measurement node_id's boot report must carry."""
+        """The launch measurement node_id's boot report must carry. A
+        revoked node is refused, and its baseline stays as it was."""
         with self._lock:
+            self._refuse_revoked(node_id)
             record = self._node(node_id)
             record.baseline = launch_measurement
             self._record(f"set-baseline {node_id}")

@@ -734,8 +734,8 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
     verifier, which signed it first. attest-order: evidence names a
     session, and the platform received the verifier's request for each
     session it names before signing it; no session is answered by two
-    evidence signatures (Lowe's injective agreement, CSFW 1997); nobody
-    but the verifier signs a token.
+    evidence signatures, nor given two tokens (Lowe's injective
+    agreement, CSFW 1997); nobody but the verifier signs a token.
 
     Each is a PCL-style precedence claim (Datta, Derek, Mitchell and
     Roy, ENTCS 2007) checked by one forward pass, linear in the events:
@@ -768,9 +768,11 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
     rule_of = rules.get
     checkers = {signer for signer, _, _ in checked}
     # the receipts of the verifier's attest-requests, as (node, content),
-    # and the evidence sign that answered each session content
+    # the evidence sign that answered each session content, and the token
+    # sign that closed it
     requested: set[tuple[str, str]] = set()
     answered: dict[str, int] = {}
+    minted: dict[str, int] = {}
     failed: dict[str, TheoremVerdict] = {}
     in_order = justified["attest-order"].append
     misses: list[tuple] = []
@@ -815,10 +817,17 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
                          f"for session {twice[8:24]}", answered[twice], index)
                 else:
                     in_order(index)
-            elif tag == "token" and principal != verifier:
-                fail("attest-order",
-                     f"{principal} signed a token; only {verifier} may",
-                     index)
+            elif tag == "token":
+                if principal != verifier:
+                    fail("attest-order",
+                         f"{principal} signed a token; only {verifier} may",
+                         index)
+                for content in event.contents:
+                    if content.startswith("session:") \
+                            and minted.setdefault(content, index) != index:
+                        fail("attest-order", f"{verifier} signed a second "
+                             f"token for session {content[8:24]}",
+                             minted[content], index)
             if principal in signed:
                 signed[principal].setdefault(event.digest, index)
         elif kind == "decrypt":

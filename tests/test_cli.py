@@ -191,9 +191,13 @@ def test_check_trace_pass_and_fail(tmp_path, capsys):
     assert run(["check-trace", str(fault / "trace.log")]) == 1
     printed = capsys.readouterr().out
     assert "token-provenance FAIL" in printed
-    # the forged token's decrypt, the fault trace's last event, is named
-    decrypt = protocol.ProtocolTrace.read(fault / "trace.log").lines()[-1]
-    assert f"\n    {decrypt}\n" in printed
+    # the witness, the decrypt of the token nobody signed, is named
+    trace = protocol.ProtocolTrace.read(fault / "trace.log")
+    verdict = protocol.check_theorems(trace)["token-provenance"]
+    (index,) = verdict.witness
+    decrypt = trace.events[index]
+    assert (decrypt.kind, decrypt.tag) == ("decrypt", "token-info")
+    assert f"\n    {decrypt.line(index)}\n" in printed
 
 
 def test_check_trace_undecodable_file_exits_1(tmp_path, capsys):

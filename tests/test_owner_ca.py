@@ -484,6 +484,17 @@ def test_revoked_node_is_refused_before_any_work(monkeypatch):
     assert rig.ca._sessions == sessions
 
 
+def test_revoked_node_gets_no_new_baseline():
+    rig = Rig()
+    rig.prepare()
+    rig.ca.revoke("node-a", "compromise")
+    baseline, records = rig.ca.nodes["node-a"].baseline, rig.ca.record_log
+    with pytest.raises(NodeRevoked):
+        rig.ca.set_trust_baseline("node-a", bytes(32))
+    assert rig.ca.nodes["node-a"].baseline == baseline
+    assert rig.ca.record_log == records
+
+
 def test_record_log_mentions_lifecycle():
     rig = Rig()
     rig.activate()

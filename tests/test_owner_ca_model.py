@@ -196,6 +196,8 @@ class Model:
                 "aik_answer:issued")
 
     def set_trust_baseline(self, node_id, good):
+        if node_id in self.revoked:
+            return NodeRevoked, "set_trust_baseline:revoked"
         if node_id not in self.nodes:
             return NodeUnknown, "set_trust_baseline:unknown-node"
         self.nodes[node_id].baseline = good
@@ -338,7 +340,8 @@ def test_owner_ca_walks_agree_with_the_model():
         "aik_challenge:unknown-node", "aik_challenge:revoked",
         "aik_answer:issued", "aik_answer:wrong", "aik_answer:replayed",
         "aik_answer:expired", "aik_answer:unknown", "aik_answer:revoked",
-        "set_trust_baseline:set", "register_node:issued",
+        "set_trust_baseline:set", "set_trust_baseline:revoked",
+        "register_node:issued",
         "register_node:registered-twice", "register_node:no-aik",
         "register_node:no-baseline", "register_node:another-chip",
         "register_node:revoked", "revoke:revoked", "revoke:again"}

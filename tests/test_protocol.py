@@ -488,29 +488,43 @@ def test_checker_works_from_serialized_trace(cluster):
     assert all(v.ok for v in verdicts.values())
 
 
-def test_forged_cert_fails_exactly_cert_provenance(cluster2):
-    trace = harness.fault_trace_forged_cert(cluster2)
-    verdicts = protocol.check_theorems(trace)
-    assert not verdicts["cert-provenance"].ok
-    assert verdicts["token-provenance"].ok
-    assert verdicts["attest-order"].ok
-    assert verdicts["cert-provenance"].witness
+def _edit_kind(before: list, after: list) -> str | None:
+    """How after differs from before in one event: "deletion", "move",
+    or the one field of one event that changed; None for anything else."""
+    both = min(len(before), len(after))
+    head = next((i for i in range(both) if before[i] != after[i]), both)
+    tail = next((i for i in range(both - head)
+                 if before[-1 - i] != after[-1 - i]), both - head)
+    was, now = before[head:len(before) - tail], after[head:len(after) - tail]
+    if len(was) == 1 and not now:
+        return "deletion"
+    if len(was) == len(now) == 1:
+        changed = [f.name for f in dataclasses.fields(TraceEvent)
+                   if getattr(was[0], f.name) != getattr(now[0], f.name)]
+        return changed[0] if len(changed) == 1 else None
+    if len(was) == len(now) > 1 and now in (was[1:] + was[:1],
+                                             was[-1:] + was[:-1]):
+        return "move"
+    return None
 
 
-def test_forged_token_fails_exactly_token_provenance(cluster2):
-    trace = harness.fault_trace_forged_token(cluster2)
-    verdicts = protocol.check_theorems(trace)
-    assert verdicts["cert-provenance"].ok
-    assert not verdicts["token-provenance"].ok
-    assert verdicts["attest-order"].ok
+_FAULT_EDITS = {"forged-cert": "principal", "forged-token": "deletion",
+                "reordered-sign": "move", "unvouched-identity": "deletion"}
 
 
-def test_reordered_sign_fails_exactly_attest_order(cluster2):
-    trace = harness.fault_trace_reordered_sign(cluster2)
-    verdicts = protocol.check_theorems(trace)
-    assert verdicts["cert-provenance"].ok
-    assert verdicts["token-provenance"].ok
-    assert not verdicts["attest-order"].ok
+@pytest.mark.parametrize("seed,nodes", [(31, 2), (45, 2), (99, 3)],
+                         ids=["31x2", "45x2", "99x3"])
+def test_each_fault_is_one_edit_failing_only_its_property(seed, nodes):
+    honest = harness.run_scenario(seed, nodes=nodes).trace.events
+    assert all(v.ok for v in protocol.check_theorems(
+        protocol.ProtocolTrace(honest)).values())
+    assert _FAULT_EDITS.keys() == harness.FAULT_TRACES.keys()
+    for name, (_title, edit, violated) in harness.FAULT_TRACES.items():
+        events = edit(honest)
+        assert _edit_kind(honest, events) == _FAULT_EDITS[name], name
+        verdicts = protocol.check_theorems(protocol.ProtocolTrace(events))
+        assert [n for n, v in verdicts.items() if not v.ok] == [violated], name
+        assert verdicts[violated].witness, name
 
 
 @pytest.mark.parametrize("tag,key,label", [
@@ -541,8 +555,8 @@ def test_one_nodes_check_does_not_vouch_for_another(cluster2, tag, key,
                               f"{sign.digest[:16]} without prior {tag} "
                               "evidence")
     if tag == "registration-evidence":
-        assert trace.text() == harness.fault_trace_unvouched_identity(
-            cluster2).text()
+        _title, edit, _violated = harness.FAULT_TRACES["unvouched-identity"]
+        assert trace.events == edit(cluster2.trace.events)
 
 
 def test_an_edited_event_list_judges_by_position(cluster):
@@ -653,20 +667,19 @@ def test_evidence_needs_a_request_for_every_session_it_names():
         f"{session[:16]} before receiving the request", (22,))
 
 
-def _answered_twice_trace():
-    """The honest run_scenario(31) trace with a copy of its first
-    total-report sign appended: a second evidence signature for a session
-    that has one."""
+def _second_sign_trace(tag: str):
+    """The honest run_scenario(31) trace with a copy of its first sign of
+    tag appended: a second evidence signature (total-report) or a second
+    token (token) for a session that has one; and that first sign."""
     trace = harness.run_scenario(31).trace
-    first = next(e for e in trace.events
-                 if e.kind == "sign" and e.tag == "total-report")
+    first = next(e for e in trace.events if e.kind == "sign" and e.tag == tag)
     return protocol.ProtocolTrace([*trace.events, first]), first
 
 
 def test_each_session_is_answered_by_one_evidence_signature():
     # Lowe's injective agreement: a request buys at most one evidence
     # signature, so a copy of an answered session's sign fails
-    trace, first = _answered_twice_trace()
+    trace, first = _second_sign_trace("total-report")
     session = next(c for c in first.contents if c.startswith("session:"))
     assert protocol.check_theorems(trace)["attest-order"] == TheoremVerdict(
         "attest-order", False, "node0000 signed second evidence for "
@@ -674,47 +687,59 @@ def test_each_session_is_answered_by_one_evidence_signature():
         (trace.events.index(first), len(trace.events) - 1))
 
 
+def test_each_session_is_given_one_token():
+    # injective agreement for tokens: a session's one appraisal buys one
+    # token, so a copy of a session's token sign fails
+    trace, first = _second_sign_trace("token")
+    session = next(c for c in first.contents if c.startswith("session:"))
+    verdicts = protocol.check_theorems(trace)
+    assert verdicts["attest-order"] == TheoremVerdict(
+        "attest-order", False, f"{VERIFIER_PRINCIPAL} signed a second token "
+        f"for session {session[8:24]}",
+        (trace.events.index(first), len(trace.events) - 1))
+    assert verdicts["cert-provenance"].ok and verdicts["token-provenance"].ok
+
+
 # The exact verdict lines, reasons and witnesses included, that
-# check_theorems gives each fault trace of build_cluster(31, nodes=2) and
-# the honest run_scenario(31) trace.
+# check_theorems gives the honest run_scenario(31) trace and each fault
+# of the gallery, an edit of that trace.
 _PINNED_VERDICT_LINES = {
     "forged-cert": (
-        "cert-provenance FAIL witness=73 node0000 holds cert-vcek "
-        "4a95b829d7c05063 never signed by owner-ca",
-        "token-provenance pass witness=- 0 token possessions justified",
-        "attest-order pass witness=- 0 evidence signatures in order"),
+        "cert-provenance FAIL witness=6 node0000 holds cert-vcek "
+        "81b8f6ab03e10a28 never signed by owner-ca",
+        "token-provenance pass witness=89,109 2 token possessions justified",
+        "attest-order pass witness=80,100 2 evidence signatures in order"),
     "forged-token": (
         "cert-provenance pass witness=6,22,34,41,57,69 6 certificate "
         "possessions justified",
-        "token-provenance FAIL witness=72 node0000 holds token "
-        "ea2254a7d47a111f never signed by verifier",
-        "attest-order pass witness=- 0 evidence signatures in order"),
+        "token-provenance FAIL witness=88 node0000 holds token "
+        "5fd0220990d7ee68 never signed by verifier",
+        "attest-order pass witness=80,99 2 evidence signatures in order"),
     "reordered-sign": (
-        "cert-provenance pass witness=- 0 certificate possessions justified",
-        "token-provenance pass witness=19 1 token possessions justified",
+        "cert-provenance pass witness=7,23,35,42,58,70 6 certificate "
+        "possessions justified",
+        "token-provenance pass witness=89,109 2 token possessions justified",
         "attest-order FAIL witness=0 node0000 signed evidence for session "
         "711d762b310276c2 before receiving the request"),
     "unvouched-identity": (
         "cert-provenance FAIL witness=65,68 owner-ca signed cert-identity "
         "4cce1e36c371c031 without prior registration-evidence evidence",
-        "token-provenance pass witness=- 0 token possessions justified",
-        "attest-order pass witness=- 0 evidence signatures in order"),
+        "token-provenance pass witness=88,108 2 token possessions justified",
+        "attest-order pass witness=79,99 2 evidence signatures in order"),
     "honest": (
         "cert-provenance pass witness=6,22,34,41,57,69 6 certificate "
         "possessions justified",
-        "token-provenance pass witness=89,109,124,139 4 token possessions "
-        "justified",
-        "attest-order pass witness=80,100,115,130 4 evidence signatures "
-        "in order"),
+        "token-provenance pass witness=89,109 2 token possessions justified",
+        "attest-order pass witness=80,100 2 evidence signatures in order"),
 }
 
 
 @pytest.mark.parametrize("name", [*harness.FAULT_TRACES, "honest"])
 def test_checker_prints_the_pinned_verdict_lines(name):
-    if name == "honest":
-        trace = harness.run_scenario(31).trace
-    else:
-        trace = harness.FAULT_TRACES[name][1](harness.build_cluster(31, 2))
+    trace = harness.run_scenario(31).trace
+    if name != "honest":
+        trace = protocol.ProtocolTrace(
+            harness.FAULT_TRACES[name][1](trace.events))
     lines = tuple(v.line() for v in protocol.check_theorems(trace).values())
     assert lines == _PINNED_VERDICT_LINES[name]
 
@@ -850,6 +875,18 @@ def _check_attest_order(events, verifier) -> TheoremVerdict:
                 "attest-order", False,
                 f"{event.principal} signed a token; only {verifier} may",
                 (index,))
+        if event.kind == "sign" and event.tag == "token":
+            # and no session it names given a token by an earlier sign
+            for session in _labeled(event, "session"):
+                minted = [i for i, e in enumerate(events[:index])
+                          if e.kind == "sign" and e.tag == "token"
+                          and session in _labeled(e, "session")]
+                if minted:
+                    return TheoremVerdict(
+                        "attest-order", False,
+                        f"{verifier} signed a second token for session "
+                        f"{session[:16]}", (minted[0], index))
+            continue
         if event.kind != "sign" or event.tag != "total-report":
             continue
         prover = base_principal(event.principal)
@@ -963,12 +1000,11 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
     holder = cluster2.actor(0).agent
     rare = _rare_checker_cases(honest, holder)
     rare["early-sign-names-a-requested-session"] = _early_sign_trace()[0]
-    rare["session-answered-twice"] = _answered_twice_trace()[0]
+    rare["session-answered-twice"] = _second_sign_trace("total-report")[0]
+    rare["session-given-two-tokens"] = _second_sign_trace("token")[0]
     traces = [honest, node_signs_token,
-              harness.fault_trace_forged_cert(cluster2),
-              harness.fault_trace_forged_token(cluster2),
-              harness.fault_trace_reordered_sign(cluster2),
-              harness.fault_trace_unvouched_identity(cluster2),
+              *(protocol.ProtocolTrace(edit(honest.events))
+                for _title, edit, _violated in harness.FAULT_TRACES.values()),
               *rare.values()]
     for _case in range(1500):
         events = honest.events
@@ -988,7 +1024,7 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
     # first failure follows the label order, one event fails both
     # provenance properties, a label without ":" names no possession,
     # evidence naming a requested session fails for its unrequested one,
-    # and a second evidence sign for a session fails
+    # and a second evidence sign or token sign for a session fails
     first = protocol.check_theorems(rare["two-certs"])["cert-provenance"]
     assert first.reason == (f"{holder} holds cert-vcek {'22' * 8} never "
                             f"signed by {OCA_PRINCIPAL}")
@@ -1000,3 +1036,5 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
         rare["early-sign-names-a-requested-session"])["attest-order"].ok
     assert "second evidence" in protocol.check_theorems(
         rare["session-answered-twice"])["attest-order"].reason
+    assert "second token" in protocol.check_theorems(
+        rare["session-given-two-tokens"])["attest-order"].reason
