@@ -527,6 +527,53 @@ def test_each_fault_is_one_edit_failing_only_its_property(seed, nodes):
         assert verdicts[violated].witness, name
 
 
+@pytest.fixture(scope="module")
+def honest31():
+    return harness.run_scenario(31, nodes=2).trace.events
+
+
+def _fault(honest, name):
+    """The named gallery fault as an edit of honest, with its verdicts."""
+    _title, edit, _violated = harness.FAULT_TRACES[name]
+    events = edit(honest)
+    return events, protocol.check_theorems(protocol.ProtocolTrace(events))
+
+
+def test_forged_cert_fails_exactly_cert_provenance(honest31):
+    events, verdicts = _fault(honest31, "forged-cert")
+    assert not verdicts["cert-provenance"].ok
+    assert verdicts["token-provenance"].ok
+    assert verdicts["attest-order"].ok
+    # the witness holds the certificate the re-attributed sign produced
+    forged = next(e for e in events if e.principal == "mallory")
+    (held,) = (events[i] for i in verdicts["cert-provenance"].witness)
+    assert (forged.kind, forged.tag) == ("sign", "cert-vcek")
+    assert held.kind == "decrypt" and held.digest == forged.digest
+
+
+def test_forged_token_fails_exactly_token_provenance(honest31):
+    events, verdicts = _fault(honest31, "forged-token")
+    assert verdicts["cert-provenance"].ok
+    assert not verdicts["token-provenance"].ok
+    assert verdicts["attest-order"].ok
+    # the witness holds the token whose verifier sign was deleted
+    deleted = next(e for e in honest31 if e not in events)
+    (held,) = (events[i] for i in verdicts["token-provenance"].witness)
+    assert (deleted.principal, deleted.kind, deleted.tag) == (
+        VERIFIER_PRINCIPAL, "sign", "token")
+    assert held.kind == "decrypt" and held.digest == deleted.digest
+
+
+def test_reordered_sign_fails_exactly_attest_order(honest31):
+    events, verdicts = _fault(honest31, "reordered-sign")
+    assert verdicts["cert-provenance"].ok
+    assert verdicts["token-provenance"].ok
+    assert not verdicts["attest-order"].ok
+    # the witness is the evidence sign moved ahead of its request
+    assert verdicts["attest-order"].witness == (0,)
+    assert (events[0].kind, events[0].tag) == ("sign", "total-report")
+
+
 @pytest.mark.parametrize("tag,key,label", [
     ("registration-evidence", "identity-pub", "cert-identity"),
     ("vendor-chain", "vcek-pub", "cert-vcek"),
