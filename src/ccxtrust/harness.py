@@ -145,7 +145,7 @@ def add_node(cluster: Cluster, index: int, *,
     epoch.run_runtime_stage(_WORKLOADS, _workload_allow_list())
 
     actor = protocol.NodeActor(
-        node_id=node_id, rng=rng, state=state,
+        node_id=node_id, state=state,
         ek_handle=ek_handle, srk_handle=srk_handle,
         aik_handle=aik_handle, aik_blob=aik_blob,
         vcek=vcek, vendor_chain=chain, chip_id=chip_id,
@@ -170,7 +170,7 @@ def add_node(cluster: Cluster, index: int, *,
             pcr_selection=measurement.ALL_STAGE_PCRS,
             expected_pcr_composite=composite,
             min_tcb_version=MIN_TCB_VERSION))
-    cluster.oca.register_tee(vcek.public_bytes, chain, node_id=node_id)
+    cluster.oca.register_tee(chain, node_id=node_id)
     cluster.oca.set_trust_baseline(node_id, launch)
 
     protocol.run_initialization(actor, cluster.oca, cluster.verifier_svc,

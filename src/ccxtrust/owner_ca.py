@@ -32,6 +32,7 @@ from .errors import (
     NotInitialized,
     SessionInvalid,
 )
+from .verifier import report_data_for
 
 CHALLENGE_TTL = 120.0   # seconds a credential challenge stays answerable
 
@@ -78,12 +79,6 @@ def challenge_session_id(challenge: tpm.Credential) -> bytes:
     return crypto.sha256(b"aik-session:" + challenge.to_bytes())[:16]
 
 
-def registration_report_data(identity_pub: bytes) -> bytes:
-    """The report_data of the boot report that registers an identity key
-    with the owner CA: the only statement of that binding rule."""
-    return crypto.sha256(identity_pub) + bytes(32)
-
-
 class OwnerCa:
     def __init__(self, *, trusted_tee_root: crypto.PublicKey,
                  trusted_tpm_root: crypto.PublicKey,
@@ -102,18 +97,17 @@ class OwnerCa:
 
     # -- registration flow ---------------------------------------------------
 
-    def register_tee(self, vcek_pub: bytes, vendor_chain: tee.CertChain,
+    def register_tee(self, vendor_chain: tee.CertChain,
                      node_id: str) -> crypto.Certificate:
-        """Verify the vendor chain for a chip key and issue the owner's
-        VCEK certificate to node_id, creating its record on first use.
-        Re-registering the node's own chip key refreshes its certificate
-        under a new serial; another chip's key is refused, and a revoked
-        node is refused before its chain is checked."""
+        """Verify the vendor chain and issue the owner's VCEK certificate
+        for the chip key it endorses to node_id, creating its record on
+        first use. Re-registering the node's own chip key refreshes its
+        certificate under a new serial; another chip's key is refused,
+        and a revoked node is refused before its chain is checked."""
         self._refuse_revoked(node_id)
         if not vendor_chain.verify(self.trusted_tee_root):
             raise ChainInvalid("vendor chain does not verify to the trusted root")
-        if vendor_chain.vcek.subject != vcek_pub:
-            raise ChainInvalid("chain endorses a different key")
+        vcek_pub = vendor_chain.vcek.subject
         with self._lock:
             record = self.nodes.get(node_id)
             if record is not None and record.vcek_cert.subject != vcek_pub:
@@ -127,15 +121,15 @@ class OwnerCa:
             self._record(f"register-tee {node_id} serial={cert.serial}")
         return cert
 
-    def aik_challenge(self, aik_public_area: bytes, ek_pub: bytes,
-                      ek_cert: crypto.Certificate,
+    def aik_challenge(self, aik_public_area: bytes, ek_cert: crypto.Certificate,
                       node_id: str) -> tpm.Credential:
         """Open a credential-activation challenge for an (EK, AIK) pair.
 
         The AIK arrives as its full public area; deriving both the key
         name and the certified point from the same bytes is what binds
         the credential to exactly the key that was presented. The EK cert
-        must verify under the TPM manufacturer root. The returned
+        must verify under the TPM manufacturer root, and the credential
+        is sealed to the EK key it endorses, its subject. The returned
         challenge can only be answered by a TPM holding that EK with that
         AIK loaded; the session expires after CHALLENGE_TTL, and the
         first challenge opened after that drops it from the table. A
@@ -144,19 +138,17 @@ class OwnerCa:
         self._refuse_revoked(node_id)
         if not ek_cert.verify(self.trusted_tpm_root):
             raise ChainInvalid("EK certificate does not verify under the TPM vendor root")
-        if ek_cert.subject != ek_pub:
-            raise ChainInvalid("EK certificate endorses a different key")
         aik_blob = tpm.parse_public_area(aik_public_area)
-        aik_pub = aik_blob.public
         with self._lock:
             if node_id not in self.nodes:
                 raise NodeUnknown(f"node {node_id!r} has no TEE registration")
             self._sweep_challenges(self.clock.now())
             nonce = crypto.Secret(self.rng.random_bytes(32))
-            challenge = tpm.make_credential(nonce, aik_blob.name, ek_pub, self.rng)
+            challenge = tpm.make_credential(nonce, aik_blob.name,
+                                            ek_cert.subject, self.rng)
             sid = challenge_session_id(challenge)
             self._sessions[sid] = ChallengeSession(
-                node_id=node_id, nonce=nonce, aik_pub=aik_pub,
+                node_id=node_id, nonce=nonce, aik_pub=aik_blob.public,
                 expires_at=self.clock.now() + CHALLENGE_TTL)
             self._record(f"aik-challenge {node_id} session={sid.hex()}")
         return challenge
@@ -214,7 +206,8 @@ class OwnerCa:
         once: an active node is refused before any check. The report is
         checked bottom-up: the vendor chain, the report signature under
         the chain's VCEK, the launch measurement against the baseline,
-        then the binding to the identity key (registration_report_data).
+        then the binding to the identity key: report_data_for binds it as
+        a "tee" layer does a nonce, with sha256(identity_pub) as the nonce.
         Last, the chain must endorse the node's registered chip key."""
         with self._lock:
             record = self._node(node_id)
@@ -231,7 +224,8 @@ class OwnerCa:
                 raise BaselineRejected(rejected + "signature-invalid")
             if tee_report.launch_measurement != record.baseline:
                 raise BaselineRejected(rejected + "measurement-mismatch")
-            if tee_report.report_data != registration_report_data(identity_pub):
+            if tee_report.report_data != report_data_for(
+                    "tee", crypto.sha256(identity_pub), b""):
                 raise BaselineRejected(rejected + "nonce-mismatch")
             if vendor_chain.vcek.subject != record.vcek_cert.subject:
                 raise BaselineRejected("evidence signed by an unregistered chip key")

@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 from . import crypto, tee, tpm
 from .encoding import RAW, STR, Record, Spec, nested
 from .errors import AttestationRejected, AuthFailure, DecodeError
-from .owner_ca import challenge_session_id, registration_report_data
+from .owner_ca import challenge_session_id
 from .verifier import (LAYOUTS, CompositeOutcome, VerifierService,
                        report_data_for)
 
@@ -178,16 +178,14 @@ _CERT = nested(crypto.Certificate)
 
 # each message type's wire code and body layout, for both ends of _transfer
 MESSAGE_TYPES = {
-    "vcek-info": (0x0101, Spec((1, "vcek_pub", RAW),
-                               (2, "chain", nested(tee.CertChain)))),
+    "vcek-info": (0x0101, Spec((1, "chain", nested(tee.CertChain)))),
     "cert-vcek-info": (0x0102, Spec((1, "cert", _CERT))),
     "cert-tee-info": (0x0103, Spec((1, "cert", _CERT))),
-    "key-info": (0x0104, Spec((1, "aik_area", RAW), (2, "ek_pub", RAW),
-                              (3, "ek_cert", _CERT))),
+    "key-info": (0x0104, Spec((1, "aik_area", RAW), (2, "ek_cert", _CERT))),
     "aik-challenge": (0x0105, Spec((1, "credential", nested(tpm.Credential)))),
     "nonce-info": (0x0106, Spec((1, "secret", RAW))),
     "cert-aik-info": (0x0107, Spec((1, "cert", _CERT))),
-    "key-cert-info": (0x0108, Spec((1, "cert", _CERT), (2, "aik_area", RAW))),
+    "key-cert-info": (0x0108, Spec((1, "cert", _CERT))),
     "pek-cert-info": (0x0109, Spec((1, "cert", _CERT))),
     "register-request": (0x010A, Spec((1, "report", nested(tee.TeeReport)),
                                       (2, "chain", nested(tee.CertChain)),
@@ -288,7 +286,6 @@ class NodeActor:
     """Everything one platform brings to the protocol."""
 
     node_id: str
-    rng: object
     state: tpm.TpmState
     ek_handle: int
     srk_handle: int
@@ -419,8 +416,11 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
     Covers TEE chip-key endorsement, AIK certification through a
     credential-activation challenge, platform-encryption-key
     distribution, and final registration with identity certificate and
-    MasterSecret delivery. Afterwards the verifier holds the node's
-    certified keys.
+    MasterSecret delivery. Each key crosses once, inside its certificate:
+    the owner CA reads the chip key from the vendor chain and the EK from
+    its certificate. Afterwards the verifier holds the node's keys from
+    the certificates it received; the chip id reaches it outside any
+    message.
     """
     E, P = actor.tee_name, actor.tpm_name
     A, V = OCA_PRINCIPAL, VERIFIER_PRINCIPAL
@@ -431,29 +431,25 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
     # owner CA's events reuse the key labels the request carried
     vcek_key = _content("vcek-pub", actor.vcek.public_bytes)
     rx = _transfer(trace, channels, E, A, "vcek-info",
-                   {"vcek_pub": actor.vcek.public_bytes,
-                    "chain": actor.vendor_chain},
+                   {"chain": actor.vendor_chain},
                    contents=(vcek_key, _content("vendor-chain", chain_bytes)))
-    vcek_cert = oca.register_tee(rx["vcek_pub"], rx["chain"],
-                                 node_id=actor.node_id)
+    vcek_cert = oca.register_tee(rx["chain"], node_id=actor.node_id)
     actor.vcek_cert = _hand_off(
         trace, channels, E,
         ("verify", "vendor-chain", crypto.sha256(chain_bytes)), vcek_key,
         vcek_cert, "cert-vcek-info")["cert"]
-    _transfer(trace, channels, E, V, "cert-tee-info",
-              {"cert": actor.vcek_cert},
-              contents=(f"cert-vcek:{actor.vcek_cert.digest.hex()}",))
+    vcek_rx = _transfer(trace, channels, E, V, "cert-tee-info",
+                        {"cert": actor.vcek_cert},
+                        contents=(f"cert-vcek:{actor.vcek_cert.digest.hex()}",))
 
     # --- AIK certification via credential activation
     area = actor.aik_blob.public_area()
     ek_cert = actor.state.ek_cert
     aik_key = _content("aik-pub", area)
     rx = _transfer(trace, channels, P, A, "key-info",
-                   {"aik_area": area, "ek_pub": actor.state.ek_blob.public,
-                    "ek_cert": ek_cert},
+                   {"aik_area": area, "ek_cert": ek_cert},
                    contents=(aik_key, f"ek-cert:{ek_cert.digest.hex()}"))
-    challenge = oca.aik_challenge(rx["aik_area"], rx["ek_pub"], rx["ek_cert"],
-                                  actor.node_id)
+    challenge = oca.aik_challenge(rx["aik_area"], rx["ek_cert"], actor.node_id)
     trace.emit(A, "verify", digest=rx["ek_cert"].digest, tag="ek-cert", ok=True)
     trace.emit(A, "new", digest=crypto.sha256(b"challenge:" + challenge.to_bytes()),
                tag="credential-nonce")
@@ -473,9 +469,9 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
     actor.aik_cert = _hand_off(
         trace, channels, P, ("match", "credential-nonce", answer_digest),
         aik_key, aik_cert, "cert-aik-info")["cert"]
-    _transfer(trace, channels, P, V, "key-cert-info",
-              {"cert": actor.aik_cert, "aik_area": area},
-              contents=(f"cert-aik:{actor.aik_cert.digest.hex()}",))
+    aik_rx = _transfer(trace, channels, P, V, "key-cert-info",
+                       {"cert": actor.aik_cert},
+                       contents=(f"cert-aik:{actor.aik_cert.digest.hex()}",))
 
     # --- platform encryption key, endorsed inside the TEE by the chip key
     pek_cert = crypto.issue_certificate(actor.vcek, "PEK", 1,
@@ -489,16 +485,18 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
     run_registration(actor, oca, channels, trace)
 
     verifier_svc.register_node_keys(actor.node_id, actor.chip_id,
-                                    actor.aik_cert, actor.vcek_cert)
+                                    aik_rx["cert"], vcek_rx["cert"])
 
 
 def run_registration(actor: NodeActor, oca, channels: ChannelTable,
                      trace: ProtocolTrace) -> None:
-    """Final onboarding: fresh boot evidence buys the identity
-    certificate and the MasterSecret."""
+    """Final onboarding: fresh boot evidence, bound to the identity key
+    by report_data_for, buys the identity certificate and the
+    MasterSecret."""
     C, A = actor.agent, OCA_PRINCIPAL
-    boot_report = actor.sign_layer(
-        "tee", registration_report_data(actor.identity.public_bytes), b"")
+    bound = report_data_for(
+        "tee", crypto.sha256(actor.identity.public_bytes), b"")
+    boot_report = actor.sign_layer("tee", bound, b"")
     identity_key = _content("identity-pub", actor.identity.public_bytes)
     rx = _transfer(trace, channels, C, A, "register-request",
                    {"report": boot_report, "chain": actor.vendor_chain,

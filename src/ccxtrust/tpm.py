@@ -271,9 +271,12 @@ def _envelope_key(record: SeedRecord, parent: LoadedKey | None) -> bytes:
 def _new_blob(state: TpmState, hierarchy: str, parent: LoadedKey | None,
               role: str, scalar: int, cvm_id: bytes = b"") -> KeyBlob:
     """Every key blob: the public area in the clear, and the scalar
-    wrapped under the parent's envelope key with the public area as aad."""
+    wrapped under the parent's envelope key with the public area as aad.
+    A child carries its parent's seed version, a primary its seed's."""
     record = state.seeds[hierarchy]
-    blob = KeyBlob(role=role, hierarchy=hierarchy, seed_version=record.version,
+    blob = KeyBlob(role=role, hierarchy=hierarchy,
+                   seed_version=(record.version if parent is None
+                                 else parent.blob.seed_version),
                    public=crypto.public_from_scalar(scalar).point,
                    parent_name=(_seed_parent_name(hierarchy) if parent is None
                                 else parent.blob.name),
@@ -387,8 +390,10 @@ def load_key(state: TpmState, blob: KeyBlob) -> int:
 
 
 def flush_key(state: TpmState, handle: int) -> None:
+    """Evict a loaded key; an unknown handle raises KeyNotLoaded."""
+    _loaded(state, handle)
     state.tick()
-    state.loaded.pop(handle, None)
+    del state.loaded[handle]
 
 
 def loaded_keypair(state: TpmState, handle: int) -> crypto.SigningKeyPair:

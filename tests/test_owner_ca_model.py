@@ -30,7 +30,7 @@ from ccxtrust.errors import (
     NotInitialized,
     SessionInvalid,
 )
-from test_owner_ca import CHIP, Rig
+from test_owner_ca import CHIP, Rig, bound_to
 
 NODES = ("n0", "n1")
 CHIPS = (CHIP, crypto.sha256(b"chip-model-b"))
@@ -53,7 +53,7 @@ class Fixture:
             rig.state, tpm.load_key(rig.state, rig.state.ek_blob))
         foreign = tee.TeeVendor(b"foreign-vendor-x")
         foreign_vcek, _ = foreign.derive_vcek(CHIP, 7)
-        bound = owner_ca.registration_report_data(self.identity.public_bytes)
+        bound = bound_to(self.identity.public_bytes)
         other_tcb = dataclasses.replace(rig.tcb, kernel=crypto.sha256(b"k2"))
         self.evidence = {}
         for c, (vcek, chain) in enumerate(zip(self.vceks, self.chains)):
@@ -79,12 +79,10 @@ class Fixture:
         ca, name, args = self.rig.ca, op[0], op[1:]
         if name == "register_tee":
             node, chip = args
-            return _cert(ca.register_tee(self.vceks[chip].public_bytes,
-                                         self.chains[chip], node))
+            return _cert(ca.register_tee(self.chains[chip], node))
         if name == "aik_challenge":
-            challenge = ca.aik_challenge(
-                self.rig.aik_blob.public_area(), self.rig.state.ek_blob.public,
-                self.rig.state.ek_cert, args[0])
+            challenge = ca.aik_challenge(self.rig.aik_blob.public_area(),
+                                         self.rig.state.ek_cert, args[0])
             answer = tpm.activate_credential(challenge, self.rig.aik_blob.name,
                                              self.ek_priv)
             self.opened.append((owner_ca.challenge_session_id(challenge),

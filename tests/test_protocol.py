@@ -283,6 +283,28 @@ def test_initialization_registers_keys_and_certs(cluster):
     assert actor.master_secret is not None
 
 
+def test_verifier_registers_the_certificates_it_was_sent(monkeypatch,
+                                                         cluster):
+    # the key-cert-info body carries another node's AIK certificate, and
+    # the verifier's keys for the new node are the ones that arrived
+    other = cluster.actor(0).aik_cert
+    real_transfer = protocol._transfer
+
+    def swapping_transfer(trace, channels, sender, receiver, mtype_name,
+                          fields, **kwargs):
+        if mtype_name == "key-cert-info":
+            fields = {**fields, "cert": other}
+        return real_transfer(trace, channels, sender, receiver, mtype_name,
+                             fields, **kwargs)
+
+    monkeypatch.setattr(protocol, "_transfer", swapping_transfer)
+    actor = harness.add_node(cluster, 1)
+    assert actor.aik_cert != other
+    node = cluster.verifier_svc.node_keys(actor.node_id)
+    assert node.aik.point == other.subject != actor.aik_blob.public
+    assert node.vcek.point == actor.vcek_cert.subject
+
+
 def test_attest_composite_both_directions(cluster):
     for direction in ("tpm-tee", "tee-tpm"):
         trace = protocol.ProtocolTrace()
@@ -389,7 +411,7 @@ def test_golden_trace_and_token_digests():
         policy_id=c.policy_id)
     assert len(c.trace.events) == 140
     assert c.trace.digest().hex() == (
-        "a5b08992e50f91cd424a21164d0e3133b37de62aacba6499b38b3ca0b7cf423b")
+        "21b60a7b71b60c0228e730fe0089873b9ee9c6e59143fada6a5f60337fa11ded")
     assert crypto.sha256("".join(t.compact() for t in tokens).encode()).hex() \
         == "6910a878c56f96bb370ceb0679e409e131fc204c78dca1a6564088f38bc6d18f"
 

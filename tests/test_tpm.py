@@ -202,6 +202,21 @@ def test_load_requires_parent_loaded():
         tpm.load_key(state, child)
 
 
+def test_flush_key_refuses_a_handle_that_is_not_loaded(tpm_snapshot):
+    state = fresh_state()
+    handle = tpm.load_key(state, tpm.create_primary(state, "storage"))
+    before = tpm_snapshot(state)
+    with pytest.raises(KeyNotLoaded):
+        tpm.flush_key(state, 0x8fffffff)
+    assert tpm_snapshot(state) == before
+    tpm.flush_key(state, handle)
+    flushed = tpm_snapshot(state)
+    # a second flush of the same handle is refused the same way
+    with pytest.raises(KeyNotLoaded):
+        tpm.flush_key(state, handle)
+    assert tpm_snapshot(state) == flushed
+
+
 def test_load_rejects_tampered_envelope():
     state = fresh_state()
     blob = tpm.create_primary(state, "storage")
@@ -232,6 +247,21 @@ def test_rotate_seed_invalidates_stale_blobs():
     assert new_primary.public != old_primary.public
     new_handle = tpm.load_key(state, new_primary)
     assert tpm.load_key(state, tpm.create_signing_key(state, new_handle))
+
+
+def test_a_child_made_under_a_stale_parent_refuses_to_load():
+    # the parent was loaded before the rotation and is still loaded, but
+    # its child carries the parent's seed version, not the current one
+    state = fresh_state()
+    old_primary = tpm.create_primary(state, "storage")
+    srk_handle = tpm.load_key(state, old_primary)
+    tpm.rotate_seed(state, "storage")
+    child = tpm.create_signing_key(state, srk_handle)
+    assert child.seed_version == old_primary.seed_version == 1
+    with pytest.raises(SeedVersionMismatch):
+        tpm.load_key(state, old_primary)
+    with pytest.raises(SeedVersionMismatch):
+        tpm.load_key(state, child)
 
 
 def test_rotate_seed_leaves_other_hierarchies_alone():

@@ -67,7 +67,9 @@ class Model:
         return self.loaded.get(handle)
 
     def _create(self, identity, hierarchy, parent, cvm):
-        key = Key(identity, hierarchy, self.versions[hierarchy],
+        # a child carries its parent's seed version, a primary its seed's
+        key = Key(identity, hierarchy,
+                  parent.version if parent else self.versions[hierarchy],
                   parent.identity if parent else None, cvm)
         self.keys.append(key)
         return ("blob", hierarchy, key.version, cvm)
@@ -94,9 +96,8 @@ class Model:
             return KeyNotLoaded, "create_cvm_root_key:no-parent"
         if parent.hierarchy not in ("storage", "cc") or parent.parent:
             return HierarchyMismatch, "create_cvm_root_key:not-a-primary"
-        identity = ("cvm-root", parent.identity, cvm,
-                    self.versions[parent.hierarchy])
-        return (self._create(identity, parent.hierarchy, parent, cvm),
+        return (self._create(("cvm-root", parent.identity, cvm),
+                             parent.hierarchy, parent, cvm),
                 f"create_cvm_root_key:{parent.hierarchy}")
 
     def create_cvm_key(self, cvm):
@@ -121,10 +122,10 @@ class Model:
                                     else "load_key:loaded")
 
     def flush_key(self, handle):
-        branch = "flush_key:" + ("flushed" if handle in self.loaded
-                                 else "not-loaded")
-        self.loaded.pop(handle, None)
-        return None, branch
+        if handle not in self.loaded:
+            return KeyNotLoaded, "flush_key:not-loaded"
+        del self.loaded[handle]
+        return None, "flush_key:flushed"
 
     def rotate_seed(self, hierarchy):
         self.versions[hierarchy] += 1
