@@ -47,7 +47,7 @@ cluster = harness.build_cluster(2026, nodes=1)
 actor = cluster.actor(0)
 
 print("  node id            :", actor.node_id)
-print("  TEE chip id        :", actor.chip_id.hex()[:24], "...")
+print("  certified chip id  :", actor.vcek_cert.hw_id.hex()[:24], "...")
 print("  launch measurement :", actor.launch_measurement.hex()[:24], "...")
 print("  AIK name           :", actor.aik_blob.name.hex()[:24], "...")
 

@@ -386,20 +386,23 @@ class Certificate(Signed):
     """Minimal signed binding of a public key to a role.
 
     issuer_name is the digest of the issuer's public point; serial is
-    assigned by the issuer and is what revocation lists track.
+    assigned by the issuer and is what revocation lists track; hw_id is
+    a VCEK certificate's chip id (AMD's hwID), empty for other roles.
     """
 
     role: str
     serial: int
     subject: bytes
     issuer_name: bytes
+    hw_id: bytes
     signature: bytes
 
     SPEC = Spec((1, "role", Kind(_ROLE_CODES.__getitem__, _decode_role)),
                 (2, "serial", U64),
                 (3, "subject", raw(POINT_LEN)),
                 (4, "issuer_name", raw(DIGEST_LEN)),
-                (5, "signature", RAW))
+                (5, "hw_id", RAW),
+                (6, "signature", RAW))
 
     def verify(self, issuer_pub: bytes | PublicKey) -> bool:
         if self.issuer_name != sha256(_point_of(issuer_pub)):
@@ -408,11 +411,12 @@ class Certificate(Signed):
 
 
 def issue_certificate(issuer: SigningKeyPair, role: str, serial: int,
-                      subject_pub: bytes) -> Certificate:
+                      subject_pub: bytes, hw_id: bytes = b"") -> Certificate:
     if role not in ROLE_BYTES:
         raise DecodeError(f"unknown certificate role {role!r}")
     if len(subject_pub) != POINT_LEN:
         raise InvalidPoint("subject must be a 33-byte compressed point")
     return Certificate.signed(issuer, role=role, serial=serial,
                               subject=subject_pub,
-                              issuer_name=sha256(issuer.public_bytes))
+                              issuer_name=sha256(issuer.public_bytes),
+                              hw_id=hw_id)

@@ -100,22 +100,22 @@ class OwnerCa:
     def register_tee(self, vendor_chain: tee.CertChain,
                      node_id: str) -> crypto.Certificate:
         """Verify the vendor chain and issue the owner's VCEK certificate
-        for the chip key it endorses to node_id, creating its record on
-        first use. Re-registering the node's own chip key refreshes its
+        for the chip key and chip id it endorses to node_id, creating its
+        record on first use. Re-registering its own chip key renews the
         certificate under a new serial; another chip's key is refused,
         and a revoked node is refused before its chain is checked."""
         self._refuse_revoked(node_id)
         if not vendor_chain.verify(self.trusted_tee_root):
             raise ChainInvalid("vendor chain does not verify to the trusted root")
-        vcek_pub = vendor_chain.vcek.subject
+        vcek = vendor_chain.vcek
         with self._lock:
             record = self.nodes.get(node_id)
-            if record is not None and record.vcek_cert.subject != vcek_pub:
+            if record is not None and record.vcek_cert.subject != vcek.subject:
                 raise ChainInvalid(
                     f"node {node_id!r} is registered with another chip key")
             if record is None:
                 record = NodeRecord(node_id)
-            cert = self._issue(record, "VCEK", vcek_pub)
+            cert = self._issue(record, "VCEK", vcek.subject, vcek.hw_id)
             self.nodes[node_id] = record
             record.vcek_cert = cert
             self._record(f"register-tee {node_id} serial={cert.serial}")
@@ -273,8 +273,8 @@ class OwnerCa:
         if self.is_revoked(node_id):
             raise NodeRevoked(f"node {node_id!r} is revoked")
 
-    def _issue(self, record: NodeRecord, role: str,
-               subject_pub: bytes) -> crypto.Certificate:
+    def _issue(self, record: NodeRecord, role: str, subject_pub: bytes,
+               hw_id: bytes = b"") -> crypto.Certificate:
         """Issue a certificate to a node under the next serial. A revoked
         node gets none: its serials are only ever revoked ones."""
         if record.revoked:
@@ -282,7 +282,8 @@ class OwnerCa:
         serial = self._next_serial
         self._next_serial += 1
         record.serials.append(serial)
-        return crypto.issue_certificate(self.key, role, serial, subject_pub)
+        return crypto.issue_certificate(self.key, role, serial, subject_pub,
+                                        hw_id)
 
     def _record(self, line: str) -> None:
         self._records.append(f"{len(self._records)} {self.clock.now():.3f} {line}")

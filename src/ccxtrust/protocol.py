@@ -32,8 +32,8 @@ from . import crypto, tee, tpm
 from .encoding import RAW, STR, Record, Spec, nested
 from .errors import AttestationRejected, AuthFailure, DecodeError
 from .owner_ca import challenge_session_id
-from .verifier import (LAYOUTS, CompositeOutcome, VerifierService,
-                       report_data_for)
+from .verifier import (LAYOUTS, AttestationToken, CompositeOutcome,
+                       VerifierService, report_data_for)
 
 OCA_PRINCIPAL = "owner-ca"
 VERIFIER_PRINCIPAL = "verifier"
@@ -193,18 +193,14 @@ MESSAGE_TYPES = {
     "identity-cert-info": (0x010B, Spec((1, "cert", _CERT),
                                         (2, "master_secret", RAW))),
     "attest-request": (0x0201, Spec((1, "session_id", RAW), (2, "nonce", RAW),
-                                    (3, "policy_id", STR),
-                                    (4, "selection", tpm.PCR_BITMAP),
-                                    (5, "direction", STR))),
+                                    (3, "selection", tpm.PCR_BITMAP))),
     "guest-report-request": (0x0202, Spec((1, "report_data", RAW),
-                                          (2, "embedded", RAW),
-                                          (3, "session_id", RAW))),
+                                          (2, "embedded", RAW))),
     # a signed layer travels as the bytes its device signed
     "tee-report": (0x0203, Spec((1, "report", RAW))),
     "quote-request": (0x0204, Spec((1, "selection", tpm.PCR_BITMAP),
                                    (2, "qualifying_data", RAW),
-                                   (3, "embedded", RAW),
-                                   (4, "session_id", RAW))),
+                                   (3, "embedded", RAW))),
     "tpm-report": (0x0205, Spec((1, "quote", RAW))),
     # the evidence envelope of any direction
     "total-report": (0x0206, Spec((1, "report", RAW))),
@@ -417,10 +413,9 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
     credential-activation challenge, platform-encryption-key
     distribution, and final registration with identity certificate and
     MasterSecret delivery. Each key crosses once, inside its certificate:
-    the owner CA reads the chip key from the vendor chain and the EK from
-    its certificate. Afterwards the verifier holds the node's keys from
-    the certificates it received; the chip id reaches it outside any
-    message.
+    the owner CA reads the chip key and chip id from the vendor chain and
+    the EK from its certificate. Afterwards the verifier holds the node's
+    keys and chip id from the certificates it received.
     """
     E, P = actor.tee_name, actor.tpm_name
     A, V = OCA_PRINCIPAL, VERIFIER_PRINCIPAL
@@ -484,8 +479,8 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
 
     run_registration(actor, oca, channels, trace)
 
-    verifier_svc.register_node_keys(actor.node_id, actor.chip_id,
-                                    aik_rx["cert"], vcek_rx["cert"])
+    verifier_svc.register_node_keys(actor.node_id, aik_rx["cert"],
+                                    vcek_rx["cert"])
 
 
 def run_registration(actor: NodeActor, oca, channels: ChannelTable,
@@ -536,8 +531,8 @@ class CompositeReportEnvelope(Record):
 # attestation flows
 # ---------------------------------------------------------------------------
 
-def _send_attest_request(verifier_svc, actor, channels, trace, policy,
-                         direction) -> tuple:
+def _send_attest_request(verifier_svc, actor, channels, trace,
+                         policy) -> tuple:
     """Verifier opens a session under the policy and sends the challenge,
     with the policy's PCR selection; returns the request and the
     attest-request fields as the platform agent sees them."""
@@ -548,9 +543,7 @@ def _send_attest_request(verifier_svc, actor, channels, trace, policy,
                tag="attest-nonce", contents=(f"session:{session_hex}",))
     rx = _transfer(trace, channels, V, C, "attest-request",
                    {"session_id": request.session_id, "nonce": request.nonce,
-                    "policy_id": policy.policy_id,
-                    "selection": policy.pcr_selection,
-                    "direction": direction},
+                    "selection": policy.pcr_selection},
                    session_id=request.session_id,
                    contents=(f"session:{session_hex}",))
     return request, rx
@@ -575,7 +568,7 @@ def _device_layer(actor, channels, trace, session_id, kind, binding,
     session = (f"session:{session_id.hex()}",)
     rx = _transfer(trace, channels, C, device, request,
                    {binding_field: binding, "embedded": embedded,
-                    "selection": selection, "session_id": session_id},
+                    "selection": selection},
                    session_id=session_id, contents=session)
     layer = actor.sign_layer(kind, rx[binding_field], rx["embedded"],
                              rx.get("selection", ())).to_bytes()
@@ -612,7 +605,7 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
                          policy_id: str, direction: str = "tpm-tee",
                          evidence_mutator: Callable | None = None):
     """One attestation of any LAYOUTS direction: three verifier-visible
-    messages, ending in a token.
+    messages, ending in the token the agent decodes from the last.
 
     tpm-tee: the TEE report (bound to the session nonce) is embedded in
     a TPM quote whose qualifying data is the same nonce. tee-tpm: the
@@ -626,7 +619,7 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
     V, C = VERIFIER_PRINCIPAL, actor.agent
     policy = verifier_svc.get_policy(policy_id)
     request, rx = _send_attest_request(verifier_svc, actor, channels, trace,
-                                       policy, direction)
+                                       policy)
     session_id, nonce = rx["session_id"], rx["nonce"]
     session_hex = session_id.hex()
 
@@ -657,17 +650,16 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
     if outcome is not CompositeOutcome.OK:
         raise AttestationRejected(outcome, f"evidence rejected: {outcome.value}")
 
-    token = verifier_svc.issue_token(verified)
-    token_bytes = token.to_bytes()
+    token_bytes = verifier_svc.issue_token(verified).to_bytes()
     token_digest = crypto.sha256(token_bytes)
     token_content = (f"token:{token_digest.hex()}",)
     trace.emit(V, "sign", digest=token_digest, tag="token",
                contents=token_content + (f"session:{session_hex}",))
-    _transfer(trace, channels, V, C, "token-info", {"token": token_bytes},
-              session_id=session_id, contents=token_content)
+    rx = _transfer(trace, channels, V, C, "token-info", {"token": token_bytes},
+                   session_id=session_id, contents=token_content)
     trace.emit(C, "decrypt", digest=token_digest, tag="token-info",
                contents=token_content)
-    return token
+    return AttestationToken.from_bytes(rx["token"])
 
 
 def run_attest_independent(actor: NodeActor, verifier_svc: VerifierService,

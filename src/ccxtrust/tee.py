@@ -104,7 +104,8 @@ class TeeVendor:
         return self._ark.public
 
     def derive_vcek(self, chip_id: bytes, tcb_version: int):
-        """Chip endorsement key for (chip_id, tcb_version).
+        """Chip endorsement key for (chip_id, tcb_version), and the chain
+        whose VCEK certificate certifies it with chip_id as its hw_id.
 
         The derivation is a pure function of the vendor secret and both
         inputs, so the same chip at the same TCB level always gets the
@@ -120,7 +121,8 @@ class TeeVendor:
         serial = struct.unpack(
             "<Q", crypto.sha256(b"vcek-serial:" + chip_id
                                 + struct.pack("<Q", tcb_version))[:8])[0]
-        cert = crypto.issue_certificate(self._ask, "VCEK", serial, vcek.public_bytes)
+        cert = crypto.issue_certificate(self._ask, "VCEK", serial,
+                                        vcek.public_bytes, chip_id)
         return vcek, CertChain(self.ark_cert, self.ask_cert, cert)
 
 

@@ -8,8 +8,8 @@ from a counter that never goes back, so no issuance log is kept: a serial
 was issued exactly when it is a positive int below the counter.
 Validation re-checks structure, signature, expiry, the serial and
 revocation. The owner CA is the trust anchor: the verifier keeps its
-public key, asks it about revocation, and takes each node's AIK and VCEK
-from the owner CA certificates for those roles.
+public key, asks it about revocation, and takes each node's AIK, VCEK
+and chip id from the owner CA certificates for those roles.
 
 One appraisal pipeline serves the four evidence layouts of LAYOUTS: the
 composite tpm-tee and tee-tpm embeddings and the single-technology tee
@@ -17,14 +17,15 @@ and tpm legs. The provers in protocol and harness build their evidence
 from the same table and the same report_data_for binding rule. The
 pipeline checks, first failure wins. The checks that need no signature
 come first: session replay and session-id binding; that every layer
-decodes and the innermost embeds nothing; the nonce binding of every layer; the identity the evidence
-claims, the TEE report's chip id against the session node's; and
-revocation of the session's node. Then each layer's signature, outer
-first, under the session node's keys only, so evidence from another
-platform costs no signature check and any submission at most one per
-layer, whatever the fleet size. The checks of signed claims come after
-their signatures: the launch measurement, PCR composite and TCB floor
-of the layers present. Last comes the atomic claim of the session.
+decodes and the innermost embeds nothing; the nonce binding of every
+layer; the identity the evidence claims, the TEE report's chip id
+against the session node's certified one; and revocation of the
+session's node. Then each layer's signature, outer first, under the
+session node's keys only, so evidence from another platform costs no
+signature check and any submission at most one per layer, whatever the
+fleet size. The checks of signed claims come after their signatures: the
+launch measurement, PCR composite and TCB floor of the layers present.
+Last comes the atomic claim of the session.
 
 verify_composite is the only constructor of VerifiedReport, and
 issue_token accepts nothing else, so a token can never be minted from
@@ -289,18 +290,17 @@ class VerifierService:
             raise PolicyUnknown(f"unknown policy {policy_id!r}")
         return policy
 
-    def register_node_keys(self, node_id: str, chip_id: bytes,
-                           aik_cert: crypto.Certificate,
+    def register_node_keys(self, node_id: str, aik_cert: crypto.Certificate,
                            vcek_cert: crypto.Certificate) -> None:
-        """Record a node's attestation keys, each taken from its owner CA
-        certificate. A certificate of the wrong role or not signed by the
-        owner CA raises ChainInvalid, a certified key that is no curve
-        point InvalidPoint, and nothing is recorded."""
+        """Record a node's keys from its owner CA certificates, and its
+        chip id from the VCEK one's hw_id. A certificate of the wrong role
+        or not signed by the owner CA raises ChainInvalid, a certified key
+        that is no curve point InvalidPoint, and nothing is recorded."""
         for cert, role in ((aik_cert, "AIK"), (vcek_cert, "VCEK")):
             if cert.role != role or not cert.verify(self._ca_pub):
                 raise ChainInvalid(
                     f"{role} certificate does not verify under the owner CA")
-        keys = NodeKeys(chip_id, crypto.PublicKey(aik_cert.subject),
+        keys = NodeKeys(vcek_cert.hw_id, crypto.PublicKey(aik_cert.subject),
                         crypto.PublicKey(vcek_cert.subject))
         with self._lock:
             self._nodes[node_id] = keys

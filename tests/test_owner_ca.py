@@ -372,7 +372,7 @@ def _register_node_keys_garbled_aik_cert(rig):
     svc = verifier.VerifierService(owner_ca=rig.ca, clock=rig.clock,
                                    rng=rig.rng.fork("verifier"))
     record = rig.ca.nodes["node-a"]
-    svc.register_node_keys("node-a", CHIP, _not_der(record.aik_cert),
+    svc.register_node_keys("node-a", _not_der(record.aik_cert),
                            record.vcek_cert)
 
 

@@ -305,6 +305,135 @@ def test_verifier_registers_the_certificates_it_was_sent(monkeypatch,
     assert node.vcek.point == actor.vcek_cert.subject
 
 
+def test_verifier_believes_the_certified_chip_id(monkeypatch, cluster):
+    # the enrolling node asserts another chip id than its own; the
+    # verifier keeps the one the vendor certified, so evidence signed
+    # under the asserted id is another chip's
+    asserted = crypto.sha256(b"asserted chip id")
+    own = []
+    real_initialization = protocol.run_initialization
+
+    def asserting(actor, *args):
+        own.append(actor.chip_id)
+        actor.chip_id = asserted
+        return real_initialization(actor, *args)
+
+    monkeypatch.setattr(protocol, "run_initialization", asserting)
+    actor = harness.add_node(cluster, 1)
+    assert cluster.verifier_svc.node_keys(actor.node_id).chip_id == own[0]
+    assert actor.vendor_chain.vcek.hw_id == own[0] != asserted
+    with pytest.raises(AttestationRejected) as rejected:
+        protocol.run_attest_composite(
+            actor, cluster.verifier_svc, cluster.channels,
+            protocol.ProtocolTrace(), policy_id=cluster.policy_id,
+            direction="tee")
+    assert rejected.value.cause is verifier.CompositeOutcome.IDENTITY_MISMATCH
+
+
+def test_attest_returns_the_token_the_agent_received(monkeypatch, cluster):
+    # the token-info body carries an earlier token of the same node, and
+    # the token the agent holds is the one that arrived
+    actor, svc = cluster.actor(0), cluster.verifier_svc
+    earlier = protocol.run_attest_composite(
+        actor, svc, cluster.channels, protocol.ProtocolTrace(),
+        policy_id=cluster.policy_id, direction="tee")
+    real_transfer = protocol._transfer
+
+    def swapping_transfer(trace, channels, sender, receiver, mtype_name,
+                          fields, **kwargs):
+        if mtype_name == "token-info":
+            fields = {**fields, "token": earlier.to_bytes()}
+        return real_transfer(trace, channels, sender, receiver, mtype_name,
+                             fields, **kwargs)
+
+    monkeypatch.setattr(protocol, "_transfer", swapping_transfer)
+    token = protocol.run_attest_composite(
+        actor, svc, cluster.channels, protocol.ProtocolTrace(),
+        policy_id=cluster.policy_id, direction="tpm-tee")
+    assert token == earlier
+    assert token.token_type == "tee"
+
+
+class _ReadFields(dict):
+    """A received body that records the fields read from it."""
+
+    def __init__(self, fields: dict) -> None:
+        super().__init__(fields)
+        self.read: set[str] = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.read.add(name)
+        return super().get(name, default)
+
+
+class _ReadAttributes:
+    """A received record that records the attributes read from it."""
+
+    def __init__(self, record) -> None:
+        self.record = record
+        self.read: set[str] = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.record, name)
+
+
+_ENVELOPE = "total-report envelope"
+
+# (message, field) -> why no receiver reads it. Every other field of
+# every MESSAGE_TYPES row, and of the envelope total-report carries, is
+# read from each body that carries it.
+_UNREAD_FIELDS = {
+    ("pek-cert-info", "cert"):
+        "channels are keyed with the PEK pair and the verifier drops its "
+        "certificate; deleting it moves perfbench's per-node sign and "
+        "ec_derive pins (ROADMAP item 3)",
+    (_ENVELOPE, "node_id"):
+        "the verifier reads the node off its own session entry; perfbench "
+        "builds the envelope positionally (ROADMAP item 15)",
+}
+
+
+def test_every_received_field_is_read(monkeypatch):
+    bodies = []
+    real_transfer = protocol._transfer
+    real_envelope = protocol.CompositeReportEnvelope.from_bytes
+
+    def recording_transfer(trace, channels, sender, receiver, mtype_name,
+                           fields, **kwargs):
+        body = _ReadFields(real_transfer(trace, channels, sender, receiver,
+                                         mtype_name, fields, **kwargs))
+        bodies.append((mtype_name, body))
+        return body
+
+    def recording_envelope(raw):
+        envelope = _ReadAttributes(real_envelope(raw))
+        bodies.append((_ENVELOPE, envelope))
+        return envelope
+
+    monkeypatch.setattr(protocol, "_transfer", recording_transfer)
+    monkeypatch.setattr(protocol.CompositeReportEnvelope, "from_bytes",
+                        staticmethod(recording_envelope))
+    cluster = harness.build_cluster(36, nodes=2)
+    for index in range(2):
+        for direction in verifier.LAYOUTS:
+            protocol.run_attest_composite(
+                cluster.actor(index), cluster.verifier_svc, cluster.channels,
+                cluster.trace, policy_id=cluster.policy_id,
+                direction=direction)
+    layouts = {name: spec.attrs
+               for name, (_code, spec) in protocol.MESSAGE_TYPES.items()}
+    layouts[_ENVELOPE] = protocol.CompositeReportEnvelope.SPEC.attrs
+    assert {name for name, _body in bodies} == layouts.keys()
+    unread = {(name, field) for name, body in bodies
+              for field in layouts[name] if field not in body.read}
+    assert unread == _UNREAD_FIELDS.keys()
+
+
 def test_attest_composite_both_directions(cluster):
     for direction in ("tpm-tee", "tee-tpm"):
         trace = protocol.ProtocolTrace()
@@ -411,7 +540,7 @@ def test_golden_trace_and_token_digests():
         policy_id=c.policy_id)
     assert len(c.trace.events) == 140
     assert c.trace.digest().hex() == (
-        "21b60a7b71b60c0228e730fe0089873b9ee9c6e59143fada6a5f60337fa11ded")
+        "a77b4e70b62de2849bc2168f452a266acb66fdb87b44a35e337fb4f8669c4435")
     assert crypto.sha256("".join(t.compact() for t in tokens).encode()).hex() \
         == "6910a878c56f96bb370ceb0679e409e131fc204c78dca1a6564088f38bc6d18f"
 
@@ -448,11 +577,11 @@ def test_golden_structure_encodings(tpm_snapshot):
     assert {name: crypto.sha256(raw).hex()
             for name, raw in encodings.items()} == {
         "aik-blob": "2c7ad09452337c8b6f15ca0f91796819cd5e33ae96f524cdbcace6a0220b0139",
-        "tpm-state": "a0b805518d4013646e214f782e52512c42015acc9c73f4ec56568fbfa8e44e64",
+        "tpm-state": "5ed8a2223b35104475d9a43d490f5652b3f1392c68a12eb17cfe904e2fea7a21",
         "sealed-blob": "3ce4d9d8b2094f3d99b24a985a404410da9d00d77f940afb20173de0475da5f1",
         "credential": "32b5b1fadfe9aad0ac6821662c5a5283495967c6be447b1aa1237d1d1643b625",
         "manifest": "2388c8f28f47aa6afc40b766d8bb7edbd1abbe29503b010b440eed2b5ccaeae2",
-        "cert-chain": "ea34e410bccc8109984994a7ccb843bc0a1da4c9fac2f1dd733584a8570055fd",
+        "cert-chain": "3d072c1dd7a32d0c4839ea974d1aeb31932a52a3d7e859a5fae9ea13ae1be806",
         "ek-blob": "7f43bb11ebcbd24a9eb335e3244b811f132aa793816dcbf2e2565c02c76d9671",
         "srk-blob": "eed5cfb81ce7bd5983010401904709bb2e0f33ab872cc4e2d2ff7b94b34db72e",
         "cvm-srk-blob-storage": "6d33ad7dddac81fc8b22f83b8d82f1bedea0bd5fa2f243948d62f4287d76e2c3",
@@ -775,7 +904,7 @@ def test_each_session_is_given_one_token():
 _PINNED_VERDICT_LINES = {
     "forged-cert": (
         "cert-provenance FAIL witness=6 node0000 holds cert-vcek "
-        "81b8f6ab03e10a28 never signed by owner-ca",
+        "22131b2bdb54129d never signed by owner-ca",
         "token-provenance pass witness=89,109 2 token possessions justified",
         "attest-order pass witness=80,100 2 evidence signatures in order"),
     "forged-token": (
@@ -792,7 +921,7 @@ _PINNED_VERDICT_LINES = {
         "711d762b310276c2 before receiving the request"),
     "unvouched-identity": (
         "cert-provenance FAIL witness=65,68 owner-ca signed cert-identity "
-        "4cce1e36c371c031 without prior registration-evidence evidence",
+        "9701ba1bd800d185 without prior registration-evidence evidence",
         "token-provenance pass witness=88,108 2 token possessions justified",
         "attest-order pass witness=79,99 2 evidence signatures in order"),
     "honest": (

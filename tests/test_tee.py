@@ -109,7 +109,8 @@ def test_chain_check_under_a_public_key_root_refuses_every_bad_link():
     def forged(signer, role, subject, named_issuer):
         # claims named_issuer as its issuer, but is signed by signer
         unsigned = crypto.Certificate(role, 1, subject.public_bytes,
-                                      crypto.sha256(named_issuer.public_bytes), b"")
+                                      crypto.sha256(named_issuer.public_bytes),
+                                      b"", b"")
         return replace(unsigned, signature=signer.sign(unsigned.body_bytes()))
 
     root = ark.public

@@ -547,11 +547,9 @@ def test_register_node_keys_checks_both_certificates(cluster):
                                 (actor.identity_cert, actor.vcek_cert),
                                 (actor.aik_cert, actor.aik_cert)):
         with pytest.raises(ChainInvalid):
-            svc.register_node_keys("node-new", b"\x07" * 32, aik_cert,
-                                   vcek_cert)
+            svc.register_node_keys("node-new", aik_cert, vcek_cert)
         assert svc.node_keys("node-new") is None
-    svc.register_node_keys("node-new", b"\x07" * 32, actor.aik_cert,
-                           actor.vcek_cert)
+    svc.register_node_keys("node-new", actor.aik_cert, actor.vcek_cert)
     keys = svc.node_keys("node-new")
     assert keys.aik.point == actor.aik_blob.public
     assert keys.vcek.point == actor.vcek.public_bytes
@@ -566,8 +564,7 @@ def test_register_node_keys_refuses_a_certified_off_curve_key(cluster):
         certs = dict(good)
         certs[role] = crypto.issue_certificate(oca.key, role, 999, off_curve)
         with pytest.raises(CcxError):
-            svc.register_node_keys("node-new", b"\x07" * 32, certs["AIK"],
-                                   certs["VCEK"])
+            svc.register_node_keys("node-new", certs["AIK"], certs["VCEK"])
         assert svc.node_keys("node-new") is None
     # the honest node's entry is untouched: it still verifies
     request, envelope = honest(cluster, "tee-tpm")
