@@ -378,30 +378,37 @@ def _content(label: str, data: bytes) -> str:
 
 
 def _hand_off(trace: ProtocolTrace, channels: ChannelTable, holder: str,
-              check: tuple[str, str, bytes], key: str,
-              cert: crypto.Certificate, mtype_name: str, *,
-              secret: bytes | None = None) -> dict:
+              check: tuple[str, str, bytes], key: str, fields: dict,
+              mtype_name: str) -> dict:
     """The owner CA's successful check of a key, then its certificate for
-    that key sent to the holder, which decrypts it. key is the key's
-    content label as the holder's request carried it; the check and the
-    sign both carry it, which binds the certificate to the evidence. The
-    identity certificate brings the MasterSecret, secret, with it.
-    Returns the fields the holder received."""
+    that key, fields["cert"], sent to the holder, which decrypts it. key
+    is the key's content label as the holder's request carried it; the
+    check and the sign both carry it, which binds the certificate to the
+    evidence. The identity certificate brings the MasterSecret,
+    fields["master_secret"], with it. The holder's decrypt names what it
+    received. Returns the fields the holder received."""
     A = OCA_PRINCIPAL
+    label = f"cert-{fields['cert'].role.lower()}"
+
+    def held(fields: dict) -> tuple[bytes, tuple[str, ...]]:
+        digest = fields["cert"].digest
+        contents = (f"{label}:{digest.hex()}",)
+        if "master_secret" in fields:
+            commit = crypto.sha256(b"master-secret:" + fields["master_secret"])
+            contents += (f"master-secret:{commit.hex()}",)
+        return digest, contents
+
     kind, tag, evidence = check
     trace.emit(A, kind, digest=evidence, tag=tag, ok=True, contents=(key,))
-    label, digest = f"cert-{cert.role.lower()}", cert.digest
-    held = (f"{label}:{digest.hex()}",)
-    trace.emit(A, "sign", digest=digest, tag=label, contents=held + (key,))
-    fields = {"cert": cert}
-    if secret is not None:
-        fields["master_secret"] = secret
-        commit = crypto.sha256(b"master-secret:" + secret)
-        held += (f"master-secret:{commit.hex()}",)
+    digest, contents = sent = held(fields)
+    trace.emit(A, "sign", digest=digest, tag=label,
+               contents=contents[:1] + (key,))
     rx = _transfer(trace, channels, A, holder, mtype_name, fields,
-                   contents=held)
+                   contents=contents)
+    # fields that arrived as sent keep the digests taken of them
+    digest, contents = sent if rx == fields else held(rx)
     trace.emit(holder, "decrypt", digest=digest, tag=mtype_name,
-               contents=held)
+               contents=contents)
     return rx
 
 
@@ -432,7 +439,7 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
     actor.vcek_cert = _hand_off(
         trace, channels, E,
         ("verify", "vendor-chain", crypto.sha256(chain_bytes)), vcek_key,
-        vcek_cert, "cert-vcek-info")["cert"]
+        {"cert": vcek_cert}, "cert-vcek-info")["cert"]
     vcek_rx = _transfer(trace, channels, E, V, "cert-tee-info",
                         {"cert": actor.vcek_cert},
                         contents=(f"cert-vcek:{actor.vcek_cert.digest.hex()}",))
@@ -463,7 +470,7 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
                               crypto.Secret(rx["secret"]))
     actor.aik_cert = _hand_off(
         trace, channels, P, ("match", "credential-nonce", answer_digest),
-        aik_key, aik_cert, "cert-aik-info")["cert"]
+        aik_key, {"cert": aik_cert}, "cert-aik-info")["cert"]
     aik_rx = _transfer(trace, channels, P, V, "key-cert-info",
                        {"cert": actor.aik_cert},
                        contents=(f"cert-aik:{actor.aik_cert.digest.hex()}",))
@@ -503,8 +510,9 @@ def run_registration(actor: NodeActor, oca, channels: ChannelTable,
     rx = _hand_off(
         trace, channels, C,
         ("verify", "registration-evidence", rx["report"].digest),
-        identity_key, identity_cert, "identity-cert-info",
-        secret=master_secret.data)
+        identity_key, {"cert": identity_cert,
+                       "master_secret": master_secret.data},
+        "identity-cert-info")
     actor.identity_cert = rx["cert"]
     actor.master_secret = crypto.Secret(rx["master_secret"])
 
@@ -655,11 +663,13 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
     token_content = (f"token:{token_digest.hex()}",)
     trace.emit(V, "sign", digest=token_digest, tag="token",
                contents=token_content + (f"session:{session_hex}",))
-    rx = _transfer(trace, channels, V, C, "token-info", {"token": token_bytes},
-                   session_id=session_id, contents=token_content)
-    trace.emit(C, "decrypt", digest=token_digest, tag="token-info",
-               contents=token_content)
-    return AttestationToken.from_bytes(rx["token"])
+    received = _transfer(trace, channels, V, C, "token-info",
+                         {"token": token_bytes}, session_id=session_id,
+                         contents=token_content)["token"]
+    held = token_digest if received == token_bytes else crypto.sha256(received)
+    trace.emit(C, "decrypt", digest=held, tag="token-info",
+               contents=(f"token:{held.hex()}",))
+    return AttestationToken.from_bytes(received)
 
 
 def run_attest_independent(actor: NodeActor, verifier_svc: VerifierService,

@@ -305,6 +305,33 @@ def test_verifier_registers_the_certificates_it_was_sent(monkeypatch,
     assert node.vcek.point == actor.vcek_cert.subject
 
 
+def test_holder_decrypt_names_the_certificate_it_received(monkeypatch,
+                                                          cluster):
+    # the cert-aik-info body carries another node's AIK certificate; the
+    # TPM keeps the one that arrived, and its decrypt event names it
+    other = cluster.actor(0).aik_cert
+    real_transfer = protocol._transfer
+
+    def swapping_transfer(trace, channels, sender, receiver, mtype_name,
+                          fields, **kwargs):
+        if mtype_name == "cert-aik-info":
+            fields = {**fields, "cert": other}
+        return real_transfer(trace, channels, sender, receiver, mtype_name,
+                             fields, **kwargs)
+
+    monkeypatch.setattr(protocol, "_transfer", swapping_transfer)
+    trace = protocol.ProtocolTrace()
+    actor = harness.add_node(cluster, 1, trace=trace)
+    assert actor.aik_cert == other
+    [decrypt] = [event for event in trace.events
+                 if (event.kind, event.tag) == ("decrypt", "cert-aik-info")]
+    assert decrypt.principal == actor.tpm_name
+    assert decrypt.digest == other.digest.hex()
+    assert decrypt.contents == (f"cert-aik:{other.digest.hex()}",)
+    # the owner CA signed that certificate outside this trace
+    assert not protocol.check_theorems(trace)["cert-provenance"].ok
+
+
 def test_verifier_believes_the_certified_chip_id(monkeypatch, cluster):
     # the enrolling node asserts another chip id than its own; the
     # verifier keeps the one the vendor certified, so evidence signed
@@ -347,11 +374,20 @@ def test_attest_returns_the_token_the_agent_received(monkeypatch, cluster):
                              fields, **kwargs)
 
     monkeypatch.setattr(protocol, "_transfer", swapping_transfer)
+    trace = protocol.ProtocolTrace()
     token = protocol.run_attest_composite(
-        actor, svc, cluster.channels, protocol.ProtocolTrace(),
+        actor, svc, cluster.channels, trace,
         policy_id=cluster.policy_id, direction="tpm-tee")
     assert token == earlier
     assert token.token_type == "tee"
+    # the trace's possession event names the token the agent holds
+    decrypt = trace.events[-1]
+    held = crypto.sha256(earlier.to_bytes()).hex()
+    assert (decrypt.kind, decrypt.tag) == ("decrypt", "token-info")
+    assert decrypt.digest == held
+    assert decrypt.contents == (f"token:{held}",)
+    # this trace holds no sign of that token, so the audit refuses it
+    assert not protocol.check_theorems(trace)["token-provenance"].ok
 
 
 class _ReadFields(dict):

@@ -2,18 +2,17 @@
 alternating pairs, and write the pair record BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent HEAD --seed 36101 --out BENCH_36.json
-    python3 tools/bench_pairs.py --parent HEAD~1 --workloads attest --pairs 3 \\
-        --seed 900 --seconds 5 --out /tmp/pairs.json
 
 The parent's src/ and perfbench/ are extracted with `git archive` into a
 scratch directory, and the working tree's are copied beside them, so both
 sides run the same command from the same kind of checkout:
 `python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`,
-one run at a time. Pair k of the i-th workload runs seed
-SEED + 100 * i + k on both sides, and pair k runs the parent first when k
-is even, the change first when it is odd. The metrics, their units,
-their bounds and the run length come from BENCHMARK.json; the tool reads
-BENCHMARK.json and perfbench/ and changes neither.
+one run at a time. Every workload of BENCHMARK.json runs ten pairs. Pair
+k of the i-th workload runs seed SEED + 100 * i + k on both sides, and
+pair k runs the parent first when k is even, the change first when it is
+odd. The workloads, the metrics, their units, their bounds and the run
+length S come from BENCHMARK.json; the tool reads BENCHMARK.json and
+perfbench/ and changes neither.
 
 Each metric of each workload gets one verdict, by RULE below, and the
 tool prints one line per metric. It needs only the standard library.
@@ -35,15 +34,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHECKOUT = ("src", "perfbench")   # what perfbench/run.py needs of a tree
 SIDES = ("parent", "change")
-GAIN_PAIRS = 10     # a gain needs at least this many pairs
-GAIN_SHARE = 0.9    # and the change better in this share of them
+PAIRS = 10          # pairs per workload; a record holds at least this many
+GAIN_SHARE = 0.9    # a gain needs the change better in this share of them
 
 RULE = (
     "per metric, from the medians and quartiles of each side's runs: "
     "regression when the change's median is worse than the parent's by "
-    "more than the metric's BENCHMARK.json bound; gain when at least ten "
-    "pairs ran, the change reads better in at least nine tenths of them "
-    "(ties count for neither), its "
+    "more than the metric's BENCHMARK.json bound; gain when the change "
+    "reads better in at least nine tenths of the pairs (ten or more; "
+    "ties count for neither), its "
     "median is better by more than the parent's interquartile range, and "
     "no larger share of the workload's operations failed; unresolved when "
     "the parent's interquartile range is wider than the bound, unless "
@@ -63,12 +62,6 @@ QUARTILES = (
 # summarising runs: pure functions of the run list
 # ---------------------------------------------------------------------------
 
-def quartiles(values: list[float]) -> list[float]:
-    if len(values) == 1:
-        return values * 3
-    return statistics.quantiles(values, n=4, method="inclusive")
-
-
 def summarise_metric(spec: dict, parent: list[float], change: list[float],
                      more_failures: bool) -> dict:
     """One metric's entry: both sides' runs, in pair order, their
@@ -78,14 +71,15 @@ def summarise_metric(spec: dict, parent: list[float], change: list[float],
     def better(a: float, b: float) -> bool:
         return a < b if lower else a > b
 
-    p_q, c_q = quartiles(parent), quartiles(change)
+    p_q, c_q = (statistics.quantiles(values, n=4, method="inclusive")
+                for values in (parent, change))
     wins = sum(better(c, p) for p, c in zip(parent, change))
     ratio = c_q[1] / p_q[1]
     worse_by = ratio - 1 if lower else 1 - ratio
     iqr = p_q[2] - p_q[0]
     if worse_by > spec["bound"]:
         verdict = "regression"
-    elif (len(parent) >= GAIN_PAIRS and wins >= GAIN_SHARE * len(parent)
+    elif (wins >= GAIN_SHARE * len(parent)
           and better(c_q[1], p_q[1])
           and abs(c_q[1] - p_q[1]) > iqr and not more_failures):
         verdict = "gain"
@@ -111,6 +105,8 @@ def summarise_workload(runs: list[dict], end_to_end: list[dict]) -> dict:
     pairs = [by_pair[k] for k in sorted(by_pair)]
     if any(set(pair) != set(SIDES) for pair in pairs):
         raise ValueError("every pair needs one parent and one change run")
+    if len(pairs) < PAIRS:
+        raise ValueError(f"a workload needs at least {PAIRS} pairs")
 
     def per_side(read) -> dict[str, list]:
         return {side: [read(pair[side]) for pair in pairs] for side in SIDES}
@@ -172,8 +168,14 @@ def copy_change(into: Path) -> None:
         shutil.copytree(ROOT / name, into / name, ignore=ignore)
 
 
+def command(seconds: int) -> str:
+    """The record's statement of the command each run ran."""
+    return (f"python3 perfbench/run.py --workload W --seed N "
+            f"--seconds {seconds} --trace 0")
+
+
 def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> tuple[dict, dict]:
+             seconds: int) -> tuple[dict, dict]:
     """perfbench's result line for one untraced run, and the run record
     it wrote."""
     done = subprocess.run(
@@ -187,13 +189,13 @@ def run_once(checkout: Path, workload: str, seed: int,
     return result, record
 
 
-def run_pairs(checkouts: dict[str, Path], workloads: list[str], pairs: int,
-              seed: int, seconds: float) -> tuple[dict[str, list], dict]:
+def run_pairs(checkouts: dict[str, Path], workloads: list[str], seed: int,
+              seconds: int) -> tuple[dict[str, list], dict]:
     runs: dict[str, list] = {}
     env: dict = {}
     for i, workload in enumerate(workloads):
         runs[workload] = []
-        for k in range(pairs):
+        for k in range(PAIRS):
             pair_seed = seed + 100 * i + k
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
@@ -212,9 +214,9 @@ def run_pairs(checkouts: dict[str, Path], workloads: list[str], pairs: int,
     return runs, env
 
 
-def seed_ranges(workloads: list[str], pairs: int, seed: int) -> str:
+def seed_ranges(workloads: list[str], seed: int) -> str:
     return ", ".join(
-        f"{workload} seeds {seed + 100 * i}-{seed + 100 * i + pairs - 1}"
+        f"{workload} seeds {seed + 100 * i}-{seed + 100 * i + PAIRS - 1}"
         for i, workload in enumerate(workloads))
 
 
@@ -224,14 +226,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
                         help="the git revision the change is measured against")
-    parser.add_argument("--workloads", nargs="+", default=names,
-                        choices=names)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True,
                         help="first seed; pick one not used while writing "
                              "the change")
-    parser.add_argument("--seconds", type=float,
-                        default=float(bench["run_seconds"]))
     parser.add_argument("--scratch", default=None,
                         help="directory for the two checkouts (default: "
                              "the system's temporary directory)")
@@ -239,9 +236,8 @@ def main(argv=None) -> int:
                         help="the change's claim, as the record states it")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seed < 0 or args.seconds <= 0:
-        parser.error("--pairs must be positive, --seed non-negative and "
-                     "--seconds positive")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent],
                             cwd=ROOT, check=True, capture_output=True,
                             text=True).stdout.strip()
@@ -249,20 +245,18 @@ def main(argv=None) -> int:
         checkouts = {side: Path(scratch) / side for side in SIDES}
         extract_parent(parent, checkouts["parent"])
         copy_change(checkouts["change"])
-        runs, env = run_pairs(checkouts, args.workloads, args.pairs,
-                              args.seed, args.seconds)
+        runs, env = run_pairs(checkouts, names, args.seed,
+                              bench["run_seconds"])
     workloads = {workload: summarise_workload(runs[workload],
                                               bench["end_to_end"])
-                 for workload in args.workloads}
-    seconds = f"{args.seconds:g}"
+                 for workload in names}
     record = {
-        "command": (f"python3 perfbench/run.py --workload W --seed N "
-                    f"--seconds {seconds} --trace 0"),
+        "command": command(bench["run_seconds"]),
         "host": (f"{env['cpu_count']}-core host, Python {env['python']}, "
                  f"cryptography {env['cryptography']}, one run at a time, "
                  "parent and change alternating which runs first"),
         "runs": (f"the working tree against {parent}: "
-                 + seed_ranges(args.workloads, args.pairs, args.seed)),
+                 + seed_ranges(names, args.seed)),
         "quartiles": QUARTILES,
         "rule": RULE,
         "claim": args.claim,

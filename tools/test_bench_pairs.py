@@ -22,10 +22,11 @@ SPECS = [
 
 def synthetic_runs(values: dict[str, tuple[list, list]], *, failed=(0, 0),
                    change_digest="a"):
-    """Ten pairs of runs; values maps a metric to its parent and change
-    series, and the first pair's runs fail failed[side] ops."""
+    """One pair of runs per value of each series; values maps a metric to
+    its parent and change series, and the first pair's runs fail
+    failed[side] ops."""
     runs = []
-    for k in range(10):
+    for k in range(len(next(iter(values.values()))[0])):
         order = bench_pairs.SIDES if k % 2 == 0 else bench_pairs.SIDES[::-1]
         for index, side in enumerate(bench_pairs.SIDES):
             metrics = {name: {"value": series[index][k]}
@@ -89,10 +90,13 @@ def test_no_gain_when_more_operations_fail_or_pairs_split():
     assert record["metrics"]["cpu_ms_per_op"]["verdict"] == "within bound"
 
 
-def test_a_run_list_with_a_lone_side_is_refused():
+def test_a_run_list_with_a_lone_side_or_too_few_pairs_is_refused():
     runs = synthetic_runs({"cpu_ms_per_op": ([1.0] * 10, [1.0] * 10)})
     with pytest.raises(ValueError, match="one parent and one change"):
         bench_pairs.summarise_workload(runs[1:], SPECS[:1])
+    runs = synthetic_runs({"cpu_ms_per_op": ([1.0] * 9, [1.0] * 9)})
+    with pytest.raises(ValueError, match="at least 10 pairs"):
+        bench_pairs.summarise_workload(runs, SPECS[:1])
 
 
 def _records():
@@ -105,14 +109,21 @@ def test_every_pair_record_the_tool_wrote_holds_its_own_summary():
     paths = list(_records())
     assert paths, "the tool's first record is committed"
     specs = {spec["name"]: spec for spec in BENCH["end_to_end"]}
+    # every run ran the benchmark's own length, on every workload
+    command = ("python3 perfbench/run.py --workload W --seed N --seconds "
+               f"{BENCH['run_seconds']} --trace 0")
     for path in paths:
         record = json.loads(path.read_text())
         assert set(record) == {"command", "host", "runs", "quartiles", "rule",
                                "claim", "workloads"}, path.name
+        assert record["command"] == command, path.name
+        assert list(record["workloads"]) == [
+            workload["name"] for workload in BENCH["workloads"]], path.name
         for name, workload in record["workloads"].items():
             assert set(workload) == {"seeds", "first", "attempted", "failed",
                                      "correct", "metrics", "digests_equal"}
             pairs = len(workload["seeds"])
+            assert pairs >= bench_pairs.PAIRS, (path.name, name)
             assert all(len(workload[key]) == pairs
                        for key in ("first", "digests_equal"))
             shares = {side: sum(workload["failed"][side])
