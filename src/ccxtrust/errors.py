@@ -93,7 +93,7 @@ class SessionInvalid(CcxError):
 
 
 class BaselineRejected(CcxError):
-    """Submitted evidence does not match the platform trust baseline."""
+    """Registration refused: the node is active, or its evidence failed."""
 
 
 class NotInitialized(CcxError):

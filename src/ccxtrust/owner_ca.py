@@ -11,9 +11,10 @@ appends a line to one append-only record log. A node record keeps each
 fact once: its chip key is its VCEK certificate's subject, and its status
 is read off its revoked flag and the certificates it holds. It lists
 every certificate serial issued to it, so revoke() covers them all, and
-a revoked node is issued no further certificate. register_node checks the
-boot report itself, one layer at a time, and names the first that fails.
-snapshot() captures the registry for periodic checkpointing.
+a revoked node is issued no further certificate. register_node checks
+the vendor chain, then the boot report by the verifier's appraise_layers,
+and names the first check that fails. snapshot() captures the registry
+for periodic checkpointing.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import crypto, tee, tpm
+from . import crypto, tee, tpm, verifier
 from .errors import (
     BaselineRejected,
     ChainInvalid,
@@ -32,7 +33,6 @@ from .errors import (
     NotInitialized,
     SessionInvalid,
 )
-from .verifier import report_data_for
 
 CHALLENGE_TTL = 120.0   # seconds a credential challenge stays answerable
 
@@ -50,7 +50,7 @@ class NodeRecord:
     vcek_cert: crypto.Certificate | None = None
     aik_cert: crypto.Certificate | None = None
     identity_cert: crypto.Certificate | None = None
-    baseline: bytes | None = None   # the launch measurement it must prove
+    baseline: verifier.PolicyBaseline | None = None   # its reference values
     revoked: bool = False
     serials: list[int] = field(default_factory=list)
 
@@ -189,13 +189,13 @@ class OwnerCa:
             self._record(f"aik-answer {session.node_id} serial={cert.serial}")
         return cert
 
-    def set_trust_baseline(self, node_id: str, launch_measurement: bytes) -> None:
-        """The launch measurement node_id's boot report must carry. A
-        revoked node is refused, and its baseline stays as it was."""
+    def set_trust_baseline(self, node_id: str, reference: verifier.PolicyBaseline) -> None:
+        """The reference values node_id's boot report is appraised against.
+        A revoked node is refused, and its baseline stays as it was."""
         with self._lock:
             self._refuse_revoked(node_id)
             record = self._node(node_id)
-            record.baseline = launch_measurement
+            record.baseline = reference
             self._record(f"set-baseline {node_id}")
 
     def register_node(self, node_id: str, tee_report: tee.TeeReport,
@@ -203,12 +203,11 @@ class OwnerCa:
                       identity_pub: bytes) -> tuple[crypto.Certificate, crypto.Secret]:
         """Final onboarding step: check the boot report, then issue the
         node identity certificate and its MasterSecret. A node registers
-        once: an active node is refused before any check. The report is
-        checked bottom-up: the vendor chain, the report signature under
-        the chain's VCEK, the launch measurement against the baseline,
-        then the binding to the identity key: report_data_for binds it as
-        a "tee" layer does a nonce, with sha256(identity_pub) as the nonce.
-        Last, the chain must endorse the node's registered chip key."""
+        once: an active node is refused before any check. The vendor
+        chain must verify and endorse the node's registered chip key; then
+        appraise_layers appraises the report as a "tee" layer with nonce
+        sha256(identity_pub), under the node's VCEK certificate and against
+        its baseline. BaselineRejected names the first check that fails."""
         with self._lock:
             record = self._node(node_id)
             if record.status is NodeStatus.ACTIVE:
@@ -220,15 +219,15 @@ class OwnerCa:
             rejected = "registration evidence rejected: "
             if not vendor_chain.verify(self.trusted_tee_root):
                 raise BaselineRejected(rejected + "chain-invalid")
-            if not tee_report.verify(vendor_chain.vcek.subject):
-                raise BaselineRejected(rejected + "signature-invalid")
-            if tee_report.launch_measurement != record.baseline:
-                raise BaselineRejected(rejected + "measurement-mismatch")
-            if tee_report.report_data != report_data_for(
-                    "tee", crypto.sha256(identity_pub), b""):
-                raise BaselineRejected(rejected + "nonce-mismatch")
-            if vendor_chain.vcek.subject != record.vcek_cert.subject:
+            vcek = record.vcek_cert
+            if vendor_chain.vcek.subject != vcek.subject:
                 raise BaselineRejected("evidence signed by an unregistered chip key")
+            outcome, _ = verifier.appraise_layers(
+                "tee", tee_report.to_bytes(), crypto.sha256(identity_pub),
+                verifier.NodeKeys(vcek.hw_id, None, vcek.subject),
+                record.baseline)
+            if outcome is not verifier.CompositeOutcome.OK:
+                raise BaselineRejected(rejected + outcome.value)
             identity_cert = self._issue(record, "IDENTITY", identity_pub)
             master_secret = crypto.Secret(self.rng.random_bytes(32))
             record.identity_cert = identity_cert

@@ -8,9 +8,9 @@ reports that can carry a nonce binding plus embedded foreign evidence.
 
 No enclave isolation is simulated, only the evidence formats and their
 verification rules: CertChain.verify checks the chain under the trusted
-root, and a report's verify(vcek) its signature. The callers compare the
-report's fields with what they expect (the owner CA in register_node,
-the verifier in its appraisal).
+root, and a report's verify(vcek) its signature. The verifier's
+appraise_layers compares the report's fields with what it expects, for
+the verifier's appraisal and the owner CA's register_node alike.
 """
 
 from __future__ import annotations

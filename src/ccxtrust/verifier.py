@@ -11,21 +11,21 @@ revocation. The owner CA is the trust anchor: the verifier keeps its
 public key, asks it about revocation, and takes each node's AIK, VCEK
 and chip id from the owner CA certificates for those roles.
 
-One appraisal pipeline serves the four evidence layouts of LAYOUTS: the
-composite tpm-tee and tee-tpm embeddings and the single-technology tee
-and tpm legs. The provers in protocol and harness build their evidence
-from the same table and the same report_data_for binding rule. The
-pipeline checks, first failure wins. The checks that need no signature
-come first: session replay and session-id binding; that every layer
-decodes and the innermost embeds nothing; the nonce binding of every
-layer; the identity the evidence claims, the TEE report's chip id
-against the session node's certified one; and revocation of the
-session's node. Then each layer's signature, outer first, under the
-session node's keys only, so evidence from another platform costs no
-signature check and any submission at most one per layer, whatever the
-fleet size. The checks of signed claims come after their signatures: the
-launch measurement, PCR composite and TCB floor of the layers present.
-Last comes the atomic claim of the session.
+One appraisal pipeline, appraise_layers, serves the four layouts of
+LAYOUTS (the composite tpm-tee and tee-tpm embeddings and the tee and tpm
+legs) and the owner CA's registration, which appraises a boot report as
+a tee layer. The provers in protocol and harness build their evidence
+from the same table and report_data_for binding rule. First failure
+wins. verify_composite checks session replay, session-id binding and
+revocation of the session's node, then runs the pipeline: that every
+layer decodes and the innermost embeds nothing; the nonce binding of
+every layer; the TEE report's chip id against the node's certified one.
+Then each layer's signature, outer first, under that node's keys only,
+so evidence from another platform costs no signature check and any
+submission at most one per layer, whatever the fleet size. Last, the
+signed claims against a PolicyBaseline's reference values: the launch
+measurement, PCR composite and TCB floor of the layers present. Then
+verify_composite claims the session atomically.
 
 verify_composite is the only constructor of VerifiedReport, and
 issue_token accepts nothing else, so a token can never be minted from
@@ -118,11 +118,11 @@ class AttestationRequest:
 
 @dataclass(frozen=True)
 class NodeKeys:
-    """Verifier-side identity material for one registered node."""
+    """The keys and chip id a node's evidence is appraised under."""
 
     chip_id: bytes
-    aik: crypto.PublicKey
-    vcek: crypto.PublicKey
+    aik: crypto.PublicKey | None   # None for the owner CA's registration
+    vcek: crypto.PublicKey | bytes
 
 
 @dataclass(frozen=True)
@@ -231,23 +231,6 @@ _DECODERS = {"tpm": tpm.CompositeQuote.from_bytes,
              "tee": tee.TeeReport.from_bytes}
 
 
-def _decode_layers(layout: tuple[str, ...], evidence: bytes) -> dict | None:
-    """Every layer of the evidence keyed by kind, or None if any layer is
-    missing or does not decode, or the innermost one embeds anything."""
-    layers = {}
-    raw = evidence
-    for kind in layout:
-        if not raw:
-            return None
-        try:
-            layer = _DECODERS[kind](raw)
-        except CcxError:
-            return None
-        layers[kind] = layer
-        raw = layer.embedded_evidence
-    return None if raw else layers
-
-
 def report_data_for(direction: str, nonce: bytes, embedded: bytes) -> bytes:
     """The report_data a TEE report carrying the embedded bytes must hold
     for a session nonce: the only statement of the binding rule."""
@@ -256,6 +239,46 @@ def report_data_for(direction: str, nonce: bytes, embedded: bytes) -> bytes:
     if direction == "tee-tpm":
         return nonce + crypto.sha256(embedded)
     return nonce + bytes(32)
+
+
+def appraise_layers(direction: str, evidence: bytes, nonce: bytes,
+                    node: NodeKeys, reference: PolicyBaseline
+                    ) -> tuple[CompositeOutcome, dict | None]:
+    """Appraise evidence of a LAYOUTS direction bound to nonce, signed by
+    node, against reference, in the module docstring's order: OK and the
+    layers by kind, or the first failing outcome and None."""
+    layers, raw = {}, evidence
+    for kind in LAYOUTS.get(direction, ()):
+        try:
+            layers[kind] = layer = _DECODERS[kind](raw)
+        except CcxError:
+            return CompositeOutcome.MALFORMED, None
+        raw = layer.embedded_evidence
+    if raw or not layers:
+        return CompositeOutcome.MALFORMED, None
+    quote_obj, report = layers.get("tpm"), layers.get("tee")
+    if quote_obj is not None and quote_obj.qualifying_data != nonce:
+        return CompositeOutcome.NONCE_MISMATCH, None
+    if report is not None and report.report_data != report_data_for(
+            direction, nonce, report.embedded_evidence):
+        return CompositeOutcome.NONCE_MISMATCH, None
+    if report is not None and report.chip_id != node.chip_id:
+        return CompositeOutcome.IDENTITY_MISMATCH, None
+    for position, kind in enumerate(layers):
+        public = node.aik if kind == "tpm" else node.vcek
+        if not layers[kind].verify(public):
+            return (CompositeOutcome.OUTER_SIGNATURE_INVALID if position == 0
+                    else CompositeOutcome.INNER_SIGNATURE_INVALID), None
+    if report is not None and (
+            report.launch_measurement != reference.expected_measurement):
+        return CompositeOutcome.MEASUREMENT_MISMATCH, None
+    if quote_obj is not None and (
+            quote_obj.pcr_selection != reference.pcr_selection
+            or quote_obj.pcr_digest != reference.expected_pcr_composite):
+        return CompositeOutcome.PCR_MISMATCH, None
+    if report is not None and report.tcb_version < reference.min_tcb_version:
+        return CompositeOutcome.TCB_REJECTED, None
+    return CompositeOutcome.OK, layers
 
 
 # ---------------------------------------------------------------------------
@@ -382,47 +405,25 @@ class VerifierService:
         entry = self.session(session.session_id)
         if entry is None:
             return CompositeOutcome.MALFORMED, None
-        policy = self.policies[entry.policy_id]
         if session.completed:
             return CompositeOutcome.SESSION_REPLAY, None
         if envelope.session_id != session.session_id:
             return CompositeOutcome.NONCE_MISMATCH, None
         node = self.node_keys(session.node_id)
-        layout = LAYOUTS.get(envelope.direction)
-        if node is None or layout is None:
+        if node is None:
             return CompositeOutcome.MALFORMED, None
-        layers = _decode_layers(layout, envelope.evidence)
-        if layers is None:
-            return CompositeOutcome.MALFORMED, None
-        quote_obj = layers.get("tpm")
-        report = layers.get("tee")
-        if quote_obj is not None and quote_obj.qualifying_data != session.nonce:
-            return CompositeOutcome.NONCE_MISMATCH, None
-        if report is not None and report.report_data != report_data_for(
-                envelope.direction, session.nonce, report.embedded_evidence):
-            return CompositeOutcome.NONCE_MISMATCH, None
-        if report is not None and report.chip_id != node.chip_id:
-            return CompositeOutcome.IDENTITY_MISMATCH, None
         if self._is_revoked(session.node_id):
             return CompositeOutcome.NODE_REVOKED, None
-        for position, kind in enumerate(layout):
-            public = node.aik if kind == "tpm" else node.vcek
-            if not layers[kind].verify(public):
-                return (CompositeOutcome.OUTER_SIGNATURE_INVALID if position == 0
-                        else CompositeOutcome.INNER_SIGNATURE_INVALID), None
-        if report is not None:
-            if report.launch_measurement != policy.expected_measurement:
-                return CompositeOutcome.MEASUREMENT_MISMATCH, None
-        if quote_obj is not None and (
-                quote_obj.pcr_selection != policy.pcr_selection
-                or quote_obj.pcr_digest != policy.expected_pcr_composite):
-            return CompositeOutcome.PCR_MISMATCH, None
-        if report is not None and report.tcb_version < policy.min_tcb_version:
-            return CompositeOutcome.TCB_REJECTED, None
+        outcome, layers = appraise_layers(
+            envelope.direction, envelope.evidence, session.nonce, node,
+            self.policies[entry.policy_id])
+        if layers is None:
+            return outcome, None
         with self._lock:
             if session.completed:
                 return CompositeOutcome.SESSION_REPLAY, None
             session.completed = True
+        report, quote_obj = layers.get("tee"), layers.get("tpm")
         verified = VerifiedReport(
             session_id=session.session_id, node_id=session.node_id,
             token_type=envelope.direction, evidence=envelope.evidence,

@@ -36,6 +36,9 @@ class Rig:
         self.tcb = tee.TeeTcb(crypto.sha256(b"o"), crypto.sha256(b"k"),
                               crypto.sha256(b"i"), crypto.sha256(b"c"))
         self.vcek, self.chain = self.vendor.derive_vcek(CHIP, 7)
+        # the reference values a boot report is appraised against
+        self.reference = verifier.PolicyBaseline(
+            "rig", tee.launch_measure(self.tcb), (), b"", min_tcb_version=7)
         self.state = tpm.tpm_manufacture(self.rng.random_bytes(32))
         srk = tpm.load_key(self.state, tpm.create_primary(self.state, "storage"))
         self.aik_blob = tpm.create_signing_key(self.state, srk, role="AIK")
@@ -65,7 +68,7 @@ class Rig:
         """Every onboarding step before registration."""
         self.enroll_tee(node_id)
         self.certify_aik(node_id)
-        self.ca.set_trust_baseline(node_id, tee.launch_measure(self.tcb))
+        self.ca.set_trust_baseline(node_id, self.reference)
 
     def activate(self, node_id: str = "node-a"):
         self.prepare(node_id)
@@ -237,7 +240,7 @@ def test_register_node_refuses_a_node_whose_aik_is_not_certified():
     # the baseline is set, so only the flows check stands in the way
     rig = Rig()
     rig.enroll_tee()
-    rig.ca.set_trust_baseline("node-a", tee.launch_measure(rig.tcb))
+    rig.ca.set_trust_baseline("node-a", rig.reference)
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
     bound = rig.report(bound_to(identity.public_bytes))
     with pytest.raises(NotInitialized):
@@ -246,16 +249,19 @@ def test_register_node_refuses_a_node_whose_aik_is_not_certified():
 
 
 def test_register_node_refuses_evidence_from_an_unregistered_chip():
-    # a valid vendor chain and a bound report, both for another chip
+    # a valid vendor chain for another chip, beside a bound report of
+    # that chip or of the node's own
     rig = Rig()
     rig.prepare()
     chip_b = crypto.sha256(b"chip-b")
     vcek_b, chain_b = rig.vendor.derive_vcek(chip_b, 7)
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
-    report = tee.guest_report(vcek_b, chip_b, rig.tcb, 7,
-                              bound_to(identity.public_bytes))
-    with pytest.raises(BaselineRejected):
-        rig.ca.register_node("node-a", report, chain_b, identity.public_bytes)
+    bound = bound_to(identity.public_bytes)
+    for report in (tee.guest_report(vcek_b, chip_b, rig.tcb, 7, bound),
+                   rig.report(bound)):
+        with pytest.raises(BaselineRejected, match="unregistered chip key"):
+            rig.ca.register_node("node-a", report, chain_b,
+                                 identity.public_bytes)
     assert rig.ca.nodes["node-a"].identity_cert is None
 
 
@@ -273,11 +279,12 @@ def test_register_node_rejects_wrong_measurement():
     rig = Rig()
     rig.enroll_tee()
     rig.certify_aik()
-    rig.ca.set_trust_baseline("node-a", bytes(32))
+    rig.ca.set_trust_baseline("node-a", dataclasses.replace(
+        rig.reference, expected_measurement=bytes(32)))
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
-    with pytest.raises(BaselineRejected):
-        rig.ca.register_node("node-a", rig.report(), rig.chain,
-                             identity.public_bytes)
+    with pytest.raises(BaselineRejected, match="measurement-mismatch"):
+        rig.ca.register_node("node-a", rig.report(bound_to(
+            identity.public_bytes)), rig.chain, identity.public_bytes)
 
 
 def test_register_node_registers_a_node_once():
@@ -299,28 +306,45 @@ def test_register_node_registers_a_node_once():
 
 
 def test_register_node_names_the_first_failing_evidence_layer():
-    # each report fails its own layer and every layer after it, so only
-    # the order of the checks decides which rejection is named
+    # each report fails its own check and every check after it, so only
+    # the order of the checks decides which rejection is named: the vendor
+    # chain and its chip key, then appraise_layers in the verifier's order
     rig = Rig()
     rig.prepare()
     identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    bound = bound_to(identity.public_bytes)
     foreign_vcek, foreign_chain = tee.TeeVendor(
         b"foreign-vendor-x").derive_vcek(CHIP, 7)
+    chip_b = crypto.sha256(b"chip-b")
+    _, chain_b = rig.vendor.derive_vcek(chip_b, 7)
     other_tcb = dataclasses.replace(rig.tcb, kernel=crypto.sha256(b"k2"))
 
-    def report(vcek, tcb):
-        return tee.guest_report(vcek, CHIP, tcb, 7, bytes(64))
+    def report(vcek=rig.vcek, chip=CHIP, tcb=rig.tcb, data=bound,
+               embedded=b""):
+        # below the reference's TCB floor of 7
+        return tee.guest_report(vcek, chip, tcb, 6, data, embedded)
 
-    for reason, chain, boot_report in (
-        ("chain-invalid", foreign_chain, report(rig.vcek, other_tcb)),
-        ("signature-invalid", rig.chain, report(foreign_vcek, other_tcb)),
-        ("measurement-mismatch", rig.chain, report(rig.vcek, other_tcb)),
-        ("nonce-mismatch", rig.chain, report(rig.vcek, rig.tcb)),
+    rejected = "registration evidence rejected: "
+    for message, chain, boot_report in (
+        (rejected + "chain-invalid", foreign_chain,
+         report(foreign_vcek, chip_b, other_tcb, bytes(64), b"junk")),
+        ("evidence signed by an unregistered chip key", chain_b,
+         report(foreign_vcek, chip_b, other_tcb, bytes(64), b"junk")),
+        (rejected + "malformed", rig.chain,
+         report(foreign_vcek, chip_b, other_tcb, bytes(64), b"junk")),
+        (rejected + "nonce-mismatch", rig.chain,
+         report(foreign_vcek, chip_b, other_tcb, bytes(64))),
+        (rejected + "identity-mismatch", rig.chain,
+         report(foreign_vcek, chip_b, other_tcb)),
+        (rejected + "outer-signature-invalid", rig.chain,
+         report(foreign_vcek, tcb=other_tcb)),
+        (rejected + "measurement-mismatch", rig.chain, report(tcb=other_tcb)),
+        (rejected + "tcb-rejected", rig.chain, report()),
     ):
         with pytest.raises(BaselineRejected) as info:
             rig.ca.register_node("node-a", boot_report, chain,
                                  identity.public_bytes)
-        assert str(info.value) == f"registration evidence rejected: {reason}"
+        assert str(info.value) == message
     assert rig.ca.nodes["node-a"].identity_cert is None
 
 
@@ -460,7 +484,8 @@ def test_revoked_node_gets_no_new_baseline():
     rig.ca.revoke("node-a", "compromise")
     baseline, records = rig.ca.nodes["node-a"].baseline, rig.ca.record_log
     with pytest.raises(NodeRevoked):
-        rig.ca.set_trust_baseline("node-a", bytes(32))
+        rig.ca.set_trust_baseline("node-a", dataclasses.replace(
+            rig.reference, min_tcb_version=0))
     assert rig.ca.nodes["node-a"].baseline == baseline
     assert rig.ca.record_log == records
 

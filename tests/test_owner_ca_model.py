@@ -2,7 +2,8 @@
 
 Seeded random walks drive one OwnerCa through TEE registration (its own
 chip and another one), credential-activation challenges (right, wrong,
-replayed, unknown and expired answers), trust baselines, node
+replayed, unknown and expired answers), reference values (honest, a
+wrong launch measurement, a TCB floor above the node's), node
 registration (honest evidence and each evidence fault), revocation and
 clock ticks. A model of a few dicts predicts every outcome: the value a
 call returns, or the type of the exception it raises. After each step
@@ -34,8 +35,14 @@ from test_owner_ca import CHIP, Rig, bound_to
 
 NODES = ("n0", "n1")
 CHIPS = (CHIP, crypto.sha256(b"chip-model-b"))
-EVIDENCE = ("honest", "chain-invalid", "signature-invalid",
-            "measurement-mismatch", "nonce-mismatch")
+# the registration checks in their order: the vendor chain, then the
+# rejections of verifier.appraise_layers
+EVIDENCE = ("honest", "chain-invalid", "malformed", "nonce-mismatch",
+            "identity-mismatch", "outer-signature-invalid",
+            "measurement-mismatch", "tcb-rejected")
+APPRAISAL = EVIDENCE[2:]
+# a reference is honest or fails one signed claim of every honest report
+REFERENCES = ("honest", "measurement-mismatch", "tcb-rejected")
 TICKS = (1.0, owner_ca.CHALLENGE_TTL / 2, owner_ca.CHALLENGE_TTL + 1)
 WALKS, STEPS = 60, 60
 
@@ -57,17 +64,29 @@ class Fixture:
         other_tcb = dataclasses.replace(rig.tcb, kernel=crypto.sha256(b"k2"))
         self.evidence = {}
         for c, (vcek, chain) in enumerate(zip(self.vceks, self.chains)):
-            def report(key=vcek, tcb=rig.tcb, data=bound, chip=CHIPS[c]):
-                return tee.guest_report(key, chip, tcb, 7, data)
+            def report(key=vcek, tcb=rig.tcb, data=bound, chip=CHIPS[c],
+                       version=7, embedded=b""):
+                return tee.guest_report(key, chip, tcb, version, data,
+                                        embedded)
             # each fault fails its own check and passes every other one
             self.evidence[c] = {
                 "honest": (report(), chain),
                 "chain-invalid": (report(), dataclasses.replace(
                     chain, ark=foreign.ark_cert)),
-                "signature-invalid": (report(key=foreign_vcek), chain),
-                "measurement-mismatch": (report(tcb=other_tcb), chain),
+                "malformed": (report(embedded=b"junk"), chain),
                 "nonce-mismatch": (report(data=bytes(64)), chain),
+                "identity-mismatch": (report(chip=crypto.sha256(b"?")),
+                                      chain),
+                "outer-signature-invalid": (report(key=foreign_vcek), chain),
+                "measurement-mismatch": (report(tcb=other_tcb), chain),
+                "tcb-rejected": (report(version=6), chain),
             }
+        self.references = {
+            "honest": rig.reference,
+            "measurement-mismatch": dataclasses.replace(
+                rig.reference, expected_measurement=bytes(32)),
+            "tcb-rejected": dataclasses.replace(rig.reference,
+                                                min_tcb_version=8)}
         self.subjects = {"VCEK": [v.public_bytes for v in self.vceks],
                          "AIK": rig.aik_blob.public,
                          "IDENTITY": self.identity.public_bytes}
@@ -97,9 +116,8 @@ class Fixture:
             return _cert(ca.aik_answer(
                 sid, answer if right else crypto.Secret(bytes(32))))
         if name == "set_trust_baseline":
-            node, good = args
-            return ca.set_trust_baseline(
-                node, tee.launch_measure(self.rig.tcb) if good else bytes(32))
+            node, reference = args
+            return ca.set_trust_baseline(node, self.references[reference])
         if name == "register_node":
             node, chip, kind = args
             report, chain = self.evidence[chip][kind]
@@ -122,7 +140,7 @@ class Node:
     chip: int
     certs: dict = dataclasses.field(default_factory=dict)   # role -> serial
     serials: list = dataclasses.field(default_factory=list)
-    baseline: bool | None = None   # whether it is the honest measurement
+    baseline: str | None = None   # the REFERENCES entry it was given
 
 
 class Model:
@@ -193,12 +211,12 @@ class Model:
         return (self._issue(node_id, "AIK", self.subjects["AIK"]),
                 "aik_answer:issued")
 
-    def set_trust_baseline(self, node_id, good):
+    def set_trust_baseline(self, node_id, reference):
         if node_id in self.revoked:
             return NodeRevoked, "set_trust_baseline:revoked"
         if node_id not in self.nodes:
             return NodeUnknown, "set_trust_baseline:unknown-node"
-        self.nodes[node_id].baseline = good
+        self.nodes[node_id].baseline = reference
         self.records += 1
         return None, "set_trust_baseline:set"
 
@@ -212,14 +230,15 @@ class Model:
             return NotInitialized, "register_node:no-aik"
         if node.baseline is None:
             return NotInitialized, "register_node:no-baseline"
-        if kind in ("chain-invalid", "signature-invalid"):
-            return BaselineRejected, f"register_node:{kind}"
-        if kind == "measurement-mismatch" or not node.baseline:
-            return BaselineRejected, "register_node:measurement-mismatch"
-        if kind == "nonce-mismatch":
+        if kind == "chain-invalid":
             return BaselineRejected, f"register_node:{kind}"
         if chip != node.chip:
             return BaselineRejected, "register_node:another-chip"
+        # the first appraisal check that the report or the reference fails
+        failed = [check for check in APPRAISAL
+                  if check in (kind, node.baseline)]
+        if failed:
+            return BaselineRejected, f"register_node:{failed[0]}"
         if node_id in self.revoked:
             return NodeRevoked, "register_node:revoked"
         return (self._issue(node_id, "IDENTITY", self.subjects["IDENTITY"]),
@@ -284,7 +303,8 @@ def random_walk(rng: random.Random, steps: int) -> list[tuple]:
             back = 1 if rng.random() < 0.6 else rng.randrange(1, 5)
             ops.append((name, back, rng.random() < 0.75))
         elif name == "set_trust_baseline":
-            ops.append((name, node, rng.random() < 0.85))
+            ops.append((name, node, "honest" if rng.random() < 0.7
+                        else rng.choice(REFERENCES[1:])))
         elif name == "register_node":
             kind = "honest" if rng.random() < 0.4 else rng.choice(EVIDENCE[1:])
             ops.append((name, node, chip, kind))

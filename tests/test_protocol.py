@@ -10,7 +10,12 @@ from collections import Counter
 import pytest
 
 from ccxtrust import crypto, harness, measurement, protocol, tpm, verifier
-from ccxtrust.errors import AttestationRejected, AuthFailure, DecodeError
+from ccxtrust.errors import (
+    AttestationRejected,
+    AuthFailure,
+    BaselineRejected,
+    DecodeError,
+)
 from ccxtrust.protocol import (
     OCA_PRINCIPAL,
     VERIFIER_PRINCIPAL,
@@ -332,29 +337,91 @@ def test_holder_decrypt_names_the_certificate_it_received(monkeypatch,
     assert not protocol.check_theorems(trace)["cert-provenance"].ok
 
 
-def test_verifier_believes_the_certified_chip_id(monkeypatch, cluster):
-    # the enrolling node asserts another chip id than its own; the
-    # verifier keeps the one the vendor certified, so evidence signed
-    # under the asserted id is another chip's
-    asserted = crypto.sha256(b"asserted chip id")
-    own = []
+def refused_at_registration(monkeypatch, cluster, outcome,
+                            edit=lambda actor: None):
+    """add_node of node 1, its actor edited by edit before enrollment, is
+    refused at registration with outcome: the node gets no MasterSecret,
+    the owner CA issues no identity certificate and does not read it
+    active, and the verifier holds no keys for it. Returns the actor."""
+    actors = []
     real_initialization = protocol.run_initialization
 
-    def asserting(actor, *args):
-        own.append(actor.chip_id)
-        actor.chip_id = asserted
+    def enrolling(actor, *args):
+        actors.append(actor)
+        edit(actor)
         return real_initialization(actor, *args)
 
-    monkeypatch.setattr(protocol, "run_initialization", asserting)
-    actor = harness.add_node(cluster, 1)
-    assert cluster.verifier_svc.node_keys(actor.node_id).chip_id == own[0]
+    monkeypatch.setattr(protocol, "run_initialization", enrolling)
+    with pytest.raises(BaselineRejected) as rejected:
+        harness.add_node(cluster, 1)
+    assert str(rejected.value) == (
+        f"registration evidence rejected: {outcome.value}")
+    [actor] = actors
+    assert actor.master_secret is None and actor.identity_cert is None
+    assert cluster.oca.nodes[actor.node_id].identity_cert is None
+    assert (f"node {actor.node_id} status=aik-certified "
+            in cluster.oca.snapshot())
+    assert cluster.verifier_svc.node_keys(actor.node_id) is None
+    return actor
+
+
+def test_verifier_believes_the_certified_chip_id(monkeypatch, cluster):
+    # the enrolling node asserts another chip id than its own and signs
+    # its boot report under it; the owner CA appraises the report against
+    # the chip id the vendor certified, so the node does not register
+    asserted = crypto.sha256(b"asserted chip id")
+    own = []
+
+    def asserting(actor):
+        own.append(actor.chip_id)
+        actor.chip_id = asserted
+
+    actor = refused_at_registration(
+        monkeypatch, cluster, verifier.CompositeOutcome.IDENTITY_MISMATCH,
+        asserting)
     assert actor.vendor_chain.vcek.hw_id == own[0] != asserted
-    with pytest.raises(AttestationRejected) as rejected:
-        protocol.run_attest_composite(
-            actor, cluster.verifier_svc, cluster.channels,
-            protocol.ProtocolTrace(), policy_id=cluster.policy_id,
-            direction="tee")
-    assert rejected.value.cause is verifier.CompositeOutcome.IDENTITY_MISMATCH
+
+
+def test_registration_refuses_a_node_below_the_tcb_floor(monkeypatch,
+                                                          cluster):
+    monkeypatch.setattr(harness, "STANDARD_TCB_VERSION",
+                        harness.MIN_TCB_VERSION - 1)
+    refused_at_registration(monkeypatch, cluster,
+                            verifier.CompositeOutcome.TCB_REJECTED)
+
+
+def test_registration_refuses_a_boot_report_that_embeds_evidence(
+        monkeypatch, cluster):
+    # a "tee" binding does not cover embedded bytes, so only the rule
+    # that the innermost layer embeds nothing refuses them
+    real_sign_layer = protocol.NodeActor.sign_layer
+
+    def embedding(self, kind, binding, embedded, selection=()):
+        return real_sign_layer(self, kind, binding, embedded or b"junk",
+                               selection)
+
+    monkeypatch.setattr(protocol.NodeActor, "sign_layer", embedding)
+    refused_at_registration(monkeypatch, cluster,
+                            verifier.CompositeOutcome.MALFORMED)
+
+
+def test_one_pipeline_appraises_registration_and_attestation(monkeypatch,
+                                                             cluster):
+    directions = []
+    real_appraise = verifier.appraise_layers
+
+    def counting(direction, *args):
+        directions.append(direction)
+        return real_appraise(direction, *args)
+
+    monkeypatch.setattr(verifier, "appraise_layers", counting)
+    actor = harness.add_node(cluster, 1)
+    assert directions == ["tee"]
+    protocol.run_attest_composite(
+        actor, cluster.verifier_svc, cluster.channels,
+        protocol.ProtocolTrace(), policy_id=cluster.policy_id,
+        direction="tpm-tee")
+    assert directions == ["tee", "tpm-tee"]
 
 
 def test_attest_returns_the_token_the_agent_received(monkeypatch, cluster):

@@ -117,6 +117,10 @@ def test_unknown_direction_is_malformed(cluster):
     odd = dataclasses.replace(envelope, direction="sideways")
     assert submit(cluster, request, odd)[0] is \
         verifier.CompositeOutcome.MALFORMED
+    # a layout of no layers leaves no bytes over, and still appraises none
+    empty = dataclasses.replace(odd, evidence=b"")
+    assert submit(cluster, request, empty)[0] is \
+        verifier.CompositeOutcome.MALFORMED
 
 
 def test_plain_quote_without_inner_report_is_malformed(cluster):
