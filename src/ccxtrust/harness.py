@@ -47,12 +47,12 @@ _WORKLOADS = [
 ]
 
 
-def standard_tcb() -> tee.TeeTcb:
-    return tee.TeeTcb(
-        crypto.sha256(b"guest-firmware 2026.1"),
-        crypto.sha256(b"guest-kernel 6.8"),
-        crypto.sha256(b"guest-initrd standard"),
-        crypto.sha256(b"guest-cmdline quiet"))
+# every node boots the same guest, so one frozen record serves them all
+STANDARD_TCB = tee.TeeTcb(
+    crypto.sha256(b"guest-firmware 2026.1"),
+    crypto.sha256(b"guest-kernel 6.8"),
+    crypto.sha256(b"guest-initrd standard"),
+    crypto.sha256(b"guest-cmdline quiet"))
 
 
 def _workload_allow_list() -> dict[str, bytes]:
@@ -134,14 +134,13 @@ def add_node(cluster: Cluster, index: int, *,
     aik_handle = tpm.load_key(state, aik_blob)
 
     chip_id = rng.random_bytes(32)
-    tcb = standard_tcb()
     vcek, chain = cluster.vendor.derive_vcek(chip_id, STANDARD_TCB_VERSION)
 
     epoch = measurement.MeasurementEpoch(state, cluster.publisher.public)
     epoch.run_host_stage(_HOST_COMPONENTS)
     manifests = [(measurement.sign_manifest(cluster.publisher, name, content),
                   content) for name, content in _IMAGE_SET]
-    launch = epoch.run_launch_stage(manifests, tcb)
+    launch = epoch.run_launch_stage(manifests, STANDARD_TCB)
     epoch.run_runtime_stage(_WORKLOADS, _workload_allow_list())
 
     actor = protocol.NodeActor(
@@ -149,7 +148,7 @@ def add_node(cluster: Cluster, index: int, *,
         ek_handle=ek_handle, srk_handle=srk_handle,
         aik_handle=aik_handle, aik_blob=aik_blob,
         vcek=vcek, vendor_chain=chain, chip_id=chip_id,
-        tcb=tcb, tcb_version=STANDARD_TCB_VERSION,
+        tcb=STANDARD_TCB, tcb_version=STANDARD_TCB_VERSION,
         launch_measurement=launch, pcr_selection=measurement.ALL_STAGE_PCRS,
         identity=crypto.SigningKeyPair.from_seed("IDENTITY",
                                                  rng.random_bytes(32)),
@@ -502,7 +501,7 @@ def attack_image_forge(cluster: Cluster) -> AttackReport:
                                               rng.random_bytes(32))
     forged = measurement.sign_manifest(mallory, "base-os", b"evil payload")
     try:
-        epoch.run_launch_stage([(forged, b"evil payload")], standard_tcb())
+        epoch.run_launch_stage([(forged, b"evil payload")], STANDARD_TCB)
         outcomes["forged-booted"] += 1
     except UntrustedImage:
         outcomes["forged-refused"] += 1
@@ -510,13 +509,13 @@ def attack_image_forge(cluster: Cluster) -> AttackReport:
     good = measurement.sign_manifest(cluster.publisher, "base-os",
                                      b"base operating system image")
     try:
-        epoch.run_launch_stage([(good, b"tampered content")], standard_tcb())
+        epoch.run_launch_stage([(good, b"tampered content")], STANDARD_TCB)
         outcomes["tampered-booted"] += 1
     except UntrustedImage:
         outcomes["tampered-refused"] += 1
 
     epoch.run_launch_stage([(good, b"base operating system image")],
-                           standard_tcb())
+                           STANDARD_TCB)
     outcome, deviations = epoch.run_runtime_stage(
         [("service-a", b"workload service a"), ("rogue", b"cryptominer")],
         _workload_allow_list())

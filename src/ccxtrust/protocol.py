@@ -24,8 +24,9 @@ list of events is a trace, and an edited list judges by its positions.
 
 from __future__ import annotations
 
+import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import crypto, tee, tpm
@@ -42,6 +43,8 @@ EVENT_KINDS = frozenset(
     ("new", "send", "receive", "decrypt", "sign", "verify", "match"))
 
 _OK_COLUMN = {"-": None, "0": False, "1": True}
+# each verifier outcome's content label, one string for every verify event
+_OUTCOME_LABELS = {o: f"outcome:{o.value}" for o in CompositeOutcome}
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +140,17 @@ class ProtocolTrace:
         return "\n".join(self.lines()) + ("\n" if self.events else "")
 
     def digest(self) -> bytes:
-        return crypto.sha256(self.text().encode())
+        # SHA-256 takes its message in blocks, so digest and write take
+        # text() a line at a time and never hold it whole
+        hasher = hashlib.sha256()
+        for index, event in enumerate(self.events):
+            hasher.update(f"{event.line(index)}\n".encode())
+        return hasher.digest()
 
     def write(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.text())
+            for index, event in enumerate(self.events):
+                fh.write(f"{event.line(index)}\n")
 
     @classmethod
     def from_text(cls, text: str) -> "ProtocolTrace":
@@ -302,18 +311,17 @@ class NodeActor:
     pek_cert: crypto.Certificate | None = None
     master_secret: crypto.Secret | None = None
     cvm_root_blob: tpm.KeyBlob | None = None
+    # one string per device principal, for every event and channel key
+    tee_name: str = field(init=False)
+    tpm_name: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.tee_name = self.node_id + "/tee"
+        self.tpm_name = self.node_id + "/tpm"
 
     @property
     def agent(self) -> str:
         return self.node_id
-
-    @property
-    def tee_name(self) -> str:
-        return self.node_id + "/tee"
-
-    @property
-    def tpm_name(self) -> str:
-        return self.node_id + "/tpm"
 
     def sign_layer(self, kind: str, binding: bytes, embedded: bytes,
                    selection: tuple[int, ...] = ()):
@@ -378,21 +386,22 @@ def _content(label: str, data: bytes) -> str:
 
 
 def _hand_off(trace: ProtocolTrace, channels: ChannelTable, holder: str,
-              check: tuple[str, str, bytes], key: str, fields: dict,
-              mtype_name: str) -> dict:
+              check: tuple[str, str, bytes | str], key: str, fields: dict,
+              mtype_name: str) -> tuple[dict, tuple[str, ...]]:
     """The owner CA's successful check of a key, then its certificate for
     that key, fields["cert"], sent to the holder, which decrypts it. key
     is the key's content label as the holder's request carried it; the
     check and the sign both carry it, which binds the certificate to the
     evidence. The identity certificate brings the MasterSecret,
     fields["master_secret"], with it. The holder's decrypt names what it
-    received. Returns the fields the holder received."""
+    received. Returns the fields it received and the contents it named."""
     A = OCA_PRINCIPAL
-    label = f"cert-{fields['cert'].role.lower()}"
+    label = {"VCEK": "cert-vcek", "AIK": "cert-aik",
+             "IDENTITY": "cert-identity"}[fields["cert"].role]
 
-    def held(fields: dict) -> tuple[bytes, tuple[str, ...]]:
-        digest = fields["cert"].digest
-        contents = (f"{label}:{digest.hex()}",)
+    def held(fields: dict) -> tuple[str, tuple[str, ...]]:
+        digest = fields["cert"].digest.hex()
+        contents = (f"{label}:{digest}",)
         if "master_secret" in fields:
             commit = crypto.sha256(b"master-secret:" + fields["master_secret"])
             contents += (f"master-secret:{commit.hex()}",)
@@ -409,7 +418,7 @@ def _hand_off(trace: ProtocolTrace, channels: ChannelTable, holder: str,
     digest, contents = sent if rx == fields else held(rx)
     trace.emit(holder, "decrypt", digest=digest, tag=mtype_name,
                contents=contents)
-    return rx
+    return rx, contents
 
 
 def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
@@ -436,13 +445,13 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
                    {"chain": actor.vendor_chain},
                    contents=(vcek_key, _content("vendor-chain", chain_bytes)))
     vcek_cert = oca.register_tee(rx["chain"], node_id=actor.node_id)
-    actor.vcek_cert = _hand_off(
+    rx, held = _hand_off(
         trace, channels, E,
         ("verify", "vendor-chain", crypto.sha256(chain_bytes)), vcek_key,
-        {"cert": vcek_cert}, "cert-vcek-info")["cert"]
+        {"cert": vcek_cert}, "cert-vcek-info")
+    actor.vcek_cert = rx["cert"]
     vcek_rx = _transfer(trace, channels, E, V, "cert-tee-info",
-                        {"cert": actor.vcek_cert},
-                        contents=(f"cert-vcek:{actor.vcek_cert.digest.hex()}",))
+                        {"cert": actor.vcek_cert}, contents=held)
 
     # --- AIK certification via credential activation
     area = actor.aik_blob.public_area()
@@ -461,28 +470,30 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
     secret = tpm.activate_credential(
         rx["credential"], actor.aik_blob.name,
         tpm.loaded_keypair(actor.state, actor.ek_handle))
-    answer_digest = crypto.sha256(b"credential-nonce:" + secret.data)
-    trace.emit(P, "decrypt", digest=answer_digest, tag="aik-challenge",
-               contents=(f"credential-nonce:{answer_digest.hex()}",))
+    answer = crypto.sha256(b"credential-nonce:" + secret.data).hex()
+    answer_label = (f"credential-nonce:{answer}",)
+    trace.emit(P, "decrypt", digest=answer, tag="aik-challenge",
+               contents=answer_label)
     rx = _transfer(trace, channels, P, A, "nonce-info", {"secret": secret.data},
-                   contents=(f"credential-nonce:{answer_digest.hex()}",))
+                   contents=answer_label)
     aik_cert = oca.aik_answer(challenge_session_id(challenge),
                               crypto.Secret(rx["secret"]))
-    actor.aik_cert = _hand_off(
-        trace, channels, P, ("match", "credential-nonce", answer_digest),
-        aik_key, {"cert": aik_cert}, "cert-aik-info")["cert"]
+    rx, held = _hand_off(
+        trace, channels, P, ("match", "credential-nonce", answer),
+        aik_key, {"cert": aik_cert}, "cert-aik-info")
+    actor.aik_cert = rx["cert"]
     aik_rx = _transfer(trace, channels, P, V, "key-cert-info",
-                       {"cert": actor.aik_cert},
-                       contents=(f"cert-aik:{actor.aik_cert.digest.hex()}",))
+                       {"cert": actor.aik_cert}, contents=held)
 
     # --- platform encryption key, endorsed inside the TEE by the chip key
     pek_cert = crypto.issue_certificate(actor.vcek, "PEK", 1,
                                         actor.pek.public_bytes)
     actor.pek_cert = pek_cert
+    pek_label = (f"pek-cert:{pek_cert.digest.hex()}",)
     trace.emit(E, "sign", digest=pek_cert.digest, tag="pek-cert",
-               contents=(f"pek-cert:{pek_cert.digest.hex()}",))
+               contents=pek_label)
     _transfer(trace, channels, E, V, "pek-cert-info", {"cert": pek_cert},
-              contents=(f"pek-cert:{pek_cert.digest.hex()}",))
+              contents=pek_label)
 
     run_registration(actor, oca, channels, trace)
 
@@ -507,7 +518,7 @@ def run_registration(actor: NodeActor, oca, channels: ChannelTable,
                              f"boot-report:{boot_report.digest.hex()}"))
     identity_cert, master_secret = oca.register_node(
         actor.node_id, rx["report"], rx["chain"], rx["identity_pub"])
-    rx = _hand_off(
+    rx, _ = _hand_off(
         trace, channels, C,
         ("verify", "registration-evidence", rx["report"].digest),
         identity_key, {"cert": identity_cert,
@@ -542,19 +553,20 @@ class CompositeReportEnvelope(Record):
 def _send_attest_request(verifier_svc, actor, channels, trace,
                          policy) -> tuple:
     """Verifier opens a session under the policy and sends the challenge,
-    with the policy's PCR selection; returns the request and the
-    attest-request fields as the platform agent sees them."""
+    with the policy's PCR selection; returns the request, and the
+    attest-request fields and session label as the agent received them."""
     V, C = VERIFIER_PRINCIPAL, actor.agent
     request = verifier_svc.new_request(policy.policy_id, actor.node_id)
-    session_hex = request.session_id.hex()
+    session = (f"session:{request.session_id.hex()}",)
     trace.emit(V, "new", digest=crypto.sha256(request.nonce),
-               tag="attest-nonce", contents=(f"session:{session_hex}",))
+               tag="attest-nonce", contents=session)
     rx = _transfer(trace, channels, V, C, "attest-request",
                    {"session_id": request.session_id, "nonce": request.nonce,
                     "selection": policy.pcr_selection},
-                   session_id=request.session_id,
-                   contents=(f"session:{session_hex}",))
-    return request, rx
+                   session_id=request.session_id, contents=session)
+    if rx["session_id"] != request.session_id:   # name what arrived
+        session = (f"session:{rx['session_id'].hex()}",)
+    return request, rx, session
 
 
 # kind -> (request type, the request field the binding travels in, reply
@@ -566,15 +578,14 @@ _LAYER_TRIPS = {
 }
 
 
-def _device_layer(actor, channels, trace, session_id, kind, binding,
+def _device_layer(actor, channels, trace, session_id, session, kind, binding,
                   embedded: bytes, selection, *, tag: str) -> bytes:
-    """The agent asks its device "<node>/<kind>" for one signed layer of a
-    session's evidence; returns the layer's bytes as the device encoded
-    them, for the agent only embeds or submits them."""
+    """The agent asks its device for one signed layer of the evidence for
+    session_id, labelled session; returns the layer's bytes as the device
+    encoded them, for the agent only embeds or submits them."""
     request, binding_field, reply, label = _LAYER_TRIPS[kind]
-    C, device = actor.agent, f"{actor.node_id}/{kind}"
-    session = (f"session:{session_id.hex()}",)
-    rx = _transfer(trace, channels, C, device, request,
+    device = actor.tee_name if kind == "tee" else actor.tpm_name
+    rx = _transfer(trace, channels, actor.agent, device, request,
                    {binding_field: binding, "embedded": embedded,
                     "selection": selection},
                    session_id=session_id, contents=session)
@@ -584,8 +595,8 @@ def _device_layer(actor, channels, trace, session_id, kind, binding,
     signed = (f"{label}:{digest.hex()}",)
     trace.emit(device, "sign", digest=digest, tag=tag,
                contents=session + signed)
-    return _transfer(trace, channels, device, C, reply, {label: layer},
-                     session_id=session_id,
+    return _transfer(trace, channels, device, actor.agent, reply,
+                     {label: layer}, session_id=session_id,
                      contents=signed)[label]
 
 
@@ -603,7 +614,7 @@ def build_evidence(direction: str, nonce: bytes, make_layer: Callable) -> bytes:
     for depth, kind in enumerate(reversed(layout), 1):
         binding = (nonce if kind == "tpm"
                    else report_data_for(direction, nonce, embedded))
-        tag = "total-report" if depth == len(layout) else f"{kind}-report"
+        tag = "total-report" if depth == len(layout) else _LAYER_TRIPS[kind][2]
         embedded = make_layer(kind, binding, embedded, tag)
     return embedded
 
@@ -626,14 +637,13 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
         raise ValueError(f"unknown direction {direction!r}")
     V, C = VERIFIER_PRINCIPAL, actor.agent
     policy = verifier_svc.get_policy(policy_id)
-    request, rx = _send_attest_request(verifier_svc, actor, channels, trace,
-                                       policy)
+    request, rx, session = _send_attest_request(verifier_svc, actor,
+                                                channels, trace, policy)
     session_id, nonce = rx["session_id"], rx["nonce"]
-    session_hex = session_id.hex()
 
     def make_layer(kind, binding, embedded, tag):
-        return _device_layer(actor, channels, trace, session_id, kind,
-                             binding, embedded, rx["selection"], tag=tag)
+        return _device_layer(actor, channels, trace, session_id, session,
+                             kind, binding, embedded, rx["selection"], tag=tag)
 
     envelope = CompositeReportEnvelope(
         direction, actor.node_id, session_id,
@@ -645,30 +655,31 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
     wire_hex = crypto.sha256(wire).hex()
     received = _transfer(trace, channels, C, V, "total-report",
                          {"report": wire}, session_id=session_id,
-                         contents=(f"session:{session_hex}",
-                                   f"envelope:{wire_hex}"))["report"]
+                         contents=session + (f"envelope:{wire_hex}",))["report"]
     envelope = CompositeReportEnvelope.from_bytes(received)
-    layers = "composite" if len(LAYOUTS[direction]) > 1 else direction
     outcome, verified = verifier_svc.verify_composite(envelope, request,
                                                       policy)
-    trace.emit(V, "verify", digest=wire_hex, tag=f"{layers}-evidence",
+    tag = ("composite-evidence" if len(LAYOUTS[direction]) > 1
+           else f"{direction}-evidence")
+    trace.emit(V, "verify", digest=wire_hex, tag=tag,
                ok=outcome is CompositeOutcome.OK,
-               contents=(f"session:{session_hex}",
-                         f"outcome:{outcome.value}"))
+               contents=session + (_OUTCOME_LABELS[outcome],))
     if outcome is not CompositeOutcome.OK:
         raise AttestationRejected(outcome, f"evidence rejected: {outcome.value}")
 
     token_bytes = verifier_svc.issue_token(verified).to_bytes()
-    token_digest = crypto.sha256(token_bytes)
-    token_content = (f"token:{token_digest.hex()}",)
-    trace.emit(V, "sign", digest=token_digest, tag="token",
-               contents=token_content + (f"session:{session_hex}",))
+    token_hex = crypto.sha256(token_bytes).hex()
+    token_content = (f"token:{token_hex}",)
+    trace.emit(V, "sign", digest=token_hex, tag="token",
+               contents=token_content + session)
     received = _transfer(trace, channels, V, C, "token-info",
                          {"token": token_bytes}, session_id=session_id,
                          contents=token_content)["token"]
-    held = token_digest if received == token_bytes else crypto.sha256(received)
-    trace.emit(C, "decrypt", digest=held, tag="token-info",
-               contents=(f"token:{held.hex()}",))
+    if received != token_bytes:   # name what arrived
+        token_hex = crypto.sha256(received).hex()
+        token_content = (f"token:{token_hex}",)
+    trace.emit(C, "decrypt", digest=token_hex, tag="token-info",
+               contents=token_content)
     return AttestationToken.from_bytes(received)
 
 

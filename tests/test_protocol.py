@@ -110,6 +110,25 @@ def test_trace_write_read(tmp_path, cluster):
     assert loaded.digest() == cluster.trace.digest()
 
 
+def test_digest_and_write_stream_exactly_the_text(tmp_path, honest31):
+    # digest() and write() take the text a line at a time; each gives
+    # what the whole text() gives, final newline and empty trace included
+    honest = protocol.ProtocolTrace(honest31)
+    traces = [protocol.ProtocolTrace(), honest,
+              protocol.ProtocolTrace.from_text(honest.text())]
+    traces += [protocol.ProtocolTrace(edit(honest31))
+               for _title, edit, _violated in harness.FAULT_TRACES.values()]
+    path = tmp_path / "trace.log"
+    for trace in traces:
+        text = trace.text()
+        assert text.endswith("\n") == bool(trace.events)
+        assert trace.digest() == crypto.sha256(text.encode())
+        trace.write(path)
+        assert path.read_bytes() == text.encode()
+    assert traces[0].digest() == crypto.sha256(b"")
+    assert honest.digest().hex().startswith("8ae10792")
+
+
 # ---------------------------------------------------------------------------
 # channels
 # ---------------------------------------------------------------------------
@@ -601,6 +620,54 @@ def test_receive_event_shares_the_send_events_digest(cluster):
     for sent, received in pairs:
         assert received.kind == "receive"
         assert received.digest is sent.digest
+
+
+def _one_object_per_value(strings) -> int:
+    """How many values strings holds, once each holds one object."""
+    objects = {}
+    for string in strings:
+        assert objects.setdefault(string, string) is string, string
+    return len(objects)
+
+
+def test_each_traced_value_is_one_string_object(cluster):
+    # a fleet trace keeps each value once: every event that names it
+    # holds the object that the value's first event made
+    actor, trace = cluster.actor(0), cluster.trace
+    enrolled = len(trace.events)
+    # each hand-off: the owner CA's check and sign, the send, receive and
+    # decrypt of the certificate, and the holder's forward to the verifier
+    deliveries = {"cert-vcek-info", "cert-aik-info", "identity-cert-info",
+                  "cert-tee-info", "key-cert-info"}
+    handed = [e for e in trace.events[:enrolled]
+              if e.tag in deliveries or (e.principal == OCA_PRINCIPAL and
+                                         e.kind in ("verify", "match", "sign"))]
+    assert len(handed) == 3 * 5 + 2 * 2 + 1     # and the ek-cert verify
+    # three key labels, three certificate labels and the MasterSecret's,
+    # and the three certificates' digests
+    assert _one_object_per_value(
+        [c for e in handed for c in e.contents]
+        + [e.digest for e in handed if e.kind in ("sign", "decrypt")]) == 10
+    for direction in ("tpm-tee", "tee-tpm"):
+        mark = len(trace.events)
+        protocol.run_attest_composite(
+            actor, cluster.verifier_svc, cluster.channels, trace,
+            policy_id=cluster.policy_id, direction=direction)
+        attest = trace.events[mark:]
+        sessions = [c for e in attest for c in e.contents
+                    if c.startswith("session:")]
+        assert len(sessions) == 13
+        assert _one_object_per_value(sessions) == 1
+        tokens = [e for e in attest if "token" in e.tag]
+        assert _one_object_per_value(
+            [c for e in tokens for c in e.contents if c.startswith("token:")]
+            + [e.digest for e in tokens if e.kind in ("sign", "decrypt")]) == 2
+    # each device principal is one object in every event and channel key
+    names = [name for e in trace.events for name in (e.principal, e.peer)]
+    names += [name for pair in cluster.channels._keys for name in pair]
+    for device in (actor.tee_name, actor.tpm_name):
+        assert sum(name == device for name in names) > 20
+        assert all(name is device for name in names if name == device)
 
 
 def test_attest_composite_unknown_direction_opens_no_session(cluster):

@@ -2,6 +2,8 @@
 alternating pairs, and write the pair record BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent HEAD --seed 36101 --out BENCH_36.json
+    python3 tools/bench_pairs.py --parent HEAD --seed 38101 \
+        --claim onboard/peak_rss_mb --out BENCH_38.json
 
 The parent's src/ and perfbench/ are extracted with `git archive` into a
 scratch directory, and the working tree's are copied beside them, so both
@@ -15,7 +17,10 @@ length S come from BENCHMARK.json; the tool reads BENCHMARK.json and
 perfbench/ and changes neither.
 
 Each metric of each workload gets one verdict, by RULE below, and the
-tool prints one line per metric. It needs only the standard library.
+tool prints one line per metric. --claim names the one metric the change
+claims to improve, as WORKLOAD/METRIC of BENCHMARK.json, or none (the
+default); a claimed metric's verdict is the last line printed, as
+"claim WORKLOAD/METRIC: VERDICT". It needs only the standard library.
 """
 
 from __future__ import annotations
@@ -134,6 +139,25 @@ def summarise_workload(runs: list[dict], end_to_end: list[dict]) -> dict:
     }
 
 
+def parse_claim(claim: str, bench: dict) -> tuple[str, str] | None:
+    """The (workload, metric) a claim names, or None for "none"; raises
+    ValueError for any name BENCHMARK.json does not define."""
+    if claim == "none":
+        return None
+    workload, _, metric = claim.partition("/")
+    if (workload not in {w["name"] for w in bench["workloads"]}
+            or metric not in {m["name"] for m in bench["end_to_end"]}):
+        raise ValueError(f"--claim takes none or WORKLOAD/METRIC of "
+                         f"BENCHMARK.json, not {claim!r}")
+    return workload, metric
+
+
+def claim_line(workloads: dict, claim: tuple[str, str]) -> str:
+    workload, metric = claim
+    verdict = workloads[workload]["metrics"][metric]["verdict"]
+    return f"claim {workload}/{metric}: {verdict}"
+
+
 def verdict_lines(workloads: dict) -> list[str]:
     lines = []
     for name, record in workloads.items():
@@ -233,11 +257,16 @@ def main(argv=None) -> int:
                         help="directory for the two checkouts (default: "
                              "the system's temporary directory)")
     parser.add_argument("--claim", default="none",
-                        help="the change's claim, as the record states it")
+                        help="none, or the WORKLOAD/METRIC of BENCHMARK.json "
+                             "that the change claims to improve")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be non-negative")
+    try:
+        claim = parse_claim(args.claim, bench)
+    except ValueError as exc:
+        parser.error(str(exc))
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent],
                             cwd=ROOT, check=True, capture_output=True,
                             text=True).stdout.strip()
@@ -265,6 +294,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for line in verdict_lines(workloads):
         print(line)
+    if claim is not None:
+        print(claim_line(workloads, claim))
     return 0
 
 

@@ -10,6 +10,7 @@ import bench_pairs
 
 BENCH = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
 FIRST_RECORD = 36   # the first BENCH_<n>.json the tool wrote
+FIRST_CLAIM = 38    # the first record whose claim names its metric
 
 SPECS = [
     {"name": "cpu_ms_per_op", "unit": "ms", "better": "lower", "bound": 0.25},
@@ -99,6 +100,27 @@ def test_a_run_list_with_a_lone_side_or_too_few_pairs_is_refused():
         bench_pairs.summarise_workload(runs, SPECS[:1])
 
 
+def test_a_claim_names_a_workload_and_metric_of_the_benchmark(capsys):
+    assert bench_pairs.parse_claim("none", BENCH) is None
+    assert bench_pairs.parse_claim("onboard/peak_rss_mb", BENCH) == (
+        "onboard", "peak_rss_mb")
+    for claim in ("onboard", "onboard/", "fleet/peak_rss_mb",
+                  "onboard/peak_rss", "onboard/crypto.sign.calls",
+                  "onboard/peak_rss_mb/x"):
+        with pytest.raises(ValueError, match="WORKLOAD/METRIC"):
+            bench_pairs.parse_claim(claim, BENCH)
+    # the tool refuses it before it extracts or runs anything
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", "HEAD", "--seed", "1", "--claim",
+                          "attest/speed", "--out", "unwritten.json"])
+    assert "not 'attest/speed'" in capsys.readouterr().err
+    steady = [10.0 + 0.1 * (k % 3) for k in range(10)]
+    record = bench_pairs.summarise_workload(synthetic_runs(
+        {"peak_rss_mb": (steady, [v * 0.9 for v in steady])}), SPECS[3:])
+    assert bench_pairs.claim_line({"onboard": record}, (
+        "onboard", "peak_rss_mb")) == "claim onboard/peak_rss_mb: gain"
+
+
 def _records():
     for path in sorted(bench_pairs.ROOT.glob("BENCH_*.json")):
         if int(path.stem.split("_")[1]) >= FIRST_RECORD:
@@ -133,3 +155,14 @@ def test_every_pair_record_the_tool_wrote_holds_its_own_summary():
                 assert entry == bench_pairs.summarise_metric(
                     specs[metric], entry["parent"], entry["change"],
                     shares["change"] > shares["parent"]), (name, metric)
+
+
+def test_every_claimed_metric_reads_gain():
+    for path in _records():
+        record = json.loads(path.read_text())
+        if int(path.stem.split("_")[1]) < FIRST_CLAIM:
+            continue
+        claim = bench_pairs.parse_claim(record["claim"], BENCH)
+        if claim is not None:
+            assert bench_pairs.claim_line(record["workloads"], claim).endswith(
+                ": gain"), path.name
