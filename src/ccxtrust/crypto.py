@@ -30,7 +30,10 @@ from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.serialization import (
+# the module that defines the encoding enums, which ec already imports;
+# the public serialization package would also load its ssh module and
+# the DSA and Ed25519 key modules, which nothing here runs
+from cryptography.hazmat.primitives._serialization import (
     Encoding,
     PublicFormat,
 )
@@ -279,7 +282,7 @@ class Signed(Record):
         return sha256(self.to_bytes())
 
     def body_bytes(self) -> bytes:
-        return self.BODY.encode(vars(self))
+        return self.BODY.encode(self)
 
     def verify(self, public: bytes | PublicKey) -> bool:
         return verify(public, self.body_bytes(), self.signature)

@@ -10,8 +10,9 @@ or a maximum length), U16, U64, STR (utf-8), a Kind made from an
 encode/decode pair (such as the PCR bitmap), nested() for a structure
 inside a field, or a Spec for a nested record.
 
-Spec.encode and Spec.unpack are one loop each over the fields; unpack
-makes FieldReader's checks, in its order, with its errors. FieldWriter
+Spec.encode and Spec.unpack are one loop each over the fields; encode
+reads a mapping by key and a Record by attribute, and unpack makes
+FieldReader's checks, in its order, with its errors. FieldWriter
 and FieldReader are the one-field-at-a-time form of the same rules.
 
 Canonical-encoding rule: decode rejects a missing, reordered or extra
@@ -172,9 +173,11 @@ def _field_error(buf, pos: int, tag: int | None = None) -> DecodeError:
 class Spec(Kind):
     """The ordered (tag, attribute, kind) fields of one structure.
 
-    encode takes a mapping from attribute to value; unpack returns the
-    values as a tuple in field order and decode as a dict. A Spec is
-    itself a kind, for a record nested in a field.
+    encode takes a mapping from attribute to value, or a Record, whose
+    fields it reads as attributes: vars() would give the record a
+    __dict__ it otherwise never has. unpack returns the values as a
+    tuple in field order and decode as a dict. A Spec is itself a kind,
+    for a record nested in a field.
     """
 
     def __init__(self, *fields: tuple) -> None:
@@ -189,8 +192,10 @@ class Spec(Kind):
 
     def encode(self, values) -> bytes:
         parts, pack = [], _HEADER.pack
+        record = isinstance(values, Record)
         for tag, attr, encode, _decode in self._steps:
-            payload = values[attr] if encode is None else encode(values[attr])
+            value = getattr(values, attr) if record else values[attr]
+            payload = value if encode is None else encode(value)
             parts += (pack(tag, len(payload)), payload)
         return b"".join(parts)
 
@@ -231,7 +236,7 @@ class Record:
                             f"{spec.attrs} in order")
 
     def to_bytes(self) -> bytes:
-        return self.SPEC.encode(vars(self))
+        return self.SPEC.encode(self)
 
     @classmethod
     def from_bytes(cls, raw_bytes: bytes):

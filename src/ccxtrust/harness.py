@@ -14,7 +14,6 @@ import struct
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import crypto, measurement, owner_ca, protocol, tee, tpm, verifier
@@ -639,6 +638,7 @@ class BenchResult:
     concurrency: int
     direction: str
     wall_seconds: float
+    cpu_seconds: float
     successes: int
     failures: list[str]
     unique_nonces: int
@@ -647,12 +647,19 @@ class BenchResult:
     theorem_violations: int
     theorems_checked: int
 
+    @property
+    def cpu_ms_per_node(self) -> float:
+        """Process CPU time per node, every thread's summed: beside
+        wall_seconds, it tells work from time spent queued on the GIL."""
+        return self.cpu_seconds * 1e3 / self.nodes
+
     def summary(self) -> dict:
         return {
             "nodes": self.nodes,
             "concurrency": self.concurrency,
             "direction": self.direction,
             "wall_seconds": round(self.wall_seconds, 3),
+            "cpu_ms_per_node": round(self.cpu_ms_per_node, 3),
             "successes": self.successes,
             "failures": self.failures[:10],
             "unique_nonces": self.unique_nonces,
@@ -669,6 +676,8 @@ class BenchResult:
             f"{'concurrency':>12} {self.concurrency}",
             f"{'direction':>12} {self.direction}",
             f"{'wall':>12} {self.wall_seconds:.3f}s",
+            f"{'cpu':>12} {self.cpu_seconds:.3f}s "
+            f"({self.cpu_ms_per_node:.3f} ms per node)",
             f"{'success':>12} {self.successes}/{self.nodes}",
             f"{'nonces':>12} {self.unique_nonces} unique",
             f"{'serials':>12} {self.unique_token_serials} unique",
@@ -688,6 +697,10 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
     per-phase latency and end-to-end wall time. Each node's enrollment
     and attestation share one trace, checked for the three trust
     properties after the node's timed phases."""
+    # imported here, the one place a pool runs: concurrent.futures also
+    # loads logging, and nothing else in the package needs either
+    from concurrent.futures import ThreadPoolExecutor
+
     cluster = build_cluster(seed, 0)
     timings: dict[str, list[float]] = {"enroll": [], "attest": [],
                                        "validate": [], "end-to-end": []}
@@ -725,10 +738,11 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
             violations += sum(not verdict.ok for verdict in verdicts)
             checked += len(verdicts)
 
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
         list(pool.map(one_node, range(nodes)))
     wall = time.perf_counter() - start
+    cpu = time.process_time() - cpu_start
 
     percentiles = {}
     for phase, values in timings.items():
@@ -741,7 +755,7 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
     nonces = cluster.verifier_svc.nonces_issued
     return BenchResult(
         nodes=nodes, concurrency=concurrency, direction=direction,
-        wall_seconds=wall, successes=nodes - len(failures),
+        wall_seconds=wall, cpu_seconds=cpu, successes=nodes - len(failures),
         failures=failures, unique_nonces=nonces,
         unique_token_serials=len(serials),
         phase_percentiles=percentiles, theorem_violations=violations,

@@ -73,9 +73,13 @@ class TraceEvent:
                 f"{self.digest} {self.tag} {ok} {contents}")
 
     @classmethod
-    def from_line(cls, line: str, index: int) -> "TraceEvent":
+    def from_line(cls, line: str, index: int,
+                  strings: dict[str, str] | None = None) -> "TraceEvent":
         """Parse the line at position index of a trace: the inverse of
-        line(index)."""
+        line(index). Each string value the event keeps is looked up in
+        strings, a table of one object per value that a reader keeps
+        across the lines of a trace, and added to it when new."""
+        shared = ({} if strings is None else strings).setdefault
         parts = line.split()
         if len(parts) != 8:
             raise DecodeError(f"trace line needs 8 columns: {line!r}")
@@ -92,12 +96,25 @@ class TraceEvent:
         if ok not in _OK_COLUMN:
             raise DecodeError(f"trace ok column must be -, 0 or 1: {ok!r}")
         event = cls(
-            principal=principal, kind=kind, peer=peer, digest=digest,
-            tag=tag, ok=_OK_COLUMN[ok],
-            contents=() if contents == "-" else tuple(contents.split(",")))
+            principal=shared(principal, principal), kind=shared(kind, kind),
+            peer=shared(peer, peer), digest=shared(digest, digest),
+            tag=shared(tag, tag), ok=_OK_COLUMN[ok],
+            contents=() if contents == "-" else tuple(
+                shared(label, label) for label in contents.split(",")))
         if event.line(index) != line:
             raise DecodeError(f"trace line is not canonical: {line!r}")
         return event
+
+
+def _newline_split(text: str) -> Iterable[str]:
+    """text's lines, split after each "\n" alone, one at a time; the last
+    has no newline when text does not end in one."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end + 1
+        yield text[start:end]
+        start = end
 
 
 # emit fills a new event's slots through their descriptors, which skips
@@ -158,20 +175,31 @@ class ProtocolTrace:
         endings, a missing final newline or a non-ASCII character, raises
         DecodeError, so a trace file and the trace read from it have the
         same digest."""
-        if not text.isascii():
-            raise DecodeError("trace text must be ASCII")
-        trace = cls(TraceEvent.from_line(line, index)
-                    for index, line in enumerate(text.splitlines()))
-        if trace.text() != text:
-            raise DecodeError("trace text is not canonical")
-        return trace
+        return cls._parse(_newline_split(text))
 
     @classmethod
     def read(cls, path) -> "ProtocolTrace":
-        # bytes keep line endings as written, and latin-1 maps every byte
-        # to one character, for from_text to judge
+        # a binary file's lines end at b"\n" alone, and latin-1 maps every
+        # byte to one character, for _parse to judge a line at a time
         with open(path, "rb") as fh:
-            return cls.from_text(fh.read().decode("latin-1"))
+            return cls._parse(line.decode("latin-1") for line in fh)
+
+    @classmethod
+    def _parse(cls, lines: Iterable[str]) -> "ProtocolTrace":
+        """The trace whose text() is the lines, each split after its
+        newline. from_line refuses any other line break left inside a
+        line, and an empty line, so text() is never rendered to compare;
+        equal values parse to one string object."""
+        strings: dict[str, str] = {}
+        events = []
+        for index, line in enumerate(lines):
+            if not line.isascii():
+                raise DecodeError("trace text must be ASCII")
+            events.append(TraceEvent.from_line(line.removesuffix("\n"),
+                                               index, strings))
+            if not line.endswith("\n"):
+                raise DecodeError("trace text must end in a newline")
+        return cls(events)
 
     def verifier_visible_sends(self) -> int:
         """Protocol messages a network observer at the verifier sees."""

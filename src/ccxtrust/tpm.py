@@ -161,7 +161,7 @@ class KeyBlob(Record):
     SPEC = Spec(*PUBLIC.fields, (7, "envelope", RAW))
 
     def public_area(self) -> bytes:
-        return self.PUBLIC.encode(vars(self))
+        return self.PUBLIC.encode(self)
 
     @property
     def name(self) -> bytes:

@@ -1,7 +1,9 @@
 """Wire field encoding round-trips and malformed-input rejection."""
 
 import dataclasses
+import gc
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -32,10 +34,13 @@ from ccxtrust.errors import CcxError, DecodeError
 # ---------------------------------------------------------------------------
 
 def _oracle_encode(spec: Spec, values) -> bytes:
-    """Encode the spec's fields one at a time through FieldWriter.put."""
+    """Encode the spec's fields one at a time through FieldWriter.put;
+    values is a mapping, or a record whose fields are its attributes."""
     writer = FieldWriter()
     for tag, attr, kind in spec.fields:
-        writer.put(tag, _oracle_kind_encode(kind, values[attr]))
+        value = (getattr(values, attr) if isinstance(values, Record)
+                 else values[attr])
+        writer.put(tag, _oracle_kind_encode(kind, value))
     return writer.getvalue()
 
 
@@ -365,6 +370,36 @@ def test_generated_codec_matches_oracle_on_an_honest_run(monkeypatch):
     assert mismatches == []
     assert all(used[body] for _, body in protocol.MESSAGE_TYPES.values())
     assert all(used[cls.SPEC] for cls in (type(r) for r in golden))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="instance dicts are made on demand from 3.11 on")
+def test_no_record_holds_a_dict(fuzz_targets):
+    # Spec.encode reads a record's fields as attributes, so encoding,
+    # digesting, checking and naming a record never give it the __dict__
+    # that vars() would make: every kind of record, decoded and built
+    canonical, _sealed = fuzz_targets
+    vendor = tee.TeeVendor(b"footprint vendor")
+    _vcek, chain = vendor.derive_vcek(bytes(32), 1)
+    records = [decode(raw_bytes) for _name, raw_bytes, decode, *_ in canonical]
+    records.append(chain)
+    kinds = {cls for base in (Record, Signed) for cls in base.__subclasses__()
+             if cls.__module__.startswith("ccxtrust.") and cls is not Signed}
+    assert {type(record) for record in records} == kinds
+    assert chain.verify(vendor.root_pub)
+    for record in records:
+        record.to_bytes()
+        if isinstance(record, Signed):
+            record.digest
+            record.body_bytes()
+            record.verify(vendor.root_pub)
+        if isinstance(record, tpm.KeyBlob):
+            record.public_area()
+            record.name
+    records += [chain.ark, chain.ask, chain.vcek]
+    assert [type(record).__name__ for record in records
+            if any(isinstance(ref, dict) for ref in gc.get_referents(record))
+            ] == []
 
 
 def test_generated_decode_matches_oracle_on_mutants(fuzz_targets):

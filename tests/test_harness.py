@@ -189,6 +189,20 @@ def test_bench_small_config():
     assert "enroll" in table and "attest" in table
 
 
+def test_bench_reports_cpu_time_beside_wall_time():
+    # process CPU time around the pool, every worker thread's summed
+    result = harness.run_bench(79, nodes=4, concurrency=2)
+    assert result.cpu_seconds > 0
+    summary = result.summary()
+    assert summary["cpu_ms_per_node"] == round(
+        result.cpu_seconds * 1e3 / 4, 3) > 0
+    rows = result.table().splitlines()
+    wall = next(i for i, row in enumerate(rows) if row.split()[0] == "wall")
+    assert rows[wall + 1] == (
+        f"{'cpu':>12} {result.cpu_seconds:.3f}s "
+        f"({result.cpu_seconds * 1e3 / 4:.3f} ms per node)")
+
+
 def test_bench_of_one_node_reports_its_one_timing_per_phase():
     result = harness.run_bench(78, nodes=1, concurrency=1)
     assert result.successes == 1

@@ -93,7 +93,11 @@ def test_trace_from_text_accepts_only_canonical_text(tmp_path, cluster):
     for broken in (first + "\n\n" + rest,         # blank line
                    text + "  \t\n",               # whitespace-only line
                    text.replace("\n", "\r\n"),    # CRLF line endings
-                   text[:-1]):                     # no final newline
+                   text[:-1],                      # no final newline
+                   # a line break other than "\n" stays inside its line
+                   first + "\r" + rest,
+                   first + "\x0c" + rest,
+                   first + "\x1e" + rest):
         with pytest.raises(DecodeError):
             protocol.ProtocolTrace.from_text(broken)
     path = tmp_path / "trace.log"
@@ -101,6 +105,33 @@ def test_trace_from_text_accepts_only_canonical_text(tmp_path, cluster):
     with pytest.raises(DecodeError):
         protocol.ProtocolTrace.read(path)
     assert protocol.ProtocolTrace.from_text("").events == []
+
+
+def test_trace_reader_checks_lines_and_holds_each_value_once(
+        tmp_path, monkeypatch, cluster):
+    # each line is checked as it is parsed, so no reader builds text();
+    # every principal, kind, peer, digest, tag and content label of the
+    # trace read is one string object per value, across all its events
+    path = tmp_path / "trace.log"
+    cluster.trace.write(path)
+    text = cluster.trace.text()
+
+    def whole_text(self):
+        raise AssertionError("the reader rendered text()")
+
+    monkeypatch.setattr(protocol.ProtocolTrace, "text", whole_text)
+    for loaded in (protocol.ProtocolTrace.read(path),
+                   protocol.ProtocolTrace.from_text(text)):
+        assert loaded.events == cluster.trace.events
+        assert loaded.digest() == cluster.trace.digest()
+        objects: dict[str, set[int]] = {}
+        for event in loaded.events:
+            for value in (event.principal, event.kind, event.peer,
+                          event.digest, event.tag, *event.contents):
+                objects.setdefault(value, set()).add(id(value))
+        assert len(objects) > 20
+        assert {value: len(ids) for value, ids in objects.items()
+                if len(ids) > 1} == {}
 
 
 def test_trace_write_read(tmp_path, cluster):

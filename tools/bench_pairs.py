@@ -41,6 +41,7 @@ CHECKOUT = ("src", "perfbench")   # what perfbench/run.py needs of a tree
 SIDES = ("parent", "change")
 PAIRS = 10          # pairs per workload; a record holds at least this many
 GAIN_SHARE = 0.9    # a gain needs the change better in this share of them
+STDERR_TAIL = 10    # lines of a failed run's stderr that its error keeps
 
 RULE = (
     "per metric, from the medians and quartiles of each side's runs: "
@@ -198,15 +199,37 @@ def command(seconds: int) -> str:
             f"--seconds {seconds} --trace 0")
 
 
-def run_once(checkout: Path, workload: str, seed: int,
+class RunFailed(RuntimeError):
+    """A benchmark run that exited non-zero or printed no JSON result."""
+
+
+def json_result(stdout: str) -> dict | None:
+    """The JSON object on the last line of stdout, or None."""
+    lines = stdout.splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        return None
+    return result if isinstance(result, dict) else None
+
+
+def run_once(checkout: Path, side: str, workload: str, seed: int,
              seconds: int) -> tuple[dict, dict]:
     """perfbench's result line for one untraced run, and the run record
-    it wrote."""
+    it wrote. A run that fails raises RunFailed, naming the side, the
+    workload, the seed, the exit code and the end of the run's stderr."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, check=True, capture_output=True, text=True)
-    result = json.loads(done.stdout.splitlines()[-1])
+        cwd=checkout, capture_output=True, text=True)
+    result = json_result(done.stdout) if done.returncode == 0 else None
+    if result is None:
+        why = (f"exited {done.returncode}" if done.returncode
+               else "exited 0 with no JSON result as its last line")
+        tail = "".join(f"\n  {line}" for line in
+                       done.stderr.splitlines()[-STDERR_TAIL:])
+        raise RunFailed(f"{side} run of {workload} seed {seed} {why}; "
+                        f"its stderr ends:{tail or ' (empty)'}")
     record_path = (checkout / "perfbench" / "out"
                    / f"record-{workload}-seed{seed}-trace0.json")
     record = json.loads(record_path.read_text())
@@ -223,7 +246,7 @@ def run_pairs(checkouts: dict[str, Path], workloads: list[str], seed: int,
             pair_seed = seed + 100 * i + k
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
-                result, record = run_once(checkouts[side], workload,
+                result, record = run_once(checkouts[side], side, workload,
                                           pair_seed, seconds)
                 env = env or {key: record[key] for key in
                               ("cpu_count", "python", "cryptography")}

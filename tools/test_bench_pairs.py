@@ -121,6 +121,35 @@ def test_a_claim_names_a_workload_and_metric_of_the_benchmark(capsys):
         "onboard", "peak_rss_mb")) == "claim onboard/peak_rss_mb: gain"
 
 
+def _stub_checkout(root, script: str):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(script)
+    return root
+
+
+def test_a_failed_run_names_its_side_workload_seed_and_stderr(tmp_path):
+    # a run that exits 1, and one whose last line is no JSON result: the
+    # error says which run it was and keeps the end of what it printed
+    crashed = _stub_checkout(tmp_path / "crashed", (
+        "import sys\n"
+        "for n in range(30):\n"
+        "    print(f'stderr line {n}', file=sys.stderr)\n"
+        "print('{\"partial\": true}')\n"
+        "sys.exit(1)\n"))
+    with pytest.raises(bench_pairs.RunFailed) as info:
+        bench_pairs.run_once(crashed, "change", "onboard", 4207, 1)
+    message = str(info.value)
+    assert message.startswith("change run of onboard seed 4207 exited 1;")
+    tail = message.split("stderr ends:", 1)[1].splitlines()
+    assert tail == [""] + [f"  stderr line {n}" for n in range(20, 30)]
+    silent = _stub_checkout(tmp_path / "silent", "print('no result')\n")
+    with pytest.raises(bench_pairs.RunFailed,
+                       match="^parent run of hostile seed 9 exited 0 with no "
+                             "JSON result as its last line; its stderr "
+                             "ends: [(]empty[)]$"):
+        bench_pairs.run_once(silent, "parent", "hostile", 9, 1)
+
+
 def _records():
     for path in sorted(bench_pairs.ROOT.glob("BENCH_*.json")):
         if int(path.stem.split("_")[1]) >= FIRST_RECORD:
