@@ -7,6 +7,8 @@ signatures, AES-256-GCM for authenticated encryption, and an HMAC-SHA-256
 counter-mode KDF for every key derivation. Deterministic signing matters
 here: a scenario replayed from the same seed must produce byte-identical
 artifacts, signatures included.
+Each hash, MAC, signature and AEAD runs on cryptography's one OpenSSL;
+hashlib and hmac would map the system libcrypto too, ~4 MB more RSS.
 
 Private scalars are plain integers and public keys are SEC1 compressed
 points (33 bytes), so every structure that embeds a key commits to one
@@ -20,16 +22,16 @@ already made, so it is never parsed at all.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import struct
 import threading
+from _operator import _compare_digest   # hmac.compare_digest's fallback
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.hmac import HMAC
 # the module that defines the encoding enums, which ec already imports;
 # the public serialization package would also load its ssh module and
 # the DSA and Ed25519 key modules, which nothing here runs
@@ -61,8 +63,19 @@ SECRET_MIN = 16
 SECRET_MAX = 64
 
 
+# each hash copies this context, at half the cost of building a new one
+_SHA256 = hashes.Hash(hashes.SHA256())
+
+
+def sha256_hasher() -> hashes.Hash:
+    """A fresh SHA-256 context, for a message fed in pieces."""
+    return _SHA256.copy()
+
+
 def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+    hasher = _SHA256.copy()
+    hasher.update(data)
+    return hasher.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +106,7 @@ class Secret:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Secret):
-            return hmac.compare_digest(self.data, other.data)
+            return _compare_digest(self._buf, other._buf)
         return NotImplemented
 
     def __len__(self) -> int:
@@ -119,14 +132,13 @@ def kdf_counter(parent: bytes, label: str, context: bytes = b"",
         raise InvalidLength("derived length must be 16-64 bytes")
     if not label or not label.isascii():
         raise InvalidLength("label must be non-empty ascii")
-    encoded = label.encode("ascii")
-    bits = struct.pack(">I", out_len * 8)
+    fixed = (label.encode("ascii") + b"\x00" + context
+             + struct.pack(">I", out_len * 8))
     out = b""
-    counter = 1
-    while len(out) < out_len:
-        msg = struct.pack(">I", counter) + encoded + b"\x00" + context + bits
-        out += hmac.new(parent, msg, hashlib.sha256).digest()
-        counter += 1
+    for counter in range(1, -(-out_len // DIGEST_LEN) + 1):
+        mac = HMAC(parent, _SHA256.algorithm)
+        mac.update(struct.pack(">I", counter) + fixed)
+        out += mac.finalize()
     return out[:out_len]
 
 

@@ -9,7 +9,6 @@ a seeded run is stable across processes and machines.
 from __future__ import annotations
 
 import dataclasses
-import statistics
 import struct
 import threading
 import time
@@ -241,6 +240,7 @@ def run_comparison_experiment(seed: int | bytes, runs: int = 120,
     fraction_composite_cheaper is the share of bootstrap resamples in
     which mean(composite) < mean(tee-only) + mean(tpm-only).
     """
+    import statistics   # imported where it runs, as in run_bench
     cluster = build_cluster(seed, 1)
     actor = cluster.actor(0)
     composite_counts: Counter = Counter()
@@ -697,8 +697,9 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
     per-phase latency and end-to-end wall time. Each node's enrollment
     and attestation share one trace, checked for the three trust
     properties after the node's timed phases."""
-    # imported here, the one place a pool runs: concurrent.futures also
-    # loads logging, and nothing else in the package needs either
+    # imported where they run: concurrent.futures also loads logging, and
+    # statistics decimal and fractions, which no other command needs
+    import statistics
     from concurrent.futures import ThreadPoolExecutor
 
     cluster = build_cluster(seed, 0)

@@ -24,7 +24,6 @@ list of events is a trace, and an edited list judges by its positions.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -159,10 +158,10 @@ class ProtocolTrace:
     def digest(self) -> bytes:
         # SHA-256 takes its message in blocks, so digest and write take
         # text() a line at a time and never hold it whole
-        hasher = hashlib.sha256()
+        hasher = crypto.sha256_hasher()
         for index, event in enumerate(self.events):
             hasher.update(f"{event.line(index)}\n".encode())
-        return hasher.digest()
+        return hasher.finalize()
 
     def write(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:

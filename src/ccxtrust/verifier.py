@@ -291,6 +291,7 @@ class VerifierService:
         self.rng = rng
         self.key = crypto.SigningKeyPair.from_seed(
             "VERIFIER", self.rng.random_bytes(32))
+        self._key_id = crypto.sha256(self.key.public_bytes)[:8]
         self._ca_pub = owner_ca.key.public
         self._is_revoked = owner_ca.is_revoked
         self.policies: dict[str, PolicyBaseline] = {}
@@ -460,7 +461,7 @@ class VerifierService:
             self._next_serial += 1
             return AttestationToken.signed(
                 self.key, alg="ES256", version=TOKEN_FORMAT_VERSION,
-                key_id=crypto.sha256(self.key.public_bytes)[:8],
+                key_id=self._key_id,
                 issued_at=int(now),
                 expires_at=int(now + TOKEN_LIFETIME),
                 token_type=verified.token_type, serial=serial,

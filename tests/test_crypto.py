@@ -7,6 +7,10 @@ before this module existed, then frozen here as hex.
 """
 
 import hashlib
+import hmac
+import struct
+import sys
+import threading
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -34,6 +38,66 @@ def test_sha256_known_answers():
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
     assert crypto.sha256(b"abc").hex() == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+
+
+def test_sha256_hasher_is_fresh_and_takes_pieces():
+    # the FIPS 180-2 two-block vector, fed in three pieces; every hasher
+    # starts empty however much another one was fed
+    message = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+    expected = bytes.fromhex(
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
+    first, second = crypto.sha256_hasher(), crypto.sha256_hasher()
+    for piece in (message[:5], message[5:40], message[40:]):
+        first.update(piece)
+    assert first.finalize() == expected == crypto.sha256(message)
+    assert second.finalize() == crypto.sha256(b"")
+
+
+def _kdf_reference(parent: bytes, label: str, context: bytes,
+                   out_len: int) -> bytes:
+    """The counter KDF as its docstring states it, on the stdlib hmac."""
+    blocks = [hmac.new(parent, struct.pack(">I", i) + label.encode()
+                       + b"\x00" + context + struct.pack(">I", out_len * 8),
+                       hashlib.sha256).digest()
+              for i in range(1, 3)]
+    return b"".join(blocks)[:out_len]
+
+
+@pytest.mark.parametrize("out_len", [16, 32, 48, 64])
+def test_kdf_counter_matches_a_stdlib_hmac_oracle(out_len):
+    for parent, label, context in ((b"\x01" * 32, "STORAGE", b""),
+                                   (bytes(range(16)), "TWO-PHASE", b"ctx"),
+                                   (b"\xfe" * 64, "WRAP-NONCE", b"\x00" * 64)):
+        assert crypto.kdf_counter(parent, label, context, out_len) == \
+            _kdf_reference(parent, label, context, out_len)
+
+
+def test_hashes_and_derivations_agree_across_threads():
+    # eight threads share the one SHA-256 context every hash copies: each
+    # gets the outputs a serial run gets
+    inputs = [bytes([i]) * (17 + 13 * i) for i in range(32)]
+
+    def outputs() -> list[tuple[bytes, bytes]]:
+        return [(crypto.sha256(data),
+                 crypto.kdf_counter(data[:16] * 2, "T", data, 48))
+                for data in inputs]
+
+    serial = outputs()
+    results: list = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(
+            [outputs() for _ in range(20)])) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    assert all(run == serial for runs in results for run in runs)
 
 
 def test_kdf_counter_frozen_vectors():
@@ -91,6 +155,11 @@ def test_secret_repr_hides_value():
 def test_secret_equality_by_value():
     assert crypto.Secret(b"x" * 32) == crypto.Secret(b"x" * 32)
     assert crypto.Secret(b"x" * 32) != crypto.Secret(b"y" * 32)
+    assert crypto.Secret(b"x" * 32) != crypto.Secret(b"x" * 31 + b"y")
+    # a shared prefix does not make secrets of two lengths equal
+    assert crypto.Secret(b"x" * 32) != crypto.Secret(b"x" * 33)
+    assert crypto.Secret(b"x" * 16) != crypto.Secret(b"x" * 64)
+    assert crypto.Secret(b"x" * 32) != b"x" * 32
 
 
 def test_secret_wipe_zeroizes_in_place():

@@ -1,6 +1,6 @@
 """What importing ccxtrust loads, seen from a fresh interpreter: only the
 modules the simulator runs, so that none of its memory goes to code that
-never executes."""
+never executes, and one OpenSSL, cryptography's."""
 
 import json
 import os
@@ -49,3 +49,15 @@ def test_crypto_encoding_enums_are_the_public_ones():
         "    crypto.Encoding is serialization.Encoding,\n"
         "    crypto.PublicFormat is serialization.PublicFormat]}))")
     assert seen == {"public_loaded": False, "same": [True, True]}
+
+
+def test_import_loads_no_second_openssl_or_statistics():
+    # hashlib and hmac would map the system libcrypto beside
+    # cryptography's; statistics loads decimal and fractions, which only
+    # the bench and the comparison experiment run, and import it there
+    loaded = fresh_import(
+        "import json, sys, ccxtrust, ccxtrust.cli\n"
+        "print(json.dumps(sorted(sys.modules)))")
+    assert "ccxtrust.cli" in loaded
+    assert [name for name in ("hashlib", "_hashlib", "hmac", "statistics")
+            if name in loaded] == []
