@@ -7,7 +7,8 @@ Runnable top to bottom; everything is seeded, so the output is identical
 on every run.
 """
 
-from ccxtrust import crypto, harness, protocol, tpm
+from ccxtrust import crypto, harness, tpm
+from ccxtrust.trace import check_theorems
 
 # ---------------------------------------------------------------------------
 # a TPM on its own: endorsement identity and platform state
@@ -73,7 +74,7 @@ print(f"initialization trace has {len(cluster.trace.events)} events; "
 for line in cluster.trace.lines()[:8]:
     print("   ", line)
 
-verdicts = protocol.check_theorems(cluster.trace)
+verdicts = check_theorems(cluster.trace)
 print()
 print("trust properties over the trace:")
 for verdict in verdicts.values():

@@ -9,6 +9,7 @@ tokens together.
 """
 
 from ccxtrust import harness, protocol
+from ccxtrust.trace import ProtocolTrace
 
 cluster = harness.build_cluster(7, nodes=1)
 actor = cluster.actor(0)
@@ -18,7 +19,7 @@ svc = cluster.verifier_svc
 # direction 1: TPM quote on the outside, TEE report embedded
 # ---------------------------------------------------------------------------
 
-trace = protocol.ProtocolTrace()
+trace = ProtocolTrace()
 token = protocol.run_attest_composite(actor, svc, cluster.channels, trace,
                                       policy_id=cluster.policy_id,
                                       direction="tpm-tee")
@@ -34,7 +35,7 @@ print("  compact form:", token.compact()[:64], "...")
 # direction 2: TEE report on the outside, TPM quote embedded
 # ---------------------------------------------------------------------------
 
-trace = protocol.ProtocolTrace()
+trace = ProtocolTrace()
 token = protocol.run_attest_composite(actor, svc, cluster.channels, trace,
                                       policy_id=cluster.policy_id,
                                       direction="tee-tpm")
@@ -57,7 +58,7 @@ for event in trace.events:
 # the baseline: two independent attestations, twice the traffic
 # ---------------------------------------------------------------------------
 
-trace = protocol.ProtocolTrace()
+trace = ProtocolTrace()
 tokens = protocol.run_attest_independent(actor, svc, cluster.channels, trace,
                                          policy_id=cluster.policy_id)
 

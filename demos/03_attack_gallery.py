@@ -8,7 +8,8 @@ signature or a check deleted, a signature moved first), and the trace
 checker finds the step where the story stops being justified.
 """
 
-from ccxtrust import harness, protocol
+from ccxtrust import harness
+from ccxtrust.trace import ProtocolTrace, check_theorems
 
 # ---------------------------------------------------------------------------
 # live attacks against the running verifier
@@ -34,8 +35,7 @@ for index, (title, drill) in enumerate(harness.DRILLS.values()):
 
 honest = harness.run_scenario(99, nodes=3).trace
 for title, edit, _violates in harness.FAULT_TRACES.values():
-    verdicts = protocol.check_theorems(
-        protocol.ProtocolTrace(edit(honest.events)))
+    verdicts = check_theorems(ProtocolTrace(edit(honest.events)))
     print(title)
     for verdict in verdicts.values():
         print("   ", verdict.line())

@@ -20,8 +20,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness, protocol
 from .errors import CcxError
+# the commands that run flows import harness themselves, so that
+# check-trace loads no key, device or service module
+from .trace import ProtocolTrace, check_theorems
 
 
 def _out_dir(args) -> Path:
@@ -82,9 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", parents=[common],
                        help="run an attack drill")
-    p.add_argument("--name", required=True,
-                   choices=sorted({*harness.DRILLS, *harness.FAULT_TRACES}))
+    # _cmd_attack checks the name against the harness's tables
+    p.add_argument("--name", required=True, help="a drill or fault trace")
     p.add_argument("--nodes", type=_positive_int, default=3)
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("bench", parents=[common],
                        help="fleet benchmark")
@@ -100,21 +103,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_init(args) -> int:
+    from . import harness
     out = _out_dir(args)
     cluster = harness.build_cluster(args.seed, args.nodes)
     cluster.trace.write(out / "trace.log")
-    verdicts = protocol.check_theorems(cluster.trace)
+    digest = cluster.trace.digest().hex()
+    verdicts = check_theorems(cluster.trace)
     _write_json(out / "summary.json", {
         "command": "init",
         "seed": args.seed,
         "nodes": args.nodes,
         "trace_events": len(cluster.trace.events),
-        "trace_digest": cluster.trace.digest().hex(),
+        "trace_digest": digest,
         "registry": cluster.oca.snapshot().splitlines(),
         "theorems": {name: v.line() for name, v in verdicts.items()},
     })
-    print(f"initialized {args.nodes} node(s); "
-          f"trace digest {cluster.trace.digest().hex()}")
+    print(f"initialized {args.nodes} node(s); trace digest {digest}")
     for verdict in verdicts.values():
         print(" ", verdict.line())
     print(f"artifacts in {out}")
@@ -122,6 +126,7 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_attest(args) -> int:
+    from . import harness
     out = _out_dir(args)
     result = harness.run_scenario(args.seed, nodes=args.nodes,
                                   direction=args.direction)
@@ -129,7 +134,8 @@ def _cmd_attest(args) -> int:
     token_path = out / "token.txt"
     token_path.write_text(
         "\n".join(t.compact() for t in result.tokens) + "\n")
-    verdicts = protocol.check_theorems(result.trace)
+    digest = result.trace_digest
+    verdicts = check_theorems(result.trace)
     _write_json(out / "summary.json", {
         "command": "attest",
         "seed": args.seed,
@@ -137,17 +143,18 @@ def _cmd_attest(args) -> int:
         "nodes": args.nodes,
         "tokens": len(result.tokens),
         "verifier_visible_messages": result.trace.verifier_visible_sends(),
-        "trace_digest": result.trace_digest,
+        "trace_digest": digest,
         "theorems": {name: v.line() for name, v in verdicts.items()},
     })
     ok = all(v.ok for v in verdicts.values())
     print(f"attested {args.nodes} node(s) [{args.direction}]; "
-          f"{len(result.tokens)} token(s); trace digest {result.trace_digest}")
+          f"{len(result.tokens)} token(s); trace digest {digest}")
     print(f"artifacts in {out}")
     return 0 if ok else 1
 
 
 def _cmd_independent(args) -> int:
+    from . import harness, protocol
     out = _out_dir(args)
     cluster = harness.build_cluster(args.seed, 1)
     tokens = protocol.run_attest_independent(
@@ -169,14 +176,19 @@ def _cmd_independent(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    from . import harness
+    names = sorted({*harness.DRILLS, *harness.FAULT_TRACES})
+    if args.name not in names:
+        args.usage_error(f"argument --name: invalid choice: {args.name!r} "
+                         f"(choose from {', '.join(map(repr, names))})")
     out = _out_dir(args)
     nodes = max(args.nodes, 2)
     if args.name in harness.FAULT_TRACES:
         _title, edit, expected_fail = harness.FAULT_TRACES[args.name]
         honest = harness.run_scenario(args.seed, nodes=nodes).trace
-        trace = protocol.ProtocolTrace(edit(honest.events))
+        trace = ProtocolTrace(edit(honest.events))
         trace.write(out / "trace.log")
-        verdicts = protocol.check_theorems(trace)
+        verdicts = check_theorems(trace)
         _write_json(out / "summary.json", {
             "command": "attack", "name": args.name, "seed": args.seed,
             "theorems": {name: v.line() for name, v in verdicts.items()},
@@ -209,6 +221,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import harness
     out = _out_dir(args)
     result = harness.run_bench(args.seed, nodes=args.nodes,
                                concurrency=args.concurrency,
@@ -221,11 +234,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check_trace(args) -> int:
     try:
-        trace = protocol.ProtocolTrace.read(args.trace)
+        trace = ProtocolTrace.read(args.trace)
     except (CcxError, OSError) as exc:
         print(f"check-trace: {args.trace}: {exc}", file=sys.stderr)
         return 1
-    verdicts = protocol.check_theorems(trace)
+    verdicts = check_theorems(trace)
     for verdict in verdicts.values():
         print(verdict.line())
         if not verdict.ok:

@@ -23,6 +23,7 @@ from .errors import (
     SeedVersionMismatch,
     UntrustedImage,
 )
+from .trace import ProtocolTrace, check_theorems
 
 CLOCK_EPOCH = 1_700_000_000.0
 STANDARD_TCB_VERSION = 7
@@ -71,7 +72,7 @@ class Cluster:
     channels: protocol.ChannelTable
     publisher: crypto.SigningKeyPair
     policy_id: str
-    trace: protocol.ProtocolTrace
+    trace: ProtocolTrace
     actors: dict[str, protocol.NodeActor] = field(default_factory=dict)
 
     def actor(self, index: int) -> protocol.NodeActor:
@@ -113,14 +114,14 @@ def build_cluster(seed: int | bytes, nodes: int = 1) -> Cluster:
         oca=oca, verifier_svc=verifier_svc,
         channels=protocol.ChannelTable(root.fork("channel-nonces")),
         publisher=publisher, policy_id=POLICY_ID,
-        trace=protocol.ProtocolTrace())
+        trace=ProtocolTrace())
     for index in range(nodes):
         add_node(cluster, index)
     return cluster
 
 
 def add_node(cluster: Cluster, index: int, *,
-             trace: protocol.ProtocolTrace | None = None) -> protocol.NodeActor:
+             trace: ProtocolTrace | None = None) -> protocol.NodeActor:
     """Manufacture, measure, enroll, and provision one platform."""
     node_id = node_name(index)
     rng = cluster.rng.fork(node_id)
@@ -186,7 +187,7 @@ def add_node(cluster: Cluster, index: int, *,
 @dataclass
 class ScenarioResult:
     tokens: list
-    trace: protocol.ProtocolTrace
+    trace: ProtocolTrace
 
     @property
     def trace_digest(self) -> str:
@@ -248,8 +249,8 @@ def run_comparison_experiment(seed: int | bytes, runs: int = 120,
     times: dict[str, list[float]] = {"composite": [], "tee": [], "tpm": []}
     start = time.perf_counter()
     for run in range(runs):
-        composite = protocol.ProtocolTrace()
-        independent = protocol.ProtocolTrace()
+        composite = ProtocolTrace()
+        independent = ProtocolTrace()
         for series, direction, trace in (
                 ("composite", "tpm-tee" if run % 2 == 0 else "tee-tpm",
                  composite),
@@ -396,7 +397,7 @@ def attack_spoof_identity(cluster: Cluster) -> AttackReport:
     try:
         protocol.run_attest_composite(
             victim, cluster.verifier_svc, cluster.channels,
-            protocol.ProtocolTrace(), policy_id=cluster.policy_id,
+            ProtocolTrace(), policy_id=cluster.policy_id,
             direction="tpm-tee", evidence_mutator=swap_evidence)
         accepted = 1
     except AttestationRejected as exc:
@@ -438,7 +439,7 @@ def attack_stale_token(cluster: Cluster) -> AttackReport:
     actor = cluster.actor(0)
     svc = cluster.verifier_svc
     token = protocol.run_attest_composite(
-        actor, svc, cluster.channels, protocol.ProtocolTrace(),
+        actor, svc, cluster.channels, ProtocolTrace(),
         policy_id=cluster.policy_id, direction="tpm-tee")
     outcomes: Counter = Counter()
 
@@ -535,10 +536,10 @@ def attack_token_pairing_gap(cluster: Cluster) -> AttackReport:
         raise ValueError("the pairing demonstration needs two nodes")
     a, b = actors[0], actors[1]
     tokens_a = protocol.run_attest_independent(
-        a, cluster.verifier_svc, cluster.channels, protocol.ProtocolTrace(),
+        a, cluster.verifier_svc, cluster.channels, ProtocolTrace(),
         policy_id=cluster.policy_id)
     tokens_b = protocol.run_attest_independent(
-        b, cluster.verifier_svc, cluster.channels, protocol.ProtocolTrace(),
+        b, cluster.verifier_svc, cluster.channels, ProtocolTrace(),
         policy_id=cluster.policy_id)
     tee_token_a, tpm_token_b = tokens_a[0], tokens_b[1]
     claims_tee = cluster.verifier_svc.validate_token(tee_token_a)
@@ -712,7 +713,7 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
 
     def one_node(index: int) -> None:
         nonlocal violations, checked
-        trace = protocol.ProtocolTrace()
+        trace = ProtocolTrace()
         t0 = time.perf_counter()
         try:
             actor = add_node(cluster, index, trace=trace)
@@ -734,7 +735,7 @@ def run_bench(seed: int | bytes, nodes: int = 100, concurrency: int = 16,
         except Exception as exc:   # noqa: BLE001 - bench must tally, not die
             with tally_lock:
                 failures.append(f"{node_name(index)}: {exc}")
-        verdicts = protocol.check_theorems(trace).values()
+        verdicts = check_theorems(trace).values()
         with tally_lock:
             violations += sum(not verdict.ok for verdict in verdicts)
             checked += len(verdicts)

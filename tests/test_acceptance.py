@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from ccxtrust import crypto, harness, measurement, protocol, tee, tpm, verifier
 from ccxtrust.errors import (AuthFailure, NameMismatch, PolicyFailure,
                              SeedVersionMismatch)
+from ccxtrust.trace import ProtocolTrace, check_theorems
 
 
 def _report(number: int, ok: bool, description: str, detail: str) -> None:
@@ -46,12 +47,12 @@ def test_criterion_01_message_count_reduction():
     actor = cluster.actor(0)
     per_direction = []
     for direction in ("tpm-tee", "tee-tpm"):
-        trace = protocol.ProtocolTrace()
+        trace = ProtocolTrace()
         protocol.run_attest_composite(
             actor, cluster.verifier_svc, cluster.channels, trace,
             policy_id=cluster.policy_id, direction=direction)
         per_direction.append(trace.verifier_visible_sends())
-    baseline_trace = protocol.ProtocolTrace()
+    baseline_trace = ProtocolTrace()
     protocol.run_attest_independent(
         actor, cluster.verifier_svc, cluster.channels, baseline_trace,
         policy_id=cluster.policy_id)
@@ -128,15 +129,14 @@ def test_criterion_04_theorem_checks_and_fault_counterexamples():
     protocol.run_attest_independent(
         honest.actor(0), honest.verifier_svc, honest.channels, honest.trace,
         policy_id=honest.policy_id)
-    honest_verdicts = protocol.check_theorems(honest.trace)
+    honest_verdicts = check_theorems(honest.trace)
     for name, verdict in sorted(honest_verdicts.items()):
         correct += bool(verdict.ok)
         details.append(f"honest/{name}={'pass' if verdict.ok else 'FAIL'}")
 
     # each fault of the gallery is one edit of the honest events
     for fault, (_title, edit, expected) in harness.FAULT_TRACES.items():
-        verdicts = protocol.check_theorems(
-            protocol.ProtocolTrace(edit(honest.trace.events)))
+        verdicts = check_theorems(ProtocolTrace(edit(honest.trace.events)))
         failing = sorted(n for n, v in verdicts.items() if not v.ok)
         has_witness = bool(verdicts[expected].witness) if failing == [expected] else False
         hit = failing == [expected] and has_witness
@@ -417,7 +417,7 @@ def test_criterion_09_token_expiry_and_revocation():
         direction = "tpm-tee" if index % 2 == 0 else "tee-tpm"
         tokens.append(protocol.run_attest_composite(
             actor, cluster.verifier_svc, cluster.channels,
-            protocol.ProtocolTrace(), policy_id=cluster.policy_id,
+            ProtocolTrace(), policy_id=cluster.policy_id,
             direction=direction))
     live = sum(isinstance(cluster.verifier_svc.validate_token(t), dict)
                for t in tokens)
@@ -428,7 +428,7 @@ def test_criterion_09_token_expiry_and_revocation():
     cluster2 = harness.build_cluster(68, nodes=2)
     tokens2 = [protocol.run_attest_composite(
         cluster2.actor(index % 2), cluster2.verifier_svc, cluster2.channels,
-        protocol.ProtocolTrace(), policy_id=cluster2.policy_id,
+        ProtocolTrace(), policy_id=cluster2.policy_id,
         direction="tpm-tee") for index in range(60)]
     for index in range(2):
         cluster2.oca.revoke(cluster2.actor(index).node_id,

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import ccxtrust
-from ccxtrust import cli, harness, protocol, verifier
+from ccxtrust import cli, harness, verifier
 from ccxtrust.errors import DecodeError
+from ccxtrust.trace import ProtocolTrace, check_theorems
 
 
 def run(argv):
@@ -28,7 +29,7 @@ def test_init_writes_trace_and_summary(tmp_path, capsys):
                 "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "initialized 2 node(s)" in printed
-    trace = protocol.ProtocolTrace.read(out / "trace.log")
+    trace = ProtocolTrace.read(out / "trace.log")
     assert len(trace.events) > 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["nodes"] == 2
@@ -154,9 +155,17 @@ def test_seed_range_ends_are_accepted(tmp_path):
         assert json.loads((out / "summary.json").read_text())["seed"] == seed
 
 
-def test_unknown_attack_name_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        run(["attack", "--name", "nonsense", "--out", str(tmp_path)])
+def test_unknown_attack_name_rejected(tmp_path, capsys):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as info:
+        run(["attack", "--name", "nonsense", "--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ccxtrust attack ")
+    assert "--name: invalid choice: 'nonsense'" in err
+    assert all(repr(name) in err
+               for name in (*harness.DRILLS, *harness.FAULT_TRACES))
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +201,8 @@ def test_check_trace_pass_and_fail(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "token-provenance FAIL" in printed
     # the witness, the decrypt of the token nobody signed, is named
-    trace = protocol.ProtocolTrace.read(fault / "trace.log")
-    verdict = protocol.check_theorems(trace)["token-provenance"]
+    trace = ProtocolTrace.read(fault / "trace.log")
+    verdict = check_theorems(trace)["token-provenance"]
     (index,) = verdict.witness
     decrypt = trace.events[index]
     assert (decrypt.kind, decrypt.tag) == ("decrypt", "token-info")
@@ -251,9 +260,11 @@ def test_check_trace_takes_no_seed_or_out(tmp_path, monkeypatch, capsys,
     assert not Path("X").exists()
 
 
-def test_trace_text_with_a_non_ascii_character_does_not_decode():
+def test_trace_text_with_a_non_ascii_character_does_not_decode(tmp_path):
+    path = tmp_path / "trace.log"
+    path.write_text("0 verifier send - - - - caf\u00e9\n", encoding="utf-8")
     with pytest.raises(DecodeError, match="ASCII"):
-        protocol.ProtocolTrace.from_text("0 verifier send - - - - caf\u00e9\n")
+        ProtocolTrace.read(path)
 
 
 def test_module_entry_point_runs_once_without_warnings():

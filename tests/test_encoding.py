@@ -26,6 +26,7 @@ from ccxtrust.encoding import (
     raw,
 )
 from ccxtrust.errors import CcxError, DecodeError
+from ccxtrust.trace import ProtocolTrace
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def test_generated_codec_matches_oracle_on_an_honest_run(monkeypatch):
     c = harness.build_cluster(4242, nodes=2)
     for index, direction in enumerate(("tpm-tee", "tee-tpm")):
         token = protocol.run_attest_composite(
-            c.actor(index), c.verifier_svc, c.channels, protocol.ProtocolTrace(),
+            c.actor(index), c.verifier_svc, c.channels, ProtocolTrace(),
             policy_id=c.policy_id, direction=direction)
         assert isinstance(c.verifier_svc.validate_token(token), dict)
     a = c.actor(0)

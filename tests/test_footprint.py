@@ -1,6 +1,7 @@
 """What importing ccxtrust loads, seen from a fresh interpreter: only the
 modules the simulator runs, so that none of its memory goes to code that
-never executes, and one OpenSSL, cryptography's."""
+never executes, and one OpenSSL, cryptography's; and for reading and
+judging a trace, no cryptography at all."""
 
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import ccxtrust
+from ccxtrust.harness import run_scenario
 
 SRC = Path(ccxtrust.__file__).resolve().parent.parent
 PUBLIC_SERIALIZATION = "cryptography.hazmat.primitives.serialization"
@@ -29,7 +31,8 @@ def test_import_loads_no_pool_logging_or_public_serialization():
     # harness imports its thread pool inside run_bench, and crypto takes
     # the encoding enums from the module that defines them
     loaded = fresh_import(
-        "import json, sys, ccxtrust; print(json.dumps(sorted(sys.modules)))")
+        "import json, sys, ccxtrust.harness\n"
+        "print(json.dumps(sorted(sys.modules)))")
     assert "ccxtrust.harness" in loaded
     unwanted = ("concurrent.futures", "logging", PUBLIC_SERIALIZATION)
     assert [name for name in loaded
@@ -56,8 +59,41 @@ def test_import_loads_no_second_openssl_or_statistics():
     # cryptography's; statistics loads decimal and fractions, which only
     # the bench and the comparison experiment run, and import it there
     loaded = fresh_import(
-        "import json, sys, ccxtrust, ccxtrust.cli\n"
+        "import json, sys, ccxtrust.cli, ccxtrust.harness\n"
         "print(json.dumps(sorted(sys.modules)))")
-    assert "ccxtrust.cli" in loaded
+    assert {"ccxtrust.cli", "ccxtrust.harness"} <= set(loaded)
     assert [name for name in ("hashlib", "_hashlib", "hmac", "statistics")
             if name in loaded] == []
+
+
+
+def _ours_and_cryptography(loaded: list[str]) -> list[str]:
+    """The ccxtrust and cryptography modules among those loaded."""
+    return [name for name in loaded
+            if name.split(".")[0] in ("ccxtrust", "cryptography")]
+
+
+def test_trace_module_loads_no_cryptography():
+    # the trace model and its audit import only the stdlib and errors
+    loaded = fresh_import(
+        "import json, sys, ccxtrust.trace\n"
+        "print(json.dumps(sorted(sys.modules)))")
+    assert _ours_and_cryptography(loaded) == [
+        "ccxtrust", "ccxtrust.errors", "ccxtrust.trace"]
+
+
+def test_check_trace_loads_no_cryptography(tmp_path):
+    # reading and judging a trace file needs no key, device or service
+    # module; only the commands that run flows import them
+    path = tmp_path / "trace.log"
+    run_scenario(7, nodes=2).trace.write(path)
+    seen = fresh_import(
+        "import contextlib, io, json, sys\n"
+        "from ccxtrust import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = cli.main(['check-trace', {str(path)!r}])\n"
+        "print(json.dumps({'code': code, 'lines': out.getvalue().count('\\n'),\n"
+        "                  'loaded': sorted(sys.modules)}))")
+    assert (seen["code"], seen["lines"]) == (0, 3)
+    assert _ours_and_cryptography(seen["loaded"]) == [
+        "ccxtrust", "ccxtrust.cli", "ccxtrust.errors", "ccxtrust.trace"]

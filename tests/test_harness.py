@@ -3,8 +3,9 @@ the concurrent benchmark at a small configuration."""
 
 import pytest
 
-from ccxtrust import harness, protocol, verifier
+from ccxtrust import harness, verifier
 from ccxtrust.errors import InvalidSeed
+from ccxtrust.trace import check_theorems
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ def test_scenario_runs_and_checks(tmp_path):
     result = harness.run_scenario(42, nodes=2)
     # one composite token per node, each direction once
     assert [t.token_type for t in result.tokens] == ["tpm-tee", "tee-tpm"]
-    verdicts = protocol.check_theorems(result.trace)
+    verdicts = check_theorems(result.trace)
     assert all(v.ok for v in verdicts.values())
     assert len(result.trace_digest) == 64
 

@@ -16,12 +16,21 @@ from ccxtrust.errors import (
     BaselineRejected,
     DecodeError,
 )
-from ccxtrust.protocol import (
+from ccxtrust.trace import (
     OCA_PRINCIPAL,
     VERIFIER_PRINCIPAL,
+    ProtocolTrace,
     TheoremVerdict,
     TraceEvent,
+    check_theorems,
 )
+
+
+def read_text(tmp_path, text: str) -> ProtocolTrace:
+    """The trace read from a file that holds text, UTF-8 encoded."""
+    path = tmp_path / "text.log"
+    path.write_bytes(text.encode())
+    return ProtocolTrace.read(path)
 
 
 @pytest.fixture()
@@ -39,17 +48,17 @@ def cluster2():
 # ---------------------------------------------------------------------------
 
 def test_trace_event_line_round_trip():
-    event = protocol.TraceEvent(
+    event = TraceEvent(
         "node0000/tpm", "sign", peer="-",
         digest=crypto.sha256(b"x").hex(), tag="total-report", ok=True,
         contents=("session:" + "ab" * 32, "quote:" + "cd" * 32))
-    parsed = protocol.TraceEvent.from_line(event.line(3), 3)
+    parsed = TraceEvent.from_line(event.line(3), 3)
     assert parsed == event
 
 
 def test_trace_event_defaults_round_trip():
-    event = protocol.TraceEvent("verifier", "new")
-    parsed = protocol.TraceEvent.from_line(event.line(0), 0)
+    event = TraceEvent("verifier", "new")
+    parsed = TraceEvent.from_line(event.line(0), 0)
     assert parsed == event
     assert parsed.peer == "-"
     assert parsed.ok is None
@@ -64,19 +73,19 @@ def test_trace_event_defaults_round_trip():
 ], ids=["unknown-kind", "index-not-position", "non-canonical"])
 def test_trace_line_decode_errors(line, index, reason):
     with pytest.raises(DecodeError, match=reason):
-        protocol.TraceEvent.from_line(line, index)
+        TraceEvent.from_line(line, index)
 
 
-def test_trace_text_round_trip_and_digest(cluster):
+def test_trace_text_round_trip_and_digest(tmp_path, cluster):
     trace = cluster.trace
     assert len(trace.events) > 0
     text = trace.text()
-    parsed = protocol.ProtocolTrace.from_text(text)
+    parsed = read_text(tmp_path, text)
     assert parsed.events == trace.events
     assert parsed.digest() == trace.digest()
 
 
-def test_trace_from_text_rejects_gap(cluster):
+def test_trace_read_rejects_gap(tmp_path, cluster):
     lines = cluster.trace.lines()
     gap = lines[:2] + lines[3:]
     bad_index = lines + ["x verifier send - - - - -"]
@@ -84,10 +93,10 @@ def test_trace_from_text_rejects_gap(cluster):
     plus_index = lines + [f"+{len(lines)} verifier send - - - - -"]
     for broken in (gap, bad_index, bad_ok, plus_index):
         with pytest.raises(DecodeError):
-            protocol.ProtocolTrace.from_text("\n".join(broken))
+            read_text(tmp_path, "\n".join(broken) + "\n")
 
 
-def test_trace_from_text_accepts_only_canonical_text(tmp_path, cluster):
+def test_trace_read_accepts_only_canonical_text(tmp_path, cluster):
     text = cluster.trace.text()
     first, rest = text.split("\n", 1)
     for broken in (first + "\n\n" + rest,         # blank line
@@ -99,12 +108,9 @@ def test_trace_from_text_accepts_only_canonical_text(tmp_path, cluster):
                    first + "\x0c" + rest,
                    first + "\x1e" + rest):
         with pytest.raises(DecodeError):
-            protocol.ProtocolTrace.from_text(broken)
-    path = tmp_path / "trace.log"
-    path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
-    with pytest.raises(DecodeError):
-        protocol.ProtocolTrace.read(path)
-    assert protocol.ProtocolTrace.from_text("").events == []
+            read_text(tmp_path, broken)
+    assert read_text(tmp_path, text).events == cluster.trace.events
+    assert read_text(tmp_path, "").events == []
 
 
 def test_trace_reader_checks_lines_and_holds_each_value_once(
@@ -114,40 +120,38 @@ def test_trace_reader_checks_lines_and_holds_each_value_once(
     # trace read is one string object per value, across all its events
     path = tmp_path / "trace.log"
     cluster.trace.write(path)
-    text = cluster.trace.text()
 
     def whole_text(self):
         raise AssertionError("the reader rendered text()")
 
-    monkeypatch.setattr(protocol.ProtocolTrace, "text", whole_text)
-    for loaded in (protocol.ProtocolTrace.read(path),
-                   protocol.ProtocolTrace.from_text(text)):
-        assert loaded.events == cluster.trace.events
-        assert loaded.digest() == cluster.trace.digest()
-        objects: dict[str, set[int]] = {}
-        for event in loaded.events:
-            for value in (event.principal, event.kind, event.peer,
-                          event.digest, event.tag, *event.contents):
-                objects.setdefault(value, set()).add(id(value))
-        assert len(objects) > 20
-        assert {value: len(ids) for value, ids in objects.items()
-                if len(ids) > 1} == {}
+    monkeypatch.setattr(ProtocolTrace, "text", whole_text)
+    loaded = ProtocolTrace.read(path)
+    assert loaded.events == cluster.trace.events
+    assert loaded.digest() == cluster.trace.digest()
+    objects: dict[str, set[int]] = {}
+    for event in loaded.events:
+        for value in (event.principal, event.kind, event.peer,
+                      event.digest, event.tag, *event.contents):
+            objects.setdefault(value, set()).add(id(value))
+    assert len(objects) > 20
+    assert {value: len(ids) for value, ids in objects.items()
+            if len(ids) > 1} == {}
 
 
 def test_trace_write_read(tmp_path, cluster):
     path = tmp_path / "trace.log"
     cluster.trace.write(path)
-    loaded = protocol.ProtocolTrace.read(path)
+    loaded = ProtocolTrace.read(path)
     assert loaded.digest() == cluster.trace.digest()
 
 
 def test_digest_and_write_stream_exactly_the_text(tmp_path, honest31):
     # digest() and write() take the text a line at a time; each gives
     # what the whole text() gives, final newline and empty trace included
-    honest = protocol.ProtocolTrace(honest31)
-    traces = [protocol.ProtocolTrace(), honest,
-              protocol.ProtocolTrace.from_text(honest.text())]
-    traces += [protocol.ProtocolTrace(edit(honest31))
+    honest = ProtocolTrace(honest31)
+    traces = [ProtocolTrace(), honest,
+              read_text(tmp_path, honest.text())]
+    traces += [ProtocolTrace(edit(honest31))
                for _title, edit, _violated in harness.FAULT_TRACES.values()]
     path = tmp_path / "trace.log"
     for trace in traces:
@@ -375,7 +379,7 @@ def test_holder_decrypt_names_the_certificate_it_received(monkeypatch,
                              fields, **kwargs)
 
     monkeypatch.setattr(protocol, "_transfer", swapping_transfer)
-    trace = protocol.ProtocolTrace()
+    trace = ProtocolTrace()
     actor = harness.add_node(cluster, 1, trace=trace)
     assert actor.aik_cert == other
     [decrypt] = [event for event in trace.events
@@ -384,7 +388,7 @@ def test_holder_decrypt_names_the_certificate_it_received(monkeypatch,
     assert decrypt.digest == other.digest.hex()
     assert decrypt.contents == (f"cert-aik:{other.digest.hex()}",)
     # the owner CA signed that certificate outside this trace
-    assert not protocol.check_theorems(trace)["cert-provenance"].ok
+    assert not check_theorems(trace)["cert-provenance"].ok
 
 
 def refused_at_registration(monkeypatch, cluster, outcome,
@@ -469,7 +473,7 @@ def test_one_pipeline_appraises_registration_and_attestation(monkeypatch,
     assert directions == ["tee"]
     protocol.run_attest_composite(
         actor, cluster.verifier_svc, cluster.channels,
-        protocol.ProtocolTrace(), policy_id=cluster.policy_id,
+        ProtocolTrace(), policy_id=cluster.policy_id,
         direction="tpm-tee")
     assert directions == ["tee", "tpm-tee"]
 
@@ -479,7 +483,7 @@ def test_attest_returns_the_token_the_agent_received(monkeypatch, cluster):
     # the token the agent holds is the one that arrived
     actor, svc = cluster.actor(0), cluster.verifier_svc
     earlier = protocol.run_attest_composite(
-        actor, svc, cluster.channels, protocol.ProtocolTrace(),
+        actor, svc, cluster.channels, ProtocolTrace(),
         policy_id=cluster.policy_id, direction="tee")
     real_transfer = protocol._transfer
 
@@ -491,7 +495,7 @@ def test_attest_returns_the_token_the_agent_received(monkeypatch, cluster):
                              fields, **kwargs)
 
     monkeypatch.setattr(protocol, "_transfer", swapping_transfer)
-    trace = protocol.ProtocolTrace()
+    trace = ProtocolTrace()
     token = protocol.run_attest_composite(
         actor, svc, cluster.channels, trace,
         policy_id=cluster.policy_id, direction="tpm-tee")
@@ -504,7 +508,7 @@ def test_attest_returns_the_token_the_agent_received(monkeypatch, cluster):
     assert decrypt.digest == held
     assert decrypt.contents == (f"token:{held}",)
     # this trace holds no sign of that token, so the audit refuses it
-    assert not protocol.check_theorems(trace)["token-provenance"].ok
+    assert not check_theorems(trace)["token-provenance"].ok
 
 
 class _ReadFields(dict):
@@ -589,7 +593,7 @@ def test_every_received_field_is_read(monkeypatch):
 
 def test_attest_composite_both_directions(cluster):
     for direction in ("tpm-tee", "tee-tpm"):
-        trace = protocol.ProtocolTrace()
+        trace = ProtocolTrace()
         token = protocol.run_attest_composite(
             cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
             policy_id=cluster.policy_id, direction=direction)
@@ -602,7 +606,7 @@ def test_attest_composite_both_directions(cluster):
 @pytest.mark.parametrize("direction", ["tpm-tee", "tee-tpm", "tee", "tpm"])
 def test_attest_composite_builds_every_layout(cluster, direction):
     actor = cluster.actor(0)
-    trace = protocol.ProtocolTrace()
+    trace = ProtocolTrace()
     token = protocol.run_attest_composite(
         actor, cluster.verifier_svc, cluster.channels, trace,
         policy_id=cluster.policy_id, direction=direction)
@@ -634,7 +638,7 @@ def test_attest_hashes_each_message_once(monkeypatch, cluster, direction):
     monkeypatch.setattr(crypto, "sha256", counting)
     token = protocol.run_attest_composite(
         cluster.actor(0), cluster.verifier_svc, cluster.channels,
-        protocol.ProtocolTrace(), policy_id=cluster.policy_id,
+        ProtocolTrace(), policy_id=cluster.policy_id,
         direction=direction)
     assert isinstance(cluster.verifier_svc.validate_token(token), dict)
     assert len(calls) == 25
@@ -643,7 +647,7 @@ def test_attest_hashes_each_message_once(monkeypatch, cluster, direction):
 
 
 def test_receive_event_shares_the_send_events_digest(cluster):
-    trace = protocol.ProtocolTrace()
+    trace = ProtocolTrace()
     protocol.run_attest_composite(
         cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
         policy_id=cluster.policy_id)
@@ -705,7 +709,7 @@ def test_each_traced_value_is_one_string_object(cluster):
 
 def test_attest_composite_unknown_direction_opens_no_session(cluster):
     before = cluster.verifier_svc.nonces_issued
-    trace = protocol.ProtocolTrace()
+    trace = ProtocolTrace()
     with pytest.raises(ValueError, match="unknown direction"):
         protocol.run_attest_composite(
             cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
@@ -715,7 +719,7 @@ def test_attest_composite_unknown_direction_opens_no_session(cluster):
 
 
 def test_attest_single_and_independent(cluster):
-    trace = protocol.ProtocolTrace()
+    trace = ProtocolTrace()
     tokens = protocol.run_attest_independent(
         cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
         policy_id=cluster.policy_id)
@@ -800,7 +804,7 @@ def test_attest_rejection_raises_with_outcome(cluster):
         import dataclasses
         return dataclasses.replace(envelope, evidence=b"junk")
 
-    trace = protocol.ProtocolTrace()
+    trace = ProtocolTrace()
     with pytest.raises(AttestationRejected) as info:
         protocol.run_attest_composite(
             cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
@@ -813,7 +817,7 @@ def test_attest_rejection_raises_with_outcome(cluster):
 # ---------------------------------------------------------------------------
 
 def attested_trace(cluster):
-    trace = protocol.ProtocolTrace(cluster.trace.events)
+    trace = ProtocolTrace(cluster.trace.events)
     protocol.run_attest_composite(
         cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
         policy_id=cluster.policy_id)
@@ -821,7 +825,7 @@ def attested_trace(cluster):
 
 
 def test_honest_trace_passes_all_theorems(cluster):
-    verdicts = protocol.check_theorems(attested_trace(cluster))
+    verdicts = check_theorems(attested_trace(cluster))
     assert set(verdicts) == {"cert-provenance", "token-provenance",
                              "attest-order"}
     for verdict in verdicts.values():
@@ -829,16 +833,16 @@ def test_honest_trace_passes_all_theorems(cluster):
 
 
 def test_theorem_verdict_lines_are_parseable(cluster):
-    for verdict in protocol.check_theorems(attested_trace(cluster)).values():
+    for verdict in check_theorems(attested_trace(cluster)).values():
         line = verdict.line()
         assert line.split()[0] == verdict.name
         assert line.split()[1] == "pass"
 
 
-def test_checker_works_from_serialized_trace(cluster):
+def test_checker_works_from_serialized_trace(tmp_path, cluster):
     text = attested_trace(cluster).text()
-    reloaded = protocol.ProtocolTrace.from_text(text)
-    verdicts = protocol.check_theorems(reloaded)
+    reloaded = read_text(tmp_path, text)
+    verdicts = check_theorems(reloaded)
     assert all(v.ok for v in verdicts.values())
 
 
@@ -870,13 +874,12 @@ _FAULT_EDITS = {"forged-cert": "principal", "forged-token": "deletion",
                          ids=["31x2", "45x2", "99x3"])
 def test_each_fault_is_one_edit_failing_only_its_property(seed, nodes):
     honest = harness.run_scenario(seed, nodes=nodes).trace.events
-    assert all(v.ok for v in protocol.check_theorems(
-        protocol.ProtocolTrace(honest)).values())
+    assert all(v.ok for v in check_theorems(ProtocolTrace(honest)).values())
     assert _FAULT_EDITS.keys() == harness.FAULT_TRACES.keys()
     for name, (_title, edit, violated) in harness.FAULT_TRACES.items():
         events = edit(honest)
         assert _edit_kind(honest, events) == _FAULT_EDITS[name], name
-        verdicts = protocol.check_theorems(protocol.ProtocolTrace(events))
+        verdicts = check_theorems(ProtocolTrace(events))
         assert [n for n, v in verdicts.items() if not v.ok] == [violated], name
         assert verdicts[violated].witness, name
 
@@ -890,7 +893,7 @@ def _fault(honest, name):
     """The named gallery fault as an edit of honest, with its verdicts."""
     _title, edit, _violated = harness.FAULT_TRACES[name]
     events = edit(honest)
-    return events, protocol.check_theorems(protocol.ProtocolTrace(events))
+    return events, check_theorems(ProtocolTrace(events))
 
 
 def test_forged_cert_fails_exactly_cert_provenance(honest31):
@@ -939,11 +942,11 @@ def test_one_nodes_check_does_not_vouch_for_another(cluster2, tag, key,
     actor = cluster2.actor(1)
     public = actor.identity if key == "identity-pub" else actor.vcek
     named = f"{key}:{crypto.sha256(public.public_bytes).hex()}"
-    trace = protocol.ProtocolTrace(
+    trace = ProtocolTrace(
         e for e in cluster2.trace.events
         if e.kind != "verify" or named not in e.contents)
     assert len(trace.events) == len(cluster2.trace.events) - 1
-    verdicts = protocol.check_theorems(trace)
+    verdicts = check_theorems(trace)
     assert verdicts["token-provenance"].ok and verdicts["attest-order"].ok
     verdict = verdicts["cert-provenance"]
     sign, decrypt = (trace.events[i] for i in verdict.witness)
@@ -960,7 +963,7 @@ def test_one_nodes_check_does_not_vouch_for_another(cluster2, tag, key,
         assert trace.events == edit(cluster2.trace.events)
 
 
-def test_an_edited_event_list_judges_by_position(cluster):
+def test_an_edited_event_list_judges_by_position(tmp_path, cluster):
     # a move, a deletion and a duplicate of one event of an honest trace
     # judge as the edited trace read back from its own text
     honest = attested_trace(cluster).events
@@ -970,55 +973,54 @@ def test_an_edited_event_list_judges_by_position(cluster):
              "deletion": honest[1:],
              "duplicate": [*honest, honest[sign]]}
     for name, events in edits.items():
-        trace = protocol.ProtocolTrace(events)
-        reread = protocol.ProtocolTrace.from_text(trace.text())
+        trace = ProtocolTrace(events)
+        reread = read_text(tmp_path, trace.text())
         assert reread.events == events, name
-        assert (protocol.check_theorems(trace)
-                == protocol.check_theorems(reread)), name
+        assert check_theorems(trace) == check_theorems(reread), name
     # deleting the first event moves every witness one place earlier
-    verdicts = protocol.check_theorems(protocol.ProtocolTrace(honest))
-    shifted = protocol.check_theorems(protocol.ProtocolTrace(honest[1:]))
+    verdicts = check_theorems(ProtocolTrace(honest))
+    shifted = check_theorems(ProtocolTrace(honest[1:]))
     for name, verdict in verdicts.items():
         assert verdict.ok and verdict.witness, name
         assert shifted[name] == dataclasses.replace(
             verdict, witness=tuple(i - 1 for i in verdict.witness)), name
-    assert not protocol.check_theorems(
-        protocol.ProtocolTrace(edits["move"]))["attest-order"].ok
+    assert not check_theorems(ProtocolTrace(edits["move"]))["attest-order"].ok
 
 
 _CERT_HEX = "ab" * 32
 _VCEK_KEY = f"vcek-pub:{'12' * 32}"
 
 
-def _vcek_cert_trace(holder: str) -> protocol.ProtocolTrace:
+def _vcek_cert_trace(tmp_path, holder: str) -> ProtocolTrace:
     """The owner CA checks a vendor chain for a chip key, signs a VCEK
     certificate for that key and sends it to node0001's TEE; then the
     holder decrypts it."""
     cert = f"cert-vcek:{_CERT_HEX}"
-    return protocol.ProtocolTrace.from_text(
+    return read_text(
+        tmp_path,
         f"0 owner-ca verify - {'cd' * 32} vendor-chain 1 {_VCEK_KEY}\n"
         f"1 owner-ca sign - {_CERT_HEX} cert-vcek - {cert},{_VCEK_KEY}\n"
         f"2 owner-ca send node0001/tee {'ef' * 32} cert-vcek-info - {cert}\n"
         f"3 {holder} decrypt - {_CERT_HEX} cert-vcek-info - {cert}\n")
 
 
-def test_base_principal_folds_engine_names():
+def test_base_principal_folds_engine_names(tmp_path):
     # a send to one engine of a node justifies the node and each engine
     for holder in ("node0001/tee", "node0001/tpm", "node0001"):
-        verdict = protocol.check_theorems(
-            _vcek_cert_trace(holder))["cert-provenance"]
+        verdict = check_theorems(
+            _vcek_cert_trace(tmp_path, holder))["cert-provenance"]
         assert verdict.ok and verdict.witness == (3,), holder
-    verdict = protocol.check_theorems(
-        _vcek_cert_trace("node0002/tee"))["cert-provenance"]
+    verdict = check_theorems(
+        _vcek_cert_trace(tmp_path, "node0002/tee"))["cert-provenance"]
     assert verdict == TheoremVerdict(
         "cert-provenance", False,
         f"owner-ca never sent cert-vcek {_CERT_HEX[:16]} to node0002", (3,))
 
 
-def test_prior_check_vouches_only_before_for_the_key_it_names():
+def test_prior_check_vouches_only_before_for_the_key_it_names(tmp_path):
     # the vendor-chain check names another chip key; or the certificate,
     # not under the key's label; or it comes after the sign
-    lines = _vcek_cert_trace("node0001/tee").lines()
+    lines = _vcek_cert_trace(tmp_path, "node0001/tee").lines()
     other_key = lines[0].replace(_VCEK_KEY, f"vcek-pub:{'34' * 32}")
     the_cert = lines[0].replace(_VCEK_KEY, f"cert-vcek:{_CERT_HEX}")
     for edited, sign in (([other_key] + lines[1:], 1),
@@ -1026,8 +1028,8 @@ def test_prior_check_vouches_only_before_for_the_key_it_names():
                          ([lines[1], lines[0]] + lines[2:], 0)):
         text = "".join(f"{i} {line.split(' ', 1)[1]}\n"
                        for i, line in enumerate(edited))
-        verdict = protocol.check_theorems(
-            protocol.ProtocolTrace.from_text(text))["cert-provenance"]
+        verdict = check_theorems(
+            read_text(tmp_path, text))["cert-provenance"]
         assert verdict == TheoremVerdict(
             "cert-provenance", False,
             f"owner-ca signed cert-vcek {_CERT_HEX[:16]} without prior "
@@ -1039,7 +1041,7 @@ def _early_sign_trace():
     total-report sign moved before its attest-request receipt and naming
     the first, requested session too; and the session it was made for."""
     cluster = harness.build_cluster(5, 1)
-    trace = protocol.ProtocolTrace()
+    trace = ProtocolTrace()
     for _ in range(2):
         protocol.run_attest_composite(
             cluster.actor(0), cluster.verifier_svc, cluster.channels, trace,
@@ -1054,7 +1056,7 @@ def _early_sign_trace():
     earlier = next(c for c in first.contents if c.startswith("session:"))
     moved = dataclasses.replace(second, contents=(*second.contents, earlier))
     at = events.index(receipt)
-    early = protocol.ProtocolTrace(events[:at] + [moved] + [
+    early = ProtocolTrace(events[:at] + [moved] + [
         e for e in events[at:] if e is not second])
     return early, session.partition(":")[2]
 
@@ -1063,7 +1065,7 @@ def test_evidence_needs_a_request_for_every_session_it_names():
     # naming an earlier, requested session does not excuse evidence
     # signed before the request for its own session arrived
     trace, session = _early_sign_trace()
-    assert protocol.check_theorems(trace)["attest-order"] == TheoremVerdict(
+    assert check_theorems(trace)["attest-order"] == TheoremVerdict(
         "attest-order", False, f"node0000 signed evidence for session "
         f"{session[:16]} before receiving the request", (22,))
 
@@ -1074,7 +1076,7 @@ def _second_sign_trace(tag: str):
     token (token) for a session that has one; and that first sign."""
     trace = harness.run_scenario(31).trace
     first = next(e for e in trace.events if e.kind == "sign" and e.tag == tag)
-    return protocol.ProtocolTrace([*trace.events, first]), first
+    return ProtocolTrace([*trace.events, first]), first
 
 
 def test_each_session_is_answered_by_one_evidence_signature():
@@ -1082,7 +1084,7 @@ def test_each_session_is_answered_by_one_evidence_signature():
     # signature, so a copy of an answered session's sign fails
     trace, first = _second_sign_trace("total-report")
     session = next(c for c in first.contents if c.startswith("session:"))
-    assert protocol.check_theorems(trace)["attest-order"] == TheoremVerdict(
+    assert check_theorems(trace)["attest-order"] == TheoremVerdict(
         "attest-order", False, "node0000 signed second evidence for "
         f"session {session[8:24]}",
         (trace.events.index(first), len(trace.events) - 1))
@@ -1093,7 +1095,7 @@ def test_each_session_is_given_one_token():
     # token, so a copy of a session's token sign fails
     trace, first = _second_sign_trace("token")
     session = next(c for c in first.contents if c.startswith("session:"))
-    verdicts = protocol.check_theorems(trace)
+    verdicts = check_theorems(trace)
     assert verdicts["attest-order"] == TheoremVerdict(
         "attest-order", False, f"{VERIFIER_PRINCIPAL} signed a second token "
         f"for session {session[8:24]}",
@@ -1139,9 +1141,9 @@ _PINNED_VERDICT_LINES = {
 def test_checker_prints_the_pinned_verdict_lines(name):
     trace = harness.run_scenario(31).trace
     if name != "honest":
-        trace = protocol.ProtocolTrace(
+        trace = ProtocolTrace(
             harness.FAULT_TRACES[name][1](trace.events))
-    lines = tuple(v.line() for v in protocol.check_theorems(trace).values())
+    lines = tuple(v.line() for v in check_theorems(trace).values())
     assert lines == _PINNED_VERDICT_LINES[name]
 
 
@@ -1348,41 +1350,44 @@ def _mutate(events, rng, pool):
 
 
 def test_trace_event_is_slotted_and_frozen():
-    event = protocol.TraceEvent("verifier", "new")
-    assert "__slots__" in vars(protocol.TraceEvent)
+    event = TraceEvent("verifier", "new")
+    assert "__slots__" in vars(TraceEvent)
     assert not hasattr(event, "__dict__")
     edited = dataclasses.replace(event, contents=("session:ab",))
     assert edited.line(3) == "3 verifier new - - - - session:ab"
-    assert edited == protocol.TraceEvent.from_line(edited.line(3), 3)
+    assert edited == TraceEvent.from_line(edited.line(3), 3)
     assert event.contents == () and event != edited
     with pytest.raises(dataclasses.FrozenInstanceError):
         event.kind = "sign"
 
 
-def _with_decrypt(trace, principal, *contents) -> protocol.ProtocolTrace:
+def _with_decrypt(tmp_path, trace, principal, *contents) -> ProtocolTrace:
     """The trace, read back from its text with one decrypt appended."""
     event = TraceEvent(principal, "decrypt", tag="cert-vcek-info",
                        contents=contents)
-    return protocol.ProtocolTrace.from_text(
-        trace.text() + event.line(len(trace.events)) + "\n")
+    return read_text(tmp_path,
+                     trace.text() + event.line(len(trace.events)) + "\n")
 
 
-def _rare_checker_cases(trace, holder):
+def _rare_checker_cases(tmp_path, trace, holder):
     """Traces that random edits of an honest trace rarely build: one
     decrypt holding two unsigned certificates, listed out of label
     order; one holding both an unsigned certificate and an unsigned
     token; one whose labels carry no ":" and so name no possession."""
     return {
-        "two-certs": _with_decrypt(trace, holder, f"cert-aik:{'11' * 32}",
+        "two-certs": _with_decrypt(tmp_path, trace, holder,
+                                   f"cert-aik:{'11' * 32}",
                                    f"cert-vcek:{'22' * 32}"),
-        "cert-and-token": _with_decrypt(trace, holder, f"token:{'33' * 32}",
+        "cert-and-token": _with_decrypt(tmp_path, trace, holder,
+                                        f"token:{'33' * 32}",
                                         f"cert-identity:{'44' * 32}"),
-        "no-colon": _with_decrypt(trace, holder, "token", "cert-vcek"),
+        "no-colon": _with_decrypt(tmp_path, trace, holder, "token",
+                                  "cert-vcek"),
     }
 
 
-def test_single_pass_checker_matches_quadratic_oracle(cluster2):
-    honest = protocol.ProtocolTrace(cluster2.trace.events)
+def test_single_pass_checker_matches_quadratic_oracle(tmp_path, cluster2):
+    honest = ProtocolTrace(cluster2.trace.events)
     for index, direction in ((0, "tpm-tee"), (1, "tee-tpm")):
         protocol.run_attest_composite(
             cluster2.actor(index), cluster2.verifier_svc, cluster2.channels,
@@ -1393,28 +1398,28 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
     # no content edit makes a node sign a token, so one case does it
     token_sign = next(i for i, e in enumerate(honest.events)
                       if e.kind == "sign" and e.tag == "token")
-    node_signs_token = protocol.ProtocolTrace(
+    node_signs_token = ProtocolTrace(
         honest.events[:token_sign]
         + [dataclasses.replace(honest.events[token_sign],
                                principal=cluster2.actor(0).agent)]
         + honest.events[token_sign + 1:])
     holder = cluster2.actor(0).agent
-    rare = _rare_checker_cases(honest, holder)
+    rare = _rare_checker_cases(tmp_path, honest, holder)
     rare["early-sign-names-a-requested-session"] = _early_sign_trace()[0]
     rare["session-answered-twice"] = _second_sign_trace("total-report")[0]
     rare["session-given-two-tokens"] = _second_sign_trace("token")[0]
     traces = [honest, node_signs_token,
-              *(protocol.ProtocolTrace(edit(honest.events))
+              *(ProtocolTrace(edit(honest.events))
                 for _title, edit, _violated in harness.FAULT_TRACES.values()),
               *rare.values()]
     for _case in range(1500):
         events = honest.events
         for _edit in range(rng.randint(1, 3)):
             events = _mutate(events, rng, labels)
-        traces.append(protocol.ProtocolTrace(events))
+        traces.append(ProtocolTrace(events))
     failures = Counter()
     for trace in traces:
-        verdicts = protocol.check_theorems(trace)
+        verdicts = check_theorems(trace)
         assert verdicts == _oracle_check_theorems(trace), trace.text()
         failures.update(name for name, v in verdicts.items() if not v.ok)
     # every property must be tripped by some mutation, so the comparison
@@ -1426,16 +1431,16 @@ def test_single_pass_checker_matches_quadratic_oracle(cluster2):
     # provenance properties, a label without ":" names no possession,
     # evidence naming a requested session fails for its unrequested one,
     # and a second evidence sign or token sign for a session fails
-    first = protocol.check_theorems(rare["two-certs"])["cert-provenance"]
+    first = check_theorems(rare["two-certs"])["cert-provenance"]
     assert first.reason == (f"{holder} holds cert-vcek {'22' * 8} never "
                             f"signed by {OCA_PRINCIPAL}")
-    both = protocol.check_theorems(rare["cert-and-token"])
+    both = check_theorems(rare["cert-and-token"])
     assert not both["cert-provenance"].ok and not both["token-provenance"].ok
-    assert protocol.check_theorems(rare["no-colon"]) == \
-        protocol.check_theorems(honest)
-    assert not protocol.check_theorems(
+    assert check_theorems(rare["no-colon"]) == \
+        check_theorems(honest)
+    assert not check_theorems(
         rare["early-sign-names-a-requested-session"])["attest-order"].ok
-    assert "second evidence" in protocol.check_theorems(
+    assert "second evidence" in check_theorems(
         rare["session-answered-twice"])["attest-order"].reason
-    assert "second token" in protocol.check_theorems(
+    assert "second token" in check_theorems(
         rare["session-given-two-tokens"])["attest-order"].reason
