@@ -651,8 +651,9 @@ class BenchResult:
     @property
     def cpu_ms_per_node(self) -> float:
         """Process CPU time per node, every thread's summed: beside
-        wall_seconds, it tells work from time spent queued on the GIL."""
-        return self.cpu_seconds * 1e3 / self.nodes
+        wall_seconds, it tells work from time spent queued on the GIL.
+        An empty fleet reads 0.0."""
+        return self.cpu_seconds * 1e3 / self.nodes if self.nodes else 0.0
 
     def summary(self) -> dict:
         return {

@@ -2,6 +2,8 @@
 
 import pytest
 
+from ccxtrust import harness
+
 
 def _tpm_snapshot(state) -> bytes:
     """Every field of a TpmState as bytes: two devices whose snapshots are
@@ -29,3 +31,13 @@ def _tpm_snapshot(state) -> bytes:
 @pytest.fixture()
 def tpm_snapshot():
     return _tpm_snapshot
+
+
+@pytest.fixture()
+def cluster():
+    return harness.build_cluster(77, nodes=1)
+
+
+@pytest.fixture()
+def cluster2():
+    return harness.build_cluster(78, nodes=2)

@@ -20,6 +20,7 @@ from cryptography.hazmat.primitives.serialization import (
 )
 
 from ccxtrust import crypto, harness
+from ccxtrust.encoding import encode_field
 from ccxtrust.errors import (
     AuthFailure,
     DecodeError,
@@ -447,6 +448,19 @@ def test_issue_certificate_refuses_unknown_role_or_subject_width():
     for bad in (uncompressed, subject.public_bytes[:-1]):
         with pytest.raises(InvalidPoint):
             crypto.issue_certificate(issuer, "AIK", 1, bad)
+
+
+def test_certificate_with_an_unknown_role_byte_does_not_decode():
+    issuer = crypto.SigningKeyPair.generate("CA", crypto.DeterministicRng(
+        b"certs4"))
+    raw = crypto.issue_certificate(issuer, "AIK", 1,
+                                   issuer.public_bytes).to_bytes()
+    role = encode_field(1, bytes([crypto.ROLE_BYTES["AIK"]]))
+    assert raw.startswith(role)
+    for code in (0, max(crypto.ROLE_BYTES.values()) + 1):
+        with pytest.raises(DecodeError, match="unknown certificate role"):
+            crypto.Certificate.from_bytes(
+                encode_field(1, bytes([code])) + raw[len(role):])
 
 
 def test_certificate_verify_fails_for_wrong_issuer(monkeypatch):

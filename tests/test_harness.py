@@ -204,6 +204,13 @@ def test_bench_reports_cpu_time_beside_wall_time():
         f"({result.cpu_seconds * 1e3 / 4:.3f} ms per node)")
 
 
+def test_bench_of_an_empty_fleet_reports_zero_per_node():
+    result = harness.run_bench(3, nodes=0)
+    assert result.successes == 0 and result.cpu_ms_per_node == 0.0
+    assert result.summary()["cpu_ms_per_node"] == 0.0
+    assert "(0.000 ms per node)" in result.table()
+
+
 def test_bench_of_one_node_reports_its_one_timing_per_phase():
     result = harness.run_bench(78, nodes=1, concurrency=1)
     assert result.successes == 1

@@ -35,25 +35,11 @@ def cluster():
 def honest(cluster, direction, node_index=0, policy_id=None):
     """Open a session and build matching evidence without submitting it."""
     actor = cluster.actor(node_index)
-    svc = cluster.verifier_svc
-    request = svc.new_request(policy_id or cluster.policy_id, actor.node_id)
-    selection = actor.pcr_selection
-    if direction == "tpm-tee":
-        report = tee.guest_report(
-            actor.vcek, actor.chip_id, actor.tcb, actor.tcb_version,
-            crypto.sha256(request.nonce) + bytes(32))
-        evidence = tpm.cc_quote(actor.state, selection, request.nonce,
-                                actor.aik_handle, report.to_bytes()).to_bytes()
-    else:
-        quote_bytes = tpm.cc_quote(actor.state, selection, request.nonce,
-                                   actor.aik_handle, b"").to_bytes()
-        report = tee.guest_report(
-            actor.vcek, actor.chip_id, actor.tcb, actor.tcb_version,
-            request.nonce + crypto.sha256(quote_bytes),
-            embedded_evidence=quote_bytes)
-        evidence = report.to_bytes()
+    request = cluster.verifier_svc.new_request(
+        policy_id or cluster.policy_id, actor.node_id)
     envelope = protocol.CompositeReportEnvelope(
-        direction, actor.node_id, request.session_id, evidence)
+        direction, actor.node_id, request.session_id,
+        harness._evidence(actor, direction, request.nonce))
     return request, envelope
 
 

@@ -4,21 +4,22 @@
     python3 tools/guard_mutants.py chip nonce # guards whose name has a word
 
 Each entry of tools/guards.json names a file under src/ccxtrust/ and the
-exact text of one guard in it, which must occur there exactly once. For
-each guard the tool copies src/, tests/, demos/ and pyproject.toml into a
-temporary directory, deletes the guard there (a whole statement becomes
-`pass`, an operand of a condition is removed), and runs
-`python -m pytest -q -x` in that copy: first on tests/test_<module>.py
-for a guard in <module>.py, where a killing test most likely is, then on
-the rest of tests/. The working tree is never written. A guard is
-"killed" when a test fails without it and "survived" when the whole
-suite still passes; then no test depends on it, and it needs a test
-where it is the only defence, or it can go. The exit code is 1 when any
-guard survived.
+exact text of one guard in it, which must occur there exactly once. A
+guard in <module>.py is killed by a test in tests/test_<module>.py, and
+the tool refuses a guard whose module has no such file. For each guard
+it copies src/, tests/ and pyproject.toml into a temporary directory,
+deletes the guard there (a whole statement becomes `pass`, an operand of
+a condition is removed), and runs `python -m pytest -q -x
+tests/test_<module>.py` in that copy, once. The working tree is never
+written. A guard is "killed" when a test fails without it and
+"survived" when its module's tests all pass; then no test there depends
+on it, and it needs a test where it is the only defence, or it can go.
+The exit code is 1 when any guard survived.
 
-A mutant that passes costs a full run of tests/ (about 30 s on a 2-core
-VM), so the tool is not part of the test suite; tools/test_guards.py,
-which is, checks that every guard text still occurs exactly once.
+A mutant costs one run of one test file (a few seconds on a 2-core VM),
+and the sweep takes minutes, so the tool is not part of the test suite;
+tools/test_guards.py, which is, checks that every guard text still
+occurs exactly once and that every guarded module has its test file.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GUARDS = Path(__file__).resolve().parent / "guards.json"
-COPIED = ("src", "tests", "demos")
+COPIED = ("src", "tests")
 TIMEOUT_S = 900
 
 
@@ -58,8 +59,16 @@ def mutate(source: str, guard: str) -> str:
     return source.replace(guard, "")
 
 
+def own_tests(guard: dict) -> str:
+    """The test file, relative to the root, that must kill the guard."""
+    return f"tests/test_{Path(guard['file']).stem}.py"
+
+
 def run_mutant(guard: dict) -> tuple[str, str]:
     """(verdict, detail): killed with the first failing test, or survived."""
+    own = own_tests(guard)
+    if not (ROOT / own).is_file():
+        raise SystemExit(f"no {own} for guard {guard['name']!r}")
     with tempfile.TemporaryDirectory(prefix="guard-mutant-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -70,26 +79,18 @@ def run_mutant(guard: dict) -> tuple[str, str]:
         target.write_text(mutate(target.read_text(), guard["guard"]))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
-        own = f"tests/test_{Path(guard['file']).stem}.py"
-        runs = ([[own], ["tests", f"--ignore={own}"]]
-                if (copy / own).is_file() else [["tests"]])
-        passed = []
-        for paths in runs:
-            try:
-                done = subprocess.run(
-                    [sys.executable, "-m", "pytest", "-q", "-x",
-                     "-p", "no:cacheprovider", *paths],
-                    cwd=copy, env=env, capture_output=True, text=True,
-                    timeout=TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                return "killed", f"timed out after {TIMEOUT_S} s"
-            if done.returncode != 0:
-                failed = re.findall(r"^(?:FAILED|ERROR) (\S+)",
-                                    done.stdout, re.M)
-                return "killed", (failed[0] if failed
-                                  else f"exit {done.returncode}")
-            passed.append(done.stdout.strip().splitlines()[-1])
-    return "survived", "; ".join(passed)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x",
+                 "-p", "no:cacheprovider", own],
+                cwd=copy, env=env, capture_output=True, text=True,
+                timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed", f"timed out after {TIMEOUT_S} s"
+    if done.returncode != 0:
+        failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
+        return "killed", failed[0] if failed else f"exit {done.returncode}"
+    return "survived", done.stdout.strip().splitlines()[-1]
 
 
 def main(argv: list[str]) -> int:
