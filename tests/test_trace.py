@@ -100,6 +100,13 @@ def test_trace_read_accepts_only_canonical_text(tmp_path, cluster):
     assert read_text(tmp_path, "").events == []
 
 
+def test_trace_write_read(tmp_path, cluster):
+    path = tmp_path / "trace.log"
+    cluster.trace.write(path)
+    loaded = ProtocolTrace.read(path)
+    assert loaded.digest() == cluster.trace.digest()
+
+
 def test_trace_reader_checks_lines_and_holds_each_value_once(
         tmp_path, monkeypatch, cluster):
     # each line is checked as it is parsed, so no reader builds text();
