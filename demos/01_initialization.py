@@ -7,7 +7,7 @@ Runnable top to bottom; everything is seeded, so the output is identical
 on every run.
 """
 
-from ccxtrust import crypto, harness, tpm
+from ccxtrust import crypto, harness, tee, tpm
 from ccxtrust.trace import check_theorems
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ actor = cluster.actor(0)
 
 print("  node id            :", actor.node_id)
 print("  certified chip id  :", actor.vcek_cert.hw_id.hex()[:24], "...")
-print("  launch measurement :", actor.launch_measurement.hex()[:24], "...")
+print("  launch measurement :", tee.launch_measure(actor.tcb).hex()[:24], "...")
 print("  AIK name           :", actor.aik_blob.name.hex()[:24], "...")
 
 # the CA saw the TEE registration, the credential challenge, and the

@@ -109,9 +109,6 @@ class Secret:
             return _compare_digest(self._buf, other._buf)
         return NotImplemented
 
-    def __len__(self) -> int:
-        return len(self._buf)
-
     def __repr__(self) -> str:
         return f"Secret(<{len(self._buf)} bytes>)"
 

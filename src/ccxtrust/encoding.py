@@ -7,8 +7,8 @@ length, then the payload. Integers inside payloads are little-endian too.
 Each structure declares its layout once, as a Spec: ordered (tag,
 attribute, kind) entries. A kind is RAW bytes (raw() adds a fixed width
 or a maximum length), U16, U64, STR (utf-8), a Kind made from an
-encode/decode pair (such as the PCR bitmap), nested() for a structure
-inside a field, or a Spec for a nested record.
+encode/decode pair (such as the PCR bitmap), or nested() for a record
+inside a field.
 
 Spec.encode and Spec.unpack are one loop each over the fields; encode
 reads a mapping by key and a Record by attribute, and unpack makes
@@ -170,14 +170,13 @@ def _field_error(buf, pos: int, tag: int | None = None) -> DecodeError:
     raise AssertionError(f"field 0x{tag:04x} at offset {pos} is well formed")
 
 
-class Spec(Kind):
+class Spec:
     """The ordered (tag, attribute, kind) fields of one structure.
 
     encode takes a mapping from attribute to value, or a Record, whose
     fields it reads as attributes: vars() would give the record a
     __dict__ it otherwise never has. unpack returns the values as a
-    tuple in field order and decode as a dict. A Spec is itself a kind,
-    for a record nested in a field.
+    tuple in field order and decode as a dict.
     """
 
     def __init__(self, *fields: tuple) -> None:

@@ -13,7 +13,6 @@ against a PCR bank to detect tampering or truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from . import crypto, tee, tpm
 from .encoding import RAW, STR, Spec
@@ -74,11 +73,6 @@ def sign_manifest(publisher: crypto.SigningKeyPair, image_id: str,
                   content: bytes) -> ImageManifest:
     return ImageManifest.signed(publisher, image_id=image_id,
                                 content_digest=crypto.sha256(content))
-
-
-class RuntimeOutcome(Enum):
-    CLEAN = "clean"
-    DEVIATIONS = "deviations"
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +148,9 @@ class MeasurementEpoch:
         return launch_measurement
 
     def run_runtime_stage(self, workloads: list[tuple[str, bytes]],
-                          allow_list: dict[str, bytes]
-                          ) -> tuple[RuntimeOutcome, list[str]]:
+                          allow_list: dict[str, bytes]) -> list[str]:
         """Compare workloads against the allow-list; extend matches into
-        PCR 8-11, report deviations without extending them."""
+        PCR 8-11, and return the deviations without extending them."""
         self._require_stage(STAGE_RUNTIME)
         deviations = []
         slot = 0
@@ -170,8 +163,7 @@ class MeasurementEpoch:
             else:
                 deviations.append(name)
         self._stage_done.add(STAGE_RUNTIME)
-        outcome = RuntimeOutcome.DEVIATIONS if deviations else RuntimeOutcome.CLEAN
-        return outcome, deviations
+        return deviations
 
     # -- log handling ---------------------------------------------------------
 

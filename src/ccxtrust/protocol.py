@@ -158,7 +158,6 @@ class NodeActor:
     chip_id: bytes
     tcb: tee.TeeTcb
     tcb_version: int
-    launch_measurement: bytes
     pcr_selection: tuple[int, ...]
     identity: crypto.SigningKeyPair
     pek: crypto.SigningKeyPair

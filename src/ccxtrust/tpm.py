@@ -104,11 +104,9 @@ class PcrBank:
         return crypto.sha256(b"".join(self.registers[i] for i in selection))
 
 
-def normalize_selection(selection, allow_empty: bool = False) -> tuple[int, ...]:
+def normalize_selection(selection) -> tuple[int, ...]:
     sel = tuple(sorted(set(int(i) for i in selection)))
     if not sel:
-        if allow_empty:
-            return sel
         raise EmptySelection("pcr selection is empty")
     if sel[0] < 0 or sel[-1] >= PCR_COUNT:
         raise InvalidPcrIndex(f"pcr selection {sel} outside the bank")
@@ -563,9 +561,6 @@ def _eph_scalar(state: TpmState, counter: int) -> int:
 # sealing
 # ---------------------------------------------------------------------------
 
-_EMPTY_POLICY = b"\x00" * crypto.DIGEST_LEN
-
-
 @dataclass(frozen=True)
 class SealedBlob(Record):
     selection: tuple[int, ...]
@@ -577,14 +572,12 @@ class SealedBlob(Record):
 
 
 def seal(state: TpmState, data: bytes, selection) -> SealedBlob:
-    """Seal data to the current values of the selected PCRs.
-
-    An empty selection is an empty policy: the blob unseals regardless of
-    PCR state.
+    """Seal data to the current values of the selected PCRs: at least
+    one, else EmptySelection, so sealed data is bound to measured state.
     """
-    sel = normalize_selection(selection, allow_empty=True)
+    sel = normalize_selection(selection)
     state.tick()
-    policy = state.pcr.composite(sel) if sel else _EMPTY_POLICY
+    policy = state.pcr.composite(sel)
     key, aad = _sealing_key(state, sel, policy)
     return SealedBlob(sel, policy, crypto.wrap(key, data, aad))
 
@@ -592,7 +585,7 @@ def seal(state: TpmState, data: bytes, selection) -> SealedBlob:
 def unseal(state: TpmState, blob: SealedBlob) -> bytes:
     """Release sealed data iff the selected PCRs match the sealing policy."""
     state.tick()
-    current = state.pcr.composite(blob.selection) if blob.selection else _EMPTY_POLICY
+    current = state.pcr.composite(blob.selection)
     if current != blob.policy_digest:
         raise PolicyFailure("current PCR composite does not satisfy the policy")
     key, aad = _sealing_key(state, blob.selection, blob.policy_digest)

@@ -54,12 +54,12 @@ class TraceEvent:
 
     @classmethod
     def from_line(cls, line: str, index: int,
-                  strings: dict[str, str] | None = None) -> "TraceEvent":
+                  strings: dict[str, str]) -> "TraceEvent":
         """Parse the line at position index of a trace: the inverse of
         line(index). Each string value the event keeps is looked up in
         strings, a table of one object per value that a reader keeps
         across the lines of a trace, and added to it when new."""
-        shared = ({} if strings is None else strings).setdefault
+        shared = strings.setdefault
         parts = line.split()
         if len(parts) != 8:
             raise DecodeError(f"trace line needs 8 columns: {line!r}")
@@ -122,12 +122,9 @@ class ProtocolTrace:
     def lines(self) -> list[str]:
         return [event.line(index) for index, event in enumerate(self.events)]
 
-    def text(self) -> str:
-        return "\n".join(self.lines()) + ("\n" if self.events else "")
-
     def digest(self) -> bytes:
-        # digest and write take text() a line at a time, never whole;
-        # crypto is imported here, its one use in this module
+        # digest and write take each line with its newline, never the
+        # whole text; crypto is imported here, its one use in this module
         from . import crypto
         hasher = crypto.sha256_hasher()
         for index, event in enumerate(self.events):
@@ -141,10 +138,11 @@ class ProtocolTrace:
 
     @classmethod
     def read(cls, path) -> "ProtocolTrace":
-        """The trace whose text() the file holds, judged a line at a time
-        as it is read, with equal values parsed to one string object. Any
-        other file, such as one with blank lines, CRLF endings, a missing
-        final newline or a non-ASCII byte, raises DecodeError."""
+        """The trace whose lines() the file holds, each with its newline,
+        judged a line at a time as it is read, with equal values parsed to
+        one string object. Any other file, such as one with blank lines,
+        CRLF endings, a missing final newline or a non-ASCII byte, raises
+        DecodeError."""
         strings: dict[str, str] = {}
         events = []
         # a binary file's lines end at b"\n" alone, and latin-1 maps every

@@ -11,7 +11,6 @@ import pytest
 
 import ccxtrust
 from ccxtrust import cli, harness, verifier
-from ccxtrust.errors import DecodeError
 from ccxtrust.trace import ProtocolTrace, check_theorems
 
 
@@ -258,13 +257,6 @@ def test_check_trace_takes_no_seed_or_out(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
     assert f"unrecognized arguments: {option[0]}" in captured.err
     assert not Path("X").exists()
-
-
-def test_trace_text_with_a_non_ascii_character_does_not_decode(tmp_path):
-    path = tmp_path / "trace.log"
-    path.write_text("0 verifier send - - - - caf\u00e9\n", encoding="utf-8")
-    with pytest.raises(DecodeError, match="ASCII"):
-        ProtocolTrace.read(path)
 
 
 def test_module_entry_point_runs_once_without_warnings():

@@ -167,7 +167,7 @@ def test_secret_wipe_zeroizes_in_place():
     s = crypto.Secret(b"k" * 32)
     s.wipe()
     assert s.data == bytes(32)
-    assert len(s) == 32
+    assert len(s.data) == 32
 
 
 def test_secret_length_bounds():

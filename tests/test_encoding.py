@@ -41,7 +41,7 @@ def _oracle_encode(spec: Spec, values) -> bytes:
     for tag, attr, kind in spec.fields:
         value = (getattr(values, attr) if isinstance(values, Record)
                  else values[attr])
-        writer.put(tag, _oracle_kind_encode(kind, value))
+        writer.put(tag, kind.encode(value))
     return writer.getvalue()
 
 
@@ -50,21 +50,9 @@ def _oracle_decode(spec: Spec, raw_bytes: bytes) -> dict:
     reader = FieldReader(raw_bytes)
     values = {}
     for tag, attr, kind in spec.fields:
-        values[attr] = _oracle_kind_decode(kind, reader.take(tag))
+        values[attr] = kind.decode(reader.take(tag))
     reader.finish()
     return values
-
-
-def _oracle_kind_encode(kind, value) -> bytes:
-    if isinstance(kind, Spec):
-        return _oracle_encode(kind, value)
-    return kind.encode(value)
-
-
-def _oracle_kind_decode(kind, payload: bytes):
-    if isinstance(kind, Spec):
-        return _oracle_decode(kind, payload)
-    return kind.decode(payload)
 
 
 def _outcome(decode, raw_bytes: bytes):
@@ -304,23 +292,13 @@ def test_mutated_encodings_fail_cleanly_or_reencode_identically(fuzz_targets):
 # ---------------------------------------------------------------------------
 
 def _library_specs() -> list[Spec]:
-    """Every Spec of the library: the record layouts and signed bodies, the
-    message bodies, and the specs nested in them."""
+    """Every Spec of the library: the record layouts and signed bodies,
+    and the message bodies."""
     records = [cls for base in (Record, Signed) for cls in base.__subclasses__()
                if cls.__module__.startswith("ccxtrust.") and cls is not Signed]
-    stack = [spec for cls in records for spec in vars(cls).values()
+    specs = [spec for cls in records for spec in vars(cls).values()
              if isinstance(spec, Spec)]
-    stack += [body for _, body in protocol.MESSAGE_TYPES.values()]
-    specs: list[Spec] = []
-    while stack:
-        spec = stack.pop()
-        if any(spec is seen for seen in specs):
-            continue
-        specs.append(spec)
-        for _tag, _attr, kind in spec.fields:
-            if isinstance(kind, Spec):
-                stack.append(kind)
-    return specs
+    return specs + [body for _, body in protocol.MESSAGE_TYPES.values()]
 
 
 def test_generated_codec_matches_oracle_on_an_honest_run(monkeypatch):

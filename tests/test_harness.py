@@ -52,7 +52,7 @@ def test_revoke_covers_every_certificate_issued_to_the_node():
 def test_cluster_actors_share_one_policy():
     cluster = harness.build_cluster(2, nodes=2)
     a, b = cluster.actor(0), cluster.actor(1)
-    assert a.launch_measurement == b.launch_measurement
+    assert a.tcb == b.tcb
     assert a.state.pcr.composite(a.pcr_selection) \
         == b.state.pcr.composite(b.pcr_selection)
 
@@ -72,7 +72,7 @@ def test_scenario_deterministic_per_seed():
     c = harness.run_scenario(10, nodes=1)
     assert a.trace_digest == b.trace_digest
     assert a.trace_digest != c.trace_digest
-    assert a.trace.text() == b.trace.text()
+    assert a.trace.lines() == b.trace.lines()
 
 
 # ---------------------------------------------------------------------------

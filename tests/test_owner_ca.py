@@ -270,7 +270,7 @@ def test_register_node_issues_identity_and_master_secret():
     cert, ms = rig.activate()
     assert cert.role == "IDENTITY"
     assert cert.verify(rig.ca.key.public_bytes)
-    assert len(ms) == 32
+    assert len(ms.data) == 32
     record = rig.ca.nodes["node-a"]
     assert record.status is owner_ca.NodeStatus.ACTIVE
 

@@ -440,11 +440,14 @@ def test_seal_unaffected_by_unselected_pcrs():
     assert tpm.unseal(state, blob) == b"disk key"
 
 
-def test_seal_empty_selection_always_opens():
+def test_seal_refuses_an_empty_selection():
+    # sealed data is always bound to measured state: an empty selection
+    # is refused before the command runs, as cc_quote refuses it
     state = fresh_state()
-    blob = tpm.seal(state, b"free", ())
-    tpm.pcr_extend(state, 0, crypto.sha256(b"anything"))
-    assert tpm.unseal(state, blob) == b"free"
+    before = state.command_counter
+    with pytest.raises(EmptySelection):
+        tpm.seal(state, b"free", ())
+    assert state.command_counter == before
 
 
 def test_sealed_blob_policy_tamper_detected():

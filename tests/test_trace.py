@@ -28,6 +28,12 @@ def read_text(tmp_path, text: str) -> ProtocolTrace:
     return ProtocolTrace.read(path)
 
 
+def text_of(trace: ProtocolTrace) -> str:
+    """The text a trace file holds: each of the trace's lines with its
+    newline."""
+    return "".join(f"{line}\n" for line in trace.lines())
+
+
 # ---------------------------------------------------------------------------
 # trace events
 # ---------------------------------------------------------------------------
@@ -37,13 +43,13 @@ def test_trace_event_line_round_trip():
         "node0000/tpm", "sign", peer="-",
         digest=crypto.sha256(b"x").hex(), tag="total-report", ok=True,
         contents=("session:" + "ab" * 32, "quote:" + "cd" * 32))
-    parsed = TraceEvent.from_line(event.line(3), 3)
+    parsed = TraceEvent.from_line(event.line(3), 3, {})
     assert parsed == event
 
 
 def test_trace_event_defaults_round_trip():
     event = TraceEvent("verifier", "new")
-    parsed = TraceEvent.from_line(event.line(0), 0)
+    parsed = TraceEvent.from_line(event.line(0), 0, {})
     assert parsed == event
     assert parsed.peer == "-"
     assert parsed.ok is None
@@ -58,13 +64,13 @@ def test_trace_event_defaults_round_trip():
 ], ids=["unknown-kind", "index-not-position", "non-canonical"])
 def test_trace_line_decode_errors(line, index, reason):
     with pytest.raises(DecodeError, match=reason):
-        TraceEvent.from_line(line, index)
+        TraceEvent.from_line(line, index, {})
 
 
 def test_trace_text_round_trip_and_digest(tmp_path, cluster):
     trace = cluster.trace
     assert len(trace.events) > 0
-    text = trace.text()
+    text = text_of(trace)
     parsed = read_text(tmp_path, text)
     assert parsed.events == trace.events
     assert parsed.digest() == trace.digest()
@@ -82,7 +88,7 @@ def test_trace_read_rejects_gap(tmp_path, cluster):
 
 
 def test_trace_read_accepts_only_canonical_text(tmp_path, cluster):
-    text = cluster.trace.text()
+    text = text_of(cluster.trace)
     first, rest = text.split("\n", 1)
     for broken in (first + "\n\n" + rest,         # blank line
                    text + "  \t\n",               # whitespace-only line
@@ -109,16 +115,16 @@ def test_trace_write_read(tmp_path, cluster):
 
 def test_trace_reader_checks_lines_and_holds_each_value_once(
         tmp_path, monkeypatch, cluster):
-    # each line is checked as it is parsed, so no reader builds text();
+    # each line is checked as it is parsed, so no reader renders lines();
     # every principal, kind, peer, digest, tag and content label of the
     # trace read is one string object per value, across all its events
     path = tmp_path / "trace.log"
     cluster.trace.write(path)
 
-    def whole_text(self):
-        raise AssertionError("the reader rendered text()")
+    def all_lines(self):
+        raise AssertionError("the reader rendered lines()")
 
-    monkeypatch.setattr(ProtocolTrace, "text", whole_text)
+    monkeypatch.setattr(ProtocolTrace, "lines", all_lines)
     loaded = ProtocolTrace.read(path)
     assert loaded.events == cluster.trace.events
     assert loaded.digest() == cluster.trace.digest()
@@ -134,15 +140,15 @@ def test_trace_reader_checks_lines_and_holds_each_value_once(
 
 def test_digest_and_write_stream_exactly_the_text(tmp_path, honest31):
     # digest() and write() take the text a line at a time; each gives
-    # what the whole text() gives, final newline and empty trace included
+    # what the whole text gives, final newline and empty trace included
     honest = ProtocolTrace(honest31)
     traces = [ProtocolTrace(), honest,
-              read_text(tmp_path, honest.text())]
+              read_text(tmp_path, text_of(honest))]
     traces += [ProtocolTrace(edit(honest31))
                for _title, edit, _violated in harness.FAULT_TRACES.values()]
     path = tmp_path / "trace.log"
     for trace in traces:
-        text = trace.text()
+        text = text_of(trace)
         assert text.endswith("\n") == bool(trace.events)
         assert trace.digest() == crypto.sha256(text.encode())
         trace.write(path)
@@ -179,7 +185,7 @@ def test_theorem_verdict_lines_are_parseable(cluster):
 
 
 def test_checker_works_from_serialized_trace(tmp_path, cluster):
-    text = attested_trace(cluster).text()
+    text = text_of(attested_trace(cluster))
     reloaded = read_text(tmp_path, text)
     verdicts = check_theorems(reloaded)
     assert all(v.ok for v in verdicts.values())
@@ -313,7 +319,7 @@ def test_an_edited_event_list_judges_by_position(tmp_path, cluster):
              "duplicate": [*honest, honest[sign]]}
     for name, events in edits.items():
         trace = ProtocolTrace(events)
-        reread = read_text(tmp_path, trace.text())
+        reread = read_text(tmp_path, text_of(trace))
         assert reread.events == events, name
         assert check_theorems(trace) == check_theorems(reread), name
     # deleting the first event moves every witness one place earlier
@@ -694,7 +700,7 @@ def test_trace_event_is_slotted_and_frozen():
     assert not hasattr(event, "__dict__")
     edited = dataclasses.replace(event, contents=("session:ab",))
     assert edited.line(3) == "3 verifier new - - - - session:ab"
-    assert edited == TraceEvent.from_line(edited.line(3), 3)
+    assert edited == TraceEvent.from_line(edited.line(3), 3, {})
     assert event.contents == () and event != edited
     with pytest.raises(dataclasses.FrozenInstanceError):
         event.kind = "sign"
@@ -705,7 +711,7 @@ def _with_decrypt(tmp_path, trace, principal, *contents) -> ProtocolTrace:
     event = TraceEvent(principal, "decrypt", tag="cert-vcek-info",
                        contents=contents)
     return read_text(tmp_path,
-                     trace.text() + event.line(len(trace.events)) + "\n")
+                     text_of(trace) + event.line(len(trace.events)) + "\n")
 
 
 def _rare_checker_cases(tmp_path, trace, holder):
@@ -759,7 +765,7 @@ def test_single_pass_checker_matches_quadratic_oracle(tmp_path, cluster2):
     failures = Counter()
     for trace in traces:
         verdicts = check_theorems(trace)
-        assert verdicts == _oracle_check_theorems(trace), trace.text()
+        assert verdicts == _oracle_check_theorems(trace), text_of(trace)
         failures.update(name for name, v in verdicts.items() if not v.ok)
     # every property must be tripped by some mutation, so the comparison
     # covers failure reasons and witnesses, not only passing verdicts
