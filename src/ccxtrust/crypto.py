@@ -207,7 +207,7 @@ def load_public(point_bytes: bytes):
         raise InvalidPoint("point is not on the curve") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicKey:
     """A compressed point and its key object. Given the point alone, the
     key is parsed from it by load_public, checks included; only
@@ -226,7 +226,7 @@ def _point_of(public: bytes | PublicKey) -> bytes:
     return public.point if isinstance(public, PublicKey) else public
 
 
-@dataclass
+@dataclass(slots=True)
 class SigningKeyPair:
     """P-256 keypair with a role label.
 
@@ -281,6 +281,8 @@ def verify(public: bytes | PublicKey, message: bytes, signature: bytes) -> bool:
 class Signed(Record):
     """A Record whose last field, signature, signs all the others: the one
     statement of how a signed record is hashed, signed and checked."""
+
+    __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -393,7 +395,7 @@ def _decode_role(payload: bytes) -> str:
         raise DecodeError("unknown certificate role byte") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate(Signed):
     """Minimal signed binding of a public key to a role.
 
@@ -419,7 +421,9 @@ class Certificate(Signed):
     def verify(self, issuer_pub: bytes | PublicKey) -> bool:
         if self.issuer_name != sha256(_point_of(issuer_pub)):
             return False
-        return super().verify(issuer_pub)
+        # a slotted dataclass is a new class, which a zero-argument
+        # super() in its body does not name
+        return Signed.verify(self, issuer_pub)
 
 
 def issue_certificate(issuer: SigningKeyPair, role: str, serial: int,

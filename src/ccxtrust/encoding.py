@@ -174,9 +174,9 @@ class Spec:
     """The ordered (tag, attribute, kind) fields of one structure.
 
     encode takes a mapping from attribute to value, or a Record, whose
-    fields it reads as attributes: vars() would give the record a
-    __dict__ it otherwise never has. unpack returns the values as a
-    tuple in field order and decode as a dict.
+    fields it reads as attributes: a record is a slotted dataclass, with
+    no __dict__ for vars() to read. unpack returns the values as a tuple
+    in field order and decode as a dict.
     """
 
     def __init__(self, *fields: tuple) -> None:
@@ -224,6 +224,7 @@ class Record:
     """Base for a dataclass whose bytes are declared by its class-level
     SPEC, one entry per dataclass field, in field order."""
 
+    __slots__ = ()
     SPEC: Spec
 
     def __init_subclass__(cls, **kwargs) -> None:

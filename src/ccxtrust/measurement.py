@@ -36,7 +36,7 @@ RUNTIME_PCRS = (8, 9, 10, 11)
 ALL_STAGE_PCRS = HOST_PCRS + LAUNCH_PCRS + RUNTIME_PCRS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementEvent:
     """One log entry: a named digest extended into a specific PCR."""
 
@@ -57,7 +57,7 @@ class MeasurementEvent:
 # image manifests (stage 2 inputs)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageManifest(crypto.Signed):
     """Publisher-signed statement binding an image id to its digest."""
 
@@ -79,7 +79,7 @@ def sign_manifest(publisher: crypto.SigningKeyPair, image_id: str,
 # the epoch
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class MeasurementEpoch:
     """One boot epoch of a platform, bound to its TPM's PCR bank.
 

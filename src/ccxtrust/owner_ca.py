@@ -44,7 +44,7 @@ class NodeStatus(Enum):
     REVOKED = "revoked"
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRecord:
     node_id: str
     vcek_cert: crypto.Certificate | None = None
@@ -65,7 +65,7 @@ class NodeRecord:
         return NodeStatus.TEE_REGISTERED
 
 
-@dataclass
+@dataclass(slots=True)
 class ChallengeSession:
     node_id: str
     nonce: crypto.Secret = field(repr=False)

@@ -130,7 +130,7 @@ def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
     mtype, spec = MESSAGE_TYPES[mtype_name]
     body = spec.encode(fields)
     sealed = channels.seal(mtype, sender, receiver, session_id, body)
-    digest = crypto.sha256(body).hex()
+    digest = crypto.sha256(body)
     trace.emit(sender, "send", peer=receiver, digest=digest,
                tag=mtype_name, contents=contents)
     received = channels.open(mtype, sender, receiver, session_id, sealed)
@@ -143,7 +143,7 @@ def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
 # platform actor and channel establishment
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class NodeActor:
     """Everything one platform brings to the protocol."""
 
@@ -242,7 +242,7 @@ def _content(label: str, data: bytes) -> str:
 
 
 def _hand_off(trace: ProtocolTrace, channels: ChannelTable, holder: str,
-              check: tuple[str, str, bytes | str], key: str, fields: dict,
+              check: tuple[str, str, bytes], key: str, fields: dict,
               mtype_name: str) -> tuple[dict, tuple[str, ...]]:
     """The owner CA's successful check of a key, then its certificate for
     that key, fields["cert"], sent to the holder, which decrypts it. key
@@ -255,9 +255,9 @@ def _hand_off(trace: ProtocolTrace, channels: ChannelTable, holder: str,
     label = {"VCEK": "cert-vcek", "AIK": "cert-aik",
              "IDENTITY": "cert-identity"}[fields["cert"].role]
 
-    def held(fields: dict) -> tuple[str, tuple[str, ...]]:
-        digest = fields["cert"].digest.hex()
-        contents = (f"{label}:{digest}",)
+    def held(fields: dict) -> tuple[bytes, tuple[str, ...]]:
+        digest = fields["cert"].digest
+        contents = (f"{label}:{digest.hex()}",)
         if "master_secret" in fields:
             commit = crypto.sha256(b"master-secret:" + fields["master_secret"])
             contents += (f"master-secret:{commit.hex()}",)
@@ -326,8 +326,8 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
     secret = tpm.activate_credential(
         rx["credential"], actor.aik_blob.name,
         tpm.loaded_keypair(actor.state, actor.ek_handle))
-    answer = crypto.sha256(b"credential-nonce:" + secret.data).hex()
-    answer_label = (f"credential-nonce:{answer}",)
+    answer = crypto.sha256(b"credential-nonce:" + secret.data)
+    answer_label = (f"credential-nonce:{answer.hex()}",)
     trace.emit(P, "decrypt", digest=answer, tag="aik-challenge",
                contents=answer_label)
     rx = _transfer(trace, channels, P, A, "nonce-info", {"secret": secret.data},
@@ -388,7 +388,7 @@ def run_registration(actor: NodeActor, oca, channels: ChannelTable,
 # composite evidence envelope
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompositeReportEnvelope(Record):
     """What the platform agent submits: direction, identity claim,
     session binding, and the outer evidence blob."""
@@ -508,33 +508,34 @@ def run_attest_composite(actor: NodeActor, verifier_svc: VerifierService,
         envelope = evidence_mutator(envelope)
     wire = envelope.to_bytes()
     # one digest each for wire and the token record, sent and then received
-    wire_hex = crypto.sha256(wire).hex()
+    wire_digest = crypto.sha256(wire)
     received = _transfer(trace, channels, C, V, "total-report",
                          {"report": wire}, session_id=session_id,
-                         contents=session + (f"envelope:{wire_hex}",))["report"]
+                         contents=session + (
+                             f"envelope:{wire_digest.hex()}",))["report"]
     envelope = CompositeReportEnvelope.from_bytes(received)
     outcome, verified = verifier_svc.verify_composite(envelope, request,
                                                       policy)
     tag = ("composite-evidence" if len(LAYOUTS[direction]) > 1
            else f"{direction}-evidence")
-    trace.emit(V, "verify", digest=wire_hex, tag=tag,
+    trace.emit(V, "verify", digest=wire_digest, tag=tag,
                ok=outcome is CompositeOutcome.OK,
                contents=session + (_OUTCOME_LABELS[outcome],))
     if outcome is not CompositeOutcome.OK:
         raise AttestationRejected(outcome, f"evidence rejected: {outcome.value}")
 
     token_bytes = verifier_svc.issue_token(verified).to_bytes()
-    token_hex = crypto.sha256(token_bytes).hex()
-    token_content = (f"token:{token_hex}",)
-    trace.emit(V, "sign", digest=token_hex, tag="token",
+    token_digest = crypto.sha256(token_bytes)
+    token_content = (f"token:{token_digest.hex()}",)
+    trace.emit(V, "sign", digest=token_digest, tag="token",
                contents=token_content + session)
     received = _transfer(trace, channels, V, C, "token-info",
                          {"token": token_bytes}, session_id=session_id,
                          contents=token_content)["token"]
     if received != token_bytes:   # name what arrived
-        token_hex = crypto.sha256(received).hex()
-        token_content = (f"token:{token_hex}",)
-    trace.emit(C, "decrypt", digest=token_hex, tag="token-info",
+        token_digest = crypto.sha256(received)
+        token_content = (f"token:{token_digest.hex()}",)
+    trace.emit(C, "decrypt", digest=token_digest, tag="token-info",
                contents=token_content)
     return AttestationToken.from_bytes(received)
 

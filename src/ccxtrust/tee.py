@@ -34,7 +34,7 @@ CHIP_ID_LEN = 32
 # guest TCB and launch measurement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeeTcb:
     """Digests of the four measured guest components."""
 
@@ -58,7 +58,7 @@ def launch_measure(tcb: TeeTcb) -> bytes:
 # vendor root of trust and VCEK derivation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertChain(Record):
     """ARK (self-signed) -> ASK -> VCEK."""
 
@@ -130,7 +130,7 @@ class TeeVendor:
 # guest reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeeReport(crypto.Signed):
     """Signed guest attestation report.
 

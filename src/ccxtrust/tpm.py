@@ -80,17 +80,23 @@ def tpm_vendor_root_pub() -> crypto.PublicKey:
 # value types
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class SeedRecord:
     seed: bytes
     version: int
 
 
+# every register of every bank starts as this one object
+_ZERO_REGISTER = bytes(crypto.DIGEST_LEN)
+
+
 class PcrBank:
     """24 SHA-256 registers."""
 
+    __slots__ = ("registers",)
+
     def __init__(self) -> None:
-        self.registers = [b"\x00" * crypto.DIGEST_LEN for _ in range(PCR_COUNT)]
+        self.registers = [_ZERO_REGISTER] * PCR_COUNT
 
     def extend(self, index: int, digest: bytes) -> bytes:
         if not 0 <= index < PCR_COUNT:
@@ -138,7 +144,7 @@ def bitmap_to_selection(bitmap: bytes) -> tuple[int, ...]:
 PCR_BITMAP = Kind(selection_to_bitmap, bitmap_to_selection)
 
 
-@dataclass
+@dataclass(slots=True)
 class KeyBlob(Record):
     """Wrapped key: public area in the clear, sensitive part AEAD-sealed
     under the parent, stamped with the hierarchy seed version it was
@@ -176,7 +182,7 @@ def parse_public_area(raw: bytes) -> KeyBlob:
     return KeyBlob(**KeyBlob.PUBLIC.decode(raw))
 
 
-@dataclass
+@dataclass(slots=True)
 class LoadedKey:
     blob: KeyBlob
     scalar: int = field(repr=False, default=0)
@@ -187,6 +193,10 @@ class LoadedKey:
 
 class TpmState:
     """Mutable device state. Construct via tpm_manufacture()."""
+
+    __slots__ = ("seeds", "pcr", "nv", "loaded", "next_handle",
+                 "command_counter", "eph_seed", "eph_table", "eph_next",
+                 "ek_blob", "ek_cert")
 
     def __init__(self) -> None:
         self.seeds: dict[str, SeedRecord] = {}
@@ -428,7 +438,7 @@ def pcr_read(state: TpmState, index: int) -> bytes:
     return state.pcr.registers[index]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompositeQuote(crypto.Signed):
     """Signed PCR quote, optionally embedding foreign evidence verbatim.
 
@@ -479,7 +489,7 @@ def cc_quote(state: TpmState, selection, qualifying_data: bytes,
 # credential activation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credential(Record):
     """MakeCredential output: the secret is recoverable only with the EK
     private key, and only for the named AIK."""
@@ -561,7 +571,7 @@ def _eph_scalar(state: TpmState, counter: int) -> int:
 # sealing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SealedBlob(Record):
     selection: tuple[int, ...]
     policy_digest: bytes
@@ -583,7 +593,11 @@ def seal(state: TpmState, data: bytes, selection) -> SealedBlob:
 
 
 def unseal(state: TpmState, blob: SealedBlob) -> bytes:
-    """Release sealed data iff the selected PCRs match the sealing policy."""
+    """Release sealed data iff the selected PCRs match the sealing policy.
+    A blob decoded from bytes can select no PCR, which seal never makes;
+    it is refused with EmptySelection before the command runs."""
+    if not blob.selection:
+        raise EmptySelection("sealed blob selects no pcr")
     state.tick()
     current = state.pcr.composite(blob.selection)
     if current != blob.policy_digest:

@@ -33,15 +33,16 @@ _OK_COLUMN = {"-": None, "0": False, "1": True}
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
-    """One protocol step. contents carries "label:hex" pairs naming the
-    values the step created, transferred, or exposed. An event's index is
-    its position in its trace, which the trace supplies to line and
-    from_line."""
+    """One protocol step. digest is the 32 bytes of what the step
+    handled, or b"" for none, and its column is their lowercase hex, or
+    "-". contents carries "label:hex" pairs naming the values the step
+    created, transferred, or exposed. An event's index is its position in
+    its trace, which the trace supplies to line and from_line."""
 
     principal: str
     kind: str
     peer: str = "-"
-    digest: str = "-"
+    digest: bytes = b""
     tag: str = "-"
     ok: bool | None = None
     contents: tuple[str, ...] = ()
@@ -50,16 +51,17 @@ class TraceEvent:
         ok = "-" if self.ok is None else str(int(self.ok))
         contents = ",".join(self.contents) if self.contents else "-"
         return (f"{index} {self.principal} {self.kind} {self.peer} "
-                f"{self.digest} {self.tag} {ok} {contents}")
+                f"{self.digest.hex() or '-'} {self.tag} {ok} {contents}")
 
     @classmethod
     def from_line(cls, line: str, index: int,
-                  strings: dict[str, str]) -> "TraceEvent":
+                  values: dict) -> "TraceEvent":
         """Parse the line at position index of a trace: the inverse of
-        line(index). Each string value the event keeps is looked up in
-        strings, a table of one object per value that a reader keeps
-        across the lines of a trace, and added to it when new."""
-        shared = strings.setdefault
+        line(index). Each value the event keeps, a string or the digest's
+        bytes, is looked up in values, a table of one object per value
+        that a reader keeps across the lines of a trace, and added to it
+        when new."""
+        shared = values.setdefault
         parts = line.split()
         if len(parts) != 8:
             raise DecodeError(f"trace line needs 8 columns: {line!r}")
@@ -75,9 +77,21 @@ class TraceEvent:
                               f"{position} at position {index}")
         if ok not in _OK_COLUMN:
             raise DecodeError(f"trace ok column must be -, 0 or 1: {ok!r}")
+        if digest == "-":
+            digest = b""
+        else:
+            # bytes and a column's text never compare equal, so each
+            # digest has its own entry in values; the canonical check
+            # below refuses upper-case hex
+            try:
+                digest = bytes.fromhex(digest)
+            except ValueError:
+                raise DecodeError(f"trace digest column must be - or hex "
+                                  f"of whole bytes: {digest!r}") from None
+            digest = shared(digest, digest)
         event = cls(
             principal=shared(principal, principal), kind=shared(kind, kind),
-            peer=shared(peer, peer), digest=shared(digest, digest),
+            peer=shared(peer, peer), digest=digest,
             tag=shared(tag, tag), ok=_OK_COLUMN[ok],
             contents=() if contents == "-" else tuple(
                 shared(label, label) for label in contents.split(",")))
@@ -101,13 +115,11 @@ class ProtocolTrace:
         self.events: list[TraceEvent] = list(events)
 
     def emit(self, principal: str, kind: str, *, peer: str = "-",
-             digest: bytes | str = "-", tag: str = "-",
+             digest: bytes = b"", tag: str = "-",
              ok: bool | None = None,
              contents: tuple[str, ...] = ()) -> TraceEvent:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        if isinstance(digest, bytes):
-            digest = digest.hex() if digest else "-"
         event = _new_event(TraceEvent)
         _set_principal(event, principal)
         _set_kind(event, kind)
@@ -140,10 +152,10 @@ class ProtocolTrace:
     def read(cls, path) -> "ProtocolTrace":
         """The trace whose lines() the file holds, each with its newline,
         judged a line at a time as it is read, with equal values parsed to
-        one string object. Any other file, such as one with blank lines,
+        one object. Any other file, such as one with blank lines,
         CRLF endings, a missing final newline or a non-ASCII byte, raises
         DecodeError."""
-        strings: dict[str, str] = {}
+        values: dict = {}
         events = []
         # a binary file's lines end at b"\n" alone, and latin-1 maps every
         # byte to one character; from_line refuses an empty line and any
@@ -154,7 +166,7 @@ class ProtocolTrace:
                 if not line.isascii():
                     raise DecodeError("trace text must be ASCII")
                 events.append(TraceEvent.from_line(line.removesuffix("\n"),
-                                                   index, strings))
+                                                   index, values))
                 if not line.endswith("\n"):
                     raise DecodeError("trace text must end in a newline")
         return cls(events)
@@ -169,7 +181,7 @@ class ProtocolTrace:
 # trace-level trust properties
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TheoremVerdict:
     name: str
     ok: bool
@@ -311,7 +323,9 @@ def check_theorems(trace: ProtocolTrace) -> dict[str, TheoremVerdict]:
                              f"token for session {content[8:24]}",
                              minted[content], index)
             if principal in signed:
-                signed[principal].setdefault(event.digest, index)
+                # indexed under the digest's column text, which a decrypt's
+                # label:hex content names
+                signed[principal].setdefault(event.digest.hex() or "-", index)
         elif kind == "decrypt":
             node = principal.partition("/")[0]
             for content in event.contents:

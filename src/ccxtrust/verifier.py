@@ -89,7 +89,7 @@ class TokenRejection(Enum):
     REVOKED_NODE = "revoked-node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyBaseline:
     """The reference values appraisal compares a platform's claims with:
     the launch measurement, the PCR selection and its composite, and the
@@ -116,7 +116,7 @@ class AttestationRequest:
     token_minted: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeKeys:
     """The keys and chip id a node's evidence is appraised under."""
 
@@ -125,7 +125,7 @@ class NodeKeys:
     vcek: crypto.PublicKey | bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifiedReport:
     """Proof that verify_composite accepted some evidence. Only this
     module creates instances; issue_token refuses anything else."""
@@ -142,7 +142,7 @@ class VerifiedReport:
 # token format
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttestationToken(crypto.Signed):
     """The verifier's signed attestation result: its claims as the fields
     of one signed record. The compact text a relying party holds is the

@@ -24,7 +24,7 @@ def _tpm_snapshot(state) -> bytes:
         "ek_cert": state.ek_cert.to_bytes(),
     }
     # a field added to TpmState must be added here too
-    assert fields.keys() == vars(state).keys()
+    assert tuple(fields) == type(state).__slots__
     return repr(fields).encode()
 
 

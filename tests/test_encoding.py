@@ -291,12 +291,19 @@ def test_mutated_encodings_fail_cleanly_or_reencode_identically(fuzz_targets):
 # Spec's loops against the field-at-a-time oracle
 # ---------------------------------------------------------------------------
 
+def _library_records() -> set[type]:
+    """Every record class of the library, as its module names it. A
+    slotted dataclass is a new class, and __subclasses__() still lists
+    the class its body made until that one is collected."""
+    return {cls for base in (Record, Signed) for cls in base.__subclasses__()
+            if cls.__module__.startswith("ccxtrust.") and cls is not Signed
+            and getattr(sys.modules[cls.__module__], cls.__name__) is cls}
+
+
 def _library_specs() -> list[Spec]:
     """Every Spec of the library: the record layouts and signed bodies,
     and the message bodies."""
-    records = [cls for base in (Record, Signed) for cls in base.__subclasses__()
-               if cls.__module__.startswith("ccxtrust.") and cls is not Signed]
-    specs = [spec for cls in records for spec in vars(cls).values()
+    specs = [spec for cls in _library_records() for spec in vars(cls).values()
              if isinstance(spec, Spec)]
     return specs + [body for _, body in protocol.MESSAGE_TYPES.values()]
 
@@ -362,9 +369,7 @@ def test_no_record_holds_a_dict(fuzz_targets):
     _vcek, chain = vendor.derive_vcek(bytes(32), 1)
     records = [decode(raw_bytes) for _name, raw_bytes, decode, *_ in canonical]
     records.append(chain)
-    kinds = {cls for base in (Record, Signed) for cls in base.__subclasses__()
-             if cls.__module__.startswith("ccxtrust.") and cls is not Signed}
-    assert {type(record) for record in records} == kinds
+    assert {type(record) for record in records} == _library_records()
     assert chain.verify(vendor.root_pub)
     for record in records:
         record.to_bytes()

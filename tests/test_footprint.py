@@ -1,8 +1,11 @@
 """What importing ccxtrust loads, seen from a fresh interpreter: only the
 modules the simulator runs, so that none of its memory goes to code that
 never executes, and one OpenSSL, cryptography's; and for reading and
-judging a trace, no cryptography at all."""
+judging a trace, no cryptography at all. And what an enrolled node's
+values cost: none of them carries an instance __dict__."""
 
+import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +13,8 @@ import sys
 from pathlib import Path
 
 import ccxtrust
+from ccxtrust import (crypto, encoding, harness, measurement, owner_ca,
+                      protocol, tee, tpm, trace, verifier)
 from ccxtrust.harness import run_scenario
 
 SRC = Path(ccxtrust.__file__).resolve().parent.parent
@@ -97,3 +102,64 @@ def test_check_trace_loads_no_cryptography(tmp_path):
     assert (seen["code"], seen["lines"]) == (0, 3)
     assert _ours_and_cryptography(seen["loaded"]) == [
         "ccxtrust", "ccxtrust.cli", "ccxtrust.errors", "ccxtrust.trace"]
+
+
+# ---------------------------------------------------------------------------
+# slotted value types
+# ---------------------------------------------------------------------------
+
+def _slotted_classes() -> set[type]:
+    """Every dataclass of the modules whose values an enrolled node keeps,
+    as each module names it, with the record bases and the TPM's state
+    and PCR bank."""
+    modules = (crypto, encoding, measurement, owner_ca, protocol, tee, tpm,
+               trace, verifier)
+    return {cls for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            and dataclasses.is_dataclass(cls)} | {
+        encoding.Record, crypto.Signed, tpm.TpmState, tpm.PcrBank}
+
+
+def _reachable(roots: list, kinds: set[type]) -> list:
+    """The instances of kinds reachable from roots through containers and
+    ccxtrust objects."""
+    seen, found, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if type(obj) in kinds:
+            found.append(obj)
+        if isinstance(obj, (dict, list, tuple, set, frozenset)) \
+                or type(obj).__module__.startswith("ccxtrust."):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_every_value_type_a_node_keeps_is_slotted():
+    # a fleet keeps dozens of these objects per node, and an instance
+    # __dict__ costs more than most of them hold
+    kinds = _slotted_classes()
+    assert [cls.__name__ for cls in kinds if "__slots__" not in vars(cls)] == []
+    cluster = harness.build_cluster(7, nodes=1)
+    actor, svc = cluster.actor(0), cluster.verifier_svc
+    request, envelope = harness._honest_envelope(cluster, actor, "tpm-tee")
+    _outcome, verified = svc.verify_composite(envelope, request,
+                                              cluster.policy)
+    epoch = measurement.MeasurementEpoch(actor.state, cluster.publisher.public)
+    epoch.run_host_stage([("firmware", b"firmware")])
+    roots = [cluster, request, envelope, verified, svc.issue_token(verified),
+             epoch, trace.check_theorems(cluster.trace),
+             measurement.sign_manifest(cluster.publisher, "image", b"image"),
+             actor.sign_layer("tee", bytes(64), b""),
+             actor.sign_layer("tpm", bytes(32), b"", (0,)),
+             tpm.seal(actor.state, b"disk key", (0,)),
+             tpm.make_credential(crypto.Secret(bytes(32)), actor.aik_blob.name,
+                                 actor.state.ek_blob.public,
+                                 crypto.DeterministicRng(b"credential"))]
+    found = _reachable(roots, kinds)
+    assert {type(obj) for obj in found} == kinds - {encoding.Record,
+                                                    crypto.Signed}
+    assert [type(obj).__name__ for obj in found
+            if hasattr(obj, "__dict__")] == []

@@ -243,7 +243,7 @@ def test_holder_decrypt_names_the_certificate_it_received(monkeypatch,
     [decrypt] = [event for event in trace.events
                  if (event.kind, event.tag) == ("decrypt", "cert-aik-info")]
     assert decrypt.principal == actor.tpm_name
-    assert decrypt.digest == other.digest.hex()
+    assert decrypt.digest == other.digest
     assert decrypt.contents == (f"cert-aik:{other.digest.hex()}",)
     # the owner CA signed that certificate outside this trace
     assert not check_theorems(trace)["cert-provenance"].ok
@@ -361,10 +361,10 @@ def test_attest_returns_the_token_the_agent_received(monkeypatch, cluster):
     assert token.token_type == "tee"
     # the trace's possession event names the token the agent holds
     decrypt = trace.events[-1]
-    held = crypto.sha256(earlier.to_bytes()).hex()
+    held = crypto.sha256(earlier.to_bytes())
     assert (decrypt.kind, decrypt.tag) == ("decrypt", "token-info")
     assert decrypt.digest == held
-    assert decrypt.contents == (f"token:{held}",)
+    assert decrypt.contents == (f"token:{held.hex()}",)
     # this trace holds no sign of that token, so the audit refuses it
     assert not check_theorems(trace)["token-provenance"].ok
 

@@ -450,6 +450,21 @@ def test_seal_refuses_an_empty_selection():
     assert state.command_counter == before
 
 
+def test_unseal_refuses_an_empty_selection():
+    # decoded from bytes, a blob can select no PCR; its policy
+    # sha256(b"") is the empty composite, so only this check, not the
+    # policy one, keeps it from reaching the AEAD
+    state = fresh_state()
+    blob = tpm.seal(state, b"disk key", (3,))
+    empty = tpm.SealedBlob.from_bytes(
+        tpm.SealedBlob((), crypto.sha256(b""), blob.ciphertext).to_bytes())
+    assert empty.selection == ()
+    before = state.command_counter
+    with pytest.raises(EmptySelection):
+        tpm.unseal(state, empty)
+    assert state.command_counter == before
+
+
 def test_sealed_blob_policy_tamper_detected():
     state = fresh_state()
     tpm.pcr_extend(state, 3, crypto.sha256(b"boot"))

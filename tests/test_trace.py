@@ -41,10 +41,13 @@ def text_of(trace: ProtocolTrace) -> str:
 def test_trace_event_line_round_trip():
     event = TraceEvent(
         "node0000/tpm", "sign", peer="-",
-        digest=crypto.sha256(b"x").hex(), tag="total-report", ok=True,
+        digest=crypto.sha256(b"x"), tag="total-report", ok=True,
         contents=("session:" + "ab" * 32, "quote:" + "cd" * 32))
-    parsed = TraceEvent.from_line(event.line(3), 3, {})
+    line = event.line(3)
+    assert line.split()[4] == crypto.sha256(b"x").hex()
+    parsed = TraceEvent.from_line(line, 3, {})
     assert parsed == event
+    assert parsed.digest == crypto.sha256(b"x")
 
 
 def test_trace_event_defaults_round_trip():
@@ -52,6 +55,7 @@ def test_trace_event_defaults_round_trip():
     parsed = TraceEvent.from_line(event.line(0), 0, {})
     assert parsed == event
     assert parsed.peer == "-"
+    assert parsed.digest == b""
     assert parsed.ok is None
     assert parsed.contents == ()
 
@@ -61,7 +65,12 @@ def test_trace_event_defaults_round_trip():
     ("3 verifier new - - - - -", 2, "contiguous, got 3 at position 2"),
     # every column parses, and the line still is not what line() writes
     ("01 verifier new - - - - -", 1, "not canonical"),
-], ids=["unknown-kind", "index-not-position", "non-canonical"])
+    # a digest column is "-" or the lowercase hex of whole bytes
+    ("0 verifier new - zz - - -", 0, "hex of whole bytes: 'zz'"),
+    ("0 verifier new - abc - - -", 0, "hex of whole bytes: 'abc'"),
+    ("0 verifier new - AB - - -", 0, "not canonical"),
+], ids=["unknown-kind", "index-not-position", "non-canonical",
+        "digest-not-hex", "digest-odd-length", "digest-upper-case"])
 def test_trace_line_decode_errors(line, index, reason):
     with pytest.raises(DecodeError, match=reason):
         TraceEvent.from_line(line, index, {})
@@ -117,7 +126,7 @@ def test_trace_reader_checks_lines_and_holds_each_value_once(
         tmp_path, monkeypatch, cluster):
     # each line is checked as it is parsed, so no reader renders lines();
     # every principal, kind, peer, digest, tag and content label of the
-    # trace read is one string object per value, across all its events
+    # trace read is one object per value, across all its events
     path = tmp_path / "trace.log"
     cluster.trace.write(path)
 
@@ -128,7 +137,7 @@ def test_trace_reader_checks_lines_and_holds_each_value_once(
     loaded = ProtocolTrace.read(path)
     assert loaded.events == cluster.trace.events
     assert loaded.digest() == cluster.trace.digest()
-    objects: dict[str, set[int]] = {}
+    objects: dict[str | bytes, set[int]] = {}
     for event in loaded.events:
         for value in (event.principal, event.kind, event.peer,
                       event.digest, event.tag, *event.contents):
@@ -301,7 +310,7 @@ def test_one_nodes_check_does_not_vouch_for_another(cluster2, tag, key,
     assert decrypt.kind == "decrypt" and decrypt.principal.startswith(
         actor.node_id)
     assert verdict.reason == (f"{OCA_PRINCIPAL} signed {label} "
-                              f"{sign.digest[:16]} without prior {tag} "
+                              f"{sign.digest.hex()[:16]} without prior {tag} "
                               "evidence")
     if tag == "registration-evidence":
         _title, edit, _violated = harness.FAULT_TRACES["unvouched-identity"]
@@ -516,6 +525,11 @@ def base_principal(principal: str) -> str:
     return principal.split("/", 1)[0]
 
 
+def _column(event) -> str:
+    """The text of an event's digest column."""
+    return event.digest.hex() or "-"
+
+
 def _labeled(event, label: str) -> list[str]:
     """Hex digests an event carries under a given content label."""
     prefix = label + ":"
@@ -553,7 +567,7 @@ def _check_cert_provenance(events, oca) -> TheoremVerdict:
         earlier = events[:index]
         signed = [i for i, e in enumerate(earlier)
                   if e.kind == "sign" and e.principal == oca
-                  and e.digest == hexdigest]
+                  and _column(e) == hexdigest]
         if not signed:
             return TheoremVerdict(
                 "cert-provenance", False,
@@ -593,7 +607,7 @@ def _check_token_provenance(events, verifier) -> TheoremVerdict:
         holder = base_principal(event.principal)
         earlier = events[:index]
         signed = any(e.kind == "sign" and e.principal == verifier
-                     and e.digest == hexdigest for e in earlier)
+                     and _column(e) == hexdigest for e in earlier)
         if not signed:
             return TheoremVerdict(
                 "token-provenance", False,
