@@ -13,7 +13,7 @@ import dataclasses
 from ccxtrust import crypto, measurement, tee, tpm
 
 rng = crypto.DeterministicRng(b"demo-measured-boot")
-publisher = crypto.SigningKeyPair.generate("PUBLISHER", rng)
+publisher = crypto.SigningKeyPair.generate(rng)
 
 
 def fresh_boot(image_set, tcb):

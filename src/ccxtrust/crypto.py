@@ -228,7 +228,7 @@ def _point_of(public: bytes | PublicKey) -> bytes:
 
 @dataclass(slots=True)
 class SigningKeyPair:
-    """P-256 keypair with a role label.
+    """P-256 keypair; a certificate, not the pair, names what it is for.
 
     public is the PublicKey that generate and from_seed derive along with
     the scalar, or the bare point for a pair built from stored bytes or
@@ -238,19 +238,17 @@ class SigningKeyPair:
     DER signature.
     """
 
-    role: str
     public: PublicKey | bytes
     scalar: int = field(repr=False)
 
     @classmethod
-    def generate(cls, role: str, rng) -> "SigningKeyPair":
-        scalar = scalar_from_material(rng.random_bytes(32))
-        return cls(role, public_from_scalar(scalar), scalar)
+    def generate(cls, rng) -> "SigningKeyPair":
+        return cls.from_seed(rng.random_bytes(32))
 
     @classmethod
-    def from_seed(cls, role: str, material: bytes) -> "SigningKeyPair":
+    def from_seed(cls, material: bytes) -> "SigningKeyPair":
         scalar = scalar_from_material(material)
-        return cls(role, public_from_scalar(scalar), scalar)
+        return cls(public_from_scalar(scalar), scalar)
 
     @property
     def public_bytes(self) -> bytes:
@@ -259,7 +257,7 @@ class SigningKeyPair:
     def at_rest(self) -> "SigningKeyPair":
         """The same pair with its point alone, for a holder that keeps it
         long after its key object (about 2 KB) was last used."""
-        return SigningKeyPair(self.role, self.public_bytes, self.scalar)
+        return SigningKeyPair(self.public_bytes, self.scalar)
 
     def sign(self, message: bytes) -> bytes:
         key = ec.derive_private_key(self.scalar, _CURVE)
@@ -379,10 +377,11 @@ def _check_aead_key(key: bytes) -> None:
 # certificates
 # ---------------------------------------------------------------------------
 
+# the roles a certificate carries, and the byte each encodes as
 ROLE_BYTES = {
     "ARK": 1, "ASK": 2, "VCEK": 3,
     "EK": 4, "AIK": 5, "PEK": 6,
-    "OCA": 7, "IDENTITY": 8, "VERIFIER": 9, "PUBLISHER": 10,
+    "IDENTITY": 8,
 }
 _ROLE_CODES = {role: bytes([code]) for role, code in ROLE_BYTES.items()}
 _ROLE_NAMES = {code: role for role, code in _ROLE_CODES.items()}

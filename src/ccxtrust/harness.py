@@ -108,7 +108,7 @@ def build_cluster(seed: int | bytes, nodes: int = 1) -> Cluster:
     verifier_svc = verifier.VerifierService(
         owner_ca=oca, clock=clock, rng=root.fork("verifier"))
     publisher = crypto.SigningKeyPair.from_seed(
-        "PUBLISHER", root.fork("publisher").random_bytes(32))
+        root.fork("publisher").random_bytes(32))
     cluster = Cluster(
         clock=clock, rng=root, vendor=vendor,
         oca=oca, verifier_svc=verifier_svc,
@@ -149,9 +149,8 @@ def add_node(cluster: Cluster, index: int, *,
         vcek=vcek, vendor_chain=chain, chip_id=chip_id,
         tcb=STANDARD_TCB, tcb_version=STANDARD_TCB_VERSION,
         pcr_selection=measurement.ALL_STAGE_PCRS,
-        identity=crypto.SigningKeyPair.from_seed("IDENTITY",
-                                                 rng.random_bytes(32)),
-        pek=crypto.SigningKeyPair.from_seed("PEK", rng.random_bytes(32)))
+        identity=crypto.SigningKeyPair.from_seed(rng.random_bytes(32)),
+        pek=crypto.SigningKeyPair.from_seed(rng.random_bytes(32)))
     protocol.establish_channels(actor, cluster.oca.key,
                                 cluster.verifier_svc.key,
                                 cluster.channels, rng)
@@ -303,15 +302,6 @@ class AttackReport:
         return {**vars(self), "rejected": self.rejected}
 
 
-def _evidence(signer: protocol.NodeActor, direction: str,
-              nonce: bytes) -> bytes:
-    """Evidence of one direction signed directly by signer's devices."""
-    def make_layer(kind, binding, embedded, _tag):
-        return signer.sign_layer(kind, binding, embedded,
-                                 signer.pcr_selection).to_bytes()
-    return protocol.build_evidence(direction, nonce, make_layer)
-
-
 def _honest_envelope(cluster: Cluster, actor: protocol.NodeActor,
                      direction: str):
     """Open a session and build its matching evidence without submitting."""
@@ -319,7 +309,7 @@ def _honest_envelope(cluster: Cluster, actor: protocol.NodeActor,
                                                actor.node_id)
     envelope = protocol.CompositeReportEnvelope(
         direction, actor.node_id, request.session_id,
-        _evidence(actor, direction, request.nonce))
+        actor.evidence(direction, request.nonce))
     return request, envelope
 
 
@@ -363,7 +353,7 @@ def attack_splice_matrix(cluster: Cluster, *, sessions_per_node: int = 3
         request = svc.new_request(cluster.policy_id, actor.node_id)
         relay = protocol.CompositeReportEnvelope(
             "tpm-tee", actor.node_id, request.session_id,
-            _evidence(other, "tpm-tee", request.nonce))
+            other.evidence("tpm-tee", request.nonce))
         if accepted(relay, request):
             notes.append(f"relay accepted: node {other.node_id} evidence "
                          f"in {actor.node_id} session")
@@ -392,7 +382,7 @@ def attack_spoof_identity(cluster: Cluster) -> AttackReport:
     def swap_evidence(envelope: protocol.CompositeReportEnvelope):
         nonce = cluster.verifier_svc.session(envelope.session_id).nonce
         return dataclasses.replace(
-            envelope, evidence=_evidence(imposter, envelope.direction, nonce))
+            envelope, evidence=imposter.evidence(envelope.direction, nonce))
 
     try:
         protocol.run_attest_composite(
@@ -497,8 +487,7 @@ def attack_image_forge(cluster: Cluster) -> AttackReport:
     epoch.run_host_stage(_HOST_COMPONENTS)
     outcomes: Counter = Counter()
 
-    mallory = crypto.SigningKeyPair.from_seed("PUBLISHER",
-                                              rng.random_bytes(32))
+    mallory = crypto.SigningKeyPair.from_seed(rng.random_bytes(32))
     forged = measurement.sign_manifest(mallory, "base-os", b"evil payload")
     try:
         epoch.run_launch_stage([(forged, b"evil payload")], STANDARD_TCB)

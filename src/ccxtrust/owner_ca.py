@@ -12,9 +12,9 @@ fact once: its chip key is its VCEK certificate's subject, and its status
 is read off its revoked flag and the certificates it holds. It lists
 every certificate serial issued to it, so revoke() covers them all, and
 a revoked node is issued no further certificate. register_node checks
-the vendor chain, then the boot report by the verifier's appraise_layers,
-and names the first check that fails. snapshot() captures the registry
-for periodic checkpointing.
+the vendor chain, then the boot report's bytes by appraise_layers, and
+names the first check that fails. snapshot() captures the registry for
+periodic checkpointing.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ class OwnerCa:
                  clock, rng) -> None:
         self.clock = clock
         self.rng = rng
-        self.key = crypto.SigningKeyPair.from_seed(
-            "OCA", self.rng.random_bytes(32))
+        self.key = crypto.SigningKeyPair.from_seed(self.rng.random_bytes(32))
         self.trusted_tee_root = trusted_tee_root
         self.trusted_tpm_root = trusted_tpm_root
         self.nodes: dict[str, NodeRecord] = {}
@@ -198,16 +197,17 @@ class OwnerCa:
             record.baseline = reference
             self._record(f"set-baseline {node_id}")
 
-    def register_node(self, node_id: str, tee_report: tee.TeeReport,
+    def register_node(self, node_id: str, boot_report: bytes,
                       vendor_chain: tee.CertChain,
                       identity_pub: bytes) -> tuple[crypto.Certificate, crypto.Secret]:
         """Final onboarding step: check the boot report, then issue the
         node identity certificate and its MasterSecret. A node registers
         once: an active node is refused before any check. The vendor
         chain must verify and endorse the node's registered chip key; then
-        appraise_layers appraises the report as a "tee" layer with nonce
-        sha256(identity_pub), under the node's VCEK certificate and against
-        its baseline. BaselineRejected names the first check that fails."""
+        appraise_layers appraises the report's bytes as "tee" evidence with
+        nonce sha256(identity_pub), under the node's VCEK certificate and
+        against its baseline. BaselineRejected names the first check that
+        fails; bytes that do not decode read "malformed"."""
         with self._lock:
             record = self._node(node_id)
             if record.status is NodeStatus.ACTIVE:
@@ -223,7 +223,7 @@ class OwnerCa:
             if vendor_chain.vcek.subject != vcek.subject:
                 raise BaselineRejected("evidence signed by an unregistered chip key")
             outcome, _ = verifier.appraise_layers(
-                "tee", tee_report.to_bytes(), crypto.sha256(identity_pub),
+                "tee", boot_report, crypto.sha256(identity_pub),
                 verifier.NodeKeys(vcek.hw_id, None, vcek.subject),
                 record.baseline)
             if outcome is not verifier.CompositeOutcome.OK:

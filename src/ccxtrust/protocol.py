@@ -9,16 +9,16 @@ body sealed with that header as associated data, and every step appends a
 structured event to a protocol trace, the model that ccxtrust.trace
 defines and audits.
 
-Attestation has one prover: build_evidence walks the verifier's LAYOUTS
+Evidence has one prover: build_evidence walks the verifier's LAYOUTS
 table for any direction (the composite tpm-tee and tee-tpm embeddings,
 the single-technology tee and tpm legs) and binds each layer with the
 verifier's report_data_for rule, so prover and verifier read one layout.
+NodeActor.evidence runs it without channels, for the boot report too;
 NodeActor.sign_layer is the one place a node's TEE or TPM signs a layer.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,40 +42,39 @@ _OUTCOME_LABELS = {o: f"outcome:{o.value}" for o in CompositeOutcome}
 
 _CERT = nested(crypto.Certificate)
 
-# each message type's wire code and body layout, for both ends of _transfer
+# each message type's body layout, for both ends of _transfer
 MESSAGE_TYPES = {
-    "vcek-info": (0x0101, Spec((1, "chain", nested(tee.CertChain)))),
-    "cert-vcek-info": (0x0102, Spec((1, "cert", _CERT))),
-    "cert-tee-info": (0x0103, Spec((1, "cert", _CERT))),
-    "key-info": (0x0104, Spec((1, "aik_area", RAW), (2, "ek_cert", _CERT))),
-    "aik-challenge": (0x0105, Spec((1, "credential", nested(tpm.Credential)))),
-    "nonce-info": (0x0106, Spec((1, "secret", RAW))),
-    "cert-aik-info": (0x0107, Spec((1, "cert", _CERT))),
-    "key-cert-info": (0x0108, Spec((1, "cert", _CERT))),
-    "pek-cert-info": (0x0109, Spec((1, "cert", _CERT))),
-    "register-request": (0x010A, Spec((1, "report", nested(tee.TeeReport)),
-                                      (2, "chain", nested(tee.CertChain)),
-                                      (3, "identity_pub", RAW))),
-    "identity-cert-info": (0x010B, Spec((1, "cert", _CERT),
-                                        (2, "master_secret", RAW))),
-    "attest-request": (0x0201, Spec((1, "session_id", RAW), (2, "nonce", RAW),
-                                    (3, "selection", tpm.PCR_BITMAP))),
-    "guest-report-request": (0x0202, Spec((1, "report_data", RAW),
-                                          (2, "embedded", RAW))),
+    "vcek-info": Spec((1, "chain", nested(tee.CertChain))),
+    "cert-vcek-info": Spec((1, "cert", _CERT)),
+    "cert-tee-info": Spec((1, "cert", _CERT)),
+    "key-info": Spec((1, "aik_area", RAW), (2, "ek_cert", _CERT)),
+    "aik-challenge": Spec((1, "credential", nested(tpm.Credential))),
+    "nonce-info": Spec((1, "secret", RAW)),
+    "cert-aik-info": Spec((1, "cert", _CERT)),
+    "key-cert-info": Spec((1, "cert", _CERT)),
+    "pek-cert-info": Spec((1, "cert", _CERT)),
+    # the boot report travels as the bytes the TEE signed
+    "register-request": Spec((1, "report", RAW),
+                             (2, "chain", nested(tee.CertChain)),
+                             (3, "identity_pub", RAW)),
+    "identity-cert-info": Spec((1, "cert", _CERT), (2, "master_secret", RAW)),
+    "attest-request": Spec((1, "session_id", RAW), (2, "nonce", RAW),
+                           (3, "selection", tpm.PCR_BITMAP)),
+    "guest-report-request": Spec((1, "report_data", RAW),
+                                 (2, "embedded", RAW)),
     # a signed layer travels as the bytes its device signed
-    "tee-report": (0x0203, Spec((1, "report", RAW))),
-    "quote-request": (0x0204, Spec((1, "selection", tpm.PCR_BITMAP),
-                                   (2, "qualifying_data", RAW),
-                                   (3, "embedded", RAW))),
-    "tpm-report": (0x0205, Spec((1, "quote", RAW))),
+    "tee-report": Spec((1, "report", RAW)),
+    "quote-request": Spec((1, "selection", tpm.PCR_BITMAP),
+                          (2, "qualifying_data", RAW), (3, "embedded", RAW)),
+    "tpm-report": Spec((1, "quote", RAW)),
     # the evidence envelope of any direction
-    "total-report": (0x0206, Spec((1, "report", RAW))),
-    "token-info": (0x0207, Spec((1, "token", RAW))),
+    "total-report": Spec((1, "report", RAW)),
+    "token-info": Spec((1, "token", RAW)),
 }
 
 
-def _wire_aad(mtype: int, sender: str, receiver: str, session_id: bytes) -> bytes:
-    return (struct.pack("<H", mtype) + sender.encode() + b"|"
+def _wire_aad(name: str, sender: str, receiver: str, session_id: bytes) -> bytes:
+    return (name.encode() + b"|" + sender.encode() + b"|"
             + receiver.encode() + b"|" + session_id)
 
 
@@ -105,17 +104,17 @@ class ChannelTable:
         except KeyError:
             raise AuthFailure(f"no channel between {a!r} and {b!r}") from None
 
-    def seal(self, mtype: int, sender: str, receiver: str,
+    def seal(self, name: str, sender: str, receiver: str,
              session_id: bytes, body: bytes) -> bytes:
         """body sealed under its header, as nonce || ciphertext."""
-        aad = _wire_aad(mtype, sender, receiver, session_id)
+        aad = _wire_aad(name, sender, receiver, session_id)
         return crypto.channel_seal(self.key(sender, receiver), body, aad,
                                    self.rng)
 
-    def open(self, mtype: int, sender: str, receiver: str,
+    def open(self, name: str, sender: str, receiver: str,
              session_id: bytes, sealed: bytes) -> bytes:
         """The body of sealed, once it authenticates under this header."""
-        aad = _wire_aad(mtype, sender, receiver, session_id)
+        aad = _wire_aad(name, sender, receiver, session_id)
         return crypto.channel_open(self.key(sender, receiver), sealed, aad)
 
 
@@ -127,13 +126,13 @@ def _transfer(trace: ProtocolTrace, channels: ChannelTable, sender: str,
     its type's spec; the receiver opens the body under the header it was
     sealed under. Both endpoints trace one digest, as open authenticates
     the received body as the body sent. Returns the decoded fields."""
-    mtype, spec = MESSAGE_TYPES[mtype_name]
+    spec = MESSAGE_TYPES[mtype_name]
     body = spec.encode(fields)
-    sealed = channels.seal(mtype, sender, receiver, session_id, body)
+    sealed = channels.seal(mtype_name, sender, receiver, session_id, body)
     digest = crypto.sha256(body)
     trace.emit(sender, "send", peer=receiver, digest=digest,
                tag=mtype_name, contents=contents)
-    received = channels.open(mtype, sender, receiver, session_id, sealed)
+    received = channels.open(mtype_name, sender, receiver, session_id, sealed)
     trace.emit(receiver, "receive", peer=sender, digest=digest,
                tag=mtype_name, contents=contents)
     return spec.decode(received)
@@ -192,6 +191,14 @@ class NodeActor:
         return tpm.cc_quote(self.state, selection, binding, self.aik_handle,
                             embedded)
 
+    def evidence(self, direction: str, nonce: bytes) -> bytes:
+        """Evidence of one LAYOUTS direction for nonce, each layer signed
+        directly by this node's devices over its PCR selection."""
+        def make_layer(kind, binding, embedded, _tag):
+            return self.sign_layer(kind, binding, embedded,
+                                   self.pcr_selection).to_bytes()
+        return build_evidence(direction, nonce, make_layer)
+
 
 def establish_channels(actor: NodeActor, oca_key: crypto.SigningKeyPair,
                        verifier_key: crypto.SigningKeyPair,
@@ -207,15 +214,15 @@ def establish_channels(actor: NodeActor, oca_key: crypto.SigningKeyPair,
 
     def soft_pair(a: str, a_key: crypto.SigningKeyPair,
                   b: str, b_key: crypto.SigningKeyPair) -> None:
-        a_eph = crypto.SigningKeyPair.generate(a_key.role, rng)
-        b_eph = crypto.SigningKeyPair.generate(b_key.role, rng)
+        a_eph = crypto.SigningKeyPair.generate(rng)
+        b_eph = crypto.SigningKeyPair.generate(rng)
         shared = crypto.ecdh_two_phase(a_key, b_key.public,
                                        a_eph, b_eph.public)
         channels.set_key(a, b, shared)
 
     def tpm_pair(peer: str, peer_key: crypto.SigningKeyPair) -> None:
         eph_pub, counter = tpm.ec_ephemeral(actor.state)
-        peer_eph = crypto.SigningKeyPair.generate(peer_key.role, rng)
+        peer_eph = crypto.SigningKeyPair.generate(rng)
         shared = tpm.zgen_2phase(actor.state, counter, ek,
                                  peer_key.public, peer_eph.public)
         channels.set_key(actor.tpm_name, peer, shared)
@@ -359,24 +366,25 @@ def run_initialization(actor: NodeActor, oca, verifier_svc: VerifierService,
 
 def run_registration(actor: NodeActor, oca, channels: ChannelTable,
                      trace: ProtocolTrace) -> None:
-    """Final onboarding: fresh boot evidence, bound to the identity key
-    by report_data_for, buys the identity certificate and the
-    MasterSecret."""
+    """Final onboarding: fresh boot evidence, "tee" evidence for the nonce
+    sha256(identity_pub), crosses as the bytes the TEE signed and buys the
+    identity certificate and the MasterSecret."""
     C, A = actor.agent, OCA_PRINCIPAL
-    bound = report_data_for(
-        "tee", crypto.sha256(actor.identity.public_bytes), b"")
-    boot_report = actor.sign_layer("tee", bound, b"")
+    boot_report = actor.evidence("tee",
+                                 crypto.sha256(actor.identity.public_bytes))
+    # open authenticates the report that arrives as these bytes
+    report_digest = crypto.sha256(boot_report)
     identity_key = _content("identity-pub", actor.identity.public_bytes)
     rx = _transfer(trace, channels, C, A, "register-request",
                    {"report": boot_report, "chain": actor.vendor_chain,
                     "identity_pub": actor.identity.public_bytes},
                    contents=(identity_key,
-                             f"boot-report:{boot_report.digest.hex()}"))
+                             f"boot-report:{report_digest.hex()}"))
     identity_cert, master_secret = oca.register_node(
         actor.node_id, rx["report"], rx["chain"], rx["identity_pub"])
     rx, _ = _hand_off(
         trace, channels, C,
-        ("verify", "registration-evidence", rx["report"].digest),
+        ("verify", "registration-evidence", report_digest),
         identity_key, {"cert": identity_cert,
                        "master_secret": master_secret.data},
         "identity-cert-info")

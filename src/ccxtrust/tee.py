@@ -92,9 +92,9 @@ class TeeVendor:
         if len(seed) < 16:
             raise InvalidLength("vendor seed must be at least 16 bytes")
         self._ark = crypto.SigningKeyPair.from_seed(
-            "ARK", crypto.kdf_counter(crypto.sha256(seed), "VENDOR-ARK"))
+            crypto.kdf_counter(crypto.sha256(seed), "VENDOR-ARK"))
         self._ask = crypto.SigningKeyPair.from_seed(
-            "ASK", crypto.kdf_counter(crypto.sha256(seed), "VENDOR-ASK"))
+            crypto.kdf_counter(crypto.sha256(seed), "VENDOR-ASK"))
         self._device_secret = crypto.kdf_counter(crypto.sha256(seed), "VENDOR-DEVICE")
         self.ark_cert = crypto.issue_certificate(self._ark, "ARK", 1, self._ark.public_bytes)
         self.ask_cert = crypto.issue_certificate(self._ark, "ASK", 2, self._ask.public_bytes)
@@ -117,7 +117,7 @@ class TeeVendor:
             raise InvalidLength("tcb version must be non-negative")
         material = crypto.kdf_counter(
             self._device_secret, "VCEK", chip_id + struct.pack("<Q", tcb_version))
-        vcek = crypto.SigningKeyPair.from_seed("VCEK", material)
+        vcek = crypto.SigningKeyPair.from_seed(material)
         serial = struct.unpack(
             "<Q", crypto.sha256(b"vcek-serial:" + chip_id
                                 + struct.pack("<Q", tcb_version))[:8])[0]

@@ -69,7 +69,7 @@ FIRMWARE_VERSION = 1
 # Built-in simulated TPM manufacturer CA that endorses every EK at
 # manufacture time. Fixed seed keeps EK certs reproducible across runs.
 _VENDOR_CA = crypto.SigningKeyPair.from_seed(
-    "OCA", crypto.sha256(b"ccxtrust-tpm-vendor-ca-v1"))
+    crypto.sha256(b"ccxtrust-tpm-vendor-ca-v1"))
 
 
 def tpm_vendor_root_pub() -> crypto.PublicKey:
@@ -188,7 +188,7 @@ class LoadedKey:
     scalar: int = field(repr=False, default=0)
 
     def keypair(self) -> crypto.SigningKeyPair:
-        return crypto.SigningKeyPair(self.blob.role, self.blob.public, self.scalar)
+        return crypto.SigningKeyPair(self.blob.public, self.scalar)
 
 
 class TpmState:
@@ -507,7 +507,7 @@ def make_credential(secret: crypto.Secret, aik_name: bytes, ek_pub: bytes,
     """Seal a secret to (EK, AIK name) via ephemeral ECDH against the EK."""
     if len(aik_name) != crypto.DIGEST_LEN:
         raise InvalidLength("aik name must be a 32-byte digest")
-    eph = crypto.SigningKeyPair.generate("EK", rng)
+    eph = crypto.SigningKeyPair.generate(rng)
     z = crypto.ecdh_shared(eph.scalar, ek_pub)
     key = crypto.kdf_counter(z, "CREDENTIAL", eph.public_bytes + aik_name)
     ct = crypto.wrap(key, secret.data, aik_name)
@@ -557,7 +557,7 @@ def zgen_2phase(state: TpmState, counter: int, own_static: crypto.SigningKeyPair
         raise CounterInvalid(f"ephemeral counter {counter} not outstanding")
     state.eph_table.remove(counter)
     scalar = _eph_scalar(state, counter)
-    eph = crypto.SigningKeyPair("EK", crypto.public_from_scalar(scalar), scalar)
+    eph = crypto.SigningKeyPair(crypto.public_from_scalar(scalar), scalar)
     return crypto.ecdh_two_phase(own_static, peer_static_pub, eph, peer_eph_pub)
 
 

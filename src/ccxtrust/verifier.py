@@ -14,8 +14,8 @@ and chip id from the owner CA certificates for those roles.
 One appraisal pipeline, appraise_layers, serves the four layouts of
 LAYOUTS (the composite tpm-tee and tee-tpm embeddings and the tee and tpm
 legs) and the owner CA's registration, which appraises a boot report as
-a tee layer. The provers in protocol and harness build their evidence
-from the same table and report_data_for binding rule. First failure
+a tee layer. Its one prover, protocol's build_evidence, builds from the
+same table and report_data_for binding rule. First failure
 wins. verify_composite checks session replay, session-id binding and
 revocation of the session's node, then runs the pipeline: that every
 layer decodes and the innermost embeds nothing; the nonce binding of
@@ -27,10 +27,11 @@ signed claims against a PolicyBaseline's reference values: the launch
 measurement, PCR composite and TCB floor of the layers present. Then
 verify_composite claims the session atomically.
 
-verify_composite is the only constructor of VerifiedReport, and
-issue_token accepts nothing else, so a token can never be minted from
-unverified evidence by construction; it mints at most one token per
-session, and none once the session's node is revoked.
+verify_composite reads the session from the verifier's own entry, and
+its claim records the VerifiedReport it made; issue_token mints only that
+recorded report, so no token is minted from unverified evidence; it mints
+at most one token per session, and none once the session's node is
+revoked.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ class PolicyBaseline:
 
 @dataclass(slots=True)
 class AttestationRequest:
-    """One attestation session: a nonce bound to (verifier, node). The
-    verifier keeps each until SESSION_TTL, so an entry has no __dict__."""
+    """One attestation session: a nonce bound to (verifier, node), and the
+    report its claim recorded until the token is minted. The verifier
+    keeps each until SESSION_TTL, so an entry has no __dict__."""
 
     session_id: bytes
     node_id: str
@@ -113,7 +115,7 @@ class AttestationRequest:
     nonce: bytes
     created_at: float
     completed: bool = False
-    token_minted: bool = False
+    verified: VerifiedReport | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,8 +129,8 @@ class NodeKeys:
 
 @dataclass(frozen=True, slots=True)
 class VerifiedReport:
-    """Proof that verify_composite accepted some evidence. Only this
-    module creates instances; issue_token refuses anything else."""
+    """What verify_composite accepted for a session. issue_token mints
+    only the report that the session's own entry recorded."""
 
     session_id: bytes
     node_id: str
@@ -289,8 +291,7 @@ class VerifierService:
     def __init__(self, *, owner_ca, clock, rng) -> None:
         self.clock = clock
         self.rng = rng
-        self.key = crypto.SigningKeyPair.from_seed(
-            "VERIFIER", self.rng.random_bytes(32))
+        self.key = crypto.SigningKeyPair.from_seed(self.rng.random_bytes(32))
         self._key_id = crypto.sha256(self.key.public_bytes)[:8]
         self._ca_pub = owner_ca.key.public
         self._is_revoked = owner_ca.is_revoked
@@ -393,70 +394,69 @@ class VerifierService:
         """Appraise evidence of any layout in LAYOUTS, in the pipeline
         order the module docstring gives; first failure wins.
 
-        The claims are appraised under the policy of the verifier's own
-        entry for session.session_id; a session id it never opened, or
-        one past SESSION_TTL, is MALFORMED. The policy argument is unread.
-        Every other session field (completed, session_id, node_id, nonce)
-        is read from the caller's session argument, and the claim at the
-        end sets completed on that object. The protocol passes the entry
-        new_request returned, so the two agree; a copy made with
-        replace(request, completed=False) resubmits accepted evidence and
-        reads OK, a known soundness gap.
+        The verifier's own entry for session.session_id supplies the
+        session id, node, nonce and policy; a session id it never opened,
+        or one past SESSION_TTL, is MALFORMED. The policy argument is
+        unread. Only completed is read from the caller's session, and the
+        claim sets completed and records the report on it: a copy made
+        with replace(request, completed=False) resubmits accepted evidence
+        and reads OK, a known soundness gap, though the session still
+        yields at most one token.
         """
         entry = self.session(session.session_id)
         if entry is None:
             return CompositeOutcome.MALFORMED, None
         if session.completed:
             return CompositeOutcome.SESSION_REPLAY, None
-        if envelope.session_id != session.session_id:
+        if envelope.session_id != entry.session_id:
             return CompositeOutcome.NONCE_MISMATCH, None
-        node = self.node_keys(session.node_id)
+        node = self.node_keys(entry.node_id)
         if node is None:
             return CompositeOutcome.MALFORMED, None
-        if self._is_revoked(session.node_id):
+        if self._is_revoked(entry.node_id):
             return CompositeOutcome.NODE_REVOKED, None
         outcome, layers = appraise_layers(
-            envelope.direction, envelope.evidence, session.nonce, node,
+            envelope.direction, envelope.evidence, entry.nonce, node,
             self.policies[entry.policy_id])
         if layers is None:
             return outcome, None
+        report, quote_obj = layers.get("tee"), layers.get("tpm")
+        verified = VerifiedReport(
+            session_id=entry.session_id, node_id=entry.node_id,
+            token_type=envelope.direction, evidence=envelope.evidence,
+            tcb_version=report.tcb_version if report else 0,
+            pcr_selection=quote_obj.pcr_selection if quote_obj else ())
         with self._lock:
             if session.completed:
                 return CompositeOutcome.SESSION_REPLAY, None
             session.completed = True
-        report, quote_obj = layers.get("tee"), layers.get("tpm")
-        verified = VerifiedReport(
-            session_id=session.session_id, node_id=session.node_id,
-            token_type=envelope.direction, evidence=envelope.evidence,
-            tcb_version=report.tcb_version if report else 0,
-            pcr_selection=quote_obj.pcr_selection if quote_obj else ())
+            session.verified = verified
         return CompositeOutcome.OK, verified
 
     # -- tokens ----------------------------------------------------------------
 
     def issue_token(self, verified: VerifiedReport) -> AttestationToken:
-        """Mint a bearer token for verified evidence, valid for
-        TOKEN_LIFETIME and naming the policy of the verifier's own entry
-        for its session.
+        """Mint a bearer token from the report verify_composite recorded
+        on the verifier's own entry for verified.session_id, valid for
+        TOKEN_LIFETIME and naming the entry's policy, then forget it.
 
-        The VerifiedReport type gate is the soundness hook: there is no
-        public constructor path that has not been through verification.
-        A session yields at most one token: an unknown session (or one
-        past SESSION_TTL) and a second mint raise ValueError, a node
-        revoked since appraisal NodeRevoked, and a refused call does not
-        use the session's token up. Revocation is checked under the lock,
-        so a revoke that returned before the mint is seen.
+        Anything but a VerifiedReport raises TypeError, and any report but
+        the recorded one ValueError: one a caller built, one for an unknown
+        session (or one past SESSION_TTL), or a second mint. A node revoked
+        since appraisal raises NodeRevoked, under the lock, so a revoke
+        that returned before the mint is seen. A refused call does not use
+        the session's token up.
         """
         if not isinstance(verified, VerifiedReport):
             raise TypeError("issue_token requires a VerifiedReport")
         now = self.clock.now()
         with self._lock:
             session = self.session(verified.session_id)
-            if session is None or session.token_minted:
-                raise ValueError("session is unknown or already has its token")
+            if session is None or session.verified != verified:
+                raise ValueError("no such verified report for this session")
             if self._is_revoked(session.node_id):
                 raise NodeRevoked(f"node {session.node_id!r} is revoked")
-            session.token_minted = True
+            report, session.verified = session.verified, None
             serial = self._next_serial
             self._next_serial += 1
             return AttestationToken.signed(
@@ -464,9 +464,9 @@ class VerifierService:
                 key_id=self._key_id,
                 issued_at=int(now),
                 expires_at=int(now + TOKEN_LIFETIME),
-                token_type=verified.token_type, serial=serial,
-                evidence=verified.evidence, node=verified.node_id,
-                tcb=verified.tcb_version, pcr_selection=verified.pcr_selection,
+                token_type=report.token_type, serial=serial,
+                evidence=report.evidence, node=report.node_id,
+                tcb=report.tcb_version, pcr_selection=report.pcr_selection,
                 policy=session.policy_id)
 
     def validate_token(self, token: "AttestationToken | str",

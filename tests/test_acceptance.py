@@ -248,7 +248,7 @@ def _random_epoch(rng: crypto.DeterministicRng):
     """One fresh platform booted through all three stages with randomized
     components, images, tcb, and workloads."""
     state = tpm.tpm_manufacture(rng.random_bytes(32))
-    publisher = crypto.SigningKeyPair.generate("PUBLISHER", rng)
+    publisher = crypto.SigningKeyPair.generate(rng)
     epoch = measurement.MeasurementEpoch(state, publisher.public_bytes)
 
     components = [(f"host-{i}", rng.random_bytes(16 + _randint(rng, 48)))
@@ -300,7 +300,7 @@ def test_criterion_07_measurement_replay_tamper_and_sealing():
     # platform that booted identical manifests under the identical tcb
     base = crypto.DeterministicRng(b"acceptance-sealing")
     ep_seed = base.random_bytes(32)
-    publisher = crypto.SigningKeyPair.generate("PUBLISHER", base)
+    publisher = crypto.SigningKeyPair.generate(base)
     components = [("fw", b"firmware rom"), ("loader", b"stage one loader")]
     images = [("app", b"application image"), ("svc", b"sidecar image")]
     tcb = tee.TeeTcb(crypto.sha256(b"ovmf"), crypto.sha256(b"kernel"),

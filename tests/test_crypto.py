@@ -223,40 +223,39 @@ def test_rng_refuses_an_empty_seed():
 # ---------------------------------------------------------------------------
 
 def test_sign_verify_round_trip():
-    key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
+    key = crypto.SigningKeyPair.from_seed(b"\x11" * 32)
     sig = key.sign(b"message")
     assert crypto.verify(key.public_bytes, b"message", sig)
     assert not crypto.verify(key.public_bytes, b"other", sig)
 
 
 def test_signatures_are_deterministic():
-    key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
+    key = crypto.SigningKeyPair.from_seed(b"\x11" * 32)
     assert key.sign(b"message") == key.sign(b"message")
 
 
 def test_from_seed_is_a_pure_function_of_material():
-    # the role is a label; the key comes from the seed material alone
-    a = crypto.SigningKeyPair.from_seed("ROLE-A", b"\x11" * 32)
-    b = crypto.SigningKeyPair.from_seed("ROLE-B", b"\x11" * 32)
-    c = crypto.SigningKeyPair.from_seed("ROLE-A", b"\x22" * 32)
+    a = crypto.SigningKeyPair.from_seed(b"\x11" * 32)
+    b = crypto.SigningKeyPair.from_seed(b"\x11" * 32)
+    c = crypto.SigningKeyPair.from_seed(b"\x22" * 32)
     assert a.public_bytes == b.public_bytes
     assert a.public_bytes != c.public_bytes
 
 
 def test_verify_rejects_garbage_signature():
-    key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
+    key = crypto.SigningKeyPair.from_seed(b"\x11" * 32)
     assert not crypto.verify(key.public_bytes, b"m", b"\x00\x01")
 
 
 def test_verify_rejects_bad_public_point():
-    key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
+    key = crypto.SigningKeyPair.from_seed(b"\x11" * 32)
     sig = key.sign(b"m")
     with pytest.raises(InvalidPoint):
         crypto.verify(b"\x04" + b"\x00" * 64, b"m", sig)
 
 
 def test_public_key_keeps_the_parsed_key_with_its_point():
-    key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
+    key = crypto.SigningKeyPair.from_seed(b"\x11" * 32)
     sig = key.sign(b"m")
     public = crypto.PublicKey(key.public_bytes)
     assert public == crypto.PublicKey(key.public_bytes)
@@ -274,7 +273,7 @@ def test_public_key_keeps_the_parsed_key_with_its_point():
 
 
 def test_derived_public_key_equals_the_parsed_one():
-    key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
+    key = crypto.SigningKeyPair.from_seed(b"\x11" * 32)
     parsed = crypto.PublicKey(key.public_bytes)
     assert isinstance(key.public, crypto.PublicKey)
     assert key.public == parsed and key.public.point == parsed.point
@@ -283,11 +282,11 @@ def test_derived_public_key_equals_the_parsed_one():
     assert crypto.verify(key.public, b"m", key.sign(b"m"))
     at_rest = key.at_rest()
     assert at_rest.public == key.public_bytes
-    assert (at_rest.role, at_rest.scalar) == (key.role, key.scalar)
+    assert at_rest.scalar == key.scalar
 
 
 def test_tampered_signature_fails_cleanly():
-    key = crypto.SigningKeyPair.from_seed("TEST", b"\x11" * 32)
+    key = crypto.SigningKeyPair.from_seed(b"\x11" * 32)
     sig = bytearray(key.sign(b"m"))
     sig[-1] ^= 0x01
     assert not crypto.verify(key.public_bytes, b"m", bytes(sig))
@@ -299,16 +298,16 @@ def test_tampered_signature_fails_cleanly():
 
 def test_ecdh_shared_is_symmetric():
     rng = crypto.DeterministicRng(b"ecdh")
-    a = crypto.SigningKeyPair.generate("A", rng)
-    b = crypto.SigningKeyPair.generate("B", rng)
+    a = crypto.SigningKeyPair.generate(rng)
+    b = crypto.SigningKeyPair.generate(rng)
     assert (crypto.ecdh_shared(a.scalar, b.public_bytes)
             == crypto.ecdh_shared(b.scalar, a.public_bytes))
 
 
 def test_ecdh_shared_takes_a_public_key_or_a_point():
     rng = crypto.DeterministicRng(b"ecdh-peer")
-    a = crypto.SigningKeyPair.generate("A", rng)
-    b = crypto.SigningKeyPair.generate("B", rng)
+    a = crypto.SigningKeyPair.generate(rng)
+    b = crypto.SigningKeyPair.generate(rng)
     secret = crypto.ecdh_shared(a.scalar, b.public_bytes)
     assert crypto.ecdh_shared(a.scalar, b.public) == secret
     assert crypto.ecdh_shared(a.scalar, crypto.PublicKey(b.public_bytes)) == secret
@@ -342,10 +341,10 @@ def test_enrollment_parses_each_received_point_once(monkeypatch):
 
 def test_ecdh_two_phase_both_sides_agree():
     rng = crypto.DeterministicRng(b"two-phase")
-    a_static = crypto.SigningKeyPair.generate("A", rng)
-    b_static = crypto.SigningKeyPair.generate("B", rng)
-    a_eph = crypto.SigningKeyPair.generate("AE", rng)
-    b_eph = crypto.SigningKeyPair.generate("BE", rng)
+    a_static = crypto.SigningKeyPair.generate(rng)
+    b_static = crypto.SigningKeyPair.generate(rng)
+    a_eph = crypto.SigningKeyPair.generate(rng)
+    b_eph = crypto.SigningKeyPair.generate(rng)
     k_a = crypto.ecdh_two_phase(a_static, b_static.public_bytes,
                                 a_eph, b_eph.public_bytes)
     k_b = crypto.ecdh_two_phase(b_static, a_static.public_bytes,
@@ -356,12 +355,12 @@ def test_ecdh_two_phase_both_sides_agree():
 
 def test_ecdh_two_phase_fresh_ephemerals_change_key():
     rng = crypto.DeterministicRng(b"two-phase-2")
-    a_static = crypto.SigningKeyPair.generate("A", rng)
-    b_static = crypto.SigningKeyPair.generate("B", rng)
+    a_static = crypto.SigningKeyPair.generate(rng)
+    b_static = crypto.SigningKeyPair.generate(rng)
 
     def session():
-        a_eph = crypto.SigningKeyPair.generate("AE", rng)
-        b_eph = crypto.SigningKeyPair.generate("BE", rng)
+        a_eph = crypto.SigningKeyPair.generate(rng)
+        b_eph = crypto.SigningKeyPair.generate(rng)
         return crypto.ecdh_two_phase(a_static, b_static.public_bytes,
                                      a_eph, b_eph.public_bytes)
 
@@ -424,8 +423,8 @@ def test_aead_key_length_enforced():
 
 def test_certificate_issue_verify_round_trip():
     rng = crypto.DeterministicRng(b"certs")
-    issuer = crypto.SigningKeyPair.generate("CA", rng)
-    subject = crypto.SigningKeyPair.generate("AIK", rng)
+    issuer = crypto.SigningKeyPair.generate(rng)
+    subject = crypto.SigningKeyPair.generate(rng)
     cert = crypto.issue_certificate(issuer, "AIK", 5, subject.public_bytes)
     assert cert.verify(issuer.public_bytes)
     assert cert.role == "AIK"
@@ -439,8 +438,8 @@ def test_certificate_issue_verify_round_trip():
 
 def test_issue_certificate_refuses_unknown_role_or_subject_width():
     rng = crypto.DeterministicRng(b"certs3")
-    issuer = crypto.SigningKeyPair.generate("CA", rng)
-    subject = crypto.SigningKeyPair.generate("AIK", rng)
+    issuer = crypto.SigningKeyPair.generate(rng)
+    subject = crypto.SigningKeyPair.generate(rng)
     with pytest.raises(DecodeError):
         crypto.issue_certificate(issuer, "NOBODY", 1, subject.public_bytes)
     uncompressed = subject.public.key.public_bytes(
@@ -451,8 +450,7 @@ def test_issue_certificate_refuses_unknown_role_or_subject_width():
 
 
 def test_certificate_with_an_unknown_role_byte_does_not_decode():
-    issuer = crypto.SigningKeyPair.generate("CA", crypto.DeterministicRng(
-        b"certs4"))
+    issuer = crypto.SigningKeyPair.generate(crypto.DeterministicRng(b"certs4"))
     raw = crypto.issue_certificate(issuer, "AIK", 1,
                                    issuer.public_bytes).to_bytes()
     role = encode_field(1, bytes([crypto.ROLE_BYTES["AIK"]]))
@@ -465,9 +463,9 @@ def test_certificate_with_an_unknown_role_byte_does_not_decode():
 
 def test_certificate_verify_fails_for_wrong_issuer(monkeypatch):
     rng = crypto.DeterministicRng(b"certs2")
-    issuer = crypto.SigningKeyPair.generate("CA", rng)
-    other = crypto.SigningKeyPair.generate("CA2", rng)
-    subject = crypto.SigningKeyPair.generate("AIK", rng)
+    issuer = crypto.SigningKeyPair.generate(rng)
+    other = crypto.SigningKeyPair.generate(rng)
+    subject = crypto.SigningKeyPair.generate(rng)
     cert = crypto.issue_certificate(issuer, "AIK", 1, subject.public_bytes)
     verify = crypto.verify
     calls = []

@@ -22,7 +22,7 @@ WORKLOADS = [("web", b"web bits"), ("db", b"db bits")]
 def make_epoch(seed: bytes = b"\x21" * 32):
     state = tpm.tpm_manufacture(seed)
     rng = crypto.DeterministicRng(b"publisher")
-    publisher = crypto.SigningKeyPair.generate("PUBLISHER", rng)
+    publisher = crypto.SigningKeyPair.generate(rng)
     epoch = measurement.MeasurementEpoch(state, publisher.public_bytes)
     return epoch, publisher, state
 
@@ -70,8 +70,7 @@ def test_stage_order_enforced():
 def test_forged_manifest_refuses_boot_before_extending():
     epoch, publisher, state = make_epoch()
     epoch.run_host_stage(HOST)
-    mallory = crypto.SigningKeyPair.generate(
-        "PUBLISHER", crypto.DeterministicRng(b"mallory"))
+    mallory = crypto.SigningKeyPair.generate(crypto.DeterministicRng(b"mallory"))
     bad = manifests_for(mallory, [("guest-os", b"evil bits")])
     good = manifests_for(publisher)
     before = [tpm.pcr_read(state, i) for i in measurement.LAUNCH_PCRS]
@@ -109,16 +108,14 @@ def test_runtime_deviations_reported_not_extended():
 # ---------------------------------------------------------------------------
 
 def test_manifest_round_trip_and_verify():
-    publisher = crypto.SigningKeyPair.generate(
-        "PUBLISHER", crypto.DeterministicRng(b"p"))
+    publisher = crypto.SigningKeyPair.generate(crypto.DeterministicRng(b"p"))
     manifest = measurement.sign_manifest(publisher, "img", b"content")
     assert manifest.verify(publisher.public_bytes)
     assert manifest.content_digest == crypto.sha256(b"content")
     parsed = measurement.ImageManifest.from_bytes(manifest.to_bytes())
     assert parsed == manifest
 
-    other = crypto.SigningKeyPair.generate(
-        "PUBLISHER", crypto.DeterministicRng(b"q"))
+    other = crypto.SigningKeyPair.generate(crypto.DeterministicRng(b"q"))
     assert not manifest.verify(other.public_bytes)
 
 

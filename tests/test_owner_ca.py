@@ -72,10 +72,10 @@ class Rig:
 
     def activate(self, node_id: str = "node-a"):
         self.prepare(node_id)
-        identity = crypto.SigningKeyPair.generate("IDENTITY", self.rng)
+        identity = crypto.SigningKeyPair.generate(self.rng)
         bound = self.report(bound_to(identity.public_bytes))
-        cert, ms = self.ca.register_node(node_id, bound, self.chain,
-                                         identity.public_bytes)
+        cert, ms = self.ca.register_node(node_id, bound.to_bytes(),
+                                         self.chain, identity.public_bytes)
         return cert, ms
 
 
@@ -149,7 +149,7 @@ def test_challenge_requires_tee_registration_first():
 def test_challenge_rejects_unendorsed_ek():
     rig = Rig()
     rig.enroll_tee()
-    rogue = crypto.SigningKeyPair.generate("EK", rig.rng)
+    rogue = crypto.SigningKeyPair.generate(rig.rng)
     rogue_cert = crypto.issue_certificate(rogue, "EK", 1, rogue.public_bytes)
     with pytest.raises(ChainInvalid):
         rig.ca.aik_challenge(rig.aik_blob.public_area(), rogue_cert, "node-a")
@@ -225,14 +225,14 @@ def test_unknown_session_rejected():
 
 def test_register_node_requires_completed_flows_and_baseline():
     rig = Rig()
-    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    identity = crypto.SigningKeyPair.generate(rig.rng)
     rig.enroll_tee()
     with pytest.raises(NotInitialized):
-        rig.ca.register_node("node-a", rig.report(), rig.chain,
+        rig.ca.register_node("node-a", rig.report().to_bytes(), rig.chain,
                              identity.public_bytes)
     rig.certify_aik()
     with pytest.raises(NotInitialized):
-        rig.ca.register_node("node-a", rig.report(), rig.chain,
+        rig.ca.register_node("node-a", rig.report().to_bytes(), rig.chain,
                              identity.public_bytes)
 
 
@@ -241,10 +241,11 @@ def test_register_node_refuses_a_node_whose_aik_is_not_certified():
     rig = Rig()
     rig.enroll_tee()
     rig.ca.set_trust_baseline("node-a", rig.reference)
-    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    identity = crypto.SigningKeyPair.generate(rig.rng)
     bound = rig.report(bound_to(identity.public_bytes))
     with pytest.raises(NotInitialized):
-        rig.ca.register_node("node-a", bound, rig.chain, identity.public_bytes)
+        rig.ca.register_node("node-a", bound.to_bytes(), rig.chain,
+                             identity.public_bytes)
     assert rig.ca.nodes["node-a"].identity_cert is None
 
 
@@ -255,12 +256,12 @@ def test_register_node_refuses_evidence_from_an_unregistered_chip():
     rig.prepare()
     chip_b = crypto.sha256(b"chip-b")
     vcek_b, chain_b = rig.vendor.derive_vcek(chip_b, 7)
-    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    identity = crypto.SigningKeyPair.generate(rig.rng)
     bound = bound_to(identity.public_bytes)
     for report in (tee.guest_report(vcek_b, chip_b, rig.tcb, 7, bound),
                    rig.report(bound)):
         with pytest.raises(BaselineRejected, match="unregistered chip key"):
-            rig.ca.register_node("node-a", report, chain_b,
+            rig.ca.register_node("node-a", report.to_bytes(), chain_b,
                                  identity.public_bytes)
     assert rig.ca.nodes["node-a"].identity_cert is None
 
@@ -281,10 +282,11 @@ def test_register_node_rejects_wrong_measurement():
     rig.certify_aik()
     rig.ca.set_trust_baseline("node-a", dataclasses.replace(
         rig.reference, expected_measurement=bytes(32)))
-    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    identity = crypto.SigningKeyPair.generate(rig.rng)
     with pytest.raises(BaselineRejected, match="measurement-mismatch"):
         rig.ca.register_node("node-a", rig.report(bound_to(
-            identity.public_bytes)), rig.chain, identity.public_bytes)
+            identity.public_bytes)).to_bytes(), rig.chain,
+            identity.public_bytes)
 
 
 def test_register_node_registers_a_node_once():
@@ -292,13 +294,13 @@ def test_register_node_registers_a_node_once():
     # second identity certificate or MasterSecret, and leaves no record
     rig = Rig()
     rig.prepare()
-    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    identity = crypto.SigningKeyPair.generate(rig.rng)
     bound = rig.report(bound_to(identity.public_bytes))
-    cert, _ = rig.ca.register_node("node-a", bound, rig.chain,
+    cert, _ = rig.ca.register_node("node-a", bound.to_bytes(), rig.chain,
                                    identity.public_bytes)
     before = rig.ca.snapshot(), rig.ca.record_log, rig.ca._next_serial
     with pytest.raises(BaselineRejected):
-        rig.ca.register_node("node-a", bound, rig.chain,
+        rig.ca.register_node("node-a", bound.to_bytes(), rig.chain,
                              identity.public_bytes)
     assert (rig.ca.snapshot(), rig.ca.record_log,
             rig.ca._next_serial) == before
@@ -311,7 +313,7 @@ def test_register_node_names_the_first_failing_evidence_layer():
     # chain and its chip key, then appraise_layers in the verifier's order
     rig = Rig()
     rig.prepare()
-    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    identity = crypto.SigningKeyPair.generate(rig.rng)
     bound = bound_to(identity.public_bytes)
     foreign_vcek, foreign_chain = tee.TeeVendor(
         b"foreign-vendor-x").derive_vcek(CHIP, 7)
@@ -342,7 +344,7 @@ def test_register_node_names_the_first_failing_evidence_layer():
         (rejected + "tcb-rejected", rig.chain, report()),
     ):
         with pytest.raises(BaselineRejected) as info:
-            rig.ca.register_node("node-a", boot_report, chain,
+            rig.ca.register_node("node-a", boot_report.to_bytes(), chain,
                                  identity.public_bytes)
         assert str(info.value) == message
     assert rig.ca.nodes["node-a"].identity_cert is None
@@ -355,10 +357,45 @@ def test_register_node_names_the_first_failing_evidence_layer():
 def test_register_node_rejects_report_not_bound_to_identity(report_data):
     rig = Rig()
     rig.prepare()
-    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    identity = crypto.SigningKeyPair.generate(rig.rng)
     with pytest.raises(BaselineRejected):
-        rig.ca.register_node("node-a", rig.report(report_data), rig.chain,
-                             identity.public_bytes)
+        rig.ca.register_node("node-a", rig.report(report_data).to_bytes(),
+                             rig.chain, identity.public_bytes)
+    assert rig.ca.nodes["node-a"].identity_cert is None
+
+
+def _truncated(rig, bound):
+    return rig.report(bound).to_bytes()[:-1]
+
+
+def _with_trailing_bytes(rig, bound):
+    return rig.report(bound).to_bytes() + b"\x00"
+
+
+def _embedding_evidence(rig, bound):
+    inner = rig.report(bound).to_bytes()
+    return tee.guest_report(rig.vcek, CHIP, rig.tcb, 7, bound,
+                            inner).to_bytes()
+
+
+@pytest.mark.parametrize("boot_report", [
+    lambda rig, bound: b"",
+    _truncated,
+    _with_trailing_bytes,
+    _embedding_evidence,
+], ids=["empty", "truncated", "trailing-bytes", "embeds-evidence"])
+def test_register_node_reads_undecodable_boot_report_bytes_as_malformed(
+        boot_report):
+    # the report crosses as raw bytes, so the owner CA is the first to
+    # decode them; a DecodeError must not escape register_node
+    rig = Rig()
+    rig.prepare()
+    identity = crypto.SigningKeyPair.generate(rig.rng)
+    with pytest.raises(BaselineRejected) as info:
+        rig.ca.register_node("node-a",
+                             boot_report(rig, bound_to(identity.public_bytes)),
+                             rig.chain, identity.public_bytes)
+    assert str(info.value) == "registration evidence rejected: malformed"
     assert rig.ca.nodes["node-a"].identity_cert is None
 
 
@@ -371,7 +408,7 @@ def _not_der(record):
 
 
 def _launch_garbled_manifest(rig):
-    publisher = crypto.SigningKeyPair.from_seed("PUBLISHER", b"\x31" * 32)
+    publisher = crypto.SigningKeyPair.from_seed(b"\x31" * 32)
     epoch = measurement.MeasurementEpoch(rig.state, publisher.public)
     epoch.run_host_stage([("bios", b"bios-v1")])
     manifest = measurement.sign_manifest(publisher, "guest-os", b"bits")
@@ -385,10 +422,11 @@ def _register_tee_garbled_vcek_cert(rig):
 
 def _register_node_garbled_boot_report(rig):
     rig.prepare()
-    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    identity = crypto.SigningKeyPair.generate(rig.rng)
     report = _not_der(rig.report(bound_to(identity.public_bytes)))
     assert not report.verify(rig.chain.vcek.subject)
-    rig.ca.register_node("node-a", report, rig.chain, identity.public_bytes)
+    rig.ca.register_node("node-a", report.to_bytes(), rig.chain,
+                         identity.public_bytes)
 
 
 def _register_node_keys_garbled_aik_cert(rig):
@@ -441,7 +479,7 @@ def test_revoked_node_gets_no_certificate():
         tpm.loaded_keypair(rig.state, tpm.load_key(rig.state,
                                                    rig.state.ek_blob)))
     rig.ca.revoke("node-a", "compromise")
-    identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+    identity = crypto.SigningKeyPair.generate(rig.rng)
     bound = rig.report(bound_to(identity.public_bytes))
     before = rig.ca.revocation_list(), rig.ca.snapshot()
     with pytest.raises(NodeRevoked):
@@ -449,7 +487,7 @@ def test_revoked_node_gets_no_certificate():
     with pytest.raises(NodeRevoked):
         rig.ca.aik_answer(owner_ca.challenge_session_id(challenge), answer)
     with pytest.raises(NodeRevoked):
-        rig.ca.register_node("node-a", bound, rig.chain,
+        rig.ca.register_node("node-a", bound.to_bytes(), rig.chain,
                              identity.public_bytes)
     # no serial was taken, and the node is neither resurrected nor rebound
     assert (rig.ca.revocation_list(), rig.ca.snapshot()) == before

@@ -55,7 +55,7 @@ class Fixture:
         self.rig = rig = Rig()
         self.vceks, self.chains = zip(*(rig.vendor.derive_vcek(chip, 7)
                                         for chip in CHIPS))
-        self.identity = crypto.SigningKeyPair.generate("IDENTITY", rig.rng)
+        self.identity = crypto.SigningKeyPair.generate(rig.rng)
         self.ek_priv = tpm.loaded_keypair(
             rig.state, tpm.load_key(rig.state, rig.state.ek_blob))
         foreign = tee.TeeVendor(b"foreign-vendor-x")
@@ -121,7 +121,7 @@ class Fixture:
         if name == "register_node":
             node, chip, kind = args
             report, chain = self.evidence[chip][kind]
-            cert, _ = ca.register_node(node, report, chain,
+            cert, _ = ca.register_node(node, report.to_bytes(), chain,
                                        self.identity.public_bytes)
             return _cert(cert)
         if name == "revoke":

@@ -98,7 +98,7 @@ def test_chain_check_under_a_public_key_root_refuses_every_bad_link():
     of ark.subject, which is sound only because the ARK must be the root:
     every link is still checked for its signer and its role."""
     def pair(label):
-        return crypto.SigningKeyPair.from_seed(label, crypto.sha256(label.encode()))
+        return crypto.SigningKeyPair.from_seed(crypto.sha256(label.encode()))
 
     ark, ask, vcek = pair("ARK"), pair("ASK"), pair("VCEK")
     other_ark, other_ask = pair("other ARK"), pair("other ASK")

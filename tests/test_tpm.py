@@ -388,8 +388,8 @@ def test_credential_round_trip_encoding():
 def test_ephemeral_counter_single_use():
     state = fresh_state()
     rng = crypto.DeterministicRng(b"eph")
-    peer_static = crypto.SigningKeyPair.generate("P", rng)
-    peer_eph = crypto.SigningKeyPair.generate("PE", rng)
+    peer_static = crypto.SigningKeyPair.generate(rng)
+    peer_eph = crypto.SigningKeyPair.generate(rng)
     own_static = tpm.loaded_keypair(state, tpm.load_key(state, state.ek_blob))
 
     point, counter = tpm.ec_ephemeral(state)
@@ -410,7 +410,7 @@ def test_ephemeral_table_evicts_fifo():
         tpm.ec_ephemeral(state)
     own_static = tpm.loaded_keypair(state, tpm.load_key(state, state.ek_blob))
     rng = crypto.DeterministicRng(b"eph2")
-    peer = crypto.SigningKeyPair.generate("P", rng)
+    peer = crypto.SigningKeyPair.generate(rng)
     with pytest.raises(CounterInvalid):
         tpm.zgen_2phase(state, first_counter, own_static,
                         peer.public_bytes, peer.public_bytes)

@@ -39,7 +39,7 @@ def honest(cluster, direction, node_index=0, policy_id=None):
         policy_id or cluster.policy_id, actor.node_id)
     envelope = protocol.CompositeReportEnvelope(
         direction, actor.node_id, request.session_id,
-        harness._evidence(actor, direction, request.nonce))
+        actor.evidence(direction, request.nonce))
     return request, envelope
 
 
@@ -443,7 +443,7 @@ def _relay(direction):
                                                    victim.node_id)
         return request, protocol.CompositeReportEnvelope(
             direction, victim.node_id, request.session_id,
-            harness._evidence(other, direction, request.nonce))
+            other.evidence(direction, request.nonce))
     return build
 
 
@@ -524,7 +524,7 @@ def test_rejection_cost_does_not_grow_with_fleet(monkeypatch):
 def test_register_node_keys_checks_both_certificates(cluster):
     actor = cluster.actor(0)
     svc = cluster.verifier_svc
-    rogue_ca = crypto.SigningKeyPair.from_seed("OCA", b"\x42" * 32)
+    rogue_ca = crypto.SigningKeyPair.from_seed(b"\x42" * 32)
     rogue_aik_cert = crypto.issue_certificate(rogue_ca, "AIK", 1,
                                               actor.aik_blob.public)
     rogue_vcek_cert = crypto.issue_certificate(rogue_ca, "VCEK", 2,
@@ -559,6 +559,24 @@ def test_register_node_keys_refuses_a_certified_off_curve_key(cluster):
     # the honest node's entry is untouched: it still verifies
     request, envelope = honest(cluster, "tee-tpm")
     assert submit(cluster, request, envelope)[0] is verifier.CompositeOutcome.OK
+
+
+def test_a_session_copy_naming_another_node_is_appraised_as_the_entry(
+        cluster):
+    # a copy of node 0's open session that names node 1 and carries the
+    # nonce of node 1's accepted session, with that session's evidence
+    # re-bound to it: the node and nonce come from the verifier's entry
+    svc = cluster.verifier_svc
+    earlier, envelope = honest(cluster, "tpm-tee", node_index=1)
+    assert submit(cluster, earlier, envelope)[0] is \
+        verifier.CompositeOutcome.OK
+    request = svc.new_request(cluster.policy_id, cluster.actor(0).node_id)
+    forged = dataclasses.replace(request, node_id=earlier.node_id,
+                                 nonce=earlier.nonce)
+    assert submit(cluster, forged, dataclasses.replace(
+        envelope, session_id=request.session_id)) == (
+        verifier.CompositeOutcome.NONCE_MISMATCH, None)
+    assert not forged.completed and forged.verified is None
 
 
 def test_concurrent_submissions_claim_the_session_once(cluster):
@@ -621,6 +639,29 @@ def test_issue_token_mints_once_per_session(cluster):
     assert issue_one(cluster).serial == token.serial + 1
 
 
+def test_issue_token_mints_only_the_report_the_entry_recorded(cluster):
+    svc = cluster.verifier_svc
+    other = cluster.actor(1).node_id
+    # a report built by hand for an open session that was never verified
+    request = svc.new_request(cluster.policy_id, cluster.actor(0).node_id)
+    with pytest.raises(ValueError):
+        svc.issue_token(verifier.VerifiedReport(
+            session_id=request.session_id, node_id=other,
+            token_type="tpm-tee", evidence=b"no evidence at all",
+            tcb_version=99, pcr_selection=()))
+    # the report of a verified session, altered after appraisal
+    request, envelope = honest(cluster, "tpm-tee")
+    _, verified = submit(cluster, request, envelope)
+    for change in ({"node_id": other}, {"tcb_version": 99},
+                   {"evidence": b"no evidence at all"}):
+        with pytest.raises(ValueError):
+            svc.issue_token(dataclasses.replace(verified, **change))
+    # no refused call took a serial or the session's token
+    token = svc.issue_token(verified)
+    assert (token.serial, token.node) == (1, request.node_id)
+    assert svc._sessions[request.session_id].verified is None
+
+
 def test_issue_token_refuses_a_node_revoked_after_appraisal(cluster):
     # a revoke between verify_composite and issue_token mints nothing: no
     # token for the relying party to accept, no serial taken
@@ -631,7 +672,7 @@ def test_issue_token_refuses_a_node_revoked_after_appraisal(cluster):
     cluster.oca.revoke(cluster.actor(0).node_id, "test")
     with pytest.raises(NodeRevoked):
         svc.issue_token(verified)
-    assert not svc._sessions[request.session_id].token_minted
+    assert svc._sessions[request.session_id].verified == verified
     request, envelope = honest(cluster, "tpm-tee", node_index=1)
     assert svc.issue_token(submit(cluster, request, envelope)[1]).serial == 1
 
@@ -783,7 +824,7 @@ def test_hostile_token_text_is_malformed(cluster):
 
 def test_forged_serial_never_issued_is_rejected(cluster):
     token = issue_one(cluster)
-    mallory = crypto.SigningKeyPair.from_seed("VERIFIER", b"\x99" * 32)
+    mallory = crypto.SigningKeyPair.from_seed(b"\x99" * 32)
     forged = verifier.AttestationToken.signed(
         mallory, **_body_fields(token, serial=424242))
     # wrong key: fails signature outright
